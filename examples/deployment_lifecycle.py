@@ -81,7 +81,7 @@ def main() -> None:
         ],
     )
     maintainer = IncrementalMaintainer(config, dataset.table, realizer=realizer)
-    maintenance = maintainer.apply_appended_rows(new_polls, restarted.store)
+    maintenance = maintainer.maintain(new_polls, restarted.store)
     print(
         f"appended {maintenance.new_rows} poll rows: "
         f"{maintenance.rebuilt_speeches} speeches refreshed, "

@@ -18,7 +18,12 @@ Both raise the same exceptions
 rejects, :class:`repro.api.errors.VoiceApiError` for everything else),
 so swapping transports never changes caller error handling — the
 property the serving benchmark leans on when it drives the identical
-workload through both.
+workload through both.  :class:`HttpClient` narrows transport failures
+to :class:`repro.api.errors.TransportError`, still a ``VoiceApiError``.
+
+The shard router keeps one :class:`HttpClient` per shard and relays
+``/v1/ask`` bytes through :meth:`HttpClient.request`, so this module is
+the only HTTP client in the codebase.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.api.envelopes import (
 from repro.api.errors import (
     MaintenanceUnavailableError,
     ServiceOverloadedError,
+    TransportError,
     VoiceApiError,
 )
 from repro.system.engine import VoiceResponse
@@ -51,6 +57,51 @@ MAX_RETRY_AFTER_SECONDS = 5.0
 
 def _as_request(request: VoiceRequest | str) -> VoiceRequest:
     return VoiceRequest(text=request) if isinstance(request, str) else request
+
+
+def _json_payload(status: int, raw: bytes) -> dict[str, Any]:
+    """A response body as a JSON object; non-JSON error bodies degrade."""
+    try:
+        payload = json.loads(raw) if raw else {}
+    except json.JSONDecodeError as exc:
+        if status == 200:
+            # A success response must carry the envelope contract.
+            raise VoiceApiError(f"server sent invalid JSON: {exc}") from exc
+        # Error bodies may come from intermediaries (load balancers,
+        # proxies) that speak plain text or HTML; the status code is
+        # the contract then, not the body.  Degrade to a generic
+        # payload instead of masking the real failure with a parse
+        # error — a plain-text 503 must still read as overload.
+        text = raw.decode("utf-8", errors="replace").strip()
+        payload = {
+            "code": "non_json_body",
+            "error": text[:200] or f"HTTP {status} with non-JSON body",
+        }
+    if not isinstance(payload, dict):
+        payload = {"value": payload}
+    return payload
+
+
+def decode_ask(status: int, raw: bytes) -> VoiceResponse:
+    """Decode one ``/v1/ask`` reply into a response or the typed error.
+
+    Shared by :class:`HttpClient` and the shard router, which relays raw
+    reply bytes and decodes them only for in-process callers.
+    """
+    payload = _json_payload(status, raw)
+    if status == 200:
+        try:
+            return response_from_dict(payload)
+        except EnvelopeError as exc:
+            raise VoiceApiError(f"server sent a malformed envelope: {exc}") from exc
+    if status == 503:
+        raise ServiceOverloadedError(
+            str(payload.get("error", "service overloaded")), status=503
+        )
+    raise VoiceApiError(
+        f"POST /v1/ask failed with {status}: {payload.get('error', payload)}",
+        status=status,
+    )
 
 
 @runtime_checkable
@@ -218,33 +269,16 @@ class HttpClient:
     # VoiceClient surface
     # ------------------------------------------------------------------
     async def ask(self, request: VoiceRequest | str) -> VoiceResponse:
-        request = _as_request(request)
-        body = request.to_dict()
+        body = json.dumps(_as_request(request).to_dict(), allow_nan=False).encode("utf-8")
         for attempt in range(self._overload_retries + 1):
-            status, payload, retry_after = await self._request(
-                "POST", "/v1/ask", body=body
-            )
-            if status == 200:
-                try:
-                    return response_from_dict(payload)
-                except EnvelopeError as exc:
-                    raise VoiceApiError(
-                        f"server sent a malformed envelope: {exc}"
-                    ) from exc
-            if status == 503:
+            status, raw, retry_after = await self.request("POST", "/v1/ask", body)
+            if status == 503 and attempt < self._overload_retries:
                 # Backpressure: the request was rejected before any
                 # processing, so re-submitting is always safe.  Honor
                 # the server's Retry-After pacing hint when present.
-                if attempt < self._overload_retries:
-                    await asyncio.sleep(self._retry_delay(attempt, retry_after))
-                    continue
-                raise ServiceOverloadedError(
-                    str(payload.get("error", "service overloaded")), status=503
-                )
-            raise VoiceApiError(
-                f"POST /v1/ask failed with {status}: {payload.get('error', payload)}",
-                status=status,
-            )
+                await asyncio.sleep(self._retry_delay(attempt, retry_after))
+                continue
+            return decode_ask(status, raw)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _retry_delay(self, attempt: int, retry_after: float | None) -> float:
@@ -295,6 +329,14 @@ class HttpClient:
 
     async def aclose(self) -> None:
         """Close every pooled connection."""
+        self.close()
+
+    def close(self) -> None:
+        """Synchronous :meth:`aclose`, for callers outside a coroutine.
+
+        Requests already in flight finish; their connections are then
+        closed instead of pooled, and new requests fail.
+        """
         self._closed = True
         while self._idle:
             self._idle.pop().close()
@@ -302,43 +344,45 @@ class HttpClient:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _get_json(self, path: str) -> dict[str, Any]:
-        status, payload, _ = await self._request("GET", path)
-        if status != 200:
-            raise VoiceApiError(f"GET {path} failed with {status}", status=status)
-        return payload
+    async def request(
+        self, method: str, path: str, body: bytes = b""
+    ) -> tuple[int, bytes, float | None]:
+        """One round trip: ``(status, raw body, Retry-After seconds)``.
 
-    async def _request(
-        self, method: str, path: str, body: dict | None = None
-    ) -> tuple[int, dict[str, Any], float | None]:
+        Any HTTP status is returned, not raised.  Raises
+        :class:`TransportError` when no well-formed reply arrives and
+        :class:`VoiceApiError` when none arrives within ``timeout``.
+        """
         if self._closed:
-            raise VoiceApiError("client is closed")
+            raise TransportError("client is closed")
         async with self._limiter:
             # A pooled connection may have been closed server-side while
             # idle; retry exactly once on a fresh connection.
             for attempt in (0, 1):
                 reused = bool(self._idle)
-                connection = (
-                    self._idle.pop() if self._idle else await self._connect()
-                )
+                connection = self._idle.pop() if self._idle else await self._connect()
                 try:
                     result = await asyncio.wait_for(
                         self._round_trip(connection, method, path, body),
                         timeout=self._timeout,
                     )
-                except (
-                    ConnectionError,
-                    asyncio.IncompleteReadError,
-                    BrokenPipeError,
-                ) as exc:
+                except TransportError:
+                    # A garbled reply: the server answered, so do not
+                    # re-send the request.
                     connection.close()
-                    if reused and attempt == 0:
-                        continue
-                    raise VoiceApiError(f"{method} {path}: connection failed: {exc!r}") from exc
+                    raise
                 except asyncio.TimeoutError as exc:
+                    # Checked before OSError, which TimeoutError subclasses.
                     connection.close()
                     raise VoiceApiError(
                         f"{method} {path}: no response within {self._timeout:.0f}s"
+                    ) from exc
+                except (OSError, asyncio.IncompleteReadError) as exc:
+                    connection.close()
+                    if reused and attempt == 0:
+                        continue
+                    raise TransportError(
+                        f"{method} {path}: connection failed: {exc!r}"
                     ) from exc
                 except BaseException:
                     # Protocol errors leave the stream in an unknown
@@ -352,31 +396,44 @@ class HttpClient:
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
 
+    async def _request(
+        self, method: str, path: str, body: dict | None = None
+    ) -> tuple[int, dict[str, Any], float | None]:
+        """:meth:`request` with a JSON body in and a JSON object out."""
+        encoded = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+        status, raw, retry_after = await self.request(method, path, encoded)
+        return status, _json_payload(status, raw), retry_after
+
+    async def _get_json(self, path: str) -> dict[str, Any]:
+        status, payload, _ = await self._request("GET", path)
+        if status != 200:
+            raise VoiceApiError(f"GET {path} failed with {status}", status=status)
+        return payload
+
     async def _connect(self) -> _Connection:
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(self._host, self._port), timeout=self._timeout
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+        except asyncio.TimeoutError as exc:
             raise VoiceApiError(
-                f"cannot connect to {self.address}: {exc!r}"
+                f"cannot connect to {self.address} within {self._timeout:.0f}s"
             ) from exc
+        except OSError as exc:
+            raise TransportError(f"cannot connect to {self.address}: {exc!r}") from exc
         return _Connection(reader, writer)
 
     async def _round_trip(
-        self, connection: _Connection, method: str, path: str, body: dict | None
-    ) -> tuple[int, dict[str, Any], float | None]:
-        encoded = (
-            json.dumps(body, allow_nan=False).encode("utf-8") if body is not None else b""
-        )
+        self, connection: _Connection, method: str, path: str, body: bytes
+    ) -> tuple[int, bytes, float | None]:
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self._host}:{self._port}\r\n"
             "Content-Type: application/json\r\n"
-            f"Content-Length: {len(encoded)}\r\n"
+            f"Content-Length: {len(body)}\r\n"
             "\r\n"
         )
-        connection.writer.write(head.encode("ascii") + encoded)
+        connection.writer.write(head.encode("ascii") + body)
         await connection.writer.drain()
 
         status_line = await connection.reader.readline()
@@ -384,7 +441,7 @@ class HttpClient:
             raise ConnectionResetError("server closed the connection")
         parts = status_line.decode("latin-1").split(None, 2)
         if len(parts) < 2 or not parts[1].isdigit():
-            raise VoiceApiError(f"malformed status line {status_line!r}")
+            raise TransportError(f"malformed status line {status_line!r}")
         status = int(parts[1])
         content_length = 0
         retry_after: float | None = None
@@ -395,7 +452,10 @@ class HttpClient:
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
-                content_length = int(value.strip())
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise TransportError(f"malformed Content-Length {value!r}")
+                content_length = int(value)
             elif name == "retry-after":
                 # Seconds form only (the HTTP-date form is not worth a
                 # parser here); ignore anything unparseable.
@@ -405,27 +465,5 @@ class HttpClient:
                     pass
         if content_length > MAX_RESPONSE_BYTES:
             raise VoiceApiError(f"response too large ({content_length} bytes)")
-        raw = (
-            await connection.reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
-        try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            if status == 200:
-                # A success response must carry the envelope contract.
-                raise VoiceApiError(f"server sent invalid JSON: {exc}") from exc
-            # Error bodies may come from intermediaries (load balancers,
-            # proxies) that speak plain text or HTML; the status code is
-            # the contract then, not the body.  Degrade to a generic
-            # payload instead of masking the real failure with a parse
-            # error — a plain-text 503 must still read as overload.
-            text = raw.decode("utf-8", errors="replace").strip()
-            payload = {
-                "code": "non_json_body",
-                "error": text[:200] or f"HTTP {status} with non-JSON body",
-            }
-        if not isinstance(payload, dict):
-            payload = {"value": payload}
-        return status, payload, retry_after
+        raw = await connection.reader.readexactly(content_length) if content_length else b""
+        return status, raw, retry_after

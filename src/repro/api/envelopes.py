@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.relational.errors import SchemaError, TypeMismatchError
+from repro.relational.table import Table
 from repro.system.classification import RequestType
 from repro.system.engine import ResponseKind, VoiceResponse
 from repro.system.queries import DataQuery
@@ -209,3 +211,32 @@ def response_from_dict(payload: Mapping[str, Any]) -> VoiceResponse:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeError(f"malformed response envelope: {exc!r}") from exc
+
+
+def build_append_table(schema: Table, rows: list) -> Table:
+    """Build an append batch from JSON-friendly rows (wire ingress).
+
+    ``rows`` is a list of objects keyed by column name (extra keys
+    ignored) or arrays in schema order, validated against ``schema``'s
+    columns.  Raises :class:`EnvelopeError` on any mismatch, so
+    transports can map it to a 400 instead of a maintenance crash.
+    """
+    names = schema.column_names
+    types = [column.ctype for column in schema.columns]
+    materialized = []
+    for row in rows:
+        if isinstance(row, dict):
+            missing = [name for name in names if name not in row]
+            if missing:
+                raise EnvelopeError(f"append row is missing columns {missing}")
+            materialized.append([row[name] for name in names])
+        elif isinstance(row, (list, tuple)):
+            materialized.append(list(row))
+        else:
+            raise EnvelopeError(
+                f"append row must be an object or array, got {type(row).__name__}"
+            )
+    try:
+        return Table.from_rows(schema.name, names, types, materialized)
+    except (SchemaError, TypeMismatchError) as exc:
+        raise EnvelopeError(f"append rows do not match the table schema: {exc}") from exc

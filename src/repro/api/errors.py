@@ -23,6 +23,17 @@ class VoiceApiError(RuntimeError):
         self.status = status
 
 
+class TransportError(VoiceApiError, ConnectionError):
+    """The request never got a well-formed HTTP reply.
+
+    Raised when the connection is refused, reset or torn mid-response,
+    or when the reply cannot be framed (garbled status line, bad
+    ``Content-Length``).  Being a ``ConnectionError`` lets the shard
+    router fail such a request over to another shard; HTTP error
+    statuses and timeouts are *not* transport errors.
+    """
+
+
 class ServiceOverloadedError(VoiceApiError):
     """The service's admission control rejected the request.
 

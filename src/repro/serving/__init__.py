@@ -22,11 +22,7 @@ turns that property into a deployable service:
 """
 
 from repro.serving.scheduler import MaintenanceJob, MaintenanceScheduler
-from repro.serving.service import (
-    ServiceMetrics,
-    ServiceOverloadedError,
-    VoiceService,
-)
+from repro.serving.service import ServiceMetrics, VoiceService
 from repro.serving.sharding import ConsistentHashRing, ShardManager
 from repro.serving.snapshots import SnapshotRegistry, StoreSnapshot
 
@@ -35,7 +31,6 @@ __all__ = [
     "MaintenanceJob",
     "MaintenanceScheduler",
     "ServiceMetrics",
-    "ServiceOverloadedError",
     "ShardManager",
     "SnapshotRegistry",
     "StoreSnapshot",

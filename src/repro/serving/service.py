@@ -52,9 +52,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.api.config import DEFAULT_LATENCY_WINDOW, ServingConfig
-from repro.api.envelopes import EnvelopeError, VoiceRequest
+from repro.api.envelopes import VoiceRequest, build_append_table
 from repro.api.errors import ServiceOverloadedError
-from repro.relational.errors import SchemaError, TypeMismatchError
 from repro.api.sessions import SessionStore
 from repro.relational.table import Table
 from repro.reliability import faults
@@ -63,7 +62,7 @@ from repro.serving.snapshots import SnapshotRegistry, StoreSnapshot
 from repro.storage.recovery import (
     DurabilityCoordinator,
     RecoveredState,
-    recover_state,
+    recover_engine,
 )
 from repro.store import SnapshotError, SnapshotPublisher
 from repro.system.classification import RequestType
@@ -72,16 +71,7 @@ from repro.system.nlq import ParsedRequest
 from repro.system.updates import IncrementalMaintainer
 from repro.system.worker_pool import WorkerPool
 
-
-# ServiceOverloadedError and DEFAULT_LATENCY_WINDOW are re-exported for
-# back-compat; their canonical definitions live in repro.api (errors
-# and config), below the transports that share them.
-__all__ = [
-    "DEFAULT_LATENCY_WINDOW",
-    "ServiceMetrics",
-    "ServiceOverloadedError",
-    "VoiceService",
-]
+__all__ = ["ServiceMetrics", "VoiceService"]
 
 
 @dataclass
@@ -266,35 +256,10 @@ class VoiceService:
                 engine.swap_store(attached)
                 initial_store_version = attached.snapshot_version or 0
         if config.data_dir is not None:
-            if config.failpoints:
-                # Recovery-boundary failpoints (recover.replay) must be
-                # live before the replay below, not only at start().
-                faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
             # Recover durable state *before* seeding the first snapshot
             # and the maintainer, so both see the journal's appends.
-            recovered = recover_state(
-                config.data_dir,
-                engine.config,
-                base_store=engine.store,
-                base_table=engine.table,
-                summarizer=engine.summarizer,
-                realizer=engine.realizer,
-            )
-            engine.swap_store(recovered.store)
-            if recovered.table is not engine.table:
-                engine.adopt_table(recovered.table)
+            recovered, self._durability = recover_engine(engine, config)
             self._recovery = recovered
-            self._durability = DurabilityCoordinator(
-                config.data_dir,
-                fsync=config.journal_fsync,
-                checkpoint_every_swaps=config.checkpoint_every_swaps,
-                checkpoint_every_bytes=config.checkpoint_every_bytes,
-                checkpoint_keep=config.checkpoint_keep,
-                checkpoint_compact=config.checkpoint_compact,
-                next_seq=recovered.next_seq,
-                truncate_at=recovered.journal_offset,
-                applied_seq=recovered.applied_seq,
-            )
             if recovered.replayed_records:
                 # Fold the replayed records into a fresh checkpoint so
                 # the next restart (and every crash until the first
@@ -598,34 +563,8 @@ class VoiceService:
         return self._scheduler.request_append(new_rows)
 
     def build_append_table(self, rows: list) -> Table:
-        """Build an append batch from JSON-friendly rows (wire ingress).
-
-        ``rows`` is a list of objects keyed by column name (extra keys
-        ignored) or arrays in schema order, validated against the
-        *current* maintained table's schema.  Raises
-        :class:`EnvelopeError` on any mismatch, so transports can map
-        it to a 400 instead of a scheduler crash.
-        """
-        schema = self._scheduler.table
-        names = schema.column_names
-        types = [column.ctype for column in schema.columns]
-        materialized = []
-        for row in rows:
-            if isinstance(row, dict):
-                missing = [name for name in names if name not in row]
-                if missing:
-                    raise EnvelopeError(f"append row is missing columns {missing}")
-                materialized.append([row[name] for name in names])
-            elif isinstance(row, (list, tuple)):
-                materialized.append(list(row))
-            else:
-                raise EnvelopeError(
-                    f"append row must be an object or array, got {type(row).__name__}"
-                )
-        try:
-            return Table.from_rows(schema.name, names, types, materialized)
-        except (SchemaError, TypeMismatchError) as exc:
-            raise EnvelopeError(f"append rows do not match the table schema: {exc}") from exc
+        """Validate wire rows against the *current* maintained table's schema."""
+        return build_append_table(self._scheduler.table, rows)
 
     # ------------------------------------------------------------------
     # Workers

@@ -20,11 +20,19 @@ one session keep landing together even mid-outage.
 
 The hot path is a **raw byte relay**: :meth:`ShardManager.relay_ask`
 forwards the client's request body bytes to the shard and hands the
-shard's response bytes straight back, over per-shard keep-alive
-connection pools.  The router never decodes or re-encodes the
-envelope (it only JSON-parses bodies that mention ``session_id``, to
-extract the routing key), so its per-request cost stays far below a
-shard's and throughput scales with the shard count.
+shard's response bytes straight back through
+:meth:`repro.api.clients.HttpClient.request`.  Each shard has one
+:class:`HttpClient` (a keep-alive pool bounded by the shard's
+``concurrency + max_queue_depth``), created when the shard reports
+ready and closed when it goes down; every other shard call (health,
+metrics, digests, sessions, appends) goes through the same client.
+The router never decodes or re-encodes the envelope (it only
+JSON-parses bodies that mention ``session_id``, to extract the routing
+key), so its per-request cost stays far below a shard's and
+throughput scales with the shard count.  A
+:class:`repro.api.errors.TransportError` (refused, reset, torn or
+garbled reply) fails the request over to the next shard; HTTP error
+statuses pass through and timeouts never mark a shard down.
 
 Maintenance and durability
 --------------------------
@@ -70,21 +78,13 @@ import signal
 import time
 from typing import Any, Iterable, Sequence
 
+from repro.api.clients import HttpClient, decode_ask
 from repro.api.config import ServingConfig
-from repro.api.envelopes import (
-    EnvelopeError,
-    VoiceRequest,
-    response_from_dict,
-)
-from repro.api.errors import (
-    MaintenanceUnavailableError,
-    ServiceOverloadedError,
-    VoiceApiError,
-)
-from repro.relational.errors import SchemaError, TypeMismatchError
+from repro.api.envelopes import VoiceRequest, build_append_table
+from repro.api.errors import ServiceOverloadedError, VoiceApiError
 from repro.relational.table import Table
 from repro.reliability import faults
-from repro.storage.recovery import DurabilityCoordinator, recover_state
+from repro.storage.recovery import DurabilityCoordinator, recover_engine
 from repro.store import SnapshotError, SnapshotPublisher
 from repro.system.engine import VoiceQueryEngine, VoiceResponse
 from repro.system.speech_store import SpeechStore
@@ -186,7 +186,7 @@ def _shard_main(conn, engine, config, index: int) -> None:
         engine = pickle.loads(engine)
 
     def _quiet_cancelled(loop, context) -> None:
-        # Keep-alive router connections parked in readline() at loop
+        # Keep-alive router connections parked on a read at loop
         # teardown surface as "Exception in callback ... CancelledError"
         # noise (an asyncio-streams wart); a draining shard's log
         # should stay clean for the chaos smokes.
@@ -226,8 +226,9 @@ class _ShardHandle:
         self.port: int | None = None
         self.healthy = False
         self.respawns = 0
-        self.generation = 0
-        self.idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        # One client per spawned process, so a respawned shard never
+        # inherits connections to its dead predecessor.
+        self.client: HttpClient | None = None
         # Cached from the last metrics fan-out, for the sync facade.
         self.last_sessions = 0
         self.last_queue_depth = 0
@@ -236,13 +237,11 @@ class _ShardHandle:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def close_connections(self) -> None:
-        while self.idle:
-            _, writer = self.idle.pop()
-            try:
-                writer.close()
-            except Exception:
-                pass
+    def down(self) -> None:
+        """Take the shard out of routing and close its client."""
+        self.healthy = False
+        if self.client is not None:
+            self.client.close()
 
 
 class _RouterSessions:
@@ -308,31 +307,7 @@ class ShardManager:
         )
         self._durability: DurabilityCoordinator | None = None
         if self._config.data_dir is not None:
-            if self._config.failpoints:
-                faults.FAILPOINTS.ensure(
-                    self._config.failpoints, seed=self._config.failpoint_seed
-                )
-            recovered = recover_state(
-                self._config.data_dir,
-                engine.config,
-                base_store=engine.store,
-                base_table=engine.table,
-                summarizer=engine.summarizer,
-                realizer=engine.realizer,
-            )
-            engine.swap_store(recovered.store)
-            if recovered.table is not engine.table:
-                engine.adopt_table(recovered.table)
-            self._durability = DurabilityCoordinator(
-                self._config.data_dir,
-                fsync=self._config.journal_fsync,
-                checkpoint_every_swaps=self._config.checkpoint_every_swaps,
-                checkpoint_every_bytes=self._config.checkpoint_every_bytes,
-                checkpoint_keep=self._config.checkpoint_keep,
-                next_seq=recovered.next_seq,
-                truncate_at=recovered.journal_offset,
-                applied_seq=recovered.applied_seq,
-            )
+            _, self._durability = recover_engine(engine, self._config)
         # With a snapshot directory the manager switches to mmap-attach
         # spawning: the base store is frozen as snapshot v0 (after
         # recovery, so shards attach the recovered state), the shard
@@ -495,6 +470,8 @@ class ShardManager:
                 await supervisor
             except asyncio.CancelledError:
                 pass
+        for handle in self._shards:
+            handle.down()
         loop = asyncio.get_running_loop()
         await asyncio.gather(
             *(
@@ -547,13 +524,19 @@ class ShardManager:
             raise RuntimeError(f"shard {handle.index} failed to start: {message}")
         handle.process = process
         handle.port = message[2]
-        handle.generation += 1
+        # Status codes pass through (no 503 retries): the router decides
+        # what a shard's answer means.  The pool bound matches what the
+        # shard itself admits: running plus queued requests.
+        handle.client = HttpClient(
+            "127.0.0.1",
+            handle.port,
+            max_connections=self._config.concurrency + self._config.max_queue_depth,
+            overload_retries=0,
+        )
         handle.healthy = True
         self._spawn_seconds.append(time.monotonic() - started)
 
     def _stop_shard(self, handle: _ShardHandle) -> None:
-        handle.healthy = False
-        handle.close_connections()
         process = handle.process
         if process is None:
             return
@@ -576,8 +559,7 @@ class ShardManager:
                 if not self._running:
                     return
                 if handle.process is not None and not handle.alive:
-                    handle.healthy = False
-                    handle.close_connections()
+                    handle.down()
                     handle.process.join(timeout=0)
                     handle.respawns += 1
                     self._respawn_total += 1
@@ -597,128 +579,14 @@ class ShardManager:
         """
         start_version = 0
         if self._publisher is not None:
-            start_version = await self._shard_version(handle)
-        for position, (_, rows) in enumerate(self._append_log, start=1):
-            if position <= start_version:
-                continue
-            body = json.dumps({"rows": rows}).encode("utf-8")
-            status, payload = await self._shard_request(
-                handle, "POST", "/v1/append", body
-            )
-            if status != 202:
-                raise RuntimeError(
-                    f"shard {handle.index} rejected replayed append "
-                    f"{position}: {status} {payload!r}"
-                )
-            await self._await_version(handle, position)
-
-    async def _shard_version(self, handle: _ShardHandle) -> int:
-        """One shard's current snapshot version (0 when unreadable)."""
-        try:
-            status, payload = await self._shard_json(handle, "GET", "/healthz")
-        except ConnectionError:
-            return 0
-        if status != 200:
-            return 0
-        try:
-            return max(0, int(payload.get("snapshot_version", 0)))
-        except (TypeError, ValueError):
-            return 0
-
-    # ------------------------------------------------------------------
-    # Raw shard transport
-    # ------------------------------------------------------------------
-    async def _shard_request(
-        self,
-        handle: _ShardHandle,
-        method: str,
-        path: str,
-        body: bytes = b"",
-    ) -> tuple[int, bytes]:
-        """One round-trip to a shard; raw response body bytes.
-
-        Pooled keep-alive connections, retried once on a stale pooled
-        connection.  Raises ``ConnectionError`` when the shard is
-        unreachable — the caller decides whether to fail over.
-        """
-        generation = handle.generation
-        for attempt in (0, 1):
-            reused = bool(handle.idle)
-            if handle.idle:
-                reader, writer = handle.idle.pop()
-            else:
-                if handle.port is None:
-                    raise ConnectionError(f"shard {handle.index} has no port")
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", handle.port
-                )
             try:
-                head = (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: 127.0.0.1:{handle.port}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "\r\n"
-                )
-                writer.write(head.encode("ascii") + body)
-                await writer.drain()
-                status_line = await reader.readline()
-                if not status_line:
-                    raise ConnectionResetError("shard closed the connection")
-                parts = status_line.decode("latin-1").split(None, 2)
-                if len(parts) < 2 or not parts[1].isdigit():
-                    raise ConnectionError(f"malformed status line {status_line!r}")
-                status = int(parts[1])
-                content_length = 0
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    if name.strip().lower() == "content-length":
-                        content_length = int(value.strip())
-                payload = (
-                    await reader.readexactly(content_length)
-                    if content_length
-                    else b""
-                )
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-                if reused and attempt == 0:
-                    continue
-                raise ConnectionError(
-                    f"shard {handle.index} request failed: {exc!r}"
-                ) from exc
-            except BaseException:
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-                raise
-            if handle.healthy and handle.generation == generation:
-                handle.idle.append((reader, writer))
-            else:
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-            return status, payload
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _shard_json(
-        self, handle: _ShardHandle, method: str, path: str, body: bytes = b""
-    ) -> tuple[int, dict]:
-        status, raw = await self._shard_request(handle, method, path, body)
-        try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            payload = {}
-        if not isinstance(payload, dict):
-            payload = {"value": payload}
-        return status, payload
+                start_version = int((await handle.client.health())["snapshot_version"])
+            except (VoiceApiError, KeyError, TypeError, ValueError):
+                pass  # unreadable: replay the whole log
+        for position, (_, rows) in enumerate(self._append_log, start=1):
+            if position > start_version:
+                await handle.client.append(rows)
+                await self._await_version(handle, position)
 
     # ------------------------------------------------------------------
     # Routing
@@ -769,8 +637,7 @@ class ShardManager:
         if process is not None and process.is_alive() and process.pid:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=5.0)
-        handle.healthy = False
-        handle.close_connections()
+        handle.down()
 
     async def relay_ask(self, body: bytes) -> tuple[int, bytes]:
         """Forward one ``/v1/ask`` body; the shard's raw response bytes.
@@ -795,12 +662,12 @@ class ShardManager:
             if not handle.healthy:
                 continue
             try:
-                return await self._shard_request(handle, "POST", "/v1/ask", body)
+                status, raw, _ = await handle.client.request("POST", "/v1/ask", body)
+                return status, raw
             except ConnectionError as exc:
                 # The shard died under the request (crash failpoint or a
                 # real fault): fail it over, never the client.
-                handle.healthy = False
-                handle.close_connections()
+                handle.down()
                 self._relay_retries += 1
                 last_error = str(exc)
         return 503, json.dumps(
@@ -812,26 +679,7 @@ class ShardManager:
         if isinstance(request, str):
             request = VoiceRequest(text=request)
         body = json.dumps(request.to_dict(), allow_nan=False).encode("utf-8")
-        status, raw = await self.relay_ask(body)
-        try:
-            payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            raise VoiceApiError(f"shard sent invalid JSON: {exc}") from exc
-        if status == 200:
-            try:
-                return response_from_dict(payload)
-            except EnvelopeError as exc:
-                raise VoiceApiError(
-                    f"shard sent a malformed envelope: {exc}"
-                ) from exc
-        if status == 503:
-            raise ServiceOverloadedError(
-                str(payload.get("error", "service overloaded")), status=503
-            )
-        raise VoiceApiError(
-            f"shard answered /v1/ask with {status}: {payload.get('error', payload)}",
-            status=status,
-        )
+        return decode_ask(*await self.relay_ask(body))
 
     async def describe_session(self, session_id: str) -> dict | None:
         """The session summary from its owning shard (None if unknown)."""
@@ -839,50 +687,25 @@ class ShardManager:
         if not healthy:
             return None
         handle = self._shards[self._ring.route(session_id, healthy)]
-        from urllib.parse import quote
-
-        path = f"/v1/sessions/{quote(session_id, safe='')}"
         try:
-            status, payload = await self._shard_json(handle, "GET", path)
-        except ConnectionError:
+            summary = await handle.client.session(session_id)
+        except VoiceApiError:
             return None
-        if status != 200:
-            return None
-        payload["shard"] = handle.index
-        return payload
+        if summary is not None:
+            summary["shard"] = handle.index
+        return summary
 
     # ------------------------------------------------------------------
     # Maintenance fan-out
     # ------------------------------------------------------------------
     def build_append_table(self, rows: list) -> Table:
-        """Validate JSON rows against the deployment's table schema.
+        """Validate wire rows against the deployment's table schema.
 
         Appends never change the schema, so the base engine's column
         layout is authoritative even though the maintained tables live
         inside the shards.
         """
-        schema = self._engine.table
-        names = schema.column_names
-        types = [column.ctype for column in schema.columns]
-        materialized = []
-        for row in rows:
-            if isinstance(row, dict):
-                missing = [name for name in names if name not in row]
-                if missing:
-                    raise EnvelopeError(f"append row is missing columns {missing}")
-                materialized.append([row[name] for name in names])
-            elif isinstance(row, (list, tuple)):
-                materialized.append(list(row))
-            else:
-                raise EnvelopeError(
-                    f"append row must be an object or array, got {type(row).__name__}"
-                )
-        try:
-            return Table.from_rows(schema.name, names, types, materialized)
-        except (SchemaError, TypeMismatchError) as exc:
-            raise EnvelopeError(
-                f"append rows do not match the table schema: {exc}"
-            ) from exc
+        return build_append_table(self._engine.table, rows)
 
     async def request_append(self, new_rows: Table) -> int | None:
         """Journal, broadcast and barrier one append batch.
@@ -902,27 +725,17 @@ class ShardManager:
             rows = new_rows.to_dicts()
             self._append_log.append((seq, rows))
             target_version = len(self._append_log)
-            body = json.dumps({"rows": rows}).encode("utf-8")
-            statuses = await asyncio.gather(
-                *(
-                    self._shard_json(handle, "POST", "/v1/append", body)
-                    for handle in self._shards
-                    if handle.healthy
-                ),
+            results = await asyncio.gather(
+                *(handle.client.append(rows) for handle in self._shards if handle.healthy),
                 return_exceptions=True,
             )
-            for result in statuses:
-                if isinstance(result, BaseException):
+            for result in results:
+                if isinstance(result, ConnectionError):
                     continue  # the shard died; respawn catch-up covers it
-                status, payload = result
-                if status == 503:
-                    raise MaintenanceUnavailableError(
-                        str(payload.get("error", "maintenance unavailable"))
-                    )
-                if status != 202:
-                    raise RuntimeError(
-                        f"append broadcast failed with {status}: {payload!r}"
-                    )
+                if isinstance(result, BaseException):
+                    # A 503 is MaintenanceUnavailableError, any other
+                    # status a VoiceApiError.
+                    raise result
             await asyncio.gather(
                 *(
                     self._await_version(handle, target_version)
@@ -938,19 +751,21 @@ class ShardManager:
     async def _await_version(self, handle: _ShardHandle, version: int) -> None:
         """Poll one shard's ``/healthz`` until its snapshot reaches ``version``."""
         deadline = time.monotonic() + BARRIER_TIMEOUT_SECONDS
+        current = None
         while True:
             try:
-                status, payload = await self._shard_json(handle, "GET", "/healthz")
+                current = (await handle.client.health()).get("snapshot_version")
             except ConnectionError:
                 if not handle.alive:
                     return  # died mid-barrier; respawn catch-up re-applies
-                status, payload = 0, {}
-            if status == 200 and int(payload.get("snapshot_version", -1)) >= version:
+            except VoiceApiError:
+                pass  # not answering 200 yet; poll again
+            if isinstance(current, int) and current >= version:
                 return
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"shard {handle.index} never reached snapshot version "
-                    f"{version} (last: {payload.get('snapshot_version')!r})"
+                    f"{version} (last: {current!r})"
                 )
             await asyncio.sleep(0.02)
 
@@ -989,14 +804,10 @@ class ShardManager:
                 per_shard[str(handle.index)] = {"status": "down"}
                 continue
             try:
-                status, summary = await self._shard_json(
-                    handle, "GET", "/v1/metrics"
-                )
-            except ConnectionError:
-                per_shard[str(handle.index)] = {"status": "unreachable"}
-                continue
-            if status != 200:
-                per_shard[str(handle.index)] = {"status": f"http {status}"}
+                summary = await handle.client.metrics()
+            except VoiceApiError as exc:
+                status = "unreachable" if exc.status is None else f"http {exc.status}"
+                per_shard[str(handle.index)] = {"status": status}
                 continue
             per_shard[str(handle.index)] = summary
             handle.last_sessions = int(summary.get("sessions", 0))
@@ -1037,19 +848,13 @@ class ShardManager:
         """Every healthy shard's store digest (the byte-parity probe)."""
         digests: dict[str, str | None] = {}
         for handle in self._shards:
-            if not handle.healthy:
-                digests[str(handle.index)] = None
-                continue
-            try:
-                status, payload = await self._shard_json(
-                    handle, "GET", "/v1/store/digest"
-                )
-            except ConnectionError:
-                digests[str(handle.index)] = None
-                continue
-            digests[str(handle.index)] = (
-                payload.get("digest") if status == 200 else None
-            )
+            digest = None
+            if handle.healthy:
+                try:
+                    digest = (await handle.client.store_digest()).get("digest")
+                except VoiceApiError:
+                    pass
+            digests[str(handle.index)] = digest
         present = [digest for digest in digests.values() if digest is not None]
         return {
             "digests": digests,

@@ -38,7 +38,8 @@ swap; may trigger a policy checkpoint), ``mark_dropped`` (retries
 exhausted).  Checkpoint failures are counted and surfaced through
 ``stats()`` / service health, never raised into the swap path: the
 journal alone is sufficient for correctness, a missed checkpoint only
-costs replay time.
+costs replay time.  :func:`recover_engine` joins the two halves into
+the start-up step both the single service and the shard router run.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.relational.table import Table
 from repro.reliability import faults
@@ -60,6 +61,10 @@ from repro.storage.durability import (
 from repro.system.config import SummarizationConfig
 from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
+
+if TYPE_CHECKING:
+    from repro.api.config import ServingConfig
+    from repro.system.engine import VoiceQueryEngine
 
 #: Journal file name inside a data directory.
 JOURNAL_NAME = "journal.wal"
@@ -194,6 +199,46 @@ def recover_state(
         checkpoint=checkpoint,
         scan=scan,
     )
+
+
+def recover_engine(
+    engine: VoiceQueryEngine, config: ServingConfig
+) -> tuple[RecoveredState, DurabilityCoordinator]:
+    """Recover ``config.data_dir`` into ``engine`` and reopen its journal.
+
+    The start-up step of every durable deployment (single service or
+    shard router): arms ``config.failpoints`` so recovery-boundary
+    sites (``recover.replay``) fire during the replay, runs
+    :func:`recover_state` from the engine's pre-processed state, makes
+    the engine adopt the recovered store and table, and returns a
+    :class:`DurabilityCoordinator` whose journal resumes past the
+    longest valid prefix.
+    """
+    if config.failpoints:
+        faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
+    recovered = recover_state(
+        config.data_dir,
+        engine.config,
+        base_store=engine.store,
+        base_table=engine.table,
+        summarizer=engine.summarizer,
+        realizer=engine.realizer,
+    )
+    engine.swap_store(recovered.store)
+    if recovered.table is not engine.table:
+        engine.adopt_table(recovered.table)
+    durability = DurabilityCoordinator(
+        config.data_dir,
+        fsync=config.journal_fsync,
+        checkpoint_every_swaps=config.checkpoint_every_swaps,
+        checkpoint_every_bytes=config.checkpoint_every_bytes,
+        checkpoint_keep=config.checkpoint_keep,
+        checkpoint_compact=config.checkpoint_compact,
+        next_seq=recovered.next_seq,
+        truncate_at=recovered.journal_offset,
+        applied_seq=recovered.applied_seq,
+    )
+    return recovered, durability
 
 
 class DurabilityCoordinator:

@@ -249,19 +249,6 @@ class IncrementalMaintainer:
         report.total_seconds = time.perf_counter() - start
         return report
 
-    def apply_appended_rows(
-        self,
-        new_rows: Table,
-        store: SpeechStore,
-        workers: int = 0,
-        chunk_size: int | None = None,
-        pool: WorkerPool | None = None,
-    ) -> MaintenanceReport:
-        """Backward-compatible alias for :meth:`maintain`."""
-        return self.maintain(
-            new_rows, store, workers=workers, chunk_size=chunk_size, pool=pool
-        )
-
     @staticmethod
     def _merge_outcomes(outcomes, store: SpeechStore, report: MaintenanceReport) -> int:
         """Fold solved outcomes (in enumeration order) into the store.

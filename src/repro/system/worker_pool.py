@@ -57,12 +57,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.reliability import faults
 
-#: Retained for API compatibility: the queue-per-worker design has no
-#: rendezvous barrier left to time out.  (A worker that stalls while
-#: unpickling a context simply delays its own chunks, which the hung
-#: -worker supervision below then covers.)
-BROADCAST_TIMEOUT_SECONDS = 120.0
-
 #: Default ceiling on one chunk's solve time.  A worker whose current
 #: chunk is older than this is presumed hung: it is killed, respawned
 #: and its chunks re-dispatched (counting toward ``max_respawns``),
@@ -182,9 +176,6 @@ class WorkerPool:
     chunk_timeout:
         Seconds one chunk may run before its worker is presumed hung
         and killed/respawned (see ``CHUNK_TIMEOUT_SECONDS``).
-    broadcast_timeout:
-        Accepted for API compatibility; the supervised design has no
-        broadcast rendezvous to time out.
     max_respawns:
         Worker respawns (deaths or hangs) tolerated over the pool's
         lifetime before it degrades to serial execution.
@@ -202,7 +193,6 @@ class WorkerPool:
         workers: int,
         lookahead: int = 2,
         chunk_timeout: float = CHUNK_TIMEOUT_SECONDS,
-        broadcast_timeout: float = BROADCAST_TIMEOUT_SECONDS,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
     ):
         if workers < 0:
@@ -211,14 +201,11 @@ class WorkerPool:
             raise ValueError(f"lookahead must be >= 1, got {lookahead}")
         if chunk_timeout <= 0:
             raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
-        if broadcast_timeout <= 0:
-            raise ValueError(f"broadcast_timeout must be positive, got {broadcast_timeout}")
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
         self._workers = int(workers)
         self._lookahead = int(lookahead)
         self._chunk_timeout = float(chunk_timeout)
-        self._broadcast_timeout = float(broadcast_timeout)
         self._max_respawns = int(max_respawns)
         self._slots: dict[int, _Worker] = {}
         self._tasks: dict[int, _Task] = {}

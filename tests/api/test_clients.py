@@ -20,6 +20,7 @@ from repro.api import (
     VoiceHttpServer,
     VoiceRequest,
 )
+from repro.api.errors import TransportError, VoiceApiError
 from repro.serving import VoiceService
 
 #: A conversation exercising data answers, repeats (including repeated
@@ -212,3 +213,121 @@ class TestClientMetadata:
     def test_invalid_client_arguments(self):
         with pytest.raises(ValueError, match="max_connections"):
             HttpClient("127.0.0.1", 80, max_connections=0)
+
+
+async def _stub_server(reply: bytes | None) -> asyncio.base_events.Server:
+    """A one-shot HTTP stub: reads a request, writes ``reply`` raw, hangs up.
+
+    ``reply=None`` never answers (the client must time out).
+    """
+
+    async def handle(reader, writer):
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n"):
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            await reader.readexactly(length)
+            if reply is None:
+                await reader.read()  # until the client gives up
+            else:
+                writer.write(reply)
+                await writer.drain()
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handle, "127.0.0.1", 0)
+
+
+def _against_stub(reply: bytes | None, call, timeout: float = 30.0):
+    """The exception ``call(client)`` raises against a stub replying ``reply``."""
+
+    async def scenario():
+        server = await _stub_server(reply)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            async with HttpClient("127.0.0.1", port, timeout=timeout) as client:
+                with pytest.raises(VoiceApiError) as caught:
+                    await call(client)
+                return caught.value
+        finally:
+            server.close()
+
+    return asyncio.run(scenario())
+
+
+def _get_health(client):
+    return client.request("GET", "/healthz")
+
+
+class TestTransportErrors:
+    """The failover rule: only transport failures are ConnectionErrors.
+
+    The shard router fails a request over on ``ConnectionError``, so a
+    refused, torn or garbled reply must raise :class:`TransportError`,
+    while an HTTP error status or a timeout must not.
+    """
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_a_transport_error(self, length):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\n{}"
+        error = _against_stub(reply, _get_health)
+        assert isinstance(error, TransportError)
+        assert isinstance(error, ConnectionError)
+        assert error.status is None
+        assert "Content-Length" in str(error)
+
+    def test_garbled_status_line_is_a_transport_error(self):
+        error = _against_stub(b"SPDY/9 ??\r\n\r\n", _get_health)
+        assert isinstance(error, TransportError)
+
+    def test_refused_connection_is_a_transport_error(self):
+        async def scenario():
+            server = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            server.close()
+            await server.wait_closed()
+            async with HttpClient("127.0.0.1", port) as client:
+                with pytest.raises(TransportError) as caught:
+                    await client.ask("what is the delay for East")
+                return caught.value
+
+        error = asyncio.run(scenario())
+        assert isinstance(error, ConnectionError)
+        assert error.status is None
+
+    def test_hang_up_mid_body_is_a_transport_error(self):
+        reply = b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"partial'
+        error = _against_stub(reply, lambda client: client.ask("hello"))
+        assert isinstance(error, TransportError)
+        assert isinstance(error, ConnectionError)
+        assert error.status is None
+
+    def test_closed_client_is_a_transport_error(self):
+        async def scenario():
+            client = HttpClient("127.0.0.1", 9)
+            await client.aclose()
+            with pytest.raises(TransportError):
+                await client.health()
+
+        asyncio.run(scenario())
+
+    def test_server_error_status_is_not_a_connection_error(self):
+        body = b'{"code": "internal_error", "error": "boom"}'
+        reply = (
+            b"HTTP/1.1 500 Internal Server Error\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        error = _against_stub(reply, lambda client: client.ask("hello"))
+        assert type(error) is VoiceApiError
+        assert error.status == 500
+        assert not isinstance(error, ConnectionError)
+        assert "boom" in str(error)
+
+    def test_timeout_is_not_a_connection_error(self):
+        error = _against_stub(None, _get_health, timeout=0.2)
+        assert not isinstance(error, ConnectionError)
+        assert error.status is None
+        assert "no response within" in str(error)

@@ -6,7 +6,8 @@ import asyncio
 
 import pytest
 
-from repro.serving import ServiceOverloadedError, VoiceService
+from repro.api import ServiceOverloadedError
+from repro.serving import VoiceService
 from repro.system.engine import ResponseKind
 
 from tests.serving.conftest import append_table

@@ -123,7 +123,7 @@ def test_incremental_maintenance_matches_full_rebuild(initial, appended):
     store, _ = Preprocessor(config).run(generator)
 
     maintainer = IncrementalMaintainer(config, base_table, prior=ZeroPrior())
-    maintainer.apply_appended_rows(build_table(appended), store)
+    maintainer.maintain(build_table(appended), store)
 
     full_generator = ProblemGenerator(config, build_table(initial + appended), prior=ZeroPrior())
     full_store, _ = Preprocessor(config).run(full_generator)

@@ -77,7 +77,7 @@ class TestApplyAppendedRows:
         east_before = store.exact_match(DataQuery.create("delay", {"region": "East"}))
 
         # A massive new delay in the North in Winter changes those subsets.
-        report = maintainer.apply_appended_rows(
+        report = maintainer.maintain(
             new_rows_table([("North", "Winter", 200.0)]), store
         )
         assert report.new_rows == 1
@@ -96,7 +96,7 @@ class TestApplyAppendedRows:
     def test_store_stays_consistent_with_full_rebuild(self, prepared, config):
         store, maintainer = prepared
         rows = [("South", "Summer", 55.0), ("West", "Fall", 5.0)]
-        maintainer.apply_appended_rows(new_rows_table(rows), store)
+        maintainer.maintain(new_rows_table(rows), store)
 
         # A full rebuild over the updated table gives the same utilities.
         generator = ProblemGenerator(config, maintainer.table, prior=ZeroPrior())
@@ -109,7 +109,7 @@ class TestApplyAppendedRows:
     def test_new_value_speech_added(self, prepared):
         store, maintainer = prepared
         before = len(store)
-        maintainer.apply_appended_rows(
+        maintainer.maintain(
             new_rows_table([("Midwest", "Winter", 10.0), ("Midwest", "Summer", 12.0)]),
             store,
         )
@@ -118,7 +118,7 @@ class TestApplyAppendedRows:
 
     def test_report_counts_unchanged_speeches(self, prepared):
         store, maintainer = prepared
-        report = maintainer.apply_appended_rows(
+        report = maintainer.maintain(
             new_rows_table([("North", "Winter", 14.0)]), store
         )
         assert report.unchanged_speeches == len(store) - report.rebuilt_speeches

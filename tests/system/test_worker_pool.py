@@ -100,15 +100,13 @@ class TestParallelExecution:
         """The ROADMAP broadcast-timeout edge, as a regression test.
 
         A chunk abandoned by an early-stopped run may keep a worker
-        busy far past the broadcast timeout; the next run's context
-        broadcast must drain it instead of breaking the rendezvous
-        barrier (which would terminate and respawn the pool).  The
+        busy for seconds; the next run's context broadcast must drain
+        it instead of terminating and respawning the pool.  The
         abandoned sleeps are *uneven* (1.0 s vs 2.5 s) so one worker
-        reaches the barrier while the other is still busy well past
-        the 0.5 s broadcast timeout — without the drain, the barrier
-        breaks and the pool respawns (spawn_count == 2).
+        installs the new context while the other is still busy —
+        without the drain, the pool respawns (spawn_count == 2).
         """
-        with WorkerPool(2, broadcast_timeout=0.5) as pool:
+        with WorkerPool(2) as pool:
             stream = pool.imap_chunks(
                 {"run": 1}, sleepy_chunk, chunk_stream([0.0, 1.0, 2.5, 0.0])
             )
@@ -125,7 +123,7 @@ class TestParallelExecution:
         """A healthy pool must survive draining several near-timeout
         chunks whose *sum* exceeds one chunk timeout (each chunk's
         individual runtime is within contract)."""
-        with WorkerPool(2, chunk_timeout=2.0, broadcast_timeout=0.5) as pool:
+        with WorkerPool(2, chunk_timeout=2.0) as pool:
             stream = pool.imap_chunks(
                 {"run": 1}, sleepy_chunk, chunk_stream([0.0, 1.2, 1.2, 1.2, 1.2])
             )
@@ -135,7 +133,7 @@ class TestParallelExecution:
             assert pool.spawn_count == 1
 
     def test_abandoned_failing_chunks_are_drained_quietly(self):
-        with WorkerPool(2, broadcast_timeout=1.0) as pool:
+        with WorkerPool(2) as pool:
             stream = pool.imap_chunks(
                 {"factor": 2}, scale_chunk, chunk_stream([[1], [None], [None], [2]])
             )
