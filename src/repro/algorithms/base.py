@@ -110,7 +110,9 @@ class Summarizer(abc.ABC):
 
         evaluator = problem.evaluator()
         utility = evaluator.utility(speech)
-        scaled = evaluator.scaled_utility(speech)
+        # UtilityEvaluator.scaled_utility, without computing the deviation again.
+        prior = evaluator.prior_deviation()
+        scaled = 1.0 if prior == 0.0 else utility / prior
         return SummaryResult(
             speech=speech,
             utility=utility,

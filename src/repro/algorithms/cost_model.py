@@ -63,6 +63,9 @@ class PruningCostModel:
     sigma:
         Standard deviation of the per-fact utility distribution
         (a fixed model parameter; the paper assumes a constant σ²).
+
+    The components M(g), C_U, C_D and Pr(P_{s→t}) are memoized per
+    model instance: plan selection asks for the same values many times.
     """
 
     def __init__(
@@ -76,21 +79,39 @@ class PruningCostModel:
         self._fact_counts = dict(fact_counts)
         self._estimator = cost_estimator
         self._sigma = float(sigma)
+        self._fact_count_memo: dict[FactGroup, int] = {}
+        self._utility_cost_memo: dict[FactGroup, float] = {}
+        self._deviation_cost_memo: dict[FactGroup, float] = {}
+        self._prune_memo: dict[tuple[FactGroup, FactGroup], float] = {}
 
     # ------------------------------------------------------------------
     # Model components
     # ------------------------------------------------------------------
     def fact_count(self, group: FactGroup) -> int:
         """M(g): number of facts in the group (≥ 1)."""
-        return max(1, self._fact_counts.get(group, self._estimator.fact_count(group.dimensions)))
+        count = self._fact_count_memo.get(group)
+        if count is None:
+            count = self._fact_counts.get(group)
+            if count is None:
+                count = self._estimator.fact_count(group.dimensions)
+            count = self._fact_count_memo[group] = max(1, count)
+        return count
 
     def utility_cost(self, group: FactGroup) -> float:
         """C_U(g): cost of computing utility gains for all facts of ``g``."""
-        return float(self._estimator.utility_cost(group.dimensions))
+        cost = self._utility_cost_memo.get(group)
+        if cost is None:
+            cost = float(self._estimator.utility_cost(group.dimensions))
+            self._utility_cost_memo[group] = cost
+        return cost
 
     def deviation_cost(self, group: FactGroup) -> float:
         """C_D(g): cost of computing the per-scope bounds of ``g``."""
-        return float(self._estimator.deviation_cost(group.dimensions))
+        cost = self._deviation_cost_memo.get(group)
+        if cost is None:
+            cost = float(self._estimator.deviation_cost(group.dimensions))
+            self._deviation_cost_memo[group] = cost
+        return cost
 
     def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
         """Pr(P_{s→t}): probability the source's best gain dominates the target bound.
@@ -100,10 +121,14 @@ class PruningCostModel:
 
             Pr(u_s > u_t) = Φ((1/M(s) − 1/M(t)) / (σ·√2)).
         """
-        mean_source = 1.0 / self.fact_count(source)
-        mean_target = 1.0 / self.fact_count(target)
-        z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
-        return _standard_normal_cdf(z)
+        key = (source, target)
+        probability = self._prune_memo.get(key)
+        if probability is None:
+            mean_source = 1.0 / self.fact_count(source)
+            mean_target = 1.0 / self.fact_count(target)
+            z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
+            probability = self._prune_memo[key] = _standard_normal_cdf(z)
+        return probability
 
     def target_prune_probability(self, target: FactGroup, sources: Sequence[FactGroup]) -> float:
         """Pr(P_t): probability that *some* source dominates the target."""

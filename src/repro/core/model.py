@@ -199,6 +199,29 @@ class Speech:
         return [fact for fact in self._facts if fact.covers_row(row)]
 
 
+#: Integer codes of one column: ``(codes, decode, code_of)`` — per-row
+#: codes, the code -> value table and the value -> code lookup.
+DimensionCodes = tuple[np.ndarray, list[Any], dict[Any, int]]
+
+
+def factorize(values: Iterable[Any]) -> DimensionCodes:
+    """Integer-code ``values`` in first-appearance order.
+
+    NULL is coded like any other value; equal values (``1 == 1.0``)
+    share the code of their first occurrence.
+    """
+    values = list(values)
+    code_of: dict[Any, int] = {}
+    # ``len(code_of)`` is evaluated before ``setdefault`` inserts, so a
+    # new value gets the next free code.
+    codes = np.fromiter(
+        (code_of.setdefault(value, len(code_of)) for value in values),
+        dtype=np.int64,
+        count=len(values),
+    )
+    return codes, list(code_of), code_of
+
+
 class SummarizationRelation:
     """A relation with designated dimensions and a numeric target column.
 
@@ -206,9 +229,19 @@ class SummarizationRelation:
     numpy-backed access paths the utility evaluator and the algorithms
     need: the target vector, per-fact row masks, and grouping by
     dimension-value combinations.
+
+    ``codes`` optionally seeds :meth:`dimension_codes` with codes aligned
+    to ``table``'s rows, e.g. a parent table's codes taken at the rows of
+    a subset, so the relation does not factorize those dimensions again.
     """
 
-    def __init__(self, table: Table, dimensions: Sequence[str], target: str):
+    def __init__(
+        self,
+        table: Table,
+        dimensions: Sequence[str],
+        target: str,
+        codes: Mapping[str, DimensionCodes] | None = None,
+    ):
         if not dimensions:
             raise InvalidProblemError("at least one dimension column is required")
         if table.num_rows == 0:
@@ -236,8 +269,17 @@ class SummarizationRelation:
         # Rows with NULL target values carry no information for the
         # summarization problem; they are dropped from the view.
         keep = [v is not None for v in target_col]
-        self._view = table.mask(keep) if not all(keep) else table
-        self._codes_cache: dict[str, tuple[np.ndarray, list[Any], dict[Any, int]]] = {}
+        all_kept = all(keep)
+        self._view = table if all_kept else table.mask(keep)
+        self._codes_cache: dict[str, DimensionCodes] = {}
+        for dimension, (dim_codes, decode, code_of) in (codes or {}).items():
+            if dimension not in self._dimensions or len(dim_codes) != table.num_rows:
+                raise InvalidProblemError(
+                    f"codes for {dimension!r} do not fit relation {self.name!r}"
+                )
+            if not all_kept:
+                dim_codes = dim_codes[np.asarray(keep)]
+            self._codes_cache[dimension] = (dim_codes, decode, code_of)
         self._grouping_cache: dict[tuple[str, ...], tuple[np.ndarray, list[tuple[Any, ...]]]] = {}
         self._segments_cache: dict[
             tuple[str, ...], tuple[np.ndarray, np.ndarray, dict[tuple[Any, ...], int]]
@@ -299,13 +341,18 @@ class SummarizationRelation:
     # ------------------------------------------------------------------
     # Scope machinery
     # ------------------------------------------------------------------
-    def dimension_codes(self, dimension: str) -> tuple[np.ndarray, list[Any], dict[Any, int]]:
+    def dimension_codes(self, dimension: str) -> DimensionCodes:
         """Integer codes for one dimension column (cached).
 
-        Returns ``(codes, decode, code_of)``: per-row integer codes in
-        first-appearance order, the code -> value table, and the
-        value -> code lookup.  NULL is treated as a regular value; the
-        callers that must skip NULLs filter on the decoded values.
+        Returns ``(codes, decode, code_of)``: per-row integer codes, the
+        code -> value table, and the value -> code lookup.  NULL is
+        treated as a regular value; the callers that must skip NULLs
+        filter on the decoded values.  Codes the relation factorizes
+        itself follow first appearance; codes seeded through the
+        constructor keep the parent's numbering, so they need not follow
+        first appearance here and ``decode`` may list values no row of
+        this relation holds.  Callers rely only on the code <-> value
+        bijection.
         """
         cached = self._codes_cache.get(dimension)
         if cached is None:
@@ -313,18 +360,7 @@ class SummarizationRelation:
                 raise InvalidProblemError(
                     f"{dimension!r} is not a dimension of relation {self.name!r}"
                 )
-            values = self._dimension_values[dimension]
-            code_of: dict[Any, int] = {}
-            decode: list[Any] = []
-            codes = np.empty(len(values), dtype=np.int64)
-            for i, value in enumerate(values):
-                code = code_of.get(value)
-                if code is None:
-                    code = len(decode)
-                    code_of[value] = code
-                    decode.append(value)
-                codes[i] = code
-            cached = (codes, decode, code_of)
+            cached = factorize(self._dimension_values[dimension])
             self._codes_cache[dimension] = cached
         return cached
 

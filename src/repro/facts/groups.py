@@ -11,7 +11,7 @@ specializations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -21,9 +21,14 @@ class FactGroup:
     """A fact group, identified by the sorted tuple of restricted dimensions."""
 
     dimensions: tuple[str, ...]
+    # The same dimensions as a set, for the subset tests the plan
+    # optimizer runs on every pair of groups.
+    _dimension_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __init__(self, dimensions: Iterable[str]):
-        object.__setattr__(self, "dimensions", tuple(sorted(set(dimensions))))
+        unique = set(dimensions)
+        object.__setattr__(self, "dimensions", tuple(sorted(unique)))
+        object.__setattr__(self, "_dimension_set", frozenset(unique))
 
     @property
     def arity(self) -> int:
@@ -37,7 +42,7 @@ class FactGroup:
         ``t ⊆ g``: a pruned target removes itself and its strict
         specializations).
         """
-        return set(other.dimensions).issubset(self.dimensions)
+        return other._dimension_set <= self._dimension_set
 
     def __repr__(self) -> str:
         if not self.dimensions:

@@ -102,6 +102,18 @@ class Column:
             return out
         raise SchemaError(f"unknown column type {self._ctype!r}")
 
+    def _derived(self, values: list[Any]) -> "Column":
+        """A column of this name/type over values taken from this column.
+
+        The values are already normalised, so validation is skipped:
+        row slicing is on the pre-processing hot path.
+        """
+        column = Column.__new__(Column)
+        column._name = self._name
+        column._ctype = self._ctype
+        column._values = values
+        return column
+
     @classmethod
     def categorical(cls, name: str, values: Iterable[Any]) -> "Column":
         """Create a categorical (string) column."""
@@ -166,7 +178,7 @@ class Column:
     def take(self, indices: Sequence[int]) -> "Column":
         """Return a new column with the rows at ``indices`` (in order)."""
         vals = self._values
-        return Column(self._name, self._ctype, [vals[i] for i in indices])
+        return self._derived([vals[i] for i in indices])
 
     def mask(self, keep: Sequence[bool]) -> "Column":
         """Return a new column containing rows where ``keep`` is True."""
@@ -174,11 +186,7 @@ class Column:
             raise SchemaError(
                 f"mask length {len(keep)} does not match column length {len(self._values)}"
             )
-        return Column(
-            self._name,
-            self._ctype,
-            [v for v, k in zip(self._values, keep) if k],
-        )
+        return self._derived([v for v, k in zip(self._values, keep) if k])
 
     def with_values(self, values: Iterable[Any]) -> "Column":
         """Return a new column with the same name/type but new values."""

@@ -12,20 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
+from typing import Any, Iterator, Mapping
+
+import numpy as np
 
 from repro.core.errors import InvalidProblemError
 from repro.core.expectation import ExpectationModel
-from repro.core.model import SummarizationRelation
+from repro.core.model import DimensionCodes, SummarizationRelation, factorize
 from repro.core.priors import ConstantPrior, Prior
 from repro.core.problem import SummarizationProblem
 from repro.facts.cube import CubeFactGenerator
 from repro.facts.generation import FactGenerator
-from repro.relational.expressions import conjunction_of_equalities
 from repro.relational.operators import select
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.queries import DataQuery
+
+# ``select`` computes the same subset row by row; it stays importable
+# here because span tracers wrap it at this module path.
+__all__ = ["GeneratedProblem", "ProblemGenerator", "select"]
 
 
 @dataclass
@@ -85,6 +90,7 @@ class ProblemGenerator:
         self._use_shared_cube = use_shared_cube
         self._prior_cache: dict[str, Prior] = {}
         self._cube_cache: dict[str, CubeFactGenerator] = {}
+        self._codes_cache: dict[str, DimensionCodes] = {}
 
     @property
     def config(self) -> SummarizationConfig:
@@ -94,13 +100,14 @@ class ProblemGenerator:
     def __getstate__(self) -> dict:
         """Drop per-process caches when pickling (e.g. into pool workers).
 
-        The cube and prior caches hold numpy-heavy derived state that
-        every worker can rebuild lazily from the table; shipping them
-        would dominate the pool start-up payload.
+        The cube, prior and column-code caches hold numpy-heavy derived
+        state that every worker can rebuild lazily from the table;
+        shipping them would dominate the pool start-up payload.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
         state["_cube_cache"] = {}
+        state["_codes_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -176,14 +183,9 @@ class ProblemGenerator:
         Returns None when the query's data subset is too small or when
         no candidate facts can be generated for it.
         """
-        predicate = conjunction_of_equalities(query.predicate_map)
-        subset = select(self._table, predicate, name=f"{self._table.name}_subset")
-        if subset.num_rows < self._min_subset_rows:
+        relation = self.subset_relation(query)
+        if relation is None:
             return None
-
-        relation = SummarizationRelation(
-            subset, list(self._config.dimensions), query.target
-        )
         if self._use_shared_cube:
             generated = self._cube_generator(query.target).generate(
                 base_scope=query.predicate_map
@@ -209,6 +211,55 @@ class ProblemGenerator:
             label=query.describe(),
             **kwargs,
         )
+
+    def subset_relation(self, query: DataQuery) -> SummarizationRelation | None:
+        """The relation over ``query``'s data subset; None when it is too small.
+
+        Its table is the one ``select`` returns for the query's
+        predicates, named ``<table>_subset``; ``min_subset_rows`` counts
+        its rows before the relation drops NULL-target rows.  The rows
+        are found on the table's cached column codes, and the relation
+        inherits those codes instead of factorizing its dimensions again.
+        """
+        rows = self._subset_rows(query.predicate_map)
+        if rows.size < self._min_subset_rows:
+            return None
+        codes = {}
+        for dim in self._config.dimensions:
+            dim_codes, decode, code_of = self._column_codes(dim)
+            codes[dim] = (dim_codes[rows], decode, code_of)
+        return SummarizationRelation(
+            self._table.take(rows.tolist()).renamed(f"{self._table.name}_subset"),
+            list(self._config.dimensions),
+            query.target,
+            codes=codes,
+        )
+
+    def _column_codes(self, column: str) -> DimensionCodes:
+        """Integer codes of one table column, factorized once (cached)."""
+        cached = self._codes_cache.get(column)
+        if cached is None:
+            cached = factorize(self._table.column(column))
+            self._codes_cache[column] = cached
+        return cached
+
+    def _subset_rows(self, predicates: Mapping[str, Any]) -> np.ndarray:
+        """Indices of the table rows matching every ``column = value`` predicate.
+
+        Same semantics as ``select`` with the equality conjunction: NULL
+        never matches, and neither does a value absent from the column.
+        """
+        mask = None
+        for column, value in predicates.items():
+            codes, _, code_of = self._column_codes(column)
+            code = None if value is None else code_of.get(value)
+            if code is None:
+                return np.empty(0, dtype=np.intp)
+            hits = codes == code
+            mask = hits if mask is None else mask & hits
+        if mask is None:
+            return np.arange(self._table.num_rows)
+        return np.flatnonzero(mask)
 
     def _cube_generator(self, target: str) -> CubeFactGenerator:
         """One shared cube-backed fact generator per target (cached).

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.algorithms.greedy import GreedySummarizer
-from repro.core.model import Speech
-from repro.core.priors import ZeroPrior
+from repro.core.model import Speech, SummarizationRelation
+from repro.core.priors import ConstantPrior, ZeroPrior
 from repro.core.problem import SummarizationProblem
+from repro.relational.column import Column
+from repro.relational.table import Table
 
 
 class TestGreedySelection:
@@ -34,8 +36,25 @@ class TestGreedySelection:
     def test_utility_matches_evaluator(self, example_problem):
         result = GreedySummarizer().summarize(example_problem)
         evaluator = example_problem.evaluator()
-        assert result.utility == pytest.approx(evaluator.utility(result.speech))
-        assert result.scaled_utility == pytest.approx(evaluator.scaled_utility(result.speech))
+        # Bit-equal: summarize divides its utility by the prior deviation
+        # instead of asking the evaluator for the deviation twice.
+        assert result.utility == evaluator.utility(result.speech)
+        assert result.scaled_utility == evaluator.scaled_utility(result.speech)
+
+    def test_scaled_utility_is_one_without_prior_deviation(self):
+        table = Table(
+            "flat",
+            [Column.categorical("d", ["x", "y"]), Column.numeric("v", [10.0, 10.0])],
+        )
+        relation = SummarizationRelation(table, ["d"], "v")
+        problem = SummarizationProblem(
+            relation=relation,
+            candidate_facts=[relation.make_fact({"d": "x"})],
+            max_facts=1,
+            prior=ConstantPrior(10.0),
+        )
+        assert problem.evaluator().prior_deviation() == 0.0
+        assert GreedySummarizer().summarize(problem).scaled_utility == 1.0
 
     def test_does_not_select_duplicate_facts(self, example_problem):
         result = GreedySummarizer().summarize(example_problem)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import InvalidFactError, InvalidProblemError
-from repro.core.model import Scope, SummarizationRelation
+from repro.core.model import Scope, SummarizationRelation, factorize
 from repro.relational.column import Column
 from repro.relational.table import Table
 
@@ -51,6 +51,42 @@ class TestConstruction:
         relation = SummarizationRelation(table, ["d"], "v")
         assert relation.num_rows == 2
         assert list(relation.target_values) == [1.0, 3.0]
+
+
+class TestSeededCodes:
+    def test_factorize_codes_in_first_appearance_order(self):
+        codes, decode, code_of = factorize(["b", None, "a", "b", None])
+        assert codes.tolist() == [0, 1, 2, 0, 1]
+        assert decode == ["b", None, "a"]
+        assert code_of == {"b": 0, None: 1, "a": 2}
+
+    def test_seeded_codes_are_used_and_filtered_by_null_targets(self):
+        table = Table(
+            "t",
+            [
+                Column.categorical("d", ["x", "y", "x"]),
+                Column.numeric("v", [1.0, None, 3.0]),
+            ],
+        )
+        # Parent numbering: "z" (code 0) is absent from this table.
+        seeded = (np.array([1, 2, 1]), ["z", "x", "y"], {"z": 0, "x": 1, "y": 2})
+        relation = SummarizationRelation(table, ["d"], "v", codes={"d": seeded})
+        codes, decode, _ = relation.dimension_codes("d")
+        assert codes.tolist() == [1, 1]
+        assert decode == ["z", "x", "y"]
+        fresh = SummarizationRelation(table, ["d"], "v")
+        inverse, keys = relation.grouping(["d"])
+        assert inverse.tolist() == fresh.grouping(["d"])[0].tolist() == [0, 0]
+        assert keys == fresh.grouping(["d"])[1] == [("x",)]
+        assert not relation.scope_mask(Scope({"d": "z"})).any()
+
+    def test_seeded_codes_must_fit(self, example_table):
+        codes = factorize(example_table.column("region"))
+        with pytest.raises(InvalidProblemError):
+            SummarizationRelation(example_table, ["season"], "delay", codes={"region": codes})
+        short = (codes[0][:3], codes[1], codes[2])
+        with pytest.raises(InvalidProblemError):
+            SummarizationRelation(example_table, ["region"], "delay", codes={"region": short})
 
 
 class TestScopeMachinery:

@@ -1,5 +1,7 @@
 """Unit tests for repro.facts.groups."""
 
+import pickle
+
 from repro.facts.groups import FactGroup, enumerate_fact_groups, specializations
 
 
@@ -25,6 +27,22 @@ class TestFactGroup:
     def test_ordering_is_deterministic(self):
         groups = sorted([FactGroup(["b"]), FactGroup(["a"]), FactGroup([])])
         assert [g.dimensions for g in groups] == [(), ("a",), ("b",)]
+
+    def test_specialization_is_the_subset_relation(self):
+        universe = enumerate_fact_groups(["a", "b", "c"], include_empty=True)
+        for group in universe:
+            for other in universe:
+                expected = set(other.dimensions).issubset(group.dimensions)
+                assert group.is_specialization_of(other) == expected
+
+    def test_cached_set_does_not_change_identity(self):
+        group = FactGroup(["b", "a"])
+        # Equality, hash and repr depend on the dimensions alone.
+        assert hash(group) == hash((("a", "b"),))
+        assert repr(group) == "FactGroup(a, b)"
+        clone = pickle.loads(pickle.dumps(group))
+        assert clone == group and hash(clone) == hash(group)
+        assert clone.is_specialization_of(FactGroup(["a"]))
 
 
 class TestEnumeration:

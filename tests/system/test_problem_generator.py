@@ -1,5 +1,7 @@
 """Unit tests for repro.system.problem_generator."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import InvalidProblemError
@@ -176,3 +178,14 @@ class TestProblemConstruction:
     def test_problem_label_describes_query(self, generator):
         problem = generator.build_problem(DataQuery.create("delay", {"region": "North"}))
         assert "region=North" in problem.label
+
+    def test_pickled_after_building_is_no_larger_than_fresh(self, config, example_table):
+        """Per-process caches (column codes, priors) never ride along in a pickle."""
+        fresh = ProblemGenerator(config, example_table)
+        used = ProblemGenerator(config, example_table)
+        for query in used.enumerate_queries():
+            used.build_problem(query)
+        assert len(pickle.dumps(used)) <= len(pickle.dumps(fresh))
+        clone = pickle.loads(pickle.dumps(used))
+        query = DataQuery.create("delay", {"season": "Winter"})
+        assert clone.build_problem(query).relation.num_rows == 4
