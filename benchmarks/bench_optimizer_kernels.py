@@ -1,14 +1,13 @@
-"""Benchmark: vectorized optimizer kernel vs. the per-fact reference path.
+"""Benchmark: vectorized optimizer kernel vs. the per-fact greedy oracle.
 
 Builds a synthetic summarization problem (default: 10k rows, ~1.2k
 candidate facts over four dimensions) and times
 
-* greedy summarization via the per-fact reference path (the seed
+* greedy summarization via :class:`PerFactGreedySummarizer` (the seed
   implementation: one ``incremental_gain`` call per candidate per
   iteration),
 * greedy summarization via the batch :class:`FactScopeIndex` kernel,
-* lazy greedy ("G-L", stale-bound heap) on the same problem,
-* candidate-fact generation per-query vs. from the shared data cube.
+* lazy greedy ("G-L", stale-bound heap) on the same problem.
 
 Results are emitted as JSON (stdout, and optionally a file) including
 the speedup factors and a check that all greedy variants selected the
@@ -36,11 +35,10 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.algorithms.greedy import GreedySummarizer  # noqa: E402
+from repro.algorithms.greedy import GreedySummarizer, PerFactGreedySummarizer  # noqa: E402
 from repro.algorithms.lazy_greedy import LazyGreedySummarizer  # noqa: E402
 from repro.core.model import SummarizationRelation  # noqa: E402
 from repro.core.problem import SummarizationProblem  # noqa: E402
-from repro.facts.cube import CubeFactGenerator  # noqa: E402
 from repro.facts.generation import FactGenerator  # noqa: E402
 from repro.relational.column import Column  # noqa: E402
 from repro.relational.table import Table  # noqa: E402
@@ -79,43 +77,14 @@ def time_summarizer(summarizer, problem, repeats: int) -> tuple[float, object, o
     return best, result.speech, result.statistics
 
 
-def time_fact_generation(problem, repeats: int) -> dict:
-    """Per-query fact generation vs. shared-cube build + slice."""
-    relation = problem.relation
-    per_query = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        FactGenerator(relation, max_extra_dimensions=2).generate()
-        per_query = min(per_query, time.perf_counter() - start)
-    cube_build = float("inf")
-    cube_slice = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        generator = CubeFactGenerator(
-            relation, max_extra_dimensions=2, max_base_dimensions=0
-        )
-        cube_build = min(cube_build, time.perf_counter() - start)
-        start = time.perf_counter()
-        generator.generate()
-        cube_slice = min(cube_slice, time.perf_counter() - start)
-    return {
-        "per_query_seconds": per_query,
-        "cube_build_seconds": cube_build,
-        "cube_slice_seconds": cube_slice,
-        "generation_speedup_after_build": (
-            per_query / cube_slice if cube_slice > 0 else float("inf")
-        ),
-    }
-
-
 def run(num_rows: int, values_per_dimension: int, max_facts: int, repeats: int) -> dict:
     problem = build_problem(num_rows, values_per_dimension, max_facts)
 
     reference_seconds, reference_speech, reference_stats = time_summarizer(
-        GreedySummarizer(use_kernel=False), problem, repeats
+        PerFactGreedySummarizer(), problem, repeats
     )
     kernel_seconds, kernel_speech, kernel_stats = time_summarizer(
-        GreedySummarizer(use_kernel=True), problem, repeats
+        GreedySummarizer(), problem, repeats
     )
     lazy_seconds, lazy_speech, lazy_stats = time_summarizer(
         LazyGreedySummarizer(), problem, repeats
@@ -141,7 +110,6 @@ def run(num_rows: int, values_per_dimension: int, max_facts: int, repeats: int) 
             "fact_evaluations": lazy_stats.fact_evaluations,
             "speedup_vs_reference": reference_seconds / lazy_seconds,
         },
-        "fact_generation": time_fact_generation(problem, repeats),
         "speeches_identical": bool(
             kernel_speech == reference_speech and lazy_speech == reference_speech
         ),

@@ -10,7 +10,8 @@ enumerated query)
 verifying that every parallel run produces a store byte-identical to
 the serial one (via the persistence serialisation).  It also times
 candidate-fact generation with the vectorized group enumeration
-against the per-row Python reference path on the same relation.
+against the per-row Python oracle (``PerRowFactGenerator``) on the
+same relation.
 
 Results are emitted as JSON (stdout, and optionally a file).
 
@@ -37,7 +38,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.model import SummarizationRelation  # noqa: E402
-from repro.facts.generation import FactGenerator  # noqa: E402
+from repro.facts.generation import FactGenerator, PerRowFactGenerator  # noqa: E402
 from repro.relational.column import Column  # noqa: E402
 from repro.relational.table import Table  # noqa: E402
 from repro.system.config import SummarizationConfig  # noqa: E402
@@ -93,11 +94,14 @@ def bench_pipeline(
 
 
 def bench_fact_generation(table: Table, repeats: int) -> dict:
-    """Vectorized vs. per-row reference candidate-fact enumeration."""
+    """Vectorized vs. per-row oracle candidate-fact enumeration."""
     relation = SummarizationRelation(table, DIMENSIONS, "target")
     timings = {}
-    for label, vectorized in (("vectorized", True), ("reference", False)):
-        generator = FactGenerator(relation, max_extra_dimensions=2, vectorized=vectorized)
+    for label, generator_class in (
+        ("vectorized", FactGenerator),
+        ("reference", PerRowFactGenerator),
+    ):
+        generator = generator_class(relation, max_extra_dimensions=2)
         best = float("inf")
         count = 0
         # First run warms the relation's shared grouping caches so both

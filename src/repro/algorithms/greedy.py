@@ -6,11 +6,11 @@ after every addition.  Because utility is monotone and submodular
 (Theorem 1), the result is within a factor (1 − 1/e) of the optimum
 (Theorem 3).
 
-The default execution path evaluates all candidate gains through the
-vectorized :class:`repro.core.kernel.FactScopeIndex` kernel — one NumPy
-pass per iteration instead of one ``incremental_gain`` call per
-candidate.  The per-fact path is kept (``use_kernel=False``) as the
-reference implementation for parity testing and benchmarking.
+Candidate gains are evaluated through the vectorized
+:class:`repro.core.kernel.FactScopeIndex` kernel — one NumPy pass per
+iteration instead of one ``incremental_gain`` call per candidate.
+:class:`PerFactGreedySummarizer` keeps the per-fact loop as the parity
+oracle and benchmark baseline.
 """
 
 from __future__ import annotations
@@ -31,27 +31,14 @@ class GreedySummarizer(Summarizer):
         When True (default), the loop stops as soon as no remaining fact
         improves utility; the paper's guarantee is unaffected because a
         zero-gain fact cannot increase utility.
-    use_kernel:
-        When True (default), candidate gains are evaluated with the
-        batch kernel; when False, the original fact-at-a-time reference
-        path runs.  Both select identical speeches.
     """
 
     name = "G-B"
 
-    def __init__(self, allow_early_stop: bool = True, use_kernel: bool = True):
+    def __init__(self, allow_early_stop: bool = True):
         self._allow_early_stop = allow_early_stop
-        self._use_kernel = use_kernel
 
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
-        if self._use_kernel:
-            return self._solve_kernel(problem)
-        return self._solve_reference(problem)
-
-    # ------------------------------------------------------------------
-    # Vectorized path
-    # ------------------------------------------------------------------
-    def _solve_kernel(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         evaluator = problem.evaluator()
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
@@ -69,7 +56,7 @@ class GreedySummarizer(Summarizer):
             stats.fact_evaluations += int(active.sum())
             gains[~active] = -np.inf
             # Gains are clipped at zero, so argmax replicates the
-            # reference loop exactly: first index among maximal gains,
+            # per-fact loop exactly: first index among maximal gains,
             # falling back to the first remaining fact when all are zero.
             best = int(np.argmax(gains))
             best_gain = float(gains[best])
@@ -83,12 +70,16 @@ class GreedySummarizer(Summarizer):
 
         return Speech(selected), stats
 
-    # ------------------------------------------------------------------
-    # Reference per-fact path (parity baseline)
-    # ------------------------------------------------------------------
-    def _solve_reference(
-        self, problem: SummarizationProblem
-    ) -> tuple[Speech, SummarizerStatistics]:
+
+class PerFactGreedySummarizer(GreedySummarizer):
+    """Algorithm 2 with one ``incremental_gain`` call per candidate.
+
+    The parity oracle for :class:`GreedySummarizer`'s kernel path and
+    the baseline of ``benchmarks/bench_optimizer_kernels.py``: it
+    selects the same speech with the same statistics.
+    """
+
+    def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         evaluator = problem.evaluator()
         stats = SummarizerStatistics()
         state = evaluator.initial_state()

@@ -93,28 +93,27 @@ def _experiment_registry() -> dict[str, Callable[[], ExperimentResult]]:
 
 
 def _build_config(args: argparse.Namespace, spec) -> SummarizationConfig:
+    """The command's configuration; values it rejects are usage errors (exit 2)."""
     dimensions = tuple(args.dimensions) if args.dimensions else spec.dimensions
     targets = tuple(args.targets) if args.targets else spec.targets
-    return SummarizationConfig.create(
-        table=spec.key,
-        dimensions=dimensions,
-        targets=targets,
-        max_query_length=args.max_query_length,
-        max_facts_per_speech=args.facts,
-        max_fact_dimensions=args.fact_dimensions,
-        algorithm=args.algorithm,
-    )
+    try:
+        return SummarizationConfig.create(
+            table=spec.key,
+            dimensions=dimensions,
+            targets=targets,
+            max_query_length=args.max_query_length,
+            max_facts_per_speech=args.facts,
+            max_fact_dimensions=args.fact_dimensions,
+            algorithm=args.algorithm,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _build_engine(args: argparse.Namespace) -> VoiceQueryEngine:
     dataset = load_dataset(args.dataset, num_rows=args.rows)
     config = _build_config(args, dataset.spec)
-    return VoiceQueryEngine(
-        config,
-        dataset.table,
-        enable_advanced_queries=args.advanced,
-        use_shared_cube=args.shared_cube,
-    )
+    return VoiceQueryEngine(config, dataset.table, enable_advanced_queries=args.advanced)
 
 
 def _pool_scope(args: argparse.Namespace):
@@ -131,6 +130,7 @@ def _pool_scope(args: argparse.Namespace):
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(usage_error=parser.error)
     parser.add_argument("--dataset", required=True, choices=available_datasets())
     parser.add_argument("--rows", type=int, default=None, help="synthetic rows to generate")
     parser.add_argument("--dimensions", nargs="*", default=None)
@@ -142,9 +142,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         help="extra dimensions per fact",
     )
     parser.add_argument(
-        "--algorithm", default="G-O",
-        help=f"summarizer name, one of: {', '.join(available_summarizers())} "
-        "(G-L is the lazy-greedy kernel variant)",
+        "--algorithm", default="G-O", choices=available_summarizers(),
+        help="summarizer name (G-L is the lazy-greedy kernel variant)",
     )
     parser.add_argument("--max-problems", type=int, default=None, dest="max_problems")
     parser.add_argument(
@@ -161,11 +160,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--advanced", action="store_true",
         help="answer comparison/extremum questions via the extension",
-    )
-    parser.add_argument(
-        "--shared-cube", action="store_true", dest="shared_cube",
-        help="serve candidate facts from one shared data cube per target "
-        "during pre-processing (single-pass aggregation across queries)",
     )
     parser.add_argument(
         "--failpoint", action="append", default=[], metavar="SPEC",
@@ -341,12 +335,7 @@ def command_serve(args: argparse.Namespace) -> int:
     config = _build_config(args, dataset.spec)
     base_table, new_rows = holdout_split(dataset.table, args.append_rows)
 
-    engine = Engine(
-        config,
-        base_table,
-        enable_advanced_queries=args.advanced,
-        use_shared_cube=args.shared_cube,
-    )
+    engine = Engine(config, base_table, enable_advanced_queries=args.advanced)
 
     passes = (
         max(1, args.requests // args.maintain_every) if args.maintain_every else 0
@@ -522,12 +511,7 @@ def command_recover(args: argparse.Namespace) -> int:
     base_table = dataset.table
     if args.append_rows:
         base_table, _ = holdout_split(dataset.table, args.append_rows)
-    engine = VoiceQueryEngine(
-        config,
-        base_table,
-        enable_advanced_queries=args.advanced,
-        use_shared_cube=args.shared_cube,
-    )
+    engine = VoiceQueryEngine(config, base_table, enable_advanced_queries=args.advanced)
     with _pool_scope(args) as pool:
         engine.preprocess(
             max_problems=args.max_problems, workers=args.workers, pool=pool

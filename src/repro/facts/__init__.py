@@ -11,7 +11,6 @@ pruning of Section VI operates.
 from repro.facts.groups import FactGroup, enumerate_fact_groups, specializations
 from repro.facts.generation import FactGenerator, GeneratedFacts
 from repro.facts.bounds import GroupBound, bounds_for_groups, group_utility_bounds
-from repro.facts.cube import CubeFactGenerator, DataCube
 
 __all__ = [
     "FactGroup",
@@ -22,6 +21,4 @@ __all__ = [
     "GroupBound",
     "group_utility_bounds",
     "bounds_for_groups",
-    "DataCube",
-    "CubeFactGenerator",
 ]

@@ -63,6 +63,11 @@ class GeneratedFacts:
 class FactGenerator:
     """Enumerates candidate facts for one relation / data subset.
 
+    Per-group enumeration runs on the relation's cached dimension codes:
+    one ``np.bincount`` over the base-scope rows per group combination.
+    :class:`PerRowFactGenerator` keeps per-row Python set membership as
+    the parity oracle and benchmark baseline.
+
     Parameters
     ----------
     relation:
@@ -74,12 +79,6 @@ class FactGenerator:
     min_support:
         Minimal number of rows a fact's scope must cover; scopes with
         fewer rows are skipped (they describe noise, not signal).
-    vectorized:
-        When True (default), per-group fact enumeration runs on the
-        relation's cached dimension codes (one ``np.bincount`` over the
-        base-scope rows per group combination) instead of per-row Python
-        set membership.  Both paths produce identical facts; the Python
-        path is kept as the parity/benchmark reference.
     """
 
     def __init__(
@@ -87,7 +86,6 @@ class FactGenerator:
         relation: SummarizationRelation,
         max_extra_dimensions: int = 2,
         min_support: int = 1,
-        vectorized: bool = True,
     ):
         if max_extra_dimensions < 0:
             raise ValueError("max_extra_dimensions must be non-negative")
@@ -96,7 +94,6 @@ class FactGenerator:
         self._relation = relation
         self._max_extra = max_extra_dimensions
         self._min_support = min_support
-        self._vectorized = vectorized
 
     @property
     def relation(self) -> SummarizationRelation:
@@ -120,14 +117,13 @@ class FactGenerator:
 
         facts: list[Fact] = []
         by_group: dict[FactGroup, list[Fact]] = {}
-        target = self._relation.target_values
         base_indices = self._relation.scope_row_indices(base)
-        # The base-membership mask is shared by every group combination;
-        # only the vectorized path consumes it.
-        in_base = None
-        if self._vectorized:
-            in_base = np.zeros(self._relation.num_rows, dtype=bool)
-            in_base[base_indices] = True
+        if base_indices.size == 0:
+            return GeneratedFacts(facts=facts, by_group=by_group, base_scope=base)
+        target = self._relation.target_values
+        # The base-membership mask is shared by every group combination.
+        in_base = np.zeros(self._relation.num_rows, dtype=bool)
+        in_base[base_indices] = True
 
         for group in groups:
             members = self._facts_for_group(base, group, base_indices, in_base, target)
@@ -144,20 +140,20 @@ class FactGenerator:
         base: Scope,
         group: FactGroup,
         base_indices: np.ndarray,
-        in_base: np.ndarray | None,
+        in_base: np.ndarray,
         target: np.ndarray,
     ) -> list[Fact]:
-        """Facts restricting exactly the dimensions of ``group`` (plus base)."""
-        if base_indices.size == 0:
-            return []
+        """Facts restricting exactly the dimensions of ``group`` (plus base).
+
+        ``base_indices`` (non-empty) lists the base-scope rows in
+        ascending order and ``in_base`` is their membership mask.
+        """
         if group.arity == 0:
             values = target[base_indices]
             if values.size < self._min_support:
                 return []
             fact = Fact(scope=base, value=float(values.mean()), support=int(values.size))
             return [fact]
-        if not self._vectorized:
-            return self._facts_for_group_reference(base, group, base_indices, target)
 
         # One bincount over the base-scope rows yields every group's
         # support at once; only qualifying groups are materialized, each
@@ -170,7 +166,7 @@ class FactGenerator:
         facts: list[Fact] = []
         base_assignments = base.assignments
         # Group ids follow first appearance in the data, so ascending id
-        # order reproduces the reference path's fact order exactly.
+        # order reproduces the per-row oracle's fact order exactly.
         for g in np.nonzero(counts >= self._min_support)[0]:
             key = keys[g]
             if any(v is None for v in key):
@@ -191,14 +187,25 @@ class FactGenerator:
             )
         return facts
 
-    def _facts_for_group_reference(
+
+class PerRowFactGenerator(FactGenerator):
+    """Per-row Python fact enumeration.
+
+    The parity oracle for :class:`FactGenerator`'s code-based path and
+    the baseline of ``benchmarks/bench_preprocessing.py``: same facts,
+    same order, bitwise-identical values.
+    """
+
+    def _facts_for_group(
         self,
         base: Scope,
         group: FactGroup,
         base_indices: np.ndarray,
+        in_base: np.ndarray,
         target: np.ndarray,
     ) -> list[Fact]:
-        """Per-row Python reference enumeration (parity oracle / baseline)."""
+        if group.arity == 0:
+            return super()._facts_for_group(base, group, base_indices, in_base, target)
         groups_by_value = self._relation.group_rows_by(list(group.dimensions))
         base_set = set(int(i) for i in base_indices)
         facts: list[Fact] = []

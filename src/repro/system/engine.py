@@ -169,10 +169,6 @@ class VoiceQueryEngine:
         When True, comparison and extremum requests — which the paper's
         deployment logged as unsupported — are answered by the
         :mod:`repro.system.advanced` extension instead of an apology.
-    use_shared_cube:
-        When True, pre-processing serves candidate facts from one shared
-        data cube per target instead of re-aggregating each query's
-        subset; see :class:`repro.system.problem_generator.ProblemGenerator`.
     """
 
     def __init__(
@@ -186,7 +182,6 @@ class VoiceQueryEngine:
         dimension_synonyms: Mapping[str, tuple[str, object]] | None = None,
         realizer: SpeechRealizer | None = None,
         enable_advanced_queries: bool = False,
-        use_shared_cube: bool = False,
     ):
         self._config = config
         self._table = table
@@ -197,7 +192,6 @@ class VoiceQueryEngine:
         self._expectation_model = expectation_model
         self._target_synonyms = target_synonyms
         self._dimension_synonyms = dimension_synonyms
-        self._use_shared_cube = use_shared_cube
         self._preprocessor = Preprocessor(config, summarizer=summarizer, realizer=self._realizer)
         self._store = SpeechStore()
         self._report: PreprocessingReport | None = None
@@ -214,7 +208,6 @@ class VoiceQueryEngine:
             self._table,
             prior=self._prior,
             expectation_model=self._expectation_model,
-            use_shared_cube=self._use_shared_cube,
         )
         self._parser = NaturalLanguageParser(
             self._config,

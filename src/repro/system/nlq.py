@@ -16,9 +16,7 @@ word token → lexicon phrases map lets :meth:`parse` verify only the
 phrases whose leading token actually occurs in the request, instead of
 regex-probing the full vocabulary per request.  The index is purely a
 candidate filter (every candidate still passes the original
-word-boundary check), so parsed output is identical to the full scan;
-``token_index=False`` keeps the scan path selectable as the parity
-oracle.
+word-boundary check), so parsed output is identical to the full scan.
 """
 
 from __future__ import annotations
@@ -96,12 +94,6 @@ class NaturalLanguageParser:
     dimension_synonyms:
         Extra phrases that map a *value* to a (dimension, value) pair,
         e.g. ``{"nyc": ("borough", "Manhattan")}``.
-    token_index:
-        When True (the default), :meth:`parse` only verifies lexicon
-        phrases whose leading word token occurs in the request (built
-        once here); False keeps the original full-vocabulary scan.
-        Both produce identical parses — the scan path is the oracle of
-        the parity tests.
     """
 
     def __init__(
@@ -110,14 +102,12 @@ class NaturalLanguageParser:
         table: Table,
         target_synonyms: Mapping[str, Sequence[str]] | None = None,
         dimension_synonyms: Mapping[str, tuple[str, Any]] | None = None,
-        token_index: bool = True,
     ):
         self._config = config
         self._target_lexicon = self._build_target_lexicon(config.targets, target_synonyms)
         self._value_lexicon = self._build_value_lexicon(config.dimensions, table)
         for phrase, (dimension, value) in (dimension_synonyms or {}).items():
             self._value_lexicon[phrase.lower()] = (dimension, value)
-        self._token_index_enabled = bool(token_index)
         # Phrase lists in the exact order the scan path visits them:
         # values longest-first (ties by insertion), targets in insertion
         # order.  The token index stores positions into these lists so
@@ -209,8 +199,6 @@ class NaturalLanguageParser:
         text's token set never drops a true match; sorting the surviving
         positions restores the scan order exactly.
         """
-        if not self._token_index_enabled:
-            return phrases
         positions = set(unindexed)
         for token in set(_WORD_TOKEN.findall(text)):
             positions.update(index.get(token, ()))

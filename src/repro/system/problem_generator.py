@@ -21,7 +21,6 @@ from repro.core.expectation import ExpectationModel
 from repro.core.model import DimensionCodes, SummarizationRelation, factorize
 from repro.core.priors import ConstantPrior, Prior
 from repro.core.problem import SummarizationProblem
-from repro.facts.cube import CubeFactGenerator
 from repro.facts.generation import FactGenerator
 from repro.relational.operators import select
 from repro.relational.table import Table
@@ -59,13 +58,6 @@ class ProblemGenerator:
     min_subset_rows:
         Data subsets with fewer rows than this are skipped (no speech is
         pre-generated for them).
-    use_shared_cube:
-        When True, candidate facts for every query are served from one
-        :class:`repro.facts.cube.DataCube` per target built over the
-        whole table (single factorize-and-aggregate pass), instead of
-        re-aggregating the query's data subset per query.  Both paths
-        produce the same fact set; the cube amortises the aggregation
-        work across the thousands of overlapping pre-processing queries.
     """
 
     def __init__(
@@ -75,7 +67,6 @@ class ProblemGenerator:
         prior: Prior | None = None,
         expectation_model: ExpectationModel | None = None,
         min_subset_rows: int = 2,
-        use_shared_cube: bool = False,
     ):
         for column in (*config.dimensions, *config.targets):
             if not table.has_column(column):
@@ -87,9 +78,7 @@ class ProblemGenerator:
         self._prior = prior
         self._expectation_model = expectation_model
         self._min_subset_rows = min_subset_rows
-        self._use_shared_cube = use_shared_cube
         self._prior_cache: dict[str, Prior] = {}
-        self._cube_cache: dict[str, CubeFactGenerator] = {}
         self._codes_cache: dict[str, DimensionCodes] = {}
 
     @property
@@ -100,13 +89,12 @@ class ProblemGenerator:
     def __getstate__(self) -> dict:
         """Drop per-process caches when pickling (e.g. into pool workers).
 
-        The cube, prior and column-code caches hold numpy-heavy derived
-        state that every worker can rebuild lazily from the table;
-        shipping them would dominate the pool start-up payload.
+        The prior and column-code caches hold numpy-heavy derived state
+        that every worker can rebuild lazily from the table; shipping
+        them would dominate the pool start-up payload.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
-        state["_cube_cache"] = {}
         state["_codes_cache"] = {}
         return state
 
@@ -186,17 +174,11 @@ class ProblemGenerator:
         relation = self.subset_relation(query)
         if relation is None:
             return None
-        if self._use_shared_cube:
-            generated = self._cube_generator(query.target).generate(
-                base_scope=query.predicate_map
-            )
-        else:
-            generator = FactGenerator(
-                relation,
-                max_extra_dimensions=self._config.max_fact_dimensions,
-                min_support=self._config.min_fact_support,
-            )
-            generated = generator.generate(base_scope=query.predicate_map)
+        generated = FactGenerator(
+            relation,
+            max_extra_dimensions=self._config.max_fact_dimensions,
+            min_support=self._config.min_fact_support,
+        ).generate(base_scope=query.predicate_map)
         if not generated.facts:
             return None
 
@@ -260,28 +242,6 @@ class ProblemGenerator:
         if mask is None:
             return np.arange(self._table.num_rows)
         return np.flatnonzero(mask)
-
-    def _cube_generator(self, target: str) -> CubeFactGenerator:
-        """One shared cube-backed fact generator per target (cached).
-
-        The cube is built over the full table, so facts for any query's
-        base scope are served by slicing — the same row sets the
-        per-query :class:`FactGenerator` would aggregate, because a
-        query's data subset *is* the rows matching its predicates.
-        """
-        cached = self._cube_cache.get(target)
-        if cached is None:
-            relation = SummarizationRelation(
-                self._table, list(self._config.dimensions), target
-            )
-            cached = CubeFactGenerator(
-                relation,
-                max_extra_dimensions=self._config.max_fact_dimensions,
-                max_base_dimensions=self._config.max_query_length,
-                min_support=self._config.min_fact_support,
-            )
-            self._cube_cache[target] = cached
-        return cached
 
     def _default_prior(self, target: str) -> Prior:
         """Constant prior: the target's average over the whole table."""

@@ -13,12 +13,11 @@ Realization is a run-time hot path once pre-processing is fast (a batch
 renders one speech per query; the serving benchmarks render thousands),
 and the rendered fragments repeat heavily: the same subset prefixes,
 scope items, formatted values and whole fact sentences recur across
-speeches.  The realizer therefore memoizes those fragments per instance
-(``fragment_cache=True``, the default).  Every cache key captures all
-inputs of the fragment it stores, so cached output is byte-identical to
-the uncached path (``fragment_cache=False``, kept as the parity
-oracle); caches are capped so a long-lived serving process cannot grow
-them without bound.
+speeches.  The realizer therefore memoizes those fragments per
+instance.  Every cache key captures all inputs of the fragment it
+stores, so cached output is byte-identical to rendering from scratch;
+caches are capped so a long-lived serving process cannot grow them
+without bound.
 """
 
 from __future__ import annotations
@@ -78,23 +77,19 @@ class SpeechRealizer:
     dimension_labels:
         Optional per-dimension labels used in scope descriptions
         ("season Winter" instead of "season=Winter").
-    fragment_cache:
-        When True (the default), rendered fragments — target phrasings,
-        scope items, formatted values, subset prefixes and fact
-        sentences — are memoized per instance; False renders everything
-        from scratch (the parity oracle).  Output is byte-identical
-        either way.
+
+    Rendered fragments — target phrasings, scope items, formatted
+    values, subset prefixes and fact sentences — are memoized per
+    instance.
     """
 
     def __init__(
         self,
         target_phrasings: Mapping[str, TargetPhrasing] | None = None,
         dimension_labels: Mapping[str, str] | None = None,
-        fragment_cache: bool = True,
     ):
         self._phrasings = dict(target_phrasings or {})
         self._dimension_labels = dict(dimension_labels or {})
-        self._fragment_cache = bool(fragment_cache)
         # Fragment caches; every key captures the full input of the
         # fragment it stores.  Excluded from pickling (__getstate__) so
         # worker-pool context broadcasts stay slim.
@@ -110,14 +105,12 @@ class SpeechRealizer:
         return {
             "_phrasings": self._phrasings,
             "_dimension_labels": self._dimension_labels,
-            "_fragment_cache": self._fragment_cache,
         }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__init__(
             target_phrasings=state["_phrasings"],
             dimension_labels=state["_dimension_labels"],
-            fragment_cache=state["_fragment_cache"],
         )
 
     # ------------------------------------------------------------------
@@ -184,28 +177,23 @@ class SpeechRealizer:
         )
 
     def _fragment(self, cache: dict, key) -> str | None:
-        """A cached fragment, or None (cache disabled or not rendered yet)."""
-        if not self._fragment_cache:
-            return None
+        """A cached fragment, or None when it has not been rendered yet."""
         return cache.get(key)
 
     def _remember(self, cache: dict, key, fragment) -> None:
         """Store a rendered fragment, respecting the per-cache cap."""
-        if self._fragment_cache and len(cache) < FRAGMENT_CACHE_LIMIT:
+        if len(cache) < FRAGMENT_CACHE_LIMIT:
             cache[key] = fragment
 
     def _phrasing(self, target: str) -> TargetPhrasing:
         phrasing = self._phrasings.get(target)
         if phrasing is not None:
             return phrasing
-        # The generic phrasing is a pure function of the target name, so
-        # it is cached even with fragment_cache off (it is not rendered
-        # text, and the parity oracle needs the same object semantics).
+        # The generic phrasing is a pure function of the target name.
         phrasing = self._generic_phrasings.get(target)
         if phrasing is None:
             phrasing = TargetPhrasing(subject=f"the average {target.replace('_', ' ')}")
-            if len(self._generic_phrasings) < FRAGMENT_CACHE_LIMIT:
-                self._generic_phrasings[target] = phrasing
+            self._remember(self._generic_phrasings, target, phrasing)
         return phrasing
 
     def _format_value(self, target: str, value: float) -> str:

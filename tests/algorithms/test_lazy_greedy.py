@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.greedy import GreedySummarizer
+from repro.algorithms.greedy import GreedySummarizer, PerFactGreedySummarizer
 from repro.algorithms.lazy_greedy import LazyGreedySummarizer
 from repro.algorithms.registry import make_summarizer
 from repro.core.priors import ZeroPrior
@@ -34,18 +34,26 @@ class TestLazyGreedyParity:
         lazy = LazyGreedySummarizer().summarize(problem)
         assert lazy.speech == eager.speech
 
+    @pytest.mark.parametrize("allow_early_stop", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-    def test_kernel_greedy_matches_reference_greedy(self, seed):
+    def test_kernel_greedy_matches_reference_greedy(self, seed, allow_early_stop):
         """The vectorized greedy path must select the same speech as the
-        per-fact reference path (same tie-breaking by candidate index)."""
-        problem = random_problem(seed, max_facts=4)
-        kernel = GreedySummarizer(use_kernel=True).summarize(problem)
-        reference = GreedySummarizer(use_kernel=False).summarize(problem)
+        per-fact oracle (same tie-breaking by candidate index).  Each
+        problem has 60 candidates whose gains reach zero after ~40
+        picks, so without early stop both paths keep picking zero-gain
+        facts."""
+        problem = random_problem(seed, max_facts=60)
+        kernel = GreedySummarizer(allow_early_stop).summarize(problem)
+        reference = PerFactGreedySummarizer(allow_early_stop).summarize(problem)
         assert kernel.speech == reference.speech
         assert kernel.utility == pytest.approx(reference.utility)
         assert (
             kernel.statistics.speeches_considered
             == reference.statistics.speeches_considered
+        )
+        assert (
+            kernel.statistics.fact_evaluations
+            == reference.statistics.fact_evaluations
         )
 
     def test_lazy_saves_fact_evaluations(self):

@@ -1,8 +1,8 @@
-"""Parity tests: vectorized fact enumeration vs. the per-row reference.
+"""Parity tests: vectorized fact enumeration vs. the per-row oracle.
 
-`FactGenerator(vectorized=True)` replaces per-row Python set membership
-with bincount/segment operations on the relation's cached dimension
-codes.  It is an execution strategy, not a model change: facts must
+`FactGenerator` replaces per-row Python set membership
+(`PerRowFactGenerator`) with bincount/segment operations on the
+relation's cached dimension codes.  It is an execution strategy, not a model change: facts must
 match the reference path exactly — same order, same scopes, bitwise
 identical values — across NULL dimension values, min_support filters
 and arbitrary base scopes.
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.model import SummarizationRelation
-from repro.facts.generation import FactGenerator
+from repro.facts.generation import FactGenerator, PerRowFactGenerator
 from repro.relational.column import Column
 from repro.relational.table import Table
 
@@ -33,6 +34,33 @@ def random_relation(rng: np.random.Generator) -> SummarizationRelation:
     return SummarizationRelation(Table("rand", columns), dimensions, "t")
 
 
+_DIM1 = ["a", "b", "c", None]
+_DIM2 = ["x", "y", None]
+
+
+@st.composite
+def hypothesis_relations(draw) -> SummarizationRelation:
+    num_rows = draw(st.integers(min_value=3, max_value=14))
+    dim1 = draw(st.lists(st.sampled_from(_DIM1), min_size=num_rows, max_size=num_rows))
+    dim2 = draw(st.lists(st.sampled_from(_DIM2), min_size=num_rows, max_size=num_rows))
+    values = draw(
+        st.lists(
+            st.floats(min_value=0, max_value=50, allow_nan=False),
+            min_size=num_rows,
+            max_size=num_rows,
+        )
+    )
+    table = Table(
+        "random",
+        [
+            Column.categorical("d1", dim1),
+            Column.categorical("d2", dim2),
+            Column.numeric("v", values),
+        ],
+    )
+    return SummarizationRelation(table, ["d1", "d2"], "v")
+
+
 def assert_identical_facts(generated, reference):
     assert len(generated.facts) == len(reference.facts)
     for fact, expected in zip(generated.facts, reference.facts):
@@ -44,9 +72,7 @@ def assert_identical_facts(generated, reference):
 class TestVectorizedParity:
     def test_example_relation_matches_reference(self, example_relation):
         generated = FactGenerator(example_relation, max_extra_dimensions=2).generate()
-        reference = FactGenerator(
-            example_relation, max_extra_dimensions=2, vectorized=False
-        ).generate()
+        reference = PerRowFactGenerator(example_relation, max_extra_dimensions=2).generate()
         assert_identical_facts(generated, reference)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -62,21 +88,29 @@ class TestVectorizedParity:
                 base[dim] = domain[0]
         kwargs = {"max_extra_dimensions": 2, "min_support": min_support}
         generated = FactGenerator(relation, **kwargs).generate(base_scope=base)
-        reference = FactGenerator(relation, vectorized=False, **kwargs).generate(
-            base_scope=base
-        )
+        reference = PerRowFactGenerator(relation, **kwargs).generate(base_scope=base)
+        assert_identical_facts(generated, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relation=hypothesis_relations(), base_value=st.sampled_from(_DIM1))
+    def test_hypothesis_relations_match_reference(self, relation, base_value):
+        """Property: small relations with NULL dimension values, with or
+        without a base scope, give the oracle's facts."""
+        base = {} if base_value is None else {"d1": base_value}
+        generated = FactGenerator(relation, max_extra_dimensions=2).generate(base)
+        reference = PerRowFactGenerator(relation, max_extra_dimensions=2).generate(base)
         assert_identical_facts(generated, reference)
 
     def test_base_scope_value_absent_from_data(self, example_relation):
-        for vectorized in (True, False):
-            generated = FactGenerator(
-                example_relation, vectorized=vectorized
-            ).generate(base_scope={"region": "Atlantis"})
+        for generator in (FactGenerator, PerRowFactGenerator):
+            generated = generator(example_relation).generate(
+                base_scope={"region": "Atlantis"}
+            )
             assert generated.count == 0
 
     def test_min_support_filters_identically(self, example_relation):
         kwargs = {"max_extra_dimensions": 2, "min_support": 2}
         generated = FactGenerator(example_relation, **kwargs).generate()
-        reference = FactGenerator(example_relation, vectorized=False, **kwargs).generate()
+        reference = PerRowFactGenerator(example_relation, **kwargs).generate()
         assert_identical_facts(generated, reference)
         assert generated.count == 9

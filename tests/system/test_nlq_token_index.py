@@ -1,10 +1,10 @@
 """Parity tests: token-indexed parser vs. the full-vocabulary scan.
 
 The token index is a pure candidate filter, so the parsed output of
-``NaturalLanguageParser(token_index=True)`` must be identical — field by
-field — to the original scan path on every input the engine/nlq suites
-exercise, and on arbitrary texts assembled from (and around) the
-vocabulary.
+``NaturalLanguageParser`` must be identical — field by field — to
+:class:`ScanParser`, which verifies every lexicon phrase, on every
+input the engine/nlq suites exercise, and on arbitrary texts assembled
+from (and around) the vocabulary.
 """
 
 from __future__ import annotations
@@ -15,6 +15,14 @@ from hypothesis import strategies as st
 
 from repro.system.config import SummarizationConfig
 from repro.system.nlq import NaturalLanguageParser
+
+
+class ScanParser(NaturalLanguageParser):
+    """The full-vocabulary scan: every phrase is a candidate (the oracle)."""
+
+    def _candidates(self, text, phrases, index, unindexed):
+        return phrases
+
 
 #: Every transcript the engine/nlq test suites feed the parser, plus
 #: edge cases: punctuation, casing, numbers, unknown words, phrases
@@ -66,8 +74,8 @@ def make_parsers(token_index_table):
         target_synonyms={"delay": ["delays", "late arrivals"]},
         dimension_synonyms={"nyc": ("region", "East")},
     )
-    indexed = NaturalLanguageParser(config, token_index_table, token_index=True, **kwargs)
-    scan = NaturalLanguageParser(config, token_index_table, token_index=False, **kwargs)
+    indexed = NaturalLanguageParser(config, token_index_table, **kwargs)
+    scan = ScanParser(config, token_index_table, **kwargs)
     return indexed, scan
 
 

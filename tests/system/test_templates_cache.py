@@ -2,9 +2,9 @@
 
 The fragment cache must be invisible: every rendered string —
 full speeches, prefixes, standalone facts, formatted values — is
-byte-identical to ``SpeechRealizer(fragment_cache=False)``, including
-on inputs engineered to collide under naive cache keys (0.0 vs -0.0,
-True vs 1).
+byte-identical to :class:`UncachedRealizer`, which renders every
+fragment from scratch, including on inputs engineered to collide under
+naive cache keys (0.0 vs -0.0, True vs 1).
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from repro.system.queries import DataQuery
 from repro.system.templates import SpeechRealizer, TargetPhrasing
 
 
+class UncachedRealizer(SpeechRealizer):
+    """Never serves a cached fragment (the oracle)."""
+
+    def _fragment(self, cache, key):
+        return None
+
+
 def make_realizers():
     kwargs = dict(
         target_phrasings={
@@ -26,8 +33,8 @@ def make_realizers():
         dimension_labels={"region": "region", "season": "the season"},
     )
     return (
-        SpeechRealizer(fragment_cache=True, **kwargs),
-        SpeechRealizer(fragment_cache=False, **kwargs),
+        SpeechRealizer(**kwargs),
+        UncachedRealizer(**kwargs),
     )
 
 

@@ -126,6 +126,27 @@ class TestCommands:
         assert "unknown experiment" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """Bad option values exit 2 with one usage line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--algorithm", "G-X"], "invalid choice: 'G-X'"),
+            (["--facts", "0"], "max_facts_per_speech must be at least 1"),
+            (["--max-query-length", "-1"], "max_query_length must be non-negative"),
+        ],
+    )
+    def test_rejected_with_usage_error(self, capsys, option, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["preprocess", "--dataset", "flights", "--rows", "120", *option])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestMaintainCommand:
     COMMON = [
         "maintain",
