@@ -93,8 +93,8 @@ class ExactSummarizer(Summarizer):
         # Sort candidates by decreasing single-fact utility; the sorted
         # order realises the permutation-pruning condition S.UP >= F.U.
         # Utilities come from the batch kernel — one pass over all facts.
-        facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = problem.index()
+        facts = index.facts
         single_utilities = [float(u) for u in evaluator.batch_single_fact_utilities(index)]
         stats.fact_evaluations += len(facts)
         order = sorted(range(len(facts)), key=lambda i: -single_utilities[i])

@@ -43,8 +43,8 @@ class GreedySummarizer(Summarizer):
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
 
-        facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = problem.index()
+        facts = index.facts
         active = np.ones(len(facts), dtype=bool)
         selected: list[Fact] = []
 

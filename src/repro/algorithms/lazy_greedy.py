@@ -50,8 +50,8 @@ class LazyGreedySummarizer(Summarizer):
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
 
-        facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = problem.index()
+        facts = index.facts
 
         # Round 0: exact gains for everyone, in one batch pass.
         gains = evaluator.batch_incremental_gains(index, state)

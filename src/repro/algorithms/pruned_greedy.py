@@ -14,10 +14,12 @@ survivors.  They differ only in how the pruning plan is chosen:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import Summarizer, SummarizerStatistics
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
 from repro.algorithms.plan_optimizer import PruningPlanOptimizer
-from repro.algorithms.pruning import FactGroupPruner, group_facts
+from repro.algorithms.pruning import FactGroupPruner
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.relational.catalog import TableStatistics
@@ -43,9 +45,10 @@ class _PrunedGreedyBase(Summarizer):
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
 
-        by_group = group_facts(problem.candidate_facts)
-        fact_counts = {group: len(facts) for group, facts in by_group.items()}
-        groups = list(by_group)
+        index = problem.index()
+        pruner = FactGroupPruner(index, evaluator)
+        fact_counts = pruner.fact_counts
+        groups = list(fact_counts)
 
         statistics = TableStatistics.from_table(problem.relation.table)
         cost_model = PruningCostModel(
@@ -56,20 +59,19 @@ class _PrunedGreedyBase(Summarizer):
         optimizer = PruningPlanOptimizer(cost_model)
         plan = self._choose_plan(optimizer, groups, fact_counts)
 
-        pruner = FactGroupPruner(by_group, evaluator)
         selected: list[Fact] = []
-        excluded: set[Fact] = set()
+        active = np.ones(index.num_facts, dtype=bool)
 
         for _ in range(problem.max_facts):
-            outcome = pruner.compute_gains(state, plan, stats, excluded=excluded)
-            best_fact, best_gain = outcome.best_fact()
-            if best_fact is None:
+            outcome = pruner.compute_gains(state, plan, stats, active)
+            best, best_gain = outcome.best_fact()
+            if best is None:
                 break
             if best_gain <= 0.0 and selected:
                 break
-            evaluator.apply_fact(best_fact, state)
-            selected.append(best_fact)
-            excluded.add(best_fact)
+            index.apply_fact(best, state)
+            selected.append(index.facts[best])
+            active[index.copies_of(best)] = False
             stats.speeches_considered += 1
 
         return Speech(selected), stats

@@ -8,61 +8,48 @@ first computing gains only for *source* groups and then discarding
 bound is dominated by the best source gain.  The globally best fact is
 never discarded, so the greedy guarantee is preserved.
 
-Gain evaluation runs through the vectorized
-:class:`repro.core.kernel.FactScopeIndex`: the pruner builds one CSR
-index over all candidates up front and evaluates each phase (sources,
-then surviving groups) as a single masked batch pass.
+Gain evaluation runs on the problem's
+:class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id, the
+index supplies each group's ids, and each phase (sources, then
+surviving groups) is a single masked batch pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan
-from repro.core.model import Fact
+from repro.core.kernel import FactScopeIndex
 from repro.core.utility import ExpectationState, UtilityEvaluator
 from repro.facts.groups import FactGroup
-
-
-def group_of_fact(fact: Fact) -> FactGroup:
-    """The fact group a fact belongs to (the dimensions its scope restricts)."""
-    return FactGroup(fact.scope.columns)
-
-
-def group_facts(facts: Sequence[Fact]) -> dict[FactGroup, list[Fact]]:
-    """Partition candidate facts into fact groups."""
-    by_group: dict[FactGroup, list[Fact]] = {}
-    for fact in facts:
-        by_group.setdefault(group_of_fact(fact), []).append(fact)
-    return by_group
 
 
 @dataclass
 class PruningOutcome:
     """Result of one pruned gain-computation pass.
 
-    ``gains`` holds the utility gain of every fact whose gain was
-    actually computed (facts of pruned groups are absent);
-    ``pruned_groups`` lists the discarded groups.
+    ``fact_ids`` lists every fact whose gain was actually computed
+    (facts of pruned groups are absent): source facts first, then
+    survivors, each in group order.  ``gains[k]`` is the gain of
+    ``fact_ids[k]``; ``pruned_groups`` lists the discarded groups.
     """
 
-    gains: dict[Fact, float] = field(default_factory=dict)
-    pruned_groups: list[FactGroup] = field(default_factory=list)
+    fact_ids: np.ndarray
+    gains: np.ndarray
+    pruned_groups: list[FactGroup]
 
-    def best_fact(self) -> tuple[Fact | None, float]:
-        """The computed fact with maximal gain (None when no gains exist)."""
-        best: Fact | None = None
-        best_gain = float("-inf")
-        for fact, gain in self.gains.items():
-            if gain > best_gain:
-                best, best_gain = fact, gain
-        if best is None:
+    def best_fact(self) -> tuple[int | None, float]:
+        """Id and gain of the first computed fact with maximal gain.
+
+        ``(None, 0.0)`` when no gain was computed.
+        """
+        if not self.fact_ids.size:
             return None, 0.0
-        return best, best_gain
+        best = int(np.argmax(self.gains))
+        return int(self.fact_ids[best]), float(self.gains[best])
 
 
 class FactGroupPruner:
@@ -70,56 +57,49 @@ class FactGroupPruner:
 
     Parameters
     ----------
-    by_group:
-        Candidate facts partitioned into fact groups.
+    index:
+        The problem's scope index; its ``groups`` partition the fact ids
+        into fact groups (the columns each fact's scope restricts).
     evaluator:
         Utility evaluator for the problem's relation.
     """
 
-    def __init__(self, by_group: Mapping[FactGroup, Sequence[Fact]], evaluator: UtilityEvaluator):
-        self._by_group = {group: list(facts) for group, facts in by_group.items()}
+    def __init__(self, index: FactScopeIndex, evaluator: UtilityEvaluator):
+        self._index = index
         self._evaluator = evaluator
-        # Flatten the groups into one CSR scope index; remember which
-        # fact ids belong to which group for masked batch evaluation.
-        self._facts: list[Fact] = []
-        self._ids_by_group: dict[FactGroup, np.ndarray] = {}
-        for group, facts in self._by_group.items():
-            start = len(self._facts)
-            self._facts.extend(facts)
-            self._ids_by_group[group] = np.arange(start, len(self._facts))
-        self._index = evaluator.fact_scope_index(self._facts)
+        self._ids_by_group = {FactGroup(columns): ids for columns, ids in index.groups.items()}
+        # Fact ids group by group: the order outcomes list gains in.
+        self._group_order = np.concatenate(list(self._ids_by_group.values()))
 
     @property
-    def groups(self) -> list[FactGroup]:
-        """All fact groups with at least one candidate fact."""
-        return list(self._by_group)
+    def fact_counts(self) -> dict[FactGroup, int]:
+        """Number of candidate facts per fact group, in group order."""
+        return {group: int(ids.size) for group, ids in self._ids_by_group.items()}
 
     def compute_gains(
         self,
         state: ExpectationState,
         plan: PruningPlan,
         stats: SummarizerStatistics,
-        excluded: set[Fact] | None = None,
+        active: np.ndarray | None = None,
     ) -> PruningOutcome:
         """Compute utility gains for all facts that survive pruning.
 
-        ``excluded`` facts (already part of the speech) are skipped.
-        The facts of every source group are always evaluated; target
-        groups whose bound is dominated by the best source gain are
-        discarded together with their specializations (Alg. 3, Line 19).
+        Facts whose ``active`` entry is False (already part of the
+        speech) are skipped.  The facts of every source group are always
+        evaluated; target groups whose bound is dominated by the best
+        source gain are discarded together with their specializations
+        (Alg. 3, Line 19).
         """
-        excluded = excluded or set()
-        outcome = PruningOutcome()
-        remaining = set(self._by_group)
-
-        active = np.ones(self._index.num_facts, dtype=bool)
-        if excluded:
-            for i, fact in enumerate(self._facts):
-                if fact in excluded:
-                    active[i] = False
+        num_facts = self._index.num_facts
+        if active is None:
+            active = np.ones(num_facts, dtype=bool)
+        pruned_groups: list[FactGroup] = []
+        remaining = set(self._ids_by_group)
+        gains = np.zeros(num_facts)
 
         # Line 9: utility gains for the pruning sources (one batch pass).
-        source_mask = np.zeros(self._index.num_facts, dtype=bool)
+        source_mask = np.zeros(num_facts, dtype=bool)
         for source in plan.sources:
             ids = self._ids_by_group.get(source)
             if ids is not None:
@@ -127,11 +107,10 @@ class FactGroupPruner:
         source_mask &= active
         max_source_gain = float("-inf")
         if source_mask.any():
-            gains = self._index.subset_gains(source_mask, state.error)
+            source_gains = self._index.subset_gains(source_mask, state.error)
             stats.fact_evaluations += int(source_mask.sum())
-            for i in np.flatnonzero(source_mask):
-                outcome.gains[self._facts[i]] = float(gains[i])
-            max_source_gain = float(gains[source_mask].max())
+            gains[source_mask] = source_gains[source_mask]
+            max_source_gain = float(source_gains[source_mask].max())
 
         # Lines 11-22: prune dominated targets and their specializations.
         if plan.sources and max_source_gain > float("-inf"):
@@ -144,21 +123,21 @@ class FactGroupPruner:
                     for group in list(remaining):
                         if group.is_specialization_of(target):
                             remaining.discard(group)
-                            outcome.pruned_groups.append(group)
+                            pruned_groups.append(group)
                             stats.groups_pruned += 1
 
         # Line 24: gains for the facts of all surviving groups (second batch).
         source_set = set(plan.sources)
-        survivor_mask = np.zeros(self._index.num_facts, dtype=bool)
-        for group in self._by_group:
+        survivor_mask = np.zeros(num_facts, dtype=bool)
+        for group, ids in self._ids_by_group.items():
             if group in remaining and group not in source_set:
-                survivor_mask[self._ids_by_group[group]] = True
+                survivor_mask[ids] = True
         survivor_mask &= active & ~source_mask
         if survivor_mask.any():
-            gains = self._index.subset_gains(survivor_mask, state.error)
+            survivor_gains = self._index.subset_gains(survivor_mask, state.error)
             stats.fact_evaluations += int(survivor_mask.sum())
-            for i in np.flatnonzero(survivor_mask):
-                fact = self._facts[i]
-                if fact not in outcome.gains:
-                    outcome.gains[fact] = float(gains[i])
-        return outcome
+            gains[survivor_mask] = survivor_gains[survivor_mask]
+
+        order = self._group_order
+        fact_ids = np.concatenate((order[source_mask[order]], order[survivor_mask[order]]))
+        return PruningOutcome(fact_ids, gains[fact_ids], pruned_groups)

@@ -162,8 +162,8 @@ class SamplingBaselineSummarizer(Summarizer):
         sampled_indices: np.ndarray = np.empty(0, dtype=int)
 
         state = evaluator.initial_state()
-        facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = problem.index()
+        facts = index.facts
         active = np.ones(len(facts), dtype=bool)
 
         for position in range(problem.max_facts):
@@ -182,9 +182,7 @@ class SamplingBaselineSummarizer(Summarizer):
             index.apply_fact(best_id, state)
             # Equal facts (same scope and value) are interchangeable;
             # deactivate them all, mirroring the set-based dedup.
-            for j, fact in enumerate(facts):
-                if fact == best_fact:
-                    active[j] = False
+            active[index.copies_of(best_id)] = False
             summary.selected_facts.append(best_fact)
             summary.range_facts.append(
                 self._range_fact(relation, best_fact, sampled_indices)

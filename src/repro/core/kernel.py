@@ -14,7 +14,13 @@ candidate fact's scope rows in CSR form, built once per problem:
 * ``offsets`` — ``offsets[i]:offsets[i+1]`` slices fact ``i``'s rows,
 * ``fact_ids`` — the owning fact id per flat entry (for ``bincount``),
 * ``fact_errors`` — ``|fact.value − v_r|`` per flat entry, precomputed
-  because neither fact values nor data values change during a solve.
+  because neither fact values nor data values change during a solve,
+* ``groups`` — the fact ids per restricted column combination, which
+  the pruned-greedy variants evaluate group by group.
+
+The fact generator already knows every fact's rows and groups and
+hands them to :meth:`FactScopeIndex.from_rows`; :meth:`FactScopeIndex.build`
+resolves them for hand-built fact lists.
 
 With that layout, the gain of *all* facts under the closest-relevant-
 value model is a single clipped subtraction over the flat arrays
@@ -40,7 +46,8 @@ _EMPTY_INDICES = np.empty(0, dtype=np.intp)
 class FactScopeIndex:
     """CSR index of candidate-fact scopes over one relation.
 
-    Built once per summarization problem; all batch kernels are then
+    Built once per summarization problem (the problem owns it); all
+    batch kernels are then
     pure NumPy passes over the flat arrays.  Under the closest-relevant-
     value expectation model the per-row gain of a fact is
     ``max(error[r] − |fact.value − v_r|, 0)``, so precomputing the fact
@@ -55,6 +62,7 @@ class FactScopeIndex:
         "fact_errors",
         "values",
         "supports",
+        "groups",
     )
 
     def __init__(
@@ -65,6 +73,7 @@ class FactScopeIndex:
         fact_ids: np.ndarray,
         fact_errors: np.ndarray,
         values: np.ndarray,
+        groups: dict[tuple[str, ...], np.ndarray],
     ):
         self.facts = list(facts)
         self.row_indices = row_indices
@@ -73,20 +82,47 @@ class FactScopeIndex:
         self.fact_errors = fact_errors
         self.values = values
         self.supports = np.diff(offsets)
+        self.groups = groups
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_rows(
+        cls,
+        relation: SummarizationRelation,
+        facts: Sequence[Fact],
+        rows: Sequence[np.ndarray],
+        groups: dict[tuple[str, ...], np.ndarray],
+    ) -> "FactScopeIndex":
+        """Lay out facts whose scope rows are already known in CSR form.
+
+        ``rows[i]`` lists fact ``i``'s scope rows in ascending order.
+        ``groups`` maps each restricted column combination (the sorted
+        scope columns) to its fact ids, ascending, in the order the
+        combinations first appear among ``facts``.
+        """
+        facts = list(facts)
+        offsets = np.zeros(len(facts) + 1, dtype=np.intp)
+        np.cumsum([r.size for r in rows], out=offsets[1:])
+        row_indices = (np.concatenate(rows) if rows else _EMPTY_INDICES).astype(
+            np.intp, copy=False
+        )
+        fact_ids = np.repeat(np.arange(len(facts), dtype=np.intp), np.diff(offsets))
+        values = np.array([f.value for f in facts], dtype=float)
+        fact_errors = np.abs(values[fact_ids] - relation.target_values[row_indices])
+        return cls(facts, row_indices, offsets, fact_ids, fact_errors, values, groups)
+
+    @classmethod
     def build(cls, relation: SummarizationRelation, facts: Sequence[Fact]) -> "FactScopeIndex":
-        """Resolve every fact's scope rows and lay them out in CSR form.
+        """Resolve every fact's scope rows, then lay them out in CSR form.
 
         Facts are grouped by the dimension columns their scope restricts
         so each column combination is resolved with one grouping pass
         over the relation instead of one mask evaluation per fact.
         """
         facts = list(facts)
-        segments: list[np.ndarray] = [_EMPTY_INDICES] * len(facts)
+        rows: list[np.ndarray] = [_EMPTY_INDICES] * len(facts)
         by_columns: dict[tuple[str, ...], list[int]] = {}
         for i, fact in enumerate(facts):
             by_columns.setdefault(fact.scope.columns, []).append(i)
@@ -97,19 +133,11 @@ class FactScopeIndex:
                 # the grouping key directly.
                 group = key_to_group.get(facts[i].scope.sorted_values)
                 if group is not None:
-                    segments[i] = order[offsets[group] : offsets[group + 1]]
-
-        offsets = np.zeros(len(facts) + 1, dtype=np.intp)
-        np.cumsum([s.size for s in segments], out=offsets[1:])
-        row_indices = (
-            np.concatenate(segments) if segments else _EMPTY_INDICES
-        ).astype(np.intp, copy=False)
-        sizes = np.diff(offsets)
-        fact_ids = np.repeat(np.arange(len(facts), dtype=np.intp), sizes)
-        values = np.array([f.value for f in facts], dtype=float)
-        truth = relation.target_values
-        fact_errors = np.abs(values[fact_ids] - truth[row_indices])
-        return cls(facts, row_indices, offsets, fact_ids, fact_errors, values)
+                    rows[i] = order[offsets[group] : offsets[group + 1]]
+        groups = {
+            columns: np.array(members, dtype=np.intp) for columns, members in by_columns.items()
+        }
+        return cls.from_rows(relation, facts, rows, groups)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -131,6 +159,18 @@ class FactScopeIndex:
     def errors_of(self, fact_id: int) -> np.ndarray:
         """Per-row fact errors of fact ``fact_id``."""
         return self.fact_errors[self.offsets[fact_id] : self.offsets[fact_id + 1]]
+
+    def copies_of(self, fact_id: int) -> list[int]:
+        """Ids of the facts equal to fact ``fact_id``, itself included.
+
+        Summarizers retire a selected fact together with its copies, as
+        a set of selected facts would; only facts of equal value are
+        compared as objects.
+        """
+        fact = self.facts[fact_id]
+        same_value = self.values == self.values[fact_id]
+        same_value[fact_id] = True
+        return [int(j) for j in np.flatnonzero(same_value) if self.facts[j] == fact]
 
     # ------------------------------------------------------------------
     # Batch gain kernels (closest-relevant-value model)

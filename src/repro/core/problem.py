@@ -13,6 +13,7 @@ from typing import Sequence
 
 from repro.core.errors import InvalidProblemError
 from repro.core.expectation import ClosestRelevantFactModel, ExpectationModel
+from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, SummarizationRelation
 from repro.core.priors import GlobalAveragePrior, Prior
 from repro.core.utility import UtilityEvaluator
@@ -37,6 +38,10 @@ class SummarizationProblem:
     label:
         Optional identifier, used by the problem generator to record
         which query the problem answers.
+    scope_index:
+        The candidates' CSR scope index, when whoever generated the
+        facts already knows their rows; otherwise :meth:`index` builds
+        it on first use.
     """
 
     relation: SummarizationRelation
@@ -45,6 +50,7 @@ class SummarizationProblem:
     prior: Prior = field(default_factory=GlobalAveragePrior)
     expectation_model: ExpectationModel = field(default_factory=ClosestRelevantFactModel)
     label: str = ""
+    scope_index: FactScopeIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_facts < 1:
@@ -53,6 +59,16 @@ class SummarizationProblem:
             )
         if not self.candidate_facts:
             raise InvalidProblemError("a problem requires at least one candidate fact")
+        if self.scope_index is not None and self.scope_index.num_facts != len(
+            self.candidate_facts
+        ):
+            raise InvalidProblemError("scope index does not match the candidate facts")
+
+    def index(self) -> FactScopeIndex:
+        """The candidates' CSR scope index, shared by every summarizer."""
+        if self.scope_index is None:
+            self.scope_index = FactScopeIndex.build(self.relation, self.candidate_facts)
+        return self.scope_index
 
     def evaluator(self) -> UtilityEvaluator:
         """Build a utility evaluator for this problem instance."""

@@ -190,17 +190,9 @@ class UtilityEvaluator:
         return float(np.maximum(state.error[indices] - fact_err, 0.0).sum())
 
     # ------------------------------------------------------------------
-    # Batch kernels (vectorized over all candidates at once)
+    # Batch kernels (vectorized over all candidates of a problem's
+    # FactScopeIndex at once)
     # ------------------------------------------------------------------
-    def fact_scope_index(self, facts: Sequence[Fact]) -> FactScopeIndex:
-        """Build the CSR scope index for a candidate fact list.
-
-        The index is built once per problem; afterwards
-        :meth:`batch_incremental_gains` evaluates every candidate in one
-        NumPy pass instead of one :meth:`incremental_gain` call each.
-        """
-        return FactScopeIndex.build(self._relation, facts)
-
     def batch_incremental_gains(
         self, index: FactScopeIndex, state: ExpectationState
     ) -> np.ndarray:

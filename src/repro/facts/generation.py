@@ -18,8 +18,18 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Scope, SummarizationRelation
 from repro.facts.groups import FactGroup, enumerate_fact_groups
+
+
+def _mean(values: np.ndarray) -> float:
+    """``float(values.mean())``, bit for bit, without ``mean``'s overhead.
+
+    NumPy's float mean is the pairwise ``add.reduce`` divided by the
+    count, which is exactly what this computes.
+    """
+    return float(np.add.reduce(values)) / values.size
 
 
 @dataclass
@@ -35,16 +45,33 @@ class GeneratedFacts:
         dimensions, excluding the fixed base-scope columns).
     base_scope:
         The scope shared by every candidate (the query's predicates).
+    rows:
+        Each fact's scope rows (ascending), aligned with ``facts``.
     """
 
     facts: list[Fact]
     by_group: dict[FactGroup, list[Fact]] = field(default_factory=dict)
     base_scope: Scope = field(default_factory=Scope)
+    rows: list[np.ndarray] = field(default_factory=list)
 
     @property
     def count(self) -> int:
         """Number of candidate facts."""
         return len(self.facts)
+
+    def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
+        """The facts' CSR scope index over ``relation``, from the known rows.
+
+        Each group's facts are contiguous, so its fact ids are one range.
+        """
+        base_columns = self.base_scope.columns
+        groups: dict[tuple[str, ...], np.ndarray] = {}
+        start = 0
+        for group, members in self.by_group.items():
+            columns = tuple(sorted((*base_columns, *group.dimensions)))
+            groups[columns] = np.arange(start, start + len(members), dtype=np.intp)
+            start += len(members)
+        return FactScopeIndex.from_rows(relation, self.facts, self.rows, groups)
 
     def groups(self) -> list[FactGroup]:
         """Fact groups with at least one candidate fact."""
@@ -115,22 +142,22 @@ class FactGenerator:
             free_dimensions, max_arity=self._max_extra, include_empty=True
         )
 
-        facts: list[Fact] = []
-        by_group: dict[FactGroup, list[Fact]] = {}
+        generated = GeneratedFacts(facts=[], base_scope=base)
         base_indices = self._relation.scope_row_indices(base)
         if base_indices.size == 0:
-            return GeneratedFacts(facts=facts, by_group=by_group, base_scope=base)
+            return generated
         target = self._relation.target_values
         # The base-membership mask is shared by every group combination.
         in_base = np.zeros(self._relation.num_rows, dtype=bool)
         in_base[base_indices] = True
 
         for group in groups:
-            members = self._facts_for_group(base, group, base_indices, in_base, target)
+            members, rows = self._facts_for_group(base, group, base_indices, in_base, target)
             if members:
-                by_group[group] = members
-                facts.extend(members)
-        return GeneratedFacts(facts=facts, by_group=by_group, base_scope=base)
+                generated.by_group[group] = members
+                generated.facts.extend(members)
+                generated.rows.extend(rows)
+        return generated
 
     # ------------------------------------------------------------------
     # Internals
@@ -142,18 +169,19 @@ class FactGenerator:
         base_indices: np.ndarray,
         in_base: np.ndarray,
         target: np.ndarray,
-    ) -> list[Fact]:
+    ) -> tuple[list[Fact], list[np.ndarray]]:
         """Facts restricting exactly the dimensions of ``group`` (plus base).
 
+        Returns the facts and, aligned with them, their scope rows.
         ``base_indices`` (non-empty) lists the base-scope rows in
         ascending order and ``in_base`` is their membership mask.
         """
         if group.arity == 0:
             values = target[base_indices]
             if values.size < self._min_support:
-                return []
-            fact = Fact(scope=base, value=float(values.mean()), support=int(values.size))
-            return [fact]
+                return [], []
+            fact = Fact(scope=base, value=_mean(values), support=int(values.size))
+            return [fact], [base_indices]
 
         # One bincount over the base-scope rows yields every group's
         # support at once; only qualifying groups are materialized, each
@@ -164,6 +192,7 @@ class FactGenerator:
         counts = np.bincount(inverse[base_indices], minlength=len(keys))
 
         facts: list[Fact] = []
+        rows: list[np.ndarray] = []
         base_assignments = base.assignments
         # Group ids follow first appearance in the data, so ascending id
         # order reproduces the per-row oracle's fact order exactly.
@@ -177,15 +206,15 @@ class FactGenerator:
             )
             assignments = dict(base_assignments)
             assignments.update(zip(dims, key))
-            values = target[members]
             facts.append(
                 Fact(
                     scope=Scope(assignments),
-                    value=float(values.mean()),
+                    value=_mean(target[members]),
                     support=int(members.size),
                 )
             )
-        return facts
+            rows.append(members)
+        return facts, rows
 
 
 class PerRowFactGenerator(FactGenerator):
@@ -203,12 +232,13 @@ class PerRowFactGenerator(FactGenerator):
         base_indices: np.ndarray,
         in_base: np.ndarray,
         target: np.ndarray,
-    ) -> list[Fact]:
+    ) -> tuple[list[Fact], list[np.ndarray]]:
         if group.arity == 0:
             return super()._facts_for_group(base, group, base_indices, in_base, target)
         groups_by_value = self._relation.group_rows_by(list(group.dimensions))
         base_set = set(int(i) for i in base_indices)
         facts: list[Fact] = []
+        rows: list[np.ndarray] = []
         for key, indices in groups_by_value.items():
             if any(v is None for v in key):
                 continue
@@ -225,4 +255,5 @@ class PerRowFactGenerator(FactGenerator):
                     support=len(member_indices),
                 )
             )
-        return facts
+            rows.append(np.array(member_indices, dtype=np.intp))
+        return facts, rows

@@ -24,11 +24,23 @@ class FactGroup:
     # The same dimensions as a set, for the subset tests the plan
     # optimizer runs on every pair of groups.
     _dimension_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    # Hashed once: the cost-model memos and the plan optimizer probe
+    # groups in dicts and sets hundreds of thousands of times per run.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, dimensions: Iterable[str]):
         unique = set(dimensions)
         object.__setattr__(self, "dimensions", tuple(sorted(unique)))
         object.__setattr__(self, "_dimension_set", frozenset(unique))
+        object.__setattr__(self, "_hash", hash((self.dimensions,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so an unpickled group
+        # must hash itself again instead of carrying ``_hash`` over.
+        return (FactGroup, (self.dimensions,))
 
     @property
     def arity(self) -> int:

@@ -191,6 +191,8 @@ class ProblemGenerator:
             candidate_facts=generated.facts,
             max_facts=self._config.max_facts_per_speech,
             label=query.describe(),
+            # The generator already found every fact's rows.
+            scope_index=generated.scope_index(relation),
             **kwargs,
         )
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernel import FactScopeIndex
 from repro.core.model import SummarizationRelation
 from repro.core.problem import SummarizationProblem
-from repro.core.utility import UtilityEvaluator
 from repro.facts.generation import FactGenerator
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
@@ -55,26 +55,36 @@ def random_problem(seed: int, max_facts: int = 3) -> SummarizationProblem:
 
 class TestFactScopeIndexStructure:
     def test_csr_rows_match_scope_indices(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         for fact_id, fact in enumerate(example_facts.facts):
             expected = example_evaluator.scope_indices(fact.scope)
             np.testing.assert_array_equal(index.rows_of(fact_id), expected)
 
     def test_supports_match_fact_supports(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         for fact_id, fact in enumerate(example_facts.facts):
             assert index.supports[fact_id] == fact.support
 
     def test_fact_errors_precomputed(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         truth = example_evaluator.relation.target_values
         for fact_id, fact in enumerate(example_facts.facts):
             expected = np.abs(fact.value - truth[index.rows_of(fact_id)])
             np.testing.assert_allclose(index.errors_of(fact_id), expected)
 
     def test_total_scope_rows(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         assert index.total_scope_rows == sum(f.support for f in example_facts.facts)
+
+    def test_copies_of_finds_equal_facts_only(self, example_evaluator, example_facts):
+        facts = list(example_facts.facts)
+        facts.append(facts[1])
+        index = FactScopeIndex.build(example_evaluator.relation, facts)
+        # East and West share a value; only the true copy is equal.
+        assert index.values[1] == index.values[3]
+        assert index.copies_of(1) == [1, len(facts) - 1]
+        assert index.copies_of(len(facts) - 1) == [1, len(facts) - 1]
+        assert index.copies_of(0) == [0]
 
 
 class TestBatchGainParity:
@@ -82,7 +92,7 @@ class TestBatchGainParity:
     def test_batch_equals_per_fact_on_prior_state(self, seed):
         problem = random_problem(seed)
         evaluator = problem.evaluator()
-        index = evaluator.fact_scope_index(problem.candidate_facts)
+        index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
         state = evaluator.initial_state()
         batch = evaluator.batch_incremental_gains(index, state)
         per_fact = [evaluator.incremental_gain(f, state) for f in problem.candidate_facts]
@@ -94,7 +104,7 @@ class TestBatchGainParity:
         problem = random_problem(seed, max_facts=4)
         evaluator = problem.evaluator()
         facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = FactScopeIndex.build(evaluator.relation, facts)
         state = evaluator.initial_state()
         for _ in range(problem.max_facts):
             batch = evaluator.batch_incremental_gains(index, state)
@@ -104,7 +114,7 @@ class TestBatchGainParity:
             index.apply_fact(best, state)
 
     def test_single_fact_utilities_parity(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         batch = example_evaluator.batch_single_fact_utilities(index)
         per_fact = example_evaluator.single_fact_utilities(list(example_facts.facts))
         np.testing.assert_allclose(batch, per_fact, rtol=1e-12, atol=1e-9)
@@ -113,7 +123,7 @@ class TestBatchGainParity:
     def test_subset_gains_match_batch(self, seed):
         problem = random_problem(seed)
         evaluator = problem.evaluator()
-        index = evaluator.fact_scope_index(problem.candidate_facts)
+        index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
         state = evaluator.initial_state()
         full = evaluator.batch_incremental_gains(index, state)
         rng = np.random.default_rng(seed)
@@ -126,7 +136,7 @@ class TestBatchGainParity:
     def test_sampled_gains_match_per_fact_estimates(self, seed):
         problem = random_problem(seed)
         evaluator = problem.evaluator()
-        index = evaluator.fact_scope_index(problem.candidate_facts)
+        index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
         state = evaluator.initial_state()
         rng = np.random.default_rng(seed)
         sampled = rng.choice(problem.num_rows, size=problem.num_rows // 2, replace=True)
@@ -149,7 +159,7 @@ class TestApplyFactParity:
         problem = random_problem(seed)
         evaluator = problem.evaluator()
         facts = list(problem.candidate_facts)
-        index = evaluator.fact_scope_index(facts)
+        index = FactScopeIndex.build(evaluator.relation, facts)
         state_kernel = evaluator.initial_state()
         state_reference = evaluator.initial_state()
         rng = np.random.default_rng(seed)
@@ -161,7 +171,7 @@ class TestApplyFactParity:
             np.testing.assert_array_equal(state_kernel.error, state_reference.error)
 
     def test_empty_scope_fact_is_zero_gain(self, example_evaluator, example_facts):
-        index = example_evaluator.fact_scope_index(example_facts.facts)
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         state = example_evaluator.initial_state()
         gains = example_evaluator.batch_incremental_gains(index, state)
         assert gains.shape == (len(example_facts.facts),)

@@ -29,6 +29,27 @@ class TestConstruction:
         with pytest.raises(InvalidProblemError):
             SummarizationProblem(example_relation, [], max_facts=2)
 
+    def test_scope_index_must_match_candidates(self, example_relation, example_facts):
+        index = example_facts.scope_index(example_relation)
+        with pytest.raises(InvalidProblemError):
+            SummarizationProblem(
+                example_relation, example_facts.facts[1:], max_facts=2, scope_index=index
+            )
+
+
+class TestScopeIndex:
+    def test_hand_built_problem_builds_its_index_once(self, example_problem):
+        index = example_problem.index()
+        assert index.facts == list(example_problem.candidate_facts)
+        assert example_problem.index() is index
+
+    def test_seeded_index_is_used(self, example_relation, example_facts):
+        index = example_facts.scope_index(example_relation)
+        problem = SummarizationProblem(
+            example_relation, example_facts.facts, max_facts=2, scope_index=index
+        )
+        assert problem.index() is index
+
 
 class TestEvaluatorFactory:
     def test_evaluator_uses_configured_prior_and_model(self, example_relation, example_facts):

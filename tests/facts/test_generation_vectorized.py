@@ -5,7 +5,8 @@
 relation's cached dimension codes.  It is an execution strategy, not a model change: facts must
 match the reference path exactly — same order, same scopes, bitwise
 identical values — across NULL dimension values, min_support filters
-and arbitrary base scopes.
+and arbitrary base scopes.  The scope rows it hands to the kernel must
+lay out the same index `FactScopeIndex.build` resolves by regrouping.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.kernel import FactScopeIndex
 from repro.core.model import SummarizationRelation
 from repro.facts.generation import FactGenerator, PerRowFactGenerator
 from repro.relational.column import Column
@@ -91,15 +93,37 @@ class TestVectorizedParity:
         reference = PerRowFactGenerator(relation, **kwargs).generate(base_scope=base)
         assert_identical_facts(generated, reference)
 
-    @settings(max_examples=40, deadline=None)
-    @given(relation=hypothesis_relations(), base_value=st.sampled_from(_DIM1))
-    def test_hypothesis_relations_match_reference(self, relation, base_value):
-        """Property: small relations with NULL dimension values, with or
-        without a base scope, give the oracle's facts."""
-        base = {} if base_value is None else {"d1": base_value}
-        generated = FactGenerator(relation, max_extra_dimensions=2).generate(base)
-        reference = PerRowFactGenerator(relation, max_extra_dimensions=2).generate(base)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relation=hypothesis_relations(),
+        base=st.fixed_dictionaries(
+            {}, optional={"d1": st.sampled_from(_DIM1[:-1]), "d2": st.sampled_from(_DIM2[:-1])}
+        ),
+        min_support=st.integers(min_value=1, max_value=3),
+    )
+    def test_hypothesis_relations_match_reference(self, relation, base, min_support):
+        """Property: small relations with NULL dimension values, random
+        base scopes and support floors give the oracle's facts, and the
+        rows the generator hands on lay out the index the regrouping
+        build resolves, array for array."""
+        kwargs = {"max_extra_dimensions": 2, "min_support": min_support}
+        generated = FactGenerator(relation, **kwargs).generate(base)
+        reference = PerRowFactGenerator(relation, **kwargs).generate(base)
         assert_identical_facts(generated, reference)
+
+        seeded = generated.scope_index(relation)
+        rebuilt = FactScopeIndex.build(relation, generated.facts)
+        for name in ("row_indices", "offsets", "fact_ids", "supports"):
+            np.testing.assert_array_equal(getattr(seeded, name), getattr(rebuilt, name))
+            assert getattr(seeded, name).dtype == getattr(rebuilt, name).dtype
+        for name in ("values", "fact_errors"):
+            assert getattr(seeded, name).tobytes() == getattr(rebuilt, name).tobytes()
+        assert list(seeded.groups) == list(rebuilt.groups)
+        for columns, ids in seeded.groups.items():
+            np.testing.assert_array_equal(ids, rebuilt.groups[columns])
+        target = relation.target_values
+        for fact_id, fact in enumerate(generated.facts):
+            assert fact.value == float(target[seeded.rows_of(fact_id)].mean())  # bitwise
 
     def test_base_scope_value_absent_from_data(self, example_relation):
         for generator in (FactGenerator, PerRowFactGenerator):

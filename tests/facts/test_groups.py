@@ -1,7 +1,12 @@
 """Unit tests for repro.facts.groups."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.facts.groups import FactGroup, enumerate_fact_groups, specializations
 
 
@@ -43,6 +48,38 @@ class TestFactGroup:
         clone = pickle.loads(pickle.dumps(group))
         assert clone == group and hash(clone) == hash(group)
         assert clone.is_specialization_of(FactGroup(["a"]))
+
+    def test_unpickled_group_hashes_in_the_new_process(self):
+        # String hashes depend on PYTHONHASHSEED, so a dict keyed by a
+        # group pickled under one seed must still be found under another
+        # (spawned worker processes unpickle with their own seed).
+        assert _python("print(hash(('a', 'b')))", seed=1) != _python(
+            "print(hash(('a', 'b')))", seed=2
+        )
+        pickled = _python(
+            "import pickle, sys\n"
+            "from repro.facts.groups import FactGroup\n"
+            "sys.stdout.buffer.write(pickle.dumps({FactGroup(['b', 'a']): 1}))",
+            seed=1,
+        )
+        found = _python(
+            "import pickle, sys\n"
+            "from repro.facts.groups import FactGroup\n"
+            "print(pickle.loads(sys.stdin.buffer.read()).get(FactGroup(['a', 'b'])))",
+            seed=2,
+            stdin=pickled,
+        )
+        assert found.strip() == b"1"
+
+
+def _python(code: str, seed: int, stdin: bytes | None = None) -> bytes:
+    """Stdout of ``code`` run by a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True
+    ).stdout
 
 
 class TestEnumeration:

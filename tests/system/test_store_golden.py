@@ -1,9 +1,11 @@
-"""Golden digest of a pre-processed store: speed-ups must not move a byte.
+"""Golden digests of pre-processed stores: speed-ups must not move a byte.
 
-The digest was computed before pre-processing built query subsets from
-cached column codes and memoized the G-O cost model.  Any change to the
+The 300-row digest was computed before pre-processing built query
+subsets from cached column codes and memoized the G-O cost model; the
+full 5,000-row digest before fact generation handed its scope rows to
+the kernel and the G-O pruner tracked facts by id.  Any change to the
 enumerated queries, the candidate facts, the chosen plans, the greedy
-selection, the utilities or the realized texts changes it.
+selection, the utilities or the realized texts changes them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from repro.system.engine import VoiceQueryEngine
 from repro.system.persistence import canonical_store_payload
 
 FLIGHTS_300_G_O_DIGEST = "ee2b0a22973f985bab028a742f7d6001a0575b6c538392a42b86dd59a0f12da7"
+FLIGHTS_5000_G_O_DIGEST = "bd61512455a4f3219140dd2446945155065f95f5ab617918011e47a31bd55ba6"
 
 
-def test_flights_store_matches_golden_digest():
-    dataset = load_dataset("flights", num_rows=300)
+def _g_o_store_digest(dataset) -> tuple[int, str]:
     config = SummarizationConfig.create(
         table=dataset.spec.key,
         dimensions=dataset.spec.dimensions,
@@ -29,6 +31,15 @@ def test_flights_store_matches_golden_digest():
     )
     engine = VoiceQueryEngine(config, dataset.table)
     engine.preprocess()
-    assert len(engine.store) == 928
     payload = canonical_store_payload(engine.store, config)
-    assert hashlib.sha256(payload).hexdigest() == FLIGHTS_300_G_O_DIGEST
+    return len(engine.store), hashlib.sha256(payload).hexdigest()
+
+
+def test_flights_store_matches_golden_digest():
+    dataset = load_dataset("flights", num_rows=300)
+    assert _g_o_store_digest(dataset) == (928, FLIGHTS_300_G_O_DIGEST)
+
+
+def test_full_flights_store_matches_golden_digest():
+    dataset = load_dataset("flights", num_rows=5000, seed=20210318)
+    assert _g_o_store_digest(dataset) == (1026, FLIGHTS_5000_G_O_DIGEST)
