@@ -21,7 +21,7 @@ from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.exact import ExactSummarizer
 from repro.algorithms.pruning import FactGroupPruner, PruningPlan
 from repro.algorithms.cost_model import PruningCostModel
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, generate_candidate_plans
+from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer, RangeFact
 from repro.algorithms.random_baseline import RandomSummarizer
@@ -37,7 +37,7 @@ __all__ = [
     "PruningPlan",
     "PruningCostModel",
     "PruningPlanOptimizer",
-    "generate_candidate_plans",
+    "candidate_plans",
     "PrunedGreedySummarizer",
     "OptimizedGreedySummarizer",
     "SamplingBaselineSummarizer",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.facts.groups import FactGroup
 from repro.relational.planner import CostEstimator
@@ -64,8 +64,8 @@ class PruningCostModel:
         Standard deviation of the per-fact utility distribution
         (a fixed model parameter; the paper assumes a constant σ²).
 
-    The components M(g), C_U, C_D and Pr(P_{s→t}) are memoized per
-    model instance: plan selection asks for the same values many times.
+    M(g) is memoized per model instance; plan selection reads each
+    group's components once through a :class:`GroupLattice`.
     """
 
     def __init__(
@@ -80,9 +80,6 @@ class PruningCostModel:
         self._estimator = cost_estimator
         self._sigma = float(sigma)
         self._fact_count_memo: dict[FactGroup, int] = {}
-        self._utility_cost_memo: dict[FactGroup, float] = {}
-        self._deviation_cost_memo: dict[FactGroup, float] = {}
-        self._prune_memo: dict[tuple[FactGroup, FactGroup], float] = {}
 
     # ------------------------------------------------------------------
     # Model components
@@ -99,19 +96,11 @@ class PruningCostModel:
 
     def utility_cost(self, group: FactGroup) -> float:
         """C_U(g): cost of computing utility gains for all facts of ``g``."""
-        cost = self._utility_cost_memo.get(group)
-        if cost is None:
-            cost = float(self._estimator.utility_cost(group.dimensions))
-            self._utility_cost_memo[group] = cost
-        return cost
+        return float(self._estimator.utility_cost(group.dimensions))
 
     def deviation_cost(self, group: FactGroup) -> float:
         """C_D(g): cost of computing the per-scope bounds of ``g``."""
-        cost = self._deviation_cost_memo.get(group)
-        if cost is None:
-            cost = float(self._estimator.deviation_cost(group.dimensions))
-            self._deviation_cost_memo[group] = cost
-        return cost
+        return float(self._estimator.deviation_cost(group.dimensions))
 
     def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
         """Pr(P_{s→t}): probability the source's best gain dominates the target bound.
@@ -121,54 +110,139 @@ class PruningCostModel:
 
             Pr(u_s > u_t) = Φ((1/M(s) − 1/M(t)) / (σ·√2)).
         """
-        key = (source, target)
-        probability = self._prune_memo.get(key)
-        if probability is None:
-            mean_source = 1.0 / self.fact_count(source)
-            mean_target = 1.0 / self.fact_count(target)
-            z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
-            probability = self._prune_memo[key] = _standard_normal_cdf(z)
-        return probability
+        return self._dominance(1.0 / self.fact_count(source), 1.0 / self.fact_count(target))
 
-    def target_prune_probability(self, target: FactGroup, sources: Sequence[FactGroup]) -> float:
-        """Pr(P_t): probability that *some* source dominates the target."""
-        if not sources:
-            return 0.0
-        survive = 1.0
-        for source in sources:
-            survive *= 1.0 - self.prune_probability(source, target)
-        return 1.0 - survive
-
-    def group_survival_probability(
-        self,
-        group: FactGroup,
-        sources: Sequence[FactGroup],
-        targets: Sequence[FactGroup],
-    ) -> float:
-        """Pr(¬P_g): probability that group ``g`` is *not* pruned.
-
-        A group may be pruned through any target it specializes (``t ⊆ g``);
-        pruning outcomes are assumed independent.
-        """
-        probability = 1.0
-        for target in targets:
-            if not group.is_specialization_of(target):
-                continue
-            for source in sources:
-                probability *= 1.0 - self.prune_probability(source, target)
-        return probability
+    def _dominance(self, mean_source: float, mean_target: float) -> float:
+        z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
+        return _standard_normal_cdf(z)
 
     # ------------------------------------------------------------------
     # Plan cost
     # ------------------------------------------------------------------
     def plan_cost(self, plan: PruningPlan, groups: Sequence[FactGroup]) -> float:
         """Estimated total processing cost of Algorithm 3 under ``plan``."""
-        sources = set(plan.sources)
-        cost = sum(self.utility_cost(s) for s in plan.sources)
-        cost += sum(self.deviation_cost(t) for t in plan.targets)
+        lattice = GroupLattice(self, groups)
+        sources = [lattice.id_of(s) for s in plan.sources]
+        targets = [lattice.id_of(t) for t in plan.targets]
+        costing = PlanCosting(lattice, sources)
+        for target in targets:
+            costing.add_target(target)
+        return costing.cost()
+
+
+class GroupLattice:
+    """Fact groups under integer ids, with their cost-model components.
+
+    Ids ``0 .. size - 1`` are the groups a plan's cost sums over, in
+    order; :meth:`id_of` appends any other group a plan names.
+    Each group gets a mask with one bit per dimension it restricts, so
+    group ``g`` specializes ``t`` (``t ⊆ g``) exactly when
+    ``mask[t] & ~mask[g] == 0``.  ``groups`` should be distinct.
+    """
+
+    def __init__(self, model: PruningCostModel, groups: Sequence[FactGroup]):
+        self._model = model
+        self.groups: list[FactGroup] = []
+        self._masks: list[int] = []
+        self.utility: list[float] = []
+        self.deviation: list[float] = []
+        self._means: list[float] = []
+        self._ids: dict[FactGroup, int] = {}
+        self._bits: dict[str, int] = {}
+        self._keep: dict[int, list[float]] = {}
+        self._specializations: dict[int, int] = {}
         for group in groups:
-            if group in sources:
-                continue
-            survival = self.group_survival_probability(group, plan.sources, plan.targets)
-            cost += survival * self.utility_cost(group)
+            self.id_of(group)
+        self.size = len(self.groups)
+
+    def id_of(self, group: FactGroup) -> int:
+        """The id of ``group``, adding it when it is new."""
+        gid = self._ids.get(group)
+        if gid is None:
+            mask = 0
+            for dimension in group.dimensions:
+                mask |= 1 << self._bits.setdefault(dimension, len(self._bits))
+            gid = self._ids[group] = len(self.groups)
+            self.groups.append(group)
+            self._masks.append(mask)
+            self.utility.append(self._model.utility_cost(group))
+            self.deviation.append(self._model.deviation_cost(group))
+            self._means.append(1.0 / self._model.fact_count(group))
+        return gid
+
+    def specializations(self, target: int) -> int:
+        """Bitset of the ids below ``size`` whose groups specialize ``target``."""
+        bits = self._specializations.get(target)
+        if bits is None:
+            mask = self._masks[target]
+            bits = 0
+            for gid in range(self.size):
+                if not mask & ~self._masks[gid]:
+                    bits |= 1 << gid
+            self._specializations[target] = bits
+        return bits
+
+    def keep(self, source: int) -> list[float]:
+        """1 − Pr(P_{s→t}) for every group ``t``, by id (all ids known so far)."""
+        row = self._keep.get(source)
+        if row is None:
+            mean = self._means[source]
+            dominance = self._model._dominance
+            row = self._keep[source] = [1.0 - dominance(mean, other) for other in self._means]
+        return row
+
+    @staticmethod
+    def bitset(ids: Iterable[int]) -> int:
+        """The set of ``ids`` as a bitset."""
+        bits = 0
+        for gid in ids:
+            bits |= 1 << gid
+        return bits
+
+
+class PlanCosting:
+    """The cost of plans sharing one source list, as targets are appended.
+
+    The cost is the module formula, with Pr(¬P_g) the product of
+    1 − Pr(P_{s→t}) over every target ``t ⊆ g`` (in target order) and
+    every source (in source order), summed group by group.  Appending a
+    target multiplies each specializing group's survival by that
+    target's factors, the same factors in the same order a from-scratch
+    evaluation multiplies, so a growing target list is costed
+    incrementally and bit for bit.
+    """
+
+    def __init__(self, lattice: GroupLattice, sources: Sequence[int]):
+        self._lattice = lattice
+        self._keeps = [lattice.keep(s) for s in sources]
+        source_bits = lattice.bitset(sources)
+        self._not_sources = ~source_bits
+        self._others = [g for g in range(lattice.size) if not source_bits >> g & 1]
+        self._source_cost = sum(lattice.utility[s] for s in sources)
+        self._deviations: list[float] = []
+        self._survival = [1.0] * lattice.size
+
+    def add_target(self, target: int) -> None:
+        """Append ``target`` to the plan's targets."""
+        self._deviations.append(self._lattice.deviation[target])
+        factors = [keep[target] for keep in self._keeps]
+        survival = self._survival
+        bits = self._lattice.specializations(target) & self._not_sources
+        while bits:
+            low = bits & -bits
+            gid = low.bit_length() - 1
+            bits ^= low
+            probability = survival[gid]
+            for factor in factors:
+                probability *= factor
+            survival[gid] = probability
+
+    def cost(self) -> float:
+        """Estimated cost of the plan with the targets appended so far."""
+        cost = self._source_cost
+        cost += sum(self._deviations)
+        utility = self._lattice.utility
+        survival = self._survival
+        for gid in self._others:
+            cost += survival[gid] * utility[gid]
         return cost

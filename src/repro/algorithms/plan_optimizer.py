@@ -8,72 +8,101 @@ expected number of groups removed when ``t`` is used as a target.
 ``OPT_PRUNE`` then returns the candidate with minimal estimated cost.
 The trivial no-pruning plan is always a candidate, so the optimizer can
 fall back to plain greedy when pruning is unlikely to pay off.
+
+Both run on the groups' integer ids in a
+:class:`~repro.algorithms.cost_model.GroupLattice`: sets of groups are
+bitsets, and each source prefix's candidates are costed incrementally
+as its targets are picked.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan
+from repro.algorithms.cost_model import GroupLattice, PlanCosting, PruningCostModel, PruningPlan
 from repro.facts.groups import FactGroup
 
+#: A candidate plan by group ids: ``(sources, targets, estimated cost)``.
+_Candidate = tuple[Sequence[int], Sequence[int], float]
 
-def generate_candidate_plans(
+
+def candidate_plans(
     groups: Sequence[FactGroup],
     fact_counts: Mapping[FactGroup, int],
     cost_model: PruningCostModel,
     max_source_prefix: int | None = None,
-) -> list[PruningPlan]:
-    """Generate candidate pruning plans (Algorithm 4).
+) -> list[tuple[PruningPlan, float]]:
+    """Algorithm 4's candidate pruning plans, in order, with their estimated costs.
 
     Parameters
     ----------
     groups:
-        All fact groups with candidate facts.
+        All (distinct) fact groups with candidate facts.
     fact_counts:
         Number of facts per group, used to order source prefixes.
     cost_model:
-        Supplies Pr(P_t) for the target-selection heuristic.
+        Supplies Pr(P_t) for the target-selection heuristic, and the costs.
     max_source_prefix:
         Optional cap on the number of source prefixes considered
         (keeps optimization overhead bounded for many groups).
     """
-    plans: list[PruningPlan] = [PruningPlan((), ())]
-    ordered = sorted(groups, key=lambda g: (fact_counts.get(g, 1), g.dimensions))
-    if len(ordered) < 2:
-        return plans
+    lattice = GroupLattice(cost_model, groups)
+    return [
+        (_plan(lattice, sources, targets), cost)
+        for sources, targets, cost in _candidates(lattice, fact_counts, max_source_prefix)
+    ]
 
+
+def _candidates(
+    lattice: GroupLattice,
+    fact_counts: Mapping[FactGroup, int],
+    max_source_prefix: int | None,
+) -> Iterator[_Candidate]:
+    yield (), (), PlanCosting(lattice, ()).cost()
+    ordered = _by_fact_count(lattice, fact_counts)
+    if len(ordered) < 2:
+        return
     prefix_limit = len(ordered) - 1
     if max_source_prefix is not None:
         prefix_limit = min(prefix_limit, max_source_prefix)
 
+    # survive[t]: the product of 1 − Pr(P_{s→t}) over the sources so far,
+    # so Pr(P_t) = 1 − survive[t].
+    survive = [1.0] * lattice.size
     for prefix_length in range(1, prefix_limit + 1):
-        sources = tuple(ordered[:prefix_length])
-        remaining = set(ordered[prefix_length:])
-        targets: list[FactGroup] = []
+        keep = lattice.keep(ordered[prefix_length - 1])
+        survive = [s * k for s, k in zip(survive, keep)]
+        sources = ordered[:prefix_length]
+        rest = ordered[prefix_length:]
+        remaining = lattice.bitset(rest)
+        costing = PlanCosting(lattice, sources)
+        targets: list[int] = []
         while remaining:
             best_target = max(
-                remaining,
-                key=lambda t: (_target_value(t, sources, remaining, cost_model), t.dimensions),
+                (t for t in rest if remaining >> t & 1),
+                key=lambda t: (
+                    (1.0 - survive[t]) * (lattice.specializations(t) & remaining).bit_count(),
+                    lattice.groups[t].dimensions,
+                ),
             )
             targets.append(best_target)
-            plans.append(PruningPlan(sources, tuple(targets)))
-            remaining = {
-                g for g in remaining if not g.is_specialization_of(best_target)
-            }
-    return plans
+            costing.add_target(best_target)
+            yield sources, tuple(targets), costing.cost()
+            remaining &= ~lattice.specializations(best_target)
 
 
-def _target_value(
-    target: FactGroup,
-    sources: Sequence[FactGroup],
-    remaining: set[FactGroup],
-    cost_model: PruningCostModel,
-) -> float:
-    """H(t, S, L): expected number of groups removed by target ``t``."""
-    prune_probability = cost_model.target_prune_probability(target, sources)
-    covered = sum(1 for g in remaining if g.is_specialization_of(target))
-    return prune_probability * covered
+def _by_fact_count(lattice: GroupLattice, fact_counts: Mapping[FactGroup, int]) -> list[int]:
+    """Group ids by ascending fact count, ties broken by dimensions."""
+    groups = lattice.groups
+    return sorted(
+        range(lattice.size), key=lambda g: (fact_counts.get(groups[g], 1), groups[g].dimensions)
+    )
+
+
+def _plan(lattice: GroupLattice, sources: Sequence[int], targets: Sequence[int]) -> PruningPlan:
+    groups = lattice.groups
+    return PruningPlan(tuple(groups[s] for s in sources), tuple(groups[t] for t in targets))
 
 
 class PruningPlanOptimizer:
@@ -88,11 +117,11 @@ class PruningPlanOptimizer:
         groups: Sequence[FactGroup],
         fact_counts: Mapping[FactGroup, int],
     ) -> PruningPlan:
-        """Return the candidate plan with minimal estimated cost."""
-        candidates = generate_candidate_plans(
-            groups, fact_counts, self._cost_model, self._max_source_prefix
-        )
-        return min(candidates, key=lambda plan: self._cost_model.plan_cost(plan, groups))
+        """Return the first candidate plan with minimal estimated cost."""
+        lattice = GroupLattice(self._cost_model, groups)
+        candidates = _candidates(lattice, fact_counts, self._max_source_prefix)
+        sources, targets, _ = min(candidates, key=itemgetter(2))
+        return _plan(lattice, sources, targets)
 
     def naive_plan(
         self,
@@ -109,12 +138,15 @@ class PruningPlanOptimizer:
         """
         if len(groups) < 2:
             return PruningPlan((), ())
-        ordered = sorted(groups, key=lambda g: (fact_counts.get(g, 1), g.dimensions))
-        sources = (ordered[0],)
-        rest = ordered[1:]
-        rest_set = set(rest)
+        lattice = GroupLattice(self._cost_model, groups)
+        source, *rest = _by_fact_count(lattice, fact_counts)
+        keep = lattice.keep(source)
+        rest_bits = lattice.bitset(rest)
         targets = sorted(
             rest,
-            key=lambda t: (-_target_value(t, sources, rest_set, self._cost_model), t.dimensions),
+            key=lambda t: (
+                -((1.0 - keep[t]) * (lattice.specializations(t) & rest_bits).bit_count()),
+                lattice.groups[t].dimensions,
+            ),
         )
-        return PruningPlan(sources, tuple(targets))
+        return _plan(lattice, (source,), targets)

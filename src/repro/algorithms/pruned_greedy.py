@@ -50,7 +50,12 @@ class _PrunedGreedyBase(Summarizer):
         fact_counts = pruner.fact_counts
         groups = list(fact_counts)
 
-        statistics = TableStatistics.from_table(problem.relation.table)
+        # The cost estimator only asks about dimension columns.
+        relation = problem.relation
+        statistics = TableStatistics(
+            row_count=relation.num_rows,
+            distinct_counts={dim: relation.distinct_count(dim) for dim in relation.dimensions},
+        )
         cost_model = PruningCostModel(
             fact_counts,
             CostEstimator(statistics),

@@ -34,7 +34,8 @@ class PruningOutcome:
     ``fact_ids`` lists every fact whose gain was actually computed
     (facts of pruned groups are absent): source facts first, then
     survivors, each in group order.  ``gains[k]`` is the gain of
-    ``fact_ids[k]``; ``pruned_groups`` lists the discarded groups.
+    ``fact_ids[k]``; ``pruned_groups`` lists the discarded groups, target
+    by target, each target's in index group order.
     """
 
     fact_ids: np.ndarray
@@ -120,8 +121,10 @@ class FactGroupPruner:
                 bound = self._evaluator.max_group_bound(list(target.dimensions), state)
                 stats.bound_evaluations += 1
                 if max_source_gain > bound:
-                    for group in list(remaining):
-                        if group.is_specialization_of(target):
+                    # Index group order: a set's order would follow the
+                    # groups' string hashes, which differ per process.
+                    for group in self._ids_by_group:
+                        if group in remaining and group.is_specialization_of(target):
                             remaining.discard(group)
                             pruned_groups.append(group)
                             stats.groups_pruned += 1

@@ -75,7 +75,7 @@ class FactScopeIndex:
         values: np.ndarray,
         groups: dict[tuple[str, ...], np.ndarray],
     ):
-        self.facts = list(facts)
+        self.facts = facts
         self.row_indices = row_indices
         self.offsets = offsets
         self.fact_ids = fact_ids
@@ -92,24 +92,25 @@ class FactScopeIndex:
         cls,
         relation: SummarizationRelation,
         facts: Sequence[Fact],
-        rows: Sequence[np.ndarray],
+        values: np.ndarray,
+        row_indices: np.ndarray,
+        supports: np.ndarray,
         groups: dict[tuple[str, ...], np.ndarray],
     ) -> "FactScopeIndex":
         """Lay out facts whose scope rows are already known in CSR form.
 
-        ``rows[i]`` lists fact ``i``'s scope rows in ascending order.
-        ``groups`` maps each restricted column combination (the sorted
-        scope columns) to its fact ids, ascending, in the order the
-        combinations first appear among ``facts``.
+        ``values[i]`` is fact ``i``'s value and ``supports[i]`` its row
+        count; ``row_indices`` concatenates every fact's scope rows, each
+        fact's in ascending order.  ``groups`` maps each restricted
+        column combination (the sorted scope columns) to its fact ids,
+        ascending, in the order the combinations first appear among
+        ``facts``.  ``facts`` is only read when a summarizer needs a fact
+        object, so it may build them lazily.
         """
-        facts = list(facts)
-        offsets = np.zeros(len(facts) + 1, dtype=np.intp)
-        np.cumsum([r.size for r in rows], out=offsets[1:])
-        row_indices = (np.concatenate(rows) if rows else _EMPTY_INDICES).astype(
-            np.intp, copy=False
-        )
-        fact_ids = np.repeat(np.arange(len(facts), dtype=np.intp), np.diff(offsets))
-        values = np.array([f.value for f in facts], dtype=float)
+        offsets = np.zeros(len(supports) + 1, dtype=np.intp)
+        np.cumsum(supports, out=offsets[1:])
+        row_indices = row_indices.astype(np.intp, copy=False)
+        fact_ids = np.repeat(np.arange(len(supports), dtype=np.intp), supports)
         fact_errors = np.abs(values[fact_ids] - relation.target_values[row_indices])
         return cls(facts, row_indices, offsets, fact_ids, fact_errors, values, groups)
 
@@ -137,7 +138,14 @@ class FactScopeIndex:
         groups = {
             columns: np.array(members, dtype=np.intp) for columns, members in by_columns.items()
         }
-        return cls.from_rows(relation, facts, rows, groups)
+        return cls.from_rows(
+            relation,
+            facts,
+            np.array([f.value for f in facts], dtype=float),
+            np.concatenate(rows) if rows else _EMPTY_INDICES,
+            np.array([r.size for r in rows], dtype=np.intp),
+            groups,
+        )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -164,13 +172,15 @@ class FactScopeIndex:
         """Ids of the facts equal to fact ``fact_id``, itself included.
 
         Summarizers retire a selected fact together with its copies, as
-        a set of selected facts would; only facts of equal value are
-        compared as objects.
+        a set of selected facts would; only facts of equal value and
+        support are compared as objects.
         """
         fact = self.facts[fact_id]
-        same_value = self.values == self.values[fact_id]
-        same_value[fact_id] = True
-        return [int(j) for j in np.flatnonzero(same_value) if self.facts[j] == fact]
+        alike = (self.values == self.values[fact_id]) & (
+            self.supports == self.supports[fact_id]
+        )
+        alike[fact_id] = True
+        return [int(j) for j in np.flatnonzero(alike) if self.facts[j] == fact]
 
     # ------------------------------------------------------------------
     # Batch gain kernels (closest-relevant-value model)

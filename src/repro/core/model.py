@@ -203,6 +203,12 @@ class Speech:
 #: codes, the code -> value table and the value -> code lookup.
 DimensionCodes = tuple[np.ndarray, list[Any], dict[Any, int]]
 
+#: Rows grouped by a column combination: ``(inverse, order, offsets)`` —
+#: each row's group id (groups numbered by first appearance), all rows
+#: sorted by group (ascending within a group), and group ``g``'s slice
+#: ``order[offsets[g]:offsets[g + 1]]``.
+GroupLayout = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 def factorize(values: Iterable[Any]) -> DimensionCodes:
     """Integer-code ``values`` in first-appearance order.
@@ -280,10 +286,9 @@ class SummarizationRelation:
             if not all_kept:
                 dim_codes = dim_codes[np.asarray(keep)]
             self._codes_cache[dimension] = (dim_codes, decode, code_of)
-        self._grouping_cache: dict[tuple[str, ...], tuple[np.ndarray, list[tuple[Any, ...]]]] = {}
-        self._segments_cache: dict[
-            tuple[str, ...], tuple[np.ndarray, np.ndarray, dict[tuple[Any, ...], int]]
-        ] = {}
+        self._layout_cache: dict[tuple[str, ...], GroupLayout] = {}
+        self._keys_cache: dict[tuple[str, ...], list[tuple[Any, ...]]] = {}
+        self._distinct_cache: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Accessors
@@ -364,96 +369,125 @@ class SummarizationRelation:
             self._codes_cache[dimension] = cached
         return cached
 
+    def distinct_count(self, dimension: str) -> int:
+        """Number of distinct non-NULL values of a dimension, from its codes."""
+        return self._code_census(dimension)[1]
+
+    def is_constant(self, dimension: str) -> bool:
+        """True when every row holds the same value (NULL included) of ``dimension``."""
+        return self._code_census(dimension)[0] <= 1
+
+    def _code_census(self, dimension: str) -> tuple[int, int]:
+        """``(codes, non-NULL codes)`` present among the rows (cached)."""
+        cached = self._distinct_cache.get(dimension)
+        if cached is None:
+            codes, decode, code_of = self.dimension_codes(dimension)
+            present = np.bincount(codes, minlength=len(decode)) > 0
+            distinct = int(np.count_nonzero(present))
+            null = code_of.get(None)
+            cached = (distinct, distinct - int(null is not None and bool(present[null])))
+            self._distinct_cache[dimension] = cached
+        return cached
+
+    def group_layout(self, columns: Sequence[str]) -> GroupLayout:
+        """Rows grouped by a column combination, from one stable sort (cached).
+
+        Returns ``(inverse, order, offsets)`` (see :data:`GroupLayout`).
+        Group ids follow first appearance in the data, matching the
+        historical dict-insertion order of :meth:`group_rows_by`.
+        """
+        key = tuple(columns)
+        cached = self._layout_cache.get(key)
+        if cached is None:
+            cached = self._layout_cache[key] = self._group(key)
+        return cached
+
+    def _group(self, columns: tuple[str, ...]) -> GroupLayout:
+        n = self.num_rows
+        if not columns:
+            return np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n], dtype=np.intp)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), np.arange(0), np.zeros(1, dtype=np.intp)
+        # Sort the rows on one mixed-radix code per row.  When the radix
+        # product could overflow int64 (extreme per-column cardinalities),
+        # sort on the columns' codes instead: silent wrap-around would
+        # merge distinct groups.
+        per_column = [self.dimension_codes(c) for c in columns]
+        radix_product = 1
+        for _, decode, _ in per_column:
+            radix_product *= max(len(decode), 1)
+        starts_run = np.empty(n, dtype=bool)
+        starts_run[0] = True
+        if radix_product > 2**62:
+            perm = np.lexsort([codes for codes, _, _ in reversed(per_column)])
+            starts_run[1:] = False
+            for codes, _, _ in per_column:
+                ordered = codes[perm]
+                starts_run[1:] |= ordered[1:] != ordered[:-1]
+        else:
+            combined = per_column[0][0]
+            for codes, decode, _ in per_column[1:]:
+                combined = combined * len(decode) + codes
+            perm = np.argsort(combined, kind="stable")
+            ordered = combined[perm]
+            np.not_equal(ordered[1:], ordered[:-1], out=starts_run[1:])
+        starts = np.flatnonzero(starts_run)
+        # The sort is stable, so each run starts at its group's first row;
+        # renumber the runs by first appearance.
+        appearance = np.argsort(perm[starts])
+        rank = np.empty(starts.size, dtype=np.int64)
+        rank[appearance] = np.arange(starts.size)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[perm] = rank[np.cumsum(starts_run) - 1]
+        counts = np.diff(np.append(starts, n))[appearance]
+        offsets = np.zeros(starts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        # Lay the runs out in group order: position p of group g reads
+        # the run's entry p - offsets[g].
+        shift = np.repeat(starts[appearance] - offsets[:-1], counts)
+        order = perm[np.arange(n) + shift]
+        return inverse, order, offsets
+
+    def group_keys(self, columns: Sequence[str]) -> list[tuple[Any, ...]]:
+        """Value tuple (in ``columns`` order) of every group of :meth:`group_layout` (cached)."""
+        key = tuple(columns)
+        cached = self._keys_cache.get(key)
+        if cached is None and not key:
+            # One group, even over no rows.
+            cached = self._keys_cache[key] = [()]
+        elif cached is None:
+            _, order, offsets = self.group_layout(key)
+            per_column = [self.dimension_codes(c) for c in key]
+            # Decode each group's values at its first row.
+            cached = self._keys_cache[key] = [
+                tuple(decode[codes[row]] for codes, decode, _ in per_column)
+                for row in order[offsets[:-1]].tolist()
+            ]
+        return cached
+
     def grouping(self, columns: Sequence[str]) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
         """Compact group ids per row for a column combination (cached).
 
         Returns ``(inverse, keys)``: ``inverse[r]`` is the group id of
         row ``r`` and ``keys[g]`` the value tuple of group ``g`` (in
-        ``columns`` order).  Group ids follow first appearance in the
-        data, matching the historical dict-insertion order of
-        :meth:`group_rows_by`.
+        ``columns`` order).
         """
-        key = tuple(columns)
-        cached = self._grouping_cache.get(key)
-        if cached is not None:
-            return cached
-        if not key:
-            cached = (np.zeros(self.num_rows, dtype=np.int64), [()])
-            self._grouping_cache[key] = cached
-            return cached
-
-        # Compose one mixed-radix code per row from the per-column codes.
-        # When the radix product could overflow int64 (extreme per-column
-        # cardinalities), fall back to dict-based grouping: silent
-        # wrap-around would merge distinct groups.
-        per_column = [self.dimension_codes(c) for c in key]
-        radix_product = 1
-        for _, decode, _ in per_column:
-            radix_product *= max(len(decode), 1)
-        if radix_product > 2**62:
-            value_lists = [self._dimension_values[c] for c in key]
-            group_of: dict[tuple[Any, ...], int] = {}
-            keys = []
-            inverse = np.empty(self.num_rows, dtype=np.int64)
-            for i, row_key in enumerate(zip(*value_lists)):
-                group = group_of.get(row_key)
-                if group is None:
-                    group = len(keys)
-                    group_of[row_key] = group
-                    keys.append(row_key)
-                inverse[i] = group
-            cached = (inverse, keys)
-            self._grouping_cache[key] = cached
-            return cached
-        combined = per_column[0][0]
-        for codes, decode, _ in per_column[1:]:
-            combined = combined * len(decode) + codes
-        uniques, first_pos, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        # np.unique sorts by code value; renumber groups by first appearance.
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(uniques.size, dtype=np.int64)
-        rank[appearance] = np.arange(uniques.size)
-        inverse = rank[inverse]
-
-        keys: list[tuple[Any, ...]] = []
-        for code in uniques[appearance]:
-            parts: list[Any] = []
-            for codes, decode, _ in reversed(per_column[1:]):
-                code, part = divmod(int(code), len(decode))
-                parts.append(decode[part])
-            parts.append(per_column[0][1][int(code)])
-            keys.append(tuple(reversed(parts)))
-        cached = (inverse, keys)
-        self._grouping_cache[key] = cached
-        return cached
+        return self.group_layout(columns)[0], self.group_keys(columns)
 
     def group_segments(
         self, columns: Sequence[str]
     ) -> tuple[np.ndarray, np.ndarray, dict[tuple[Any, ...], int]]:
-        """Cached grouped row layout for one column combination.
+        """Grouped row layout for one column combination.
 
         Returns ``(order, offsets, key_to_group)``: ``order`` holds all
         row indices sorted by group (ascending within each group),
         ``order[offsets[g]:offsets[g + 1]]`` slices group ``g``'s rows,
-        and ``key_to_group`` maps value tuples to group ids.  Because
-        the relation is immutable this is computed once per combination;
-        the batch kernel's index build then resolves each fact's scope
-        rows with a dict lookup and a slice instead of a row scan.
+        and ``key_to_group`` maps value tuples to group ids, so the
+        batch kernel's index build resolves each fact's scope rows with
+        a dict lookup and a slice instead of a row scan.
         """
-        key = tuple(columns)
-        cached = self._segments_cache.get(key)
-        if cached is None:
-            inverse, keys = self.grouping(key)
-            order = np.argsort(inverse, kind="stable")
-            counts = np.bincount(inverse, minlength=len(keys))
-            offsets = np.zeros(len(keys) + 1, dtype=np.intp)
-            np.cumsum(counts, out=offsets[1:])
-            key_to_group = {group_key: g for g, group_key in enumerate(keys)}
-            cached = (order, offsets, key_to_group)
-            self._segments_cache[key] = cached
-        return cached
+        _, order, offsets = self.group_layout(columns)
+        return order, offsets, {key: g for g, key in enumerate(self.group_keys(columns))}
 
     def scope_row_indices(self, scope: Scope) -> np.ndarray:
         """Indices of rows within ``scope`` (ascending)."""
@@ -502,8 +536,6 @@ class SummarizationRelation:
         arrays of row indices.  The empty column list produces a single
         group covering all rows, keyed by the empty tuple.
         """
-        if not columns:
-            return {(): np.arange(self.num_rows)}
         order, offsets, key_to_group = self.group_segments(columns)
         return {
             key: order[offsets[g] : offsets[g + 1]]

@@ -252,10 +252,18 @@ class UtilityEvaluator:
         group_columns: Sequence[str],
         state: ExpectationState | None = None,
     ) -> float:
-        """The largest per-scope bound of a fact group (0.0 when empty)."""
+        """The largest per-scope bound of a fact group (0.0 when empty).
+
+        A column constant over the relation splits no group, so it is
+        left out of the grouping: a query's subset then reuses the
+        grouping of the fact generator, which groups on the columns
+        beyond the query's own predicates.
+        """
         error = state.error if state is not None else self._prior_error
-        inverse, keys = self._relation.grouping(list(group_columns))
-        if not keys:
+        relation = self._relation
+        columns = [c for c in group_columns if not relation.is_constant(c)]
+        inverse, _, offsets = relation.group_layout(columns)
+        if offsets.size == 1:
             return 0.0
-        sums = np.bincount(inverse, weights=error, minlength=len(keys))
+        sums = np.bincount(inverse, weights=error, minlength=offsets.size - 1)
         return float(sums.max())

@@ -13,8 +13,9 @@ paper's example speeches use ("It is 35 overall.").
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -22,14 +23,87 @@ from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Scope, SummarizationRelation
 from repro.facts.groups import FactGroup, enumerate_fact_groups
 
+_EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
-def _mean(values: np.ndarray) -> float:
-    """``float(values.mean())``, bit for bit, without ``mean``'s overhead.
 
-    NumPy's float mean is the pairwise ``add.reduce`` divided by the
-    count, which is exactly what this computes.
+def _segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each consecutive segment of ``values``, bit for bit ``float(segment.mean())``.
+
+    ``np.add.reduce`` sums a segment as the identity 0.0 plus the
+    pairwise sum of its elements, while ``np.add.reduceat`` starts from
+    the segment's first element and adds the pairwise sum of the rest.
+    Prefixing every segment with 0.0 makes the two the same sum.
     """
-    return float(np.add.reduce(values)) / values.size
+    if not sizes.size:
+        return np.empty(0)
+    starts = np.zeros(sizes.size, dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    padded = np.insert(values, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(sizes.size)) / sizes
+
+
+class CandidateFacts(Sequence):
+    """Candidate facts held as arrays; each :class:`Fact` is built on first access.
+
+    Fact ``i`` restricts the base scope plus the columns ``columns[i]``,
+    whose values it takes from the relation's codes at ``first_rows[i]``
+    (any row of its scope), with value ``values[i]`` and support
+    ``supports[i]``.  A summarizer typically reads a handful of the
+    candidates, so most are never built.  Built facts are kept, and the
+    sequence compares equal to a list of equal facts.
+    """
+
+    __slots__ = ("values", "supports", "_relation", "_base", "_columns", "_first_rows", "_built")
+
+    def __init__(
+        self,
+        relation: SummarizationRelation,
+        base: Scope,
+        columns: list[tuple[str, ...]],
+        first_rows: np.ndarray,
+        values: np.ndarray,
+        supports: np.ndarray,
+    ):
+        self.values = values
+        self.supports = supports
+        self._relation = relation
+        self._base = base
+        self._columns = columns
+        self._first_rows = first_rows
+        self._built: list[Fact | None] = [None] * len(columns)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        fact = self._built[index]
+        if fact is None:
+            assignments = self._base.assignments
+            row = self._first_rows[index]
+            for column in self._columns[index]:
+                codes, decode, _ = self._relation.dimension_codes(column)
+                assignments[column] = decode[codes[row]]
+            fact = self._built[index] = Fact(
+                scope=Scope(assignments),
+                value=float(self.values[index]),
+                support=int(self.supports[index]),
+            )
+        return fact
+
+    def __iter__(self) -> Iterator[Fact]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (CandidateFacts, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CandidateFacts({list(self)!r})"
 
 
 @dataclass
@@ -39,61 +113,72 @@ class GeneratedFacts:
     Attributes
     ----------
     facts:
-        All candidate facts.
-    by_group:
-        Facts keyed by their fact group (set of restricted *additional*
-        dimensions, excluding the fixed base-scope columns).
+        All candidate facts, group by group.
     base_scope:
         The scope shared by every candidate (the query's predicates).
-    rows:
-        Each fact's scope rows (ascending), aligned with ``facts``.
+    values / supports:
+        Each fact's value and row count, aligned with ``facts``.
+    row_indices:
+        Every fact's scope rows (each fact's ascending), concatenated in
+        fact order.
+    group_ranges:
+        The fact ids of each fact group (set of restricted *additional*
+        dimensions, excluding the fixed base-scope columns).
     """
 
-    facts: list[Fact]
-    by_group: dict[FactGroup, list[Fact]] = field(default_factory=dict)
+    facts: Sequence[Fact]
     base_scope: Scope = field(default_factory=Scope)
-    rows: list[np.ndarray] = field(default_factory=list)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    supports: np.ndarray = field(default_factory=lambda: _EMPTY_ROWS)
+    row_indices: np.ndarray = field(default_factory=lambda: _EMPTY_ROWS)
+    group_ranges: dict[FactGroup, range] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         """Number of candidate facts."""
         return len(self.facts)
 
-    def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
-        """The facts' CSR scope index over ``relation``, from the known rows.
+    @property
+    def by_group(self) -> dict[FactGroup, list[Fact]]:
+        """Facts keyed by their fact group."""
+        return {group: self.facts[ids.start : ids.stop] for group, ids in self.group_ranges.items()}
 
-        Each group's facts are contiguous, so its fact ids are one range.
-        """
+    def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
+        """The facts' CSR scope index over ``relation``, from the known rows."""
         base_columns = self.base_scope.columns
-        groups: dict[tuple[str, ...], np.ndarray] = {}
-        start = 0
-        for group, members in self.by_group.items():
-            columns = tuple(sorted((*base_columns, *group.dimensions)))
-            groups[columns] = np.arange(start, start + len(members), dtype=np.intp)
-            start += len(members)
-        return FactScopeIndex.from_rows(relation, self.facts, self.rows, groups)
+        groups = {
+            tuple(sorted((*base_columns, *group.dimensions))): np.arange(
+                ids.start, ids.stop, dtype=np.intp
+            )
+            for group, ids in self.group_ranges.items()
+        }
+        return FactScopeIndex.from_rows(
+            relation, self.facts, self.values, self.row_indices, self.supports, groups
+        )
 
     def groups(self) -> list[FactGroup]:
         """Fact groups with at least one candidate fact."""
-        return list(self.by_group)
+        return list(self.group_ranges)
 
     def facts_in_groups(self, groups: Sequence[FactGroup]) -> list[Fact]:
         """Facts belonging to any of the given groups."""
         wanted = set(groups)
-        out: list[Fact] = []
-        for group, members in self.by_group.items():
-            if group in wanted:
-                out.extend(members)
-        return out
+        return [
+            fact
+            for group, ids in self.group_ranges.items()
+            if group in wanted
+            for fact in self.facts[ids.start : ids.stop]
+        ]
 
 
 class FactGenerator:
     """Enumerates candidate facts for one relation / data subset.
 
-    Per-group enumeration runs on the relation's cached dimension codes:
-    one ``np.bincount`` over the base-scope rows per group combination.
-    :class:`PerRowFactGenerator` keeps per-row Python set membership as
-    the parity oracle and benchmark baseline.
+    Enumeration runs a whole fact group at a time on the relation's
+    cached row groupings; facts stay arrays until something reads them
+    (see :class:`CandidateFacts`).  :class:`PerRowFactGenerator` keeps
+    per-row Python set membership as the parity oracle and benchmark
+    baseline.
 
     Parameters
     ----------
@@ -134,6 +219,45 @@ class FactGenerator:
         fact includes them, and the additional predicates are placed on
         the remaining ("free") dimension columns.
         """
+        base, groups, base_indices = self._prepare(base_scope)
+        relation = self._relation
+        # Base-scope membership, unless the base scope covers every row.
+        in_base = None
+        if 0 < base_indices.size < relation.num_rows:
+            in_base = np.zeros(relation.num_rows, dtype=bool)
+            in_base[base_indices] = True
+
+        columns: list[tuple[str, ...]] = []
+        first_rows: list[np.ndarray] = []
+        supports: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
+        ranges: dict[FactGroup, range] = {}
+        for group in groups if base_indices.size else ():
+            block = self._group_block(group, base_indices, in_base)
+            if block is not None:
+                ranges[group] = range(len(columns), len(columns) + block[0].size)
+                columns.extend([group.dimensions] * block[0].size)
+                first_rows.append(block[0])
+                supports.append(block[1])
+                rows.append(block[2])
+        if not columns:
+            empty = CandidateFacts(relation, base, [], _EMPTY_ROWS, np.empty(0), _EMPTY_ROWS)
+            return GeneratedFacts(empty, base)
+        row_indices = np.concatenate(rows)
+        fact_supports = np.concatenate(supports)
+        values = _segment_means(relation.target_values[row_indices], fact_supports)
+        facts = CandidateFacts(
+            relation, base, columns, np.concatenate(first_rows), values, fact_supports
+        )
+        return GeneratedFacts(facts, base, values, fact_supports, row_indices, ranges)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _prepare(
+        self, base_scope: Mapping[str, Any] | Scope | None
+    ) -> tuple[Scope, list[FactGroup], np.ndarray]:
+        """The base scope, the fact groups over the free columns, and the base rows."""
         base = base_scope if isinstance(base_scope, Scope) else Scope(dict(base_scope or {}))
         free_dimensions = [
             dim for dim in self._relation.dimensions if not base.restricts(dim)
@@ -141,80 +265,46 @@ class FactGenerator:
         groups = enumerate_fact_groups(
             free_dimensions, max_arity=self._max_extra, include_empty=True
         )
+        return base, groups, self._relation.scope_row_indices(base)
 
-        generated = GeneratedFacts(facts=[], base_scope=base)
-        base_indices = self._relation.scope_row_indices(base)
-        if base_indices.size == 0:
-            return generated
-        target = self._relation.target_values
-        # The base-membership mask is shared by every group combination.
-        in_base = np.zeros(self._relation.num_rows, dtype=bool)
-        in_base[base_indices] = True
+    def _group_block(
+        self, group: FactGroup, base_indices: np.ndarray, in_base: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The facts restricting exactly ``group``'s columns (plus base).
 
-        for group in groups:
-            members, rows = self._facts_for_group(base, group, base_indices, in_base, target)
-            if members:
-                generated.by_group[group] = members
-                generated.facts.extend(members)
-                generated.rows.extend(rows)
-        return generated
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _facts_for_group(
-        self,
-        base: Scope,
-        group: FactGroup,
-        base_indices: np.ndarray,
-        in_base: np.ndarray,
-        target: np.ndarray,
-    ) -> tuple[list[Fact], list[np.ndarray]]:
-        """Facts restricting exactly the dimensions of ``group`` (plus base).
-
-        Returns the facts and, aligned with them, their scope rows.
-        ``base_indices`` (non-empty) lists the base-scope rows in
-        ascending order and ``in_base`` is their membership mask.
+        Returns their first rows, their supports and their concatenated
+        scope rows, or None when the group has no fact.  ``base_indices``
+        (non-empty) lists the base-scope rows in ascending order and
+        ``in_base`` is their membership mask (None: every row).
         """
         if group.arity == 0:
-            values = target[base_indices]
-            if values.size < self._min_support:
-                return [], []
-            fact = Fact(scope=base, value=_mean(values), support=int(values.size))
-            return [fact], [base_indices]
+            if base_indices.size < self._min_support:
+                return None
+            return base_indices[:1], np.array([base_indices.size], dtype=np.intp), base_indices
 
-        # One bincount over the base-scope rows yields every group's
-        # support at once; only qualifying groups are materialized, each
-        # via an O(group size) slice of the cached grouped-row layout.
-        dims = list(group.dimensions)
-        inverse, keys = self._relation.grouping(dims)
-        order, offsets, _ = self._relation.group_segments(dims)
-        counts = np.bincount(inverse[base_indices], minlength=len(keys))
-
-        facts: list[Fact] = []
-        rows: list[np.ndarray] = []
-        base_assignments = base.assignments
+        inverse, order, offsets = self._relation.group_layout(group.dimensions)
+        firsts = order[offsets[:-1]]
+        if in_base is None:
+            counts = np.diff(offsets)
+        else:
+            counts = np.bincount(inverse[base_indices], minlength=firsts.size)
+        keep = counts >= self._min_support
+        for column in group.dimensions:
+            codes, _, code_of = self._relation.dimension_codes(column)
+            null = code_of.get(None)
+            if null is not None:
+                keep &= codes[firsts] != null
         # Group ids follow first appearance in the data, so ascending id
         # order reproduces the per-row oracle's fact order exactly.
-        for g in np.nonzero(counts >= self._min_support)[0]:
-            key = keys[g]
-            if any(v is None for v in key):
-                continue
-            segment = order[offsets[g] : offsets[g + 1]]
-            members = (
-                segment if counts[g] == segment.size else segment[in_base[segment]]
-            )
-            assignments = dict(base_assignments)
-            assignments.update(zip(dims, key))
-            facts.append(
-                Fact(
-                    scope=Scope(assignments),
-                    value=_mean(target[members]),
-                    support=int(members.size),
-                )
-            )
-            rows.append(members)
-        return facts, rows
+        ids = np.flatnonzero(keep)
+        if not ids.size:
+            return None
+        if in_base is None and ids.size == firsts.size:
+            return firsts, counts, order
+        selected = keep[inverse[order]]
+        if in_base is not None:
+            selected &= in_base[order]
+        return firsts[ids], counts[ids], order[selected]
 
 
 class PerRowFactGenerator(FactGenerator):
@@ -222,38 +312,46 @@ class PerRowFactGenerator(FactGenerator):
 
     The parity oracle for :class:`FactGenerator`'s code-based path and
     the baseline of ``benchmarks/bench_preprocessing.py``: same facts,
-    same order, bitwise-identical values.
+    same order, bitwise-identical values, each built as a :class:`Fact`
+    up front.
     """
 
-    def _facts_for_group(
-        self,
-        base: Scope,
-        group: FactGroup,
-        base_indices: np.ndarray,
-        in_base: np.ndarray,
-        target: np.ndarray,
-    ) -> tuple[list[Fact], list[np.ndarray]]:
-        if group.arity == 0:
-            return super()._facts_for_group(base, group, base_indices, in_base, target)
-        groups_by_value = self._relation.group_rows_by(list(group.dimensions))
+    def generate(self, base_scope: Mapping[str, Any] | Scope | None = None) -> GeneratedFacts:
+        base, groups, base_indices = self._prepare(base_scope)
+        target = self._relation.target_values
         base_set = set(int(i) for i in base_indices)
         facts: list[Fact] = []
         rows: list[np.ndarray] = []
-        for key, indices in groups_by_value.items():
-            if any(v is None for v in key):
-                continue
-            member_indices = [int(i) for i in indices if int(i) in base_set]
-            if len(member_indices) < self._min_support:
-                continue
-            assignments = dict(base.assignments)
-            assignments.update(dict(zip(group.dimensions, key)))
-            values = target[member_indices]
-            facts.append(
-                Fact(
-                    scope=Scope(assignments),
-                    value=float(values.mean()),
-                    support=len(member_indices),
+        ranges: dict[FactGroup, range] = {}
+        for group in groups if base_indices.size else ():
+            start = len(facts)
+            if group.arity == 0:
+                by_value = {(): base_indices}
+            else:
+                by_value = self._relation.group_rows_by(list(group.dimensions))
+            for key, indices in by_value.items():
+                if any(v is None for v in key):
+                    continue
+                member_indices = [int(i) for i in indices if int(i) in base_set]
+                if len(member_indices) < self._min_support:
+                    continue
+                assignments = dict(base.assignments)
+                assignments.update(dict(zip(group.dimensions, key)))
+                facts.append(
+                    Fact(
+                        scope=Scope(assignments),
+                        value=float(target[member_indices].mean()),
+                        support=len(member_indices),
+                    )
                 )
-            )
-            rows.append(np.array(member_indices, dtype=np.intp))
-        return facts, rows
+                rows.append(np.array(member_indices, dtype=np.intp))
+            if len(facts) > start:
+                ranges[group] = range(start, len(facts))
+        return GeneratedFacts(
+            facts,
+            base,
+            np.array([f.value for f in facts], dtype=float),
+            np.array([f.support for f in facts], dtype=np.intp),
+            np.concatenate(rows) if rows else _EMPTY_ROWS,
+            ranges,
+        )

@@ -64,6 +64,8 @@ class SummarizationConfig:
             raise ValueError("max_facts_per_speech must be at least 1")
         if self.max_fact_dimensions < 0:
             raise ValueError("max_fact_dimensions must be non-negative")
+        if self.min_fact_support < 1:
+            raise ValueError("min_fact_support must be at least 1")
         overlap = set(self.dimensions) & set(self.targets)
         if overlap:
             raise ValueError(f"columns cannot be both dimension and target: {sorted(overlap)}")

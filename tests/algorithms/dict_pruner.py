@@ -105,8 +105,8 @@ class DictFactGroupPruner:
                 bound = self._evaluator.max_group_bound(list(target.dimensions), state)
                 stats.bound_evaluations += 1
                 if max_source_gain > bound:
-                    for group in list(remaining):
-                        if group.is_specialization_of(target):
+                    for group in self._by_group:
+                        if group in remaining and group.is_specialization_of(target):
                             remaining.discard(group)
                             outcome.pruned_groups.append(group)
                             stats.groups_pruned += 1

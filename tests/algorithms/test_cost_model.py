@@ -6,6 +6,7 @@ from repro.algorithms.cost_model import PruningCostModel, PruningPlan, _standard
 from repro.facts.groups import FactGroup
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
+from tests.algorithms import plan_oracle
 
 
 @pytest.fixture()
@@ -51,21 +52,21 @@ class TestProbabilities:
 
     def test_target_prune_probability_combines_sources(self, cost_model):
         target = FactGroup(["region", "season"])
-        one = cost_model.target_prune_probability(target, [FactGroup([])])
-        both = cost_model.target_prune_probability(
-            target, [FactGroup([]), FactGroup(["region"])]
+        one = plan_oracle.target_prune_probability(cost_model, target, [FactGroup([])])
+        both = plan_oracle.target_prune_probability(
+            cost_model, target, [FactGroup([]), FactGroup(["region"])]
         )
         assert both >= one
-        assert cost_model.target_prune_probability(target, []) == 0.0
+        assert plan_oracle.target_prune_probability(cost_model, target, []) == 0.0
 
     def test_group_survival_probability(self, cost_model):
         sources = [FactGroup([])]
         targets = [FactGroup(["region"])]
-        survival_specialized = cost_model.group_survival_probability(
-            FactGroup(["region", "season"]), sources, targets
+        survival_specialized = plan_oracle.group_survival_probability(
+            cost_model, FactGroup(["region", "season"]), sources, targets
         )
-        survival_unrelated = cost_model.group_survival_probability(
-            FactGroup(["season"]), sources, targets
+        survival_unrelated = plan_oracle.group_survival_probability(
+            cost_model, FactGroup(["season"]), sources, targets
         )
         # The specialization of a target can be pruned; an unrelated group cannot.
         assert survival_specialized < 1.0

@@ -1,44 +1,29 @@
-"""The memoized pruning cost model is bit-equal to the unmemoized formulas.
+"""Plan choice on integer group ids is bit-equal to the ``FactGroup`` oracle.
 
-:class:`PruningCostModel` memoizes M(g), C_U, C_D and Pr(P_{s→t}) per
-instance.  A test-local reference recomputes every component on each
-call, exactly as written in Section VI-C; on random group sets both must
-choose the same plan with bit-equal plan costs.
+The optimizer runs Algorithm 4 on a :class:`GroupLattice` (bitset
+specialization tests) and costs each source prefix's candidates
+incrementally.  ``tests/algorithms/plan_oracle.py`` keeps the original
+formulation: targets picked from sets of groups, every candidate costed
+from scratch.  On random group lattices, including ones where many
+groups tie on their fact count, both must list the same candidates with
+bit-equal costs and choose the same plan.
 """
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan, _standard_normal_cdf
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, generate_candidate_plans
+from repro.algorithms.cost_model import PruningCostModel, PruningPlan
+from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
 from repro.facts.groups import FactGroup, enumerate_fact_groups
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
+from tests.algorithms import plan_oracle
 
 DIMENSIONS = ("a", "b", "c", "d", "e")
-
-
-class ReferenceCostModel(PruningCostModel):
-    """Every component recomputed on every call (no memoization)."""
-
-    def fact_count(self, group: FactGroup) -> int:
-        return max(1, self._fact_counts.get(group, self._estimator.fact_count(group.dimensions)))
-
-    def utility_cost(self, group: FactGroup) -> float:
-        return float(self._estimator.utility_cost(group.dimensions))
-
-    def deviation_cost(self, group: FactGroup) -> float:
-        return float(self._estimator.deviation_cost(group.dimensions))
-
-    def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
-        mean_source = 1.0 / self.fact_count(source)
-        mean_target = 1.0 / self.fact_count(target)
-        z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
-        return _standard_normal_cdf(z)
+ALL_GROUPS = enumerate_fact_groups(DIMENSIONS, max_arity=3, include_empty=True)
+PREFIXES = st.sampled_from([None, 1, 2, 3, 4])
 
 
 class CountingEstimator(CostEstimator):
@@ -54,17 +39,12 @@ class CountingEstimator(CostEstimator):
         return super().fact_count(group_columns)
 
 
-ALL_GROUPS = enumerate_fact_groups(DIMENSIONS, max_arity=3, include_empty=True)
-
-
 @st.composite
-def problems(draw):
+def problems(draw, counts=st.integers(min_value=0, max_value=60)):
     """Random groups, fact counts (some missing) and table statistics."""
     groups = draw(st.lists(st.sampled_from(ALL_GROUPS), min_size=1, max_size=14, unique=True))
     counted = draw(st.lists(st.sampled_from(groups), unique=True, max_size=len(groups)))
-    fact_counts = {
-        group: draw(st.integers(min_value=0, max_value=60)) for group in counted
-    }
+    fact_counts = {group: draw(counts) for group in counted}
     statistics = TableStatistics(
         row_count=draw(st.integers(min_value=0, max_value=5000)),
         distinct_counts={
@@ -75,25 +55,90 @@ def problems(draw):
     return groups, fact_counts, statistics, sigma
 
 
-@settings(max_examples=120, deadline=None)
-@given(problem=problems(), max_source_prefix=st.sampled_from([None, 1, 4]))
-def test_memoized_model_chooses_the_reference_plan(problem, max_source_prefix):
+@st.composite
+def tied_lattices(draw):
+    """Whole lattices (every group up to some arity over a few dimensions)
+    whose fact counts come from a tiny set, so prefixes, targets and
+    costs tie often."""
+    dims = DIMENSIONS[: draw(st.integers(min_value=2, max_value=5))]
+    groups = enumerate_fact_groups(
+        dims, max_arity=draw(st.integers(min_value=1, max_value=3)), include_empty=True
+    )
+    if draw(st.booleans()):
+        groups = draw(st.permutations(groups))
+    counts = st.sampled_from([1, 2, 4])
+    fact_counts = {group: draw(counts) for group in groups}
+    distinct = draw(st.integers(min_value=1, max_value=6))
+    statistics = TableStatistics(
+        row_count=draw(st.sampled_from([0, 50, 1000])),
+        distinct_counts=dict.fromkeys(dims, distinct),
+    )
+    sigma = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    return list(groups), fact_counts, statistics, sigma
+
+
+def _bits(cost: float) -> str:
+    return float(cost).hex()
+
+
+def _assert_matches_oracle(problem, max_source_prefix):
     groups, fact_counts, statistics, sigma = problem
-    memoized = PruningCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
-    reference = ReferenceCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
+    model = PruningCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
+    reference = PruningCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
 
-    chosen = PruningPlanOptimizer(memoized, max_source_prefix).choose_plan(groups, fact_counts)
-    expected = PruningPlanOptimizer(reference, max_source_prefix).choose_plan(groups, fact_counts)
-    assert chosen == expected
-    assert memoized.plan_cost(chosen, groups) == reference.plan_cost(expected, groups)
+    costed = candidate_plans(groups, fact_counts, model, max_source_prefix)
+    expected = plan_oracle.generate_candidate_plans(
+        groups, fact_counts, reference, max_source_prefix
+    )
+    assert [plan for plan, _ in costed] == expected
+    for plan, cost in costed:
+        oracle_cost = plan_oracle.plan_cost(reference, plan, groups)
+        assert _bits(cost) == _bits(oracle_cost)
+        assert _bits(model.plan_cost(plan, groups)) == _bits(oracle_cost)
 
-    naive = PruningPlanOptimizer(memoized).naive_plan(groups, fact_counts)
-    assert naive == PruningPlanOptimizer(reference).naive_plan(groups, fact_counts)
+    optimizer = PruningPlanOptimizer(model, max_source_prefix)
+    chosen = optimizer.choose_plan(groups, fact_counts)
+    assert chosen == plan_oracle.choose_plan(groups, fact_counts, reference, max_source_prefix)
 
-    plans = generate_candidate_plans(groups, fact_counts, memoized, max_source_prefix)
-    assert plans == generate_candidate_plans(groups, fact_counts, reference, max_source_prefix)
-    for plan in plans + [naive, PruningPlan((), ())]:
-        assert memoized.plan_cost(plan, groups) == reference.plan_cost(plan, groups)
+    naive = optimizer.naive_plan(groups, fact_counts)
+    assert naive == plan_oracle.naive_plan(groups, fact_counts, reference)
+    assert _bits(model.plan_cost(naive, groups)) == _bits(
+        plan_oracle.plan_cost(reference, naive, groups)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=problems(), max_source_prefix=PREFIXES)
+def test_lattice_optimizer_matches_the_group_oracle(problem, max_source_prefix):
+    _assert_matches_oracle(problem, max_source_prefix)
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=tied_lattices(), max_source_prefix=PREFIXES)
+def test_tied_lattices_match_the_group_oracle(problem, max_source_prefix):
+    _assert_matches_oracle(problem, max_source_prefix)
+
+
+def test_survival_factors_multiply_one_at_a_time():
+    """A group specializing two targets under two sources: multiplying
+    each target's factors into its survival one by one, rather than
+    their product, is what keeps this lattice's costs bit-equal."""
+    counts = {
+        (): 16, ("a",): 27, ("b",): 60, ("c",): 48,
+        ("a", "b"): 51, ("a", "c"): 26, ("b", "c"): 56, ("a", "b", "c"): 18,
+    }
+    fact_counts = {FactGroup(dims): count for dims, count in counts.items()}
+    statistics = TableStatistics(row_count=1033, distinct_counts={"a": 28, "b": 11, "c": 26})
+    _assert_matches_oracle((list(fact_counts), fact_counts, statistics, 1.0), None)
+
+
+def test_plan_cost_accepts_groups_outside_the_costed_list():
+    """A plan may name a source or target the cost does not sum over."""
+    statistics = TableStatistics(row_count=100, distinct_counts={"a": 4, "b": 5, "c": 2})
+    groups = [FactGroup(["a"]), FactGroup(["a", "b"])]
+    model = PruningCostModel({}, CostEstimator(statistics))
+    plan = PruningPlan((FactGroup([]),), (FactGroup(["c"]), FactGroup(["a"])))
+    assert _bits(model.plan_cost(plan, groups)) == _bits(plan_oracle.plan_cost(model, plan, groups))
 
 
 def test_estimator_fallback_runs_only_for_missing_groups_and_once():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, generate_candidate_plans
+from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
 from repro.facts.groups import FactGroup
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
@@ -20,6 +20,10 @@ FACT_COUNTS = {
     FactGroup(["season"]): 4,
     FactGroup(["region", "season"]): 16,
 }
+
+
+def generate_candidate_plans(groups, fact_counts, cost_model, max_source_prefix=None):
+    return [plan for plan, _ in candidate_plans(groups, fact_counts, cost_model, max_source_prefix)]
 
 
 @pytest.fixture()
@@ -62,9 +66,10 @@ class TestOptimizer:
     def test_chooses_minimum_cost_candidate(self, cost_model):
         optimizer = PruningPlanOptimizer(cost_model)
         chosen = optimizer.choose_plan(GROUPS, FACT_COUNTS)
-        candidates = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model, 4)
-        best_cost = min(cost_model.plan_cost(p, GROUPS) for p in candidates)
-        assert cost_model.plan_cost(chosen, GROUPS) == pytest.approx(best_cost)
+        candidates = candidate_plans(GROUPS, FACT_COUNTS, cost_model, 4)
+        best_cost = min(cost for _, cost in candidates)
+        assert cost_model.plan_cost(chosen, GROUPS) == best_cost
+        assert chosen == next(plan for plan, cost in candidates if cost == best_cost)
 
     def test_naive_plan_uses_smallest_group_as_source(self, cost_model):
         optimizer = PruningPlanOptimizer(cost_model)

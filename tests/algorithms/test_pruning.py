@@ -1,5 +1,11 @@
 """Unit tests for fact-group pruning (Algorithm 3)."""
 
+import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,11 +17,43 @@ from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Scope, SummarizationRelation
 from repro.core.priors import GlobalAveragePrior, ZeroPrior
 from repro.core.problem import SummarizationProblem
+from repro.datasets import load_dataset
 from repro.facts.generation import FactGenerator
 from repro.facts.groups import FactGroup
 from repro.relational.column import Column
 from repro.relational.table import Table
+from repro.system.config import SummarizationConfig
+from repro.system.problem_generator import ProblemGenerator
 from tests.algorithms.dict_pruner import dict_pruned_solve
+
+# One pruning pass in which the target ``a`` (dominated by the overall
+# fact) takes four groups with it; prints the pruned groups in order.
+_PRUNED_GROUPS_SCRIPT = """
+import numpy as np
+from repro.algorithms.base import SummarizerStatistics
+from repro.algorithms.cost_model import PruningPlan
+from repro.algorithms.pruning import FactGroupPruner
+from repro.core.model import SummarizationRelation
+from repro.core.priors import ZeroPrior
+from repro.core.utility import UtilityEvaluator
+from repro.facts.generation import FactGenerator
+from repro.facts.groups import FactGroup
+from repro.relational.column import Column
+from repro.relational.table import Table
+
+rng = np.random.default_rng(7)
+dims = ["a", "b", "c", "d"]
+columns = [Column.categorical(d, [f"{d}{v}" for v in rng.integers(0, 3, 60)]) for d in dims]
+columns.append(Column.numeric("t", 100.0 + rng.normal(0.0, 1.0, 60)))
+relation = SummarizationRelation(Table("hash_seed", columns), dims, "t")
+evaluator = UtilityEvaluator(relation, prior=ZeroPrior())
+index = FactGenerator(relation, max_extra_dimensions=2).generate().scope_index(relation)
+plan = PruningPlan(sources=(FactGroup([]),), targets=(FactGroup(["a"]),))
+outcome = FactGroupPruner(index, evaluator).compute_gains(
+    evaluator.initial_state(), plan, SummarizerStatistics()
+)
+print([group.dimensions for group in outcome.pruned_groups])
+"""
 
 
 class TestGrouping:
@@ -141,6 +179,25 @@ class TestComputeGains:
         pruner.compute_gains(example_evaluator.initial_state(), plan, stats)
         assert stats.bound_evaluations == 1
 
+    def test_pruned_groups_follow_index_order_under_any_hash_seed(self):
+        """``FactGroup`` hashes follow ``PYTHONHASHSEED``; the pruned
+        groups must not, so two processes list them alike."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            completed = subprocess.run(
+                [sys.executable, "-c", _PRUNED_GROUPS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(completed.stdout.strip())
+        expected = repr([("a",), ("a", "b"), ("a", "c"), ("a", "d")])
+        assert outputs == [expected, expected]
+
     def test_gains_listed_sources_first_in_group_order(self, example_facts, example_evaluator):
         # Interleave the groups: the outcome still lists source facts
         # first, then survivors, each group by group.
@@ -242,12 +299,32 @@ class TestDictPrunerParity:
         for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
             _assert_matches_dict_pruner(summarizer, problem)
 
+    def test_generated_query_problems(self):
+        """Every seventh flights query's problem: a subset relation that
+        inherits the table's codes, with the query as base scope.  The
+        oracle costs plans from ``TableStatistics.from_table``; the
+        summarizers count distinct values on the relation's codes."""
+        dataset = load_dataset("flights", num_rows=300)
+        config = SummarizationConfig.create(
+            table=dataset.spec.key,
+            dimensions=dataset.spec.dimensions,
+            targets=dataset.spec.targets,
+            max_query_length=2,
+        )
+        generator = ProblemGenerator(config, dataset.table)
+        queries = islice(generator.enumerate_queries(), 0, None, 7)
+        problems = [p for p in map(generator.build_problem, queries) if p is not None]
+        assert len(problems) > 100
+        for problem in problems:
+            for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
+                _assert_matches_dict_pruner(summarizer, problem)
+
     def test_random_problems_exercise_ties(self):
         ties = sum(_greedy_path_meets_tie(_interleaved_problem(seed)) for seed in range(24))
         assert ties >= 12
 
     def test_duplicate_facts_are_retired_together(self, example_facts, example_relation):
-        facts = example_facts.facts + example_facts.facts
+        facts = list(example_facts.facts) * 2
         problem = SummarizationProblem(
             example_relation, facts, max_facts=4, prior=ZeroPrior()
         )

@@ -89,6 +89,63 @@ class TestSeededCodes:
             SummarizationRelation(example_table, ["region"], "delay", codes={"region": short})
 
 
+class _HugeDecode(list):
+    """A code table that claims 2**32 entries, to push grouping past int64 radix codes."""
+
+    def __len__(self) -> int:
+        return 2**32
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wide_code_tables_group_like_radix_codes(self, seed):
+        """Column codes too wide for one int64 radix code are sorted
+        column by column; the layout and keys stay the same."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        values = {d: [None if v == 3 else f"{d}{v}" for v in rng.integers(0, 4, n)] for d in "abc"}
+        table = Table(
+            "t",
+            [Column.categorical(d, values[d]) for d in "abc"]
+            + [Column.numeric("v", rng.normal(size=n))],
+        )
+        plain = SummarizationRelation(table, list("abc"), "v")
+        wide = {}
+        for d in "abc":
+            codes, decode, code_of = factorize(values[d])
+            wide[d] = (codes, _HugeDecode(decode), code_of)
+        widened = SummarizationRelation(table, list("abc"), "v", codes=wide)
+        for columns in (["a"], ["a", "b"], ["c", "a", "b"]):
+            for got, expected in zip(widened.group_layout(columns), plain.group_layout(columns)):
+                np.testing.assert_array_equal(got, expected)
+            assert widened.group_keys(columns) == plain.group_keys(columns)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_counts_and_constant_columns_follow_the_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        parent = [None if v == 0 else f"x{v}" for v in rng.integers(0, 4, 2 * n)]
+        rows = np.sort(rng.choice(2 * n, size=n, replace=False))
+        dim_codes, decode, code_of = factorize(parent)
+        column = [parent[r] for r in rows]
+        constant = [column[0]] * n
+        table = Table(
+            "t",
+            [
+                Column.categorical("d", column),
+                Column.categorical("k", constant),
+                Column.numeric("v", rng.normal(size=n)),
+            ],
+        )
+        relation = SummarizationRelation(
+            table, ["d", "k"], "v", codes={"d": (dim_codes[rows], decode, code_of)}
+        )
+        assert relation.distinct_count("d") == table.column("d").distinct_count()
+        assert relation.distinct_count("k") == table.column("k").distinct_count()
+        assert relation.is_constant("k")
+        assert relation.is_constant("d") == (len(set(column)) == 1)
+
+
 class TestScopeMachinery:
     def test_scope_mask_and_indices(self, example_relation):
         mask = example_relation.scope_mask(Scope({"region": "North"}))

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.expectation import ClosestRelevantFactModel
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import SummarizationRelation
+from repro.core.priors import GlobalAveragePrior
+from repro.core.problem import SummarizationProblem
 from repro.facts.generation import FactGenerator, PerRowFactGenerator
 from repro.relational.column import Column
 from repro.relational.table import Table
@@ -66,9 +69,15 @@ def hypothesis_relations(draw) -> SummarizationRelation:
 def assert_identical_facts(generated, reference):
     assert len(generated.facts) == len(reference.facts)
     for fact, expected in zip(generated.facts, reference.facts):
-        assert fact.scope == expected.scope
-        assert fact.support == expected.support
-        assert fact.value == expected.value  # bitwise, not approx
+        assert_same_fact(fact, expected)
+
+
+def assert_same_fact(fact, expected):
+    assert fact == expected
+    assert hash(fact) == hash(expected)
+    assert fact.scope == expected.scope
+    assert fact.support == expected.support
+    assert fact.value.hex() == expected.value.hex()  # bitwise, not approx
 
 
 class TestVectorizedParity:
@@ -124,6 +133,64 @@ class TestVectorizedParity:
         target = relation.target_values
         for fact_id, fact in enumerate(generated.facts):
             assert fact.value == float(target[seeded.rows_of(fact_id)].mean())  # bitwise
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relation=hypothesis_relations(),
+        base=st.fixed_dictionaries(
+            {}, optional={"d1": st.sampled_from(_DIM1[:-1]), "d2": st.sampled_from(_DIM2[:-1])}
+        ),
+        min_support=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+    )
+    def test_facts_built_on_demand_match_reference(self, relation, base, min_support, data):
+        """Property: the generator's facts, built one by one as they are
+        read (in any order, by index, slice, iteration or group), equal
+        the oracle's eagerly built facts, hash for hash."""
+        kwargs = {"max_extra_dimensions": 2, "min_support": min_support}
+        reference = PerRowFactGenerator(relation, **kwargs).generate(base)
+        expected = list(reference.facts)
+
+        def fresh():
+            return FactGenerator(relation, **kwargs).generate(base)
+
+        lazy = fresh().facts
+        assert len(lazy) == len(expected)
+        for i in data.draw(st.permutations(range(len(expected)))):
+            index = i - len(expected) if data.draw(st.booleans()) else i
+            assert_same_fact(lazy[index], expected[i])
+            assert lazy[index] is lazy[i]
+        with pytest.raises(IndexError):
+            fresh().facts[len(expected)]
+
+        bounds = st.integers(min_value=-len(expected) - 1, max_value=len(expected) + 1)
+        window = slice(data.draw(bounds), data.draw(bounds), data.draw(st.sampled_from([1, 2, -1])))
+        assert fresh().facts[window] == expected[window]
+        assert list(fresh().facts) == expected
+
+        generated = fresh()
+        assert generated.by_group == reference.by_group
+        groups = data.draw(st.lists(st.sampled_from(generated.groups()))) if expected else []
+        assert fresh().facts_in_groups(groups) == reference.facts_in_groups(groups)
+
+        if expected:
+            shared = {"prior": GlobalAveragePrior(), "expectation_model": ClosestRelevantFactModel()}
+            lazy_problem = SummarizationProblem(relation, fresh().facts, 3, **shared)
+            assert lazy_problem == SummarizationProblem(relation, expected, 3, **shared)
+            assert lazy_problem == SummarizationProblem(relation, fresh().facts, 3, **shared)
+            assert lazy_problem != SummarizationProblem(relation, expected * 2, 3, **shared)
+
+    def test_scope_values_come_from_the_code_table(self):
+        """A subset relation seeded with its parent's codes names a
+        value as the parent's code table does (0.0 seen first), not as
+        the subset's first row holds it (-0.0)."""
+        table = Table("t", [Column.numeric("d", [-0.0, 2.0, 0.0]), Column.numeric("v", [1, 2, 3])])
+        seeded = (np.array([0, 1, 0]), [0.0, 2.0], {0.0: 0, 2.0: 1})
+        relation = SummarizationRelation(table, ["d"], "v", codes={"d": seeded})
+        generated = FactGenerator(relation, max_extra_dimensions=1).generate()
+        reference = PerRowFactGenerator(relation, max_extra_dimensions=1).generate()
+        assert [repr(f.scope) for f in generated.facts] == [repr(f.scope) for f in reference.facts]
+        assert repr(generated.facts[1].scope) == "Scope(d=0.0)"
 
     def test_base_scope_value_absent_from_data(self, example_relation):
         for generator in (FactGenerator, PerRowFactGenerator):

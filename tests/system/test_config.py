@@ -41,6 +41,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_config(max_fact_dimensions=-2)
 
+    @pytest.mark.parametrize("support", [0, -3])
+    def test_rejects_min_fact_support_below_one(self, support):
+        """Caught when the configuration is built, not inside the first
+        problem a (possibly pooled) worker builds."""
+        with pytest.raises(ValueError, match="min_fact_support"):
+            make_config(min_fact_support=support)
+        payload = make_config().to_json().replace(
+            '"min_fact_support": 1', f'"min_fact_support": {support}'
+        )
+        with pytest.raises(ValueError, match="min_fact_support"):
+            SummarizationConfig.from_json(payload)
+
     def test_create_helper(self):
         config = SummarizationConfig.create("t", ["a"], ["v"], max_query_length=1)
         assert config.dimensions == ("a",)
