@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.facts.groups import FactGroup
+from repro.facts.groups import FactGroup, GroupLattice
 from repro.relational.planner import CostEstimator
 
 
@@ -65,7 +65,7 @@ class PruningCostModel:
         (a fixed model parameter; the paper assumes a constant σ²).
 
     M(g) is memoized per model instance; plan selection reads each
-    group's components once through a :class:`GroupLattice`.
+    group's components once through a :class:`CostedLattice`.
     """
 
     def __init__(
@@ -94,13 +94,17 @@ class PruningCostModel:
             count = self._fact_count_memo[group] = max(1, count)
         return count
 
+    def group_costs(self, group: FactGroup) -> tuple[float, float]:
+        """``(C_U(g), C_D(g))``: the utility join's and the bound query's cost."""
+        return self._estimator.group_costs(group.dimensions)
+
     def utility_cost(self, group: FactGroup) -> float:
         """C_U(g): cost of computing utility gains for all facts of ``g``."""
-        return float(self._estimator.utility_cost(group.dimensions))
+        return self.group_costs(group)[0]
 
     def deviation_cost(self, group: FactGroup) -> float:
         """C_D(g): cost of computing the per-scope bounds of ``g``."""
-        return float(self._estimator.deviation_cost(group.dimensions))
+        return self.group_costs(group)[1]
 
     def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
         """Pr(P_{s→t}): probability the source's best gain dominates the target bound.
@@ -121,7 +125,7 @@ class PruningCostModel:
     # ------------------------------------------------------------------
     def plan_cost(self, plan: PruningPlan, groups: Sequence[FactGroup]) -> float:
         """Estimated total processing cost of Algorithm 3 under ``plan``."""
-        lattice = GroupLattice(self, groups)
+        lattice = CostedLattice(self, groups)
         sources = [lattice.id_of(s) for s in plan.sources]
         targets = [lattice.id_of(t) for t in plan.targets]
         costing = PlanCosting(lattice, sources)
@@ -130,57 +134,40 @@ class PruningCostModel:
         return costing.cost()
 
 
-class GroupLattice:
-    """Fact groups under integer ids, with their cost-model components.
+class CostedLattice(GroupLattice):
+    """A :class:`~repro.facts.groups.GroupLattice` with each group's cost-model components.
 
-    Ids ``0 .. size - 1`` are the groups a plan's cost sums over, in
-    order; :meth:`id_of` appends any other group a plan names.
-    Each group gets a mask with one bit per dimension it restricts, so
-    group ``g`` specializes ``t`` (``t ⊆ g``) exactly when
-    ``mask[t] & ~mask[g] == 0``.  ``groups`` should be distinct.
+    ``utility[g]`` and ``deviation[g]`` are C_U and C_D, costed once per
+    group from one combination count.  ``tie_rank[g]`` ranks the listed
+    groups by their dimension tuples, Algorithm 4's tie-break, so plan
+    choice compares numbers instead of tuples.
     """
 
     def __init__(self, model: PruningCostModel, groups: Sequence[FactGroup]):
+        super().__init__(groups)
         self._model = model
-        self.groups: list[FactGroup] = []
-        self._masks: list[int] = []
         self.utility: list[float] = []
         self.deviation: list[float] = []
         self._means: list[float] = []
-        self._ids: dict[FactGroup, int] = {}
-        self._bits: dict[str, int] = {}
         self._keep: dict[int, list[float]] = {}
-        self._specializations: dict[int, int] = {}
-        for group in groups:
-            self.id_of(group)
-        self.size = len(self.groups)
+        for group in self.groups:
+            self._cost(group)
+        self.tie_rank = [0] * self.size
+        by_dimensions = sorted(range(self.size), key=lambda g: self.groups[g].dimensions)
+        for rank, gid in enumerate(by_dimensions):
+            self.tie_rank[gid] = rank
 
     def id_of(self, group: FactGroup) -> int:
-        """The id of ``group``, adding it when it is new."""
-        gid = self._ids.get(group)
-        if gid is None:
-            mask = 0
-            for dimension in group.dimensions:
-                mask |= 1 << self._bits.setdefault(dimension, len(self._bits))
-            gid = self._ids[group] = len(self.groups)
-            self.groups.append(group)
-            self._masks.append(mask)
-            self.utility.append(self._model.utility_cost(group))
-            self.deviation.append(self._model.deviation_cost(group))
-            self._means.append(1.0 / self._model.fact_count(group))
-        return gid
+        """The id of ``group``, adding it (and its costs) when it is new."""
+        if group not in self.ids:
+            self._cost(group)
+        return super().id_of(group)
 
-    def specializations(self, target: int) -> int:
-        """Bitset of the ids below ``size`` whose groups specialize ``target``."""
-        bits = self._specializations.get(target)
-        if bits is None:
-            mask = self._masks[target]
-            bits = 0
-            for gid in range(self.size):
-                if not mask & ~self._masks[gid]:
-                    bits |= 1 << gid
-            self._specializations[target] = bits
-        return bits
+    def _cost(self, group: FactGroup) -> None:
+        utility, deviation = self._model.group_costs(group)
+        self.utility.append(utility)
+        self.deviation.append(deviation)
+        self._means.append(1.0 / self._model.fact_count(group))
 
     def keep(self, source: int) -> list[float]:
         """1 − Pr(P_{s→t}) for every group ``t``, by id (all ids known so far)."""
@@ -190,14 +177,6 @@ class GroupLattice:
             dominance = self._model._dominance
             row = self._keep[source] = [1.0 - dominance(mean, other) for other in self._means]
         return row
-
-    @staticmethod
-    def bitset(ids: Iterable[int]) -> int:
-        """The set of ``ids`` as a bitset."""
-        bits = 0
-        for gid in ids:
-            bits |= 1 << gid
-        return bits
 
 
 class PlanCosting:
@@ -212,7 +191,7 @@ class PlanCosting:
     incrementally and bit for bit.
     """
 
-    def __init__(self, lattice: GroupLattice, sources: Sequence[int]):
+    def __init__(self, lattice: CostedLattice, sources: Sequence[int]):
         self._lattice = lattice
         self._keeps = [lattice.keep(s) for s in sources]
         source_bits = lattice.bitset(sources)
@@ -227,7 +206,7 @@ class PlanCosting:
         self._deviations.append(self._lattice.deviation[target])
         factors = [keep[target] for keep in self._keeps]
         survival = self._survival
-        bits = self._lattice.specializations(target) & self._not_sources
+        bits = self._lattice.specializations[target] & self._not_sources
         while bits:
             low = bits & -bits
             gid = low.bit_length() - 1

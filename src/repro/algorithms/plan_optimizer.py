@@ -10,9 +10,9 @@ The trivial no-pruning plan is always a candidate, so the optimizer can
 fall back to plain greedy when pruning is unlikely to pay off.
 
 Both run on the groups' integer ids in a
-:class:`~repro.algorithms.cost_model.GroupLattice`: sets of groups are
-bitsets, and each source prefix's candidates are costed incrementally
-as its targets are picked.
+:class:`~repro.algorithms.cost_model.CostedLattice`: sets of groups are
+bitsets, ties are broken on precomputed ranks, and each source prefix's
+candidates are costed incrementally as its targets are picked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
-from repro.algorithms.cost_model import GroupLattice, PlanCosting, PruningCostModel, PruningPlan
+from repro.algorithms.cost_model import CostedLattice, PlanCosting, PruningCostModel, PruningPlan
 from repro.facts.groups import FactGroup
 
 #: A candidate plan by group ids: ``(sources, targets, estimated cost)``.
@@ -47,7 +47,7 @@ def candidate_plans(
         Optional cap on the number of source prefixes considered
         (keeps optimization overhead bounded for many groups).
     """
-    lattice = GroupLattice(cost_model, groups)
+    lattice = CostedLattice(cost_model, groups)
     return [
         (_plan(lattice, sources, targets), cost)
         for sources, targets, cost in _candidates(lattice, fact_counts, max_source_prefix)
@@ -55,7 +55,7 @@ def candidate_plans(
 
 
 def _candidates(
-    lattice: GroupLattice,
+    lattice: CostedLattice,
     fact_counts: Mapping[FactGroup, int],
     max_source_prefix: int | None,
 ) -> Iterator[_Candidate]:
@@ -70,6 +70,8 @@ def _candidates(
     # survive[t]: the product of 1 − Pr(P_{s→t}) over the sources so far,
     # so Pr(P_t) = 1 − survive[t].
     survive = [1.0] * lattice.size
+    specializations = lattice.specializations
+    tie_rank = lattice.tie_rank
     for prefix_length in range(1, prefix_limit + 1):
         keep = lattice.keep(ordered[prefix_length - 1])
         survive = [s * k for s, k in zip(survive, keep)]
@@ -82,25 +84,24 @@ def _candidates(
             best_target = max(
                 (t for t in rest if remaining >> t & 1),
                 key=lambda t: (
-                    (1.0 - survive[t]) * (lattice.specializations(t) & remaining).bit_count(),
-                    lattice.groups[t].dimensions,
+                    (1.0 - survive[t]) * (specializations[t] & remaining).bit_count(),
+                    tie_rank[t],
                 ),
             )
             targets.append(best_target)
             costing.add_target(best_target)
             yield sources, tuple(targets), costing.cost()
-            remaining &= ~lattice.specializations(best_target)
+            remaining &= ~specializations[best_target]
 
 
-def _by_fact_count(lattice: GroupLattice, fact_counts: Mapping[FactGroup, int]) -> list[int]:
+def _by_fact_count(lattice: CostedLattice, fact_counts: Mapping[FactGroup, int]) -> list[int]:
     """Group ids by ascending fact count, ties broken by dimensions."""
     groups = lattice.groups
-    return sorted(
-        range(lattice.size), key=lambda g: (fact_counts.get(groups[g], 1), groups[g].dimensions)
-    )
+    tie_rank = lattice.tie_rank
+    return sorted(range(lattice.size), key=lambda g: (fact_counts.get(groups[g], 1), tie_rank[g]))
 
 
-def _plan(lattice: GroupLattice, sources: Sequence[int], targets: Sequence[int]) -> PruningPlan:
+def _plan(lattice: CostedLattice, sources: Sequence[int], targets: Sequence[int]) -> PruningPlan:
     groups = lattice.groups
     return PruningPlan(tuple(groups[s] for s in sources), tuple(groups[t] for t in targets))
 
@@ -118,7 +119,7 @@ class PruningPlanOptimizer:
         fact_counts: Mapping[FactGroup, int],
     ) -> PruningPlan:
         """Return the first candidate plan with minimal estimated cost."""
-        lattice = GroupLattice(self._cost_model, groups)
+        lattice = CostedLattice(self._cost_model, groups)
         candidates = _candidates(lattice, fact_counts, self._max_source_prefix)
         sources, targets, _ = min(candidates, key=itemgetter(2))
         return _plan(lattice, sources, targets)
@@ -138,15 +139,15 @@ class PruningPlanOptimizer:
         """
         if len(groups) < 2:
             return PruningPlan((), ())
-        lattice = GroupLattice(self._cost_model, groups)
+        lattice = CostedLattice(self._cost_model, groups)
         source, *rest = _by_fact_count(lattice, fact_counts)
         keep = lattice.keep(source)
         rest_bits = lattice.bitset(rest)
         targets = sorted(
             rest,
             key=lambda t: (
-                -((1.0 - keep[t]) * (lattice.specializations(t) & rest_bits).bit_count()),
-                lattice.groups[t].dimensions,
+                -((1.0 - keep[t]) * (lattice.specializations[t] & rest_bits).bit_count()),
+                lattice.tie_rank[t],
             ),
         )
         return _plan(lattice, (source,), targets)

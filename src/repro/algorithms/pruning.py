@@ -24,7 +24,10 @@ from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan
 from repro.core.kernel import FactScopeIndex
 from repro.core.utility import ExpectationState, UtilityEvaluator
-from repro.facts.groups import FactGroup
+from repro.facts.groups import FactGroup, GroupLattice
+
+
+_NO_GAINS = np.empty(0)
 
 
 @dataclass
@@ -63,19 +66,32 @@ class FactGroupPruner:
         into fact groups (the columns each fact's scope restricts).
     evaluator:
         Utility evaluator for the problem's relation.
+
+    A plan is prepared once, when :meth:`compute_gains` first sees it:
+    its source fact mask, and per target its id in the index's
+    :class:`~repro.facts.groups.GroupLattice`, the columns its bound
+    groups on and the bitset of groups it prunes.  Each iteration then
+    evaluates the bounds and runs the two masked batch passes.
     """
 
     def __init__(self, index: FactScopeIndex, evaluator: UtilityEvaluator):
         self._index = index
         self._evaluator = evaluator
-        self._ids_by_group = {FactGroup(columns): ids for columns, ids in index.groups.items()}
+        self._lattice = GroupLattice(FactGroup(columns) for columns in index.groups)
+        ids_by_group = list(index.groups.values())
         # Fact ids group by group: the order outcomes list gains in.
-        self._group_order = np.concatenate(list(self._ids_by_group.values()))
+        self._group_order = np.concatenate(ids_by_group)
+        self._group_of_fact = np.empty(index.num_facts, dtype=np.intp)
+        self._group_of_fact[self._group_order] = np.repeat(
+            np.arange(len(ids_by_group)), [ids.size for ids in ids_by_group]
+        )
+        self._prepared: tuple | None = None
 
     @property
     def fact_counts(self) -> dict[FactGroup, int]:
         """Number of candidate facts per fact group, in group order."""
-        return {group: int(ids.size) for group, ids in self._ids_by_group.items()}
+        sizes = [int(ids.size) for ids in self._index.groups.values()]
+        return dict(zip(self._lattice.groups, sizes))
 
     def compute_gains(
         self,
@@ -92,55 +108,80 @@ class FactGroupPruner:
         source gain are discarded together with their specializations
         (Alg. 3, Line 19).
         """
-        num_facts = self._index.num_facts
+        _, sources, targets = self._prepare(plan)
+        index = self._index
+        order = self._group_order
         if active is None:
-            active = np.ones(num_facts, dtype=bool)
-        pruned_groups: list[FactGroup] = []
-        remaining = set(self._ids_by_group)
-        gains = np.zeros(num_facts)
+            active = np.ones(index.num_facts, dtype=bool)
 
         # Line 9: utility gains for the pruning sources (one batch pass).
-        source_mask = np.zeros(num_facts, dtype=bool)
-        for source in plan.sources:
-            ids = self._ids_by_group.get(source)
-            if ids is not None:
-                source_mask[ids] = True
-        source_mask &= active
+        source_mask = sources & active
+        source_ids = order[source_mask[order]]
+        source_gains = _NO_GAINS
         max_source_gain = float("-inf")
-        if source_mask.any():
-            source_gains = self._index.subset_gains(source_mask, state.error)
-            stats.fact_evaluations += int(source_mask.sum())
-            gains[source_mask] = source_gains[source_mask]
-            max_source_gain = float(source_gains[source_mask].max())
+        if source_ids.size:
+            source_gains = index.subset_gains(source_mask, state.error)[source_ids]
+            stats.fact_evaluations += source_ids.size
+            max_source_gain = float(source_gains.max())
 
-        # Lines 11-22: prune dominated targets and their specializations.
+        # Lines 11-22: prune dominated targets and their specializations,
+        # listed in index group order (a set's order would follow the
+        # groups' string hashes, which differ per process).
+        groups = self._lattice.groups
+        pruned_groups: list[FactGroup] = []
+        remaining = (1 << len(groups)) - 1
         if plan.sources and max_source_gain > float("-inf"):
-            for target in plan.targets:
-                if target not in remaining:
+            for target, columns, prunes in targets:
+                if not remaining >> target & 1:
                     continue
-                bound = self._evaluator.max_group_bound(list(target.dimensions), state)
+                bound = self._evaluator.max_split_bound(columns, state)
                 stats.bound_evaluations += 1
                 if max_source_gain > bound:
-                    # Index group order: a set's order would follow the
-                    # groups' string hashes, which differ per process.
-                    for group in self._ids_by_group:
-                        if group in remaining and group.is_specialization_of(target):
-                            remaining.discard(group)
-                            pruned_groups.append(group)
-                            stats.groups_pruned += 1
+                    pruned = remaining & prunes
+                    remaining ^= pruned
+                    while pruned:
+                        low = pruned & -pruned
+                        pruned ^= low
+                        pruned_groups.append(groups[low.bit_length() - 1])
+        stats.groups_pruned += len(pruned_groups)
 
         # Line 24: gains for the facts of all surviving groups (second batch).
-        source_set = set(plan.sources)
-        survivor_mask = np.zeros(num_facts, dtype=bool)
-        for group, ids in self._ids_by_group.items():
-            if group in remaining and group not in source_set:
-                survivor_mask[ids] = True
-        survivor_mask &= active & ~source_mask
-        if survivor_mask.any():
-            survivor_gains = self._index.subset_gains(survivor_mask, state.error)
-            stats.fact_evaluations += int(survivor_mask.sum())
-            gains[survivor_mask] = survivor_gains[survivor_mask]
+        survivor_mask = ~sources & active
+        if pruned_groups:
+            alive = np.array([remaining >> g & 1 for g in range(len(groups))], dtype=bool)
+            survivor_mask &= alive[self._group_of_fact]
+        survivor_ids = order[survivor_mask[order]]
+        survivor_gains = _NO_GAINS
+        if survivor_ids.size:
+            survivor_gains = index.subset_gains(survivor_mask, state.error)[survivor_ids]
+            stats.fact_evaluations += survivor_ids.size
 
-        order = self._group_order
-        fact_ids = np.concatenate((order[source_mask[order]], order[survivor_mask[order]]))
-        return PruningOutcome(fact_ids, gains[fact_ids], pruned_groups)
+        return PruningOutcome(
+            np.concatenate((source_ids, survivor_ids)),
+            np.concatenate((source_gains, survivor_gains)),
+            pruned_groups,
+        )
+
+    def _prepare(self, plan: PruningPlan) -> tuple:
+        """``(plan, source fact mask, targets)`` for ``plan`` (kept for the plan last seen).
+
+        Each target is ``(group id, bound columns, bitset of the groups
+        it prunes)``; a target outside the index has no facts and is
+        never evaluated.
+        """
+        if self._prepared is not None and self._prepared[0] is plan:
+            return self._prepared
+        lattice = self._lattice
+        split = self._evaluator.split_columns
+        is_source = np.zeros(lattice.size, dtype=bool)
+        for source in plan.sources:
+            gid = lattice.ids.get(source)
+            if gid is not None:
+                is_source[gid] = True
+        targets = [
+            (gid, tuple(split(target.dimensions)), lattice.specializations[gid])
+            for target in plan.targets
+            if (gid := lattice.ids.get(target)) is not None
+        ]
+        self._prepared = plan, is_source[self._group_of_fact], targets
+        return self._prepared

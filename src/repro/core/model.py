@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,6 +210,33 @@ DimensionCodes = tuple[np.ndarray, list[Any], dict[Any, int]]
 GroupLayout = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+class GroupLayouts(NamedTuple):
+    """Rows grouped by each of several column combinations, laid end to end.
+
+    Combination ``c`` owns the group ids ``bounds[c]:bounds[c + 1]``
+    (numbered by first appearance) and the positions ``c * n:(c + 1) * n``
+    of ``order``, where ``n`` is the row count; group ``g``'s rows are
+    ``order[offsets[g]:offsets[g + 1]]``, ascending.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
+    bounds: np.ndarray
+
+    def layout(self, c: int) -> GroupLayout:
+        """Combination ``c``'s :data:`GroupLayout`."""
+        n = self.order.size // (self.bounds.size - 1)
+        order = self.order[c * n : (c + 1) * n]
+        offsets = self.offsets[self.bounds[c] : self.bounds[c + 1] + 1] - c * n
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        return inverse, order, offsets
+
+
+#: Radix codes above this could overflow int64 once multiplied out.
+_RADIX_LIMIT = 2**62
+
+
 def factorize(values: Iterable[Any]) -> DimensionCodes:
     """Integer-code ``values`` in first-appearance order.
 
@@ -236,9 +263,14 @@ class SummarizationRelation:
     need: the target vector, per-fact row masks, and grouping by
     dimension-value combinations.
 
-    ``codes`` optionally seeds :meth:`dimension_codes` with codes aligned
-    to ``table``'s rows, e.g. a parent table's codes taken at the rows of
-    a subset, so the relation does not factorize those dimensions again.
+    ``rows`` optionally restricts the relation to those rows of
+    ``table`` without copying them: the restricted table is gathered
+    when :attr:`table` (or a row) is first read.  ``codes`` optionally
+    seeds :meth:`dimension_codes` with codes aligned to the relation's
+    rows (``table``'s, or ``rows``), e.g. a parent table's codes taken at
+    the rows of a subset, so the relation does not factorize those
+    dimensions again; ``target_values`` likewise seeds the target as
+    floats, NaN for NULL.
     """
 
     def __init__(
@@ -247,10 +279,13 @@ class SummarizationRelation:
         dimensions: Sequence[str],
         target: str,
         codes: Mapping[str, DimensionCodes] | None = None,
+        rows: np.ndarray | None = None,
+        target_values: np.ndarray | None = None,
     ):
+        num_rows = table.num_rows if rows is None else len(rows)
         if not dimensions:
             raise InvalidProblemError("at least one dimension column is required")
-        if table.num_rows == 0:
+        if num_rows == 0:
             raise InvalidProblemError(f"relation {table.name!r} is empty")
         for dim in dimensions:
             if not table.has_column(dim):
@@ -272,31 +307,43 @@ class SummarizationRelation:
         self._table = table
         self._dimensions = tuple(dimensions)
         self._target = target
+        if target_values is None:
+            target_values = target_col.to_numpy()
+            if rows is not None:
+                target_values = target_values[rows]
         # Rows with NULL target values carry no information for the
         # summarization problem; they are dropped from the view.
-        keep = [v is not None for v in target_col]
-        all_kept = all(keep)
-        self._view = table if all_kept else table.mask(keep)
+        keep = ~np.isnan(target_values)
+        all_kept = bool(keep.all())
+        #: The target column as a float array (one entry per row).
+        self.target_values: np.ndarray = target_values if all_kept else target_values[keep]
+        if rows is None:
+            self._rows = None if all_kept else np.flatnonzero(keep)
+        else:
+            self._rows = rows if all_kept else rows[keep]
         self._codes_cache: dict[str, DimensionCodes] = {}
         for dimension, (dim_codes, decode, code_of) in (codes or {}).items():
-            if dimension not in self._dimensions or len(dim_codes) != table.num_rows:
+            if dimension not in self._dimensions or len(dim_codes) != num_rows:
                 raise InvalidProblemError(
                     f"codes for {dimension!r} do not fit relation {self.name!r}"
                 )
             if not all_kept:
-                dim_codes = dim_codes[np.asarray(keep)]
+                dim_codes = dim_codes[keep]
             self._codes_cache[dimension] = (dim_codes, decode, code_of)
         self._layout_cache: dict[tuple[str, ...], GroupLayout] = {}
+        self._batched: dict[tuple[str, ...], tuple[GroupLayouts, int]] = {}
         self._keys_cache: dict[tuple[str, ...], list[tuple[Any, ...]]] = {}
         self._distinct_cache: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def table(self) -> Table:
         """The underlying (filtered) table."""
-        return self._view
+        if self._rows is None:
+            return self._table
+        return self._table.take(self._rows.tolist())
 
     @property
     def name(self) -> str:
@@ -316,32 +363,25 @@ class SummarizationRelation:
     @property
     def num_rows(self) -> int:
         """Number of rows with a non-NULL target value."""
-        return self._view.num_rows
-
-    @cached_property
-    def target_values(self) -> np.ndarray:
-        """The target column as a float array (one entry per row)."""
-        return np.array(
-            [float(v) for v in self._view.column(self._target)], dtype=float
-        )
+        return self.target_values.size
 
     @cached_property
     def _dimension_values(self) -> dict[str, list[Any]]:
-        return {dim: self._view.column(dim).values for dim in self._dimensions}
+        return {dim: self.table.column(dim).values for dim in self._dimensions}
 
     def dimension_domain(self, dimension: str) -> list[Any]:
         """Distinct non-NULL values of a dimension, in appearance order."""
         if dimension not in self._dimensions:
             raise InvalidProblemError(f"{dimension!r} is not a dimension of this relation")
-        return self._view.column(dimension).distinct_values()
+        return self.table.column(dimension).distinct_values()
 
     def row(self, index: int) -> dict[str, Any]:
         """Row ``index`` as a dict (dimensions + target)."""
-        return self._view.row(index)
+        return self.table.row(index)
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         """Iterate over rows as dicts."""
-        return self._view.iter_rows()
+        return self.table.iter_rows()
 
     # ------------------------------------------------------------------
     # Scope machinery
@@ -390,63 +430,99 @@ class SummarizationRelation:
         return cached
 
     def group_layout(self, columns: Sequence[str]) -> GroupLayout:
-        """Rows grouped by a column combination, from one stable sort (cached).
+        """Rows grouped by a column combination (cached).
 
         Returns ``(inverse, order, offsets)`` (see :data:`GroupLayout`).
         Group ids follow first appearance in the data, matching the
-        historical dict-insertion order of :meth:`group_rows_by`.
+        historical dict-insertion order of :meth:`group_rows_by`.  The
+        empty combination is one group, even over no rows; any other is
+        read off an earlier :meth:`group_layouts` pass when there was one.
         """
         key = tuple(columns)
         cached = self._layout_cache.get(key)
-        if cached is None:
-            cached = self._layout_cache[key] = self._group(key)
+        if cached is None and not key:
+            n = self.num_rows
+            cached = np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n], dtype=np.intp)
+        elif cached is None:
+            layouts, c = self._batched.get(key) or (self.group_layouts([key]), 0)
+            cached = layouts.layout(c)
+        self._layout_cache[key] = cached
         return cached
 
-    def _group(self, columns: tuple[str, ...]) -> GroupLayout:
+    def group_layouts(self, combinations: Sequence[tuple[str, ...]]) -> GroupLayouts:
+        """Rows grouped by each column combination, in one pass.
+
+        Every combination gets one key per row, injective on its code
+        tuples; one stable sort per key row, one sort of all runs by
+        (combination, first row) and one shift lay out every group at
+        once.  The pass is kept for :meth:`group_layout`.  The empty
+        combination is a single group when there are rows.
+        """
         n = self.num_rows
-        if not columns:
-            return np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n], dtype=np.intp)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.arange(0), np.zeros(1, dtype=np.intp)
-        # Sort the rows on one mixed-radix code per row.  When the radix
-        # product could overflow int64 (extreme per-column cardinalities),
-        # sort on the columns' codes instead: silent wrap-around would
-        # merge distinct groups.
-        per_column = [self.dimension_codes(c) for c in columns]
-        radix_product = 1
-        for _, decode, _ in per_column:
-            radix_product *= max(len(decode), 1)
-        starts_run = np.empty(n, dtype=bool)
-        starts_run[0] = True
-        if radix_product > 2**62:
-            perm = np.lexsort([codes for codes, _, _ in reversed(per_column)])
-            starts_run[1:] = False
-            for codes, _, _ in per_column:
-                ordered = codes[perm]
-                starts_run[1:] |= ordered[1:] != ordered[:-1]
-        else:
-            combined = per_column[0][0]
-            for codes, decode, _ in per_column[1:]:
-                combined = combined * len(decode) + codes
-            perm = np.argsort(combined, kind="stable")
-            ordered = combined[perm]
-            np.not_equal(ordered[1:], ordered[:-1], out=starts_run[1:])
+        keys = self._sort_keys(combinations)
+        perm = np.argsort(keys, axis=1, kind="stable")
+        starts_run = np.ones(keys.shape, dtype=bool)
+        ordered = np.take_along_axis(keys, perm, axis=1)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts_run[:, 1:])
         starts = np.flatnonzero(starts_run)
+        rows = perm.ravel()
         # The sort is stable, so each run starts at its group's first row;
-        # renumber the runs by first appearance.
-        appearance = np.argsort(perm[starts])
-        rank = np.empty(starts.size, dtype=np.int64)
-        rank[appearance] = np.arange(starts.size)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = rank[np.cumsum(starts_run) - 1]
-        counts = np.diff(np.append(starts, n))[appearance]
+        # number the runs by combination, then by first appearance.
+        combination = starts // max(n, 1)
+        appearance = np.argsort(combination * n + rows[starts])
+        counts = np.diff(starts, append=keys.size)[appearance]
         offsets = np.zeros(starts.size + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
+        bounds = np.zeros(len(combinations) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(combination, minlength=len(combinations)), out=bounds[1:])
         # Lay the runs out in group order: position p of group g reads
         # the run's entry p - offsets[g].
         shift = np.repeat(starts[appearance] - offsets[:-1], counts)
-        order = perm[np.arange(n) + shift]
-        return inverse, order, offsets
+        layouts = GroupLayouts(rows[np.arange(keys.size) + shift], offsets, bounds)
+        for c, columns in enumerate(combinations):
+            self._batched[tuple(columns)] = layouts, c
+        return layouts
+
+    def _sort_keys(self, combinations: Sequence[tuple[str, ...]]) -> np.ndarray:
+        """One row of group keys per combination: its mixed-radix codes.
+
+        Where the radix product could overflow int64 (extreme per-column
+        cardinalities), the row holds the code tuples' dense ranks in
+        lexicographic order instead: silent wrap-around would merge
+        distinct groups.  Keys that fit 16 bits come as ``uint16``, which
+        NumPy's stable sort orders by radix sort, several times faster
+        than the timsort it runs on int64.
+        """
+        n = self.num_rows
+        columns = list(dict.fromkeys(c for combination in combinations for c in combination))
+        position = {column: i for i, column in enumerate(columns)}
+        per_column = [self.dimension_codes(column) for column in columns]
+        radices = [max(len(decode), 1) for _, decode, _ in per_column]
+        weights = [[0] * len(columns) for _ in combinations]
+        wide = []
+        largest = 1
+        for c, (row, combination) in enumerate(zip(weights, combinations)):
+            place = 1
+            for column in reversed(combination):
+                row[position[column]] = place
+                place *= radices[position[column]]
+            if place > _RADIX_LIMIT:
+                wide.append(c)
+                row[:] = [0] * len(columns)
+                place = n
+            largest = max(largest, place)
+        stacked = np.array([codes for codes, _, _ in per_column], dtype=np.int64)
+        keys = np.array(weights, dtype=np.int64).reshape(len(combinations), len(columns))
+        keys = keys @ stacked.reshape(len(columns), n)
+        for c in wide:
+            tuples = [per_column[position[column]][0] for column in combinations[c]]
+            perm = np.lexsort(tuples[::-1])
+            new_tuple = np.zeros(n, dtype=bool)
+            for column_codes in tuples:
+                ordered = column_codes[perm]
+                new_tuple[1:] |= ordered[1:] != ordered[:-1]
+            keys[c, perm] = np.cumsum(new_tuple)
+        return keys.astype(np.uint16) if largest <= 2**16 else keys
 
     def group_keys(self, columns: Sequence[str]) -> list[tuple[Any, ...]]:
         """Value tuple (in ``columns`` order) of every group of :meth:`group_layout` (cached)."""

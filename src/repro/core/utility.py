@@ -252,17 +252,25 @@ class UtilityEvaluator:
         group_columns: Sequence[str],
         state: ExpectationState | None = None,
     ) -> float:
-        """The largest per-scope bound of a fact group (0.0 when empty).
+        """The largest per-scope bound of a fact group (0.0 when empty)."""
+        return self.max_split_bound(self.split_columns(group_columns), state)
+
+    def split_columns(self, group_columns: Sequence[str]) -> list[str]:
+        """The columns of a group that split the relation's rows.
 
         A column constant over the relation splits no group, so it is
         left out of the grouping: a query's subset then reuses the
         grouping of the fact generator, which groups on the columns
         beyond the query's own predicates.
         """
+        return [c for c in group_columns if not self._relation.is_constant(c)]
+
+    def max_split_bound(
+        self, columns: Sequence[str], state: ExpectationState | None = None
+    ) -> float:
+        """:meth:`max_group_bound` over columns :meth:`split_columns` already chose."""
         error = state.error if state is not None else self._prior_error
-        relation = self._relation
-        columns = [c for c in group_columns if not relation.is_constant(c)]
-        inverse, _, offsets = relation.group_layout(columns)
+        inverse, _, offsets = self._relation.group_layout(columns)
         if offsets.size == 1:
             return 0.0
         sums = np.bincount(inverse, weights=error, minlength=offsets.size - 1)

@@ -174,8 +174,11 @@ class GeneratedFacts:
 class FactGenerator:
     """Enumerates candidate facts for one relation / data subset.
 
-    Enumeration runs a whole fact group at a time on the relation's
-    cached row groupings; facts stay arrays until something reads them
+    Enumeration lays out every fact group in one batched grouping pass
+    over the relation's codes (:meth:`SummarizationRelation.group_layouts`,
+    which also caches each group's layout for the bounds of Algorithm 3)
+    and decides support and NULL keys for all groups at once; facts stay
+    arrays until something reads them
     (see :class:`CandidateFacts`).  :class:`PerRowFactGenerator` keeps
     per-row Python set membership as the parity oracle and benchmark
     baseline.
@@ -221,35 +224,54 @@ class FactGenerator:
         """
         base, groups, base_indices = self._prepare(base_scope)
         relation = self._relation
-        # Base-scope membership, unless the base scope covers every row.
-        in_base = None
-        if 0 < base_indices.size < relation.num_rows:
+        # The empty group leads; the others are laid out in one pass.
+        overall, *grouped = groups
+        order, offsets, bounds = relation.group_layouts([group.dimensions for group in grouped])
+        firsts = order[offsets[:-1]]
+        sizes = np.diff(offsets)
+        if base_indices.size == relation.num_rows:
+            in_base = None
+            counts = sizes
+        else:
+            # Base-scope membership at each position of ``order``.
             in_base = np.zeros(relation.num_rows, dtype=bool)
             in_base[base_indices] = True
+            in_base = in_base[order]
+            covered = np.zeros(order.size + 1, dtype=np.intp)
+            np.cumsum(in_base, out=covered[1:])
+            counts = covered[offsets[1:]] - covered[offsets[:-1]]
+        keep = counts >= self._min_support
+        self._drop_null_keys(keep, firsts, grouped, bounds)
 
-        columns: list[tuple[str, ...]] = []
-        first_rows: list[np.ndarray] = []
-        supports: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        ranges: dict[FactGroup, range] = {}
-        for group in groups if base_indices.size else ():
-            block = self._group_block(group, base_indices, in_base)
-            if block is not None:
-                ranges[group] = range(len(columns), len(columns) + block[0].size)
-                columns.extend([group.dimensions] * block[0].size)
-                first_rows.append(block[0])
-                supports.append(block[1])
-                rows.append(block[2])
-        if not columns:
-            empty = CandidateFacts(relation, base, [], _EMPTY_ROWS, np.empty(0), _EMPTY_ROWS)
-            return GeneratedFacts(empty, base)
-        row_indices = np.concatenate(rows)
-        fact_supports = np.concatenate(supports)
-        values = _segment_means(relation.target_values[row_indices], fact_supports)
-        facts = CandidateFacts(
-            relation, base, columns, np.concatenate(first_rows), values, fact_supports
-        )
-        return GeneratedFacts(facts, base, values, fact_supports, row_indices, ranges)
+        # Group ids follow first appearance in the data, so ascending id
+        # order reproduces the per-row oracle's fact order exactly.
+        ids = np.flatnonzero(keep)
+        selected = in_base
+        if ids.size < keep.size:
+            selected = np.repeat(keep, sizes)
+            if in_base is not None:
+                selected &= in_base
+        rows = order if selected is None else order[selected]
+        firsts, supports = firsts[ids], counts[ids]
+        head = [overall] if base_indices.size >= self._min_support else []
+        if head:
+            rows = np.concatenate((base_indices, rows))
+            firsts = np.concatenate((base_indices[:1], firsts))
+            supports = np.concatenate(([base_indices.size], supports))
+
+        # Fact ids: the overall fact, then each kept group's in group order.
+        kept_before = np.zeros(keep.size + 1, dtype=np.intp)
+        np.cumsum(keep, out=kept_before[1:])
+        starts = (kept_before[bounds] + len(head)).tolist()
+        ranges = dict.fromkeys(head, range(0, 1))
+        columns: list[tuple[str, ...]] = [()] * len(head)
+        for group, start, stop in zip(grouped, starts, starts[1:]):
+            if stop > start:
+                ranges[group] = range(start, stop)
+                columns.extend([group.dimensions] * (stop - start))
+        values = _segment_means(relation.target_values[rows], supports)
+        facts = CandidateFacts(relation, base, columns, firsts, values, supports)
+        return GeneratedFacts(facts, base, values, supports, rows, ranges)
 
     # ------------------------------------------------------------------
     # Internals
@@ -267,44 +289,22 @@ class FactGenerator:
         )
         return base, groups, self._relation.scope_row_indices(base)
 
-    def _group_block(
-        self, group: FactGroup, base_indices: np.ndarray, in_base: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The facts restricting exactly ``group``'s columns (plus base).
+    def _drop_null_keys(
+        self, keep: np.ndarray, firsts: np.ndarray, groups: list[FactGroup], bounds: np.ndarray
+    ) -> None:
+        """Clear ``keep`` for every group whose key holds a NULL.
 
-        Returns their first rows, their supports and their concatenated
-        scope rows, or None when the group has no fact.  ``base_indices``
-        (non-empty) lists the base-scope rows in ascending order and
-        ``in_base`` is their membership mask (None: every row).
+        Group ``g`` belongs to ``groups[c]`` for ``bounds[c] <= g <
+        bounds[c + 1]`` and its first row is ``firsts[g]``; one pass per
+        column that has a NULL code.
         """
-        if group.arity == 0:
-            if base_indices.size < self._min_support:
-                return None
-            return base_indices[:1], np.array([base_indices.size], dtype=np.intp), base_indices
-
-        inverse, order, offsets = self._relation.group_layout(group.dimensions)
-        firsts = order[offsets[:-1]]
-        if in_base is None:
-            counts = np.diff(offsets)
-        else:
-            counts = np.bincount(inverse[base_indices], minlength=firsts.size)
-        keep = counts >= self._min_support
-        for column in group.dimensions:
+        columns = dict.fromkeys(column for group in groups for column in group.dimensions)
+        for column in columns:
             codes, _, code_of = self._relation.dimension_codes(column)
             null = code_of.get(None)
             if null is not None:
-                keep &= codes[firsts] != null
-        # Group ids follow first appearance in the data, so ascending id
-        # order reproduces the per-row oracle's fact order exactly.
-        ids = np.flatnonzero(keep)
-        if not ids.size:
-            return None
-        if in_base is None and ids.size == firsts.size:
-            return firsts, counts, order
-        selected = keep[inverse[order]]
-        if in_base is not None:
-            selected &= in_base[order]
-        return firsts[ids], counts[ids], order[selected]
+                restricts = np.array([column in group.dimensions for group in groups])
+                keep &= ~(np.repeat(restricts, np.diff(bounds)) & (codes[firsts] == null))
 
 
 class PerRowFactGenerator(FactGenerator):

@@ -21,8 +21,8 @@ class FactGroup:
     """A fact group, identified by the sorted tuple of restricted dimensions."""
 
     dimensions: tuple[str, ...]
-    # The same dimensions as a set, for the subset tests the plan
-    # optimizer runs on every pair of groups.
+    # The same dimensions as a set, for :meth:`is_specialization_of`;
+    # plan choice and pruning test specialization on lattice bitsets.
     _dimension_set: frozenset[str] = field(init=False, repr=False, compare=False)
     # Hashed once: the cost-model memos and the plan optimizer probe
     # groups in dicts and sets hundreds of thousands of times per run.
@@ -96,3 +96,48 @@ def enumerate_fact_groups(
 def specializations(group: FactGroup, universe: Iterable[FactGroup]) -> list[FactGroup]:
     """All groups in ``universe`` that specialize ``group`` (including itself)."""
     return [g for g in universe if g.is_specialization_of(group)]
+
+
+class GroupLattice:
+    """Fact groups under integer ids, with specialization bitsets.
+
+    Ids ``0 .. size - 1`` are the listed groups, in order of first
+    listing; :meth:`id_of` appends any other group.  Each dimension
+    keeps the bitset of the groups restricting it, so the groups that
+    specialize ``t`` (``t ⊆ g``) are the AND of the bitsets of ``t``'s
+    dimensions: ``specializations[t]``, over the ids below ``size``.
+    ``ids`` maps groups to ids.
+    """
+
+    def __init__(self, groups: Iterable[FactGroup]):
+        self.groups: list[FactGroup] = list(dict.fromkeys(groups))
+        self.ids: dict[FactGroup, int] = {group: gid for gid, group in enumerate(self.groups)}
+        self.size = len(self.groups)
+        self._restricting: dict[str, int] = {}
+        for gid, group in enumerate(self.groups):
+            for dimension in group.dimensions:
+                self._restricting[dimension] = self._restricting.get(dimension, 0) | 1 << gid
+        self.specializations = [self._specializing(group) for group in self.groups]
+
+    def id_of(self, group: FactGroup) -> int:
+        """The id of ``group``, adding it when it is new."""
+        gid = self.ids.get(group)
+        if gid is None:
+            gid = self.ids[group] = len(self.groups)
+            self.groups.append(group)
+            self.specializations.append(self._specializing(group))
+        return gid
+
+    def _specializing(self, group: FactGroup) -> int:
+        bits = (1 << self.size) - 1
+        for dimension in group.dimensions:
+            bits &= self._restricting.get(dimension, 0)
+        return bits
+
+    @staticmethod
+    def bitset(ids: Iterable[int]) -> int:
+        """The set of ``ids`` as a bitset."""
+        bits = 0
+        for gid in ids:
+            bits |= 1 << gid
+        return bits

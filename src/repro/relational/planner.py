@@ -66,23 +66,27 @@ class CostEstimator:
         """
         return self._stats.combination_count(group_columns)
 
-    def utility_cost(self, group_columns: Sequence[str]) -> CostEstimate:
-        """C_U(g): cost of the utility join + aggregation for group ``g``.
+    def group_costs(self, group_columns: Sequence[str]) -> tuple[float, float]:
+        """``(C_U(g), C_D(g))`` as plain numbers, from one fact-count estimate.
 
         Every data row joins exactly one fact of the group (the fact
-        whose scope values equal the row's values), so the join output
-        has ``row_count`` rows; we charge the scan of the data table,
-        the probe work against the fact table and the aggregation pass.
+        whose scope values equal the row's values), so the utility join
+        outputs ``row_count`` rows: C_U charges the scan of the data
+        table, the probe work against the fact table and the aggregation
+        pass.  The deviation bound query is a group-by without a join:
+        C_D charges the scan and the groups.
         """
         n = self._stats.row_count
         facts = self.fact_count(group_columns)
         join_output = n  # each row falls in exactly one scope of the group
-        cost = self._tuple_cost * (n + facts + 2 * join_output)
+        return self._tuple_cost * (n + facts + 2 * join_output), self._tuple_cost * (n + facts)
+
+    def utility_cost(self, group_columns: Sequence[str]) -> CostEstimate:
+        """C_U(g): cost of the utility join + aggregation for group ``g``."""
+        cost = self.group_costs(group_columns)[0]
         return CostEstimate(cost, f"utility join for group {tuple(group_columns)}")
 
     def deviation_cost(self, group_columns: Sequence[str]) -> CostEstimate:
         """C_D(g): cost of the per-group deviation bound query (no join)."""
-        n = self._stats.row_count
-        facts = self.fact_count(group_columns)
-        cost = self._tuple_cost * (n + facts)
+        cost = self.group_costs(group_columns)[1]
         return CostEstimate(cost, f"deviation group-by for group {tuple(group_columns)}")

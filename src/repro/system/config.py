@@ -66,6 +66,10 @@ class SummarizationConfig:
             raise ValueError("max_fact_dimensions must be non-negative")
         if self.min_fact_support < 1:
             raise ValueError("min_fact_support must be at least 1")
+        for kind, columns in (("dimension", self.dimensions), ("target", self.targets)):
+            repeated = sorted({c for c in columns if columns.count(c) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {kind} columns: {repeated}")
         overlap = set(self.dimensions) & set(self.targets)
         if overlap:
             raise ValueError(f"columns cannot be both dimension and target: {sorted(overlap)}")

@@ -22,6 +22,7 @@ from repro.core.model import DimensionCodes, SummarizationRelation, factorize
 from repro.core.priors import ConstantPrior, Prior
 from repro.core.problem import SummarizationProblem
 from repro.facts.generation import FactGenerator
+from repro.relational.column import ColumnType
 from repro.relational.operators import select
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
@@ -73,6 +74,9 @@ class ProblemGenerator:
                 raise InvalidProblemError(
                     f"configured column {column!r} missing from table {table.name!r}"
                 )
+        for target in config.targets:
+            if table.column(target).ctype is ColumnType.CATEGORICAL:
+                raise InvalidProblemError(f"target column {target!r} must be numeric")
         self._config = config
         self._table = table
         self._prior = prior
@@ -80,6 +84,7 @@ class ProblemGenerator:
         self._min_subset_rows = min_subset_rows
         self._prior_cache: dict[str, Prior] = {}
         self._codes_cache: dict[str, DimensionCodes] = {}
+        self._target_cache: dict[str, np.ndarray] = {}
 
     @property
     def config(self) -> SummarizationConfig:
@@ -89,13 +94,14 @@ class ProblemGenerator:
     def __getstate__(self) -> dict:
         """Drop per-process caches when pickling (e.g. into pool workers).
 
-        The prior and column-code caches hold numpy-heavy derived state
+        The prior, column-code and target caches hold numpy-heavy derived state
         that every worker can rebuild lazily from the table; shipping
         them would dominate the pool start-up payload.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
         state["_codes_cache"] = {}
+        state["_target_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -203,7 +209,9 @@ class ProblemGenerator:
         predicates, named ``<table>_subset``; ``min_subset_rows`` counts
         its rows before the relation drops NULL-target rows.  The rows
         are found on the table's cached column codes, and the relation
-        inherits those codes instead of factorizing its dimensions again.
+        inherits those codes and the cached target floats at the rows
+        instead of reading its columns; it gathers its table only when
+        something reads it.
         """
         rows = self._subset_rows(query.predicate_map)
         if rows.size < self._min_subset_rows:
@@ -213,10 +221,12 @@ class ProblemGenerator:
             dim_codes, decode, code_of = self._column_codes(dim)
             codes[dim] = (dim_codes[rows], decode, code_of)
         return SummarizationRelation(
-            self._table.take(rows.tolist()).renamed(f"{self._table.name}_subset"),
+            self._table.renamed(f"{self._table.name}_subset"),
             list(self._config.dimensions),
             query.target,
             codes=codes,
+            rows=rows,
+            target_values=self._target_floats(query.target)[rows],
         )
 
     def _column_codes(self, column: str) -> DimensionCodes:
@@ -225,6 +235,13 @@ class ProblemGenerator:
         if cached is None:
             cached = factorize(self._table.column(column))
             self._codes_cache[column] = cached
+        return cached
+
+    def _target_floats(self, target: str) -> np.ndarray:
+        """A target column as floats, NaN for NULL (cached)."""
+        cached = self._target_cache.get(target)
+        if cached is None:
+            cached = self._target_cache[target] = self._table.column(target).to_numpy()
         return cached
 
     def _subset_rows(self, predicates: Mapping[str, Any]) -> np.ndarray:

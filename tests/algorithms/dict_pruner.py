@@ -19,7 +19,7 @@ import numpy as np
 from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
 from repro.algorithms.plan_optimizer import PruningPlanOptimizer
-from repro.algorithms.pruned_greedy import _PrunedGreedyBase
+from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, _PrunedGreedyBase
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
@@ -27,6 +27,7 @@ from repro.core.utility import ExpectationState, UtilityEvaluator
 from repro.facts.groups import FactGroup
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
+from tests.algorithms import plan_oracle
 
 
 def group_facts(facts: Sequence[Fact]) -> dict[FactGroup, list[Fact]]:
@@ -127,10 +128,26 @@ class DictFactGroupPruner:
         return outcome
 
 
+def oracle_plan(
+    summarizer: _PrunedGreedyBase,
+    groups: Sequence[FactGroup],
+    fact_counts: Mapping[FactGroup, int],
+    model: PruningCostModel,
+) -> PruningPlan:
+    """``summarizer``'s plan as ``plan_oracle`` chooses it over ``FactGroup`` sets."""
+    if isinstance(summarizer, OptimizedGreedySummarizer):
+        return plan_oracle.choose_plan(groups, fact_counts, model)
+    return plan_oracle.naive_plan(groups, fact_counts, model)
+
+
 def dict_pruned_solve(
-    summarizer: _PrunedGreedyBase, problem: SummarizationProblem
+    summarizer: _PrunedGreedyBase, problem: SummarizationProblem, oracle_plans: bool = False
 ) -> tuple[Speech, SummarizerStatistics]:
-    """``summarizer``'s greedy-with-pruning loop on the dict-based pruner."""
+    """``summarizer``'s greedy-with-pruning loop on the dict-based pruner.
+
+    With ``oracle_plans`` the plan, too, comes from the test oracle
+    (:func:`oracle_plan`) instead of the production optimizer.
+    """
     evaluator = problem.evaluator()
     stats = SummarizerStatistics()
     state = evaluator.initial_state()
@@ -143,7 +160,10 @@ def dict_pruned_solve(
         CostEstimator(TableStatistics.from_table(problem.relation.table)),
         sigma=summarizer._sigma,
     )
-    plan = summarizer._choose_plan(PruningPlanOptimizer(cost_model), groups, fact_counts)
+    if oracle_plans:
+        plan = oracle_plan(summarizer, groups, fact_counts, cost_model)
+    else:
+        plan = summarizer._choose_plan(PruningPlanOptimizer(cost_model), groups, fact_counts)
 
     pruner = DictFactGroupPruner(by_group, evaluator)
     selected: list[Fact] = []

@@ -198,6 +198,30 @@ class TestComputeGains:
         expected = repr([("a",), ("a", "b"), ("a", "c"), ("a", "d")])
         assert outputs == [expected, expected]
 
+    def test_each_new_plan_is_prepared_again(self, example_facts, example_evaluator):
+        """The pruner keeps the plan it prepared last; handed another
+        plan, it computes what a fresh pruner computes for that plan."""
+        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
+        plans = [
+            PruningPlan((FactGroup([]),), (FactGroup(["region"]), FactGroup(["season"]))),
+            PruningPlan((FactGroup(["region"]),), (FactGroup(["season"]),)),
+            PruningPlan((), ()),
+        ]
+        reused = FactGroupPruner(index, example_evaluator)
+        state = example_evaluator.initial_state()
+        outcomes = []
+        for plan in plans + plans[::-1]:
+            stats, fresh_stats = SummarizerStatistics(), SummarizerStatistics()
+            got = reused.compute_gains(state, plan, stats)
+            fresh = FactGroupPruner(index, example_evaluator)
+            want = fresh.compute_gains(state, plan, fresh_stats)
+            assert got.fact_ids.tolist() == want.fact_ids.tolist()
+            assert got.gains.tobytes() == want.gains.tobytes()
+            assert got.pruned_groups == want.pruned_groups
+            assert stats == fresh_stats
+            outcomes.append(got.fact_ids.tolist())
+        assert outcomes[0] != outcomes[1]
+
     def test_gains_listed_sources_first_in_group_order(self, example_facts, example_evaluator):
         # Interleave the groups: the outcome still lists source facts
         # first, then survivors, each group by group.
@@ -270,9 +294,9 @@ def _greedy_path_meets_tie(problem: SummarizationProblem) -> bool:
     return False
 
 
-def _assert_matches_dict_pruner(summarizer, problem):
+def _assert_matches_dict_pruner(summarizer, problem, oracle_plans=False):
     result = summarizer.summarize(problem)
-    speech, stats = dict_pruned_solve(summarizer, problem)
+    speech, stats = dict_pruned_solve(summarizer, problem, oracle_plans)
     assert result.speech.facts == speech.facts
     produced = result.statistics
     assert produced.fact_evaluations == stats.fact_evaluations
@@ -318,6 +342,33 @@ class TestDictPrunerParity:
         for problem in problems:
             for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
                 _assert_matches_dict_pruner(summarizer, problem)
+
+    def test_generated_query_problems_with_three_extra_dimensions(self):
+        """Every seventh flights query's problem with facts restricting up
+        to three columns beyond the query's: groups of arity 3 come out
+        of the batched grouping pass, and the oracle picks the plan too
+        (``plan_oracle``), so the whole pruned path is checked."""
+        dataset = load_dataset("flights", num_rows=300)
+        config = SummarizationConfig.create(
+            table=dataset.spec.key,
+            dimensions=dataset.spec.dimensions,
+            targets=dataset.spec.targets,
+            max_query_length=2,
+            max_fact_dimensions=3,
+        )
+        generator = ProblemGenerator(config, dataset.table)
+        queries = islice(generator.enumerate_queries(), 0, None, 7)
+        problems = [p for p in map(generator.build_problem, queries) if p is not None]
+        assert len(problems) > 100
+        # Groups restrict the query's columns plus up to three more.
+        widest = max(
+            max(map(len, problem.index().groups)) - min(map(len, problem.index().groups))
+            for problem in problems
+        )
+        assert widest == 3
+        for problem in problems:
+            for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
+                _assert_matches_dict_pruner(summarizer, problem, oracle_plans=True)
 
     def test_random_problems_exercise_ties(self):
         ties = sum(_greedy_path_meets_tie(_interleaved_problem(seed)) for seed in range(24))

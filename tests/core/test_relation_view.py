@@ -80,6 +80,40 @@ class TestSeededCodes:
         assert keys == fresh.grouping(["d"])[1] == [("x",)]
         assert not relation.scope_mask(Scope({"d": "z"})).any()
 
+    def test_rows_restrict_the_table_and_seeds_follow_them(self):
+        """``rows`` picks rows of the table without copying them up
+        front; seeded codes and target floats are aligned with ``rows``
+        and lose the NULL-target rows with them."""
+        table = Table(
+            "t",
+            [
+                Column.categorical("d", ["x", "y", "x", "z", "y"]),
+                Column.numeric("v", [1.0, None, 3.0, 4.0, None]),
+            ],
+        )
+        rows = np.array([4, 0, 1, 3])
+        parent_codes, decode, code_of = factorize(table.column("d"))
+        relation = SummarizationRelation(
+            table,
+            ["d"],
+            "v",
+            codes={"d": (parent_codes[rows], decode, code_of)},
+            rows=rows,
+            target_values=table.column("v").to_numpy()[rows],
+        )
+        expected = SummarizationRelation(table.take([4, 0, 1, 3]), ["d"], "v")
+        assert relation.num_rows == expected.num_rows == 2
+        assert relation.target_values.tolist() == [1.0, 4.0]
+        assert relation.dimension_codes("d")[0].tolist() == [0, 2]
+        assert relation.table == expected.table
+        inverse, keys = relation.grouping(["d"])
+        assert inverse.tolist() == [0, 1] and keys == [("x",), ("z",)]
+        unseeded = SummarizationRelation(table, ["d"], "v", rows=rows)
+        assert unseeded.table == expected.table
+        assert unseeded.target_values.tobytes() == expected.target_values.tobytes()
+        with pytest.raises(InvalidProblemError, match="is empty"):
+            SummarizationRelation(table, ["d"], "v", rows=rows[:0])
+
     def test_seeded_codes_must_fit(self, example_table):
         codes = factorize(example_table.column("region"))
         with pytest.raises(InvalidProblemError):

@@ -41,13 +41,20 @@ def random_relation(rng: np.random.Generator) -> SummarizationRelation:
 
 _DIM1 = ["a", "b", "c", None]
 _DIM2 = ["x", "y", None]
+_DIM3 = ["p", "q"]
+_DIM4 = ["m", "n", "o", None]
 
 
 @st.composite
 def hypothesis_relations(draw) -> SummarizationRelation:
     num_rows = draw(st.integers(min_value=3, max_value=14))
-    dim1 = draw(st.lists(st.sampled_from(_DIM1), min_size=num_rows, max_size=num_rows))
-    dim2 = draw(st.lists(st.sampled_from(_DIM2), min_size=num_rows, max_size=num_rows))
+    domains = {"d1": _DIM1, "d2": _DIM2, "d3": _DIM3, "d4": _DIM4}
+    columns = [
+        Column.categorical(
+            dim, draw(st.lists(st.sampled_from(domain), min_size=num_rows, max_size=num_rows))
+        )
+        for dim, domain in domains.items()
+    ]
     values = draw(
         st.lists(
             st.floats(min_value=0, max_value=50, allow_nan=False),
@@ -55,15 +62,19 @@ def hypothesis_relations(draw) -> SummarizationRelation:
             max_size=num_rows,
         )
     )
-    table = Table(
-        "random",
-        [
-            Column.categorical("d1", dim1),
-            Column.categorical("d2", dim2),
-            Column.numeric("v", values),
-        ],
-    )
-    return SummarizationRelation(table, ["d1", "d2"], "v")
+    table = Table("random", [*columns, Column.numeric("v", values)])
+    return SummarizationRelation(table, list(domains), "v")
+
+
+#: Optional base scopes over the relations' dimensions.
+_BASES = st.fixed_dictionaries(
+    {},
+    optional={
+        "d1": st.sampled_from(_DIM1[:-1]),
+        "d2": st.sampled_from(_DIM2[:-1]),
+        "d3": st.sampled_from(_DIM3),
+    },
+)
 
 
 def assert_identical_facts(generated, reference):
@@ -102,20 +113,20 @@ class TestVectorizedParity:
         reference = PerRowFactGenerator(relation, **kwargs).generate(base_scope=base)
         assert_identical_facts(generated, reference)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         relation=hypothesis_relations(),
-        base=st.fixed_dictionaries(
-            {}, optional={"d1": st.sampled_from(_DIM1[:-1]), "d2": st.sampled_from(_DIM2[:-1])}
-        ),
+        base=_BASES,
         min_support=st.integers(min_value=1, max_value=3),
+        max_extra=st.integers(min_value=0, max_value=3),
     )
-    def test_hypothesis_relations_match_reference(self, relation, base, min_support):
+    def test_hypothesis_relations_match_reference(self, relation, base, min_support, max_extra):
         """Property: small relations with NULL dimension values, random
-        base scopes and support floors give the oracle's facts, and the
-        rows the generator hands on lay out the index the regrouping
-        build resolves, array for array."""
-        kwargs = {"max_extra_dimensions": 2, "min_support": min_support}
+        base scopes, support floors and facts restricting up to three
+        extra columns give the oracle's facts, and the rows the
+        generator hands on lay out the index the regrouping build
+        resolves, array for array."""
+        kwargs = {"max_extra_dimensions": max_extra, "min_support": min_support}
         generated = FactGenerator(relation, **kwargs).generate(base)
         reference = PerRowFactGenerator(relation, **kwargs).generate(base)
         assert_identical_facts(generated, reference)
@@ -133,13 +144,14 @@ class TestVectorizedParity:
         target = relation.target_values
         for fact_id, fact in enumerate(generated.facts):
             assert fact.value == float(target[seeded.rows_of(fact_id)].mean())  # bitwise
+            # Scope masks compare codes row by row, without any grouping.
+            rows = relation.scope_row_indices(fact.scope)
+            np.testing.assert_array_equal(seeded.rows_of(fact_id), rows)
 
     @settings(max_examples=60, deadline=None)
     @given(
         relation=hypothesis_relations(),
-        base=st.fixed_dictionaries(
-            {}, optional={"d1": st.sampled_from(_DIM1[:-1]), "d2": st.sampled_from(_DIM2[:-1])}
-        ),
+        base=_BASES,
         min_support=st.integers(min_value=1, max_value=3),
         data=st.data(),
     )

@@ -99,3 +99,19 @@ class TestCostEstimator:
     def test_data_row_count(self, table):
         estimator = CostEstimator(TableStatistics.from_table(table))
         assert estimator.data_row_count == 4
+
+    @pytest.mark.parametrize("tuple_cost", [1.0, 0.3])
+    def test_group_costs_follow_the_formulas(self, tuple_cost):
+        """C_U = n + M + 2n and C_D = n + M, times the tuple cost, with M
+        the capped product of distinct counts; the estimates carry the
+        same numbers."""
+        statistics = TableStatistics(row_count=1033, distinct_counts={"a": 28, "b": 11, "c": 0})
+        estimator = CostEstimator(statistics, tuple_cost=tuple_cost)
+        for columns, facts in ((["a"], 28), (["a", "b"], 308), (["a", "b", "c"], 308), ([], 1)):
+            utility, deviation = estimator.group_costs(columns)
+            assert utility.hex() == (tuple_cost * (1033 + facts + 2 * 1033)).hex()
+            assert deviation.hex() == (tuple_cost * (1033 + facts)).hex()
+            assert float(estimator.utility_cost(columns)) == utility
+            assert float(estimator.deviation_cost(columns)) == deviation
+        capped = TableStatistics(row_count=50, distinct_counts={"a": 28, "b": 11})
+        assert CostEstimator(capped).group_costs(["a", "b"]) == (200.0, 100.0)

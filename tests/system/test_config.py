@@ -1,5 +1,8 @@
 """Unit tests for repro.system.config."""
 
+import json
+import re
+
 import pytest
 
 from repro.system.config import SummarizationConfig
@@ -52,6 +55,26 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="min_fact_support"):
             SummarizationConfig.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"dimensions": ("region", "region", "season")},
+                "duplicate dimension columns: ['region']",
+            ),
+            ({"targets": ("delay", "delay")}, "duplicate target columns: ['delay']"),
+        ],
+    )
+    def test_rejects_duplicate_columns(self, overrides, message):
+        """A repeated column would enumerate and solve the same query
+        more than once."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_config(**overrides)
+        payload = json.loads(make_config().to_json())
+        payload.update({field: list(columns) for field, columns in overrides.items()})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SummarizationConfig.from_json(json.dumps(payload))
 
     def test_create_helper(self):
         config = SummarizationConfig.create("t", ["a"], ["v"], max_query_length=1)

@@ -72,6 +72,12 @@ class TestQueryEnumeration:
         with pytest.raises(InvalidProblemError):
             ProblemGenerator(config, table)
 
+    def test_categorical_target_rejected(self, example_table):
+        """No problem could ever be built for it, so the generator refuses it up front."""
+        config = SummarizationConfig.create("flights", dimensions=("region",), targets=("season",))
+        with pytest.raises(InvalidProblemError, match="must be numeric"):
+            ProblemGenerator(config, example_table)
+
     @pytest.mark.parametrize("max_query_length", [1, 2, 3])
     @pytest.mark.parametrize("dimensions", [("region",), ("region", "season")])
     def test_arithmetic_count_matches_enumeration(

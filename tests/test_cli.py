@@ -135,6 +135,7 @@ class TestBadInput:
             (["--algorithm", "G-X"], "invalid choice: 'G-X'"),
             (["--facts", "0"], "max_facts_per_speech must be at least 1"),
             (["--max-query-length", "-1"], "max_query_length must be non-negative"),
+            (["--dimensions", "airline", "airline"], "duplicate dimension columns: ['airline']"),
         ],
     )
     def test_rejected_with_usage_error(self, capsys, option, message):
