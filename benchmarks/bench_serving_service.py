@@ -392,7 +392,7 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
             )
             batch = manager.build_append_table(held_out.to_dicts())
             await manager.request_append(batch)
-            digests = await manager.store_digests()
+            digests = await manager.store_digest()
             checks["snapshot_version"] = manager.version
             checks["barrier_consistent"] = digests["consistent"]
             checks["shard_digests"] = sorted(set(digests["digests"].values()))
@@ -423,7 +423,7 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
                 probe["snapshot_bytes"] = stats.get("snapshot_bytes", 0)
                 batch = manager.build_append_table(held_out.to_dicts())
                 await manager.request_append(batch)
-                digests = await manager.store_digests()
+                digests = await manager.store_digest()
                 probe["digest_consistent"] = digests["consistent"]
                 probe["digests"] = sorted(set(digests["digests"].values()))
             return probe

@@ -29,6 +29,8 @@ contract a network deployment can expose:
 * :mod:`repro.api.http_server` — :class:`VoiceHttpServer`, a
   stdlib-asyncio HTTP front-end exposing ``POST /v1/ask``,
   ``GET /v1/metrics``, ``GET /healthz`` and ``GET /v1/sessions/<id>``.
+* :mod:`repro.api.http1` — the HTTP/1.1 message framing both of them
+  (and so the shard router) use.
 
 Code that talks *to* the system should import from here; the engine and
 serving internals stay free to evolve behind the envelope contract.

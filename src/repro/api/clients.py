@@ -10,8 +10,8 @@ Two implementations ship:
   zero serialization, the fastest possible transport.
 * :class:`HttpClient` — speaks HTTP/1.1 to a
   :class:`repro.api.http_server.VoiceHttpServer` over a bounded pool of
-  keep-alive connections, using only the standard library's asyncio
-  streams.
+  keep-alive connections, over asyncio streams framed by
+  :mod:`repro.api.http1` (the server's framing too).
 
 Both raise the same exceptions
 (:class:`repro.api.errors.ServiceOverloadedError` for admission-control
@@ -34,6 +34,7 @@ import random
 from typing import Any, Protocol, runtime_checkable
 from urllib.parse import quote
 
+from repro.api import http1
 from repro.api.envelopes import (
     EnvelopeError,
     VoiceRequest,
@@ -422,44 +423,21 @@ class HttpClient:
     async def _round_trip(
         self, connection: _Connection, method: str, path: str, body: bytes
     ) -> tuple[int, bytes, float | None]:
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self._host}:{self._port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "\r\n"
-        )
-        connection.writer.write(head.encode("ascii") + body)
+        host = f"{self._host}:{self._port}"
+        connection.writer.write(http1.encode_request(method, path, host, body))
         await connection.writer.drain()
-
-        status_line = await connection.reader.readline()
-        if not status_line:
-            raise ConnectionResetError("server closed the connection")
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise TransportError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        content_length = 0
-        retry_after: float | None = None
-        while True:
-            line = await connection.reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                value = value.strip()
-                if not (value.isascii() and value.isdigit()):
-                    raise TransportError(f"malformed Content-Length {value!r}")
-                content_length = int(value)
-            elif name == "retry-after":
-                # Seconds form only (the HTTP-date form is not worth a
-                # parser here); ignore anything unparseable.
-                try:
-                    retry_after = max(0.0, float(value.strip()))
-                except ValueError:
-                    pass
-        if content_length > MAX_RESPONSE_BYTES:
-            raise VoiceApiError(f"response too large ({content_length} bytes)")
-        raw = await connection.reader.readexactly(content_length) if content_length else b""
-        return status, raw, retry_after
+        try:
+            start, headers = await http1.read_head(connection.reader)
+            length = http1.content_length(headers)
+        except http1.FramingError as exc:
+            raise TransportError(str(exc)) from exc
+        if len(start) < 2 or not (start[1].isascii() and start[1].isdigit()):
+            raise TransportError(f"malformed status line {' '.join(start)!r}")
+        if length > MAX_RESPONSE_BYTES:
+            raise VoiceApiError(f"response too large ({length} bytes)")
+        try:  # seconds form only; an HTTP-date or junk hint is ignored
+            retry_after = max(0.0, float(headers["retry-after"]))
+        except (KeyError, ValueError):
+            retry_after = None
+        raw = await connection.reader.readexactly(length) if length else b""
+        return int(start[1]), raw, retry_after

@@ -22,8 +22,9 @@ max_queue_depth:
     Requests allowed to wait for a worker before ``submit`` rejects
     with ``ServiceOverloadedError`` (>= 0; 0 = no waiting room).
 executor_workers:
-    Threads in the bounded offload executor for realization misses and
-    advanced answers; ``None`` picks ``max(2, concurrency // 2)``.
+    Threads in the bounded offload executor, which answers only
+    advanced (comparison/extremum) requests; store answers, exact or
+    subset, stay inline.  ``None`` picks ``max(2, concurrency // 2)``.
 maintenance_workers:
     Per-job worker count for background maintenance when no shared
     :class:`repro.system.worker_pool.WorkerPool` is given (0 = serial).

@@ -5,7 +5,8 @@
 using nothing beyond ``asyncio.start_server`` — no third-party web
 framework, matching the repo's no-new-dependencies constraint.  It
 speaks enough HTTP/1.1 for real clients: keep-alive connections,
-``Content-Length`` framing, JSON bodies, meaningful status codes.
+``Content-Length`` framing (:mod:`repro.api.http1`, shared with the
+client), JSON bodies, meaningful status codes.
 
 Endpoints (the ``/v1`` public contract)
 ---------------------------------------
@@ -47,7 +48,8 @@ Endpoints (the ``/v1`` public contract)
     (Unversioned by convention, like Kubernetes probes.)
 
 Anything else is ``404``; non-GET/POST methods are ``405``; bodies
-beyond ``MAX_BODY_BYTES`` are ``413``.
+beyond ``MAX_BODY_BYTES`` are ``413``; a malformed or conflicting
+``Content-Length`` is ``400``.
 
 Error bodies are machine-readable: every non-200 carries a stable
 ``code`` field (e.g. ``overloaded``, ``bad_envelope``, ``internal_error``)
@@ -66,6 +68,7 @@ import logging
 from typing import Any
 from urllib.parse import unquote
 
+from repro.api import http1
 from repro.api.envelopes import EnvelopeError, VoiceRequest, response_to_dict
 from repro.api.errors import MaintenanceUnavailableError, ServiceOverloadedError
 from repro.reliability import faults
@@ -79,15 +82,22 @@ RETRY_AFTER_SECONDS = 1
 
 logger = logging.getLogger(__name__)
 
-_STATUS_TEXT = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
+#: Each route's one allowed method; every session id shares one route.
+_SESSION_ROUTE = "/v1/sessions/<id>"
+_ROUTE_METHODS = {
+    "/v1/ask": "POST",
+    "/v1/append": "POST",
+    "/v1/metrics": "GET",
+    "/v1/store/digest": "GET",
+    _SESSION_ROUTE: "GET",
+    "/healthz": "GET",
+}
+
+#: Framing errors: the server answers them, then closes the connection.
+_BAD_LENGTH = 400, {"code": "bad_content_length", "error": "malformed Content-Length header"}
+_TOO_LARGE = 413, {
+    "code": "body_too_large",
+    "error": f"request body exceeds {MAX_BODY_BYTES} bytes",
 }
 
 
@@ -185,85 +195,34 @@ class VoiceHttpServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body, error = request
+                start, headers = await http1.read_head(reader)
+                if len(start) < 2:
+                    break  # not a request line
+                try:
+                    length = http1.content_length(headers)
+                    error = _TOO_LARGE if length > MAX_BODY_BYTES else None
+                except http1.FramingError:
+                    error = _BAD_LENGTH
                 if error is not None:
-                    # Protocol-level failure (bad framing, over-large
-                    # body): answer it and close — the stream position
-                    # is no longer trustworthy.
-                    self._write_response(writer, *error, keep_alive=False)
-                    await writer.drain()
+                    # Close after answering: the stream position is no
+                    # longer trustworthy.
+                    await self._respond(writer, *error, keep_alive=False)
                     break
-                status, payload = await self._dispatch(method, path, body)
+                body = await reader.readexactly(length) if length else b""
+                path = start[1].split("?", 1)[0]  # the /v1 contract ignores queries
+                status, payload = await self._dispatch(start[0].upper(), path, body)
                 if faults.FAILPOINTS.fires(faults.HTTP_DROP):
                     # The http.drop failpoint: hang up without writing
                     # the response, like a crashed proxy would.
                     break
                 keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-                self._write_response(writer, status, payload, keep_alive)
-                await writer.drain()
+                await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ValueError,  # StreamReader wraps an over-limit readline in it
-        ):
-            pass  # client went away or sent unframeable bytes mid-request
+        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
+            pass  # the client left, or sent an unframeable head (FramingError)
         finally:
             writer.close()
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes, tuple[int, dict] | None] | None:
-        """Parse one request; None on a cleanly closed connection.
-
-        The last tuple element carries a protocol-level error response
-        ``(status, payload)`` — set for unparseable ``Content-Length``
-        or an over-large body — so transport failures answer cleanly
-        instead of raising in the connection handler.
-        """
-        request_line = await reader.readline()
-        if not request_line or request_line in (b"\r\n", b"\n"):
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, raw_path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        # Ignore any query string; the /v1 contract carries everything
-        # in the JSON body.
-        path = raw_path.split("?", 1)[0]
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = -1
-        if length < 0:
-            error = (
-                400,
-                {"code": "bad_content_length", "error": "malformed Content-Length header"},
-            )
-            return method, path, headers, b"", error
-        if length > MAX_BODY_BYTES:
-            error = (
-                413,
-                {
-                    "code": "body_too_large",
-                    "error": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                },
-            )
-            return method, path, headers, b"", error
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body, None
 
     # ------------------------------------------------------------------
     # Routing
@@ -271,49 +230,32 @@ class VoiceHttpServer:
     async def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict[str, Any]]:
+        route = _SESSION_ROUTE if path.startswith("/v1/sessions/") else path
+        allowed = _ROUTE_METHODS.get(route)
+        if allowed is None:
+            return 404, {"code": "not_found", "error": f"no route for {path}"}
+        if method != allowed:
+            return 405, {"code": "method_not_allowed", "error": f"use {allowed} for {route}"}
         if path == "/v1/ask":
-            if method != "POST":
-                return 405, {"code": "method_not_allowed", "error": "use POST for /v1/ask"}
             return await self._handle_ask(body)
         if path == "/v1/append":
-            if method != "POST":
-                return 405, {
-                    "code": "method_not_allowed",
-                    "error": "use POST for /v1/append",
-                }
             return await self._handle_append(body)
         if path == "/v1/metrics":
-            if method != "GET":
-                return 405, {"code": "method_not_allowed", "error": "use GET for /v1/metrics"}
             return 200, await self._metrics_payload()
         if path == "/v1/store/digest":
-            if method != "GET":
-                return 405, {
-                    "code": "method_not_allowed",
-                    "error": "use GET for /v1/store/digest",
-                }
             return 200, await _maybe_await(self._service.store_digest())
-        if path.startswith("/v1/sessions/"):
-            if method != "GET":
-                return 405, {
-                    "code": "method_not_allowed",
-                    "error": "use GET for /v1/sessions/<id>",
-                }
+        if route == _SESSION_ROUTE:
             session_id = unquote(path[len("/v1/sessions/"):])
             summary = await _maybe_await(self._service.sessions.describe(session_id))
             if summary is None:
                 return 404, {"code": "unknown_session", "error": f"unknown session {session_id!r}"}
             return 200, summary
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"code": "method_not_allowed", "error": "use GET for /healthz"}
-            health = self._service.health()
-            health["snapshot_version"] = self._service.registry.version
-            # Degraded still answers requests — probes must keep routing
-            # traffic here (200), just with the reasons on display.
-            status = 200 if health["status"] in ("ok", "degraded") else 503
-            return status, health
-        return 404, {"code": "not_found", "error": f"no route for {path}"}
+        health = self._service.health()  # the one route left: /healthz
+        health["snapshot_version"] = self._service.registry.version
+        # Degraded still answers requests — probes must keep routing
+        # traffic here (200), just with the reasons on display.
+        status = 200 if health["status"] in ("ok", "degraded") else 503
+        return status, health
 
     async def _handle_ask(self, body: bytes) -> tuple[int, dict[str, Any] | bytes]:
         relay = getattr(self._service, "relay_ask", None)
@@ -402,7 +344,7 @@ class VoiceHttpServer:
     # Response writing
     # ------------------------------------------------------------------
     @staticmethod
-    def _write_response(
+    async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
         payload: dict[str, Any] | bytes,
@@ -425,15 +367,8 @@ class VoiceHttpServer:
             body = json.dumps(
                 {"code": "encode_failed", "error": f"response serialization failed: {exc}"}
             ).encode("utf-8")
-        retry_after = (
-            f"Retry-After: {RETRY_AFTER_SECONDS}\r\n" if status == 503 else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{retry_after}"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
+        headers: dict[str, object] = {"Connection": "keep-alive" if keep_alive else "close"}
+        if status == 503:
+            headers["Retry-After"] = RETRY_AFTER_SECONDS
+        writer.write(http1.encode_response(status, headers, body))
+        await writer.drain()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 from repro.api.config import DEFAULT_SESSION_CAPACITY
 from repro.api.envelopes import SCHEMA_VERSION, response_to_dict
@@ -98,11 +98,6 @@ class SessionStore:
     def __contains__(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._sessions
-
-    def session_ids(self) -> Iterator[str]:
-        """Live session ids, least- to most-recently used."""
-        with self._lock:
-            return iter(list(self._sessions))
 
     # ------------------------------------------------------------------
     # Request-path operations

@@ -2,8 +2,8 @@
 
 A *failpoint* is a named site in the serving stack where a fault can be
 injected on demand: a worker process crash, a stalled context
-broadcast, a maintenance pass that raises, a realization offload that
-is slow or fails, an HTTP connection dropped mid-response.  Production
+broadcast, a maintenance pass that raises, an offloaded advanced answer
+that is slow or fails, an HTTP connection dropped mid-response.  Production
 code calls :func:`trigger` (or the :func:`fires` / :func:`inject`
 helpers) at each site; with no configuration installed the call is a
 dict probe that returns None, so the sites cost nothing in normal
@@ -48,8 +48,9 @@ The well-known sites
     Raised inside the maintenance scheduler's job body — the job fails
     after appending rows, exercising rollback, retry and the breaker.
 ``serve.offload_slow`` / ``serve.offload_raise``
-    Applied inside the service's offload executor: the offloaded
-    request sleeps past its deadline, or fails outright.
+    Applied inside the service's offload executor, which answers only
+    advanced (comparison/extremum) requests: the offloaded request
+    sleeps past its deadline, or fails outright.
 ``http.drop``
     Evaluated by the HTTP server after handling a request; a firing
     hit closes the connection without writing the response.

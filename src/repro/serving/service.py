@@ -14,13 +14,13 @@
   service replays exactly what the interactive engine would for the
   same history.  Session-less requests never touch the store, keeping
   the exact-hit fast path free of session overhead.
-* **Inline fast path / bounded offload** — requests the store answers
-  with one exact-key probe (the paper's common case: near-zero-latency
-  hits on pre-generated speeches) are realized inline on the event
-  loop.  Requests needing real work — non-exact subset matching, or
-  comparison/extremum answers computed over the table — are offloaded
-  to a bounded thread-pool executor so one heavy request cannot stall
-  the loop.
+* **Inline store answers / bounded offload** — every store answer is
+  one ``best_match`` on the pinned snapshot (an exact hit, the paper's
+  near-zero-latency common case, or a subset match: a few dict probes
+  either way) and is answered inline on the event loop.  Only advanced
+  comparison/extremum answers, which aggregate over the table, are
+  offloaded to a bounded thread-pool executor so one heavy request
+  cannot stall the loop.
 * **Admission control** — at most ``concurrency`` requests are in
   flight and at most ``max_queue_depth`` may wait; beyond that
   :meth:`submit` fails fast with :class:`ServiceOverloadedError`
@@ -63,7 +63,7 @@ from repro.api.sessions import SessionStore
 from repro.relational.table import Table
 from repro.reliability import faults
 from repro.serving.scheduler import MaintenanceScheduler
-from repro.serving.snapshots import SnapshotRegistry, StoreSnapshot
+from repro.serving.snapshots import SnapshotRegistry
 from repro.storage.recovery import (
     DurabilityCoordinator,
     RecoveredState,
@@ -140,10 +140,6 @@ class ServiceMetrics:
         misses = self.responses_by_kind.get(ResponseKind.NO_DATA.value, 0)
         total = hits + misses
         return hits / total if total else 0.0
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank latency percentile (seconds) over the window."""
-        return self._percentile(sorted(self._latencies), fraction)
 
     @staticmethod
     def _percentile(ordered: list[float], fraction: float) -> float:
@@ -612,24 +608,27 @@ class VoiceService:
     async def _answer(self, request: VoiceRequest) -> tuple[VoiceResponse, bool]:
         """Answer one request against the snapshot pinned at dispatch.
 
+        Store answers — an exact hit or a subset match, one
+        ``best_match`` on the pinned snapshot either way — and canned
+        help/repeat/unsupported texts are answered on the loop.  Only
+        advanced answers, which aggregate over the table, go to the
+        bounded executor.
+
         Session state is threaded through without taxing the fast path:
         requests without a ``session_id`` never touch the session
         store, and requests with one pay two O(1) locked dict
-        operations — a repeat-state read (repeat requests only, which
-        are canned-answer inline work anyway) and the post-answer
-        record.
+        operations — a repeat-state read (repeat requests only) and the
+        post-answer record.
         """
         snapshot = self._registry.current
         parsed, request_type = self._engine.parse_and_classify(request.text)
-        if self._offloads(parsed, request_type, snapshot):
+        offloaded = (
+            request_type is RequestType.UNSUPPORTED_QUERY and self._engine.advanced_enabled
+        )
+        if offloaded:
             response = await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                self._respond_offloaded,
-                parsed,
-                request_type,
-                snapshot,
+                self._executor, self._respond_offloaded, parsed, request_type
             )
-            offloaded = True
         else:
             last_response = None
             if request.session_id is not None and request_type is RequestType.REPEAT:
@@ -637,16 +636,12 @@ class VoiceService:
             response = self._engine.respond_to(
                 parsed, request_type, store=snapshot.store, last_response=last_response
             )
-            offloaded = False
         if request.session_id is not None:
             self._sessions.record(request.session_id, parsed, response)
         return response, offloaded
 
     def _respond_offloaded(
-        self,
-        parsed: ParsedRequest,
-        request_type: RequestType,
-        snapshot: StoreSnapshot,
+        self, parsed: ParsedRequest, request_type: RequestType
     ) -> VoiceResponse:
         # Offload failpoints, applied on the executor thread: a slow
         # offload overruns deadlines (serve.offload_slow), a failing
@@ -655,27 +650,4 @@ class VoiceService:
         if rule is not None:
             time.sleep(rule.sleep)
         faults.FAILPOINTS.inject(faults.OFFLOAD_RAISE)
-        return self._engine.respond_to(parsed, request_type, store=snapshot.store)
-
-    def _offloads(
-        self,
-        parsed: ParsedRequest,
-        request_type: RequestType,
-        snapshot: StoreSnapshot,
-    ) -> bool:
-        """Whether a request needs the executor.
-
-        Exact store hits (one dict probe, the paper's near-zero-latency
-        case) and canned help/repeat/unsupported texts stay on the
-        loop.  Realization misses — data queries without an exact
-        pre-generated speech, which fall into subset matching — and
-        unsupported queries that the advanced extension answers by
-        aggregating over the table are real work and go to the bounded
-        executor.
-        """
-        if request_type is RequestType.SUPPORTED_QUERY and parsed.query is not None:
-            return snapshot.exact_match(parsed.query) is None
-        return (
-            request_type is RequestType.UNSUPPORTED_QUERY
-            and self._engine.advanced_enabled
-        )
+        return self._engine.respond_to(parsed, request_type)

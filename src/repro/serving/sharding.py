@@ -46,7 +46,7 @@ serving a stale snapshot once an append is acked.  Appends are
 serialized through one lock, which also pins each shard's maintenance
 job grouping to one-batch-per-job — with the deterministic
 maintainer, every shard's post-swap store is byte-identical
-(:meth:`store_digests` verifies exactly that).
+(:meth:`store_digest` verifies exactly that).
 
 Supervision
 -----------
@@ -863,7 +863,7 @@ class ShardManager:
         aggregated["shards"] = per_shard
         return aggregated
 
-    async def store_digests(self) -> dict[str, Any]:
+    async def store_digest(self) -> dict[str, Any]:
         """Every healthy shard's store digest (the byte-parity probe)."""
         digests: dict[str, str | None] = {}
         for handle in self._shards:
@@ -880,10 +880,6 @@ class ShardManager:
             "snapshot_version": self._version,
             "consistent": bool(present) and len(set(present)) == 1,
         }
-
-    async def store_digest(self) -> dict[str, Any]:
-        """Awaitable alias so the HTTP server treats manager and service alike."""
-        return await self.store_digests()
 
     def health(self) -> dict:
         """Router health: degraded while any shard is down.

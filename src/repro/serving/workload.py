@@ -6,7 +6,7 @@ queries.  Questions are synthesized from the stored queries themselves
 — "what is the <target> for <value> and <value>" — so most requests are
 exact store hits (the paper's dominant case), with a configurable share
 of *miss* questions built by crossing predicate values of different
-stored queries, which exercise the subset-matching/offload path.
+stored queries, which exercise subset matching.
 
 :func:`drive_requests` drives a :class:`VoiceService` directly;
 :func:`drive_client` drives any :class:`repro.api.clients.VoiceClient`

@@ -270,7 +270,7 @@ class TestTransportErrors:
     while an HTTP error status or a timeout must not.
     """
 
-    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0", b"+5"])
     def test_bad_content_length_is_a_transport_error(self, length):
         reply = b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\n{}"
         error = _against_stub(reply, _get_health)
@@ -278,6 +278,20 @@ class TestTransportErrors:
         assert isinstance(error, ConnectionError)
         assert error.status is None
         assert "Content-Length" in str(error)
+
+    def test_conflicting_content_lengths_are_a_transport_error(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}"
+        error = _against_stub(reply, _get_health)
+        assert isinstance(error, TransportError)
+        assert "Content-Length" in str(error)
+
+    def test_over_long_response_head_is_a_transport_error(self):
+        # One 70 KB header line: past the stream's 64 KiB head limit.
+        reply = b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70_000 + b"\r\nContent-Length: 2\r\n\r\n{}"
+        error = _against_stub(reply, _get_health)
+        assert isinstance(error, TransportError)
+        assert isinstance(error, ConnectionError)
+        assert error.status is None
 
     def test_garbled_status_line_is_a_transport_error(self):
         error = _against_stub(b"SPDY/9 ??\r\n\r\n", _get_health)

@@ -142,7 +142,7 @@ class TestAskValidation:
         raw = run_with_server(engine, scenario)
         assert raw.startswith(b"HTTP/1.1 413 ")
 
-    @pytest.mark.parametrize("bad_length", ["abc", "-5"])
+    @pytest.mark.parametrize("bad_length", ["abc", "-5", "1_0", "+5"])
     def test_malformed_content_length_is_400_not_a_dropped_connection(
         self, engine, bad_length
     ):
@@ -156,6 +156,18 @@ class TestAskValidation:
         raw = run_with_server(engine, scenario)
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length" in raw
+
+    def test_conflicting_content_lengths_are_400(self, engine):
+        async def scenario(service, server, client):
+            head = (
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 5\r\nContent-Length: 0\r\n\r\n"
+            )
+            return await raw_request(server, head)
+
+        raw = run_with_server(engine, scenario)
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b'"bad_content_length"' in raw
 
     def test_single_nul_byte_body_is_bad_json_not_413(self, engine):
         async def scenario(service, server, client):

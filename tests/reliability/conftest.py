@@ -31,6 +31,12 @@ def engine(example_table) -> VoiceQueryEngine:
 
 
 @pytest.fixture()
+def advanced_engine(example_table) -> VoiceQueryEngine:
+    """The same engine with comparison/extremum answers enabled."""
+    return make_engine(example_table, advanced=True)
+
+
+@pytest.fixture()
 def append_batch():
     """One append batch over the running-example schema."""
     return append_table([("East", "Winter", 55.0), ("North", "Summer", 44.0)])

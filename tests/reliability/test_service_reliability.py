@@ -21,9 +21,9 @@ from repro.reliability.faults import InjectedFault
 from repro.serving import VoiceService
 from repro.system.engine import ResponseKind
 
-#: A data query without a pre-generated exact speech: falls into
-#: subset matching, which the service offloads to the executor.
-OFFLOAD_QUESTION = "delays for East in Winter"
+#: An advanced comparison: it aggregates over the table, so the
+#: service answers it on the executor (every store answer is inline).
+OFFLOAD_QUESTION = "compare the delay between Winter and Summer"
 
 #: Allowance past the deadline for the event loop to schedule the
 #: timed-out response ("one scheduling quantum", generously).
@@ -31,13 +31,13 @@ QUANTUM_SECONDS = 0.25
 
 
 class TestDeadlines:
-    def test_slow_offloads_time_out_within_the_deadline(self, engine):
+    def test_slow_offloads_time_out_within_the_deadline(self, advanced_engine):
         deadline_ms = 150.0
         config = ServingConfig(concurrency=2, default_deadline_ms=deadline_ms)
 
         async def run():
             with FAILPOINTS.active(["serve.offload_slow:sleep=0.6,times=0"]):
-                async with VoiceService(engine, config) as service:
+                async with VoiceService(advanced_engine, config) as service:
                     responses = await asyncio.gather(
                         *(service.submit(VoiceRequest(text=OFFLOAD_QUESTION)) for _ in range(4))
                     )
@@ -52,12 +52,12 @@ class TestDeadlines:
         assert summary["timeouts"] == 4
         assert summary["reliability"]["timeouts"] == 4
 
-    def test_request_deadline_overrides_the_default(self, engine):
+    def test_request_deadline_overrides_the_default(self, advanced_engine):
         config = ServingConfig(concurrency=2, default_deadline_ms=50.0)
 
         async def run():
             with FAILPOINTS.active(["serve.offload_slow:sleep=0.2,times=0"]):
-                async with VoiceService(engine, config) as service:
+                async with VoiceService(advanced_engine, config) as service:
                     generous = await service.submit(
                         VoiceRequest(text=OFFLOAD_QUESTION, deadline_ms=10_000.0)
                     )
@@ -65,15 +65,15 @@ class TestDeadlines:
                     return generous, default
 
         generous, default = asyncio.run(run())
-        assert generous.kind is ResponseKind.SPEECH  # its own budget sufficed
+        assert generous.kind is ResponseKind.COMPARISON  # its own budget sufficed
         assert default.kind is ResponseKind.TIMEOUT  # the 50 ms default did not
 
-    def test_timed_out_request_records_no_session_state(self, engine):
+    def test_timed_out_request_records_no_session_state(self, advanced_engine):
         config = ServingConfig(concurrency=2, default_deadline_ms=100.0)
 
         async def run():
             with FAILPOINTS.active(["serve.offload_slow:sleep=0.5,times=0"]):
-                async with VoiceService(engine, config) as service:
+                async with VoiceService(advanced_engine, config) as service:
                     timed_out = await service.submit(
                         VoiceRequest(text=OFFLOAD_QUESTION, session_id="s")
                     )
@@ -89,19 +89,19 @@ class TestDeadlines:
         timed_out, live_sessions, replay = asyncio.run(run())
         assert timed_out.kind is ResponseKind.TIMEOUT
         assert live_sessions == 0
-        assert replay.text == engine.respond("repeat").text  # stateless fallback
+        assert replay.text == advanced_engine.respond("repeat").text  # stateless fallback
 
-    def test_offload_raise_failpoint_surfaces_as_request_error(self, engine):
+    def test_offload_raise_failpoint_surfaces_as_request_error(self, advanced_engine):
         async def run():
             with FAILPOINTS.active(["serve.offload_raise:times=1"]):
-                async with VoiceService(engine, ServingConfig(concurrency=2)) as service:
+                async with VoiceService(advanced_engine, ServingConfig(concurrency=2)) as service:
                     with pytest.raises(InjectedFault):
                         await service.submit(VoiceRequest(text=OFFLOAD_QUESTION))
                     recovered = await service.submit(VoiceRequest(text=OFFLOAD_QUESTION))
                     return recovered, service.metrics_summary()
 
         recovered, summary = asyncio.run(run())
-        assert recovered.kind is ResponseKind.SPEECH
+        assert recovered.kind is ResponseKind.COMPARISON
         assert summary["errors"] == 1
         assert summary["completed"] == 1
 

@@ -25,9 +25,14 @@ def make_config(max_query_length: int = 2) -> SummarizationConfig:
     )
 
 
-def make_engine(table: Table, preprocess: bool = True) -> VoiceQueryEngine:
+def make_engine(
+    table: Table, preprocess: bool = True, advanced: bool = False
+) -> VoiceQueryEngine:
     engine = VoiceQueryEngine(
-        make_config(), table, target_synonyms={"delay": ["delays"]}
+        make_config(),
+        table,
+        target_synonyms={"delay": ["delays"]},
+        enable_advanced_queries=advanced,
     )
     if preprocess:
         engine.preprocess()
@@ -43,6 +48,12 @@ def append_table(rows: list[tuple]) -> Table:
 def engine(example_table) -> VoiceQueryEngine:
     """A pre-processed engine over the running-example table."""
     return make_engine(example_table)
+
+
+@pytest.fixture()
+def advanced_engine(example_table) -> VoiceQueryEngine:
+    """The same engine with comparison/extremum answers enabled."""
+    return make_engine(example_table, advanced=True)
 
 
 @pytest.fixture()

@@ -9,8 +9,31 @@ import pytest
 from repro.api import ServiceOverloadedError, ServingConfig, VoiceRequest
 from repro.serving import VoiceService
 from repro.system.engine import ResponseKind
+from repro.system.speech_store import SpeechStore
 
 from tests.serving.conftest import append_table
+
+
+class CountingStore(SpeechStore):
+    """Counts lookups: every ``exact_match`` or ``best_match`` call from
+    outside the store (``best_match`` probes ``exact_match`` itself)."""
+
+    lookups = 0
+    _in_best_match = False
+
+    def exact_match(self, query):
+        if not self._in_best_match:
+            self.lookups += 1
+        return super().exact_match(query)
+
+    def best_match(self, query):
+        self.lookups += 1
+        self._in_best_match = True
+        try:
+            return super().best_match(query)
+        finally:
+            self._in_best_match = False
+
 
 QUESTIONS = [
     "what is the delay in Winter",
@@ -61,18 +84,44 @@ class TestRequestPath:
 
         asyncio.run(run())
 
-    def test_inline_vs_offload_split(self, engine):
+    def test_inline_vs_offload_split(self, advanced_engine):
         async def run():
-            async with VoiceService(engine, ServingConfig(concurrency=2)) as service:
+            config = ServingConfig(concurrency=2)
+            async with VoiceService(advanced_engine, config) as service:
                 await service.submit(VoiceRequest(text="what is the delay in Winter"))  # exact hit
                 await service.submit(VoiceRequest(text="help"))  # canned text
                 await service.submit(VoiceRequest(text="delays for East in Winter"))  # subset match
+                # An advanced answer aggregates over the table: offloaded.
+                await service.submit(
+                    VoiceRequest(text="compare the delay between Winter and Summer")
+                )
                 return service.metrics.summary()
 
         summary = asyncio.run(run())
-        assert summary["inline"] == 2
+        assert summary["inline"] == 3
         assert summary["offloaded"] == 1
-        assert summary["completed"] == 3
+        assert summary["completed"] == 4
+        assert summary["responses_by_kind"]["comparison"] == 1
+
+    def test_each_store_answer_is_one_lookup(self, engine):
+        store = CountingStore()
+        for speech in engine.store:
+            store.add(speech)
+        engine.swap_store(store)
+
+        async def run():
+            lookups = []
+            async with VoiceService(engine, ServingConfig(concurrency=1)) as service:
+                for text in ("what is the delay in Winter", "delays for East in Winter"):
+                    before = store.lookups
+                    response = await service.submit(VoiceRequest(text=text))
+                    lookups.append((response.kind, response.exact_match, store.lookups - before))
+            return lookups
+
+        assert asyncio.run(run()) == [
+            (ResponseKind.SPEECH, True, 1),  # exact hit
+            (ResponseKind.SPEECH, False, 1),  # subset match
+        ]
 
 
 class TestAdmissionControl:

@@ -137,7 +137,7 @@ class TestShardedServing:
                 # The barrier has already returned, so *right now* every
                 # shard must serve the new version with identical bytes.
                 assert manager.version == 1
-                digests = await manager.store_digests()
+                digests = await manager.store_digest()
                 assert digests["consistent"], digests
                 after = await manager.submit(VoiceRequest(text="delays for East in Winter"))
                 assert after.text != before.text
@@ -213,7 +213,7 @@ class TestShardedServing:
                 assert stats["template_bytes"] < len(pickle.dumps(engine)) / 2
                 assert len(stats["spawn_seconds"]) == 2
 
-                digests = await manager.store_digests()
+                digests = await manager.store_digest()
                 assert digests["consistent"], digests
 
                 batch = manager.build_append_table(
@@ -223,7 +223,7 @@ class TestShardedServing:
                     ]
                 )
                 await manager.request_append(batch)
-                digests = await manager.store_digests()
+                digests = await manager.store_digest()
                 assert digests["consistent"], digests
                 assert set(digests["digests"].values()) == {ref_digest}
                 # Every shard refroze the swapped store as version 1.
@@ -241,7 +241,7 @@ class TestShardedServing:
                         await asyncio.sleep(0.05)
 
                 await asyncio.wait_for(until_respawned(), timeout=60)
-                digests = await manager.store_digests()
+                digests = await manager.store_digest()
                 assert digests["consistent"], digests
                 assert set(digests["digests"].values()) == {ref_digest}
                 assert manager.spawn_stats()["snapshot_version"] == 1
