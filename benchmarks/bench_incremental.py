@@ -5,8 +5,9 @@ kept in sync with an append-only table.  Three sections:
 
 * ``discovery`` — affected-query detection for one update batch, the
   seed's per-(query, row) ``contains_row`` scan (reimplemented here as
-  the reference) against the membership-set fast path now in
-  ``repro.system.updates``; both must find the identical query list.
+  the reference) against the path now in ``repro.system.updates``,
+  which builds the affected queries from the new rows' value tuples;
+  both must find the identical query list.
 * ``maintenance`` — one full maintenance pass three ways: legacy
   (reference discovery + serial rebuild), the current serial path, and
   the worker-pool path per requested worker count.  Every variant must

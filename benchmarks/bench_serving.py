@@ -20,9 +20,14 @@ The ``compact`` phase additionally prices the columnar
 mirrors: bytes per speech (deep-traversed object bytes vs. the compact
 arena bytes vs. the frozen file), freeze/attach wall time, and lookup
 latency on the identical query stream — with every sampled lookup
-verified byte-identical between the two implementations.  The full
-sweep sizes this phase at 10^5-10^6 speeches (a wider synthetic
-vocabulary than the scaling sweep, which needs only ~16k keys).
+verified byte-identical between the two implementations.  It also
+times what a maintenance job's snapshot costs: compacting the store
+from scratch against compacting it incrementally, from the previous
+version's compaction, after an append's worth of replaced speeches
+(``incremental_speedup``; the incremental result is checked equal to
+the full one).  The full sweep sizes this phase at 10^5-10^6 speeches
+(a wider synthetic vocabulary than the scaling sweep, which needs only
+~16k keys).
 
 Usage::
 
@@ -33,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -57,6 +63,10 @@ TARGET = "target"
 #: ~1.86M keys at lengths 0-3, enough for the 10^6-speech rung.
 COMPACT_DIMENSIONS = 8
 COMPACT_VALUES = 32
+
+#: Speeches one flights append re-summarizes (voice_e2e ``append``):
+#: the change an incremental compaction is timed on.
+REPLACED_PER_APPEND = 44
 
 
 def _vocabulary(
@@ -206,11 +216,42 @@ def run(store_sizes: list[int], num_lookups: int) -> dict:
     }
 
 
+def best_seconds(run, repeats: int = 3) -> tuple[float, object]:
+    """Fastest of ``repeats`` timed calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def replace_speeches(store: SpeechStore, count: int, seed: int = 53) -> SpeechStore:
+    """A clone of ``store`` with ``count`` speeches replaced in place."""
+    changed = store.clone()
+    speeches = list(store)
+    rng = np.random.default_rng(seed)
+    for speech_id in rng.choice(len(speeches), size=count, replace=False).tolist():
+        stored = speeches[speech_id]
+        changed.add(dataclasses.replace(stored, text=stored.text + ".", utility=1.0))
+    return changed
+
+
+def same_sections(left, right) -> bool:
+    a, b = left.sections(), right.sections()
+    return sorted(a) == sorted(b) and all(
+        np.array_equal(a[name], b[name])
+        if isinstance(a[name], np.ndarray)
+        else bytes(a[name]) == bytes(b[name])
+        for name in a
+    )
+
+
 def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
     """Price the compact store against the dict store it mirrors."""
     import tempfile
 
-    from repro.store import CompactSpeechStore, attach, freeze
+    from repro.store import CompactSpeechStore, Compaction, attach, freeze
 
     dims, values = COMPACT_DIMENSIONS, COMPACT_VALUES
     lookups = build_lookups(num_lookups, dims=dims, values=values)
@@ -220,9 +261,14 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
         store = build_store(size, dims=dims, values=values)
         dict_bytes = dict_store_bytes(store)
 
-        start = time.perf_counter()
-        compact = CompactSpeechStore.from_store(store)
-        build_seconds = time.perf_counter() - start
+        # CompactSpeechStore.from_store(store) is this call: the
+        # incremental compaction, starting from nothing.
+        build_seconds, compaction = best_seconds(lambda: Compaction.empty().advance(store))
+        compact = compaction.store
+        changed = replace_speeches(store, min(REPLACED_PER_APPEND, size))
+        incremental_seconds, advanced = best_seconds(lambda: compaction.advance(changed))
+        if not same_sections(advanced.store, CompactSpeechStore.from_store(changed)):
+            agreement = False
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.snap"
@@ -260,6 +306,8 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
                 "file_bytes_per_speech": file_bytes / size,
                 "compression_ratio": dict_bytes / compact.nbytes,
                 "build_seconds": build_seconds,
+                "incremental_seconds": incremental_seconds,
+                "incremental_speedup": build_seconds / incremental_seconds,
                 "freeze_seconds": freeze_seconds,
                 "attach_seconds": attach_seconds,
                 "dict_microseconds_per_lookup": dict_seconds / num_lookups * 1e6,
@@ -282,6 +330,7 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
         "bytes_per_speech": largest["compact_bytes_per_speech"],
         "compression_ratio": largest["compression_ratio"],
         "lookup_ratio": largest["lookup_ratio"],
+        "incremental_speedup": largest["incremental_speedup"],
         "paths_agree": agreement,
     }
 
@@ -323,7 +372,8 @@ def main(argv=None) -> int:
         return 1
     if not report["compact"]["paths_agree"]:
         print(
-            "ERROR: compact best_match disagrees with the dict store",
+            "ERROR: compact best_match disagrees with the dict store, or the "
+            "incremental compaction with the full one",
             file=sys.stderr,
         )
         return 1

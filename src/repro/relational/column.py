@@ -203,6 +203,10 @@ class Column:
         """Number of NULL entries."""
         return sum(1 for v in self._values if v is None)
 
+    def first_index(self, value: Any) -> int:
+        """Row of the first value equal to ``value`` (ValueError if none)."""
+        return self._values.index(value)
+
     def distinct_values(self) -> list[Any]:
         """Distinct non-NULL values, in first-appearance order."""
         seen: dict[Any, None] = {}

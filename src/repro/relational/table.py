@@ -222,7 +222,10 @@ class Table:
     def concat(self, other: "Table") -> "Table":
         """Append ``other``'s rows to this table.
 
-        Schemas (names and types, in order) must match exactly.
+        Schemas (names and types, in order) must match exactly.  Both
+        sides' values are already normalised for their (equal) column
+        types, so nothing is normalised again: appending a few rows to
+        a large table costs a list copy, not a pass over every value.
         """
         if self.column_names != other.column_names:
             raise SchemaError(
@@ -235,7 +238,7 @@ class Table:
                     f"cannot concat: column {mine.name!r} types differ "
                     f"({mine.ctype} vs {theirs.ctype})"
                 )
-            cols.append(mine.with_values(list(mine) + list(theirs)))
+            cols.append(mine._derived(mine._values + theirs._values))
         return Table(self._name, cols)
 
     def sorted_by(self, column_name: str, descending: bool = False) -> "Table":

@@ -23,7 +23,10 @@ disturbed, and publishes the maintained store with one atomic
 serialized and each starts from the previous swap, the final store is
 identical to running ``maintain`` serially on the same job batches in
 the same order — the parity the serving benchmark and property tests
-verify byte-for-byte.
+verify byte-for-byte.  A snapshot publish and a checkpoint of the new
+version both write the registry's one compaction of it
+(:meth:`SnapshotRegistry.compacted`), which starts from the previous
+version's and re-encodes only the speeches the job changed.
 
 Failures are survived, not just recorded.  A failed job rolls the
 maintainer back (the half-applied append would otherwise corrupt the
@@ -538,9 +541,10 @@ class MaintenanceScheduler:
             self._consecutive_failures = 0
             self._breaker_opened_at = None
             if self._registry.publisher is not None:
-                # Refreeze the maintained store for shard (re)spawns.
-                # O(store), so on the executor; failures are recorded on
-                # the publisher, never raised into the job.
+                # Freeze the maintained store for shard (re)spawns: the
+                # compaction costs the changed speeches, the file write
+                # the store, so on the executor; failures are recorded
+                # on the publisher, never raised into the job.
                 await loop.run_in_executor(
                     self._executor, self._registry.publish_current
                 )
@@ -548,13 +552,14 @@ class MaintenanceScheduler:
                 self._retry_successes += 1
             if self._durability is not None and job.journal_seqs:
                 # On the executor thread: marking applied may trigger a
-                # checkpoint, which serialises the whole store — never
-                # on the event loop.
+                # checkpoint, which writes the registry's compaction of
+                # this version (the one the publish froze) to disk —
+                # never on the event loop.
                 await loop.run_in_executor(
                     self._executor,
                     self._durability.commit_applied,
                     job.journal_seqs,
-                    build,
+                    self._registry.compacted,
                     self._maintainer.table,
                     job.snapshot_version,
                 )

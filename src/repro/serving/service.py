@@ -37,7 +37,10 @@
   The registry's first version is the one the engine's store was
   frozen at when it is an attached
   :class:`repro.store.CompactSpeechStore` (a shard started from a
-  published snapshot), else 0.
+  published snapshot), else 0 — and then the directory's snapshot
+  files from a previous run are deleted first, since publishing skips
+  versions already on disk.  Snapshot publishes and checkpoints write
+  the registry's one compaction per version.
 
 The engine's session state is untouched while serving, and after every
 snapshot swap the engine re-derives its table-bound components
@@ -239,13 +242,6 @@ class VoiceService:
             # and the maintainer, so both see the journal's appends.
             recovered, self._durability = recover_engine(engine, config)
             self._recovery = recovered
-            if recovered.replayed_records:
-                # Fold the replayed records into a fresh checkpoint so
-                # the next restart (and every crash until the first
-                # policy checkpoint) replays nothing twice.
-                self._durability.checkpoint_now(
-                    recovered.store, recovered.table, store_version=0
-                )
         store = engine.store
         version = 0
         if isinstance(store, CompactSpeechStore):
@@ -253,6 +249,11 @@ class VoiceService:
             # carries the version it was frozen at; the registry
             # continues from there so the router's barrier lines up.
             version = store.snapshot_version or 0
+        elif self._publisher is not None:
+            # Versions restart at 0, so a previous run's snapshots
+            # would be kept (publishing skips versions on disk) and
+            # served in place of this store's.
+            self._publisher.clear()
         self._registry = SnapshotRegistry(
             store, version=version, publisher=self._publisher
         )
@@ -261,6 +262,13 @@ class VoiceService:
         # disk, e.g. the one just attached); swaps refreeze via the
         # scheduler.
         self._registry.publish_current()
+        if self._recovery is not None and self._recovery.replayed_records:
+            # Fold the replayed records into a fresh checkpoint so the
+            # next restart (and every crash until the first policy
+            # checkpoint) replays nothing twice.
+            self._durability.checkpoint_now(
+                self._registry.compacted(), self._recovery.table, store_version=0
+            )
         self._scheduler = MaintenanceScheduler(
             maintainer
             or IncrementalMaintainer(
@@ -503,7 +511,7 @@ class VoiceService:
                 # A clean shutdown checkpoints the final state so the
                 # next start replays nothing.
                 self._durability.checkpoint_now(
-                    self._registry.current.store,
+                    self._registry.compacted(),
                     self._scheduler.table,
                     self._registry.version,
                 )

@@ -342,8 +342,7 @@ class ShardManager:
             self._publisher = SnapshotPublisher(self._config.snapshot_dir)
             # The router's versions restart at 0 on every start, so a
             # previous run's snapshots would hand shards stale stores.
-            for version in self._publisher.versions():
-                self._publisher.path_for(version).unlink()
+            self._publisher.clear()
             if self._publisher.publish(engine.store, 0) is None:
                 raise SnapshotError(
                     "could not freeze base snapshot v0 into "

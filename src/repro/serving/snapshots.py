@@ -16,7 +16,13 @@ serving layer never mutates the store it reads.  Instead:
 * maintenance builds the next store from
   :meth:`StoreSnapshot.begin_build` — a clone sharing the immutable
   speech payloads — mutates the clone off to the side, and publishes it
-  via :meth:`SnapshotRegistry.swap`.
+  via :meth:`SnapshotRegistry.swap`;
+* the registry compacts the current store into a
+  :class:`repro.store.CompactSpeechStore` at most once per version, and
+  only when a snapshot publish or a checkpoint asks for it
+  (:meth:`SnapshotRegistry.compacted`).  Each compaction starts from
+  the previous one and re-encodes only the speeches maintenance
+  replaced or added, so it costs about what the append changed.
 
 Requests pin the snapshot once at admission (``registry.current``) and
 answer entirely from it; in-flight requests keep their pinned snapshot
@@ -30,6 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.store import CompactSpeechStore, Compaction
 from repro.system.queries import DataQuery
 from repro.system.speech_store import MatchResult, SpeechStore, StoredSpeech
 
@@ -97,6 +104,9 @@ class SnapshotRegistry:
         #: publisher's directory as ``store-v{version}.snap`` — the file
         #: a (re)spawning shard attaches instead of unpickling a store.
         self.publisher = publisher
+        self._compact_lock = threading.Lock()
+        self._compaction = Compaction.empty()
+        self._compacted_version: int | None = None
 
     @property
     def current(self) -> StoreSnapshot:
@@ -108,20 +118,41 @@ class SnapshotRegistry:
         """Version of the latest published snapshot."""
         return self._current.version
 
+    def compacted(self) -> CompactSpeechStore:
+        """The current snapshot's store as a compact store.
+
+        Computed at most once per version, from the last compaction
+        (:meth:`repro.store.Compaction.advance`), so a version costs the
+        speeches that changed since the last one compacted rather than
+        the whole store.  A current store that is already compact (an
+        attached snapshot) is returned as it is.
+        """
+        return self._compact(self._current)
+
+    def _compact(self, snapshot: StoreSnapshot) -> CompactSpeechStore:
+        with self._compact_lock:
+            if isinstance(snapshot.store, CompactSpeechStore):
+                return snapshot.store
+            if self._compacted_version != snapshot.version:
+                self._compaction = self._compaction.advance(snapshot.store)
+                self._compacted_version = snapshot.version
+            return self._compaction.store
+
     def publish_current(self):
         """Freeze the current snapshot through the publisher, if any.
 
         Runs off the event loop (the maintenance scheduler calls it on
-        its executor after each swap): freezing is O(store).  Returns
-        the snapshot file path, or None when there is no publisher or
-        the freeze failed (recorded on ``publisher.last_error`` — a
-        failed publish never takes serving down; the previous frozen
-        version keeps covering respawns).
+        its executor after each swap).  The freeze writes
+        :meth:`compacted`, so it costs the changed speeches plus the
+        file write.  Returns the snapshot file path, or None when there
+        is no publisher or the freeze failed (recorded on
+        ``publisher.last_error`` — a failed publish never takes serving
+        down; the previous frozen version keeps covering respawns).
         """
         if self.publisher is None:
             return None
         snapshot = self._current
-        return self.publisher.publish(snapshot.store, snapshot.version)
+        return self.publisher.publish(self._compact(snapshot), snapshot.version)
 
     def swap(self, store: SpeechStore) -> StoreSnapshot:
         """Publish ``store`` as the new current snapshot.

@@ -11,7 +11,10 @@ Each checkpoint is a directory named by its watermark
 * ``store.snap`` — the speech store in the checksummed columnar
   snapshot format of :mod:`repro.store`, validated twice on load
   (manifest CRC plus the format's own header/section checksums) and
-  thawed to a mutable store for journal replay.
+  thawed to a mutable store for journal replay.  The serving tier
+  hands :meth:`CheckpointManager.save` the snapshot registry's
+  compaction of the version (the one a snapshot publish freezes too),
+  so saving writes that file without compacting the store again.
 * ``table.json`` — the maintained table, canonically encoded.
 * ``manifest.json`` — the watermark (``applied_seq``), the snapshot
   version that produced the state, the journal byte offset at save
@@ -42,7 +45,7 @@ from pathlib import Path
 from repro.relational.table import Table
 from repro.reliability import faults
 from repro.storage.durability import table_from_payload, table_to_payload
-from repro.store import attach, freeze
+from repro.store import CompactSpeechStore, attach, freeze
 from repro.system.speech_store import SpeechStore
 
 #: Manifest format marker; a mismatch invalidates the checkpoint.
@@ -106,13 +109,16 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def save(
         self,
-        store: SpeechStore,
+        store: SpeechStore | CompactSpeechStore,
         table: Table,
         applied_seq: int,
         store_version: int,
         journal_offset: int,
     ) -> Path:
         """Atomically persist one checkpoint; returns its directory.
+
+        A :class:`CompactSpeechStore` is written as it is; a mutable
+        store is compacted first.
 
         The ``checkpoint.save`` failpoint fires after the temporary
         files are written but before the rename — a killing rule

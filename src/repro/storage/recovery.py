@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.relational.table import Table
 from repro.reliability import faults
@@ -58,6 +58,7 @@ from repro.storage.durability import (
     read_journal,
     table_from_payload,
 )
+from repro.store import CompactSpeechStore
 from repro.system.config import SummarizationConfig
 from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
@@ -250,9 +251,10 @@ class DurabilityCoordinator:
 
     Thread model: ``log_append`` and ``mark_dropped`` run on the event
     loop (small, flushed writes); ``commit_applied`` and
-    ``checkpoint_now`` run on the maintenance executor thread (they
-    serialise the whole store).  A single lock serialises all journal
-    and policy state.
+    ``checkpoint_now`` run on the maintenance executor thread (a
+    checkpoint writes the whole store file, though the store it writes
+    is the registry's compaction of that version, not a fresh one).  A
+    single lock serialises all journal and policy state.
     """
 
     def __init__(
@@ -309,15 +311,17 @@ class DurabilityCoordinator:
     def commit_applied(
         self,
         seqs: Sequence[int],
-        store: SpeechStore,
+        compacted: Callable[[], SpeechStore | CompactSpeechStore],
         table: Table,
         store_version: int,
     ) -> None:
         """Record a committed swap; checkpoint when the policy says so.
 
         Runs on the maintenance executor thread after the snapshot
-        swap published — ``store`` is the just-published store, so a
-        triggered checkpoint serialises consistent state.
+        swap published.  ``compacted`` returns the just-published store
+        (the registry's compaction of it, shared with the snapshot
+        publish), so a triggered checkpoint writes consistent state; it
+        is called only when a checkpoint is due.
         """
         with self._lock:
             self._journal.mark_applied(seqs, store_version)
@@ -330,7 +334,7 @@ class DurabilityCoordinator:
                 >= self._every_bytes
             )
             if due:
-                self._checkpoint(store, table, store_version)
+                self._checkpoint(compacted(), table, store_version)
 
     def mark_applied(self, seqs: Sequence[int], store_version: int) -> None:
         """Record an applied group without checkpointing.
@@ -354,14 +358,14 @@ class DurabilityCoordinator:
                 self._applied_seq = max(self._applied_seq, max(int(s) for s in seqs))
 
     def checkpoint_now(
-        self, store: SpeechStore, table: Table, store_version: int
+        self, store: SpeechStore | CompactSpeechStore, table: Table, store_version: int
     ) -> bool:
         """Force a checkpoint (e.g. right after a replaying recovery)."""
         with self._lock:
             return self._checkpoint(store, table, store_version)
 
     def _checkpoint(
-        self, store: SpeechStore, table: Table, store_version: int
+        self, store: SpeechStore | CompactSpeechStore, table: Table, store_version: int
     ) -> bool:
         try:
             self._checkpoints.save(

@@ -8,7 +8,7 @@ per-speech deserialisation — the layout that lets N shard processes
 share one copy of a million-speech store.
 """
 
-from repro.store.columnar import CompactSpeechStore
+from repro.store.columnar import CompactSpeechStore, Compaction
 from repro.store.errors import (
     SnapshotCorruptionError,
     SnapshotError,
@@ -20,6 +20,7 @@ from repro.store.publish import SnapshotPublisher, snapshot_filename
 
 __all__ = [
     "CompactSpeechStore",
+    "Compaction",
     "SnapshotCorruptionError",
     "SnapshotError",
     "SnapshotFormatError",

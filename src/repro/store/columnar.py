@@ -31,6 +31,15 @@ Layout
   predicates before it is trusted, so a (vanishingly unlikely) digest
   collision can never produce a wrong match.
 
+Compaction
+----------
+:class:`Compaction` builds the layout from a mutable store, one version
+after another: it re-encodes only the speeches whose objects changed
+since the previous version and rebuilds the rest with NumPy from the
+previous version's sections.  ``from_store`` is the same path started
+from the empty store, so every version's sections equal those of a
+one-pass compaction from scratch (``tests/store/compact_oracle.py``).
+
 Matching parity
 ---------------
 ``exact_match`` / ``best_match`` reproduce ``SpeechStore`` bit for bit:
@@ -46,7 +55,9 @@ byte-identical results.
 from __future__ import annotations
 
 import json
+import operator
 from collections import OrderedDict
+from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import combinations
 from typing import Any, Iterator
@@ -126,11 +137,11 @@ def _posting_digest(target: str, column: str, token: str) -> int:
 # Build-side interning helpers
 # ----------------------------------------------------------------------
 class _Pool:
-    """An append-only intern pool of strings."""
+    """An append-only intern pool of strings (optionally pre-seeded)."""
 
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self.items: list[str] = []
+    def __init__(self, items: list[str] | None = None) -> None:
+        self.items: list[str] = list(items or ())
+        self._index: dict[str, int] = {item: i for i, item in enumerate(self.items)}
 
     def intern(self, item: str) -> int:
         idx = self._index.get(item)
@@ -141,21 +152,8 @@ class _Pool:
         return idx
 
     def blob(self) -> tuple[bytes, np.ndarray]:
-        offsets = np.zeros(len(self.items) + 1, dtype=np.int64)
-        chunks = []
-        position = 0
-        for i, item in enumerate(self.items):
-            encoded = item.encode("utf-8")
-            chunks.append(encoded)
-            position += len(encoded)
-            offsets[i + 1] = position
-        return b"".join(chunks), offsets
-
-
-def _pool_sections(name: str, pool: _Pool, sections: dict[str, Any]) -> None:
-    blob, offsets = pool.blob()
-    sections[f"{name}_blob"] = blob
-    sections[f"{name}_off"] = offsets
+        encoded = [item.encode("utf-8") for item in self.items]
+        return b"".join(encoded), _offsets(np.fromiter(map(len, encoded), np.int64))
 
 
 def _decode_pool(sections: dict[str, Any], name: str) -> list[str]:
@@ -165,6 +163,176 @@ def _decode_pool(sections: dict[str, Any], name: str) -> list[str]:
         bytes(blob[int(offsets[i]) : int(offsets[i + 1])]).decode("utf-8")
         for i in range(len(offsets) - 1)
     ]
+
+
+_POOLS = ("targets", "columns", "algorithms", "values")
+
+#: dtype of every array section; the ``*_blob`` sections are bytes.
+_DTYPES: dict[str, Any] = {
+    **{f"{pool}_off": np.int64 for pool in _POOLS},
+    "target_id": np.int32,
+    "algorithm_id": np.int32,
+    "utility": np.float64,
+    "scaled_utility": np.float64,
+    "text_off": np.int64,
+    "q_off": np.int64,
+    "q_col": np.int32,
+    "q_val": np.int32,
+    "f_off": np.int64,
+    "fact_value": np.float64,
+    "fact_support": np.int64,
+    "s_off": np.int64,
+    "s_col": np.int32,
+    "s_val": np.int32,
+    "key_digest": np.uint64,
+    "key_sorted_id": np.int32,
+    "post_digest": np.uint64,
+    "post_off": np.int64,
+    "post_ids": np.int32,
+    "bucket_target": np.int32,
+    "bucket_length": np.int32,
+    "bucket_off": np.int64,
+    "bucket_ids": np.int32,
+}
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets (a leading 0, then the running total) of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+# ----------------------------------------------------------------------
+# Compaction
+# ----------------------------------------------------------------------
+def _encode(speeches: list[StoredSpeech], pools: dict[str, _Pool]) -> dict[str, Any]:
+    """The per-speech sections of ``speeches`` alone.
+
+    Strings are interned into ``pools``; offsets start at 0, and
+    ``key_digest`` is per speech, not yet sorted.
+    """
+    targets, columns, algorithms, values = (pools[name] for name in _POOLS)
+    raw: dict[str, list] = {
+        name: []
+        for name in (
+            "target_id",
+            "algorithm_id",
+            "utility",
+            "scaled_utility",
+            "q_col",
+            "q_val",
+            "fact_value",
+            "fact_support",
+            "s_col",
+            "s_val",
+            "key_digest",
+        )
+    }
+    for name in ("text_off", "q_off", "f_off", "s_off"):
+        raw[name] = [0]
+    text_chunks: list[bytes] = []
+    for stored in speeches:
+        target = stored.query.target
+        raw["target_id"].append(targets.intern(target))
+        raw["algorithm_id"].append(algorithms.intern(stored.algorithm))
+        raw["utility"].append(float(stored.utility))
+        raw["scaled_utility"].append(float(stored.scaled_utility))
+        encoded = stored.text.encode("utf-8")
+        text_chunks.append(encoded)
+        raw["text_off"].append(raw["text_off"][-1] + len(encoded))
+
+        pairs: list[tuple[str, str]] = []
+        for column, value in stored.query.predicates:
+            raw["q_col"].append(columns.intern(column))
+            raw["q_val"].append(values.intern(_value_json(value)))
+            pairs.append((column, _canonical_token(value)))
+        raw["q_off"].append(len(raw["q_col"]))
+        raw["key_digest"].append(_key_digest(target, pairs))
+
+        for fact in stored.speech:
+            raw["fact_value"].append(float(fact.value))
+            raw["fact_support"].append(int(fact.support))
+            for column, value in fact.scope:
+                raw["s_col"].append(columns.intern(column))
+                raw["s_val"].append(values.intern(_value_json(value)))
+            raw["s_off"].append(len(raw["s_col"]))
+        raw["f_off"].append(len(raw["fact_value"]))
+    sections: dict[str, Any] = {
+        name: np.asarray(items, dtype=_DTYPES[name]) for name, items in raw.items()
+    }
+    sections["text_blob"] = b"".join(text_chunks)
+    return sections
+
+
+def _runs(rows: np.ndarray, local: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, row count) of each maximal run of consecutive ``rows``.
+
+    Runs also break at row ``local``, where the local rows start, so
+    each run lies in the previous rows or in the local ones.
+    """
+    starts = np.flatnonzero((np.diff(rows, prepend=-2) != 1) | (rows == local))
+    return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
+def _take(
+    previous: np.ndarray, local: np.ndarray, runs: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The concatenated slices ``[first, first + count)`` of ``runs``.
+
+    Indices number ``previous`` first, then ``local``; no run crosses
+    from one into the other.
+    """
+    size = len(previous)
+    pieces = [
+        previous[a : a + c] if a < size else local[a - size : a - size + c]
+        for a, c in zip(runs[0].tolist(), runs[1].tolist())
+    ]
+    return np.concatenate(pieces) if pieces else previous[:0]
+
+
+def _splice_csr(
+    runs: tuple[np.ndarray, np.ndarray], previous: np.ndarray, local: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Offsets of the CSR rows ``runs`` selects, and the runs of their elements.
+
+    Rows and elements number the previous ones first, then the local
+    ones.
+    """
+    offsets = np.concatenate([previous, previous[-1] + local[1:]])
+    first, count = runs
+    start = offsets[first]
+    spliced = _offsets(_take(np.diff(previous), np.diff(local), runs))
+    return spliced, (start, offsets[first + count] - start)
+
+
+def _first_appearance(size: int, *streams: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pool ids in order of first appearance; unreferenced ids are dropped.
+
+    Each stream is (pool ids, their positions in one interleaved
+    sequence).
+    """
+    never = np.iinfo(np.int64).max
+    first = np.full(size, never, dtype=np.int64)
+    for ids, positions in streams:
+        np.minimum.at(first, ids, positions)
+    used = np.flatnonzero(first != never)
+    return used[np.argsort(first[used])]
+
+
+def _narrow(keys: np.ndarray) -> np.ndarray:
+    """Non-negative ``keys`` in the smallest unsigned dtype that holds them.
+
+    NumPy's stable sort is a radix sort for 8- and 16-bit keys.
+    """
+    return keys.astype(np.min_scalar_type(int(keys.max(initial=0))))
+
+
+def _renumbering(order: np.ndarray, size: int) -> np.ndarray:
+    """Maps old pool id ``order[i]`` to ``i``."""
+    renumber = np.zeros(size, dtype=np.int32)
+    renumber[order] = np.arange(len(order))
+    return renumber
 
 
 class CompactSpeechStore:
@@ -210,122 +378,14 @@ class CompactSpeechStore:
     def from_store(
         cls, store: "SpeechStore | CompactSpeechStore"
     ) -> "CompactSpeechStore":
-        """Compact a store; speech ids keep first-insertion order."""
+        """Compact a store; speech ids keep first-insertion order.
+
+        The incremental compaction of :class:`Compaction`, starting
+        from nothing.
+        """
         if isinstance(store, CompactSpeechStore):
             return store
-        targets, columns, algorithms, values = _Pool(), _Pool(), _Pool(), _Pool()
-        target_id: list[int] = []
-        algorithm_id: list[int] = []
-        utility: list[float] = []
-        scaled_utility: list[float] = []
-        text_chunks: list[bytes] = []
-        text_off = [0]
-        q_off = [0]
-        q_col: list[int] = []
-        q_val: list[int] = []
-        f_off = [0]
-        fact_value: list[float] = []
-        fact_support: list[int] = []
-        s_off = [0]
-        s_col: list[int] = []
-        s_val: list[int] = []
-        key_digests: list[int] = []
-        postings: dict[tuple[int, int, str], list[int]] = {}
-        posting_digests: dict[tuple[int, int, str], int] = {}
-        buckets: dict[tuple[int, int], list[int]] = {}
-
-        for speech_id, stored in enumerate(store):
-            target = stored.query.target
-            tid = targets.intern(target)
-            target_id.append(tid)
-            algorithm_id.append(algorithms.intern(stored.algorithm))
-            utility.append(float(stored.utility))
-            scaled_utility.append(float(stored.scaled_utility))
-            encoded = stored.text.encode("utf-8")
-            text_chunks.append(encoded)
-            text_off.append(text_off[-1] + len(encoded))
-
-            pairs: list[tuple[str, str]] = []
-            for column, value in stored.query.predicates:
-                cid = columns.intern(column)
-                q_col.append(cid)
-                q_val.append(values.intern(_value_json(value)))
-                token = _canonical_token(value)
-                pairs.append((column, token))
-                posting_key = (tid, cid, token)
-                if posting_key not in postings:
-                    postings[posting_key] = []
-                    posting_digests[posting_key] = _posting_digest(
-                        target, column, token
-                    )
-                postings[posting_key].append(speech_id)
-            q_off.append(len(q_col))
-            key_digests.append(_key_digest(target, pairs))
-            buckets.setdefault((tid, stored.query.length), []).append(speech_id)
-
-            for fact in stored.speech:
-                fact_value.append(float(fact.value))
-                fact_support.append(int(fact.support))
-                for column, value in fact.scope:
-                    s_col.append(columns.intern(column))
-                    s_val.append(values.intern(_value_json(value)))
-                s_off.append(len(s_col))
-            f_off.append(len(fact_value))
-
-        sections: dict[str, Any] = {}
-        _pool_sections("targets", targets, sections)
-        _pool_sections("columns", columns, sections)
-        _pool_sections("algorithms", algorithms, sections)
-        _pool_sections("values", values, sections)
-        sections["target_id"] = np.asarray(target_id, dtype=np.int32)
-        sections["algorithm_id"] = np.asarray(algorithm_id, dtype=np.int32)
-        sections["utility"] = np.asarray(utility, dtype=np.float64)
-        sections["scaled_utility"] = np.asarray(scaled_utility, dtype=np.float64)
-        sections["text_blob"] = b"".join(text_chunks)
-        sections["text_off"] = np.asarray(text_off, dtype=np.int64)
-        sections["q_off"] = np.asarray(q_off, dtype=np.int64)
-        sections["q_col"] = np.asarray(q_col, dtype=np.int32)
-        sections["q_val"] = np.asarray(q_val, dtype=np.int32)
-        sections["f_off"] = np.asarray(f_off, dtype=np.int64)
-        sections["fact_value"] = np.asarray(fact_value, dtype=np.float64)
-        sections["fact_support"] = np.asarray(fact_support, dtype=np.int64)
-        sections["s_off"] = np.asarray(s_off, dtype=np.int64)
-        sections["s_col"] = np.asarray(s_col, dtype=np.int32)
-        sections["s_val"] = np.asarray(s_val, dtype=np.int32)
-
-        digest_array = np.asarray(key_digests, dtype=np.uint64)
-        order = np.argsort(digest_array, kind="stable")
-        sections["key_digest"] = digest_array[order]
-        sections["key_sorted_id"] = order.astype(np.int32)
-
-        posting_keys = sorted(postings, key=lambda k: posting_digests[k])
-        post_off = [0]
-        post_ids: list[int] = []
-        for key in posting_keys:
-            post_ids.extend(postings[key])
-            post_off.append(len(post_ids))
-        sections["post_digest"] = np.asarray(
-            [posting_digests[k] for k in posting_keys], dtype=np.uint64
-        )
-        sections["post_off"] = np.asarray(post_off, dtype=np.int64)
-        sections["post_ids"] = np.asarray(post_ids, dtype=np.int32)
-
-        bucket_keys = sorted(buckets)
-        bucket_off = [0]
-        bucket_ids: list[int] = []
-        for key in bucket_keys:
-            bucket_ids.extend(buckets[key])
-            bucket_off.append(len(bucket_ids))
-        sections["bucket_target"] = np.asarray(
-            [k[0] for k in bucket_keys], dtype=np.int32
-        )
-        sections["bucket_length"] = np.asarray(
-            [k[1] for k in bucket_keys], dtype=np.int32
-        )
-        sections["bucket_off"] = np.asarray(bucket_off, dtype=np.int64)
-        sections["bucket_ids"] = np.asarray(bucket_ids, dtype=np.int32)
-
-        return cls(sections, {"speeches": len(target_id)})
+        return Compaction.empty().advance(store).store
 
     # ------------------------------------------------------------------
     # Sizing / metadata
@@ -599,3 +659,167 @@ class CompactSpeechStore:
         return MatchResult(
             stored=self.stored(best_id), exact=False, overlap=best_length
         )
+
+
+@dataclass(frozen=True)
+class Compaction:
+    """One compacted store version and the speeches it encodes, in id order.
+
+    :meth:`advance` compacts a later version of the store from this
+    one.  ``SpeechStore.add`` replaces a speech in place and appends new
+    keys, so a speech id keeps its place across versions: a speech is
+    re-encoded only when the object at its id is no longer the one
+    compacted here (``is``).  Everything else is NumPy over the
+    previous sections — splicing the per-speech CSR arrays, ranking the
+    pools by first appearance, then rebuilding the postings, buckets and
+    sorted key digests — so the cost is the changed speeches' encoding
+    plus a few passes over flat arrays.  The result is section for
+    section what compacting the store from scratch gives, for any store
+    (ids that changed meaning are simply re-encoded).
+    """
+
+    store: CompactSpeechStore
+    speeches: list[StoredSpeech]
+
+    @classmethod
+    def empty(cls) -> "Compaction":
+        """The compaction of the empty store (every compaction starts here)."""
+        sections: dict[str, Any] = {f"{name}_blob": b"" for name in (*_POOLS, "text")}
+        for name, dtype in _DTYPES.items():
+            sections[name] = np.zeros(int(name.endswith("_off")), dtype=dtype)
+        return cls(CompactSpeechStore(sections, {"speeches": 0}), [])
+
+    def advance(self, store: SpeechStore) -> "Compaction":
+        """Compact ``store``, re-encoding only the speeches that changed."""
+        speeches = list(store)
+        n, m = len(speeches), len(self.speeches)
+        common = min(n, m)
+        fresh = np.ones(n, dtype=bool)
+        fresh[:common] = ~np.fromiter(
+            map(operator.is_, speeches, self.speeches), dtype=bool, count=common
+        )
+        fresh_ids = np.flatnonzero(fresh)
+
+        previous = self.store._sections
+        pools = {name: _Pool(_decode_pool(previous, name)) for name in _POOLS}
+        local = _encode([speeches[i] for i in fresh_ids.tolist()], pools)
+
+        def take(name: str, runs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+            return _take(previous[name], local[name], runs)
+
+        # Output speech i is previous row i, or fresh speech j's row m + j.
+        rows = np.arange(n)
+        rows[fresh_ids] = m + np.arange(fresh_ids.size)
+        runs = _runs(rows, m)
+        out: dict[str, Any] = {
+            name: take(name, runs)
+            for name in ("target_id", "algorithm_id", "utility", "scaled_utility")
+        }
+        digest_by_id = np.empty(m, dtype=np.uint64)
+        digest_by_id[previous["key_sorted_id"]] = previous["key_digest"]
+        digest = _take(digest_by_id, local["key_digest"], runs)
+        out["text_off"], text_runs = _splice_csr(
+            runs, previous["text_off"], local["text_off"]
+        )
+        text = [np.frombuffer(s["text_blob"], np.uint8) for s in (previous, local)]
+        out["text_blob"] = _take(*text, text_runs).tobytes()
+        out["q_off"], q_runs = _splice_csr(runs, previous["q_off"], local["q_off"])
+        out["f_off"], f_runs = _splice_csr(runs, previous["f_off"], local["f_off"])
+        out["s_off"], s_runs = _splice_csr(f_runs, previous["s_off"], local["s_off"])
+        for name in ("fact_value", "fact_support"):
+            out[name] = take(name, f_runs)
+        q_col, q_val = (take(name, q_runs) for name in ("q_col", "q_val"))
+        s_col, s_val = (take(name, s_runs) for name in ("s_col", "s_val"))
+
+        # Rank each pool by first appearance in the order the speeches
+        # intern it: per speech, its predicates, then its facts' scopes.
+        speech_of_q = np.repeat(np.arange(n), np.diff(out["q_off"]))
+        scope_bounds = out["s_off"][out["f_off"]]
+        speech_of_s = np.repeat(np.arange(n), np.diff(scope_bounds))
+        q_pos = np.arange(len(q_col)) + scope_bounds[speech_of_q]
+        s_pos = np.arange(len(s_col)) + out["q_off"][speech_of_s + 1]
+        streams = {
+            "targets": [(out["target_id"], np.arange(n))],
+            "algorithms": [(out["algorithm_id"], np.arange(n))],
+            "columns": [(q_col, q_pos), (s_col, s_pos)],
+            "values": [(q_val, q_pos), (s_val, s_pos)],
+        }
+        items: dict[str, list[str]] = {}
+        renumber: dict[str, np.ndarray] = {}
+        for name in _POOLS:
+            size = len(pools[name].items)
+            order = _first_appearance(size, *streams[name])
+            items[name] = [pools[name].items[i] for i in order.tolist()]
+            renumber[name] = _renumbering(order, size)
+            out[f"{name}_blob"], out[f"{name}_off"] = _Pool(items[name]).blob()
+        out["target_id"] = renumber["targets"][out["target_id"]]
+        out["algorithm_id"] = renumber["algorithms"][out["algorithm_id"]]
+        out["q_col"], out["s_col"] = (renumber["columns"][c] for c in (q_col, s_col))
+        out["q_val"], out["s_val"] = (renumber["values"][v] for v in (q_val, s_val))
+
+        order = np.argsort(digest, kind="stable")
+        out["key_digest"], out["key_sorted_id"] = digest[order], order
+        out.update(_postings(out, items, speech_of_q))
+        out.update(_buckets(out["target_id"], np.diff(out["q_off"])))
+        sections = {
+            name: np.asarray(value, dtype=_DTYPES[name]) if name in _DTYPES else value
+            for name, value in out.items()
+        }
+        return Compaction(CompactSpeechStore(sections, {"speeches": n}), speeches)
+
+
+def _postings(
+    out: dict[str, Any], items: dict[str, list[str]], speech_of_q: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Posting lists: one per (target, column, canonical token) key.
+
+    Keys sort by digest, ties by first appearance; each list holds its
+    speech ids ascending.
+    """
+    token_ids: dict[str, int] = {}
+    value_token = np.array(
+        [
+            token_ids.setdefault(_canonical_token(json.loads(v)), len(token_ids))
+            for v in items["values"]
+        ],
+        dtype=np.int64,
+    )
+    columns, tokens = max(1, len(items["columns"])), max(1, len(token_ids))
+    target_column = out["target_id"][speech_of_q].astype(np.int64) * columns
+    target_column += out["q_col"]
+    code = target_column * tokens + value_token[out["q_val"]]
+    keys, first, key_of_q = np.unique(
+        _narrow(code), return_index=True, return_inverse=True
+    )
+    target, rest = np.divmod(keys.astype(np.int64), columns * tokens)
+    column, token = np.divmod(rest, tokens)
+    token_items = list(token_ids)
+    digests = np.array(
+        [
+            _posting_digest(items["targets"][t], items["columns"][c], token_items[k])
+            for t, c, k in zip(target.tolist(), column.tolist(), token.tolist())
+        ],
+        dtype=np.uint64,
+    )
+    order = np.lexsort((first, digests))
+    entry_of_q = _renumbering(order, len(keys))[key_of_q]
+    return {
+        "post_digest": digests[order],
+        "post_off": _offsets(np.bincount(entry_of_q, minlength=len(keys))),
+        "post_ids": speech_of_q[np.argsort(_narrow(entry_of_q), kind="stable")],
+    }
+
+
+def _buckets(target_id: np.ndarray, length: np.ndarray) -> dict[str, np.ndarray]:
+    """Speech ids grouped by (target id, stored length), keys ascending."""
+    width = int(length.max(initial=0)) + 1
+    bucket = target_id.astype(np.int64) * width + length
+    counts = np.bincount(bucket)
+    used = np.flatnonzero(counts)
+    bucket_target, bucket_length = np.divmod(used, width)
+    return {
+        "bucket_target": bucket_target,
+        "bucket_length": bucket_length,
+        "bucket_off": _offsets(counts[used]),
+        "bucket_ids": np.argsort(_narrow(bucket), kind="stable"),
+    }

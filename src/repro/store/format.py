@@ -123,10 +123,11 @@ def freeze(
 ) -> Path:
     """Write ``store`` as a compact snapshot file (atomically).
 
-    ``store`` may be a mutable :class:`SpeechStore` (compacted first) or
-    an existing :class:`CompactSpeechStore`.  The file appears at
-    ``path`` only when complete: content goes to a temporary sibling
-    which is fsynced and renamed over the target.
+    ``store`` may be a mutable :class:`SpeechStore` (compacted from
+    scratch first) or a :class:`CompactSpeechStore`, which is only
+    written.  The file appears at ``path`` only when complete: content
+    goes to a temporary sibling which is fsynced and renamed over the
+    target.
     """
     compacted = CompactSpeechStore.from_store(store)
     path = Path(path)
@@ -135,8 +136,9 @@ def freeze(
     toc_sections: dict[str, dict[str, Any]] = {}
     chunks: list[bytes] = []
     cursor = 0
-    for name in sorted(compacted.sections()):
-        raw, dtype, count = _section_bytes(compacted.sections()[name])
+    sections = compacted.sections()
+    for name in sorted(sections):
+        raw, dtype, count = _section_bytes(sections[name])
         aligned = _align8(cursor)
         if aligned > cursor:
             chunks.append(b"\x00" * (aligned - cursor))

@@ -10,7 +10,13 @@ naming scheme:
 * every shard's registry refreezes the maintained store on swap —
   freezing is deterministic and publishing is skip-if-present, so N
   shards publishing the same version is idempotent (identical bytes,
-  atomic rename);
+  atomic rename).  What a registry freezes is its compaction of that
+  version, built from the previous version's, so a publish costs the
+  speeches the append changed plus the file write;
+* a deployment that starts its versions at 0 again (the router, or a
+  service not started from an attached snapshot) first deletes the
+  previous run's files (:meth:`SnapshotPublisher.clear`), which
+  skip-if-present would otherwise keep serving;
 * a (re)spawned shard attaches the *newest* version present and only
   replays the append-log suffix past it.
 
@@ -60,6 +66,11 @@ class SnapshotPublisher:
             if match:
                 found.append(int(match.group(1)))
         return sorted(found)
+
+    def clear(self) -> None:
+        """Delete every snapshot file (a previous run's versions)."""
+        for version in self.versions():
+            self.path_for(version).unlink(missing_ok=True)
 
     def publish(self, store: Any, version: int) -> Path | None:
         """Freeze ``store`` as ``version``; None when the freeze failed.

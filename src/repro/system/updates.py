@@ -10,11 +10,11 @@ affected queries, and re-summarizes exactly those, leaving the rest of
 the store untouched.
 
 Maintenance is built on the same streaming service layer as batch
-pre-processing.  Affected-query discovery no longer probes every query
-against every new row in Python: the new rows' dimension values are
-folded into one membership set per predicate column combination, so
-each enumerated query costs one set probe instead of
-O(new rows × predicates) dict lookups.  Re-summarization fans out over
+pre-processing.  Affected-query discovery works from the new rows
+alone: a query gains a row exactly when its value tuple is one of the
+new rows' non-NULL value tuples on its columns, so the affected
+queries are those tuples, one set per dimension combination, never a
+filter over the whole query space.  Re-summarization fans out over
 a :class:`repro.system.worker_pool.WorkerPool` (``workers=N``, or a
 caller-owned ``pool=`` shared with the pre-processor), with the
 order-preserving merge keeping the maintained store identical to a
@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Iterator
+from typing import Any
 
 from repro.algorithms.base import Summarizer
 from repro.core.expectation import ExpectationModel
@@ -136,46 +136,41 @@ class IncrementalMaintainer:
         is affected when some new row carries exactly its dimension
         values.  Queries are enumerated against the *updated* table so
         previously unseen dimension values produce new queries too.
-
-        A query with predicates on columns ``(c1, …, ck)`` gains a row
-        exactly when its value tuple appears among the new rows'
-        ``(c1, …, ck)`` projections, so matching is one membership probe
-        into a per-column-combination set of new-row value tuples —
-        built once from the new rows' column arrays — instead of a
-        Python predicate scan over every (query, new row) pair.
         """
-        updated = self._table.concat(new_rows)
-        generator = ProblemGenerator(
-            self._config,
-            updated,
-            prior=self._prior,
-            expectation_model=self._expectation_model,
-        )
-        return list(self._affected_from(generator, new_rows))
+        return self._affected_from(self._table.concat(new_rows), new_rows)
 
-    def _affected_from(
-        self, generator: ProblemGenerator, new_rows: Table
-    ) -> Iterator[DataQuery]:
-        """Stream affected queries in enumeration order."""
+    def _affected_from(self, updated: Table, new_rows: Table) -> list[DataQuery]:
+        """The affected queries, in enumeration order.
+
+        Per dimension combination (in configured order), the affected
+        queries are the new rows' distinct non-NULL value tuples on it.
+        :meth:`ProblemGenerator.enumerate_queries` orders a column's
+        values by first appearance in ``updated``, so the tuples sort by
+        the rows where their values first appear.
+        """
         if new_rows.num_rows == 0:
-            return
-        new_values = {
-            dim: new_rows.column(dim).values for dim in self._config.dimensions
+            return []
+        first: dict[str, list[int | None]] = {
+            dim: [
+                None if value is None else updated.column(dim).first_index(value)
+                for value in new_rows.column(dim)
+            ]
+            for dim in self._config.dimensions
         }
-        # Keys must be in sorted column order: DataQuery canonicalizes
-        # its predicates that way, regardless of configuration order.
-        sorted_dimensions = sorted(self._config.dimensions)
-        combo_sets: dict[tuple[str, ...], set[tuple[Any, ...]]] = {(): set()}
+        predicates: list[dict[str, Any]] = []
         for length in range(1, self._config.max_query_length + 1):
-            for dims in combinations(sorted_dimensions, length):
-                combo_sets[dims] = set(zip(*(new_values[dim] for dim in dims)))
-        for query in generator.enumerate_queries():
-            dims = tuple(column for column, _ in query.predicates)
-            if not dims:
-                # Empty scope contains every row, hence every new row.
-                yield query
-            elif tuple(value for _, value in query.predicates) in combo_sets[dims]:
-                yield query
+            for dims in combinations(self._config.dimensions, length):
+                tuples = zip(*(first[dim] for dim in dims))
+                rows = {row for row in tuples if None not in row}
+                predicates.extend(
+                    {dim: updated.value(index, dim) for dim, index in zip(dims, row)}
+                    for row in sorted(rows)
+                )
+        return [
+            DataQuery.create(target, scope)
+            for target in self._config.targets
+            for scope in ({}, *predicates)
+        ]
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -224,7 +219,7 @@ class IncrementalMaintainer:
             prior=self._prior,
             expectation_model=self._expectation_model,
         )
-        affected = list(self._affected_from(generator, new_rows))
+        affected = self._affected_from(self._table, new_rows)
         report.affected_queries = len(affected)
 
         context = (generator, preprocessor.summarizer, self._realizer)

@@ -115,6 +115,43 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             make_table().concat(other)
 
+    @staticmethod
+    def typed_table(rows) -> Table:
+        return Table.from_rows(
+            "t",
+            ["c", "n", "i"],
+            [ColumnType.CATEGORICAL, ColumnType.NUMERIC, ColumnType.INTEGER],
+            rows,
+        )
+
+    def test_concat_equals_renormalising_every_value(self):
+        base = self.typed_table([("a", 1, 2), (None, None, 3), (7, float("nan"), 4.0)])
+        new = self.typed_table([(None, 2.5, True), ("b", 3, 5)])
+        combined = base.concat(new)
+        for mine, theirs, got in zip(base.columns, new.columns, combined.columns):
+            expected = mine.with_values(list(mine) + list(theirs))
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+        assert combined.column("c").values == ["a", None, "7", None, "b"]
+        assert combined.column("n").values == [1.0, None, None, 2.5, 3.0]
+        assert combined.column("i").values == [2, 3, 4, 1, 5]
+        assert all(type(v) is int for v in combined.column("i"))
+
+    def test_concat_does_not_renormalise(self, monkeypatch):
+        base = self.typed_table([("a", 1.0, 2)] * 50)
+        new = self.typed_table([("b", 2.0, 3)])
+        normalised = []
+        real = Column._normalise
+
+        def counting(column, raw):
+            normalised.append(len(raw))
+            return real(column, raw)
+
+        monkeypatch.setattr(Column, "_normalise", counting)
+        combined = base.concat(new)
+        assert combined.num_rows == 51
+        assert normalised == []
+
     def test_sorted_by_ascending_and_descending(self):
         table = make_table()
         ascending = table.sorted_by("age")

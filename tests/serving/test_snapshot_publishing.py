@@ -11,7 +11,10 @@ Four contracts wire :mod:`repro.store` into the serving tier:
 * both sides meet byte-for-byte: the attached store answers and
   digests identically to the store that was frozen;
 * the shard router restarts its version sequence at 0, so it clears a
-  reused directory's snapshots before freezing v0.
+  reused directory's snapshots before freezing v0 — and so does a
+  service that was not started from an attached snapshot;
+* a snapshot publish and a checkpoint of the same version write one
+  compaction of it, so their store files are identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ import pytest
 from repro.api import ServingConfig
 from repro.serving import ShardManager, VoiceService
 from repro.serving.sharding import _attach_engine
-from repro.store import CompactSpeechStore, SnapshotError, SnapshotPublisher
+from repro.store import (
+    CompactSpeechStore,
+    Compaction,
+    SnapshotError,
+    SnapshotPublisher,
+    attach,
+)
+from repro.storage import CheckpointManager
 from repro.system.persistence import canonical_store_payload
 from repro.system.updates import IncrementalMaintainer
 
@@ -123,17 +133,23 @@ class TestAttachMode:
             _attach_engine(template, str(tmp_path))
 
 
+def maintained_elsewhere(engine):
+    """A store a previous run could have published: the base plus other rows."""
+    previous = engine.store.clone()
+    IncrementalMaintainer(
+        engine.config,
+        engine.table,
+        summarizer=engine.summarizer,
+        realizer=engine.realizer,
+    ).maintain(append_table([("South", "Fall", 99.0)]), previous)
+    assert digest(previous) != digest(engine.store)
+    return previous
+
+
 class TestReusedSnapshotDir:
     def test_router_clears_a_previous_runs_snapshots(self, engine, tmp_path):
         # A previous run left v0 and v3 frozen from a different store.
-        previous = engine.store.clone()
-        IncrementalMaintainer(
-            engine.config,
-            engine.table,
-            summarizer=engine.summarizer,
-            realizer=engine.realizer,
-        ).maintain(append_table(APPEND_ROWS), previous)
-        assert digest(previous) != digest(engine.store)
+        previous = maintained_elsewhere(engine)
         publisher = SnapshotPublisher(tmp_path)
         publisher.publish(previous, 0)
         publisher.publish(previous, 3)
@@ -144,3 +160,60 @@ class TestReusedSnapshotDir:
 
         assert publisher.versions() == [0]
         assert digest(publisher.attach_latest()) == digest(engine.store)
+
+    def test_service_clears_a_previous_runs_snapshots(self, engine, tmp_path):
+        # A previous run left v0 and v1 frozen from a different store;
+        # publishing skips versions on disk, so without clearing them
+        # this service would leave the stale v1 as the newest snapshot.
+        previous = maintained_elsewhere(engine)
+        publisher = SnapshotPublisher(tmp_path)
+        publisher.publish(previous, 0)
+        publisher.publish(previous, 1)
+        base = digest(engine.store)
+        config = ServingConfig(concurrency=2, snapshot_dir=str(tmp_path))
+
+        async def run():
+            async with VoiceService(engine, config) as service:
+                service.request_append(append_table(APPEND_ROWS))
+                await service.scheduler.quiesce()
+                return service.store_digest()["digest"]
+
+        served = asyncio.run(run())
+        assert publisher.versions() == [0, 1]
+        assert digest(publisher.attach_latest()) == served
+        assert digest(attach(publisher.path_for(0))) == base
+
+
+class TestOneCompactionPerVersion:
+    def test_publish_and_checkpoint_share_one_compaction(
+        self, engine, tmp_path, monkeypatch
+    ):
+        config = ServingConfig(
+            concurrency=2,
+            snapshot_dir=str(tmp_path / "snapshots"),
+            data_dir=str(tmp_path / "data"),
+            checkpoint_every_swaps=1,
+        )
+        compactions = []
+        advance = Compaction.advance
+
+        def counting(self, store):
+            compactions.append(len(store))
+            return advance(self, store)
+
+        monkeypatch.setattr(Compaction, "advance", counting)
+
+        async def run():
+            async with VoiceService(engine, config) as service:
+                assert len(compactions) == 1  # v0, for the base snapshot
+                service.request_append(append_table(APPEND_ROWS))
+                await service.scheduler.quiesce()
+                assert service.durability.stats()["checkpoints_written"] == 1
+                return len(compactions)
+
+        assert asyncio.run(run()) == 2
+        # Stopping checkpoints nothing new: v1 is already checkpointed.
+        assert len(compactions) == 2
+        (checkpoint,) = CheckpointManager(tmp_path / "data").list_checkpoints()
+        published = SnapshotPublisher(tmp_path / "snapshots").path_for(1)
+        assert (checkpoint / "store.snap").read_bytes() == published.read_bytes()

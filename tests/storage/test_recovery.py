@@ -247,11 +247,19 @@ class TestDurabilityCoordinator:
 
     def test_policy_checkpoint_after_n_swaps(self, tmp_path, engine):
         coordinator = self.make(tmp_path, checkpoint_every_swaps=2)
+        asked = []
+
+        def compacted():
+            asked.append(True)
+            return engine.store
+
         for version in (1, 2):
             seq = coordinator.log_append(append_table(BATCH_A))
             coordinator.commit_applied(
-                [seq], engine.store, engine.table, store_version=version
+                [seq], compacted, engine.table, store_version=version
             )
+        # The store is only asked for when a checkpoint is due.
+        assert asked == [True]
         stats = coordinator.stats()
         assert stats["checkpoints_written"] == 1
         assert stats["last_checkpoint_seq"] == 2
@@ -263,7 +271,7 @@ class TestDurabilityCoordinator:
             tmp_path, checkpoint_every_swaps=1000, checkpoint_every_bytes=1
         )
         seq = coordinator.log_append(append_table(BATCH_A))
-        coordinator.commit_applied([seq], engine.store, engine.table, store_version=1)
+        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=1)
         assert coordinator.stats()["checkpoints_written"] == 1
         coordinator.close()
 
@@ -272,7 +280,7 @@ class TestDurabilityCoordinator:
         faults.FAILPOINTS.configure(["checkpoint.save:times=1"])
         seq = coordinator.log_append(append_table(BATCH_A))
         # Must not raise into the swap path.
-        coordinator.commit_applied([seq], engine.store, engine.table, store_version=1)
+        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=1)
         assert coordinator.checkpoint_failures == 1
         assert "InjectedFault" in coordinator.last_checkpoint_error
         # The journal still covers the batch.
@@ -280,7 +288,7 @@ class TestDurabilityCoordinator:
         assert scan.applied_seqs() == frozenset({1})
         # The next swap checkpoints cleanly and clears the error.
         seq = coordinator.log_append(append_table(BATCH_B))
-        coordinator.commit_applied([seq], engine.store, engine.table, store_version=2)
+        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=2)
         assert coordinator.last_checkpoint_error is None
         assert coordinator.stats()["checkpoints_written"] == 1
         coordinator.close()

@@ -6,22 +6,33 @@ full 5,000-row digest before fact generation handed its scope rows to
 the kernel and the G-O pruner tracked facts by id.  Any change to the
 enumerated queries, the candidate facts, the chosen plans, the greedy
 selection, the utilities or the realized texts changes them.
+
+The frozen-snapshot digest of the full store was computed when every
+freeze still compacted the store speech by speech, before compaction
+became incremental: a change to the compact layout, the pool order or
+the file format changes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.datasets import load_dataset
+from repro.store import freeze
 from repro.system.config import SummarizationConfig
 from repro.system.engine import VoiceQueryEngine
 from repro.system.persistence import canonical_store_payload
 
 FLIGHTS_300_G_O_DIGEST = "ee2b0a22973f985bab028a742f7d6001a0575b6c538392a42b86dd59a0f12da7"
 FLIGHTS_5000_G_O_DIGEST = "bd61512455a4f3219140dd2446945155065f95f5ab617918011e47a31bd55ba6"
+FLIGHTS_5000_G_O_FROZEN_DIGEST = (
+    "03e5f1fdb134ebc9d1e87bf2192a450deb4de1563154b99860cc0f29fa74cd03"
+)
 
 
-def _g_o_store_digest(dataset) -> tuple[int, str]:
+def _g_o_engine(dataset) -> VoiceQueryEngine:
     config = SummarizationConfig.create(
         table=dataset.spec.key,
         dimensions=dataset.spec.dimensions,
@@ -31,15 +42,28 @@ def _g_o_store_digest(dataset) -> tuple[int, str]:
     )
     engine = VoiceQueryEngine(config, dataset.table)
     engine.preprocess()
-    payload = canonical_store_payload(engine.store, config)
+    return engine
+
+
+def _store_digest(engine: VoiceQueryEngine) -> tuple[int, str]:
+    payload = canonical_store_payload(engine.store, engine.config)
     return len(engine.store), hashlib.sha256(payload).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def full_flights_engine() -> VoiceQueryEngine:
+    return _g_o_engine(load_dataset("flights", num_rows=5000, seed=20210318))
+
+
 def test_flights_store_matches_golden_digest():
-    dataset = load_dataset("flights", num_rows=300)
-    assert _g_o_store_digest(dataset) == (928, FLIGHTS_300_G_O_DIGEST)
+    engine = _g_o_engine(load_dataset("flights", num_rows=300))
+    assert _store_digest(engine) == (928, FLIGHTS_300_G_O_DIGEST)
 
 
-def test_full_flights_store_matches_golden_digest():
-    dataset = load_dataset("flights", num_rows=5000, seed=20210318)
-    assert _g_o_store_digest(dataset) == (1026, FLIGHTS_5000_G_O_DIGEST)
+def test_full_flights_store_matches_golden_digest(full_flights_engine):
+    assert _store_digest(full_flights_engine) == (1026, FLIGHTS_5000_G_O_DIGEST)
+
+
+def test_full_flights_frozen_store_matches_golden_digest(full_flights_engine, tmp_path):
+    path = freeze(full_flights_engine.store, tmp_path / "store.snap")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLIGHTS_5000_G_O_FROZEN_DIGEST
