@@ -63,8 +63,10 @@ def split_batches(rows: Table, parts: int) -> list[Table]:
 def question_for_query(query: DataQuery) -> str:
     """A transcript the lexicon parser maps back to ``query``.
 
-    Assumes the query's predicate values are unambiguous in the
-    dataset's value lexicon (true for the bundled synthetic datasets).
+    That holds only when each predicate value names one dimension in
+    the value lexicon; a value shared by two dimensions parses as the
+    first of them.  Flights' origin and destination regions share all
+    four values, so its destination-region queries do not round-trip.
     """
     target_phrase = query.target.replace("_", " ")
     if not query.predicates:

@@ -11,12 +11,21 @@ distinguishes (help, repeat, comparisons, extrema, other).
 
 Parsing must stay cheap at serving time — the paper's run-time budget is
 "near zero" (Figure 10) and the serving service parses on the event
-loop — so the parser token-indexes its lexicons at construction time: a
-word token → lexicon phrases map lets :meth:`parse` verify only the
-phrases whose leading token actually occurs in the request, instead of
-regex-probing the full vocabulary per request.  The index is purely a
-candidate filter (every candidate still passes the original
-word-boundary check), so parsed output is identical to the full scan.
+loop — so all lexicon phrases (values, targets, dimension names) go into
+one token trie at construction.  A request is tokenised once and walked
+once from each token (Aho–Corasick restricted to token boundaries); the
+target, predicates, value mentions and named dimension are all read off
+the phrase occurrences that walk finds.
+
+A phrase occurs in the lower-cased text where no word character stands
+beside it (``(?<!\\w)phrase(?!\\w)``: "north" not in "northern", "5000+"
+in "for 5000+"); whitespace inside a phrase matches only itself.  The
+longest target phrase and the longest dimension name win, ties going to
+lexicon or configuration order.  Values are taken longest first, and a
+value counts only through an occurrence outside every occurrence of a
+longer value already counted ("york" in "new york" is skipped, "ua"
+beside "january" is not); its mention position is that first free
+occurrence.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from repro.system.config import SummarizationConfig
@@ -64,18 +74,28 @@ class ParsedRequest:
     wants_minimum: bool = False
 
 
-#: Word tokens used by the candidate index (mirrors the ``\b`` boundary
-#: semantics of the phrase regexes: a phrase can only match when its
-#: leading word token occurs in the text).
-_WORD_TOKEN = re.compile(r"\w+")
+#: Texts and phrases split into the same tokens — runs of word
+#: characters and single other characters — so every phrase occurrence
+#: starts and ends on token boundaries.
+_TOKEN = re.compile(r"\w+|\W")
+_IS_WORD = re.compile(r"\w").match
 
-_HELP_PATTERNS = ("help", "what can i ask", "what can you do", "how do i", "instructions")
-_REPEAT_PATTERNS = ("repeat", "say that again", "once more", "come again")
-_COMPARISON_PATTERNS = ("compare", "comparison", " versus ", " vs ", "difference between")
-_EXTREMUM_PATTERNS = (
-    "highest", "lowest", "most ", "least ", "maximum", "minimum", "worst", "best ",
-    "which has the", "who has the",
+#: Each request category's substring patterns as one alternation (plain
+#: words and spaces, so nothing needs escaping).
+_HELP = re.compile("help|what can i ask|what can you do|how do i|instructions")
+_REPEAT = re.compile("repeat|say that again|once more|come again")
+_COMPARISON = re.compile("compare|comparison| versus | vs |difference between")
+_EXTREMUM = re.compile(
+    "highest|lowest|most |least |maximum|minimum|worst|best |which has the|who has the"
 )
+_MINIMUM = re.compile("lowest|least |minimum|fewest|smallest")
+#: Most requests hold no category pattern: one search rules out all four.
+_ANY_CATEGORY = re.compile("|".join(p.pattern for p in (_HELP, _REPEAT, _COMPARISON, _EXTREMUM)))
+
+#: Token spans of each matched phrase, in text order.
+_Found = dict[str, list[tuple[int, int]]]
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 class NaturalLanguageParser:
@@ -108,27 +128,43 @@ class NaturalLanguageParser:
         self._value_lexicon = self._build_value_lexicon(config.dimensions, table)
         for phrase, (dimension, value) in (dimension_synonyms or {}).items():
             self._value_lexicon[phrase.lower()] = (dimension, value)
-        # Phrase lists in the exact order the scan path visits them:
-        # values longest-first (ties by insertion), targets in insertion
-        # order.  The token index stores positions into these lists so
-        # filtered candidates preserve the scan order — and with it the
-        # first-match/containment tie-breaking — exactly.
-        self._ranked_value_phrases = sorted(self._value_lexicon, key=len, reverse=True)
-        self._value_index, self._unindexed_values = self._index_phrases(
-            self._ranked_value_phrases
-        )
-        self._target_phrases = list(self._target_lexicon)
-        self._target_index, self._unindexed_targets = self._index_phrases(
-            self._target_phrases
-        )
-        # Dimension name phrases, precomputed once: (candidate, dimension)
-        # pairs in configuration order, full name before head noun.
+        # Nobody says an empty phrase.
+        self._value_lexicon.pop("", None)
+        # Dimension name phrases in configuration order, full name
+        # before head noun.
         self._dimension_phrases: list[tuple[str, str]] = []
         for dimension in config.dimensions:
             phrase = dimension.replace("_", " ").lower()
             self._dimension_phrases.append((phrase, dimension))
             if " " in phrase:
                 self._dimension_phrases.append((phrase.split()[-1], dimension))
+
+        # Each lexicon ranked longest first; the sort is stable, so ties
+        # keep lexicon (or configuration) order.  The lowest rank wins.
+        values = sorted(self._value_lexicon, key=len, reverse=True)
+        self._value_rank = {phrase: rank for rank, phrase in enumerate(values)}
+        targets = sorted(self._target_lexicon, key=len, reverse=True)
+        self._target_rank = {phrase: rank for rank, phrase in enumerate(targets)}
+        self._targets = [self._target_lexicon[phrase] for phrase in targets]
+        dimensions = sorted(self._dimension_phrases, key=lambda pair: len(pair[0]), reverse=True)
+        self._dimension_rank: dict[str, int] = {}
+        for rank, (phrase, _) in enumerate(dimensions):
+            self._dimension_rank.setdefault(phrase, rank)
+        self._dimensions = [dimension for _, dimension in dimensions]
+
+        # One trie over all three lexicons.  A node maps the next token
+        # to its child; key None holds the phrase that ends there and
+        # whether it starts / ends with a non-word character (a token
+        # boundary then does not rule out a word character beside it).
+        self._trie: dict = {}
+        for phrase in (*self._value_rank, *self._target_rank, *self._dimension_rank):
+            tokens = _TOKEN.findall(phrase)
+            if not tokens:
+                continue
+            node = self._trie
+            for token in tokens:
+                node = node.setdefault(token, {})
+            node[None] = (phrase, not _IS_WORD(tokens[0]), not _IS_WORD(tokens[-1]))
 
     # ------------------------------------------------------------------
     # Lexicon construction
@@ -152,9 +188,7 @@ class NaturalLanguageParser:
         return lexicon
 
     @staticmethod
-    def _build_value_lexicon(
-        dimensions: Sequence[str], table: Table
-    ) -> dict[str, tuple[str, Any]]:
+    def _build_value_lexicon(dimensions: Sequence[str], table: Table) -> dict[str, tuple[str, Any]]:
         lexicon: dict[str, tuple[str, Any]] = {}
         for dimension in dimensions:
             for value in table.column(dimension).distinct_values():
@@ -165,96 +199,32 @@ class NaturalLanguageParser:
                 lexicon.setdefault(phrase, (dimension, value))
         return lexicon
 
-    @staticmethod
-    def _index_phrases(
-        phrases: Sequence[str],
-    ) -> tuple[dict[str, list[int]], tuple[int, ...]]:
-        """Map leading word token → positions of phrases starting with it.
-
-        Positions index into ``phrases`` (whose order is the scan
-        order).  Phrases without any word token cannot be pre-filtered
-        by tokens and are returned separately as always-candidates.
-        """
-        index: dict[str, list[int]] = {}
-        unindexed: list[int] = []
-        for position, phrase in enumerate(phrases):
-            tokens = _WORD_TOKEN.findall(phrase)
-            if tokens:
-                index.setdefault(tokens[0], []).append(position)
-            else:
-                unindexed.append(position)
-        return index, tuple(unindexed)
-
-    def _candidates(
-        self,
-        text: str,
-        phrases: list[str],
-        index: dict[str, list[int]],
-        unindexed: tuple[int, ...],
-    ) -> list[str]:
-        """Phrases that can possibly match ``text``, in scan order.
-
-        A ``\\b``-anchored phrase match implies the phrase's leading
-        word token occurs as a token of the text, so filtering by the
-        text's token set never drops a true match; sorting the surviving
-        positions restores the scan order exactly.
-        """
-        positions = set(unindexed)
-        for token in set(_WORD_TOKEN.findall(text)):
-            positions.update(index.get(token, ()))
-        if len(positions) == len(phrases):
-            return phrases
-        return [phrases[position] for position in sorted(positions)]
-
-    def _candidate_value_phrases(self, text: str) -> list[str]:
-        return self._candidates(
-            text, self._ranked_value_phrases, self._value_index, self._unindexed_values
-        )
-
-    def _candidate_target_phrases(self, text: str) -> list[str]:
-        return self._candidates(
-            text, self._target_phrases, self._target_index, self._unindexed_targets
-        )
-
     # ------------------------------------------------------------------
     # Parsing
     # ------------------------------------------------------------------
     def parse(self, text: str) -> ParsedRequest:
         """Parse one voice request into a :class:`ParsedRequest`."""
         normalised = f" {text.strip().lower()} "
-        if self._matches_any(normalised, _HELP_PATTERNS):
+        category = _ANY_CATEGORY.search(normalised) is not None
+        if category and _HELP.search(normalised):
             return ParsedRequest(text=text, kind=RequestKind.HELP)
-        if self._matches_any(normalised, _REPEAT_PATTERNS):
+        if category and _REPEAT.search(normalised):
             return ParsedRequest(text=text, kind=RequestKind.REPEAT)
 
-        target = self._extract_target(normalised)
-        predicates = self._extract_predicates(normalised)
-        mentions = self.extract_value_mentions(normalised)
-        dimension = self.extract_dimension_mention(normalised)
+        found = self._scan(normalised)
+        target = _lowest(found, self._target_rank, self._targets)
+        predicates, mentions = self._values(found)
 
-        if self._matches_any(normalised, _COMPARISON_PATTERNS):
-            query = DataQuery.create(target, predicates) if target else None
+        comparison = category and _COMPARISON.search(normalised) is not None
+        if comparison or (category and _EXTREMUM.search(normalised)):
             return ParsedRequest(
                 text=text,
-                kind=RequestKind.COMPARISON,
-                query=query,
+                kind=RequestKind.COMPARISON if comparison else RequestKind.EXTREMUM,
+                query=DataQuery.create(target, predicates) if target else None,
                 matched_values=predicates,
                 value_mentions=mentions,
-                mentioned_dimension=dimension,
-            )
-        if self._matches_any(normalised, _EXTREMUM_PATTERNS):
-            query = DataQuery.create(target, predicates) if target else None
-            wants_minimum = self._matches_any(
-                normalised, ("lowest", "least ", "minimum", "fewest", "smallest")
-            )
-            return ParsedRequest(
-                text=text,
-                kind=RequestKind.EXTREMUM,
-                query=query,
-                matched_values=predicates,
-                value_mentions=mentions,
-                mentioned_dimension=dimension,
-                wants_minimum=wants_minimum,
+                mentioned_dimension=_lowest(found, self._dimension_rank, self._dimensions),
+                wants_minimum=not comparison and _MINIMUM.search(normalised) is not None,
             )
         if target is None:
             return ParsedRequest(text=text, kind=RequestKind.OTHER, matched_values=predicates)
@@ -266,79 +236,99 @@ class NaturalLanguageParser:
             value_mentions=mentions,
         )
 
-    # ------------------------------------------------------------------
-    # Extraction internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _matches_any(text: str, patterns: Sequence[str]) -> bool:
-        return any(pattern in text for pattern in patterns)
-
-    def _extract_target(self, text: str) -> str | None:
-        """The target column whose longest synonym appears in the text."""
-        best: str | None = None
-        best_length = 0
-        for phrase in self._candidate_target_phrases(text):
-            if len(phrase) > best_length and self._phrase_in_text(phrase, text):
-                best = self._target_lexicon[phrase]
-                best_length = len(phrase)
-        return best
-
     def extract_value_mentions(self, text: str) -> list[tuple[str, Any]]:
         """Every recognised dimension value, in text order of first match.
 
-        Unlike :meth:`_extract_predicates`, a dimension may contribute
-        several values ("between East and West"); phrases contained in a
-        longer matched phrase are still skipped.
+        Unlike the predicates, a dimension may contribute several values
+        ("between East and West"); occurrences inside a longer value
+        already mentioned are still skipped.
         """
-        normalised = f" {text.strip().lower()} "
-        mentions: list[tuple[str, int]] = []
-        matched_phrases: list[str] = []
-        for phrase in self._candidate_value_phrases(normalised):
-            match = re.search(r"\b" + re.escape(phrase) + r"\b", normalised)
-            if not match:
-                continue
-            if any(phrase in longer for longer in matched_phrases):
-                continue
-            matched_phrases.append(phrase)
-            mentions.append((phrase, match.start()))
-        mentions.sort(key=lambda item: item[1])
-        return [self._value_lexicon[phrase] for phrase, _ in mentions]
+        return self._values(self._scan(f" {text.strip().lower()} "))[1]
 
     def extract_dimension_mention(self, text: str) -> str | None:
         """A dimension column referenced by name in the text, if any.
 
-        Candidate phrases (each dimension's full name plus, for
-        multi-word names, its head noun — "region" for "origin region")
-        are precomputed in ``__init__``; the longest matching phrase
-        wins.
+        Candidate phrases are each dimension's full name plus, for
+        multi-word names, its head noun ("region" for "origin region");
+        the longest matching phrase wins.
         """
-        normalised = f" {text.strip().lower()} "
-        best: str | None = None
-        best_length = 0
-        for candidate, dimension in self._dimension_phrases:
-            if len(candidate) > best_length and self._phrase_in_text(candidate, normalised):
-                best = dimension
-                best_length = len(candidate)
-        return best
+        found = self._scan(f" {text.strip().lower()} ")
+        return _lowest(found, self._dimension_rank, self._dimensions)
 
-    def _extract_predicates(self, text: str) -> dict[str, Any]:
-        """Equality predicates for every dimension value mentioned in the text."""
+    # ------------------------------------------------------------------
+    # Extraction internals
+    # ------------------------------------------------------------------
+    def _scan(self, normalised: str) -> _Found:
+        """Every lexicon phrase occurring in ``normalised``, with its token spans."""
+        tokens = _TOKEN.findall(normalised)
+        # Sentinel after the last token (and, as tokens[-1], before the
+        # first): no trie edge, not a word.
+        tokens.append("")
+        found: _Found = {}
+        trie = self._trie
+        for start, token in enumerate(tokens):
+            node = trie.get(token)
+            end = start + 1
+            while node is not None:
+                ending = node.get(None)
+                if ending is not None:
+                    phrase, open_start, open_end = ending
+                    clash = open_start and _IS_WORD(tokens[start - 1])
+                    if not clash and not (open_end and _IS_WORD(tokens[end])):
+                        found.setdefault(phrase, []).append((start, end))
+                node = node.get(tokens[end])
+                end += 1
+        return found
+
+    def _values(self, found: _Found) -> tuple[dict[str, Any], list[tuple[str, Any]]]:
+        """The predicates and the value mentions, from value phrases longest first.
+
+        A predicate is the first counted value of its dimension, and only
+        values that became predicates hide shorter ones from later
+        predicates; every counted mention hides shorter ones from later
+        mentions.
+        """
+        value_rank = self._value_rank
+        ranked = []
+        for phrase, spans in found.items():
+            rank = value_rank.get(phrase)
+            if rank is not None:
+                ranked.append((rank, phrase, spans))
+        ranked.sort()
         predicates: dict[str, Any] = {}
-        matched_phrases: list[str] = []
-        for phrase in self._candidate_value_phrases(text):
-            if not self._phrase_in_text(phrase, text):
-                continue
-            # Skip phrases fully contained in an already matched longer phrase
-            # (e.g. "north" inside "northeast").
-            if any(phrase in longer for longer in matched_phrases):
-                continue
-            dimension, value = self._value_lexicon[phrase]
-            if dimension not in predicates:
+        mentions: list[tuple[int, tuple[str, Any]]] = []
+        in_predicates: list[tuple[int, int]] = []
+        in_mentions: list[tuple[int, int]] = []
+        for _, phrase, spans in ranked:
+            entry = self._value_lexicon[phrase]
+            dimension, value = entry
+            if dimension not in predicates and _first_free(spans, in_predicates) is not None:
                 predicates[dimension] = value
-                matched_phrases.append(phrase)
-        return predicates
+                in_predicates.extend(spans)
+            start = _first_free(spans, in_mentions)
+            if start is not None:
+                in_mentions.extend(spans)
+                mentions.append((start, entry))
+        mentions.sort(key=_FIRST)
+        return predicates, list(map(_SECOND, mentions))
 
-    @staticmethod
-    def _phrase_in_text(phrase: str, text: str) -> bool:
-        pattern = r"\b" + re.escape(phrase) + r"\b"
-        return re.search(pattern, text) is not None
+
+def _lowest(found: _Found, ranks: dict[str, int], owners: list[str]) -> str | None:
+    """The owner of ``found``'s lowest-ranked (longest) phrase; None when none is ranked."""
+    best = len(owners)
+    for phrase in found:
+        rank = ranks.get(phrase)
+        if rank is not None and rank < best:
+            best = rank
+    return owners[best] if best < len(owners) else None
+
+
+def _first_free(spans: list[tuple[int, int]], counted: list[tuple[int, int]]) -> int | None:
+    """Start of the first span inside no ``counted`` span (None: every one is)."""
+    for start, end in spans:
+        for low, high in counted:
+            if low <= start and end <= high:
+                break
+        else:
+            return start
+    return None

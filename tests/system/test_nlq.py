@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import load_dataset
 from repro.system.config import SummarizationConfig
 from repro.system.nlq import NaturalLanguageParser, RequestKind
 
@@ -96,3 +97,57 @@ class TestUnsupportedShapes:
         )
         parsed = parser.parse("delay in wintertime")
         assert parsed.query.predicate_map == {"season": "Winter"}
+
+
+def dataset_parser(key: str) -> NaturalLanguageParser:
+    dataset = load_dataset(key, num_rows=300)
+    config = SummarizationConfig.create(
+        key, dimensions=dataset.spec.dimensions, targets=dataset.spec.targets
+    )
+    return NaturalLanguageParser(config, dataset.table)
+
+
+class TestMatchingRules:
+    def test_value_ending_in_a_non_word_character_matches(self):
+        # "\b" after "+" needs a word character next, so "5000+" never
+        # matched in a padded text; no word character beside it is the rule.
+        parser = dataset_parser("stackoverflow")
+        parsed = parser.parse("what is the competence for 5000+")
+        assert parsed.query.predicate_map == {"org_size": "5000+"}
+        parsed = parser.parse("what is the competence for 20+ years and 5000+")
+        assert parsed.query.predicate_map == {"experience": "20+ years", "org_size": "5000+"}
+        assert parser.parse("what is the competence for 5000+x").matched_values == {}
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("what is the cancellation for UA and January", {"airline": "UA", "month": "January"}),
+            (
+                "what is the cancellation for AS and Northeast",
+                {"airline": "AS", "origin_region": "Northeast"},
+            ),
+        ],
+    )
+    def test_value_inside_another_values_string_still_counts(self, text, expected):
+        # "ua" is a substring of "january" and "as" of "northeast", but
+        # neither occurrence lies inside the longer value's occurrence.
+        parsed = dataset_parser("flights").parse(text)
+        assert parsed.query.predicate_map == expected
+        assert parsed.value_mentions == list(expected.items())
+
+    def test_nested_value_counts_only_outside_the_longer_value(self, example_table):
+        config = SummarizationConfig.create(
+            "flight_delays", dimensions=("region", "season"), targets=("delay",)
+        )
+        parser = NaturalLanguageParser(
+            config,
+            example_table,
+            dimension_synonyms={"new york": ("region", "East"), "york": ("season", "Winter")},
+        )
+        assert parser.parse("delay in new york").query.predicate_map == {"region": "East"}
+        parsed = parser.parse("delay in new york and york")
+        assert parsed.query.predicate_map == {"region": "East", "season": "Winter"}
+        assert parser.extract_value_mentions("compare york and new york") == [
+            ("season", "Winter"),
+            ("region", "East"),
+        ]
