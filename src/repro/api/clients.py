@@ -266,7 +266,7 @@ class HttpClient:
     # VoiceClient surface
     # ------------------------------------------------------------------
     async def ask(self, request: VoiceRequest) -> VoiceResponse:
-        body = json.dumps(request.to_dict(), allow_nan=False).encode("utf-8")
+        body = http1.encode_json(request.to_dict()).encode("utf-8")
         for attempt in range(self._overload_retries + 1):
             status, raw, retry_after = await self.request("POST", "/v1/ask", body)
             if status == 503 and attempt < self._overload_retries:
@@ -359,16 +359,16 @@ class HttpClient:
                 reused = bool(self._idle)
                 connection = self._idle.pop() if self._idle else await self._connect()
                 try:
-                    result = await asyncio.wait_for(
-                        self._round_trip(connection, method, path, body),
-                        timeout=self._timeout,
-                    )
+                    # asyncio.timeout, not wait_for: the round trip
+                    # stays on this task instead of a helper task.
+                    async with asyncio.timeout(self._timeout):
+                        result = await self._round_trip(connection, method, path, body)
                 except TransportError:
                     # A garbled reply: the server answered, so do not
                     # re-send the request.
                     connection.close()
                     raise
-                except asyncio.TimeoutError as exc:
+                except TimeoutError as exc:
                     # Checked before OSError, which TimeoutError subclasses.
                     connection.close()
                     raise VoiceApiError(
@@ -397,7 +397,7 @@ class HttpClient:
         self, method: str, path: str, body: dict | None = None
     ) -> tuple[int, dict[str, Any], float | None]:
         """:meth:`request` with a JSON body in and a JSON object out."""
-        encoded = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+        encoded = b"" if body is None else http1.encode_json(body).encode("utf-8")
         status, raw, retry_after = await self.request(method, path, encoded)
         return status, _json_payload(status, raw), retry_after
 
@@ -409,10 +409,9 @@ class HttpClient:
 
     async def _connect(self) -> _Connection:
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self._host, self._port), timeout=self._timeout
-            )
-        except asyncio.TimeoutError as exc:
+            async with asyncio.timeout(self._timeout):
+                reader, writer = await asyncio.open_connection(self._host, self._port)
+        except TimeoutError as exc:
             raise VoiceApiError(
                 f"cannot connect to {self.address} within {self._timeout:.0f}s"
             ) from exc

@@ -11,7 +11,8 @@ one.
 Fields
 ------
 concurrency:
-    Service worker tasks = maximum in-flight requests (>= 1).
+    Requests answered at once (>= 1); each is answered on the task that
+    submitted it.
 shards:
     Worker processes in a sharded deployment (>= 1; the default 1
     serves from a single process).  Values above 1 are consumed by
@@ -19,8 +20,9 @@ shards:
     full engine per shard behind a consistent-hash router; each shard
     then serves with a copy of this config (``shards`` reset to 1).
 max_queue_depth:
-    Requests allowed to wait for a worker before ``submit`` rejects
-    with ``ServiceOverloadedError`` (>= 0; 0 = no waiting room).
+    Requests allowed to wait for a free ``concurrency`` slot before
+    ``submit`` rejects with ``ServiceOverloadedError`` (>= 0; 0 = no
+    waiting room).
 executor_workers:
     Threads in the bounded offload executor, which answers only
     advanced (comparison/extremum) requests; store answers, exact or

@@ -6,15 +6,21 @@ relays through the client) frame every message here: :func:`read_head`
 parses a head read with one ``readuntil``, :func:`content_length` is
 the one Content-Length rule (RFC 9112 §6.3), and :func:`encode_request`
 / :func:`encode_response` build a whole message as one ``bytes`` for
-one ``writer.write``.  Every body this API sends is JSON.
+one ``writer.write``.  Every body this API sends is JSON, encoded by
+:data:`encode_json`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 from http import HTTPStatus
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+#: ``json.dumps(obj, allow_nan=False)`` with one shared encoder: the
+#: same text, without building a ``JSONEncoder`` for every message.
+encode_json = json.JSONEncoder(allow_nan=False).encode
 
 
 class FramingError(ValueError):

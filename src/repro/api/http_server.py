@@ -135,6 +135,9 @@ class VoiceHttpServer:
         self._host = host
         self._requested_port = int(port)
         self._server: asyncio.base_events.Server | None = None
+        #: Each open connection's handler task -> its writer while it
+        #: reads a request, None while it answers one.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter | None] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -155,15 +158,25 @@ class VoiceHttpServer:
         )
 
     async def stop(self) -> None:
-        """Stop accepting connections and close the listening sockets.
+        """Stop accepting connections, then close every open one.
 
-        In-flight request handlers finish on their own; the underlying
-        service keeps running (the caller owns its lifecycle).
+        A connection waiting for (or reading) a request is closed at
+        once; one answering a request is closed after its response.
+        Returns when every connection handler has finished, so none
+        still holds the service.  The service keeps running (the caller
+        owns its lifecycle).
         """
         server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
+        if server is None:
+            return
+        server.close()
+        for writer in self._connections.values():
+            if writer is not None:
+                writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        # Last: from Python 3.12.1 on this also waits for every accepted
+        # connection to drop, so it would block on an idle one still open.
+        await server.wait_closed()
 
     @property
     def running(self) -> bool:
@@ -193,8 +206,11 @@ class VoiceHttpServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
-            while True:
+            # A handler that first runs after stop() exits at once.
+            while self._server is not None:
+                self._connections[task] = writer
                 start, headers = await http1.read_head(reader)
                 if len(start) < 2:
                     break  # not a request line
@@ -209,19 +225,24 @@ class VoiceHttpServer:
                     await self._respond(writer, *error, keep_alive=False)
                     break
                 body = await reader.readexactly(length) if length else b""
+                self._connections[task] = None
                 path = start[1].split("?", 1)[0]  # the /v1 contract ignores queries
                 status, payload = await self._dispatch(start[0].upper(), path, body)
                 if faults.FAILPOINTS.fires(faults.HTTP_DROP):
                     # The http.drop failpoint: hang up without writing
                     # the response, like a crashed proxy would.
                     break
-                keep_alive = headers.get("connection", "keep-alive").lower() != "close"
+                keep_alive = (
+                    self._server is not None  # a stopping server closes after answering
+                    and headers.get("connection", "keep-alive").lower() != "close"
+                )
                 await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError, ValueError):
             pass  # the client left, or sent an unframeable head (FramingError)
         finally:
+            self._connections.pop(task, None)
             writer.close()
 
     # ------------------------------------------------------------------
@@ -356,7 +377,7 @@ class VoiceHttpServer:
             body = (
                 bytes(payload)
                 if isinstance(payload, (bytes, bytearray))
-                else json.dumps(payload, allow_nan=False).encode("utf-8")
+                else http1.encode_json(payload).encode("utf-8")
             )
         except (TypeError, ValueError) as exc:
             # A payload json can't encode (non-finite metric, stray
@@ -364,7 +385,7 @@ class VoiceHttpServer:
             # be swallowed by the framing-error catch and silently drop
             # the connection.
             status = 500
-            body = json.dumps(
+            body = http1.encode_json(
                 {"code": "encode_failed", "error": f"response serialization failed: {exc}"}
             ).encode("utf-8")
         headers: dict[str, object] = {"Connection": "keep-alive" if keep_alive else "close"}

@@ -614,11 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--concurrency", type=int, default=8,
-        help="service worker tasks (max in-flight requests)",
+        help="requests answered at once (max in-flight requests)",
     )
     serve_parser.add_argument(
         "--queue-depth", type=int, default=64, dest="queue_depth",
-        help="admission-control queue depth before submits are rejected",
+        help="requests that may wait for a free slot before submits are rejected",
     )
     serve_parser.add_argument(
         "--append-rows", type=int, default=25, dest="append_rows",

@@ -3,11 +3,12 @@
 :class:`VoiceService` wraps a pre-processed
 :class:`repro.system.engine.VoiceQueryEngine` as a long-lived service:
 
-* **Request loop** — :meth:`submit` enqueues a
-  :class:`repro.api.envelopes.VoiceRequest`; ``concurrency`` worker
-  tasks answer requests concurrently.  Each request pins the current
-  :class:`StoreSnapshot` at dispatch and answers entirely from it, so a
-  maintenance swap mid-request is invisible.
+* **Request path** — :meth:`submit` answers a
+  :class:`repro.api.envelopes.VoiceRequest` on the task that submitted
+  it: no queue hop and no helper task, so a session-less exact hit
+  finishes without yielding to the event loop.  Each request pins the
+  current :class:`StoreSnapshot` at dispatch and answers entirely from
+  it, so a maintenance swap mid-request is invisible.
 * **Sessions** — requests carrying a ``session_id`` share repeat-state
   and a session log through a bounded
   :class:`repro.api.sessions.SessionStore`, so a "repeat" through the
@@ -21,10 +22,11 @@
   comparison/extremum answers, which aggregate over the table, are
   offloaded to a bounded thread-pool executor so one heavy request
   cannot stall the loop.
-* **Admission control** — at most ``concurrency`` requests are in
-  flight and at most ``max_queue_depth`` may wait; beyond that
-  :meth:`submit` fails fast with :class:`ServiceOverloadedError`
-  (backpressure instead of unbounded queueing).
+* **Admission control** — a semaphore admits at most ``concurrency``
+  requests at once and at most ``max_queue_depth`` may wait for a slot;
+  beyond that :meth:`submit` fails fast with
+  :class:`ServiceOverloadedError` (backpressure instead of unbounded
+  waiting).
 * **Background maintenance** — :meth:`request_append` hands appended
   rows to the :class:`repro.serving.scheduler.MaintenanceScheduler`,
   which maintains a store clone on its own thread (optionally fanning
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,8 +99,12 @@ class ServiceMetrics:
     exact_hits: int = 0
     responses_by_kind: dict[str, int] = field(default_factory=dict)
     latency_window: int = DEFAULT_LATENCY_WINDOW
-    _latencies: list[float] = field(default_factory=list)
+    _latencies: deque[float] = field(init=False, repr=False)
     _started_at: float = field(default_factory=time.perf_counter)
+
+    def __post_init__(self) -> None:
+        # The newest ``latency_window`` samples; older ones roll off in O(1).
+        self._latencies = deque(maxlen=self.latency_window)
 
     def reset(self) -> None:
         """Zero all counters and restart the qps clock."""
@@ -122,8 +129,6 @@ class ServiceMetrics:
         if response.kind is ResponseKind.SPEECH and response.exact_match:
             self.exact_hits += 1
         self._latencies.append(latency)
-        if len(self._latencies) > self.latency_window:
-            del self._latencies[: len(self._latencies) - self.latency_window]
 
     @property
     def elapsed_seconds(self) -> float:
@@ -170,10 +175,6 @@ class ServiceMetrics:
             "p95_ms": self._percentile(ordered, 0.95) * 1000.0,
             "p99_ms": self._percentile(ordered, 0.99) * 1000.0,
         }
-
-
-#: Queue sentinel telling a worker task to exit.
-_SHUTDOWN = object()
 
 
 class VoiceService:
@@ -296,8 +297,8 @@ class VoiceService:
             on_swap=engine.adopt_table,
         )
         self._metrics = ServiceMetrics(latency_window=config.latency_window)
-        self._queue: asyncio.Queue | None = None
-        self._workers: list[asyncio.Task] = []
+        self._slots: asyncio.Semaphore | None = None
+        self._waiting = 0
         self._executor: ThreadPoolExecutor | None = None
         self._running = False
 
@@ -356,8 +357,8 @@ class VoiceService:
 
     @property
     def queue_depth(self) -> int:
-        """Requests currently waiting for a worker."""
-        return self._queue.qsize() if self._queue is not None else 0
+        """Requests currently waiting for a free slot."""
+        return self._waiting
 
     def reliability(self) -> dict:
         """The error-taxonomy counters as one JSON-ready dict.
@@ -456,7 +457,7 @@ class VoiceService:
         await self.stop()
 
     async def start(self) -> None:
-        """Start the request loop and the maintenance scheduler."""
+        """Start accepting requests and the maintenance scheduler."""
         if self._running:
             raise RuntimeError("service already started")
         if self._config.failpoints:
@@ -468,23 +469,19 @@ class VoiceService:
             )
         if self._pool is not None:
             self._pool.warm_up()
-        self._queue = asyncio.Queue()
+        self._slots = asyncio.Semaphore(self._concurrency)
         self._executor = ThreadPoolExecutor(
             max_workers=self._executor_workers, thread_name_prefix="voice-serving"
         )
-        loop = asyncio.get_running_loop()
-        self._workers = [
-            loop.create_task(self._worker(), name=f"voice-service-worker-{index}")
-            for index in range(self._concurrency)
-        ]
         self._scheduler.start()
         self._running = True
 
     async def stop(self, drain_maintenance: bool = True) -> None:
-        """Drain queued requests, stop workers and the scheduler.
+        """Answer every admitted request, then stop the scheduler.
 
-        Already-queued requests are still answered; new :meth:`submit`
-        calls fail immediately.  ``drain_maintenance`` is forwarded to
+        New :meth:`submit` calls fail immediately; requests already in
+        flight or waiting for a slot are still answered.
+        ``drain_maintenance`` is forwarded to
         :meth:`MaintenanceScheduler.stop`.  Finally the engine adopts
         the last published snapshot, so quiesced ``engine.ask`` calls
         afterwards see every maintained speech.
@@ -492,14 +489,14 @@ class VoiceService:
         if not self._running:
             return
         self._running = False
-        for _ in self._workers:
-            self._queue.put_nowait(_SHUTDOWN)
-        await asyncio.gather(*self._workers)
-        self._workers = []
+        # The semaphore wakes waiters first in, first out, so taking
+        # every slot waits out each waiting request and then each one
+        # in flight; no request can join behind.
+        for _ in range(self._concurrency):
+            await self._slots.acquire()
         await self._scheduler.stop(drain=drain_maintenance)
         self._executor.shutdown(wait=True)
         self._executor = None
-        self._queue = None
         self._engine.swap_store(self._registry.current.store)
         if self._scheduler.table is not self._engine.table:
             # Safety net: the on_swap hook normally keeps the engine's
@@ -528,21 +525,41 @@ class VoiceService:
         the session's previous response exactly like the interactive
         engine would; session-less requests are answered statelessly.
 
-        Raises :class:`ServiceOverloadedError` when ``max_queue_depth``
-        requests are already waiting (admission control) and
-        ``RuntimeError`` when the service is not running.
+        The request is answered on the caller's task.  A free slot is
+        taken without yielding, so an inline answer (any store answer,
+        help, repeat) without a deadline completes in one step.
+
+        Raises :class:`ServiceOverloadedError` when all ``concurrency``
+        slots are busy and ``max_queue_depth`` requests are already
+        waiting (admission control), and ``RuntimeError`` when the
+        service is not running.
         """
         if not self._running:
             raise RuntimeError("service is not running")
-        if self._queue.qsize() >= self._max_queue_depth:
+        slots = self._slots
+        waits = slots.locked()
+        if waits and self._waiting >= self._max_queue_depth:
             self._metrics.rejected += 1
             raise ServiceOverloadedError(
                 f"request queue is full ({self._max_queue_depth} waiting)"
             )
         self._metrics.submitted += 1
-        future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((request, future, time.perf_counter()))
-        return await future
+        submitted_at = time.perf_counter()
+        self._waiting += waits
+        try:
+            await slots.acquire()  # a free slot is taken without yielding
+        finally:
+            self._waiting -= waits
+        try:
+            response, offloaded = await self._answer_within_deadline(request, submitted_at)
+        except Exception:
+            self._metrics.errors += 1
+            raise
+        finally:
+            slots.release()
+        response.latency_seconds = time.perf_counter() - submitted_at
+        self._metrics.observe(response, response.latency_seconds, offloaded)
+        return response
 
     def request_append(self, new_rows: Table) -> int | None:
         """Queue appended rows for background maintenance (no pause).
@@ -558,42 +575,24 @@ class VoiceService:
         return build_append_table(self._scheduler.table, rows)
 
     # ------------------------------------------------------------------
-    # Workers
+    # Answering
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            request, future, submitted_at = item
-            try:
-                response, offloaded = await self._answer_within_deadline(
-                    request, submitted_at
-                )
-                response.latency_seconds = time.perf_counter() - submitted_at
-                self._metrics.observe(response, response.latency_seconds, offloaded)
-                if not future.cancelled():
-                    future.set_result(response)
-            except Exception as exc:
-                self._metrics.errors += 1
-                if not future.cancelled():
-                    future.set_exception(exc)
-
     async def _answer_within_deadline(
         self, request: VoiceRequest, submitted_at: float
     ) -> tuple[VoiceResponse, bool]:
         """Answer one request, bounded by its deadline when it has one.
 
-        The budget covers queue wait *and* answering — a request that
-        spent its whole ``deadline_ms`` waiting is answered with a
-        ``timeout`` response immediately, without computing an answer
-        nobody is waiting for anymore.  Expiry mid-answer cancels the
-        answering task; offloaded work that was still queued for the
-        executor is cancelled with it (a thread already computing runs
-        to completion, but its result is discarded and the response
-        goes out on time).  Timed-out requests never record session
-        state: the caller got no answer, so "repeat" must replay the
-        last answer they actually heard.
+        The budget covers the wait for a slot *and* answering — a
+        request that spent its whole ``deadline_ms`` waiting is answered
+        with a ``timeout`` response immediately, without computing an
+        answer nobody is waiting for anymore.  Expiry mid-answer cancels
+        the answer on the caller's task (``asyncio.timeout``, no helper
+        task); offloaded work that was still queued for the executor is
+        cancelled with it (a thread already computing runs to
+        completion, but its result is discarded and the response goes
+        out on time).  Timed-out requests never record session state:
+        the caller got no answer, so "repeat" must replay the last
+        answer they actually heard.
         """
         deadline_ms = request.deadline_ms
         if deadline_ms is None:
@@ -603,8 +602,9 @@ class VoiceService:
         remaining = deadline_ms / 1000.0 - (time.perf_counter() - submitted_at)
         if remaining > 0:
             try:
-                return await asyncio.wait_for(self._answer(request), timeout=remaining)
-            except asyncio.TimeoutError:
+                async with asyncio.timeout(remaining):
+                    return await self._answer(request)
+            except TimeoutError:
                 pass
         response = VoiceResponse(
             kind=ResponseKind.TIMEOUT,

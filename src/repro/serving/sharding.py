@@ -202,19 +202,9 @@ def _shard_main(conn, engine, config, index: int) -> None:
     from repro.api.http_server import VoiceHttpServer
     from repro.serving.service import VoiceService
 
-    def _quiet_cancelled(loop, context) -> None:
-        # Keep-alive router connections parked on a read at loop
-        # teardown surface as "Exception in callback ... CancelledError"
-        # noise (an asyncio-streams wart); a draining shard's log
-        # should stay clean for the chaos smokes.
-        if isinstance(context.get("exception"), asyncio.CancelledError):
-            return
-        loop.default_exception_handler(context)
-
     async def run() -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
-        loop.set_exception_handler(_quiet_cancelled)
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
         async with VoiceService(engine, config) as service:

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
 
 from repro.api import HttpClient, ServingConfig, VoiceHttpServer, VoiceRequest
 from repro.api.envelopes import SCHEMA_VERSION
+from repro.api.errors import TransportError
 from repro.serving import VoiceService
+
+from tests.serving.conftest import gate_answers
 
 
 def run_with_server(engine, scenario, **config_fields):
@@ -232,3 +236,78 @@ class TestProtocol:
                 return response.kind.value
 
         assert asyncio.run(main()) == "speech"
+
+    def test_stop_closes_idle_connections_and_answers_in_flight_requests(self, engine):
+        async def main():
+            async with VoiceService(engine, ServingConfig(concurrency=2)) as service:
+                gate = gate_answers(service)
+                server = VoiceHttpServer(service)
+                await server.start()
+                idle = HttpClient(server.host, server.port)
+                await idle.health()  # leaves one idle keep-alive connection
+                busy = HttpClient(server.host, server.port)
+                pending = asyncio.ensure_future(busy.ask(VoiceRequest(text="help")))
+                await asyncio.sleep(0.05)  # the request is being answered
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.sleep(0.05)
+                waited = not stopping.done()
+                gate.set()
+                response = await pending
+                await stopping
+                # The idle connection was closed, not left serving.
+                with pytest.raises(TransportError):
+                    await idle.health()
+                await idle.aclose()
+                await busy.aclose()
+                return waited, response.kind.value
+
+        assert asyncio.run(main()) == (True, "help")
+
+    def test_handler_first_run_after_stop_exits_at_once(self, engine):
+        # A connection accepted in the same loop pass as stop() gets its
+        # handler task started only after stop() has returned.
+        async def main():
+            async with VoiceService(engine, ServingConfig()) as service:
+                server = VoiceHttpServer(service)
+                await server.start()
+                await server.stop()
+                reader = asyncio.StreamReader()  # never fed: a read would park
+                writer = mock.Mock()
+                await asyncio.wait_for(server._serve_connection(reader, writer), 1)
+                return writer.close.called
+
+        assert asyncio.run(main())
+
+
+class CountingLoop(asyncio.SelectorEventLoop):
+    """Counts event-loop passes (``_run_once`` calls)."""
+
+    passes = 0
+
+    def _run_once(self):
+        self.passes += 1
+        super()._run_once()
+
+
+class TestLoopPasses:
+    def test_exact_hit_takes_at_most_four_loop_passes(self, engine):
+        # The round trip itself needs 4 passes.  A queue hop to a
+        # worker task and a helper task under asyncio.wait_for made 9.
+        async def main():
+            loop = asyncio.get_running_loop()
+            request = VoiceRequest(text="what is the delay in Winter")
+            passes = []
+            async with VoiceService(engine, ServingConfig()) as service:
+                async with VoiceHttpServer(service) as server:
+                    async with HttpClient(server.host, server.port, max_connections=1) as client:
+                        await client.ask(request)  # opens the pooled connection
+                        for _ in range(50):
+                            before = loop.passes
+                            response = await client.ask(request)
+                            passes.append(loop.passes - before)
+                            assert response.exact_match
+            return passes
+
+        with asyncio.Runner(loop_factory=CountingLoop) as runner:
+            passes = runner.run(main())
+        assert max(passes) <= 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.relational.column import ColumnType
@@ -42,6 +44,19 @@ def make_engine(
 def append_table(rows: list[tuple]) -> Table:
     """An append batch over the running-example schema."""
     return Table.from_rows("flight_delays", COLUMNS, COLUMN_TYPES, rows)
+
+
+def gate_answers(service) -> asyncio.Event:
+    """Make every answer of ``service`` wait until the returned event is set."""
+    gate = asyncio.Event()
+    inner_answer = service._answer
+
+    async def gated_answer(request):
+        await gate.wait()
+        return await inner_answer(request)
+
+    service._answer = gated_answer
+    return gate
 
 
 @pytest.fixture()

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import asyncio
+import random
 
 import pytest
 
 from repro.api import ServiceOverloadedError, ServingConfig, VoiceRequest
 from repro.serving import VoiceService
-from repro.system.engine import ResponseKind
+from repro.serving.service import ServiceMetrics
+from repro.system.classification import RequestType
+from repro.system.engine import ResponseKind, VoiceResponse
 from repro.system.speech_store import SpeechStore
 
-from tests.serving.conftest import append_table
+from tests.serving.conftest import append_table, gate_answers
 
 
 class CountingStore(SpeechStore):
@@ -103,6 +106,21 @@ class TestRequestPath:
         assert summary["completed"] == 4
         assert summary["responses_by_kind"]["comparison"] == 1
 
+    def test_sessionless_exact_hit_finishes_without_suspending(self, engine):
+        async def run():
+            async with VoiceService(engine, ServingConfig(concurrency=1)) as service:
+                coro = service.submit(VoiceRequest(text="what is the delay in Winter"))
+                # Answered on the caller's task: no queue hop to a worker,
+                # so the first step runs the answer to completion.
+                with pytest.raises(StopIteration) as finished:
+                    coro.send(None)
+                return finished.value.value, service.metrics.summary()
+
+        response, summary = asyncio.run(run())
+        assert response.kind is ResponseKind.SPEECH
+        assert response.exact_match
+        assert summary["completed"] == 1
+
     def test_each_store_answer_is_one_lookup(self, engine):
         store = CountingStore()
         for speech in engine.store:
@@ -128,19 +146,13 @@ class TestAdmissionControl:
     def test_queue_depth_backpressure(self, engine):
         async def run():
             service = VoiceService(engine, ServingConfig(concurrency=1, max_queue_depth=1))
-            gate = asyncio.Event()
-            inner_answer = service._answer
-
-            async def gated_answer(text):
-                await gate.wait()
-                return await inner_answer(text)
-
-            service._answer = gated_answer
+            gate = gate_answers(service)
             await service.start()
             first = asyncio.ensure_future(service.submit(VoiceRequest(text="help")))
-            await asyncio.sleep(0.01)  # worker picks request 1 up, then blocks
+            await asyncio.sleep(0.01)  # request 1 takes the only slot, then blocks
             second = asyncio.ensure_future(service.submit(VoiceRequest(text="help")))
-            await asyncio.sleep(0.01)  # request 2 now waits in the queue
+            await asyncio.sleep(0.01)  # request 2 now waits for the slot
+            assert service.queue_depth == 1
             with pytest.raises(ServiceOverloadedError):
                 await service.submit(VoiceRequest(text="help"))
             assert service.metrics.rejected == 1
@@ -151,6 +163,27 @@ class TestAdmissionControl:
 
         responses = asyncio.run(run())
         assert all(r.kind is ResponseKind.HELP for r in responses)
+
+    def test_zero_queue_depth_answers_while_a_slot_is_free(self, engine):
+        async def run():
+            config = ServingConfig(concurrency=1, max_queue_depth=0)
+            service = VoiceService(engine, config)
+            gate = gate_answers(service)
+            await service.start()
+            first = asyncio.ensure_future(service.submit(VoiceRequest(text="help")))
+            await asyncio.sleep(0.01)  # the only slot is taken: no waiting room
+            with pytest.raises(ServiceOverloadedError):
+                await service.submit(VoiceRequest(text="help"))
+            gate.set()
+            responses = [await first]
+            # The slot is free again, so an idle service answers.
+            responses.append(await service.submit(VoiceRequest(text="help")))
+            await service.stop()
+            return responses, service.metrics.rejected
+
+        responses, rejected = asyncio.run(run())
+        assert [r.kind for r in responses] == [ResponseKind.HELP, ResponseKind.HELP]
+        assert rejected == 1
 
     def test_invalid_parameters_rejected(self, engine):
         with pytest.raises(ValueError):
@@ -213,7 +246,7 @@ class TestLifecycle:
             await service.start()
             request = VoiceRequest(text="what is the delay in Winter")
             pending = [asyncio.ensure_future(service.submit(request)) for _ in range(5)]
-            await asyncio.sleep(0)  # let submissions enqueue
+            await asyncio.sleep(0)  # let the submissions start
             await service.stop()
             await service.stop()  # idempotent
             return await asyncio.gather(*pending)
@@ -221,6 +254,31 @@ class TestLifecycle:
         responses = asyncio.run(run())
         assert len(responses) == 5
         assert all(r.kind is ResponseKind.SPEECH for r in responses)
+
+    def test_stop_answers_requests_waiting_beyond_concurrency(self, engine):
+        async def run():
+            service = VoiceService(engine, ServingConfig(concurrency=1, max_queue_depth=8))
+            gate = gate_answers(service)
+            await service.start()
+            pending = [
+                asyncio.ensure_future(service.submit(VoiceRequest(text="help")))
+                for _ in range(4)
+            ]
+            await asyncio.sleep(0.01)  # one request in flight, three waiting
+            depth = service.queue_depth
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0.01)
+            stopped_early = stopping.done()
+            with pytest.raises(RuntimeError):
+                await service.submit(VoiceRequest(text="help"))  # refused while draining
+            gate.set()
+            await stopping
+            return depth, stopped_early, await asyncio.gather(*pending)
+
+        depth, stopped_early, responses = asyncio.run(run())
+        assert depth == 3
+        assert not stopped_early
+        assert [r.kind for r in responses] == [ResponseKind.HELP] * 4
 
     def test_double_start_rejected(self, engine):
         async def run():
@@ -250,6 +308,28 @@ class TestMetrics:
         assert 0.0 < summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]
         assert summary["qps"] > 0.0
         assert summary["responses_by_kind"]["speech"] >= 3
+
+    def test_latency_window_keeps_the_newest_samples(self):
+        window, extra = 50, 17
+        response = VoiceResponse(
+            kind=ResponseKind.HELP, text="help", request_type=RequestType.HELP
+        )
+        # Slow outliers first, so percentiles over every sample would
+        # differ from those over the newest ``window``.
+        rng = random.Random(7)
+        samples = [1.0 + i for i in range(extra)]
+        samples += [rng.uniform(0.001, 0.01) for _ in range(window)]
+        metrics = ServiceMetrics(latency_window=window)
+        for latency in samples:
+            metrics.observe(response, latency, offloaded=False)
+        newest = ServiceMetrics(latency_window=window)
+        for latency in samples[-window:]:
+            newest.observe(response, latency, offloaded=False)
+        summary, expected = metrics.summary(), newest.summary()
+        assert summary["completed"] == window + extra
+        for key in ("p50_ms", "p95_ms", "p99_ms"):
+            assert summary[key] == expected[key]
+        assert summary["p99_ms"] < 1000.0
 
     def test_reset_zeroes_counters(self, engine):
         async def run():
