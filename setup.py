@@ -1,10 +1,9 @@
-"""Setuptools shim.
+"""Setuptools shim with no packaging metadata.
 
-The canonical build configuration lives in ``pyproject.toml``.  This
-file exists so the package can be installed in editable mode in offline
-environments whose setuptools/pip combination lacks PEP 660 support
-(``pip install -e . --no-build-isolation`` falls back to the legacy
-``setup.py develop`` path when needed).
+The repository has no ``pyproject.toml`` or ``setup.cfg``, and this call
+to ``setup()`` names no packages, so installing from it does not install
+``repro``.  Run the code from the source tree with ``PYTHONPATH=src``
+(see ``README.md``); CI installs only ``requirements-ci.txt``.
 """
 
 from setuptools import setup

@@ -4,7 +4,7 @@ for Concise Answers to Voice Queries" (Trummer & Anderson, ICDE 2021).
 The package is organised as follows:
 
 * :mod:`repro.relational` — in-memory relational substrate (tables,
-  predicates, joins, aggregation, catalog statistics, cost estimates).
+  CSV import, equality selection, table statistics, cost estimates).
 * :mod:`repro.core` — the problem model: facts, speeches, priors, user
   expectation models, utility.
 * :mod:`repro.facts` — candidate fact enumeration and fact groups.

@@ -1,41 +1,25 @@
 """In-memory relational substrate used by the speech summarizer.
 
 The paper executes its algorithms as a series of SQL queries against
-Postgres.  This package provides the equivalent relational vocabulary
-(tables, predicates, joins, group-by aggregation, catalog statistics and
-cost estimates) as a small columnar engine so the algorithms can be
-expressed the same way without an external database server.
+Postgres.  Pre-processing here works on cached column codes instead, so
+this package keeps only what that needs: typed columns and immutable
+tables, CSV import and export, equality predicates with one ``select``
+(the row-level reference for subset selection), and the table
+statistics and cost estimates the plan optimizer consumes.
 """
 
 from repro.relational.column import Column, ColumnType
 from repro.relational.table import Table
 from repro.relational.expressions import (
     AndPredicate,
-    ColumnRef,
-    ComparisonPredicate,
     EqualsPredicate,
-    InPredicate,
-    IsNullPredicate,
-    NotPredicate,
-    OrPredicate,
     Predicate,
     TruePredicate,
 )
-from repro.relational.aggregates import AggregateSpec, AVG, COUNT, MAX, MIN, SUM
-from repro.relational.operators import (
-    cross_product,
-    group_by,
-    hash_join,
-    nested_loop_join,
-    project,
-    scope_match_join,
-    select,
-)
-from repro.relational.catalog import Catalog, TableStatistics
+from repro.relational.operators import select
+from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator, CostEstimate
 from repro.relational.csvio import read_csv, write_csv
-from repro.relational.engine import RelationalEngine
-from repro.relational.sql import SqlSession, execute_sql, parse_sql
 
 __all__ = [
     "Column",
@@ -44,34 +28,11 @@ __all__ = [
     "Predicate",
     "TruePredicate",
     "EqualsPredicate",
-    "ComparisonPredicate",
-    "InPredicate",
-    "IsNullPredicate",
     "AndPredicate",
-    "OrPredicate",
-    "NotPredicate",
-    "ColumnRef",
-    "AggregateSpec",
-    "SUM",
-    "AVG",
-    "COUNT",
-    "MIN",
-    "MAX",
     "select",
-    "project",
-    "group_by",
-    "nested_loop_join",
-    "hash_join",
-    "cross_product",
-    "scope_match_join",
-    "Catalog",
     "TableStatistics",
     "CostEstimator",
     "CostEstimate",
     "read_csv",
     "write_csv",
-    "RelationalEngine",
-    "SqlSession",
-    "execute_sql",
-    "parse_sql",
 ]

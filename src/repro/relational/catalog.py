@@ -1,17 +1,16 @@
-"""Catalog statistics over registered tables.
+"""Table statistics for the plan optimizer's cost model.
 
 The paper's cost model (Section VI-C) consumes "query optimizer
 statistics": the number of distinct value combinations in subsets of
-dimension columns and table cardinalities.  The :class:`Catalog`
-maintains those statistics for the in-memory engine.
+dimension columns and table cardinalities.  :class:`TableStatistics`
+collects those statistics from an in-memory table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.relational.errors import UnknownTableError
 from repro.relational.table import Table
 
 
@@ -63,53 +62,3 @@ class TableStatistics:
         combos = self.combination_count(columns)
         return 1.0 / combos if combos else 1.0
 
-
-class Catalog:
-    """Registry of tables and their statistics."""
-
-    def __init__(self) -> None:
-        self._tables: dict[str, Table] = {}
-        self._stats: dict[str, TableStatistics] = {}
-
-    def register(self, table: Table) -> None:
-        """Register (or replace) a table and refresh its statistics."""
-        self._tables[table.name] = table
-        self._stats[table.name] = TableStatistics.from_table(table)
-
-    def unregister(self, name: str) -> None:
-        """Remove a table from the catalog (no-op when absent)."""
-        self._tables.pop(name, None)
-        self._stats.pop(name, None)
-
-    def table(self, name: str) -> Table:
-        """Return the registered table ``name``."""
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise UnknownTableError(
-                f"unknown table {name!r}; registered: {sorted(self._tables)}"
-            ) from None
-
-    def statistics(self, name: str) -> TableStatistics:
-        """Return statistics for table ``name``."""
-        try:
-            return self._stats[name]
-        except KeyError:
-            raise UnknownTableError(
-                f"no statistics for table {name!r}; registered: {sorted(self._stats)}"
-            ) from None
-
-    def has_table(self, name: str) -> bool:
-        """Return True when ``name`` is registered."""
-        return name in self._tables
-
-    def table_names(self) -> list[str]:
-        """Names of all registered tables."""
-        return sorted(self._tables)
-
-    def refresh(self, names: Iterable[str] | None = None) -> None:
-        """Recompute statistics for the given tables (all when None)."""
-        targets = list(names) if names is not None else list(self._tables)
-        for name in targets:
-            table = self.table(name)
-            self._stats[name] = TableStatistics.from_table(table)

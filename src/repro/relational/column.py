@@ -22,7 +22,8 @@ class ColumnType(enum.Enum):
 
     ``CATEGORICAL`` columns hold strings (or None for NULL), ``NUMERIC``
     columns hold floats (NaN represents NULL), and ``INTEGER`` columns
-    hold integers (None is not allowed).
+    hold integers (None is not allowed, and non-integral numbers are
+    rejected rather than truncated).
     """
 
     CATEGORICAL = "categorical"
@@ -94,11 +95,18 @@ class Column:
                         f"column {self._name!r}: NULL not allowed in integer column"
                     )
                 try:
-                    out.append(int(v))
-                except (TypeError, ValueError) as exc:
+                    as_int = int(v)
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise TypeMismatchError(
                         f"column {self._name!r}: cannot interpret {v!r} as integer"
                     ) from exc
+                # int() truncates: 2.7 would load as 2.  Strings that
+                # int() accepts are integral already.
+                if as_int != v and not isinstance(v, str):
+                    raise TypeMismatchError(
+                        f"column {self._name!r}: {v!r} is not an integral value"
+                    )
+                out.append(as_int)
             return out
         raise SchemaError(f"unknown column type {self._ctype!r}")
 

@@ -1,8 +1,8 @@
 """CSV import/export for tables.
 
 The original evaluation loads public CSV data sets (flight delays,
-developer survey, ACS, primaries) into Postgres.  These helpers provide
-the equivalent path into the in-memory engine, plus export for
+developer survey, ACS, primaries) into Postgres.  These helpers load
+such a file into an in-memory :class:`Table`, plus export for
 inspecting intermediate results.
 """
 
@@ -13,18 +13,31 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from repro.relational.column import Column, ColumnType
-from repro.relational.errors import SchemaError
+from repro.relational.errors import SchemaError, TypeMismatchError
 from repro.relational.table import Table
 
 
 def _parse_cell(raw: str, ctype: ColumnType):
-    """Convert a CSV cell to the column's value domain ('' -> NULL)."""
+    """Convert a CSV cell to the column's value domain ('' -> NULL).
+
+    Raises ``ValueError`` for a cell that is not a number in a NUMERIC
+    column, or not an integral one in an INTEGER column (which holds no
+    NULLs, so an empty cell there is an error too).
+    """
     if raw == "":
+        if ctype is ColumnType.INTEGER:
+            raise ValueError("NULL in an integer column")
         return None
     if ctype is ColumnType.NUMERIC:
         return float(raw)
     if ctype is ColumnType.INTEGER:
-        return int(float(raw))
+        try:
+            return int(raw)
+        except ValueError:
+            value = float(raw)  # "2.0" and "1e3" are integers too
+        if not value.is_integer():
+            raise ValueError(f"{raw!r} is not an integer")
+        return int(value)
     return raw
 
 
@@ -76,9 +89,16 @@ def read_csv(
     columns = []
     for pos, cname in enumerate(header):
         ctype = resolved_types[cname]
-        columns.append(
-            Column(cname, ctype, [_parse_cell(r[pos], ctype) for r in rows])
-        )
+        values = []
+        for line, row in enumerate(rows, start=2):
+            try:
+                values.append(_parse_cell(row[pos], ctype))
+            except ValueError:
+                raise TypeMismatchError(
+                    f"CSV file {path}: line {line}, column {cname!r}: "
+                    f"cannot read {row[pos]!r} as {ctype.value}"
+                ) from None
+        columns.append(Column(cname, ctype, values))
     return Table(name or path.stem, columns)
 
 

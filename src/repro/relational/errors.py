@@ -2,7 +2,7 @@
 
 
 class RelationalError(Exception):
-    """Base class for all errors raised by the relational engine."""
+    """Base class for all errors raised by the relational substrate."""
 
 
 class SchemaError(RelationalError):
@@ -15,10 +15,3 @@ class TypeMismatchError(RelationalError):
     """Raised when a value is inserted into or compared against a column
     of an incompatible type."""
 
-
-class UnknownTableError(RelationalError):
-    """Raised when the engine is asked for a table it does not know."""
-
-
-class EmptyTableError(RelationalError):
-    """Raised when an operation requires a non-empty table."""

@@ -1,35 +1,19 @@
-"""Predicate expressions evaluated against tables.
+"""Equality predicates evaluated against tables.
 
-Predicates model the WHERE-clause fragments the paper's SQL
-implementation uses: equality predicates on dimension columns, NULL
-checks (a fact leaves a dimension unrestricted by storing NULL), and
-boolean combinations thereof.  Each predicate can evaluate a single row
-(``matches_row``) or a whole table at once (``evaluate``), returning a
-boolean mask.
+Predicates model the WHERE clause of a query scope in the paper's SQL
+implementation: a conjunction of ``column = value`` equalities on
+dimension columns (NULL never matches).  Each predicate can evaluate a
+single row (``matches_row``) or a whole table at once (``evaluate``),
+returning a boolean mask.
 """
 
 from __future__ import annotations
 
 import abc
-import operator
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.relational.errors import SchemaError
 from repro.relational.table import Table
-
-
-@dataclass(frozen=True)
-class ColumnRef:
-    """Reference to a column by name (optionally qualified by table)."""
-
-    name: str
-    table: str | None = None
-
-    def __str__(self) -> str:
-        if self.table:
-            return f"{self.table}.{self.name}"
-        return self.name
 
 
 class Predicate(abc.ABC):
@@ -43,14 +27,9 @@ class Predicate(abc.ABC):
     def referenced_columns(self) -> set[str]:
         """Names of all columns this predicate reads."""
 
+    @abc.abstractmethod
     def evaluate(self, table: Table) -> list[bool]:
-        """Evaluate the predicate against every row of ``table``.
-
-        The default implementation iterates rows; subclasses override
-        this with column-at-a-time evaluation where it pays off.
-        """
-        self._check_schema(table)
-        return [self.matches_row(row) for row in table.iter_rows()]
+        """Evaluate the predicate against every row of ``table`` (a boolean mask)."""
 
     def _check_schema(self, table: Table) -> None:
         missing = self.referenced_columns() - set(table.column_names)
@@ -59,16 +38,6 @@ class Predicate(abc.ABC):
                 f"predicate references unknown columns {sorted(missing)} "
                 f"on table {table.name!r}"
             )
-
-    # Convenience combinators -------------------------------------------------
-    def __and__(self, other: "Predicate") -> "AndPredicate":
-        return AndPredicate([self, other])
-
-    def __or__(self, other: "Predicate") -> "OrPredicate":
-        return OrPredicate([self, other])
-
-    def __invert__(self) -> "NotPredicate":
-        return NotPredicate(self)
 
 
 class TruePredicate(Predicate):
@@ -127,95 +96,6 @@ class EqualsPredicate(Predicate):
         return hash((self.column, self.value))
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "=": operator.eq,
-    "!=": operator.ne,
-}
-
-
-class ComparisonPredicate(Predicate):
-    """``column <op> value`` for numeric comparisons (NULL never matches)."""
-
-    def __init__(self, column: str, op: str, value: Any):
-        if op not in _COMPARATORS:
-            raise ValueError(f"unsupported comparison operator {op!r}")
-        self.column = column
-        self.op = op
-        self.value = value
-        self._fn = _COMPARATORS[op]
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        return self._fn(actual, self.value)
-
-    def referenced_columns(self) -> set[str]:
-        return {self.column}
-
-    def evaluate(self, table: Table) -> list[bool]:
-        self._check_schema(table)
-        col = table.column(self.column)
-        fn, target = self._fn, self.value
-        return [v is not None and fn(v, target) for v in col]
-
-    def __repr__(self) -> str:
-        return f"{self.column} {self.op} {self.value!r}"
-
-
-class InPredicate(Predicate):
-    """``column IN (values)`` (NULL never matches)."""
-
-    def __init__(self, column: str, values: Sequence[Any]):
-        self.column = column
-        self.values = frozenset(values)
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        actual = row.get(self.column)
-        return actual is not None and actual in self.values
-
-    def referenced_columns(self) -> set[str]:
-        return {self.column}
-
-    def evaluate(self, table: Table) -> list[bool]:
-        self._check_schema(table)
-        col = table.column(self.column)
-        values = self.values
-        return [v is not None and v in values for v in col]
-
-    def __repr__(self) -> str:
-        return f"{self.column} IN {sorted(map(repr, self.values))}"
-
-
-class IsNullPredicate(Predicate):
-    """``column IS NULL`` (or ``IS NOT NULL`` when negate=True)."""
-
-    def __init__(self, column: str, negate: bool = False):
-        self.column = column
-        self.negate = negate
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        is_null = row.get(self.column) is None
-        return not is_null if self.negate else is_null
-
-    def referenced_columns(self) -> set[str]:
-        return {self.column}
-
-    def evaluate(self, table: Table) -> list[bool]:
-        self._check_schema(table)
-        col = table.column(self.column)
-        if self.negate:
-            return [v is not None for v in col]
-        return [v is None for v in col]
-
-    def __repr__(self) -> str:
-        return f"{self.column} IS {'NOT ' if self.negate else ''}NULL"
-
-
 class AndPredicate(Predicate):
     """Conjunction of predicates."""
 
@@ -242,53 +122,6 @@ class AndPredicate(Predicate):
 
     def __repr__(self) -> str:
         return "(" + " AND ".join(repr(c) for c in self.children) + ")"
-
-
-class OrPredicate(Predicate):
-    """Disjunction of predicates."""
-
-    def __init__(self, children: Sequence[Predicate]):
-        self.children = list(children)
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        return any(child.matches_row(row) for child in self.children)
-
-    def referenced_columns(self) -> set[str]:
-        cols: set[str] = set()
-        for child in self.children:
-            cols |= child.referenced_columns()
-        return cols
-
-    def evaluate(self, table: Table) -> list[bool]:
-        if not self.children:
-            return [False] * table.num_rows
-        result = self.children[0].evaluate(table)
-        for child in self.children[1:]:
-            mask = child.evaluate(table)
-            result = [a or b for a, b in zip(result, mask)]
-        return result
-
-    def __repr__(self) -> str:
-        return "(" + " OR ".join(repr(c) for c in self.children) + ")"
-
-
-class NotPredicate(Predicate):
-    """Negation of a predicate."""
-
-    def __init__(self, child: Predicate):
-        self.child = child
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        return not self.child.matches_row(row)
-
-    def referenced_columns(self) -> set[str]:
-        return self.child.referenced_columns()
-
-    def evaluate(self, table: Table) -> list[bool]:
-        return [not v for v in self.child.evaluate(table)]
-
-    def __repr__(self) -> str:
-        return f"NOT ({self.child!r})"
 
 
 def conjunction_of_equalities(assignments: Mapping[str, Any]) -> Predicate:

@@ -1,290 +1,19 @@
-"""Relational operators: selection, projection, group-by, joins.
+"""Relational selection: the one operator pre-processing is phrased in.
 
-These are the Γ / σ / Π / ⋈ / × operators Algorithm 1 and 2 of the
-paper are phrased in.  The one non-standard operator is
-:func:`scope_match_join`, which implements the paper's join condition
-``M``: a fact row joins a data row when, for every dimension column,
-the fact either leaves the dimension unrestricted (NULL) or matches the
-data row's value.
+Each query scope of the paper's pre-processing selects the data rows
+that match its dimension values (σ).  Production finds those rows on
+cached column codes; :func:`select` is the row-level reference that
+code is checked against, and the stage the end-to-end benchmark traces.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
-
-from repro.relational.aggregates import AggregateSpec
-from repro.relational.column import Column, ColumnType
-from repro.relational.errors import SchemaError
 from repro.relational.expressions import Predicate
 from repro.relational.table import Table
 
 
-# ----------------------------------------------------------------------
-# Selection and projection
-# ----------------------------------------------------------------------
 def select(table: Table, predicate: Predicate, name: str | None = None) -> Table:
     """σ — return rows of ``table`` satisfying ``predicate``."""
     mask = predicate.evaluate(table)
     result = table.mask(mask)
     return result.renamed(name) if name else result
-
-
-def project(
-    table: Table,
-    columns: Sequence[str],
-    name: str | None = None,
-    distinct: bool = False,
-) -> Table:
-    """Π — keep only ``columns`` (optionally deduplicating rows)."""
-    result = table.select_columns(list(columns))
-    if distinct:
-        # Materialise each column's value list once and dedup row tuples
-        # in a single zip pass — the per-cell ``table.value`` accessor
-        # re-resolves the column on every call, which dominated profiles.
-        value_lists = [result.column(c).values for c in columns]
-        seen: dict[tuple[Any, ...], int] = {}
-        keep = [
-            i
-            for i, key in enumerate(zip(*value_lists))
-            if seen.setdefault(key, i) == i
-        ]
-        if not columns:
-            keep = [0] if result.num_rows else []
-        result = result.take(keep)
-    return result.renamed(name) if name else result
-
-
-def extend(
-    table: Table,
-    column_name: str,
-    ctype: ColumnType,
-    fn: Callable[[Mapping[str, Any]], Any],
-    name: str | None = None,
-) -> Table:
-    """Add a computed column (SQL ``SELECT *, expr AS column_name``).
-
-    ``fn`` receives each row as a dict and returns the new value.
-    """
-    # Resolve every column's value list once; ``iter_rows`` re-resolves
-    # each column per row, which made this the planner's hot spot.
-    names = table.column_names
-    value_lists = [table.column(n).values for n in names]
-    values = [fn(dict(zip(names, row))) for row in zip(*value_lists)]
-    result = table.with_column(Column(column_name, ctype, values))
-    return result.renamed(name) if name else result
-
-
-# ----------------------------------------------------------------------
-# Grouping and aggregation
-# ----------------------------------------------------------------------
-def group_by(
-    table: Table,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    name: str | None = None,
-) -> Table:
-    """Γ — group ``table`` by ``keys`` and compute ``aggregates``.
-
-    With an empty key list, a single global group is produced (even for
-    an empty input table, matching SQL's scalar aggregation).
-    """
-    for key in keys:
-        if not table.has_column(key):
-            raise SchemaError(f"group_by key {key!r} not in table {table.name!r}")
-    for agg in aggregates:
-        if agg.input_column is not None and not table.has_column(agg.input_column):
-            raise SchemaError(
-                f"aggregate input column {agg.input_column!r} not in table {table.name!r}"
-            )
-
-    # Collect row indices per group key (insertion-ordered).
-    groups: dict[tuple[Any, ...], list[int]] = {}
-    key_columns = [table.column(k) for k in keys]
-    for i in range(table.num_rows):
-        key = tuple(col[i] for col in key_columns)
-        groups.setdefault(key, []).append(i)
-    if not keys and not groups:
-        groups[()] = []
-
-    # Build output columns: keys first, then aggregates.
-    out_key_values: list[list[Any]] = [[] for _ in keys]
-    out_agg_values: list[list[Any]] = [[] for _ in aggregates]
-    for key, indices in groups.items():
-        for pos, value in enumerate(key):
-            out_key_values[pos].append(value)
-        for pos, agg in enumerate(aggregates):
-            if agg.input_column is None:
-                inputs: list[Any] = [None] * len(indices)
-                # COUNT(*) counts rows; feed dummy entries of the right length.
-                out_agg_values[pos].append(agg.compute(list(range(len(indices)))))
-                continue
-            col = table.column(agg.input_column)
-            inputs = [col[i] for i in indices]
-            out_agg_values[pos].append(agg.compute(inputs))
-
-    columns: list[Column] = []
-    for pos, key_name in enumerate(keys):
-        original = table.column(key_name)
-        columns.append(Column(key_name, original.ctype, out_key_values[pos]))
-    for pos, agg in enumerate(aggregates):
-        columns.append(Column(agg.output_column, ColumnType.NUMERIC, out_agg_values[pos]))
-    return Table(name or f"groupby_{table.name}", columns)
-
-
-# ----------------------------------------------------------------------
-# Joins
-# ----------------------------------------------------------------------
-def _merged_columns(
-    left: Table, right: Table, left_prefix: str, right_prefix: str
-) -> tuple[list[str], list[str]]:
-    """Resolve output column names, prefixing collisions."""
-    left_names = []
-    right_names = []
-    collisions = set(left.column_names) & set(right.column_names)
-    for cname in left.column_names:
-        left_names.append(f"{left_prefix}{cname}" if cname in collisions else cname)
-    for cname in right.column_names:
-        right_names.append(f"{right_prefix}{cname}" if cname in collisions else cname)
-    return left_names, right_names
-
-
-def _materialise_join(
-    left: Table,
-    right: Table,
-    pairs: Sequence[tuple[int, int]],
-    name: str,
-    left_prefix: str = "left_",
-    right_prefix: str = "right_",
-) -> Table:
-    """Build the join output table from matched (left_index, right_index) pairs."""
-    left_names, right_names = _merged_columns(left, right, left_prefix, right_prefix)
-    columns: list[Column] = []
-    left_indices = [p[0] for p in pairs]
-    right_indices = [p[1] for p in pairs]
-    for out_name, col in zip(left_names, left.columns):
-        columns.append(col.take(left_indices).renamed(out_name))
-    for out_name, col in zip(right_names, right.columns):
-        columns.append(col.take(right_indices).renamed(out_name))
-    return Table(name, columns)
-
-
-def nested_loop_join(
-    left: Table,
-    right: Table,
-    condition: Callable[[Mapping[str, Any], Mapping[str, Any]], bool],
-    name: str | None = None,
-    left_prefix: str = "left_",
-    right_prefix: str = "right_",
-) -> Table:
-    """Theta-join with an arbitrary row-pair condition (nested loops)."""
-    pairs: list[tuple[int, int]] = []
-    left_rows = list(left.iter_rows())
-    right_rows = list(right.iter_rows())
-    for i, lrow in enumerate(left_rows):
-        for j, rrow in enumerate(right_rows):
-            if condition(lrow, rrow):
-                pairs.append((i, j))
-    return _materialise_join(
-        left, right, pairs, name or f"{left.name}_join_{right.name}", left_prefix, right_prefix
-    )
-
-
-def hash_join(
-    left: Table,
-    right: Table,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-    name: str | None = None,
-    left_prefix: str = "left_",
-    right_prefix: str = "right_",
-) -> Table:
-    """Equi-join on the given key columns using a hash table on the right input.
-
-    NULL keys never match (SQL semantics).
-    """
-    if len(left_keys) != len(right_keys):
-        raise SchemaError("hash_join requires equal numbers of left and right keys")
-    right_key_cols = [right.column(k) for k in right_keys]
-    left_key_cols = [left.column(k) for k in left_keys]
-
-    index: dict[tuple[Any, ...], list[int]] = {}
-    for j in range(right.num_rows):
-        key = tuple(col[j] for col in right_key_cols)
-        if any(v is None for v in key):
-            continue
-        index.setdefault(key, []).append(j)
-
-    pairs: list[tuple[int, int]] = []
-    for i in range(left.num_rows):
-        key = tuple(col[i] for col in left_key_cols)
-        if any(v is None for v in key):
-            continue
-        for j in index.get(key, ()):
-            pairs.append((i, j))
-    return _materialise_join(
-        left, right, pairs, name or f"{left.name}_join_{right.name}", left_prefix, right_prefix
-    )
-
-
-def cross_product(
-    left: Table,
-    right: Table,
-    name: str | None = None,
-    left_prefix: str = "left_",
-    right_prefix: str = "right_",
-) -> Table:
-    """× — Cartesian product of two tables."""
-    pairs = [(i, j) for i in range(left.num_rows) for j in range(right.num_rows)]
-    return _materialise_join(
-        left, right, pairs, name or f"{left.name}_x_{right.name}", left_prefix, right_prefix
-    )
-
-
-def scope_match_join(
-    data: Table,
-    facts: Table,
-    dimension_columns: Sequence[str],
-    name: str | None = None,
-    data_prefix: str = "data_",
-    fact_prefix: str = "fact_",
-) -> Table:
-    """⋈M — join data rows with facts whose scope contains them.
-
-    For every dimension column ``d`` in ``dimension_columns``, the fact
-    must either have NULL (dimension unrestricted) or the same value as
-    the data row.  Both tables must contain every dimension column.
-    """
-    for d in dimension_columns:
-        if not data.has_column(d):
-            raise SchemaError(f"data table {data.name!r} lacks dimension column {d!r}")
-        if not facts.has_column(d):
-            raise SchemaError(f"fact table {facts.name!r} lacks dimension column {d!r}")
-
-    data_cols = [data.column(d) for d in dimension_columns]
-    fact_cols = [facts.column(d) for d in dimension_columns]
-
-    # Index facts by their restricted dimension values for cheap matching:
-    # for each fact, remember which dimensions are restricted and to what.
-    fact_restrictions: list[list[tuple[int, Any]]] = []
-    for j in range(facts.num_rows):
-        restricted = [
-            (pos, fact_cols[pos][j])
-            for pos in range(len(dimension_columns))
-            if fact_cols[pos][j] is not None
-        ]
-        fact_restrictions.append(restricted)
-
-    pairs: list[tuple[int, int]] = []
-    for i in range(data.num_rows):
-        row_values = [col[i] for col in data_cols]
-        for j, restricted in enumerate(fact_restrictions):
-            if all(row_values[pos] == value for pos, value in restricted):
-                pairs.append((i, j))
-    return _materialise_join(
-        data,
-        facts,
-        pairs,
-        name or f"{data.name}_scope_{facts.name}",
-        data_prefix,
-        fact_prefix,
-    )

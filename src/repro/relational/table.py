@@ -2,14 +2,16 @@
 
 A :class:`Table` is an ordered collection of named, typed columns of
 equal length.  Tables are immutable: every transformation returns a new
-table.  This keeps the relational operators (`repro.relational.operators`)
-free of aliasing surprises, mirroring how each SQL statement in the
-paper's implementation produces a fresh result relation.
+table, so a selection or an appended batch never aliases its input,
+mirroring how each SQL statement in the paper's implementation produces
+a fresh result relation.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.relational.column import Column, ColumnType
 from repro.relational.errors import SchemaError
@@ -21,7 +23,7 @@ class Table:
     Parameters
     ----------
     name:
-        Table name (used for error messages and the catalog).
+        Table name (used in error messages).
     columns:
         Columns, all of the same length, with unique names.
     """
@@ -94,11 +96,6 @@ class Table:
                 ctype = _infer_type(values)
             columns.append(Column(cname, ctype, values))
         return cls(name, columns)
-
-    @classmethod
-    def empty(cls, name: str, schema: Sequence[tuple[str, ColumnType]]) -> "Table":
-        """Create an empty table with the given schema."""
-        return cls(name, [Column(cname, ctype, []) for cname, ctype in schema])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -196,16 +193,6 @@ class Table:
             cols = self._columns + [column]
         return Table(self._name, cols)
 
-    def without_columns(self, names: Iterable[str]) -> "Table":
-        """Return a new table lacking the given columns."""
-        drop = set(names)
-        cols = [c for c in self._columns if c.name not in drop]
-        return Table(self._name, cols)
-
-    def select_columns(self, names: Sequence[str]) -> "Table":
-        """Return a new table with only the given columns, in that order."""
-        return Table(self._name, [self.column(n) for n in names])
-
     def take(self, indices: Sequence[int]) -> "Table":
         """Return a new table with rows at ``indices`` (in order)."""
         return Table(self._name, [c.take(indices) for c in self._columns])
@@ -213,11 +200,6 @@ class Table:
     def mask(self, keep: Sequence[bool]) -> "Table":
         """Return a new table keeping rows where ``keep`` is True."""
         return Table(self._name, [c.mask(keep) for c in self._columns])
-
-    def head(self, n: int) -> "Table":
-        """Return the first ``n`` rows."""
-        n = max(0, min(n, self._nrows))
-        return self.take(list(range(n)))
 
     def concat(self, other: "Table") -> "Table":
         """Append ``other``'s rows to this table.
@@ -241,29 +223,18 @@ class Table:
             cols.append(mine._derived(mine._values + theirs._values))
         return Table(self._name, cols)
 
-    def sorted_by(self, column_name: str, descending: bool = False) -> "Table":
-        """Return a new table sorted by one column (NULLs last)."""
-        col = self.column(column_name)
-        order = sorted(
-            range(self._nrows),
-            key=lambda i: (col[i] is None, col[i]),
-            reverse=descending,
-        )
-        if descending:
-            # keep NULLs last even when descending
-            non_null = [i for i in order if col[i] is not None]
-            nulls = [i for i in order if col[i] is None]
-            order = non_null + nulls
-        return self.take(order)
-
 
 def _infer_type(values: Sequence[Any]) -> ColumnType:
-    """Infer a column type from raw values (numbers -> NUMERIC, else CATEGORICAL)."""
+    """Infer a column type from raw values (numbers -> NUMERIC, else CATEGORICAL).
+
+    NumPy integer and floating scalars count as numbers; booleans,
+    Python's and NumPy's, do not.
+    """
     saw_value = False
     for v in values:
         if v is None:
             continue
         saw_value = True
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
             return ColumnType.CATEGORICAL
     return ColumnType.NUMERIC if saw_value else ColumnType.CATEGORICAL

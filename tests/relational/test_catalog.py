@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.relational.catalog import Catalog, TableStatistics
+from repro.relational.catalog import TableStatistics
 from repro.relational.column import Column
-from repro.relational.errors import UnknownTableError
-from repro.relational.planner import CostEstimator
+from repro.relational.planner import CostEstimate, CostEstimator
 from repro.relational.table import Table
 
 
@@ -39,37 +38,6 @@ class TestTableStatistics:
     def test_selectivity(self, table):
         stats = TableStatistics.from_table(table)
         assert stats.selectivity(["region"]) == pytest.approx(1 / 3)
-
-
-class TestCatalog:
-    def test_register_and_lookup(self, table):
-        catalog = Catalog()
-        catalog.register(table)
-        assert catalog.has_table("flights")
-        assert catalog.table("flights") is table
-        assert catalog.statistics("flights").row_count == 4
-        assert catalog.table_names() == ["flights"]
-
-    def test_unknown_table_raises(self):
-        catalog = Catalog()
-        with pytest.raises(UnknownTableError):
-            catalog.table("missing")
-        with pytest.raises(UnknownTableError):
-            catalog.statistics("missing")
-
-    def test_unregister(self, table):
-        catalog = Catalog()
-        catalog.register(table)
-        catalog.unregister("flights")
-        assert not catalog.has_table("flights")
-        # Unregistering again is a no-op.
-        catalog.unregister("flights")
-
-    def test_refresh(self, table):
-        catalog = Catalog()
-        catalog.register(table)
-        catalog.refresh()
-        assert catalog.statistics("flights").row_count == 4
 
 
 class TestCostEstimator:
@@ -115,3 +83,45 @@ class TestCostEstimator:
             assert float(estimator.deviation_cost(columns)) == deviation
         capped = TableStatistics(row_count=50, distinct_counts={"a": 28, "b": 11})
         assert CostEstimator(capped).group_costs(["a", "b"]) == (200.0, 100.0)
+
+
+class TestStatisticsEdgeCases:
+    def test_from_empty_table(self):
+        stats = TableStatistics.from_table(Table("t", [Column.categorical("a", [])]))
+        assert stats.row_count == 0
+        assert stats.distinct_counts == {"a": 0}
+        assert stats.combination_count(["a"]) == 1
+
+    def test_unknown_column_counts_as_one_value(self, table):
+        stats = TableStatistics.from_table(table)
+        assert stats.distinct_count("carrier") == 0
+        assert stats.combination_count(["region", "carrier"]) == 3
+
+    def test_null_counts_cover_every_column(self, table):
+        stats = TableStatistics.from_table(table)
+        assert stats.null_counts == {"region": 0, "season": 1, "delay": 0}
+
+    def test_selectivity_of_empty_scope(self, table):
+        assert TableStatistics.from_table(table).selectivity([]) == 1.0
+
+
+class TestCostEstimates:
+    def test_sum_is_combined(self):
+        total = CostEstimate(2.0, "a") + CostEstimate(3.5, "b")
+        assert total == CostEstimate(5.5, "combined")
+        assert float(total) == 5.5
+
+    def test_descriptions_name_the_group(self, table):
+        estimator = CostEstimator(TableStatistics.from_table(table))
+        assert "('region', 'season')" in estimator.utility_cost(["region", "season"]).description
+        assert "('region',)" in estimator.deviation_cost(["region"]).description
+
+    def test_tuple_cost_scales_linearly(self, table):
+        stats = TableStatistics.from_table(table)
+        unit = CostEstimator(stats).group_costs(["region"])
+        double = CostEstimator(stats, tuple_cost=2.0).group_costs(["region"])
+        assert double == (2 * unit[0], 2 * unit[1])
+
+    def test_fact_count_capped_by_rows(self, table):
+        estimator = CostEstimator(TableStatistics.from_table(table))
+        assert estimator.fact_count(["region", "season", "delay"]) == 4

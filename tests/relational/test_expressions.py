@@ -6,12 +6,8 @@ from repro.relational.column import Column
 from repro.relational.errors import SchemaError
 from repro.relational.expressions import (
     AndPredicate,
-    ComparisonPredicate,
     EqualsPredicate,
-    InPredicate,
-    IsNullPredicate,
-    NotPredicate,
-    OrPredicate,
+    Predicate,
     TruePredicate,
     conjunction_of_equalities,
 )
@@ -52,67 +48,26 @@ class TestEqualsPredicate:
         assert EqualsPredicate("a", 1) != EqualsPredicate("a", 2)
 
 
-class TestComparisonPredicate:
-    def test_operators(self, table):
-        assert ComparisonPredicate("delay", ">", 10).evaluate(table) == [True, True, False, False]
-        assert ComparisonPredicate("delay", "<=", 15).evaluate(table) == [True, False, True, False]
-        assert ComparisonPredicate("delay", "!=", 15).evaluate(table) == [False, True, True, False]
-
-    def test_invalid_operator_rejected(self):
-        with pytest.raises(ValueError):
-            ComparisonPredicate("delay", "~", 1)
-
-
 class TestOtherPredicates:
     def test_true_predicate(self, table):
         assert TruePredicate().evaluate(table) == [True] * 4
-
-    def test_in_predicate(self, table):
-        assert InPredicate("season", ["Winter", "Fall"]).evaluate(table) == [
-            True, False, False, True,
-        ]
-
-    def test_is_null(self, table):
-        assert IsNullPredicate("season").evaluate(table) == [False, False, True, False]
-        assert IsNullPredicate("season", negate=True).evaluate(table) == [
-            True, True, False, True,
-        ]
-
-    def test_not_predicate(self, table):
-        predicate = NotPredicate(EqualsPredicate("season", "Winter"))
-        assert predicate.evaluate(table) == [False, True, True, False]
 
 
 class TestBooleanCombinations:
     def test_and(self, table):
         predicate = AndPredicate(
-            [EqualsPredicate("season", "Winter"), ComparisonPredicate("delay", ">", 10)]
+            [EqualsPredicate("season", "Winter"), EqualsPredicate("delay", 15.0)]
         )
         assert predicate.evaluate(table) == [True, False, False, False]
-
-    def test_or(self, table):
-        predicate = OrPredicate(
-            [EqualsPredicate("season", "Summer"), IsNullPredicate("delay")]
-        )
-        assert predicate.evaluate(table) == [False, True, False, True]
-
-    def test_operator_overloads(self, table):
-        predicate = EqualsPredicate("season", "Winter") & ComparisonPredicate("delay", ">", 10)
-        assert predicate.evaluate(table) == [True, False, False, False]
-        negated = ~EqualsPredicate("season", "Winter")
-        assert negated.evaluate(table) == [False, True, True, False]
-        either = EqualsPredicate("season", "Winter") | EqualsPredicate("season", "Summer")
-        assert either.evaluate(table) == [True, True, False, True]
 
     def test_referenced_columns(self):
         predicate = AndPredicate(
-            [EqualsPredicate("a", 1), OrPredicate([EqualsPredicate("b", 2), TruePredicate()])]
+            [EqualsPredicate("a", 1), AndPredicate([EqualsPredicate("b", 2), TruePredicate()])]
         )
         assert predicate.referenced_columns() == {"a", "b"}
 
-    def test_empty_and_or(self, table):
+    def test_empty_and(self, table):
         assert AndPredicate([]).evaluate(table) == [True] * 4
-        assert OrPredicate([]).evaluate(table) == [False] * 4
 
 
 class TestConjunctionHelper:
@@ -126,3 +81,66 @@ class TestConjunctionHelper:
     def test_multiple_predicates(self, table):
         predicate = conjunction_of_equalities({"season": "Winter", "delay": 15.0})
         assert predicate.evaluate(table) == [True, False, False, False]
+
+
+class TestPredicateProtocol:
+    def test_base_class_is_abstract(self):
+        with pytest.raises(TypeError):
+            Predicate()
+
+    def test_true_predicate_accepts_any_row(self):
+        assert TruePredicate().matches_row({})
+        assert TruePredicate().matches_row({"season": None})
+
+    def test_true_predicate_equality_hash_and_repr(self):
+        assert TruePredicate() == TruePredicate()
+        assert hash(TruePredicate()) == hash(TruePredicate())
+        assert TruePredicate() != EqualsPredicate("a", 1)
+        assert repr(TruePredicate()) == "TRUE"
+
+    def test_equals_repr(self):
+        assert repr(EqualsPredicate("season", "Winter")) == "season = 'Winter'"
+
+    def test_equals_not_equal_to_other_types(self):
+        assert EqualsPredicate("a", 1) != ("a", 1)
+
+    def test_equals_compares_numbers_by_value(self, table):
+        assert EqualsPredicate("delay", 15).evaluate(table) == [True, False, False, False]
+
+    def test_equals_on_empty_table(self):
+        empty = Table("t", [Column.categorical("season", [])])
+        assert EqualsPredicate("season", "Winter").evaluate(empty) == []
+
+    def test_matches_row_agrees_with_evaluate(self, table):
+        for predicate in (
+            EqualsPredicate("season", "Winter"),
+            EqualsPredicate("delay", 5.0),
+            AndPredicate([EqualsPredicate("season", "Winter"), EqualsPredicate("delay", 15.0)]),
+            TruePredicate(),
+        ):
+            rowwise = [predicate.matches_row(row) for row in table.iter_rows()]
+            assert predicate.evaluate(table) == rowwise
+
+
+class TestAndPredicate:
+    def test_matches_row(self):
+        predicate = AndPredicate([EqualsPredicate("a", 1), EqualsPredicate("b", 2)])
+        assert predicate.matches_row({"a": 1, "b": 2})
+        assert not predicate.matches_row({"a": 1, "b": 3})
+        assert AndPredicate([]).matches_row({})
+
+    def test_unknown_column_in_child_rejected(self, table):
+        predicate = AndPredicate([EqualsPredicate("season", "Winter"), EqualsPredicate("x", 1)])
+        with pytest.raises(SchemaError):
+            predicate.evaluate(table)
+
+    def test_repr(self):
+        predicate = AndPredicate([EqualsPredicate("a", 1), TruePredicate()])
+        assert repr(predicate) == "(a = 1 AND TRUE)"
+
+
+class TestConjunctionOrder:
+    def test_children_sorted_by_column(self):
+        predicate = conjunction_of_equalities({"b": 2, "a": 1})
+        assert predicate.children == [EqualsPredicate("a", 1), EqualsPredicate("b", 2)]
+        assert predicate.referenced_columns() == {"a", "b"}

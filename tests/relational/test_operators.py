@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.relational.aggregates import AVG, COUNT, SUM
 from repro.relational.column import Column, ColumnType
 from repro.relational.errors import SchemaError
-from repro.relational.expressions import EqualsPredicate
-from repro.relational.operators import (
-    cross_product,
-    extend,
-    group_by,
-    hash_join,
-    nested_loop_join,
-    project,
-    scope_match_join,
-    select,
+from repro.relational.expressions import (
+    EqualsPredicate,
+    TruePredicate,
+    conjunction_of_equalities,
 )
+from repro.relational.operators import select
 from repro.relational.table import Table
 
 
@@ -40,119 +34,29 @@ class TestSelectProject:
     def test_select_renames(self, flights):
         assert select(flights, EqualsPredicate("region", "East"), name="east").name == "east"
 
-    def test_project(self, flights):
-        result = project(flights, ["region"])
-        assert result.column_names == ["region"]
-        assert result.num_rows == 4
 
-    def test_project_distinct(self, flights):
-        result = project(flights, ["region"], distinct=True)
-        assert result.column("region").values == ["East", "North"]
+class TestSelectEdgeCases:
+    def test_true_predicate_keeps_every_row_and_name(self, flights):
+        result = select(flights, TruePredicate())
+        assert result == flights
+        assert result.name == "flights"
 
-    def test_extend_adds_computed_column(self, flights):
-        result = extend(flights, "double_delay", ColumnType.NUMERIC, lambda row: row["delay"] * 2)
-        assert result.column("double_delay").values == [30.0, 20.0, 30.0, 30.0]
+    def test_no_match_keeps_schema(self, flights):
+        result = select(flights, EqualsPredicate("region", "South"))
+        assert result.num_rows == 0
+        assert result.column_names == ["region", "season", "delay"]
+        assert result.column("delay").ctype is ColumnType.NUMERIC
 
+    def test_conjunction(self, flights):
+        predicate = conjunction_of_equalities({"season": "Summer", "delay": 15.0})
+        assert select(flights, predicate).to_dicts() == [
+            {"region": "North", "season": "Summer", "delay": 15.0}
+        ]
 
-class TestGroupBy:
-    def test_group_by_single_key(self, flights):
-        result = group_by(flights, ["region"], [AVG("delay", "avg_delay")])
-        rows = {row["region"]: row["avg_delay"] for row in result.iter_rows()}
-        assert rows["East"] == pytest.approx(12.5)
-        assert rows["North"] == pytest.approx(15.0)
+    def test_source_unchanged(self, flights):
+        select(flights, EqualsPredicate("region", "East"))
+        assert flights.num_rows == 4
 
-    def test_group_by_multiple_aggregates(self, flights):
-        result = group_by(flights, ["season"], [SUM("delay", "s"), COUNT(None, "n")])
-        rows = {row["season"]: row for row in result.iter_rows()}
-        assert rows["Winter"]["s"] == 30.0
-        assert rows["Winter"]["n"] == 2
-
-    def test_global_aggregation(self, flights):
-        result = group_by(flights, [], [SUM("delay", "total")])
-        assert result.num_rows == 1
-        assert result.row(0)["total"] == 55.0
-
-    def test_global_aggregation_of_empty_table(self):
-        empty = Table.empty("e", [("v", ColumnType.NUMERIC)])
-        result = group_by(empty, [], [SUM("v", "total")])
-        assert result.num_rows == 1
-        assert result.row(0)["total"] == 0.0
-
-    def test_unknown_key_rejected(self, flights):
+    def test_unknown_column_rejected(self, flights):
         with pytest.raises(SchemaError):
-            group_by(flights, ["missing"], [SUM("delay")])
-
-    def test_unknown_aggregate_input_rejected(self, flights):
-        with pytest.raises(SchemaError):
-            group_by(flights, ["region"], [SUM("missing")])
-
-
-class TestJoins:
-    def test_hash_join(self, flights):
-        regions = Table(
-            "regions",
-            [
-                Column.categorical("region", ["East", "North"]),
-                Column.categorical("coast", ["Atlantic", "None"]),
-            ],
-        )
-        result = hash_join(flights, regions, ["region"], ["region"])
-        assert result.num_rows == 4
-        assert set(result.column_names) >= {"season", "coast"}
-
-    def test_hash_join_null_keys_never_match(self):
-        left = Table("l", [Column.categorical("k", ["a", None])])
-        right = Table("r", [Column.categorical("k", ["a", None])])
-        result = hash_join(left, right, ["k"], ["k"])
-        assert result.num_rows == 1
-
-    def test_hash_join_key_count_mismatch(self, flights):
-        with pytest.raises(SchemaError):
-            hash_join(flights, flights, ["region"], ["region", "season"])
-
-    def test_nested_loop_join_theta(self, flights):
-        small = Table("thresholds", [Column.numeric("cutoff", [12.0])])
-        result = nested_loop_join(
-            flights, small, lambda l, r: l["delay"] > r["cutoff"]
-        )
-        assert result.num_rows == 3
-
-    def test_cross_product(self, flights):
-        other = Table("t", [Column.numeric("x", [1.0, 2.0])])
-        assert cross_product(flights, other).num_rows == 8
-
-    def test_join_column_name_collisions_are_prefixed(self, flights):
-        result = nested_loop_join(flights, flights, lambda l, r: True)
-        assert "left_region" in result.column_names
-        assert "right_region" in result.column_names
-
-
-class TestScopeMatchJoin:
-    def test_facts_match_rows_within_scope(self, flights):
-        facts = Table(
-            "facts",
-            [
-                Column.categorical("region", ["East", None]),
-                Column.categorical("season", [None, "Winter"]),
-                Column.numeric("value", [12.5, 15.0]),
-            ],
-        )
-        result = scope_match_join(flights, facts, ["region", "season"])
-        # Fact 1 (region East) covers 2 rows, fact 2 (Winter) covers 2 rows.
-        assert result.num_rows == 4
-
-    def test_unrestricted_fact_matches_all_rows(self, flights):
-        facts = Table(
-            "facts",
-            [
-                Column.categorical("region", [None]),
-                Column.categorical("season", [None]),
-                Column.numeric("value", [13.75]),
-            ],
-        )
-        assert scope_match_join(flights, facts, ["region", "season"]).num_rows == 4
-
-    def test_missing_dimension_rejected(self, flights):
-        facts = Table("facts", [Column.categorical("region", ["East"])])
-        with pytest.raises(SchemaError):
-            scope_match_join(flights, facts, ["region", "season"])
+            select(flights, EqualsPredicate("carrier", "AA"))

@@ -1,20 +1,17 @@
-"""Property-based tests for the relational operators.
+"""Property-based tests for the relational selection operator.
 
-The operators are checked against brute-force reference implementations
-over randomly generated small tables: selection matches row-wise
-predicate evaluation, group-by aggregates match per-group recomputation,
-and the scope-match join produces exactly the pairs the scope-inclusion
-definition demands.
+Over randomly generated small tables, selection matches row-wise
+predicate evaluation, a conjunction selects what successive selections
+do, and the selections of a column's values partition its non-NULL rows.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.aggregates import AVG, COUNT, SUM
 from repro.relational.column import Column
-from repro.relational.expressions import EqualsPredicate
-from repro.relational.operators import group_by, scope_match_join, select
+from repro.relational.expressions import EqualsPredicate, conjunction_of_equalities
+from repro.relational.operators import select
 from repro.relational.table import Table
 
 _CATEGORIES = ["a", "b", "c", None]
@@ -52,50 +49,25 @@ def test_select_matches_rowwise_filter(table, value):
     assert result.to_dicts() == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(table=small_tables())
-def test_group_by_matches_bruteforce(table):
-    result = group_by(table, ["d1"], [SUM("v", "s"), COUNT(None, "n"), AVG("v", "m")])
-    groups: dict = {}
-    for row in table.iter_rows():
-        groups.setdefault(row["d1"], []).append(row["v"])
-    assert result.num_rows == len(groups)
-    for row in result.iter_rows():
-        values = groups[row["d1"]]
-        assert row["s"] == sum(values)
-        assert row["n"] == len(values)
-        assert abs(row["m"] - sum(values) / len(values)) < 1e-9
-
 
 @settings(max_examples=60, deadline=None)
-@given(table=small_tables())
-def test_group_by_partitions_all_rows(table):
-    result = group_by(table, ["d1", "d2"], [COUNT(None, "n")])
-    assert sum(row["n"] for row in result.iter_rows()) == table.num_rows
+@given(
+    table=small_tables(),
+    first=st.sampled_from(["a", "b", "c"]),
+    second=st.sampled_from(["a", "b", "c"]),
+)
+def test_select_of_conjunction_matches_successive_selects(table, first, second):
+    assignments = {"d1": first, "d2": second}
+    once = select(table, conjunction_of_equalities(assignments))
+    twice = select(select(table, EqualsPredicate("d1", first)), EqualsPredicate("d2", second))
+    assert once == twice
+    assert all(row["d1"] == first and row["d2"] == second for row in once.iter_rows())
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=small_tables(), facts_spec=st.lists(
-    st.tuples(st.sampled_from(["a", "b", "c", None]), st.sampled_from(["a", "b", "c", None])),
-    min_size=1,
-    max_size=4,
-))
-def test_scope_match_join_matches_definition(table, facts_spec):
-    facts = Table(
-        "facts",
-        [
-            Column.categorical("d1", [f[0] for f in facts_spec]),
-            Column.categorical("d2", [f[1] for f in facts_spec]),
-            Column.numeric("value", [1.0] * len(facts_spec)),
-        ],
-    )
-    result = scope_match_join(table, facts, ["d1", "d2"])
-    expected_pairs = 0
-    for row in table.iter_rows():
-        for fact_d1, fact_d2 in facts_spec:
-            if fact_d1 is not None and row["d1"] != fact_d1:
-                continue
-            if fact_d2 is not None and row["d2"] != fact_d2:
-                continue
-            expected_pairs += 1
-    assert result.num_rows == expected_pairs
+@given(table=small_tables(), value=st.sampled_from(["a", "b", "c"]))
+def test_select_partitions_non_null_rows(table, value):
+    """Selecting each value of d1 in turn splits the non-NULL rows."""
+    sizes = {v: select(table, EqualsPredicate("d1", v)).num_rows for v in ("a", "b", "c")}
+    assert sum(sizes.values()) == table.num_rows - table.column("d1").null_count()
+    assert select(table, EqualsPredicate("d1", value)).num_rows == sizes[value]

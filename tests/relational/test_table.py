@@ -1,5 +1,6 @@
 """Unit tests for repro.relational.table."""
 
+import numpy as np
 import pytest
 
 from repro.relational.column import Column, ColumnType
@@ -53,10 +54,21 @@ class TestConstruction:
         assert table.column("c").ctype is ColumnType.CATEGORICAL
         assert table.column("v").ctype is ColumnType.NUMERIC
 
-    def test_empty_table(self):
-        table = Table.empty("t", [("a", ColumnType.NUMERIC)])
-        assert table.num_rows == 0
-        assert table.column_names == ["a"]
+    def test_from_dict_infers_numpy_numbers_as_numeric(self):
+        table = Table.from_dict(
+            "t",
+            {
+                "i": np.array([1, 2, 3]),
+                "f": np.array([1.5, 2.0, 3.0]),
+                "b": np.array([True, False, True]),
+                "pb": [True, False, True],
+            },
+        )
+        assert table.column("i").ctype is ColumnType.NUMERIC
+        assert table.column("i").values == [1.0, 2.0, 3.0]
+        assert table.column("f").ctype is ColumnType.NUMERIC
+        assert table.column("b").ctype is ColumnType.CATEGORICAL
+        assert table.column("pb").ctype is ColumnType.CATEGORICAL
 
 
 class TestAccess:
@@ -91,19 +103,10 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             make_table().with_column(Column.numeric("x", [1.0]))
 
-    def test_select_and_drop_columns(self):
-        table = make_table()
-        assert table.select_columns(["age"]).column_names == ["age"]
-        assert table.without_columns(["age"]).column_names == ["city"]
-
     def test_take_and_mask(self):
         table = make_table()
         assert table.take([2, 0]).column("age").values == [50.0, 30.0]
         assert table.mask([False, True, False]).column("city").values == ["LA"]
-
-    def test_head(self):
-        assert make_table().head(2).num_rows == 2
-        assert make_table().head(10).num_rows == 3
 
     def test_concat(self):
         table = make_table()
@@ -152,20 +155,135 @@ class TestTransformations:
         assert combined.num_rows == 51
         assert normalised == []
 
-    def test_sorted_by_ascending_and_descending(self):
-        table = make_table()
-        ascending = table.sorted_by("age")
-        assert ascending.column("age").values == [30.0, 40.0, 50.0]
-        descending = table.sorted_by("age", descending=True)
-        assert descending.column("age").values == [50.0, 40.0, 30.0]
-
-    def test_sorted_by_nulls_last(self):
-        table = Table("t", [Column.numeric("v", [None, 2.0, 1.0])])
-        assert table.sorted_by("v").column("v").values == [1.0, 2.0, None]
-        assert table.sorted_by("v", descending=True).column("v").values == [2.0, 1.0, None]
-
     def test_renamed(self):
         assert make_table().renamed("other").name == "other"
 
     def test_equality_ignores_name(self):
         assert make_table() == make_table().renamed("other")
+
+
+class TestTypeInference:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1, 2.5, None], ColumnType.NUMERIC),
+            ([np.int32(1), np.float32(2.0)], ColumnType.NUMERIC),
+            ([1, "a"], ColumnType.CATEGORICAL),
+            (["1", "2"], ColumnType.CATEGORICAL),
+            ([None, None], ColumnType.CATEGORICAL),
+            ([], ColumnType.CATEGORICAL),
+            ([1, True], ColumnType.CATEGORICAL),
+            ([np.bool_(False)], ColumnType.CATEGORICAL),
+        ],
+    )
+    def test_from_dict_inference(self, values, expected):
+        table = Table.from_dict("t", {"x": values})
+        assert table.column("x").ctype is expected
+
+    def test_from_dict_explicit_types_win(self):
+        table = Table.from_dict(
+            "t", {"code": [1, 2], "n": [3, 4]}, types={"code": ColumnType.CATEGORICAL}
+        )
+        assert table.column("code").values == ["1", "2"]
+        assert table.column("n").ctype is ColumnType.NUMERIC
+
+
+class TestShape:
+    def test_table_without_columns_is_empty(self):
+        table = Table("t", [])
+        assert table.num_rows == 0
+        assert table.num_columns == 0
+        assert table.to_dicts() == []
+
+    def test_from_rows_schema_length_mismatch_rejected(self):
+        with pytest.raises(SchemaError):
+            Table.from_rows("t", ["a", "b"], [ColumnType.NUMERIC], [])
+
+    def test_from_rows_without_rows(self):
+        table = Table.from_rows("t", ["a"], [ColumnType.NUMERIC], [])
+        assert table.num_rows == 0
+        assert table.column("a").ctype is ColumnType.NUMERIC
+
+    def test_columns_is_a_copy(self):
+        table = make_table()
+        table.columns.append(Column.numeric("x", [1.0, 2.0, 3.0]))
+        assert table.column_names == ["city", "age"]
+
+
+class TestRowAccess:
+    def test_value(self):
+        assert make_table().value(1, "city") == "LA"
+
+    def test_value_unknown_column_rejected(self):
+        with pytest.raises(SchemaError):
+            make_table().value(0, "salary")
+
+    def test_iter_rows_in_order(self):
+        rows = list(make_table().iter_rows())
+        assert [r["age"] for r in rows] == [30.0, 40.0, 50.0]
+        assert list(rows[0]) == ["city", "age"]
+
+    def test_unknown_column_error_lists_available(self):
+        with pytest.raises(SchemaError, match="city"):
+            make_table().column("missing")
+
+
+class TestImmutability:
+    def test_with_column_leaves_source_unchanged(self):
+        table = make_table()
+        table.with_column(Column.numeric("age", [0.0, 0.0, 0.0]))
+        table.with_column(Column.numeric("h", [1.0, 2.0, 3.0]))
+        assert table.column("age").values == [30.0, 40.0, 50.0]
+        assert table.column_names == ["city", "age"]
+
+    def test_with_column_on_empty_table_sets_row_count(self):
+        table = Table("t", []).with_column(Column.numeric("a", [1.0, 2.0]))
+        assert table.num_rows == 2
+
+    def test_with_column_replacement_keeps_position(self):
+        table = make_table().with_column(Column.categorical("city", ["a", "b", "c"]))
+        assert table.column_names == ["city", "age"]
+
+    def test_take_and_mask_keep_name_and_schema(self):
+        table = make_table()
+        for derived in (table.take([1]), table.mask([True, False, False])):
+            assert derived.name == "people"
+            assert derived.column_names == ["city", "age"]
+        assert table.num_rows == 3
+
+    def test_mask_length_mismatch_rejected(self):
+        with pytest.raises(SchemaError):
+            make_table().mask([True])
+
+    def test_concat_keeps_left_name_and_inputs(self):
+        table = make_table()
+        combined = table.concat(make_table().renamed("other"))
+        assert combined.name == "people"
+        assert table.num_rows == 3
+        assert combined.column("city").values == ["NYC", "LA", "NYC"] * 2
+
+    def test_concat_type_mismatch_rejected(self):
+        other = Table(
+            "o",
+            [Column.categorical("city", ["SF"]), Column.categorical("age", ["old"])],
+        )
+        with pytest.raises(SchemaError):
+            make_table().concat(other)
+
+    def test_concat_column_order_matters(self):
+        other = Table("o", [Column.numeric("age", [1.0]), Column.categorical("city", ["SF"])])
+        with pytest.raises(SchemaError):
+            make_table().concat(other)
+
+
+class TestEquality:
+    def test_column_order_matters(self):
+        table = make_table()
+        swapped = Table("people", list(reversed(table.columns)))
+        assert table != swapped
+
+    def test_values_matter(self):
+        assert make_table() != make_table().take([0, 1, 1])
+
+    def test_not_equal_to_other_types(self):
+        assert make_table() != make_table().to_dicts()
