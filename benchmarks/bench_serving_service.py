@@ -67,7 +67,6 @@ import json
 import multiprocessing
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -339,9 +338,10 @@ def _process_rss_bytes(pid: int | None) -> int | None:
 def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict:
     """HTTP qps at 1/2/4 shards plus the sharded correctness probes.
 
-    The parent engine is never mutated: shards work on pickled copies
-    and the broadcast append lands only in the shard processes and the
-    single-process reference, so each rung starts from identical state.
+    The parent engine is never mutated: shards attach a frozen copy of
+    its store and the broadcast append lands only in the shard processes
+    and the single-process reference, so each rung starts from
+    identical state.
     """
     del passes  # the broadcast append goes out as one batch
     engine, config, base, held_out = build_engine(rows, append_rows)
@@ -377,7 +377,18 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
             summary = await measure(manager)
             if shard_count != 2:
                 return summary
-            # Correctness probes ride on the gated 2-shard rung.
+            # Spawn cost and correctness probes ride on the gated
+            # 2-shard rung: the store-free template each shard unpickles,
+            # the snapshot file every shard maps, and the shards' RSS.
+            stats = manager.spawn_stats()
+            spawn_seconds = stats["spawn_seconds"]
+            rss = [_process_rss_bytes(pid) for pid in manager.shard_pids()]
+            checks["spawn"] = {
+                "template_bytes": stats["template_bytes"],
+                "snapshot_bytes": stats.get("snapshot_bytes", 0),
+                "spawn_seconds_mean": sum(spawn_seconds) / len(spawn_seconds),
+                "aggregate_shard_rss_bytes": sum(r for r in rss if r is not None),
+            }
             first = await manager.submit(
                 VoiceRequest(text=questions[0], session_id="bench-affinity")
             )
@@ -398,42 +409,9 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
             checks["shard_digests"] = sorted(set(digests["digests"].values()))
             return summary
 
-    async def spawn_probe(snapshot_dir: str | None) -> dict:
-        """2-shard spawn cost: payload shipped, wall time, resident set.
-
-        With ``snapshot_dir`` the shards mmap-attach the frozen store
-        (the pickle template is store-free); without it each shard
-        unpickles a private store copy.  The attach run also swaps one
-        append through the barrier and records the digests, so the
-        mmap path's byte parity is checked on the same rung it is
-        priced on.
-        """
-        serving = SERVING.replace(shards=2, snapshot_dir=snapshot_dir)
-        async with ShardManager(engine, serving) as manager:
-            stats = manager.spawn_stats()
-            spawn_seconds = stats["spawn_seconds"]
-            rss = [_process_rss_bytes(pid) for pid in manager.shard_pids()]
-            probe = {
-                "mode": stats["mode"],
-                "template_bytes": stats["template_bytes"],
-                "spawn_seconds_mean": sum(spawn_seconds) / len(spawn_seconds),
-                "aggregate_shard_rss_bytes": sum(r for r in rss if r is not None),
-            }
-            if snapshot_dir is not None:
-                probe["snapshot_bytes"] = stats.get("snapshot_bytes", 0)
-                batch = manager.build_append_table(held_out.to_dicts())
-                await manager.request_append(batch)
-                digests = await manager.store_digest()
-                probe["digest_consistent"] = digests["consistent"]
-                probe["digests"] = sorted(set(digests["digests"].values()))
-            return probe
-
     phases["1"] = asyncio.run(single_process())
     phases["2"] = asyncio.run(sharded(2))
     phases["4"] = asyncio.run(sharded(4))
-    spawn_pickle = asyncio.run(spawn_probe(None))
-    with tempfile.TemporaryDirectory() as snapshot_dir:
-        spawn_attach = asyncio.run(spawn_probe(snapshot_dir))
 
     # Byte-parity oracle for the broadcast append: a single-process
     # service consuming the identical batch must reach the same store.
@@ -450,21 +428,6 @@ def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict
         checks.get("barrier_consistent", False)
         and checks.get("shard_digests") == [oracle]
     )
-    checks["mmap_store_parity"] = (
-        spawn_attach.get("digest_consistent", False)
-        and spawn_attach.get("digests") == [oracle]
-    )
-    checks["spawn"] = {
-        "pickle": spawn_pickle,
-        "attach": spawn_attach,
-        # Pickled-store payload / store-free template payload: how much
-        # per-shard spawn traffic the snapshot file absorbs.
-        "payload_ratio": (
-            spawn_pickle["template_bytes"] / spawn_attach["template_bytes"]
-            if spawn_attach["template_bytes"]
-            else 0.0
-        ),
-    }
 
     cores = os.cpu_count() or 1
     report = {
@@ -714,18 +677,6 @@ def verify(report: dict) -> list[str]:
         problems.append(
             "sharded: broadcast append did not advance every shard to "
             f"version 1 (router saw {sharded['snapshot_version']})"
-        )
-    if not sharded["mmap_store_parity"]:
-        problems.append(
-            "sharded: mmap-attach shards are not byte-identical to the "
-            "single-process reference after the swap"
-        )
-    spawn = sharded["spawn"]
-    if spawn["attach"]["template_bytes"] >= spawn["pickle"]["template_bytes"]:
-        problems.append(
-            "sharded: the mmap-attach spawn template "
-            f"({spawn['attach']['template_bytes']} bytes) is not smaller "
-            f"than the pickled-store template ({spawn['pickle']['template_bytes']})"
         )
     if sharded["scaling_claim"] == "gated":
         if sharded["throughput_ratio"] < 1.6:

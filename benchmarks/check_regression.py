@@ -120,14 +120,6 @@ SPECS: list[dict] = [
             # also self-verifies session affinity and post-barrier
             # cross-shard byte parity.
             {"path": "sharded.throughput_ratio", "tolerance": 0.5},
-            # Pickled-store spawn template bytes / mmap-attach template
-            # bytes.  Guards the zero-copy claim: shards spawned in
-            # attach mode must receive a store-free template several
-            # times smaller than a full pickled engine.  Template sizes
-            # are deterministic for the quick workload, so the ratio is
-            # noise-free; the default tolerance still allows drift from
-            # unrelated engine-state growth.
-            {"path": "sharded.spawn.payload_ratio"},
         ],
     },
 ]

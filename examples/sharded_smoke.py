@@ -24,12 +24,13 @@ The script exercises the multi-process tier's contract end to end:
 4. aggregated ``/v1/metrics``: totals cover the whole burst, the
    per-shard breakdown lists every shard, and the ``router`` section
    reports the expected topology;
-5. with ``--append N --require-digest-parity`` (a server started with
-   ``--snapshot-dir``, i.e. mmap-attached shards): N broadcast appends
+5. with ``--append N --require-digest-parity``: N broadcast appends
    drive maintenance swaps, after which ``GET /v1/store/digest`` must
    report every shard serving byte-identical stores at snapshot
    version N — the compact-store parity contract through real
-   processes.
+   processes.  Every shard attaches the frozen snapshot, from
+   ``--snapshot-dir`` when the server was started with one and from a
+   private temporary directory otherwise, so this holds on both.
 
 Exits non-zero on any violation, which is why CI reuses it as the
 sharded smoke driver.
@@ -155,7 +156,7 @@ async def main_async(args: argparse.Namespace) -> int:
         f"relay retries={router.get('relay_retries')}"
     )
 
-    # 5. Maintenance swaps + cross-shard byte parity (mmap-attach runs).
+    # 5. Maintenance swaps + cross-shard byte parity.
     if args.append:
         for index in range(args.append):
             receipt = await client.append(

@@ -73,14 +73,16 @@ checkpoint_keep:
     (``store.snap``, see :mod:`repro.storage.checkpoint`).
 snapshot_dir:
     Directory for frozen compact-store snapshots (see
-    :mod:`repro.store.publish`).  ``None`` (default) publishes nothing.
-    Set, the serving side freezes ``store-v{version}.snap`` there — the
-    base store at startup and every maintenance swap after — and a
-    sharded deployment switches to **mmap-attach spawning**: shards map
-    the current snapshot read-only instead of unpickling a private
-    store copy, so N shards share one page-cache copy of the store.
-    The shard router clears the directory's old snapshots at start, so
-    a reused directory never hands shards a previous run's store.
+    :mod:`repro.store.publish`).  Set, the serving side freezes
+    ``store-v{version}.snap`` there — the base store at startup and
+    every maintenance swap after.  ``None`` (default): a single-process
+    service publishes nothing, and a sharded deployment uses a private
+    temporary directory that the router removes at stop.  Shards always
+    spawn by **mmap-attach**: each maps the newest snapshot read-only
+    from a store-free engine template, so N shards share one
+    page-cache copy of the store.  The shard router clears the
+    directory's old snapshots at start, so a reused directory never
+    hands shards a previous run's store.
 """
 
 from __future__ import annotations

@@ -674,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--snapshot-dir", default=None, dest="snapshot_dir",
-        help="directory for frozen compact-store snapshots; with --shards "
-        "> 1 the shards mmap-attach the current snapshot instead of "
-        "unpickling a private store copy",
+        help="directory for frozen compact-store snapshots, refrozen on "
+        "every maintenance swap; the --shards > 1 router clears it at start "
+        "(default: no snapshots for one process, a private temporary "
+        "directory for shards)",
     )
     serve_parser.set_defaults(handler=command_serve)
 

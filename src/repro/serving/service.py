@@ -246,7 +246,7 @@ class VoiceService:
         store = engine.store
         version = 0
         if isinstance(store, CompactSpeechStore):
-            # An attached snapshot (a shard spawned in mmap-attach mode)
+            # An attached snapshot (how every shard's engine starts)
             # carries the version it was frozen at; the registry
             # continues from there so the router's barrier lines up.
             version = store.snapshot_version or 0

@@ -50,13 +50,20 @@ maintainer, every shard's post-swap store is byte-identical
 
 Supervision
 -----------
+Every shard unpickles a store-free engine template and mmap-attaches
+the newest frozen snapshot (``store-v<n>.snap``): v0 is the base store,
+frozen before the first spawn into ``config.snapshot_dir`` or a private
+temporary directory, and every shard refreezes its store on each swap.
+
 A background supervisor polls shard liveness.  A crashed shard (e.g.
 the ``shard.crash`` failpoint, evaluated router-side so its counters
-stay deterministic in one process) is respawned from the base engine
-and caught up by replaying the router's append log — same batches,
-same grouping, same bytes.  In-flight requests routed at a dead shard
-retry on the next healthy shard, so an injected crash loses zero
-requests.  ``/healthz`` reports ``degraded`` while any shard is down.
+stay deterministic in one process) is respawned from the newest intact
+snapshot v<n> with the append log's first n batches folded into its
+table, and the router replays the log past n — same batches, same
+grouping, same bytes; appends wait meanwhile.  In-flight requests
+routed at a dead shard retry on the next healthy shard, so an injected
+crash loses zero requests.  ``/healthz`` reports ``degraded`` while
+any shard is down.
 
 The manager exposes the same surface :class:`VoiceHttpServer` expects
 from a ``VoiceService`` (``submit``, ``health``, ``metrics_summary``,
@@ -75,8 +82,9 @@ import multiprocessing
 import os
 import pickle
 import signal
+import tempfile
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.api.clients import HttpClient, decode_ask
 from repro.api.config import ServingConfig
@@ -165,13 +173,15 @@ class ConsistentHashRing:
         raise RuntimeError("no healthy shards to route to")  # pragma: no cover
 
 
-def _attach_engine(template: bytes, snapshot_dir: str) -> VoiceQueryEngine:
+def _attach_engine(template: bytes, snapshot_dir: str, appended: list[list]) -> VoiceQueryEngine:
     """Unpickle a store-free engine template and attach its store.
 
-    The shard side of mmap-attach spawning: the engine serves the
-    newest snapshot in ``snapshot_dir``, mapped read-only.  A respawned
-    shard thereby starts from the newest frozen version and only
-    replays the append-log suffix past it.  Raises
+    The engine serves the newest intact snapshot in ``snapshot_dir``,
+    mapped read-only.  Snapshot v<n> was maintained from the base table
+    plus the first n appended batches, so those batches (wire rows, in
+    append-log order) are folded into the template's base table the
+    way a live shard's maintainer folded them; the next maintenance
+    job then builds on the same table as every other shard's.  Raises
     :class:`SnapshotError` when no snapshot attaches.
     """
     engine = pickle.loads(template)
@@ -181,42 +191,48 @@ def _attach_engine(template: bytes, snapshot_dir: str) -> VoiceQueryEngine:
         raise SnapshotError(
             f"no snapshot in {snapshot_dir} attaches (last error: {publisher.last_error})"
         )
+    version = attached.snapshot_version or 0
+    if version > len(appended):
+        raise SnapshotError(
+            f"snapshot v{version} in {snapshot_dir} is newer than the "
+            f"{len(appended)} appended batches"
+        )
     engine.swap_store(attached)
+    if version:
+        table = engine.table
+        for rows in appended[:version]:
+            table = table.concat(build_append_table(table, rows))
+        engine.adopt_table(table)
     return engine
 
 
-def _shard_main(conn, engine, config, index: int) -> None:
+def _shard_main(conn, template: bytes, config, index: int, appended: list[list]) -> None:
     """Entry point of one shard process (spawn start method).
 
-    Runs a full :class:`VoiceService` + :class:`VoiceHttpServer` on an
-    ephemeral loopback port, reports ``("ready", index, port)`` over
-    ``conn``, and serves until SIGTERM/SIGINT (clean drain, exit 0).
-
-    In mmap-attach mode ``engine`` arrives as a pre-pickled template
-    *without its store* (the manager froze the store to a snapshot
-    file) and :func:`_attach_engine` maps the newest snapshot from
-    ``config.snapshot_dir`` in its place.
+    Builds the engine with :func:`_attach_engine`, runs a full
+    :class:`VoiceService` + :class:`VoiceHttpServer` on an ephemeral
+    loopback port, reports ``("ready", index, port, version)`` over
+    ``conn`` (the attached snapshot's version), and serves until
+    SIGTERM/SIGINT (clean drain, exit 0).
     """
-    # Imported lazily so the spawn interpreter pays for them once the
-    # engine payload has already unpickled successfully.
+    # Imported lazily: only shard processes run a service and server
+    # of their own.
     from repro.api.http_server import VoiceHttpServer
     from repro.serving.service import VoiceService
 
-    async def run() -> None:
+    async def run(engine: VoiceQueryEngine) -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
         async with VoiceService(engine, config) as service:
             async with VoiceHttpServer(service, host="127.0.0.1", port=0) as server:
-                conn.send(("ready", index, server.port))
+                conn.send(("ready", index, server.port, service.registry.version))
                 conn.close()
                 await stop.wait()
 
     try:
-        if isinstance(engine, bytes):
-            engine = _attach_engine(engine, config.snapshot_dir)
-        asyncio.run(run())
+        asyncio.run(run(_attach_engine(template, config.snapshot_dir, appended)))
     except Exception as exc:  # pragma: no cover - startup failure surface
         try:
             conn.send(("error", index, repr(exc)))
@@ -290,17 +306,20 @@ class ShardManager:
     engine:
         The pre-processed base engine.  With ``config.data_dir`` set,
         durable state is recovered into it *before* the shards spawn,
-        so every shard starts from the recovered store; afterwards the
-        engine object is only the pickle template for (re)spawns — the
-        live stores evolve inside the shard processes.
+        so every shard starts from the recovered store.  Construction
+        freezes its store as snapshot v0 and pickles the engine minus
+        its store as the spawn template; afterwards the engine object
+        only supplies the append schema — the live stores evolve inside
+        the shard processes.
     config:
         A :class:`repro.api.config.ServingConfig` with ``shards`` >= 1.
         Each shard serves with a copy of this config minus ``data_dir``
         (the router owns the one journal) and minus ``failpoints``
         (router-side sites like ``shard.crash`` must keep their
-        counters in one process; shards run fault-free).  With
-        ``snapshot_dir`` set, construction deletes the directory's
-        snapshots and freezes the base store as v0.
+        counters in one process; shards run fault-free).  Snapshots go
+        to ``snapshot_dir``, whose previous snapshots construction
+        deletes, or without one to a private temporary directory that
+        :meth:`stop` removes.
 
     Use as an async context manager from one event loop, like the
     service it stands in for.
@@ -313,39 +332,41 @@ class ShardManager:
         self._ring = ConsistentHashRing(self._shard_count)
         self._shards = [_ShardHandle(index) for index in range(self._shard_count)]
         self._mp = multiprocessing.get_context("spawn")
-        self._shard_config = self._config.replace(
-            shards=1, data_dir=None, failpoints=()
-        )
         self._durability: DurabilityCoordinator | None = None
         if self._config.data_dir is not None:
             _, self._durability = recover_engine(engine, self._config)
-        # With a snapshot directory the manager switches to mmap-attach
-        # spawning: the base store is frozen as snapshot v0 (after
-        # recovery, so shards attach the recovered state) and the
-        # pickle template is the engine *minus its store* — the heavy
-        # payload ships once as a file every shard maps read-only
-        # instead of N private copies.
-        self._publisher: SnapshotPublisher | None = None
-        self._spawn_payload: VoiceQueryEngine | bytes = engine
+        # The base store is frozen as snapshot v0 (after recovery, so
+        # shards attach the recovered state) and the pickle template is
+        # the engine *minus its store* — the heavy payload ships once
+        # as a file every shard maps read-only instead of N private
+        # copies.
+        self._temp_dir: tempfile.TemporaryDirectory | None = None
+        snapshot_dir = self._config.snapshot_dir
+        if snapshot_dir is None:
+            self._temp_dir = tempfile.TemporaryDirectory(prefix="voice-snapshots-")
+            snapshot_dir = self._temp_dir.name
+        self._shard_config = self._config.replace(
+            shards=1, data_dir=None, failpoints=(), snapshot_dir=snapshot_dir
+        )
+        self._publisher = SnapshotPublisher(snapshot_dir)
+        # The router's versions restart at 0 on every start, so a
+        # previous run's snapshots would hand shards stale stores.
+        self._publisher.clear()
+        if self._publisher.publish(engine.store, 0) is None:
+            raise SnapshotError(
+                f"could not freeze base snapshot v0 into {snapshot_dir}: "
+                f"{self._publisher.last_error}"
+            )
+        previous = engine.swap_store(SpeechStore())
+        try:
+            self._template = pickle.dumps(engine)
+        finally:
+            engine.swap_store(previous)
         self._spawn_seconds: list[float] = []
-        if self._config.snapshot_dir is not None:
-            self._publisher = SnapshotPublisher(self._config.snapshot_dir)
-            # The router's versions restart at 0 on every start, so a
-            # previous run's snapshots would hand shards stale stores.
-            self._publisher.clear()
-            if self._publisher.publish(engine.store, 0) is None:
-                raise SnapshotError(
-                    "could not freeze base snapshot v0 into "
-                    f"{self._config.snapshot_dir}: {self._publisher.last_error}"
-                )
-            previous = engine.swap_store(SpeechStore())
-            try:
-                self._spawn_payload = pickle.dumps(engine)
-            finally:
-                engine.swap_store(previous)
         # Post-start appends, in broadcast order: (journal seq or None,
-        # JSON rows).  Replayed one batch at a time into respawned
-        # shards so every shard applies the same jobs in the same order.
+        # JSON rows).  A respawned shard folds the prefix its snapshot
+        # covers into its table and is replayed the suffix one batch at
+        # a time, so every shard applies the same jobs in the same order.
         self._append_log: list[tuple[int | None, list]] = []
         self._append_lock = asyncio.Lock()
         self._version = 0
@@ -394,7 +415,7 @@ class ShardManager:
         return self._durability
 
     @property
-    def publisher(self) -> SnapshotPublisher | None:
+    def publisher(self) -> SnapshotPublisher:
         return self._publisher
 
     def shard_ports(self) -> list[int | None]:
@@ -410,29 +431,20 @@ class ShardManager:
     def spawn_stats(self) -> dict:
         """What each (re)spawn ships and how long the handshakes took.
 
-        ``template_bytes`` is the pickled engine payload a shard
-        receives; in attach mode that excludes the store, which instead
-        arrives via the mmap'd snapshot file (``snapshot_bytes``).
-        Computing the pickle-mode size is O(store), so this is meant
-        for benchmarks and tests, not hot paths.
+        ``template_bytes`` is the pickled store-free engine a shard
+        receives; the store arrives via the mmap'd snapshot file, whose
+        newest version and size are ``snapshot_version`` and
+        ``snapshot_bytes``.
         """
-        if isinstance(self._spawn_payload, bytes):
-            template_bytes = len(self._spawn_payload)
-        else:
-            template_bytes = len(pickle.dumps(self._spawn_payload))
         stats: dict[str, Any] = {
-            "mode": "attach" if self._publisher is not None else "pickle",
-            "template_bytes": template_bytes,
+            "template_bytes": len(self._template),
             "spawn_seconds": list(self._spawn_seconds),
         }
-        if self._publisher is not None:
-            versions = self._publisher.versions()
-            if versions:
-                newest = versions[-1]
-                stats["snapshot_version"] = newest
-                stats["snapshot_bytes"] = (
-                    self._publisher.path_for(newest).stat().st_size
-                )
+        versions = self._publisher.versions()
+        if versions:
+            newest = versions[-1]
+            stats["snapshot_version"] = newest
+            stats["snapshot_bytes"] = self._publisher.path_for(newest).stat().st_size
         return stats
 
     def _healthy_indices(self) -> list[int]:
@@ -491,18 +503,22 @@ class ShardManager:
         )
         if self._durability is not None:
             self._durability.close()
+        if self._temp_dir is not None:
+            self._temp_dir.cleanup()
 
-    def _spawn_shard(self, handle: _ShardHandle) -> None:
-        """Start one shard process and block until it reports ready.
+    def _spawn_shard(self, handle: _ShardHandle) -> int:
+        """Start one shard process, block until it reports ready.
 
-        Runs on an executor thread — process start-up and the ready
-        handshake must not stall the router loop mid-respawn.
+        Returns the snapshot version the shard attached.  Runs on an
+        executor thread — process start-up and the ready handshake must
+        not stall the router loop mid-respawn.
         """
         started = time.monotonic()
+        appended = [rows for _, rows in self._append_log]
         recv_conn, send_conn = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=_shard_main,
-            args=(send_conn, self._spawn_payload, self._shard_config, handle.index),
+            args=(send_conn, self._template, self._shard_config, handle.index, appended),
             name=f"voice-shard-{handle.index}",
             daemon=True,
         )
@@ -545,6 +561,7 @@ class ShardManager:
         )
         handle.healthy = True
         self._spawn_seconds.append(time.monotonic() - started)
+        return message[3]
 
     def _stop_shard(self, handle: _ShardHandle) -> None:
         process = handle.process
@@ -573,30 +590,24 @@ class ShardManager:
                     handle.process.join(timeout=0)
                     handle.respawns += 1
                     self._respawn_total += 1
-                    await loop.run_in_executor(None, self._spawn_shard, handle)
-                    await self._catch_up(handle)
+                    # Appends wait, so the log the shard folds into its
+                    # table and is replayed cannot grow underneath it.
+                    async with self._append_lock:
+                        version = await loop.run_in_executor(None, self._spawn_shard, handle)
+                        await self._catch_up(handle, version)
 
-    async def _catch_up(self, handle: _ShardHandle) -> None:
-        """Replay the append log into a freshly respawned shard.
+    async def _catch_up(self, handle: _ShardHandle, version: int) -> None:
+        """Replay the append-log suffix past ``version`` into a respawned shard.
 
-        One batch per request, each confirmed before the next, so the
-        shard's maintenance jobs group exactly like the live shards'
-        did — the precondition for byte-identical stores.
-
-        In mmap-attach mode the shard started from the newest frozen
-        snapshot, whose version equals the append-log position that
-        produced it — only the suffix past it needs replaying.
+        The shard attached snapshot ``version``, whose number is the
+        append-log position that produced it.  One batch per request,
+        each confirmed before the next, so the shard's maintenance jobs
+        group exactly like the live shards' did — the precondition for
+        byte-identical stores.
         """
-        start_version = 0
-        if self._publisher is not None:
-            try:
-                start_version = int((await handle.client.health())["snapshot_version"])
-            except (VoiceApiError, KeyError, TypeError, ValueError):
-                pass  # unreadable: replay the whole log
-        for position, (_, rows) in enumerate(self._append_log, start=1):
-            if position > start_version:
-                await handle.client.append(rows)
-                await self._await_version(handle, position)
+        for position, (_, rows) in enumerate(self._append_log[version:], start=version + 1):
+            await handle.client.append(rows)
+            await self._await_version(handle, position)
 
     # ------------------------------------------------------------------
     # Routing
@@ -897,10 +908,3 @@ class ShardManager:
             "relay_retries": self._relay_retries,
             "healthy_shards": len(self._healthy_indices()),
         }
-
-
-def shard_indices_for(
-    ring: ConsistentHashRing, keys: Sequence[str]
-) -> dict[str, int]:
-    """Owner indices for many keys (test/benchmark helper)."""
-    return {key: ring.owner(key) for key in keys}

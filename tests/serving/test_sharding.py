@@ -13,6 +13,10 @@ Three contracts of :class:`repro.serving.sharding.ShardManager`:
   shard serves the new snapshot version, and the post-swap stores are
   byte-identical to each other and to a single-process service that
   consumed the same batch (no shard ever serves a stale snapshot).
+* **Respawn from a snapshot** — every shard attaches a frozen snapshot;
+  a respawned shard attaches the newest intact one, holds the table
+  that snapshot was maintained from, and is replayed only the batches
+  past it, so later appends keep every store byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from hypothesis import strategies as st
 from repro.api import ServingConfig, VoiceRequest
 from repro.api.envelopes import ResponseKind
 from repro.serving import ConsistentHashRing, ShardManager, VoiceService
-from repro.serving.sharding import shard_indices_for
 
 from tests.conftest import build_example_table
 from tests.serving.conftest import append_table, make_engine
@@ -59,7 +62,7 @@ class TestConsistentHashRing:
         ring = ConsistentHashRing(shards)
         down = data.draw(st.integers(min_value=0, max_value=shards - 1))
         healthy = [index for index in range(shards) if index != down]
-        owners = shard_indices_for(ring, keys)
+        owners = {key: ring.owner(key) for key in keys}
         for key in keys:
             routed = ring.route(key, healthy)
             assert routed in healthy
@@ -84,10 +87,37 @@ class TestConsistentHashRing:
 
 
 APPEND_ROWS = [("East", "Winter", 55.0), ("North", "Summer", 44.0)]
+SECOND_ROWS = [("East", "Winter", 5.0), ("North", "Summer", 90.0)]
+
+
+def wire_rows(rows: list[tuple]) -> list[dict]:
+    return [dict(zip(("region", "season", "delay"), row)) for row in rows]
+
+
+async def reference_digest(*batches: list[tuple]) -> str:
+    """Byte-parity oracle: a single-process service consuming ``batches``."""
+    service = VoiceService(make_engine(build_example_table()))
+    async with service:
+        for rows in batches:
+            service.request_append(append_table(rows))
+            await service.scheduler.quiesce()
+        return service.store_digest()["digest"]
+
+
+async def until_respawned(manager: ShardManager) -> None:
+    while manager.respawn_total < 1 or manager.health()["status"] != "ok":
+        await asyncio.sleep(0.05)
+
+
+async def until_published(manager: ShardManager, version: int) -> None:
+    # A shard freezes a version just after its swap, so the barrier can
+    # return before the file is on disk.
+    while version not in manager.publisher.versions():
+        await asyncio.sleep(0.02)
 
 
 class TestShardedServing:
-    """Spawns real shard processes — kept to two tests to bound runtime."""
+    """Spawns real shard processes — kept to few tests to bound runtime."""
 
     def test_crash_failover_respawn_and_session_survival(self):
         engine = make_engine(build_example_table())
@@ -124,15 +154,25 @@ class TestShardedServing:
         asyncio.run(asyncio.wait_for(scenario(), timeout=180))
 
     def test_append_barrier_leaves_no_stale_snapshot(self):
+        """Also the default spawn path: no ``snapshot_dir`` configured.
+
+        The shards still attach a frozen snapshot, from a private
+        temporary directory that ``stop()`` removes, and the spawn
+        template stays store-free.
+        """
+        import pickle
+
         engine = make_engine(build_example_table())
         config = ServingConfig(concurrency=2, shards=2)
 
         async def scenario():
             async with ShardManager(engine, config) as manager:
+                snapshot_dir = manager.publisher.directory
+                assert manager.publisher.versions() == [0]
+                # A pickled full engine would dwarf the template.
+                assert manager.spawn_stats()["template_bytes"] < len(pickle.dumps(engine)) / 2
                 before = await manager.submit(VoiceRequest(text="delays for East in Winter"))
-                batch = manager.build_append_table(
-                    [dict(zip(("region", "season", "delay"), row)) for row in APPEND_ROWS]
-                )
+                batch = manager.build_append_table(wire_rows(APPEND_ROWS))
                 await manager.request_append(batch)
                 # The barrier has already returned, so *right now* every
                 # shard must serve the new version with identical bytes.
@@ -141,20 +181,11 @@ class TestShardedServing:
                 assert digests["consistent"], digests
                 after = await manager.submit(VoiceRequest(text="delays for East in Winter"))
                 assert after.text != before.text
-                return set(digests["digests"].values())
+            assert not snapshot_dir.exists()
+            return set(digests["digests"].values())
 
         shard_digests = asyncio.run(asyncio.wait_for(scenario(), timeout=180))
-
-        # Byte-parity oracle: a single-process service consuming the
-        # same batch must reach the exact same store.
-        async def reference():
-            service = VoiceService(make_engine(build_example_table()))
-            async with service:
-                service.request_append(append_table(APPEND_ROWS))
-                await service.scheduler.quiesce()
-                return service.store_digest()["digest"]
-
-        assert shard_digests == {asyncio.run(reference())}
+        assert shard_digests == {asyncio.run(reference_digest(APPEND_ROWS))}
 
     def test_sessionless_requests_round_robin(self):
         engine = make_engine(build_example_table())
@@ -178,73 +209,94 @@ class TestShardedServing:
         asyncio.run(asyncio.wait_for(scenario(), timeout=180))
 
     def test_mmap_attach_mode_digest_parity_and_suffix_catch_up(self, tmp_path):
-        """The tentpole contract of attach-mode spawning, end to end.
+        """Attach spawning with ``snapshot_dir`` set, end to end.
 
-        With ``snapshot_dir`` set the shards mmap the frozen base store
-        instead of unpickling a private copy (the spawn template must
-        not contain the store), post-swap digests match a
-        single-process service byte-for-byte, and a SIGKILLed shard
-        respawns from the newest frozen version, replaying only the
-        append-log suffix past it.
+        Post-swap digests match a single-process service byte-for-byte,
+        and a SIGKILLed shard respawns from the newest frozen version
+        holding the table that version was maintained from: a later
+        append keeps its store identical to every other shard's.
         """
         import os
-        import pickle
         import signal
 
         engine = make_engine(build_example_table())
-        config = ServingConfig(
-            concurrency=2, shards=2, snapshot_dir=str(tmp_path / "snapshots")
-        )
+        config = ServingConfig(concurrency=2, shards=2, snapshot_dir=str(tmp_path / "snapshots"))
 
-        async def reference():
-            service = VoiceService(make_engine(build_example_table()))
-            async with service:
-                service.request_append(append_table(APPEND_ROWS))
-                await service.scheduler.quiesce()
-                return service.store_digest()["digest"]
-
-        async def scenario(ref_digest):
+        async def scenario(first_digest, second_digest):
             async with ShardManager(engine, config) as manager:
                 stats = manager.spawn_stats()
-                assert stats["mode"] == "attach"
                 assert stats["snapshot_version"] == 0
-                # The spawn template must be store-free: a pickled full
-                # engine would dwarf it.
-                assert stats["template_bytes"] < len(pickle.dumps(engine)) / 2
                 assert len(stats["spawn_seconds"]) == 2
 
                 digests = await manager.store_digest()
                 assert digests["consistent"], digests
 
-                batch = manager.build_append_table(
-                    [
-                        dict(zip(("region", "season", "delay"), row))
-                        for row in APPEND_ROWS
-                    ]
-                )
-                await manager.request_append(batch)
+                await manager.request_append(manager.build_append_table(wire_rows(APPEND_ROWS)))
                 digests = await manager.store_digest()
                 assert digests["consistent"], digests
-                assert set(digests["digests"].values()) == {ref_digest}
-                # Every shard refroze the swapped store as version 1.
-                assert 1 in manager.publisher.versions()
+                assert set(digests["digests"].values()) == {first_digest}
+                # Every shard refreezes the swapped store as version 1.
+                await asyncio.wait_for(until_published(manager, 1), timeout=30)
 
                 # Kill one shard: the respawn must attach the newest
                 # frozen version and still reach digest parity.
                 os.kill(manager.shard_pids()[0], signal.SIGKILL)
-
-                async def until_respawned():
-                    while (
-                        manager.respawn_total < 1
-                        or manager.health()["status"] != "ok"
-                    ):
-                        await asyncio.sleep(0.05)
-
-                await asyncio.wait_for(until_respawned(), timeout=60)
+                await asyncio.wait_for(until_respawned(manager), timeout=60)
                 digests = await manager.store_digest()
                 assert digests["consistent"], digests
-                assert set(digests["digests"].values()) == {ref_digest}
+                assert set(digests["digests"].values()) == {first_digest}
                 assert manager.spawn_stats()["snapshot_version"] == 1
 
-        ref_digest = asyncio.run(reference())
-        asyncio.run(asyncio.wait_for(scenario(ref_digest), timeout=180))
+                # The respawned shard maintains this batch on the table
+                # v1 was built from (base + batch 1), not the base table.
+                await manager.request_append(manager.build_append_table(wire_rows(SECOND_ROWS)))
+                digests = await manager.store_digest()
+                assert digests["consistent"], digests
+                assert set(digests["digests"].values()) == {second_digest}
+
+        first_digest = asyncio.run(reference_digest(APPEND_ROWS))
+        second_digest = asyncio.run(reference_digest(APPEND_ROWS, SECOND_ROWS))
+        asyncio.run(asyncio.wait_for(scenario(first_digest, second_digest), timeout=180))
+
+    def test_respawn_past_a_corrupt_snapshot_replays_the_log_suffix(self):
+        """A corrupt newest snapshot: the respawn attaches the one before.
+
+        A damaged ``store-v1.snap`` (v0's bytes with one byte flipped)
+        is on disk before the append that produces v1, so the shards'
+        skip-if-present publish keeps it.  ``attach_latest`` skips it
+        and attaches v0, the shard reports 0 in its ready handshake, and
+        the router replays batch 1 into it before the next append goes
+        out.
+        """
+        import os
+        import signal
+
+        engine = make_engine(build_example_table())
+        config = ServingConfig(concurrency=2, shards=2)
+
+        async def scenario(second_digest):
+            async with ShardManager(engine, config) as manager:
+                caught_up = []
+                catch_up = manager._catch_up
+
+                async def recording_catch_up(handle, version):
+                    caught_up.append(version)
+                    await catch_up(handle, version)
+
+                manager._catch_up = recording_catch_up
+                damaged = bytearray(manager.publisher.path_for(0).read_bytes())
+                damaged[len(damaged) // 2] ^= 0xFF
+                manager.publisher.path_for(1).write_bytes(bytes(damaged))
+                await manager.request_append(manager.build_append_table(wire_rows(APPEND_ROWS)))
+
+                os.kill(manager.shard_pids()[1], signal.SIGKILL)
+                await asyncio.wait_for(until_respawned(manager), timeout=60)
+                # The append waits for the catch-up to finish.
+                await manager.request_append(manager.build_append_table(wire_rows(SECOND_ROWS)))
+                assert caught_up == [0]
+                digests = await manager.store_digest()
+                assert digests["consistent"], digests
+                assert set(digests["digests"].values()) == {second_digest}
+
+        second_digest = asyncio.run(reference_digest(APPEND_ROWS, SECOND_ROWS))
+        asyncio.run(asyncio.wait_for(scenario(second_digest), timeout=180))

@@ -6,8 +6,9 @@ Four contracts wire :mod:`repro.store` into the serving tier:
   at construction and refreezes after every maintenance swap;
 * a service whose engine serves an attached snapshot seeds its registry
   version from the snapshot's version (the barrier shards are polled
-  on), and the shard-side attach helper fails loudly when nothing
-  attaches;
+  on); the shard-side attach helper folds the appended batches that
+  version covers into the engine's table, and fails loudly when nothing
+  attaches or the snapshot is newer than the batches;
 * both sides meet byte-for-byte: the attached store answers and
   digests identically to the store that was frozen;
 * the shard router restarts its version sequence at 0, so it clears a
@@ -118,19 +119,32 @@ class TestAttachMode:
         assert versions == [0, 1]
         assert digest(SnapshotPublisher(tmp_path).attach_latest()) == maintained
 
-    def test_shard_attach_helper_serves_the_newest_snapshot(self, engine, tmp_path):
+    def test_shard_attach_helper_serves_the_newest_snapshot(self, engine, example_table, tmp_path):
         published = self.publish_v1(engine, tmp_path)
-        template = pickle.dumps(make_engine(engine.table, preprocess=False))
+        template = pickle.dumps(make_engine(example_table, preprocess=False))
+        appended = [append_table(APPEND_ROWS).to_dicts()]
 
-        attached = _attach_engine(template, str(tmp_path))
+        attached = _attach_engine(template, str(tmp_path), appended)
         assert isinstance(attached.store, CompactSpeechStore)
         assert attached.store.snapshot_version == 1
         assert digest(attached.store) == published
+        # The table v1 was maintained from: the base plus batch 1, as
+        # the publishing service's engine adopted it after the swap.
+        assert attached.table == engine.table
+        assert attached.table.num_rows == example_table.num_rows + len(APPEND_ROWS)
 
     def test_shard_attach_helper_without_snapshots_fails_loudly(self, engine, tmp_path):
         template = pickle.dumps(make_engine(engine.table, preprocess=False))
         with pytest.raises(SnapshotError, match="no snapshot"):
-            _attach_engine(template, str(tmp_path))
+            _attach_engine(template, str(tmp_path), [])
+
+    def test_shard_attach_helper_rejects_a_snapshot_past_the_log(
+        self, engine, example_table, tmp_path
+    ):
+        self.publish_v1(engine, tmp_path)
+        template = pickle.dumps(make_engine(example_table, preprocess=False))
+        with pytest.raises(SnapshotError, match="newer than the 0 appended"):
+            _attach_engine(template, str(tmp_path), [])
 
 
 def maintained_elsewhere(engine):
