@@ -47,22 +47,26 @@ class _PrunedGreedyBase(Summarizer):
 
         index = problem.index()
         pruner = FactGroupPruner(index, evaluator)
-        fact_counts = pruner.fact_counts
-        groups = list(fact_counts)
-
-        # The cost estimator only asks about dimension columns.
-        relation = problem.relation
-        statistics = TableStatistics(
-            row_count=relation.num_rows,
-            distinct_counts={dim: relation.distinct_count(dim) for dim in relation.dimensions},
-        )
-        cost_model = PruningCostModel(
-            fact_counts,
-            CostEstimator(statistics),
-            sigma=self._sigma,
-        )
-        optimizer = PruningPlanOptimizer(cost_model)
-        plan = self._choose_plan(optimizer, groups, fact_counts)
+        # The plan depends on fact counts and dimension statistics only,
+        # so every target of a predicate scope shares it.
+        plan_key = (type(self), self._sigma)
+        plan = index.cache.get(plan_key)
+        if plan is None:
+            fact_counts = pruner.fact_counts
+            # The cost estimator only asks about dimension columns.
+            relation = problem.relation
+            statistics = TableStatistics(
+                row_count=relation.num_rows,
+                distinct_counts={dim: relation.distinct_count(dim) for dim in relation.dimensions},
+            )
+            cost_model = PruningCostModel(
+                fact_counts,
+                CostEstimator(statistics),
+                sigma=self._sigma,
+            )
+            optimizer = PruningPlanOptimizer(cost_model)
+            plan = self._choose_plan(optimizer, list(fact_counts), fact_counts)
+            index.cache[plan_key] = plan
 
         selected: list[Fact] = []
         active = np.ones(index.num_facts, dtype=bool)

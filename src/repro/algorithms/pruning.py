@@ -11,7 +11,10 @@ never discarded, so the greedy guarantee is preserved.
 Gain evaluation runs on the problem's
 :class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id, the
 index supplies each group's ids, and each phase (sources, then
-surviving groups) is a single masked batch pass.
+surviving groups) is a single batch pass.  The survivors' pass reads
+the whole CSR unmasked when no group was pruned: the facts it then
+skips are few, and each fact sums the same entries in the same order,
+so the gains are the same bits.
 """
 
 from __future__ import annotations
@@ -71,21 +74,28 @@ class FactGroupPruner:
     its source fact mask, and per target its id in the index's
     :class:`~repro.facts.groups.GroupLattice`, the columns its bound
     groups on and the bitset of groups it prunes.  Each iteration then
-    evaluates the bounds and runs the two masked batch passes.
+    evaluates the bounds and runs the two batch passes.  The lattice,
+    the group order and the prepared plans depend only on the fact
+    structure and the relation's codes, so they live in the index's
+    :attr:`~repro.core.kernel.FactScopeIndex.cache`, shared by the
+    problems of every target of a predicate scope.
     """
 
     def __init__(self, index: FactScopeIndex, evaluator: UtilityEvaluator):
         self._index = index
         self._evaluator = evaluator
-        self._lattice = GroupLattice(FactGroup(columns) for columns in index.groups)
-        ids_by_group = list(index.groups.values())
-        # Fact ids group by group: the order outcomes list gains in.
-        self._group_order = np.concatenate(ids_by_group)
-        self._group_of_fact = np.empty(index.num_facts, dtype=np.intp)
-        self._group_of_fact[self._group_order] = np.repeat(
-            np.arange(len(ids_by_group)), [ids.size for ids in ids_by_group]
-        )
-        self._prepared: tuple | None = None
+        layout = index.cache.get(FactGroupPruner)
+        if layout is None:
+            lattice = GroupLattice(FactGroup(columns) for columns in index.groups)
+            ids_by_group = list(index.groups.values())
+            # Fact ids group by group: the order outcomes list gains in.
+            group_order = np.concatenate(ids_by_group)
+            group_of_fact = np.empty(index.num_facts, dtype=np.intp)
+            group_of_fact[group_order] = np.repeat(
+                np.arange(len(ids_by_group)), [ids.size for ids in ids_by_group]
+            )
+            layout = index.cache[FactGroupPruner] = lattice, group_order, group_of_fact, {}
+        self._lattice, self._group_order, self._group_of_fact, self._prepared = layout
 
     @property
     def fact_counts(self) -> dict[FactGroup, int]:
@@ -153,7 +163,11 @@ class FactGroupPruner:
         survivor_ids = order[survivor_mask[order]]
         survivor_gains = _NO_GAINS
         if survivor_ids.size:
-            survivor_gains = index.subset_gains(survivor_mask, state.error)[survivor_ids]
+            if pruned_groups:
+                gains = index.subset_gains(survivor_mask, state.error)
+            else:
+                gains = index.batch_gains(state.error)
+            survivor_gains = gains[survivor_ids]
             stats.fact_evaluations += survivor_ids.size
 
         return PruningOutcome(
@@ -163,14 +177,15 @@ class FactGroupPruner:
         )
 
     def _prepare(self, plan: PruningPlan) -> tuple:
-        """``(plan, source fact mask, targets)`` for ``plan`` (kept for the plan last seen).
+        """``(plan, source fact mask, targets)`` for ``plan`` (kept per plan).
 
         Each target is ``(group id, bound columns, bitset of the groups
         it prunes)``; a target outside the index has no facts and is
         never evaluated.
         """
-        if self._prepared is not None and self._prepared[0] is plan:
-            return self._prepared
+        prepared = self._prepared.get(plan)
+        if prepared is not None:
+            return prepared
         lattice = self._lattice
         split = self._evaluator.split_columns
         is_source = np.zeros(lattice.size, dtype=bool)
@@ -183,5 +198,5 @@ class FactGroupPruner:
             for target in plan.targets
             if (gid := lattice.ids.get(target)) is not None
         ]
-        self._prepared = plan, is_source[self._group_of_fact], targets
-        return self._prepared
+        prepared = self._prepared[plan] = plan, is_source[self._group_of_fact], targets
+        return prepared

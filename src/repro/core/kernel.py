@@ -18,6 +18,10 @@ candidate fact's scope rows in CSR form, built once per problem:
 * ``groups`` — the fact ids per restricted column combination, which
   the pruned-greedy variants evaluate group by group.
 
+Only ``fact_errors`` (and the fact values) depend on the target column:
+the problems of one predicate scope share the rest, each target's index
+a :meth:`FactScopeIndex.retarget` of the first.
+
 The fact generator already knows every fact's rows and groups and
 hands them to :meth:`FactScopeIndex.from_rows`; :meth:`FactScopeIndex.build`
 resolves them for hand-built fact lists.
@@ -63,6 +67,7 @@ class FactScopeIndex:
         "values",
         "supports",
         "groups",
+        "cache",
     )
 
     def __init__(
@@ -83,6 +88,9 @@ class FactScopeIndex:
         self.values = values
         self.supports = np.diff(offsets)
         self.groups = groups
+        #: What summarizers derive from the fact structure alone (group
+        #: order, pruning plans), shared by every retargeted copy.
+        self.cache: dict = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -146,6 +154,23 @@ class FactScopeIndex:
             np.array([r.size for r in rows], dtype=np.intp),
             groups,
         )
+
+    def retarget(
+        self, facts: Sequence[Fact], values: np.ndarray, target_values: np.ndarray
+    ) -> "FactScopeIndex":
+        """The same fact scopes valued over another target column.
+
+        ``values`` are the facts' values and ``target_values`` the
+        relation's rows of the other target.  The copy shares the CSR
+        skeleton (rows, offsets, fact ids, groups) and :attr:`cache`;
+        only the fact errors are computed.
+        """
+        fact_errors = np.abs(values[self.fact_ids] - target_values[self.row_indices])
+        index = FactScopeIndex(
+            facts, self.row_indices, self.offsets, self.fact_ids, fact_errors, values, self.groups
+        )
+        index.cache = self.cache
+        return index
 
     # ------------------------------------------------------------------
     # Accessors

@@ -13,6 +13,7 @@ These classes are direct counterparts of Definitions 1-3 of the paper:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -243,16 +244,27 @@ def factorize(values: Iterable[Any]) -> DimensionCodes:
     NULL is coded like any other value; equal values (``1 == 1.0``)
     share the code of their first occurrence.
     """
+    return extend_codes((np.empty(0, dtype=np.int64), [], {}), values)
+
+
+def extend_codes(codes: DimensionCodes, values: Iterable[Any]) -> DimensionCodes:
+    """A column's ``codes`` followed by ``values``, coded as :func:`factorize` would.
+
+    Old codes stay and a value not seen before takes the next free code,
+    so the result equals factorizing the concatenated values.  ``codes``
+    is left unchanged.
+    """
+    old, _, code_of = codes
+    code_of = dict(code_of)
     values = list(values)
-    code_of: dict[Any, int] = {}
     # ``len(code_of)`` is evaluated before ``setdefault`` inserts, so a
     # new value gets the next free code.
-    codes = np.fromiter(
+    new = np.fromiter(
         (code_of.setdefault(value, len(code_of)) for value in values),
         dtype=np.int64,
         count=len(values),
     )
-    return codes, list(code_of), code_of
+    return np.concatenate((old, new)), list(code_of), code_of
 
 
 class SummarizationRelation:
@@ -334,6 +346,26 @@ class SummarizationRelation:
         self._batched: dict[tuple[str, ...], tuple[GroupLayouts, int]] = {}
         self._keys_cache: dict[tuple[str, ...], list[tuple[Any, ...]]] = {}
         self._distinct_cache: dict[str, tuple[int, int]] = {}
+
+    def retarget(self, target: str, target_values: np.ndarray) -> "SummarizationRelation":
+        """The same rows summarizing another target column.
+
+        ``target_values`` holds ``target`` at this relation's rows, none
+        of them NaN: the other target must keep exactly these rows.  The
+        copy shares every target-independent cache (codes, census,
+        group layouts and keys), so what either relation computes there
+        serves both.
+        """
+        if target in self._dimensions or not self._table.has_column(target):
+            raise InvalidProblemError(f"{target!r} is not a target of relation {self.name!r}")
+        if target_values.shape != self.target_values.shape or np.isnan(target_values).any():
+            raise InvalidProblemError(
+                f"values of {target!r} do not fit the rows of relation {self.name!r}"
+            )
+        relation = copy.copy(self)
+        relation._target = target
+        relation.target_values = target_values
+        return relation
 
     # ------------------------------------------------------------------
     # Accessors

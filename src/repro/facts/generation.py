@@ -14,7 +14,7 @@ paper's example speeches use ("It is 35 overall.").
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -92,6 +92,12 @@ class CandidateFacts(Sequence):
             )
         return fact
 
+    def retarget(self, relation: SummarizationRelation, values: np.ndarray) -> "CandidateFacts":
+        """The same scopes over ``relation`` (a retargeted one), valued ``values``."""
+        return CandidateFacts(
+            relation, self._base, self._columns, self._first_rows, values, self.supports
+        )
+
     def __iter__(self) -> Iterator[Fact]:
         return map(self.__getitem__, range(len(self)))
 
@@ -142,6 +148,18 @@ class GeneratedFacts:
     def by_group(self) -> dict[FactGroup, list[Fact]]:
         """Facts keyed by their fact group."""
         return {group: self.facts[ids.start : ids.stop] for group, ids in self.group_ranges.items()}
+
+    def retarget(self, relation: SummarizationRelation) -> "GeneratedFacts":
+        """The same candidate scopes valued over ``relation``'s target.
+
+        ``relation`` is the generating relation retargeted
+        (:meth:`SummarizationRelation.retarget`): the rows, groups and
+        supports stay, and each fact's value is the mean of the new
+        target over its rows, computed as :meth:`FactGenerator.generate`
+        computes it.
+        """
+        values = _segment_means(relation.target_values[self.row_indices], self.supports)
+        return replace(self, facts=self.facts.retarget(relation, values), values=values)
 
     def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
         """The facts' CSR scope index over ``relation``, from the known rows."""

@@ -60,10 +60,12 @@ the ``shard.crash`` failpoint, evaluated router-side so its counters
 stay deterministic in one process) is respawned from the newest intact
 snapshot v<n> with the append log's first n batches folded into its
 table, and the router replays the log past n — same batches, same
-grouping, same bytes; appends wait meanwhile.  In-flight requests
-routed at a dead shard retry on the next healthy shard, so an injected
-crash loses zero requests.  ``/healthz`` reports ``degraded`` while
-any shard is down.
+grouping, same bytes; appends wait meanwhile.  The shard is routed to
+only after that catch-up, so no answer comes from a version below the
+router's; a shard whose catch-up fails is killed and respawned again.
+In-flight requests routed at a dead shard retry on the next healthy
+shard, so an injected crash loses zero requests.  ``/healthz`` reports
+``degraded`` while any shard is down or catching up.
 
 The manager exposes the same surface :class:`VoiceHttpServer` expects
 from a ``VoiceService`` (``submit``, ``health``, ``metrics_summary``,
@@ -78,6 +80,7 @@ import asyncio
 import bisect
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import pickle
@@ -98,6 +101,8 @@ from repro.system.engine import VoiceQueryEngine, VoiceResponse
 from repro.system.speech_store import SpeechStore
 
 __all__ = ["ConsistentHashRing", "ShardManager"]
+
+logger = logging.getLogger(__name__)
 
 #: Virtual nodes per shard on the hash ring; enough that keys spread
 #: evenly across a handful of shards.
@@ -475,6 +480,9 @@ class ShardManager:
                 for handle in self._shards
             )
         )
+        # Nothing was appended yet, so every shard serves the newest version.
+        for handle in self._shards:
+            handle.healthy = True
         self._running = True
         self._supervisor = loop.create_task(
             self._supervise(), name="shard-supervisor"
@@ -511,7 +519,9 @@ class ShardManager:
 
         Returns the snapshot version the shard attached.  Runs on an
         executor thread — process start-up and the ready handshake must
-        not stall the router loop mid-respawn.
+        not stall the router loop mid-respawn.  The shard is not yet
+        routed to: the caller marks it healthy once it serves the
+        router's version.
         """
         started = time.monotonic()
         appended = [rows for _, rows in self._append_log]
@@ -559,7 +569,6 @@ class ShardManager:
             max_connections=self._config.concurrency + self._config.max_queue_depth,
             overload_retries=0,
         )
-        handle.healthy = True
         self._spawn_seconds.append(time.monotonic() - started)
         return message[3]
 
@@ -594,7 +603,16 @@ class ShardManager:
                     # table and is replayed cannot grow underneath it.
                     async with self._append_lock:
                         version = await loop.run_in_executor(None, self._spawn_shard, handle)
-                        await self._catch_up(handle, version)
+                        try:
+                            await self._catch_up(handle, version)
+                        except Exception:
+                            # Still behind the router: kill it, so the
+                            # next pass respawns it.
+                            logger.exception("shard %d failed its catch-up", handle.index)
+                            handle.process.kill()
+                            continue
+                        # Routed to only once it serves the router's version.
+                        handle.healthy = True
 
     async def _catch_up(self, handle: _ShardHandle, version: int) -> None:
         """Replay the append-log suffix past ``version`` into a respawned shard.

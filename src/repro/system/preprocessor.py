@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 from repro.algorithms.base import Summarizer
 from repro.algorithms.registry import make_summarizer
 from repro.system.config import SummarizationConfig
-from repro.system.problem_generator import ProblemGenerator
+from repro.system.problem_generator import ProblemGenerator, ScopeSetup
 from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore, StoredSpeech
 from repro.system.templates import SpeechRealizer
@@ -93,13 +93,15 @@ def _solve_query(
     summarizer: Summarizer,
     realizer: SpeechRealizer,
     query: DataQuery,
+    setup: ScopeSetup | None = None,
 ) -> tuple[StoredSpeech, int] | None:
     """Solve one query end to end; None marks a skipped (too small) query.
 
     Both the serial loop and the pool workers go through this single
     function, so the two execution strategies cannot drift apart.
+    ``setup`` is the query's predicate scope's shared set-up, if any.
     """
-    problem = generator.build_problem(query)
+    problem = generator.build_problem(query, setup)
     if problem is None:
         return None
     result = summarizer.summarize(problem)
@@ -127,9 +129,33 @@ def solve_query_chunk(
     once per run by :class:`repro.system.worker_pool.WorkerPool`; the
     incremental maintainer shares this entry point, so every execution
     strategy funnels through :func:`_solve_query`.
+
+    The chunk is solved scope by scope: the queries of one
+    :func:`scope_groups` group (one predicate scope's targets) share
+    one :class:`ScopeSetup`, made for that group alone and dropped
+    before the next group's.  Outcomes come back in query order.  A
+    summarizer that carries state across problems (``deterministic``
+    False) solves the queries in chunk order, each on its own.
     """
     generator, summarizer, realizer = context
-    return [_solve_query(generator, summarizer, realizer, query) for query in chunk]
+    if not summarizer.deterministic:
+        return [_solve_query(generator, summarizer, realizer, query) for query in chunk]
+    outcomes: list[tuple[StoredSpeech, int] | None] = [None] * len(chunk)
+    for positions in scope_groups(chunk):
+        setup = ScopeSetup() if len(positions) > 1 else None
+        for position in positions:
+            outcomes[position] = _solve_query(
+                generator, summarizer, realizer, chunk[position], setup
+            )
+    return outcomes
+
+
+def scope_groups(queries: list[DataQuery]) -> list[list[int]]:
+    """Positions of ``queries`` grouped by predicate scope, scopes by first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for position, query in enumerate(queries):
+        groups.setdefault(query.predicates, []).append(position)
+    return list(groups.values())
 
 
 def resolve_parallelism(

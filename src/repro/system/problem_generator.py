@@ -18,10 +18,11 @@ import numpy as np
 
 from repro.core.errors import InvalidProblemError
 from repro.core.expectation import ExpectationModel
-from repro.core.model import DimensionCodes, SummarizationRelation, factorize
+from repro.core.kernel import FactScopeIndex
+from repro.core.model import DimensionCodes, SummarizationRelation, extend_codes, factorize
 from repro.core.priors import ConstantPrior, Prior
 from repro.core.problem import SummarizationProblem
-from repro.facts.generation import FactGenerator
+from repro.facts.generation import FactGenerator, GeneratedFacts
 from repro.relational.column import ColumnType
 from repro.relational.operators import select
 from repro.relational.table import Table
@@ -30,7 +31,7 @@ from repro.system.queries import DataQuery
 
 # ``select`` computes the same subset row by row; it stays importable
 # here because span tracers wrap it at this module path.
-__all__ = ["GeneratedProblem", "ProblemGenerator", "select"]
+__all__ = ["GeneratedProblem", "ProblemGenerator", "ScopeSetup", "select"]
 
 
 @dataclass
@@ -39,6 +40,31 @@ class GeneratedProblem:
 
     query: DataQuery
     problem: SummarizationProblem
+
+
+class ScopeSetup:
+    """The target-independent half of the problems of one predicate scope.
+
+    Every target of a scope summarizes the same data subset, so its
+    problems share the subset rows, the relation's codes and group
+    layouts, the candidate facts' scopes and the CSR skeleton of their
+    index.  The first :meth:`ProblemGenerator.build_problem` given an
+    empty set-up fills it; a later target whose non-NULL rows are the
+    same then computes only its target's values, fact values and fact
+    errors.  A target that keeps other rows is built from scratch.  A
+    set-up serves the queries of one predicate scope only: the caller
+    makes a new one per scope (``preprocessor.scope_groups``).
+    """
+
+    __slots__ = ("rows", "nulls", "relation", "generated", "index")
+
+    def __init__(self):
+        #: The subset rows, NULL targets included, and the first
+        #: target's NULLs among them.
+        self.rows = self.nulls = None
+        self.relation: SummarizationRelation | None = None
+        self.generated: GeneratedFacts | None = None
+        self.index: FactScopeIndex | None = None
 
 
 class ProblemGenerator:
@@ -171,21 +197,37 @@ class ProblemGenerator:
     # ------------------------------------------------------------------
     # Problem construction
     # ------------------------------------------------------------------
-    def build_problem(self, query: DataQuery) -> SummarizationProblem | None:
+    def build_problem(
+        self, query: DataQuery, setup: ScopeSetup | None = None
+    ) -> SummarizationProblem | None:
         """Build the summarization problem answering ``query``.
 
         Returns None when the query's data subset is too small or when
-        no candidate facts can be generated for it.
+        no candidate facts can be generated for it.  ``setup`` shares
+        the target-independent work between the targets of one
+        predicate scope (see :class:`ScopeSetup`); the problem is the
+        same either way.
         """
-        relation = self.subset_relation(query)
-        if relation is None:
-            return None
-        generated = FactGenerator(
-            relation,
-            max_extra_dimensions=self._config.max_fact_dimensions,
-            min_support=self._config.min_fact_support,
-        ).generate(base_scope=query.predicate_map)
-        if not generated.facts:
+        shared = self._shared_half(query, setup)
+        if shared is not None:
+            relation, generated, index = shared
+        else:
+            rows = self._subset_rows(query.predicate_map)
+            if rows.size < self._min_subset_rows:
+                return None
+            relation = self._relation_at(rows, query.target)
+            generated = FactGenerator(
+                relation,
+                max_extra_dimensions=self._config.max_fact_dimensions,
+                min_support=self._config.min_fact_support,
+            ).generate(base_scope=query.predicate_map)
+            # The generator already found every fact's rows.
+            index = generated.scope_index(relation) if generated.facts else None
+            if setup is not None and setup.rows is None:
+                setup.rows = rows
+                setup.nulls = np.isnan(self._target_floats(query.target)[rows])
+                setup.relation, setup.generated, setup.index = relation, generated, index
+        if index is None:
             return None
 
         kwargs = {}
@@ -197,10 +239,32 @@ class ProblemGenerator:
             candidate_facts=generated.facts,
             max_facts=self._config.max_facts_per_speech,
             label=query.describe(),
-            # The generator already found every fact's rows.
-            scope_index=generated.scope_index(relation),
+            scope_index=index,
             **kwargs,
         )
+
+    def _shared_half(
+        self, query: DataQuery, setup: ScopeSetup | None
+    ) -> tuple[SummarizationRelation, GeneratedFacts, FactScopeIndex | None] | None:
+        """``query``'s relation, facts and index retargeted from a filled ``setup``.
+
+        The index is None when the scope has no candidate facts.  None
+        when there is nothing to share: no set-up, an empty one, or a
+        target whose NULLs fall on other subset rows than the first
+        target's.
+        """
+        if setup is None or setup.rows is None:
+            return None
+        values = self._target_floats(query.target)[setup.rows]
+        nulls = np.isnan(values)
+        if not np.array_equal(nulls, setup.nulls):
+            return None
+        relation = setup.relation.retarget(query.target, values[~nulls])
+        if setup.index is None:
+            return relation, setup.generated, None
+        generated = setup.generated.retarget(relation)
+        index = setup.index.retarget(generated.facts, generated.values, relation.target_values)
+        return relation, generated, index
 
     def subset_relation(self, query: DataQuery) -> SummarizationRelation | None:
         """The relation over ``query``'s data subset; None when it is too small.
@@ -216,6 +280,10 @@ class ProblemGenerator:
         rows = self._subset_rows(query.predicate_map)
         if rows.size < self._min_subset_rows:
             return None
+        return self._relation_at(rows, query.target)
+
+    def _relation_at(self, rows: np.ndarray, target: str) -> SummarizationRelation:
+        """The relation over the table's ``rows`` summarizing ``target``."""
         codes = {}
         for dim in self._config.dimensions:
             dim_codes, decode, code_of = self._column_codes(dim)
@@ -223,11 +291,40 @@ class ProblemGenerator:
         return SummarizationRelation(
             self._table.renamed(f"{self._table.name}_subset"),
             list(self._config.dimensions),
-            query.target,
+            target,
             codes=codes,
             rows=rows,
-            target_values=self._target_floats(query.target)[rows],
+            target_values=self._target_floats(target)[rows],
         )
+
+    def appended(self, table: Table, new_rows: Table) -> "ProblemGenerator":
+        """This generator over ``table``: its own table with ``new_rows`` appended.
+
+        The cached column codes and target floats are extended by the
+        new rows instead of read again: old codes stay, and a value not
+        seen before takes the next free code, exactly as factorizing the
+        appended table would code it.  The default priors (whole-table
+        target averages) are recomputed on demand.  Only serial
+        (``workers=0``) maintenance gains: pickling drops the caches
+        (:meth:`__getstate__`), so each pool worker factorizes its table
+        again.
+        """
+        generator = ProblemGenerator(
+            self._config,
+            table,
+            prior=self._prior,
+            expectation_model=self._expectation_model,
+            min_subset_rows=self._min_subset_rows,
+        )
+        generator._codes_cache = {
+            column: extend_codes(codes, new_rows.column(column))
+            for column, codes in self._codes_cache.items()
+        }
+        generator._target_cache = {
+            target: np.concatenate((floats, new_rows.column(target).to_numpy()))
+            for target, floats in self._target_cache.items()
+        }
+        return generator
 
     def _column_codes(self, column: str) -> DimensionCodes:
         """Integer codes of one table column, factorized once (cached)."""

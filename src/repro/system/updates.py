@@ -16,9 +16,9 @@ new rows' non-NULL value tuples on its columns, so the affected
 queries are those tuples, one set per dimension combination, never a
 filter over the whole query space.  Re-summarization fans out over
 a :class:`repro.system.worker_pool.WorkerPool` (``workers=N``, or a
-caller-owned ``pool=`` shared with the pre-processor), with the
-order-preserving merge keeping the maintained store identical to a
-serial pass.
+caller-owned ``pool=`` shared with the pre-processor) in chunks cut at
+predicate-scope boundaries, with the order-preserving merge keeping the
+maintained store identical to a serial pass.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.system.preprocessor import (
     Preprocessor,
     default_chunk_size,
     resolve_parallelism,
+    scope_groups,
     solve_query_chunk,
     stream_solved_chunks,
 )
@@ -108,6 +109,9 @@ class IncrementalMaintainer:
         self._realizer = realizer or SpeechRealizer()
         self._prior = prior
         self._expectation_model = expectation_model
+        # Kept across appends, its column codes and target floats
+        # extended by each batch instead of read again.
+        self._generator: ProblemGenerator | None = None
 
     @property
     def table(self) -> Table:
@@ -122,9 +126,11 @@ class IncrementalMaintainer:
         speeches that were actually rebuilt.  Callers that can retry or
         skip a failed batch (the serving scheduler) capture ``table``
         before the pass and restore it here, keeping the maintainer
-        consistent with the last successfully published store.
+        consistent with the last successfully published store.  The
+        kept problem generator is dropped with the table it covered.
         """
         self._table = table
+        self._generator = None
 
     # ------------------------------------------------------------------
     # Change analysis
@@ -213,36 +219,61 @@ class IncrementalMaintainer:
         before = len(store)
 
         self._table = self._table.concat(new_rows)
-        generator = ProblemGenerator(
-            self._config,
-            self._table,
-            prior=self._prior,
-            expectation_model=self._expectation_model,
-        )
+        if self._generator is None:
+            self._generator = ProblemGenerator(
+                self._config,
+                self._table,
+                prior=self._prior,
+                expectation_model=self._expectation_model,
+            )
+        else:
+            self._generator = self._generator.appended(self._table, new_rows)
         affected = self._affected_from(self._table, new_rows)
         report.affected_queries = len(affected)
 
-        context = (generator, preprocessor.summarizer, self._realizer)
-        replaced = 0
+        context = (self._generator, preprocessor.summarizer, self._realizer)
         if effective_workers and affected:
-            if chunk_size is None:
-                chunk_size = default_chunk_size(len(affected), effective_workers)
-            chunks = (
-                affected[i : i + chunk_size]
-                for i in range(0, len(affected), chunk_size)
-            )
-            for chunk_result in stream_solved_chunks(
-                context, chunks, effective_workers, pool
-            ):
-                replaced += self._merge_outcomes(chunk_result, store, report)
+            outcomes = self._solve_in_pool(context, affected, effective_workers, pool, chunk_size)
         else:
-            replaced = self._merge_outcomes(
-                solve_query_chunk(context, affected), store, report
-            )
+            outcomes = solve_query_chunk(context, affected)
+        replaced = self._merge_outcomes(outcomes, store, report)
 
         report.unchanged_speeches = max(0, before - replaced)
         report.total_seconds = time.perf_counter() - start
         return report
+
+    @staticmethod
+    def _solve_in_pool(
+        context: tuple,
+        affected: list[DataQuery],
+        workers: int,
+        pool: WorkerPool | None,
+        chunk_size: int | None,
+    ) -> list:
+        """Outcomes of ``affected`` solved in pool chunks, in ``affected`` order.
+
+        Chunks are cut at predicate-scope boundaries, so every target
+        of a scope is solved in one chunk on one shared set-up (see
+        :func:`~repro.system.preprocessor.solve_query_chunk`); a chunk
+        closes once it holds ``chunk_size`` queries or more.
+        """
+        if chunk_size is None:
+            chunk_size = default_chunk_size(len(affected), workers)
+        chunks: list[list[int]] = [[]]
+        for positions in scope_groups(affected):
+            if len(chunks[-1]) >= chunk_size:
+                chunks.append([])
+            chunks[-1].extend(positions)
+        outcomes: list = [None] * len(affected)
+        solved = stream_solved_chunks(
+            context, ([affected[i] for i in chunk] for chunk in chunks), workers, pool
+        )
+        # The stream leads the zip, so its end (which closes a per-run
+        # pool) is reached.
+        for chunk_outcomes, chunk in zip(solved, chunks):
+            for position, outcome in zip(chunk, chunk_outcomes):
+                outcomes[position] = outcome
+        return outcomes
 
     @staticmethod
     def _merge_outcomes(outcomes, store: SpeechStore, report: MaintenanceReport) -> int:

@@ -199,9 +199,11 @@ class TestComputeGains:
         assert outputs == [expected, expected]
 
     def test_each_new_plan_is_prepared_again(self, example_facts, example_evaluator):
-        """The pruner keeps the plan it prepared last; handed another
-        plan, it computes what a fresh pruner computes for that plan."""
-        index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
+        """The pruner keeps every plan it prepared; handed another plan,
+        it computes what a fresh pruner on a fresh index computes for
+        that plan (pruners on one index share its prepared plans)."""
+        relation = example_evaluator.relation
+        index = FactScopeIndex.build(relation, example_facts.facts)
         plans = [
             PruningPlan((FactGroup([]),), (FactGroup(["region"]), FactGroup(["season"]))),
             PruningPlan((FactGroup(["region"]),), (FactGroup(["season"]),)),
@@ -213,7 +215,8 @@ class TestComputeGains:
         for plan in plans + plans[::-1]:
             stats, fresh_stats = SummarizerStatistics(), SummarizerStatistics()
             got = reused.compute_gains(state, plan, stats)
-            fresh = FactGroupPruner(index, example_evaluator)
+            fresh_index = FactScopeIndex.build(relation, example_facts.facts)
+            fresh = FactGroupPruner(fresh_index, example_evaluator)
             want = fresh.compute_gains(state, plan, fresh_stats)
             assert got.fact_ids.tolist() == want.fact_ids.tolist()
             assert got.gains.tobytes() == want.gains.tobytes()
@@ -383,3 +386,55 @@ class TestDictPrunerParity:
             result = summarizer.summarize(problem)
             assert len(set(result.speech.facts)) == result.speech.length
             _assert_matches_dict_pruner(summarizer, problem)
+
+
+class TestSurvivorPass:
+    """The survivors' pass, unmasked when nothing was pruned, keeps the bits.
+
+    Each fact's gain sums its own CSR entries in CSR order, so any pass
+    that covers the fact, masked or not, must give the same float.
+    """
+
+    @staticmethod
+    def _problem():
+        rng = np.random.default_rng(11)
+        dims = ["a", "b", "c", "d"]
+        columns = [
+            Column.categorical(d, [f"{d}{v}" for v in rng.integers(0, 4, 300)]) for d in dims
+        ]
+        columns.append(Column.numeric("t", list(100.0 + rng.normal(0.0, 5.0, 300))))
+        relation = SummarizationRelation(Table("survivors", columns), dims, "t")
+        generated = FactGenerator(relation, max_extra_dimensions=2).generate()
+        index = generated.scope_index(relation)
+        return SummarizationProblem(
+            relation, generated.facts, 3, prior=ZeroPrior(), scope_index=index
+        )
+
+    @pytest.mark.parametrize(
+        "plan, prunes",
+        [
+            (PruningPlan((), ()), False),
+            # A bound never falls below a gain it bounds.
+            (PruningPlan((FactGroup(["a"]),), (FactGroup([]),)), False),
+            (PruningPlan((FactGroup([]),), (FactGroup(["a"]), FactGroup(["b"]))), True),
+            (PruningPlan((FactGroup(["a"]),), (FactGroup(["b", "c"]),)), True),
+        ],
+    )
+    def test_gains_equal_the_masked_pass(self, plan, prunes):
+        problem = self._problem()
+        index = problem.index()
+        evaluator = problem.evaluator()
+        pruner = FactGroupPruner(index, evaluator)
+        state = evaluator.initial_state()
+        active = np.ones(index.num_facts, dtype=bool)
+        for step in range(3):
+            outcome = pruner.compute_gains(state, plan, SummarizerStatistics(), active)
+            if step == 0:
+                assert bool(outcome.pruned_groups) is prunes
+            computed = np.zeros(index.num_facts, dtype=bool)
+            computed[outcome.fact_ids] = True
+            masked = index.subset_gains(computed, state.error)[outcome.fact_ids]
+            assert outcome.gains.tobytes() == masked.tobytes()
+            best, _ = outcome.best_fact()
+            index.apply_fact(best, state)
+            active[index.copies_of(best)] = False

@@ -300,3 +300,53 @@ class TestShardedServing:
 
         second_digest = asyncio.run(reference_digest(APPEND_ROWS, SECOND_ROWS))
         asyncio.run(asyncio.wait_for(scenario(second_digest), timeout=180))
+
+    def test_respawned_shard_is_routed_to_only_after_its_catch_up(self):
+        """A respawn with a pending log suffix answers nothing stale.
+
+        A damaged ``store-v1.snap`` makes the respawned shard attach v0
+        while the router is at v1, so it has batch 1 to replay.  Until
+        that catch-up ends the shard is not healthy, and every answer
+        (session-less round-robin included) comes from v1.  The first
+        catch-up fails: the supervisor kills the shard and respawns it
+        again.
+        """
+        import os
+        import signal
+
+        engine = make_engine(build_example_table())
+        config = ServingConfig(concurrency=2, shards=2)
+        question = VoiceRequest(text="delays for East in Winter")
+
+        async def scenario():
+            async with ShardManager(engine, config) as manager:
+                damaged = bytearray(manager.publisher.path_for(0).read_bytes())
+                damaged[len(damaged) // 2] ^= 0xFF
+                manager.publisher.path_for(1).write_bytes(bytes(damaged))
+                before = (await manager.submit(question)).text
+                await manager.request_append(manager.build_append_table(wire_rows(APPEND_ROWS)))
+                current = (await manager.submit(question)).text
+                assert current != before
+
+                attempts = []
+                catch_up = manager._catch_up
+
+                async def observed_catch_up(handle, version):
+                    attempts.append((version, handle.healthy))
+                    answers = [(await manager.submit(question)).text for _ in range(4)]
+                    assert answers == [current] * 4
+                    if len(attempts) == 1:
+                        raise RuntimeError("injected catch-up failure")
+                    await catch_up(handle, version)
+
+                manager._catch_up = observed_catch_up
+                os.kill(manager.shard_pids()[1], signal.SIGKILL)
+                await asyncio.wait_for(until_respawned(manager), timeout=90)
+                assert attempts == [(0, False), (0, False)]
+                assert manager.respawn_total == 2
+                answers = [(await manager.submit(question)).text for _ in range(4)]
+                assert answers == [current] * 4
+                digests = await manager.store_digest()
+                assert digests["consistent"], digests
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=180))

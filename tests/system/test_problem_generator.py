@@ -2,10 +2,12 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.errors import InvalidProblemError
 from repro.core.priors import ConstantPrior, ZeroPrior
+from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.problem_generator import ProblemGenerator
 from repro.system.queries import DataQuery
@@ -195,3 +197,41 @@ class TestProblemConstruction:
         clone = pickle.loads(pickle.dumps(used))
         query = DataQuery.create("delay", {"season": "Winter"})
         assert clone.build_problem(query).relation.num_rows == 4
+
+
+class TestAppendedGenerator:
+    """A generator extended batch by batch equals one built on the final table."""
+
+    def test_parity_after_appends_with_an_unseen_value(self, config, example_table):
+        rows = [
+            [("North", "Winter", 12.0), ("East", "Summer", None)],
+            # An unseen region and a NULL region.
+            [("Midwest", "Winter", 3.0), (None, "Spring", 7.5), ("Midwest", "Fall", 9.0)],
+            [("South", "Summer", 40.0)],
+        ]
+        names = example_table.column_names
+        types = [column.ctype for column in example_table.columns]
+        generator = ProblemGenerator(config, example_table, min_subset_rows=1)
+        # Fill every cache the appends extend.
+        generator.build_problem(DataQuery.create("delay", {"region": "East"}))
+        table = example_table
+        for batch_rows in rows:
+            batch = Table.from_rows(example_table.name, names, types, batch_rows)
+            table = table.concat(batch)
+            generator = generator.appended(table, batch)
+        fresh = ProblemGenerator(config, table, min_subset_rows=1)
+        for column in config.dimensions:
+            codes, decode, code_of = generator._column_codes(column)
+            fresh_codes, fresh_decode, fresh_code_of = fresh._column_codes(column)
+            np.testing.assert_array_equal(codes, fresh_codes)
+            assert decode == fresh_decode and code_of == fresh_code_of
+        np.testing.assert_array_equal(
+            generator._target_floats("delay"), fresh._target_floats("delay")
+        )
+        assert generator._default_prior("delay").value == fresh._default_prior("delay").value
+        for query in fresh.enumerate_queries():
+            mine, theirs = generator.build_problem(query), fresh.build_problem(query)
+            assert (mine is None) is (theirs is None)
+            if mine is not None:
+                assert list(mine.candidate_facts) == list(theirs.candidate_facts)
+                assert mine.prior.value == theirs.prior.value
