@@ -98,6 +98,17 @@ class Summarizer(abc.ABC):
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         """Select a speech for ``problem``; return it plus work counters."""
 
+    def _solve_scored(
+        self, problem: SummarizationProblem
+    ) -> tuple[Speech, SummarizerStatistics, tuple[float, float] | None]:
+        """:meth:`_solve`, plus ``(U(speech), D(∅))`` when the algorithm already holds them.
+
+        The default holds neither (None): :meth:`summarize` then
+        evaluates the speech.
+        """
+        speech, stats = self._solve(problem)
+        return speech, stats, None
+
     def summarize(self, problem: SummarizationProblem) -> SummaryResult:
         """Solve ``problem`` and package the result.
 
@@ -105,13 +116,14 @@ class Summarizer(abc.ABC):
         algorithms report comparable numbers.
         """
         start = time.perf_counter()
-        speech, stats = self._solve(problem)
+        speech, stats, scores = self._solve_scored(problem)
         stats.elapsed_seconds = time.perf_counter() - start
 
-        evaluator = problem.evaluator()
-        utility = evaluator.utility(speech)
+        if scores is None:
+            evaluator = problem.evaluator()
+            scores = evaluator.utility(speech), evaluator.prior_deviation()
+        utility, prior = scores
         # UtilityEvaluator.scaled_utility, without computing the deviation again.
-        prior = evaluator.prior_deviation()
         scaled = 1.0 if prior == 0.0 else utility / prior
         return SummaryResult(
             speech=speech,

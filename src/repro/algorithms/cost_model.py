@@ -123,7 +123,9 @@ class PruningCostModel:
     # ------------------------------------------------------------------
     # Plan cost
     # ------------------------------------------------------------------
-    def plan_cost(self, plan: PruningPlan, groups: Sequence[FactGroup]) -> float:
+    def plan_cost(
+        self, plan: PruningPlan, groups: Sequence[FactGroup] | GroupLattice
+    ) -> float:
         """Estimated total processing cost of Algorithm 3 under ``plan``."""
         lattice = CostedLattice(self, groups)
         sources = [lattice.id_of(s) for s in plan.sources]
@@ -134,17 +136,27 @@ class PruningCostModel:
         return costing.cost()
 
 
-class CostedLattice(GroupLattice):
+class CostedLattice:
     """A :class:`~repro.facts.groups.GroupLattice` with each group's cost-model components.
 
-    ``utility[g]`` and ``deviation[g]`` are C_U and C_D, costed once per
-    group from one combination count.  ``tie_rank[g]`` ranks the listed
-    groups by their dimension tuples, Algorithm 4's tie-break, so plan
-    choice compares numbers instead of tuples.
+    ``groups``, ``ids``, ``size``, ``specializations`` and ``tie_rank``
+    are the lattice's, read and never changed: a lattice passed in may
+    be shared by every problem over its group set.  :meth:`id_of` adds a
+    group from outside it to this view's own copies.  ``utility[g]`` and
+    ``deviation[g]`` are C_U and C_D, costed once per group from one
+    combination count.
     """
 
-    def __init__(self, model: PruningCostModel, groups: Sequence[FactGroup]):
-        super().__init__(groups)
+    bitset = staticmethod(GroupLattice.bitset)
+
+    def __init__(self, model: PruningCostModel, groups: Sequence[FactGroup] | GroupLattice):
+        lattice = groups if isinstance(groups, GroupLattice) else GroupLattice(groups)
+        self._lattice = lattice
+        self.groups = lattice.groups
+        self.ids = lattice.ids
+        self.size = lattice.size
+        self.specializations = lattice.specializations
+        self.tie_rank = lattice.tie_rank
         self._model = model
         self.utility: list[float] = []
         self.deviation: list[float] = []
@@ -152,16 +164,21 @@ class CostedLattice(GroupLattice):
         self._keep: dict[int, list[float]] = {}
         for group in self.groups:
             self._cost(group)
-        self.tie_rank = [0] * self.size
-        by_dimensions = sorted(range(self.size), key=lambda g: self.groups[g].dimensions)
-        for rank, gid in enumerate(by_dimensions):
-            self.tie_rank[gid] = rank
 
     def id_of(self, group: FactGroup) -> int:
         """The id of ``group``, adding it (and its costs) when it is new."""
-        if group not in self.ids:
+        gid = self.ids.get(group)
+        if gid is None:
+            if self.ids is self._lattice.ids:
+                # The first group from outside: stop reading the lattice's own lists.
+                self.groups = list(self.groups)
+                self.ids = dict(self.ids)
+                self.specializations = list(self.specializations)
+            gid = self.ids[group] = len(self.groups)
+            self.groups.append(group)
+            self.specializations.append(self._lattice.specializing(group))
             self._cost(group)
-        return super().id_of(group)
+        return gid
 
     def _cost(self, group: FactGroup) -> None:
         utility, deviation = self._model.group_costs(group)

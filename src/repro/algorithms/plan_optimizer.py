@@ -21,14 +21,14 @@ from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from repro.algorithms.cost_model import CostedLattice, PlanCosting, PruningCostModel, PruningPlan
-from repro.facts.groups import FactGroup
+from repro.facts.groups import FactGroup, GroupLattice
 
 #: A candidate plan by group ids: ``(sources, targets, estimated cost)``.
 _Candidate = tuple[Sequence[int], Sequence[int], float]
 
 
 def candidate_plans(
-    groups: Sequence[FactGroup],
+    groups: Sequence[FactGroup] | GroupLattice,
     fact_counts: Mapping[FactGroup, int],
     cost_model: PruningCostModel,
     max_source_prefix: int | None = None,
@@ -38,7 +38,7 @@ def candidate_plans(
     Parameters
     ----------
     groups:
-        All (distinct) fact groups with candidate facts.
+        All (distinct) fact groups with candidate facts, or their lattice.
     fact_counts:
         Number of facts per group, used to order source prefixes.
     cost_model:
@@ -115,7 +115,7 @@ class PruningPlanOptimizer:
 
     def choose_plan(
         self,
-        groups: Sequence[FactGroup],
+        groups: Sequence[FactGroup] | GroupLattice,
         fact_counts: Mapping[FactGroup, int],
     ) -> PruningPlan:
         """Return the first candidate plan with minimal estimated cost."""
@@ -126,7 +126,7 @@ class PruningPlanOptimizer:
 
     def naive_plan(
         self,
-        groups: Sequence[FactGroup],
+        groups: Sequence[FactGroup] | GroupLattice,
         fact_counts: Mapping[FactGroup, int],
     ) -> PruningPlan:
         """The simple strategy used by the "G-P" variant.
@@ -137,9 +137,9 @@ class PruningPlanOptimizer:
         ordered by the target-selection heuristic without discarding
         specializations.
         """
-        if len(groups) < 2:
-            return PruningPlan((), ())
         lattice = CostedLattice(self._cost_model, groups)
+        if lattice.size < 2:
+            return PruningPlan((), ())
         source, *rest = _by_fact_count(lattice, fact_counts)
         keep = lattice.keep(source)
         rest_bits = lattice.bitset(rest)

@@ -20,17 +20,35 @@ from repro.algorithms.base import Summarizer, SummarizerStatistics
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
 from repro.algorithms.plan_optimizer import PruningPlanOptimizer
 from repro.algorithms.pruning import FactGroupPruner
+from repro.core.expectation import ClosestRelevantFactModel
+from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
+from repro.facts.groups import FactGroup, GroupLattice
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
 
+#: Group sets whose lattices a summarizer keeps before it starts over.
+_MAX_LATTICES = 1024
+
 
 class _PrunedGreedyBase(Summarizer):
-    """Shared greedy-with-pruning loop; subclasses pick the plan."""
+    """Shared greedy-with-pruning loop; subclasses pick the plan.
+
+    The summarizer keeps one :class:`~repro.facts.groups.GroupLattice`
+    per group set (the tuple of ``index.groups``' column combinations):
+    the pruner and the plan optimizer of every problem over that set
+    read it.  Pickling drops them; each process builds its own.
+    """
 
     def __init__(self, sigma: float = 0.25):
         self._sigma = sigma
+        self._lattices: dict[tuple[tuple[str, ...], ...], GroupLattice] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_lattices"] = {}
+        return state
 
     def _choose_plan(
         self,
@@ -40,13 +58,30 @@ class _PrunedGreedyBase(Summarizer):
     ) -> PruningPlan:
         raise NotImplementedError
 
+    def _lattice(self, index: FactScopeIndex) -> GroupLattice:
+        """The lattice of ``index``'s groups, built on first sight of their set."""
+        key = tuple(index.groups)
+        lattice = self._lattices.get(key)
+        if lattice is None:
+            if len(self._lattices) >= _MAX_LATTICES:
+                self._lattices.clear()
+            lattice = self._lattices[key] = GroupLattice(FactGroup(columns) for columns in key)
+        return lattice
+
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
+        speech, stats, _ = self._solve_scored(problem)
+        return speech, stats
+
+    def _solve_scored(
+        self, problem: SummarizationProblem
+    ) -> tuple[Speech, SummarizerStatistics, tuple[float, float] | None]:
         evaluator = problem.evaluator()
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
 
         index = problem.index()
-        pruner = FactGroupPruner(index, evaluator)
+        lattice = self._lattice(index)
+        pruner = FactGroupPruner(index, evaluator, lattice)
         # The plan depends on fact counts and dimension statistics only,
         # so every target of a predicate scope shares it.
         plan_key = (type(self), self._sigma)
@@ -65,7 +100,7 @@ class _PrunedGreedyBase(Summarizer):
                 sigma=self._sigma,
             )
             optimizer = PruningPlanOptimizer(cost_model)
-            plan = self._choose_plan(optimizer, list(fact_counts), fact_counts)
+            plan = self._choose_plan(optimizer, lattice, fact_counts)
             index.cache[plan_key] = plan
 
         selected: list[Fact] = []
@@ -83,7 +118,14 @@ class _PrunedGreedyBase(Summarizer):
             active[index.copies_of(best)] = False
             stats.speeches_considered += 1
 
-        return Speech(selected), stats
+        speech = Speech(selected)
+        if not isinstance(evaluator.expectation_model, ClosestRelevantFactModel):
+            return speech, stats, None
+        # Under the closest-relevant-value model the state's error is
+        # |E(F, r) − v_r| for the selected facts, summed in row order as
+        # UtilityEvaluator.deviation sums it: D(F) needs no second pass.
+        prior = evaluator.prior_deviation()
+        return speech, stats, (prior - state.total_error, prior)
 
 
 class PrunedGreedySummarizer(_PrunedGreedyBase):

@@ -11,10 +11,12 @@ never discarded, so the greedy guarantee is preserved.
 Gain evaluation runs on the problem's
 :class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id, the
 index supplies each group's ids, and each phase (sources, then
-surviving groups) is a single batch pass.  The survivors' pass reads
-the whole CSR unmasked when no group was pruned: the facts it then
-skips are few, and each fact sums the same entries in the same order,
-so the gains are the same bits.
+surviving groups) is a single batch pass.  The sources' pass reads
+only the source groups' CSR ranges, found once per plan.  The
+survivors' pass reads the whole CSR unmasked when no group was pruned:
+the facts it then skips are few.  Either way each fact sums the same
+entries in the same order as a masked pass, so the gains are the same
+bits.
 """
 
 from __future__ import annotations
@@ -69,24 +71,35 @@ class FactGroupPruner:
         into fact groups (the columns each fact's scope restricts).
     evaluator:
         Utility evaluator for the problem's relation.
+    lattice:
+        The :class:`~repro.facts.groups.GroupLattice` of ``index.groups``,
+        read and never changed, so a summarizer may share one between
+        every problem over the same group set; built when not given.
 
     A plan is prepared once, when :meth:`compute_gains` first sees it:
-    its source fact mask, and per target its id in the index's
-    :class:`~repro.facts.groups.GroupLattice`, the columns its bound
-    groups on and the bitset of groups it prunes.  Each iteration then
-    evaluates the bounds and runs the two batch passes.  The lattice,
-    the group order and the prepared plans depend only on the fact
-    structure and the relation's codes, so they live in the index's
-    :attr:`~repro.core.kernel.FactScopeIndex.cache`, shared by the
-    problems of every target of a predicate scope.
+    its source fact mask, the CSR ranges of its source groups, and per
+    target its lattice id, the columns its bound groups on and the
+    bitset of groups it prunes.  Each iteration then evaluates the
+    bounds and runs the two batch passes, the first over the source
+    ranges only.  The group order and the prepared plans depend only on
+    the fact structure and the relation's codes, so they live in the
+    index's :attr:`~repro.core.kernel.FactScopeIndex.cache`, shared by
+    the problems of every target of a predicate scope.
     """
 
-    def __init__(self, index: FactScopeIndex, evaluator: UtilityEvaluator):
+    def __init__(
+        self,
+        index: FactScopeIndex,
+        evaluator: UtilityEvaluator,
+        lattice: GroupLattice | None = None,
+    ):
         self._index = index
         self._evaluator = evaluator
+        if lattice is None:
+            lattice = GroupLattice(FactGroup(columns) for columns in index.groups)
+        self._lattice = lattice
         layout = index.cache.get(FactGroupPruner)
         if layout is None:
-            lattice = GroupLattice(FactGroup(columns) for columns in index.groups)
             ids_by_group = list(index.groups.values())
             # Fact ids group by group: the order outcomes list gains in.
             group_order = np.concatenate(ids_by_group)
@@ -94,8 +107,8 @@ class FactGroupPruner:
             group_of_fact[group_order] = np.repeat(
                 np.arange(len(ids_by_group)), [ids.size for ids in ids_by_group]
             )
-            layout = index.cache[FactGroupPruner] = lattice, group_order, group_of_fact, {}
-        self._lattice, self._group_order, self._group_of_fact, self._prepared = layout
+            layout = index.cache[FactGroupPruner] = group_order, group_of_fact, {}
+        self._group_order, self._group_of_fact, self._prepared = layout
 
     @property
     def fact_counts(self) -> dict[FactGroup, int]:
@@ -118,19 +131,19 @@ class FactGroupPruner:
         source gain are discarded together with their specializations
         (Alg. 3, Line 19).
         """
-        _, sources, targets = self._prepare(plan)
+        sources, targets, source_ranges = self._prepare(plan)
         index = self._index
         order = self._group_order
         if active is None:
             active = np.ones(index.num_facts, dtype=bool)
 
-        # Line 9: utility gains for the pruning sources (one batch pass).
-        source_mask = sources & active
-        source_ids = order[source_mask[order]]
+        # Line 9: utility gains for the pruning sources (one batch pass
+        # over the source groups' CSR ranges).
+        source_ids = order[(sources & active)[order]]
         source_gains = _NO_GAINS
         max_source_gain = float("-inf")
         if source_ids.size:
-            source_gains = index.subset_gains(source_mask, state.error)[source_ids]
+            source_gains = index.range_gains(source_ranges, state.error)[source_ids]
             stats.fact_evaluations += source_ids.size
             max_source_gain = float(source_gains.max())
 
@@ -177,11 +190,12 @@ class FactGroupPruner:
         )
 
     def _prepare(self, plan: PruningPlan) -> tuple:
-        """``(plan, source fact mask, targets)`` for ``plan`` (kept per plan).
+        """``(source fact mask, targets, source ranges)`` for ``plan`` (kept per plan).
 
         Each target is ``(group id, bound columns, bitset of the groups
         it prunes)``; a target outside the index has no facts and is
-        never evaluated.
+        never evaluated.  The source ranges are the source facts' CSR
+        entries (:meth:`~repro.core.kernel.FactScopeIndex.entry_ranges`).
         """
         prepared = self._prepared.get(plan)
         if prepared is not None:
@@ -198,5 +212,6 @@ class FactGroupPruner:
             for target in plan.targets
             if (gid := lattice.ids.get(target)) is not None
         ]
-        prepared = self._prepared[plan] = plan, is_source[self._group_of_fact], targets
+        sources = is_source[self._group_of_fact]
+        prepared = self._prepared[plan] = sources, targets, self._index.entry_ranges(sources)
         return prepared

@@ -28,7 +28,7 @@ resolves them for hand-built fact lists.
 
 With that layout, the gain of *all* facts under the closest-relevant-
 value model is a single clipped subtraction over the flat arrays
-followed by one ``np.bincount`` — no per-fact Python.  Subset and
+followed by one ``np.bincount`` — no per-fact Python.  Subset, range and
 sampled variants reuse the same flat pass for the pruned-greedy and
 sampling-baseline algorithms.
 """
@@ -45,6 +45,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.utility import ExpectationState
 
 _EMPTY_INDICES = np.empty(0, dtype=np.intp)
+
+
+def _clipped_sums(
+    ids: np.ndarray,
+    rows: np.ndarray,
+    fact_errors: np.ndarray,
+    error: np.ndarray,
+    num_facts: int,
+) -> np.ndarray:
+    """Per fact, the sum of ``max(error[rows[k]] − fact_errors[k], 0)`` over its entries ``k``.
+
+    Entry ``k`` belongs to fact ``ids[k]``; each fact's entries are
+    summed in the order given, so two calls listing a fact's entries in
+    the same order return the same bits for it, whatever other facts'
+    entries they list.
+    """
+    deltas = error[rows] - fact_errors
+    np.maximum(deltas, 0.0, out=deltas)
+    return np.bincount(ids, weights=deltas, minlength=num_facts)
 
 
 class FactScopeIndex:
@@ -197,9 +216,12 @@ class FactScopeIndex:
         """Ids of the facts equal to fact ``fact_id``, itself included.
 
         Summarizers retire a selected fact together with its copies, as
-        a set of selected facts would; only facts of equal value and
-        support are compared as objects.
+        a set of selected facts would.  Generated candidates (whose
+        sequence declares ``distinct_scopes``) have no copies; otherwise
+        only facts of equal value and support are compared as objects.
         """
+        if getattr(self.facts, "distinct_scopes", False):
+            return [fact_id]
         fact = self.facts[fact_id]
         alike = (self.values == self.values[fact_id]) & (
             self.supports == self.supports[fact_id]
@@ -216,9 +238,9 @@ class FactScopeIndex:
         One flat pass: gather current errors, subtract the precomputed
         fact errors, clip at zero, and sum per fact via ``bincount``.
         """
-        deltas = error[self.row_indices] - self.fact_errors
-        np.maximum(deltas, 0.0, out=deltas)
-        return np.bincount(self.fact_ids, weights=deltas, minlength=self.num_facts)
+        return _clipped_sums(
+            self.fact_ids, self.row_indices, self.fact_errors, error, self.num_facts
+        )
 
     def subset_gains(self, fact_mask: np.ndarray, error: np.ndarray) -> np.ndarray:
         """Gains of the facts selected by ``fact_mask`` (others stay 0).
@@ -227,10 +249,50 @@ class FactScopeIndex:
         sources first and surviving groups afterwards.
         """
         selected = fact_mask[self.fact_ids]
-        ids = self.fact_ids[selected]
-        deltas = error[self.row_indices[selected]] - self.fact_errors[selected]
-        np.maximum(deltas, 0.0, out=deltas)
-        return np.bincount(ids, weights=deltas, minlength=self.num_facts)
+        return _clipped_sums(
+            self.fact_ids[selected],
+            self.row_indices[selected],
+            self.fact_errors[selected],
+            error,
+            self.num_facts,
+        )
+
+    def entry_ranges(self, fact_mask: np.ndarray) -> list[tuple[int, int]]:
+        """The CSR entries of the facts ``fact_mask`` selects, as ascending ``(lo, hi)`` ranges.
+
+        Selected facts with consecutive ids share one range, so the
+        facts of a generated fact group (consecutive by construction)
+        take one.
+        """
+        ids = np.flatnonzero(fact_mask)
+        if not ids.size:
+            return []
+        cuts = np.flatnonzero(np.diff(ids) != 1) + 1
+        firsts = ids[np.concatenate(([0], cuts))]
+        lasts = ids[np.concatenate((cuts - 1, [ids.size - 1]))]
+        los = self.offsets[firsts]
+        his = self.offsets[lasts + 1]
+        kept = los < his
+        return list(zip(los[kept].tolist(), his[kept].tolist()))
+
+    def range_gains(self, ranges: Sequence[tuple[int, int]], error: np.ndarray) -> np.ndarray:
+        """Gains of the facts whose entries ``ranges`` cover (others stay 0).
+
+        Each fact's entries lie in one range and are summed in CSR
+        order, as :meth:`batch_gains` and :meth:`subset_gains` sum them,
+        so its gain is the same bits.  Only the ranges' entries are
+        read.
+        """
+        gains = np.zeros(self.num_facts)
+        for lo, hi in ranges:
+            gains += _clipped_sums(
+                self.fact_ids[lo:hi],
+                self.row_indices[lo:hi],
+                self.fact_errors[lo:hi],
+                error,
+                self.num_facts,
+            )
+        return gains
 
     def sampled_gains(
         self, error: np.ndarray, row_mask: np.ndarray
@@ -242,9 +304,9 @@ class FactScopeIndex:
         """
         selected = row_mask[self.row_indices]
         ids = self.fact_ids[selected]
-        deltas = error[self.row_indices[selected]] - self.fact_errors[selected]
-        np.maximum(deltas, 0.0, out=deltas)
-        gains = np.bincount(ids, weights=deltas, minlength=self.num_facts)
+        gains = _clipped_sums(
+            ids, self.row_indices[selected], self.fact_errors[selected], error, self.num_facts
+        )
         counts = np.bincount(ids, minlength=self.num_facts)
         return gains, counts
 

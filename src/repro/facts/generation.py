@@ -55,6 +55,11 @@ class CandidateFacts(Sequence):
 
     __slots__ = ("values", "supports", "_relation", "_base", "_columns", "_first_rows", "_built")
 
+    #: No two candidates share a scope: each group holds one fact per
+    #: key, and groups differ in their columns.  A selected fact then has
+    #: no copies to retire (see :meth:`FactScopeIndex.copies_of`).
+    distinct_scopes = True
+
     def __init__(
         self,
         relation: SummarizationRelation,

@@ -99,36 +99,38 @@ def specializations(group: FactGroup, universe: Iterable[FactGroup]) -> list[Fac
 
 
 class GroupLattice:
-    """Fact groups under integer ids, with specialization bitsets.
+    """Fact groups under integer ids, with specialization bitsets and tie ranks.
 
     Ids ``0 .. size - 1`` are the listed groups, in order of first
-    listing; :meth:`id_of` appends any other group.  Each dimension
-    keeps the bitset of the groups restricting it, so the groups that
-    specialize ``t`` (``t ⊆ g``) are the AND of the bitsets of ``t``'s
-    dimensions: ``specializations[t]``, over the ids below ``size``.
-    ``ids`` maps groups to ids.
+    listing; ``ids`` maps groups to ids.  Each dimension keeps the
+    bitset of the groups restricting it, so the groups that specialize
+    ``t`` (``t ⊆ g``) are the AND of the bitsets of ``t``'s dimensions:
+    ``specializations[t]``.  ``tie_rank[g]`` ranks the groups by their
+    dimension tuples, Algorithm 4's tie-break, so plan choice compares
+    numbers instead of tuples.
+
+    A lattice is read-only once built: every problem over the same
+    group set may share one.  :meth:`specializing` gives the bitset of
+    a group from outside it without adding that group.
     """
 
     def __init__(self, groups: Iterable[FactGroup]):
-        self.groups: list[FactGroup] = list(dict.fromkeys(groups))
+        self.groups: tuple[FactGroup, ...] = tuple(dict.fromkeys(groups))
         self.ids: dict[FactGroup, int] = {group: gid for gid, group in enumerate(self.groups)}
         self.size = len(self.groups)
         self._restricting: dict[str, int] = {}
         for gid, group in enumerate(self.groups):
             for dimension in group.dimensions:
                 self._restricting[dimension] = self._restricting.get(dimension, 0) | 1 << gid
-        self.specializations = [self._specializing(group) for group in self.groups]
+        self.specializations = tuple(self.specializing(group) for group in self.groups)
+        tie_rank = [0] * self.size
+        by_dimensions = sorted(range(self.size), key=lambda g: self.groups[g].dimensions)
+        for rank, gid in enumerate(by_dimensions):
+            tie_rank[gid] = rank
+        self.tie_rank = tuple(tie_rank)
 
-    def id_of(self, group: FactGroup) -> int:
-        """The id of ``group``, adding it when it is new."""
-        gid = self.ids.get(group)
-        if gid is None:
-            gid = self.ids[group] = len(self.groups)
-            self.groups.append(group)
-            self.specializations.append(self._specializing(group))
-        return gid
-
-    def _specializing(self, group: FactGroup) -> int:
+    def specializing(self, group: FactGroup) -> int:
+        """The bitset of the lattice's groups that specialize ``group``."""
         bits = (1 << self.size) - 1
         for dimension in group.dimensions:
             bits &= self._restricting.get(dimension, 0)

@@ -1,0 +1,229 @@
+"""What a G-P/G-O solve derives once: the lattice, the speech's utility, copies.
+
+The pruned greedy summarizers keep one group lattice per group set and
+share it between problems; they take the speech's utility from the
+greedy's final expectation state instead of evaluating the speech
+again; and they retire no copies of generated candidates, whose scopes
+are distinct.  None of this may change a speech, a utility bit or a
+plan.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.algorithms.cost_model import CostedLattice, PruningCostModel, PruningPlan
+from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
+from repro.core.priors import ZeroPrior
+from repro.core.problem import SummarizationProblem
+from repro.datasets import available_datasets, load_dataset
+from repro.facts.generation import CandidateFacts, FactGenerator
+from repro.facts.groups import FactGroup
+from repro.relational.catalog import TableStatistics
+from repro.relational.column import Column
+from repro.relational.planner import CostEstimator
+from repro.relational.table import Table
+from repro.system.config import SummarizationConfig
+from repro.system.persistence import canonical_store_payload
+from repro.system.preprocessor import Preprocessor
+from repro.system.problem_generator import ProblemGenerator
+
+SUMMARIZERS = [PrunedGreedySummarizer, OptimizedGreedySummarizer]
+
+
+def _config(spec, algorithm: str) -> SummarizationConfig:
+    return SummarizationConfig.create(
+        table=spec.key,
+        dimensions=spec.dimensions,
+        targets=spec.targets,
+        max_query_length=2,
+        algorithm=algorithm,
+    )
+
+
+def _problems(generator: ProblemGenerator, count: int) -> list[SummarizationProblem]:
+    """About ``count`` problems spread over every target and scope size."""
+    queries = list(generator.enumerate_queries())
+    picked = queries[:: max(1, len(queries) // count)]
+    problems = [generator.build_problem(query) for query in picked]
+    return [problem for problem in problems if problem is not None]
+
+
+def _assert_utility_is_the_evaluators(summarizer, problem: SummarizationProblem) -> None:
+    result = summarizer.summarize(problem)
+    evaluator = problem.evaluator()
+    assert result.utility.hex() == evaluator.utility(result.speech).hex()
+    assert result.scaled_utility.hex() == evaluator.scaled_utility(result.speech).hex()
+
+
+# ----------------------------------------------------------------------
+# The speech's utility from the greedy's own state
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("summarizer_type", SUMMARIZERS)
+@pytest.mark.parametrize("dataset", available_datasets())
+def test_state_utility_is_bit_equal_to_the_evaluators(dataset, summarizer_type):
+    data = load_dataset(dataset, num_rows=200)
+    generator = ProblemGenerator(_config(data.spec, summarizer_type.name), data.table)
+    summarizer = summarizer_type()
+    for problem in _problems(generator, 60):
+        _assert_utility_is_the_evaluators(summarizer, problem)
+
+
+def _null_target_table() -> Table:
+    """``cost`` is NULL on every fourth row and on most North rows."""
+    rng = np.random.default_rng(9)
+    regions = [str(v) for v in rng.choice(["North", "South", "East"], 80)]
+    seasons = [str(v) for v in rng.choice(["Winter", "Summer", "Fall"], 80)]
+    costs = [
+        None if i % 4 == 0 or (region == "North" and i % 3) else float(c)
+        for i, (region, c) in enumerate(zip(regions, rng.normal(50.0, 9.0, 80)))
+    ]
+    return Table(
+        "trips",
+        [
+            Column.categorical("region", regions),
+            Column.categorical("season", seasons),
+            Column.numeric("cost", costs),
+        ],
+    )
+
+
+@pytest.mark.parametrize("summarizer_type", SUMMARIZERS)
+def test_state_utility_on_a_null_target_table(summarizer_type):
+    config = SummarizationConfig.create(
+        "trips",
+        dimensions=("region", "season"),
+        targets=("cost",),
+        max_query_length=1,
+        algorithm=summarizer_type.name,
+    )
+    generator = ProblemGenerator(config, _null_target_table())
+    problems = _problems(generator, 100)
+    assert any(problem.relation.num_rows < 80 for problem in problems)
+    summarizer = summarizer_type()
+    for problem in problems:
+        _assert_utility_is_the_evaluators(summarizer, problem)
+
+
+# ----------------------------------------------------------------------
+# Copies
+# ----------------------------------------------------------------------
+def test_generated_candidates_have_no_copies(example_relation):
+    generated = FactGenerator(example_relation, max_extra_dimensions=2).generate()
+    index = generated.scope_index(example_relation)
+    assert isinstance(index.facts, CandidateFacts)
+    facts = list(index.facts)
+    assert len(set(facts)) == len(facts)
+    assert [index.copies_of(i) for i in range(index.num_facts)] == [
+        [i] for i in range(index.num_facts)
+    ]
+
+
+@pytest.mark.parametrize("summarizer_type", SUMMARIZERS)
+def test_a_hand_built_index_still_retires_copies(summarizer_type, example_relation):
+    facts = list(FactGenerator(example_relation, max_extra_dimensions=2).generate().facts)
+    # Every fact twice, the copies after all originals.
+    problem = SummarizationProblem(
+        example_relation, facts + facts, max_facts=len(facts), prior=ZeroPrior()
+    )
+    index = problem.index()
+    assert index.copies_of(0) == [0, len(facts)]
+    result = summarizer_type().summarize(problem)
+    # A selected copy would count as a step without growing the speech.
+    assert result.statistics.speeches_considered == result.speech.length > 1
+    alone = summarizer_type().summarize(
+        SummarizationProblem(example_relation, facts, max_facts=len(facts), prior=ZeroPrior())
+    )
+    assert result.speech.facts == alone.speech.facts
+    assert result.utility == alone.utility
+
+
+# ----------------------------------------------------------------------
+# One lattice per group set
+# ----------------------------------------------------------------------
+def _same_group_set_problems() -> tuple[SummarizationProblem, SummarizationProblem]:
+    """Two flights problems of different scopes over the same group set."""
+    data = load_dataset("flights", num_rows=300)
+    generator = ProblemGenerator(_config(data.spec, "G-O"), data.table)
+    by_groups: dict[tuple, SummarizationProblem] = {}
+    for query in generator.enumerate_queries():
+        problem = generator.build_problem(query)
+        if problem is None:
+            continue
+        key = tuple(problem.index().groups)
+        if key in by_groups and len(key) > 2:
+            return by_groups[key], problem
+        by_groups[key] = problem
+    raise AssertionError("no two problems share a group set")
+
+
+def _lattice_state(lattice) -> tuple:
+    return (
+        lattice.groups,
+        dict(lattice.ids),
+        lattice.specializations,
+        lattice.tie_rank,
+        lattice.size,
+    )
+
+
+def test_problems_over_one_group_set_share_one_lattice():
+    first, second = _same_group_set_problems()
+    summarizer = OptimizedGreedySummarizer()
+    summarizer.summarize(first)
+    lattice = summarizer._lattice(first.index())
+    summarizer.summarize(second)
+    assert summarizer._lattice(second.index()) is lattice
+
+
+def test_an_outside_group_leaves_the_next_problems_lattice_and_plan_unchanged():
+    first, second = _same_group_set_problems()
+    summarizer = OptimizedGreedySummarizer()
+    summarizer.summarize(first)
+    lattice = summarizer._lattice(first.index())
+    before = _lattice_state(lattice)
+
+    outside = FactGroup(["no_such_column"])
+    statistics = TableStatistics(row_count=100, distinct_counts={"no_such_column": 3})
+    model = PruningCostModel({}, CostEstimator(statistics))
+    costed = CostedLattice(model, lattice)
+    assert costed.id_of(outside) == lattice.size
+    assert costed.groups[-1] == outside
+    plan = PruningPlan((outside,), (lattice.groups[0], outside))
+    model.plan_cost(plan, lattice)
+    assert _lattice_state(lattice) == before
+    assert outside not in lattice.ids
+
+    result = summarizer.summarize(second)
+    assert summarizer._lattice(second.index()) is lattice
+    assert _lattice_state(lattice) == before
+    fresh_second = _same_group_set_problems()[1]
+    fresh = OptimizedGreedySummarizer().summarize(fresh_second)
+    plan_key = (OptimizedGreedySummarizer, 0.25)
+    assert second.index().cache[plan_key] == fresh_second.index().cache[plan_key]
+    assert result.speech.facts == fresh.speech.facts
+    assert result.utility.hex() == fresh.utility.hex()
+    result.statistics.elapsed_seconds = fresh.statistics.elapsed_seconds = 0.0
+    assert result.statistics == fresh.statistics
+
+
+@pytest.mark.parametrize("algorithm", ["G-P", "G-O"])
+def test_a_pickled_summarizer_produces_the_same_store(algorithm):
+    data = load_dataset("flights", num_rows=200)
+    config = _config(data.spec, algorithm)
+    summarizer = (PrunedGreedySummarizer if algorithm == "G-P" else OptimizedGreedySummarizer)()
+    # Solve some problems first, so the summarizer holds lattices.
+    for problem in _problems(ProblemGenerator(config, data.table), 20):
+        summarizer.summarize(problem)
+    assert summarizer._lattices
+    copy = pickle.loads(pickle.dumps(summarizer))
+    assert copy._lattices == {}
+
+    stores = []
+    for each in (summarizer, copy):
+        store, _ = Preprocessor(config, each).run(ProblemGenerator(config, data.table))
+        stores.append(canonical_store_payload(store, config))
+    assert stores[0] == stores[1]

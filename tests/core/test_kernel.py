@@ -132,6 +132,25 @@ class TestBatchGainParity:
         np.testing.assert_allclose(subset[mask], full[mask], rtol=1e-12, atol=1e-9)
         assert np.all(subset[~mask] == 0.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_range_gains_are_the_subset_gains_bits(self, seed):
+        problem = random_problem(seed)
+        evaluator = problem.evaluator()
+        index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
+        rng = np.random.default_rng(seed)
+        error = evaluator.initial_state().error * rng.random(evaluator.relation.num_rows)
+        # Runs of consecutive facts, and single facts between them.
+        mask = np.repeat(rng.random(index.num_facts // 4 + 1) < 0.5, 4)[: index.num_facts]
+        mask[rng.integers(0, index.num_facts, 3)] ^= True
+        ranges = index.entry_ranges(mask)
+        ids = np.flatnonzero(mask)
+        covered = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+        assert covered.tolist() == np.flatnonzero(mask[index.fact_ids]).tolist()
+        assert len(ranges) < ids.size
+        gains = index.range_gains(ranges, error)
+        assert gains.tobytes() == index.subset_gains(mask, error).tobytes()
+        assert index.entry_ranges(np.zeros(index.num_facts, dtype=bool)) == []
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sampled_gains_match_per_fact_estimates(self, seed):
         problem = random_problem(seed)

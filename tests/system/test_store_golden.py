@@ -18,6 +18,13 @@ scope shared one set-up and maintenance kept its problem generator
 across appends.  Its appends bring an unseen airline and a NULL
 target, so both the extended column codes and the unshared path (one
 target's kept rows differ from the other's) are pinned.
+
+The stackoverflow G-O digest (six targets per predicate scope) and the
+flights G-P digest (the naive pruning plan) were computed before the
+pruned greedy summarizers shared one group lattice per group set, took
+a speech's utility from the greedy's final state, skipped the copy
+search for generated candidates and gathered each plan's source
+entries once.
 """
 
 from __future__ import annotations
@@ -42,15 +49,19 @@ FLIGHTS_300_G_O_MAINTAINED_DIGEST = (
 FLIGHTS_5000_G_O_FROZEN_DIGEST = (
     "03e5f1fdb134ebc9d1e87bf2192a450deb4de1563154b99860cc0f29fa74cd03"
 )
+STACKOVERFLOW_300_G_O_DIGEST = (
+    "07b4e607bfea5cec74e29dfaf9b237bc5eb84d26699012e31bd28f8b37535364"
+)
+FLIGHTS_300_G_P_DIGEST = "8ff27d8ef95a64d854d3932af48d43b4f26ee4f9f408a63693629f3c74ea26a0"
 
 
-def _g_o_engine(dataset) -> VoiceQueryEngine:
+def _engine(dataset, algorithm: str = "G-O") -> VoiceQueryEngine:
     config = SummarizationConfig.create(
         table=dataset.spec.key,
         dimensions=dataset.spec.dimensions,
         targets=dataset.spec.targets,
         max_query_length=2,
-        algorithm="G-O",
+        algorithm=algorithm,
     )
     engine = VoiceQueryEngine(config, dataset.table)
     engine.preprocess()
@@ -79,12 +90,23 @@ def _append_batches(base: Table) -> list[Table]:
 
 @pytest.fixture(scope="module")
 def full_flights_engine() -> VoiceQueryEngine:
-    return _g_o_engine(load_dataset("flights", num_rows=5000, seed=20210318))
+    return _engine(load_dataset("flights", num_rows=5000, seed=20210318))
 
 
 def test_flights_store_matches_golden_digest():
-    engine = _g_o_engine(load_dataset("flights", num_rows=300))
+    engine = _engine(load_dataset("flights", num_rows=300))
     assert _store_digest(engine) == (928, FLIGHTS_300_G_O_DIGEST)
+
+
+def test_stackoverflow_store_matches_golden_digest():
+    dataset = load_dataset("stackoverflow", num_rows=300)
+    assert len(dataset.spec.targets) == 6
+    assert _store_digest(_engine(dataset)) == (2670, STACKOVERFLOW_300_G_O_DIGEST)
+
+
+def test_flights_g_p_store_matches_golden_digest():
+    engine = _engine(load_dataset("flights", num_rows=300), algorithm="G-P")
+    assert _store_digest(engine) == (928, FLIGHTS_300_G_P_DIGEST)
 
 
 def test_full_flights_store_matches_golden_digest(full_flights_engine):
@@ -97,7 +119,7 @@ def test_full_flights_frozen_store_matches_golden_digest(full_flights_engine, tm
 
 
 def test_maintained_flights_store_matches_golden_digest():
-    engine = _g_o_engine(load_dataset("flights", num_rows=300))
+    engine = _engine(load_dataset("flights", num_rows=300))
     maintainer = IncrementalMaintainer(engine.config, engine.table)
     for batch in _append_batches(engine.table):
         maintainer.maintain(batch, engine.store)
