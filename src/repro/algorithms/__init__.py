@@ -20,8 +20,8 @@ from repro.algorithms.base import SummaryResult, Summarizer, SummarizerStatistic
 from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.exact import ExactSummarizer
 from repro.algorithms.pruning import FactGroupPruner, PruningPlan
-from repro.algorithms.cost_model import PruningCostModel
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
+from repro.algorithms.cost_model import LatticeCosts, PruningCostModel, lattice_costs
+from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer, RangeFact
 from repro.algorithms.random_baseline import RandomSummarizer
@@ -35,9 +35,12 @@ __all__ = [
     "ExactSummarizer",
     "FactGroupPruner",
     "PruningPlan",
+    "LatticeCosts",
     "PruningCostModel",
-    "PruningPlanOptimizer",
+    "lattice_costs",
     "candidate_plans",
+    "choose_plan",
+    "naive_plan",
     "PrunedGreedySummarizer",
     "OptimizedGreedySummarizer",
     "SamplingBaselineSummarizer",

@@ -14,21 +14,55 @@ are modelled as normal random variables whose mean is inversely
 proportional to the number of facts in the group (facts of small groups
 cover more rows), with a shared variance σ²; pruning outcomes are
 assumed independent.
+
+Plan choice (:mod:`repro.algorithms.plan_optimizer`) reads each group's
+components as flat lists by lattice id, a :class:`LatticeCosts`:
+:func:`lattice_costs` computes them for one problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.facts.groups import FactGroup, GroupLattice
-from repro.relational.planner import CostEstimator
+from repro.relational.catalog import combination_estimate
+from repro.relational.planner import CostEstimator, join_costs
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _standard_normal_cdf(x: float) -> float:
     """Φ(x) for the standard normal distribution."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + math.erf(x / _SQRT2))
+
+
+def checked_sigma(sigma: float) -> float:
+    """``sigma`` as a float; ValueError unless it is finite and positive.
+
+    A NaN or infinite σ makes every pruning probability NaN or ½, so
+    nothing is pruned and nothing says why.
+    """
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    return sigma
+
+
+def keep_row(mean: float, means: Sequence[float], sigma: float) -> list[float]:
+    """1 − Pr(P_{s→t}) for a source of mean per-fact utility ``mean``, per target mean.
+
+    Per-fact utilities are modelled as N(1/M(g), σ²); the difference of
+    two independent normals is normal with variance 2σ², hence
+
+        Pr(P_{s→t}) = Pr(u_s > u_t) = Φ((1/M(s) − 1/M(t)) / (σ·√2)),
+
+    evaluated here as :func:`_standard_normal_cdf` evaluates it.
+    """
+    scale = sigma * _SQRT2
+    erf = math.erf
+    return [1.0 - 0.5 * (1.0 + erf((mean - other) / scale / _SQRT2)) for other in means]
 
 
 @dataclass(frozen=True)
@@ -49,8 +83,54 @@ class PruningPlan:
         return f"PruningPlan(sources=[{src}], targets=[{tgt}])"
 
 
+class LatticeCosts(NamedTuple):
+    """The cost-model components of a lattice's groups, by group id.
+
+    ``counts[g]`` orders Algorithm 4's sources (the group's fact count,
+    1 when unknown); ``utility[g]`` and ``deviation[g]`` are C_U and C_D;
+    ``means[g]`` is 1/M(g), the mean per-fact utility.
+    """
+
+    counts: list[int]
+    utility: list[float]
+    deviation: list[float]
+    means: list[float]
+
+
+def lattice_costs(
+    lattice: GroupLattice,
+    fact_counts: Sequence[int],
+    row_count: int,
+    distinct_counts: Mapping[str, int],
+) -> LatticeCosts:
+    """One problem's components, in one pass over the lattice ids.
+
+    ``fact_counts[g]`` is group ``g``'s number of candidate facts, so
+    M(g) = max(1, fact_counts[g]); C_U and C_D come from the estimated
+    combination count of the group's columns over ``row_count`` rows
+    with ``distinct_counts`` (:func:`~repro.relational.planner.join_costs`),
+    as a :class:`PruningCostModel` over those statistics computes them.
+    """
+    utility: list[float] = []
+    deviation: list[float] = []
+    means: list[float] = []
+    for group, count in zip(lattice.groups, fact_counts):
+        combinations = combination_estimate(
+            [distinct_counts.get(column, 0) for column in group.dimensions], row_count
+        )
+        join, bound = join_costs(row_count, combinations)
+        utility.append(join)
+        deviation.append(bound)
+        means.append(1.0 / max(1, count))
+    return LatticeCosts(list(fact_counts), utility, deviation, means)
+
+
 class PruningCostModel:
-    """Estimates the processing cost of a pruning plan.
+    """The cost model's components for any fact group.
+
+    Production plan choice reads :func:`lattice_costs` instead; this
+    group-at-a-time model is kept as the reference the test oracle
+    costs plans with.
 
     Parameters
     ----------
@@ -59,13 +139,14 @@ class PruningCostModel:
         Obtained either from catalog statistics or from the actual
         generated fact sets.
     cost_estimator:
-        Provides C_U / C_D estimates from relation statistics.
+        Provides C_U / C_D estimates from relation statistics, and M(g)
+        for a group missing from ``fact_counts``.
     sigma:
         Standard deviation of the per-fact utility distribution
-        (a fixed model parameter; the paper assumes a constant σ²).
+        (a fixed model parameter; the paper assumes a constant σ²);
+        finite and positive.
 
-    M(g) is memoized per model instance; plan selection reads each
-    group's components once through a :class:`CostedLattice`.
+    M(g) is memoized per model instance.
     """
 
     def __init__(
@@ -74,16 +155,11 @@ class PruningCostModel:
         cost_estimator: CostEstimator,
         sigma: float = 0.25,
     ):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        self.sigma = checked_sigma(sigma)
         self._fact_counts = dict(fact_counts)
         self._estimator = cost_estimator
-        self._sigma = float(sigma)
         self._fact_count_memo: dict[FactGroup, int] = {}
 
-    # ------------------------------------------------------------------
-    # Model components
-    # ------------------------------------------------------------------
     def fact_count(self, group: FactGroup) -> int:
         """M(g): number of facts in the group (≥ 1)."""
         count = self._fact_count_memo.get(group)
@@ -109,136 +185,9 @@ class PruningCostModel:
     def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
         """Pr(P_{s→t}): probability the source's best gain dominates the target bound.
 
-        Per-fact utilities are modelled as N(1/M(g), σ²); the difference
-        of two independent normals is normal with variance 2σ², hence
-
-            Pr(u_s > u_t) = Φ((1/M(s) − 1/M(t)) / (σ·√2)).
+        See :func:`keep_row`, which gives 1 minus this for many targets.
         """
-        return self._dominance(1.0 / self.fact_count(source), 1.0 / self.fact_count(target))
-
-    def _dominance(self, mean_source: float, mean_target: float) -> float:
-        z = (mean_source - mean_target) / (self._sigma * math.sqrt(2.0))
+        z = (1.0 / self.fact_count(source) - 1.0 / self.fact_count(target)) / (
+            self.sigma * _SQRT2
+        )
         return _standard_normal_cdf(z)
-
-    # ------------------------------------------------------------------
-    # Plan cost
-    # ------------------------------------------------------------------
-    def plan_cost(
-        self, plan: PruningPlan, groups: Sequence[FactGroup] | GroupLattice
-    ) -> float:
-        """Estimated total processing cost of Algorithm 3 under ``plan``."""
-        lattice = CostedLattice(self, groups)
-        sources = [lattice.id_of(s) for s in plan.sources]
-        targets = [lattice.id_of(t) for t in plan.targets]
-        costing = PlanCosting(lattice, sources)
-        for target in targets:
-            costing.add_target(target)
-        return costing.cost()
-
-
-class CostedLattice:
-    """A :class:`~repro.facts.groups.GroupLattice` with each group's cost-model components.
-
-    ``groups``, ``ids``, ``size``, ``specializations`` and ``tie_rank``
-    are the lattice's, read and never changed: a lattice passed in may
-    be shared by every problem over its group set.  :meth:`id_of` adds a
-    group from outside it to this view's own copies.  ``utility[g]`` and
-    ``deviation[g]`` are C_U and C_D, costed once per group from one
-    combination count.
-    """
-
-    bitset = staticmethod(GroupLattice.bitset)
-
-    def __init__(self, model: PruningCostModel, groups: Sequence[FactGroup] | GroupLattice):
-        lattice = groups if isinstance(groups, GroupLattice) else GroupLattice(groups)
-        self._lattice = lattice
-        self.groups = lattice.groups
-        self.ids = lattice.ids
-        self.size = lattice.size
-        self.specializations = lattice.specializations
-        self.tie_rank = lattice.tie_rank
-        self._model = model
-        self.utility: list[float] = []
-        self.deviation: list[float] = []
-        self._means: list[float] = []
-        self._keep: dict[int, list[float]] = {}
-        for group in self.groups:
-            self._cost(group)
-
-    def id_of(self, group: FactGroup) -> int:
-        """The id of ``group``, adding it (and its costs) when it is new."""
-        gid = self.ids.get(group)
-        if gid is None:
-            if self.ids is self._lattice.ids:
-                # The first group from outside: stop reading the lattice's own lists.
-                self.groups = list(self.groups)
-                self.ids = dict(self.ids)
-                self.specializations = list(self.specializations)
-            gid = self.ids[group] = len(self.groups)
-            self.groups.append(group)
-            self.specializations.append(self._lattice.specializing(group))
-            self._cost(group)
-        return gid
-
-    def _cost(self, group: FactGroup) -> None:
-        utility, deviation = self._model.group_costs(group)
-        self.utility.append(utility)
-        self.deviation.append(deviation)
-        self._means.append(1.0 / self._model.fact_count(group))
-
-    def keep(self, source: int) -> list[float]:
-        """1 − Pr(P_{s→t}) for every group ``t``, by id (all ids known so far)."""
-        row = self._keep.get(source)
-        if row is None:
-            mean = self._means[source]
-            dominance = self._model._dominance
-            row = self._keep[source] = [1.0 - dominance(mean, other) for other in self._means]
-        return row
-
-
-class PlanCosting:
-    """The cost of plans sharing one source list, as targets are appended.
-
-    The cost is the module formula, with Pr(¬P_g) the product of
-    1 − Pr(P_{s→t}) over every target ``t ⊆ g`` (in target order) and
-    every source (in source order), summed group by group.  Appending a
-    target multiplies each specializing group's survival by that
-    target's factors, the same factors in the same order a from-scratch
-    evaluation multiplies, so a growing target list is costed
-    incrementally and bit for bit.
-    """
-
-    def __init__(self, lattice: CostedLattice, sources: Sequence[int]):
-        self._lattice = lattice
-        self._keeps = [lattice.keep(s) for s in sources]
-        source_bits = lattice.bitset(sources)
-        self._not_sources = ~source_bits
-        self._others = [g for g in range(lattice.size) if not source_bits >> g & 1]
-        self._source_cost = sum(lattice.utility[s] for s in sources)
-        self._deviations: list[float] = []
-        self._survival = [1.0] * lattice.size
-
-    def add_target(self, target: int) -> None:
-        """Append ``target`` to the plan's targets."""
-        self._deviations.append(self._lattice.deviation[target])
-        factors = [keep[target] for keep in self._keeps]
-        survival = self._survival
-        bits = self._lattice.specializations[target] & self._not_sources
-        while bits:
-            low = bits & -bits
-            gid = low.bit_length() - 1
-            bits ^= low
-            probability = survival[gid]
-            for factor in factors:
-                probability *= factor
-            survival[gid] = probability
-
-    def cost(self) -> float:
-        """Estimated cost of the plan with the targets appended so far."""
-        cost = self._source_cost
-        cost += sum(self._deviations)
-        utility = self._lattice.utility
-        survival = self._survival
-        for gid in self._others:
-            cost += survival[gid] * utility[gid]
-        return cost

@@ -9,145 +9,158 @@ expected number of groups removed when ``t`` is used as a target.
 The trivial no-pruning plan is always a candidate, so the optimizer can
 fall back to plain greedy when pruning is unlikely to pay off.
 
-Both run on the groups' integer ids in a
-:class:`~repro.algorithms.cost_model.CostedLattice`: sets of groups are
-bitsets, ties are broken on precomputed ranks, and each source prefix's
-candidates are costed incrementally as its targets are picked.
+Both run on a :class:`~repro.facts.groups.GroupLattice` and its
+groups' :class:`~repro.algorithms.cost_model.LatticeCosts`: groups are
+ids, sets of groups are bitsets, ties are broken on the lattice's
+ranks, and each source prefix's candidates are costed incrementally as
+its targets are picked.  A candidate's cost is the module formula of
+:mod:`~repro.algorithms.cost_model`, with Pr(¬P_g) the product of
+1 − Pr(P_{s→t}) over every target ``t ⊆ g`` (in target order) and every
+source (in source order), summed group by group in id order.  Appending
+a target multiplies each specializing group's survival by that target's
+factors, one at a time, so a growing target list is costed bit for bit
+as a from-scratch evaluation costs it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
-
-from repro.algorithms.cost_model import CostedLattice, PlanCosting, PruningCostModel, PruningPlan
-from repro.facts.groups import FactGroup, GroupLattice
+from repro.algorithms.cost_model import LatticeCosts, PruningPlan, keep_row
+from repro.facts.groups import GroupLattice
 
 #: A candidate plan by group ids: ``(sources, targets, estimated cost)``.
-_Candidate = tuple[Sequence[int], Sequence[int], float]
+_Candidate = tuple[tuple[int, ...], tuple[int, ...], float]
 
 
 def candidate_plans(
-    groups: Sequence[FactGroup] | GroupLattice,
-    fact_counts: Mapping[FactGroup, int],
-    cost_model: PruningCostModel,
+    lattice: GroupLattice,
+    costs: LatticeCosts,
+    sigma: float,
     max_source_prefix: int | None = None,
 ) -> list[tuple[PruningPlan, float]]:
     """Algorithm 4's candidate pruning plans, in order, with their estimated costs.
 
-    Parameters
-    ----------
-    groups:
-        All (distinct) fact groups with candidate facts, or their lattice.
-    fact_counts:
-        Number of facts per group, used to order source prefixes.
-    cost_model:
-        Supplies Pr(P_t) for the target-selection heuristic, and the costs.
-    max_source_prefix:
-        Optional cap on the number of source prefixes considered
-        (keeps optimization overhead bounded for many groups).
+    ``costs`` holds the components of ``lattice``'s groups and ``sigma``
+    the per-fact utility deviation; ``max_source_prefix`` optionally
+    caps the number of source prefixes considered (keeps optimization
+    overhead bounded for many groups).
     """
-    lattice = CostedLattice(cost_model, groups)
-    return [
-        (_plan(lattice, sources, targets), cost)
-        for sources, targets, cost in _candidates(lattice, fact_counts, max_source_prefix)
-    ]
+    candidates: list[_Candidate] = []
+    _optimize(lattice, costs, sigma, max_source_prefix, candidates)
+    return [(_plan(lattice, sources, targets), cost) for sources, targets, cost in candidates]
 
 
-def _candidates(
-    lattice: CostedLattice,
-    fact_counts: Mapping[FactGroup, int],
+def choose_plan(
+    lattice: GroupLattice,
+    costs: LatticeCosts,
+    sigma: float,
+    max_source_prefix: int | None = 4,
+) -> PruningPlan:
+    """OPT_PRUNE: the first candidate plan with minimal estimated cost."""
+    return _plan(lattice, *_optimize(lattice, costs, sigma, max_source_prefix))
+
+
+def naive_plan(lattice: GroupLattice, costs: LatticeCosts, sigma: float) -> PruningPlan:
+    """The simple strategy used by the "G-P" variant.
+
+    It uses all fact groups for pruning in the order Algorithm 4 would
+    consider them: the smallest group (fewest facts) is the single
+    pruning source, every other group is a pruning target, ordered by
+    the target-selection heuristic without discarding specializations.
+    """
+    if lattice.size < 2:
+        return PruningPlan((), ())
+    source, *rest = _source_order(lattice, costs)
+    keep = keep_row(costs.means[source], costs.means, sigma)
+    rest_bits = lattice.bitset(rest)
+    specializations = lattice.specializations
+    tie_rank = lattice.tie_rank
+    targets = sorted(
+        rest,
+        key=lambda t: (
+            -((1.0 - keep[t]) * (specializations[t] & rest_bits).bit_count()),
+            tie_rank[t],
+        ),
+    )
+    return _plan(lattice, (source,), targets)
+
+
+def _optimize(
+    lattice: GroupLattice,
+    costs: LatticeCosts,
+    sigma: float,
     max_source_prefix: int | None,
-) -> Iterator[_Candidate]:
-    yield (), (), PlanCosting(lattice, ()).cost()
-    ordered = _by_fact_count(lattice, fact_counts)
-    if len(ordered) < 2:
-        return
-    prefix_limit = len(ordered) - 1
+    candidates: list[_Candidate] | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The first minimal-cost candidate's ids; ``candidates`` collects every candidate."""
+    size = lattice.size
+    utility, deviation, means = costs.utility, costs.deviation, costs.means
+    best_cost = 0.0  # the trivial plan: every group survives
+    for join in utility:
+        best_cost += join
+    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    if candidates is not None:
+        candidates.append(((), (), best_cost))
+    if size < 2:
+        return best
+    ordered = _source_order(lattice, costs)
+    prefix_limit = size - 1
     if max_source_prefix is not None:
         prefix_limit = min(prefix_limit, max_source_prefix)
 
-    # survive[t]: the product of 1 − Pr(P_{s→t}) over the sources so far,
-    # so Pr(P_t) = 1 − survive[t].
-    survive = [1.0] * lattice.size
     specializations = lattice.specializations
     tie_rank = lattice.tie_rank
+    keeps: list[list[float]] = []
+    # survive[t]: the product of 1 − Pr(P_{s→t}) over the sources so far,
+    # so Pr(P_t) = 1 − survive[t].
+    survive = [1.0] * size
     for prefix_length in range(1, prefix_limit + 1):
-        keep = lattice.keep(ordered[prefix_length - 1])
+        keep = keep_row(means[ordered[prefix_length - 1]], means, sigma)
+        keeps.append(keep)
         survive = [s * k for s, k in zip(survive, keep)]
-        sources = ordered[:prefix_length]
-        rest = ordered[prefix_length:]
-        remaining = lattice.bitset(rest)
-        costing = PlanCosting(lattice, sources)
+        pruned = [1.0 - s for s in survive]
+        sources = tuple(ordered[:prefix_length])
+        alive = ordered[prefix_length:]
+        others = sorted(alive)
+        remaining = lattice.bitset(alive)
+        source_cost = sum(utility[source] for source in sources)
+        deviations: list[float] = []
+        survival = [1.0] * size
         targets: list[int] = []
-        while remaining:
-            best_target = max(
-                (t for t in rest if remaining >> t & 1),
-                key=lambda t: (
-                    (1.0 - survive[t]) * (specializations[t] & remaining).bit_count(),
-                    tie_rank[t],
-                ),
-            )
-            targets.append(best_target)
-            costing.add_target(best_target)
-            yield sources, tuple(targets), costing.cost()
-            remaining &= ~specializations[best_target]
+        while alive:
+            # H(t, S, L), ties to the higher rank (no two ranks are equal).
+            target = -1
+            value = rank = -1.0
+            for t in alive:
+                h = pruned[t] * (specializations[t] & remaining).bit_count()
+                if h > value or (h == value and tie_rank[t] > rank):
+                    target, value, rank = t, h, tie_rank[t]
+            targets.append(target)
+            deviations.append(deviation[target])
+            factors = [keep[target] for keep in keeps]
+            specializing = specializations[target]
+            cost = source_cost + sum(deviations)
+            for gid in others:
+                if specializing >> gid & 1:
+                    probability = survival[gid]
+                    for factor in factors:
+                        probability *= factor
+                    survival[gid] = probability
+                cost += survival[gid] * utility[gid]
+            if candidates is not None:
+                candidates.append((sources, tuple(targets), cost))
+            if cost < best_cost:
+                best_cost = cost
+                best = sources, tuple(targets)
+            remaining &= ~specializing
+            alive = [t for t in alive if remaining >> t & 1]
+    return best
 
 
-def _by_fact_count(lattice: CostedLattice, fact_counts: Mapping[FactGroup, int]) -> list[int]:
+def _source_order(lattice: GroupLattice, costs: LatticeCosts) -> list[int]:
     """Group ids by ascending fact count, ties broken by dimensions."""
-    groups = lattice.groups
-    tie_rank = lattice.tie_rank
-    return sorted(range(lattice.size), key=lambda g: (fact_counts.get(groups[g], 1), tie_rank[g]))
+    return sorted(range(lattice.size), key=list(zip(costs.counts, lattice.tie_rank)).__getitem__)
 
 
-def _plan(lattice: CostedLattice, sources: Sequence[int], targets: Sequence[int]) -> PruningPlan:
+def _plan(lattice: GroupLattice, sources, targets) -> PruningPlan:
     groups = lattice.groups
     return PruningPlan(tuple(groups[s] for s in sources), tuple(groups[t] for t in targets))
-
-
-class PruningPlanOptimizer:
-    """OPT_PRUNE: select the minimum-cost plan among Algorithm 4's candidates."""
-
-    def __init__(self, cost_model: PruningCostModel, max_source_prefix: int | None = 4):
-        self._cost_model = cost_model
-        self._max_source_prefix = max_source_prefix
-
-    def choose_plan(
-        self,
-        groups: Sequence[FactGroup] | GroupLattice,
-        fact_counts: Mapping[FactGroup, int],
-    ) -> PruningPlan:
-        """Return the first candidate plan with minimal estimated cost."""
-        lattice = CostedLattice(self._cost_model, groups)
-        candidates = _candidates(lattice, fact_counts, self._max_source_prefix)
-        sources, targets, _ = min(candidates, key=itemgetter(2))
-        return _plan(lattice, sources, targets)
-
-    def naive_plan(
-        self,
-        groups: Sequence[FactGroup] | GroupLattice,
-        fact_counts: Mapping[FactGroup, int],
-    ) -> PruningPlan:
-        """The simple strategy used by the "G-P" variant.
-
-        It uses all fact groups for pruning in the order Algorithm 4
-        would consider them: the smallest group (fewest facts) is the
-        single pruning source, every other group is a pruning target,
-        ordered by the target-selection heuristic without discarding
-        specializations.
-        """
-        lattice = CostedLattice(self._cost_model, groups)
-        if lattice.size < 2:
-            return PruningPlan((), ())
-        source, *rest = _by_fact_count(lattice, fact_counts)
-        keep = lattice.keep(source)
-        rest_bits = lattice.bitset(rest)
-        targets = sorted(
-            rest,
-            key=lambda t: (
-                -((1.0 - keep[t]) * (lattice.specializations[t] & rest_bits).bit_count()),
-                lattice.tie_rank[t],
-            ),
-        )
-        return _plan(lattice, (source,), targets)

@@ -17,16 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Summarizer, SummarizerStatistics
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer
+from repro.algorithms.cost_model import LatticeCosts, PruningPlan, checked_sigma, lattice_costs
+from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.algorithms.pruning import FactGroupPruner
 from repro.core.expectation import ClosestRelevantFactModel
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.facts.groups import FactGroup, GroupLattice
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator
 
 #: Group sets whose lattices a summarizer keeps before it starts over.
 _MAX_LATTICES = 1024
@@ -39,10 +37,12 @@ class _PrunedGreedyBase(Summarizer):
     per group set (the tuple of ``index.groups``' column combinations):
     the pruner and the plan optimizer of every problem over that set
     read it.  Pickling drops them; each process builds its own.
+    ``sigma`` is the cost model's per-fact utility deviation, finite and
+    positive.
     """
 
     def __init__(self, sigma: float = 0.25):
-        self._sigma = sigma
+        self._sigma = checked_sigma(sigma)
         self._lattices: dict[tuple[tuple[str, ...], ...], GroupLattice] = {}
 
     def __getstate__(self) -> dict:
@@ -50,12 +50,7 @@ class _PrunedGreedyBase(Summarizer):
         state["_lattices"] = {}
         return state
 
-    def _choose_plan(
-        self,
-        optimizer: PruningPlanOptimizer,
-        groups,
-        fact_counts,
-    ) -> PruningPlan:
+    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
         raise NotImplementedError
 
     def _lattice(self, index: FactScopeIndex) -> GroupLattice:
@@ -87,21 +82,14 @@ class _PrunedGreedyBase(Summarizer):
         plan_key = (type(self), self._sigma)
         plan = index.cache.get(plan_key)
         if plan is None:
-            fact_counts = pruner.fact_counts
-            # The cost estimator only asks about dimension columns.
             relation = problem.relation
-            statistics = TableStatistics(
-                row_count=relation.num_rows,
-                distinct_counts={dim: relation.distinct_count(dim) for dim in relation.dimensions},
+            costs = lattice_costs(
+                lattice,
+                pruner.group_sizes,
+                relation.num_rows,
+                {dim: relation.distinct_count(dim) for dim in relation.dimensions},
             )
-            cost_model = PruningCostModel(
-                fact_counts,
-                CostEstimator(statistics),
-                sigma=self._sigma,
-            )
-            optimizer = PruningPlanOptimizer(cost_model)
-            plan = self._choose_plan(optimizer, lattice, fact_counts)
-            index.cache[plan_key] = plan
+            plan = index.cache[plan_key] = self._choose_plan(lattice, costs)
 
         selected: list[Fact] = []
         active = np.ones(index.num_facts, dtype=bool)
@@ -133,8 +121,8 @@ class PrunedGreedySummarizer(_PrunedGreedyBase):
 
     name = "G-P"
 
-    def _choose_plan(self, optimizer, groups, fact_counts) -> PruningPlan:
-        return optimizer.naive_plan(groups, fact_counts)
+    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
+        return naive_plan(lattice, costs, self._sigma)
 
 
 class OptimizedGreedySummarizer(_PrunedGreedyBase):
@@ -142,5 +130,5 @@ class OptimizedGreedySummarizer(_PrunedGreedyBase):
 
     name = "G-O"
 
-    def _choose_plan(self, optimizer, groups, fact_counts) -> PruningPlan:
-        return optimizer.choose_plan(groups, fact_counts)
+    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
+        return choose_plan(lattice, costs, self._sigma)

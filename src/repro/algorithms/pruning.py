@@ -77,11 +77,11 @@ class FactGroupPruner:
         every problem over the same group set; built when not given.
 
     A plan is prepared once, when :meth:`compute_gains` first sees it:
-    its source fact mask, the CSR ranges of its source groups, and per
-    target its lattice id, the columns its bound groups on and the
-    bitset of groups it prunes.  Each iteration then evaluates the
-    bounds and runs the two batch passes, the first over the source
-    ranges only.  The group order and the prepared plans depend only on
+    its source fact mask, the CSR ranges of its source groups, per
+    target its lattice id and the bitset of groups it prunes, and the
+    targets' stacked bound groups.  Each iteration then evaluates every
+    target's bound in one pass and runs the two batch passes, the first
+    over the source ranges only.  The group order and the prepared plans depend only on
     the fact structure and the relation's codes, so they live in the
     index's :attr:`~repro.core.kernel.FactScopeIndex.cache`, shared by
     the problems of every target of a predicate scope.
@@ -111,10 +111,9 @@ class FactGroupPruner:
         self._group_order, self._group_of_fact, self._prepared = layout
 
     @property
-    def fact_counts(self) -> dict[FactGroup, int]:
-        """Number of candidate facts per fact group, in group order."""
-        sizes = [int(ids.size) for ids in self._index.groups.values()]
-        return dict(zip(self._lattice.groups, sizes))
+    def group_sizes(self) -> list[int]:
+        """Number of candidate facts per fact group, by lattice id."""
+        return [ids.size for ids in self._index.groups.values()]
 
     def compute_gains(
         self,
@@ -131,7 +130,7 @@ class FactGroupPruner:
         source gain are discarded together with their specializations
         (Alg. 3, Line 19).
         """
-        sources, targets, source_ranges = self._prepare(plan)
+        sources, targets, source_ranges, stacked, starts = self._prepare(plan)
         index = self._index
         order = self._group_order
         if active is None:
@@ -153,11 +152,14 @@ class FactGroupPruner:
         groups = self._lattice.groups
         pruned_groups: list[FactGroup] = []
         remaining = (1 << len(groups)) - 1
-        if plan.sources and max_source_gain > float("-inf"):
-            for target, columns, prunes in targets:
+        if plan.sources and max_source_gain > float("-inf") and targets:
+            # Every target's bound from one bincount over the error
+            # vector tiled once per target (see :meth:`_prepare`).
+            sums = np.bincount(stacked, weights=np.tile(state.error, len(targets)))
+            bounds = np.maximum.reduceat(sums, starts).tolist()
+            for (target, prunes), bound in zip(targets, bounds):
                 if not remaining >> target & 1:
                     continue
-                bound = self._evaluator.max_split_bound(columns, state)
                 stats.bound_evaluations += 1
                 if max_source_gain > bound:
                     pruned = remaining & prunes
@@ -190,28 +192,45 @@ class FactGroupPruner:
         )
 
     def _prepare(self, plan: PruningPlan) -> tuple:
-        """``(source fact mask, targets, source ranges)`` for ``plan`` (kept per plan).
+        """``(source fact mask, targets, source ranges, stacked ids, starts)`` for ``plan``.
 
-        Each target is ``(group id, bound columns, bitset of the groups
+        Kept per plan.  Each target is ``(group id, bitset of the groups
         it prunes)``; a target outside the index has no facts and is
         never evaluated.  The source ranges are the source facts' CSR
         entries (:meth:`~repro.core.kernel.FactScopeIndex.entry_ranges`).
+        Target ``k``'s bound groups the rows on the columns of its group
+        that split them (:meth:`~repro.core.utility.UtilityEvaluator.split_columns`);
+        the stacked ids and ``starts`` number those groups across all
+        targets (:meth:`~repro.core.model.SummarizationRelation.stacked_group_ids`).
+        A bincount of the error vector tiled once per target adds each
+        group's errors in row order, as
+        :meth:`~repro.core.utility.UtilityEvaluator.max_split_bound` adds
+        them, so each target's maximum is that bound's bits.
         """
         prepared = self._prepared.get(plan)
         if prepared is not None:
             return prepared
         lattice = self._lattice
-        split = self._evaluator.split_columns
+        evaluator = self._evaluator
         is_source = np.zeros(lattice.size, dtype=bool)
         for source in plan.sources:
             gid = lattice.ids.get(source)
             if gid is not None:
                 is_source[gid] = True
-        targets = [
-            (gid, tuple(split(target.dimensions)), lattice.specializations[gid])
-            for target in plan.targets
-            if (gid := lattice.ids.get(target)) is not None
-        ]
+        targets = []
+        combinations = []
+        for target in plan.targets:
+            gid = lattice.ids.get(target)
+            if gid is not None:
+                targets.append((gid, lattice.specializations[gid]))
+                combinations.append(evaluator.split_columns(target.dimensions))
+        stacked, starts = evaluator.relation.stacked_group_ids(combinations)
         sources = is_source[self._group_of_fact]
-        prepared = self._prepared[plan] = sources, targets, self._index.entry_ranges(sources)
+        prepared = self._prepared[plan] = (
+            sources,
+            targets,
+            self._index.entry_ranges(sources),
+            stacked,
+            starts,
+        )
         return prepared

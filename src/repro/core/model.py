@@ -450,14 +450,29 @@ class SummarizationRelation:
         return self._code_census(dimension)[0] <= 1
 
     def _code_census(self, dimension: str) -> tuple[int, int]:
-        """``(codes, non-NULL codes)`` present among the rows (cached)."""
+        """``(codes, non-NULL codes)`` present among the rows (cached).
+
+        A column whose decode table holds one value is that value on
+        every row.  A column of an earlier :meth:`group_layouts` pass
+        has as many codes present as that pass found groups; without a
+        NULL code they are all non-NULL.  Any other column is counted.
+        """
         cached = self._distinct_cache.get(dimension)
         if cached is None:
             codes, decode, code_of = self.dimension_codes(dimension)
-            present = np.bincount(codes, minlength=len(decode)) > 0
-            distinct = int(np.count_nonzero(present))
             null = code_of.get(None)
-            cached = (distinct, distinct - int(null is not None and bool(present[null])))
+            batched = self._batched.get((dimension,))
+            if len(decode) == 1 and codes.size:
+                cached = (1, int(null is None))
+            elif batched is not None and null is None:
+                layouts, c = batched
+                groups = int(layouts.bounds[c + 1] - layouts.bounds[c])
+                cached = (groups, groups)
+            else:
+                rows = np.bincount(codes)
+                distinct = int(np.count_nonzero(rows))
+                null_rows = null is not None and null < rows.size and bool(rows[null])
+                cached = (distinct, distinct - int(null_rows))
             self._distinct_cache[dimension] = cached
         return cached
 
@@ -494,7 +509,7 @@ class SummarizationRelation:
         keys = self._sort_keys(combinations)
         perm = np.argsort(keys, axis=1, kind="stable")
         starts_run = np.ones(keys.shape, dtype=bool)
-        ordered = np.take_along_axis(keys, perm, axis=1)
+        ordered = keys[np.arange(len(combinations))[:, None], perm]
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts_run[:, 1:])
         starts = np.flatnonzero(starts_run)
         rows = perm.ravel()
@@ -502,7 +517,10 @@ class SummarizationRelation:
         # number the runs by combination, then by first appearance.
         combination = starts // max(n, 1)
         appearance = np.argsort(combination * n + rows[starts])
-        counts = np.diff(starts, append=keys.size)[appearance]
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1:] = keys.size
+        counts = (ends - starts)[appearance]
         offsets = np.zeros(starts.size + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         bounds = np.zeros(len(combinations) + 1, dtype=np.intp)
@@ -514,6 +532,24 @@ class SummarizationRelation:
         for c, columns in enumerate(combinations):
             self._batched[tuple(columns)] = layouts, c
         return layouts
+
+    def stacked_group_ids(
+        self, combinations: Sequence[tuple[str, ...]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's group under each combination in turn, numbered across all.
+
+        Returns ``(ids, starts)``: ``ids[k * n + r]`` is row ``r``'s
+        :meth:`group_layout` id under combination ``k`` plus ``starts[k]``,
+        the number of groups of the combinations before it (``n`` rows).
+        """
+        n = self.num_rows
+        ids = np.empty((len(combinations), n), dtype=np.intp)
+        starts = [0]
+        for k, columns in enumerate(combinations):
+            inverse, _, offsets = self.group_layout(columns)
+            np.add(inverse, starts[k], out=ids[k])
+            starts.append(starts[k] + offsets.size - 1)
+        return ids.ravel(), np.array(starts[:-1], dtype=np.intp)
 
     def _sort_keys(self, combinations: Sequence[tuple[str, ...]]) -> np.ndarray:
         """One row of group keys per combination: its mixed-radix codes.
@@ -599,21 +635,34 @@ class SummarizationRelation:
 
     def scope_row_indices(self, scope: Scope) -> np.ndarray:
         """Indices of rows within ``scope`` (ascending)."""
-        mask = self.scope_mask(scope)
-        return np.nonzero(mask)[0]
+        mask = self._scope_hits(scope)
+        return np.arange(self.num_rows) if mask is None else np.flatnonzero(mask)
 
     def scope_mask(self, scope: Scope) -> np.ndarray:
         """Boolean mask of rows within ``scope``."""
-        mask = np.ones(self.num_rows, dtype=bool)
+        mask = self._scope_hits(scope)
+        return np.ones(self.num_rows, dtype=bool) if mask is None else mask
+
+    def _scope_hits(self, scope: Scope) -> np.ndarray | None:
+        """The rows within ``scope`` as a mask; None when they are all rows.
+
+        A column whose decode table holds only the scope's value holds it
+        on every row, so it needs no comparison.
+        """
+        mask = None
         for column, value in scope:
             if column not in self._dimensions:
                 raise InvalidFactError(
                     f"scope restricts {column!r}, which is not a dimension of "
                     f"relation {self.name!r}"
                 )
-            codes, _, code_of = self.dimension_codes(column)
+            codes, decode, code_of = self.dimension_codes(column)
             # A value absent from the column matches no row (-1 is never a code).
-            mask &= codes == code_of.get(value, -1)
+            code = code_of.get(value, -1)
+            if code == 0 and len(decode) == 1:
+                continue
+            hits = codes == code
+            mask = hits if mask is None else mask & hits
         return mask
 
     def average_target(self, scope: Scope) -> tuple[float | None, int]:

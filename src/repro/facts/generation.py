@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,10 +36,14 @@ def _segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     if not sizes.size:
         return np.empty(0)
-    starts = np.zeros(sizes.size, dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    padded = np.insert(values, starts, 0.0)
-    return np.add.reduceat(padded, starts + np.arange(sizes.size)) / sizes
+    # Segment k's 0.0 goes before its values, k places further on.
+    heads = np.zeros(sizes.size, dtype=np.intp)
+    np.cumsum(sizes[:-1] + 1, out=heads[1:])
+    padded = np.zeros(values.size + sizes.size)
+    at_value = np.ones(padded.size, dtype=bool)
+    at_value[heads] = False
+    padded[at_value] = values
+    return np.add.reduceat(padded, heads) / sizes
 
 
 class CandidateFacts(Sequence):
@@ -135,6 +139,10 @@ class GeneratedFacts:
     group_ranges:
         The fact ids of each fact group (set of restricted *additional*
         dimensions, excluding the fixed base-scope columns).
+    index_keys:
+        Each fact group's key in the scope index: its columns and the
+        base-scope columns, sorted.  A group missing here gets that key
+        worked out from ``base_scope``.
     """
 
     facts: Sequence[Fact]
@@ -143,6 +151,7 @@ class GeneratedFacts:
     supports: np.ndarray = field(default_factory=lambda: _EMPTY_ROWS)
     row_indices: np.ndarray = field(default_factory=lambda: _EMPTY_ROWS)
     group_ranges: dict[FactGroup, range] = field(default_factory=dict)
+    index_keys: Mapping[FactGroup, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -168,9 +177,10 @@ class GeneratedFacts:
 
     def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
         """The facts' CSR scope index over ``relation``, from the known rows."""
+        keys = self.index_keys
         base_columns = self.base_scope.columns
         groups = {
-            tuple(sorted((*base_columns, *group.dimensions))): np.arange(
+            keys.get(group) or tuple(sorted((*base_columns, *group.dimensions))): np.arange(
                 ids.start, ids.stop, dtype=np.intp
             )
             for group, ids in self.group_ranges.items()
@@ -192,6 +202,39 @@ class GeneratedFacts:
             if group in wanted
             for fact in self.facts[ids.start : ids.stop]
         ]
+
+
+class FactGroups(NamedTuple):
+    """The fact groups over the columns a base scope leaves free.
+
+    ``groups`` is the POWERSET of Algorithms 3 and 4 over the free
+    columns up to the arity limit, the empty group first;
+    ``combinations`` lists the other groups' columns, in order, for the
+    grouping pass; ``columns`` holds every column they restrict; and
+    ``index_keys`` maps each group to its key in the scope index.  They
+    depend only on the columns, so a :class:`FactGenerator` given a
+    cache builds them once per base-scope shape (see :meth:`of`).
+    """
+
+    groups: list[FactGroup]
+    combinations: list[tuple[str, ...]]
+    columns: tuple[str, ...]
+    index_keys: dict[FactGroup, tuple[str, ...]]
+
+    @classmethod
+    def of(
+        cls, dimensions: Sequence[str], base_columns: tuple[str, ...], max_arity: int
+    ) -> "FactGroups":
+        """The fact groups of ``dimensions`` beyond ``base_columns``."""
+        free = [dim for dim in dimensions if dim not in base_columns]
+        groups = enumerate_fact_groups(free, max_arity=max_arity, include_empty=True)
+        combinations = [group.dimensions for group in groups[1:]]
+        return cls(
+            groups,
+            combinations,
+            tuple(dict.fromkeys(column for columns in combinations for column in columns)),
+            {group: tuple(sorted((*base_columns, *group.dimensions))) for group in groups},
+        )
 
 
 class FactGenerator:
@@ -217,6 +260,11 @@ class FactGenerator:
     min_support:
         Minimal number of rows a fact's scope must cover; scopes with
         fewer rows are skipped (they describe noise, not signal).
+    group_cache:
+        Where to keep :class:`FactGroups` by base-scope shape.  A caller
+        that generates facts for many relations (the problem generator)
+        passes one dict to all its generators, so each shape's groups
+        are built once; by default each generator keeps its own.
     """
 
     def __init__(
@@ -224,6 +272,7 @@ class FactGenerator:
         relation: SummarizationRelation,
         max_extra_dimensions: int = 2,
         min_support: int = 1,
+        group_cache: dict | None = None,
     ):
         if max_extra_dimensions < 0:
             raise ValueError("max_extra_dimensions must be non-negative")
@@ -232,6 +281,7 @@ class FactGenerator:
         self._relation = relation
         self._max_extra = max_extra_dimensions
         self._min_support = min_support
+        self._group_cache = {} if group_cache is None else group_cache
 
     @property
     def relation(self) -> SummarizationRelation:
@@ -245,13 +295,13 @@ class FactGenerator:
         fact includes them, and the additional predicates are placed on
         the remaining ("free") dimension columns.
         """
-        base, groups, base_indices = self._prepare(base_scope)
+        base, shape, base_indices = self._prepare(base_scope)
         relation = self._relation
         # The empty group leads; the others are laid out in one pass.
-        overall, *grouped = groups
-        order, offsets, bounds = relation.group_layouts([group.dimensions for group in grouped])
+        overall, *grouped = shape.groups
+        order, offsets, bounds = relation.group_layouts(shape.combinations)
         firsts = order[offsets[:-1]]
-        sizes = np.diff(offsets)
+        sizes = offsets[1:] - offsets[:-1]
         if base_indices.size == relation.num_rows:
             in_base = None
             counts = sizes
@@ -264,7 +314,7 @@ class FactGenerator:
             np.cumsum(in_base, out=covered[1:])
             counts = covered[offsets[1:]] - covered[offsets[:-1]]
         keep = counts >= self._min_support
-        self._drop_null_keys(keep, firsts, grouped, bounds)
+        self._drop_null_keys(keep, firsts, shape, bounds)
 
         # Group ids follow first appearance in the data, so ascending id
         # order reproduces the per-row oracle's fact order exactly.
@@ -294,39 +344,38 @@ class FactGenerator:
                 columns.extend([group.dimensions] * (stop - start))
         values = _segment_means(relation.target_values[rows], supports)
         facts = CandidateFacts(relation, base, columns, firsts, values, supports)
-        return GeneratedFacts(facts, base, values, supports, rows, ranges)
+        return GeneratedFacts(facts, base, values, supports, rows, ranges, shape.index_keys)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _prepare(
         self, base_scope: Mapping[str, Any] | Scope | None
-    ) -> tuple[Scope, list[FactGroup], np.ndarray]:
+    ) -> tuple[Scope, FactGroups, np.ndarray]:
         """The base scope, the fact groups over the free columns, and the base rows."""
         base = base_scope if isinstance(base_scope, Scope) else Scope(dict(base_scope or {}))
-        free_dimensions = [
-            dim for dim in self._relation.dimensions if not base.restricts(dim)
-        ]
-        groups = enumerate_fact_groups(
-            free_dimensions, max_arity=self._max_extra, include_empty=True
-        )
-        return base, groups, self._relation.scope_row_indices(base)
+        dimensions = self._relation.dimensions
+        key = (dimensions, base.columns, self._max_extra)
+        shape = self._group_cache.get(key)
+        if shape is None:
+            shape = FactGroups.of(dimensions, base.columns, self._max_extra)
+            self._group_cache[key] = shape
+        return base, shape, self._relation.scope_row_indices(base)
 
     def _drop_null_keys(
-        self, keep: np.ndarray, firsts: np.ndarray, groups: list[FactGroup], bounds: np.ndarray
+        self, keep: np.ndarray, firsts: np.ndarray, shape: FactGroups, bounds: np.ndarray
     ) -> None:
         """Clear ``keep`` for every group whose key holds a NULL.
 
-        Group ``g`` belongs to ``groups[c]`` for ``bounds[c] <= g <
-        bounds[c + 1]`` and its first row is ``firsts[g]``; one pass per
-        column that has a NULL code.
+        Group ``g`` belongs to ``shape.combinations[c]`` for ``bounds[c]
+        <= g < bounds[c + 1]`` and its first row is ``firsts[g]``; one
+        pass per column that has a NULL code.
         """
-        columns = dict.fromkeys(column for group in groups for column in group.dimensions)
-        for column in columns:
+        for column in shape.columns:
             codes, _, code_of = self._relation.dimension_codes(column)
             null = code_of.get(None)
             if null is not None:
-                restricts = np.array([column in group.dimensions for group in groups])
+                restricts = np.array([column in columns for columns in shape.combinations])
                 keep &= ~(np.repeat(restricts, np.diff(bounds)) & (codes[firsts] == null))
 
 
@@ -340,13 +389,13 @@ class PerRowFactGenerator(FactGenerator):
     """
 
     def generate(self, base_scope: Mapping[str, Any] | Scope | None = None) -> GeneratedFacts:
-        base, groups, base_indices = self._prepare(base_scope)
+        base, shape, base_indices = self._prepare(base_scope)
         target = self._relation.target_values
         base_set = set(int(i) for i in base_indices)
         facts: list[Fact] = []
         rows: list[np.ndarray] = []
         ranges: dict[FactGroup, range] = {}
-        for group in groups if base_indices.size else ():
+        for group in shape.groups if base_indices.size else ():
             start = len(facts)
             if group.arity == 0:
                 by_value = {(): base_indices}
@@ -377,4 +426,5 @@ class PerRowFactGenerator(FactGenerator):
             np.array([f.support for f in facts], dtype=np.intp),
             np.concatenate(rows) if rows else _EMPTY_ROWS,
             ranges,
+            shape.index_keys,
         )

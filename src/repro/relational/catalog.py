@@ -9,9 +9,22 @@ collects those statistics from an in-memory table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.relational.table import Table
+
+
+def combination_estimate(distinct_counts: Iterable[int], row_count: int) -> int:
+    """Estimated number of value combinations of columns with ``distinct_counts``.
+
+    The standard independence assumption: the product of the per-column
+    distinct counts (each at least 1), capped by the row count (at
+    least 1).  No columns give exactly one combination.
+    """
+    estimate = 1
+    for distinct in distinct_counts:
+        estimate *= max(1, distinct)
+    return min(estimate, max(1, row_count))
 
 
 @dataclass
@@ -46,16 +59,10 @@ class TableStatistics:
     def combination_count(self, columns: Sequence[str]) -> int:
         """Estimated number of distinct value combinations over ``columns``.
 
-        Uses the standard independence assumption (product of per-column
-        distinct counts), capped by the row count.  The empty column set
-        has exactly one combination (the unrestricted scope).
+        See :func:`combination_estimate`; the empty column set has
+        exactly one combination (the unrestricted scope).
         """
-        if not columns:
-            return 1
-        estimate = 1
-        for col in columns:
-            estimate *= max(1, self.distinct_count(col))
-        return min(estimate, max(1, self.row_count))
+        return combination_estimate(map(self.distinct_count, columns), self.row_count)
 
     def selectivity(self, columns: Sequence[str]) -> float:
         """Estimated fraction of rows matching one value combination."""

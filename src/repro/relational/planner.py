@@ -22,6 +22,20 @@ from typing import Sequence
 from repro.relational.catalog import TableStatistics
 
 
+def join_costs(row_count: int, facts: int, tuple_cost: float = 1.0) -> tuple[float, float]:
+    """``(C_U(g), C_D(g))`` for a fact group of ``facts`` facts over ``row_count`` rows.
+
+    Every data row joins exactly one fact of the group (the fact whose
+    scope values equal the row's values), so the utility join outputs
+    ``row_count`` rows: C_U charges the scan of the data table, the
+    probe work against the fact table and the aggregation pass.  The
+    deviation bound query is a group-by without a join: C_D charges the
+    scan and the groups.
+    """
+    join_output = row_count  # each row falls in exactly one scope of the group
+    return tuple_cost * (row_count + facts + 2 * join_output), tuple_cost * (row_count + facts)
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     """A cost estimate, expressed in abstract row-visit units."""
@@ -67,19 +81,8 @@ class CostEstimator:
         return self._stats.combination_count(group_columns)
 
     def group_costs(self, group_columns: Sequence[str]) -> tuple[float, float]:
-        """``(C_U(g), C_D(g))`` as plain numbers, from one fact-count estimate.
-
-        Every data row joins exactly one fact of the group (the fact
-        whose scope values equal the row's values), so the utility join
-        outputs ``row_count`` rows: C_U charges the scan of the data
-        table, the probe work against the fact table and the aggregation
-        pass.  The deviation bound query is a group-by without a join:
-        C_D charges the scan and the groups.
-        """
-        n = self._stats.row_count
-        facts = self.fact_count(group_columns)
-        join_output = n  # each row falls in exactly one scope of the group
-        return self._tuple_cost * (n + facts + 2 * join_output), self._tuple_cost * (n + facts)
+        """``(C_U(g), C_D(g))`` from one fact-count estimate (see :func:`join_costs`)."""
+        return join_costs(self._stats.row_count, self.fact_count(group_columns), self._tuple_cost)
 
     def utility_cost(self, group_columns: Sequence[str]) -> CostEstimate:
         """C_U(g): cost of the utility join + aggregation for group ``g``."""

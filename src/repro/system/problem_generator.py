@@ -111,6 +111,8 @@ class ProblemGenerator:
         self._prior_cache: dict[str, Prior] = {}
         self._codes_cache: dict[str, DimensionCodes] = {}
         self._target_cache: dict[str, np.ndarray] = {}
+        # The fact groups of each base-scope shape, for every FactGenerator.
+        self._group_cache: dict = {}
 
     @property
     def config(self) -> SummarizationConfig:
@@ -122,12 +124,14 @@ class ProblemGenerator:
 
         The prior, column-code and target caches hold numpy-heavy derived state
         that every worker can rebuild lazily from the table; shipping
-        them would dominate the pool start-up payload.
+        them would dominate the pool start-up payload.  The fact-group
+        cache is rebuilt likewise.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
         state["_codes_cache"] = {}
         state["_target_cache"] = {}
+        state["_group_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -215,11 +219,12 @@ class ProblemGenerator:
             rows = self._subset_rows(query.predicate_map)
             if rows.size < self._min_subset_rows:
                 return None
-            relation = self._relation_at(rows, query.target)
+            relation = self._relation_at(rows, query)
             generated = FactGenerator(
                 relation,
                 max_extra_dimensions=self._config.max_fact_dimensions,
                 min_support=self._config.min_fact_support,
+                group_cache=self._group_cache,
             ).generate(base_scope=query.predicate_map)
             # The generator already found every fact's rows.
             index = generated.scope_index(relation) if generated.facts else None
@@ -280,21 +285,32 @@ class ProblemGenerator:
         rows = self._subset_rows(query.predicate_map)
         if rows.size < self._min_subset_rows:
             return None
-        return self._relation_at(rows, query.target)
+        return self._relation_at(rows, query)
 
-    def _relation_at(self, rows: np.ndarray, target: str) -> SummarizationRelation:
-        """The relation over the table's ``rows`` summarizing ``target``."""
+    def _relation_at(self, rows: np.ndarray, query: DataQuery) -> SummarizationRelation:
+        """The relation over the table's ``rows`` (``query``'s subset) summarizing its target.
+
+        A predicate column holds one value on every row of a non-empty
+        subset, so it is coded with that value alone: the relation then
+        knows its census and its scope rows without a pass over the codes.
+        """
+        predicates = query.predicate_map
         codes = {}
         for dim in self._config.dimensions:
             dim_codes, decode, code_of = self._column_codes(dim)
-            codes[dim] = (dim_codes[rows], decode, code_of)
+            if dim in predicates and rows.size:
+                # The table's value, which may differ in type (1.0 for 1).
+                value = decode[code_of[predicates[dim]]]
+                codes[dim] = (np.zeros(rows.size, dtype=np.int64), [value], {value: 0})
+            else:
+                codes[dim] = (dim_codes[rows], decode, code_of)
         return SummarizationRelation(
             self._table.renamed(f"{self._table.name}_subset"),
             list(self._config.dimensions),
-            target,
+            query.target,
             codes=codes,
             rows=rows,
-            target_values=self._target_floats(target)[rows],
+            target_values=self._target_floats(query.target)[rows],
         )
 
     def appended(self, table: Table, new_rows: Table) -> "ProblemGenerator":
@@ -324,6 +340,7 @@ class ProblemGenerator:
             target: np.concatenate((floats, new_rows.column(target).to_numpy()))
             for target, floats in self._target_cache.items()
         }
+        generator._group_cache = self._group_cache
         return generator
 
     def _column_codes(self, column: str) -> DimensionCodes:

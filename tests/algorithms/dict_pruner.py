@@ -18,13 +18,12 @@ import numpy as np
 
 from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, _PrunedGreedyBase
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.core.utility import ExpectationState, UtilityEvaluator
-from repro.facts.groups import FactGroup
+from repro.facts.groups import FactGroup, GroupLattice
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
 from tests.algorithms import plan_oracle
@@ -163,7 +162,10 @@ def dict_pruned_solve(
     if oracle_plans:
         plan = oracle_plan(summarizer, groups, fact_counts, cost_model)
     else:
-        plan = summarizer._choose_plan(PruningPlanOptimizer(cost_model), groups, fact_counts)
+        lattice = GroupLattice(groups)
+        plan = summarizer._choose_plan(
+            lattice, plan_oracle.model_costs(cost_model, lattice, fact_counts)
+        )
 
     pruner = DictFactGroupPruner(by_group, evaluator)
     selected: list[Fact] = []

@@ -12,8 +12,25 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.facts.groups import FactGroup
+from repro.algorithms.cost_model import LatticeCosts, PruningCostModel, PruningPlan
+from repro.facts.groups import FactGroup, GroupLattice
+
+
+def model_costs(
+    model: PruningCostModel, lattice: GroupLattice, fact_counts: Mapping[FactGroup, int]
+) -> LatticeCosts:
+    """``lattice``'s components under ``model``, in the production chooser's form.
+
+    A group missing from ``fact_counts`` orders as count 1, and its
+    1/M(g) comes from the model's estimate.
+    """
+    groups = lattice.groups
+    return LatticeCosts(
+        [fact_counts.get(group, 1) for group in groups],
+        [model.utility_cost(group) for group in groups],
+        [model.deviation_cost(group) for group in groups],
+        [1.0 / model.fact_count(group) for group in groups],
+    )
 
 
 def target_prune_probability(

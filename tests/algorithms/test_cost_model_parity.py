@@ -1,10 +1,11 @@
 """Plan choice on integer group ids is bit-equal to the ``FactGroup`` oracle.
 
 The optimizer runs Algorithm 4 on a :class:`GroupLattice` (bitset
-specialization tests) and costs each source prefix's candidates
-incrementally.  ``tests/algorithms/plan_oracle.py`` keeps the original
-formulation: targets picked from sets of groups, every candidate costed
-from scratch.  On random group lattices, including ones where many
+specialization tests) and the flat :class:`LatticeCosts` of its groups,
+and costs each source prefix's candidates incrementally.
+``tests/algorithms/plan_oracle.py`` keeps the original formulation:
+targets picked from sets of groups, every candidate costed from
+scratch.  On random group lattices, including ones where many
 groups tie on their fact count, both must list the same candidates with
 bit-equal costs and choose the same plan.
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
-from repro.facts.groups import FactGroup, enumerate_fact_groups
+from repro.algorithms.cost_model import PruningCostModel, lattice_costs
+from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
+from repro.facts.groups import FactGroup, GroupLattice, enumerate_fact_groups
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
 from tests.algorithms import plan_oracle
@@ -86,25 +87,20 @@ def _assert_matches_oracle(problem, max_source_prefix):
     model = PruningCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
     reference = PruningCostModel(fact_counts, CostEstimator(statistics), sigma=sigma)
 
-    costed = candidate_plans(groups, fact_counts, model, max_source_prefix)
+    lattice = GroupLattice(groups)
+    costs = plan_oracle.model_costs(model, lattice, fact_counts)
+    costed = candidate_plans(lattice, costs, sigma, max_source_prefix)
     expected = plan_oracle.generate_candidate_plans(
         groups, fact_counts, reference, max_source_prefix
     )
     assert [plan for plan, _ in costed] == expected
     for plan, cost in costed:
-        oracle_cost = plan_oracle.plan_cost(reference, plan, groups)
-        assert _bits(cost) == _bits(oracle_cost)
-        assert _bits(model.plan_cost(plan, groups)) == _bits(oracle_cost)
+        assert _bits(cost) == _bits(plan_oracle.plan_cost(reference, plan, groups))
 
-    optimizer = PruningPlanOptimizer(model, max_source_prefix)
-    chosen = optimizer.choose_plan(groups, fact_counts)
+    chosen = choose_plan(lattice, costs, sigma, max_source_prefix)
     assert chosen == plan_oracle.choose_plan(groups, fact_counts, reference, max_source_prefix)
-
-    naive = optimizer.naive_plan(groups, fact_counts)
+    naive = naive_plan(lattice, costs, sigma)
     assert naive == plan_oracle.naive_plan(groups, fact_counts, reference)
-    assert _bits(model.plan_cost(naive, groups)) == _bits(
-        plan_oracle.plan_cost(reference, naive, groups)
-    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -132,13 +128,26 @@ def test_survival_factors_multiply_one_at_a_time():
     _assert_matches_oracle((list(fact_counts), fact_counts, statistics, 1.0), None)
 
 
-def test_plan_cost_accepts_groups_outside_the_costed_list():
-    """A plan may name a source or target the cost does not sum over."""
-    statistics = TableStatistics(row_count=100, distinct_counts={"a": 4, "b": 5, "c": 2})
-    groups = [FactGroup(["a"]), FactGroup(["a", "b"])]
-    model = PruningCostModel({}, CostEstimator(statistics))
-    plan = PruningPlan((FactGroup([]),), (FactGroup(["c"]), FactGroup(["a"])))
-    assert _bits(model.plan_cost(plan, groups)) == _bits(plan_oracle.plan_cost(model, plan, groups))
+@settings(max_examples=120, deadline=None)
+@given(problem=problems(counts=st.integers(min_value=0, max_value=60)))
+def test_lattice_costs_are_the_models_components(problem):
+    """A problem's flat components equal a model's over the same
+    statistics, bit for bit, once every group's fact count is known."""
+    groups, fact_counts, statistics, sigma = problem
+    counts = {group: fact_counts.get(group, 7) for group in groups}
+    lattice = GroupLattice(groups)
+    flat = lattice_costs(
+        lattice,
+        [counts[group] for group in lattice.groups],
+        statistics.row_count,
+        statistics.distinct_counts,
+    )
+    model = plan_oracle.model_costs(
+        PruningCostModel(counts, CostEstimator(statistics), sigma=sigma), lattice, counts
+    )
+    assert flat.counts == model.counts
+    for mine, theirs in zip(flat[1:], model[1:]):
+        assert [_bits(x) for x in mine] == [_bits(x) for x in theirs]
 
 
 def test_estimator_fallback_runs_only_for_missing_groups_and_once():

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.algorithms.cost_model import PruningCostModel, PruningPlan
-from repro.algorithms.plan_optimizer import PruningPlanOptimizer, candidate_plans
-from repro.facts.groups import FactGroup
+from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
+from repro.facts.groups import FactGroup, GroupLattice
 from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
+from tests.algorithms import plan_oracle
 
 GROUPS = [
     FactGroup([]),
@@ -22,8 +23,24 @@ FACT_COUNTS = {
 }
 
 
-def generate_candidate_plans(groups, fact_counts, cost_model, max_source_prefix=None):
-    return [plan for plan, _ in candidate_plans(groups, fact_counts, cost_model, max_source_prefix)]
+def costed_candidates(groups, cost_model, max_source_prefix=None):
+    lattice = GroupLattice(groups)
+    costs = plan_oracle.model_costs(cost_model, lattice, FACT_COUNTS)
+    return candidate_plans(lattice, costs, cost_model.sigma, max_source_prefix)
+
+
+def generate_candidate_plans(groups, cost_model, max_source_prefix=None):
+    return [plan for plan, _ in costed_candidates(groups, cost_model, max_source_prefix)]
+
+
+def chosen_plan(groups, cost_model):
+    lattice = GroupLattice(groups)
+    return choose_plan(lattice, plan_oracle.model_costs(cost_model, lattice, FACT_COUNTS), cost_model.sigma)
+
+
+def naive(groups, cost_model):
+    lattice = GroupLattice(groups)
+    return naive_plan(lattice, plan_oracle.model_costs(cost_model, lattice, FACT_COUNTS), cost_model.sigma)
 
 
 @pytest.fixture()
@@ -34,11 +51,11 @@ def cost_model(example_relation):
 
 class TestCandidateGeneration:
     def test_always_includes_trivial_plan(self, cost_model):
-        plans = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model)
+        plans = generate_candidate_plans(GROUPS, cost_model)
         assert PruningPlan((), ()) in plans
 
     def test_sources_are_prefixes_by_fact_count(self, cost_model):
-        plans = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model)
+        plans = generate_candidate_plans(GROUPS, cost_model)
         for plan in plans:
             if not plan.sources:
                 continue
@@ -48,41 +65,37 @@ class TestCandidateGeneration:
             assert not outside or max(source_counts) <= min(outside)
 
     def test_targets_never_overlap_sources(self, cost_model):
-        plans = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model)
+        plans = generate_candidate_plans(GROUPS, cost_model)
         for plan in plans:
             assert not set(plan.sources) & set(plan.targets)
 
     def test_single_group_yields_only_trivial_plan(self, cost_model):
-        plans = generate_candidate_plans([FactGroup([])], {FactGroup([]): 1}, cost_model)
+        plans = generate_candidate_plans([FactGroup([])], cost_model)
         assert plans == [PruningPlan((), ())]
 
     def test_max_source_prefix_limits_plans(self, cost_model):
-        few = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model, max_source_prefix=1)
-        many = generate_candidate_plans(GROUPS, FACT_COUNTS, cost_model, max_source_prefix=3)
+        few = generate_candidate_plans(GROUPS, cost_model, max_source_prefix=1)
+        many = generate_candidate_plans(GROUPS, cost_model, max_source_prefix=3)
         assert len(few) <= len(many)
 
 
 class TestOptimizer:
     def test_chooses_minimum_cost_candidate(self, cost_model):
-        optimizer = PruningPlanOptimizer(cost_model)
-        chosen = optimizer.choose_plan(GROUPS, FACT_COUNTS)
-        candidates = candidate_plans(GROUPS, FACT_COUNTS, cost_model, 4)
+        chosen = chosen_plan(GROUPS, cost_model)
+        candidates = costed_candidates(GROUPS, cost_model, 4)
         best_cost = min(cost for _, cost in candidates)
-        assert cost_model.plan_cost(chosen, GROUPS) == best_cost
+        assert plan_oracle.plan_cost(cost_model, chosen, GROUPS) == best_cost
         assert chosen == next(plan for plan, cost in candidates if cost == best_cost)
 
     def test_naive_plan_uses_smallest_group_as_source(self, cost_model):
-        optimizer = PruningPlanOptimizer(cost_model)
-        plan = optimizer.naive_plan(GROUPS, FACT_COUNTS)
+        plan = naive(GROUPS, cost_model)
         assert plan.sources == (FactGroup([]),)
         assert set(plan.targets) == set(GROUPS) - {FactGroup([])}
 
     def test_naive_plan_with_single_group_is_trivial(self, cost_model):
-        optimizer = PruningPlanOptimizer(cost_model)
-        assert optimizer.naive_plan([FactGroup([])], {FactGroup([]): 1}).is_trivial
+        assert naive([FactGroup([])], cost_model).is_trivial
 
     def test_chosen_plan_never_worse_than_trivial(self, cost_model):
-        optimizer = PruningPlanOptimizer(cost_model)
-        chosen = optimizer.choose_plan(GROUPS, FACT_COUNTS)
-        trivial_cost = cost_model.plan_cost(PruningPlan((), ()), GROUPS)
-        assert cost_model.plan_cost(chosen, GROUPS) <= trivial_cost + 1e-9
+        chosen = chosen_plan(GROUPS, cost_model)
+        trivial_cost = plan_oracle.plan_cost(cost_model, PruningPlan((), ()), GROUPS)
+        assert plan_oracle.plan_cost(cost_model, chosen, GROUPS) <= trivial_cost + 1e-9

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.algorithms.cost_model import PruningCostModel
 from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
+from repro.algorithms.registry import make_summarizer
+from repro.relational.catalog import TableStatistics
+from repro.relational.planner import CostEstimator
 
 
 class TestQualityEquivalence:
@@ -49,3 +53,29 @@ class TestWorkAccounting:
     def test_statistics_have_time(self, example_problem):
         outcome = OptimizedGreedySummarizer().summarize(example_problem)
         assert outcome.statistics.elapsed_seconds > 0
+
+
+BAD_SIGMAS = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+class TestSigmaValidation:
+    """A NaN or infinite σ silently pruned nothing (G-O did G-B's work);
+    a zero or negative one failed only at the first summarize, in a pool
+    worker far from the caller.  Both are rejected at construction."""
+
+    @pytest.mark.parametrize("name", ["G-P", "G-O"])
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    def test_summarizer_rejects_sigma(self, name, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            make_summarizer(name, sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    def test_cost_model_rejects_sigma(self, example_relation, sigma):
+        statistics = TableStatistics.from_table(example_relation.table)
+        with pytest.raises(ValueError, match="sigma"):
+            PruningCostModel({}, CostEstimator(statistics), sigma=sigma)
+
+    def test_positive_finite_sigma_prunes(self, example_problem):
+        result = make_summarizer("G-O", sigma=1).summarize(example_problem)
+        reference = OptimizedGreedySummarizer(sigma=1.0).summarize(example_problem)
+        assert result.speech == reference.speech

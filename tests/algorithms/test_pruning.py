@@ -61,7 +61,8 @@ class TestGrouping:
         fact = Fact(scope=Scope({"region": "East", "season": "Winter"}), value=1.0, support=1)
         index = FactScopeIndex.build(example_evaluator.relation, [fact])
         pruner = FactGroupPruner(index, example_evaluator)
-        assert pruner.fact_counts == {FactGroup(["region", "season"]): 1}
+        assert pruner._lattice.groups == (FactGroup(["region", "season"]),)
+        assert pruner.group_sizes == [1]
 
     def test_group_facts_partitions(self, example_facts, example_evaluator):
         relation = example_evaluator.relation
@@ -69,7 +70,8 @@ class TestGrouping:
             example_facts.scope_index(relation),
             FactScopeIndex.build(relation, example_facts.facts),
         ):
-            fact_counts = FactGroupPruner(index, example_evaluator).fact_counts
+            pruner = FactGroupPruner(index, example_evaluator)
+            fact_counts = dict(zip(pruner._lattice.groups, pruner.group_sizes))
             assert sum(fact_counts.values()) == example_facts.count
             assert set(fact_counts) == {
                 FactGroup([]),

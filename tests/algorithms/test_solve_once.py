@@ -15,16 +15,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.algorithms.cost_model import CostedLattice, PruningCostModel, PruningPlan
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.core.priors import ZeroPrior
 from repro.core.problem import SummarizationProblem
 from repro.datasets import available_datasets, load_dataset
 from repro.facts.generation import CandidateFacts, FactGenerator
-from repro.facts.groups import FactGroup
-from repro.relational.catalog import TableStatistics
 from repro.relational.column import Column
-from repro.relational.planner import CostEstimator
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.persistence import canonical_store_payload
@@ -179,23 +175,12 @@ def test_problems_over_one_group_set_share_one_lattice():
     assert summarizer._lattice(second.index()) is lattice
 
 
-def test_an_outside_group_leaves_the_next_problems_lattice_and_plan_unchanged():
+def test_plan_choice_leaves_the_shared_lattice_and_the_next_plan_unchanged():
     first, second = _same_group_set_problems()
     summarizer = OptimizedGreedySummarizer()
     summarizer.summarize(first)
     lattice = summarizer._lattice(first.index())
     before = _lattice_state(lattice)
-
-    outside = FactGroup(["no_such_column"])
-    statistics = TableStatistics(row_count=100, distinct_counts={"no_such_column": 3})
-    model = PruningCostModel({}, CostEstimator(statistics))
-    costed = CostedLattice(model, lattice)
-    assert costed.id_of(outside) == lattice.size
-    assert costed.groups[-1] == outside
-    plan = PruningPlan((outside,), (lattice.groups[0], outside))
-    model.plan_cost(plan, lattice)
-    assert _lattice_state(lattice) == before
-    assert outside not in lattice.ids
 
     result = summarizer.summarize(second)
     assert summarizer._lattice(second.index()) is lattice

@@ -121,3 +121,42 @@ def test_no_rows_and_no_combinations():
         assert_same_layout(relation.group_layout(columns), group(relation, columns), columns)
     empty = relation.group_layouts([])
     assert empty.order.size == 0 and empty.offsets.tolist() == [0] and empty.bounds.tolist() == [0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    relation=relations(),
+    batch=st.lists(st.sampled_from(ALL_COMBINATIONS[1:]), max_size=6, unique=True),
+    chosen=st.lists(st.sampled_from(ALL_COMBINATIONS), max_size=6),
+)
+def test_stacked_group_ids_number_each_combination_after_the_ones_before(
+    relation, batch, chosen
+):
+    """Combinations of an earlier pass, of no pass, repeated ones and the
+    empty one: block ``k`` is the oracle's inverse shifted by the groups
+    of the blocks before it."""
+    if batch:
+        relation.group_layouts(batch)
+    ids, starts = relation.stacked_group_ids(chosen)
+    n = relation.num_rows
+    assert ids.size == n * len(chosen) and starts.size == len(chosen)
+    total = 0
+    for k, columns in enumerate(chosen):
+        inverse, _, offsets = group(relation, columns)
+        assert starts[k] == total
+        np.testing.assert_array_equal(ids[k * n : (k + 1) * n], inverse + total)
+        total += offsets.size - 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(relation=relations(), batched=st.lists(st.sampled_from(DIMENSIONS), unique=True))
+def test_census_after_a_pass_counts_the_codes_present(relation, batched):
+    """A single column's census read off a grouping pass (or off a
+    one-value code table) equals counting its codes."""
+    relation.group_layouts([(column,) for column in batched])
+    for column in DIMENSIONS:
+        codes, _, code_of = relation.dimension_codes(column)
+        present = set(codes.tolist())
+        non_null = len(present) - int(code_of.get(None) in present)
+        assert relation.distinct_count(column) == non_null
+        assert relation.is_constant(column) == (len(present) <= 1)

@@ -181,6 +181,26 @@ class TestGrouping:
 
 
 class TestScopeMachinery:
+    def test_a_one_value_code_table_matches_every_row_without_a_pass(self, example_table):
+        """A column coded with one value holds it on every row: its scope
+        rows are all rows, and another value matches none."""
+        n = example_table.num_rows
+        region = (np.zeros(n, dtype=np.int64), ["East"], {"East": 0})
+        relation = SummarizationRelation(
+            example_table, ["region", "season"], "delay", codes={"region": region}
+        )
+        np.testing.assert_array_equal(
+            relation.scope_row_indices(Scope({"region": "East"})), np.arange(n)
+        )
+        assert relation.scope_mask(Scope({"region": "East"})).all()
+        assert relation.scope_row_indices(Scope({"region": "West"})).size == 0
+        assert relation.distinct_count("region") == 1 and relation.is_constant("region")
+        both = Scope({"region": "East", "season": "Winter"})
+        np.testing.assert_array_equal(
+            relation.scope_row_indices(both),
+            np.flatnonzero(np.array(example_table.column("season").values) == "Winter"),
+        )
+
     def test_scope_mask_and_indices(self, example_relation):
         mask = example_relation.scope_mask(Scope({"region": "North"}))
         assert mask.sum() == 4

@@ -1,15 +1,54 @@
 """Unit tests for repro.facts.generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.model import Scope, SummarizationRelation
-from repro.facts.generation import FactGenerator
+from repro.facts.generation import FactGenerator, FactGroups
 from repro.facts.groups import FactGroup, enumerate_fact_groups
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
 
 from tests.facts.test_generation_vectorized import random_relation
+
+
+class TestGroupCache:
+    def test_a_shared_cache_builds_each_shape_once(self, example_relation):
+        cache = {}
+        east = FactGenerator(example_relation, group_cache=cache).generate({"region": "East"})
+        (shape,) = cache.values()
+        west = FactGenerator(example_relation, group_cache=cache).generate({"region": "West"})
+        assert [cached is shape for cached in cache.values()] == [True]
+        fresh = FactGenerator(example_relation).generate({"region": "West"})
+        assert west.facts == fresh.facts
+        assert west.group_ranges == fresh.group_ranges
+        assert west.index_keys == fresh.index_keys == east.index_keys
+        assert west.index_keys[FactGroup(["season"])] == ("region", "season")
+        # Another arity limit or another base scope is another shape.
+        FactGenerator(example_relation, 1, group_cache=cache).generate({"region": "West"})
+        FactGenerator(example_relation, group_cache=cache).generate({"season": "Winter"})
+        FactGenerator(example_relation, group_cache=cache).generate()
+        assert len(cache) == 4
+
+    def test_a_group_without_an_index_key_gets_it_from_the_base_scope(self, example_relation):
+        generated = FactGenerator(example_relation).generate({"region": "East"})
+        bare = replace(generated, index_keys={})
+        expected = generated.scope_index(example_relation).groups
+        actual = bare.scope_index(example_relation).groups
+        assert list(actual) == list(expected)
+        assert ("region", "season") in actual
+        for key, ids in expected.items():
+            np.testing.assert_array_equal(actual[key], ids)
+
+    def test_shapes_list_the_power_set_over_the_free_columns(self):
+        shape = FactGroups.of(("a", "b", "c", "d"), ("b",), 2)
+        assert shape.groups == enumerate_fact_groups(["a", "c", "d"], 2, include_empty=True)
+        assert shape.combinations == [group.dimensions for group in shape.groups[1:]]
+        assert shape.columns == ("a", "c", "d")
+        assert shape.index_keys[FactGroup([])] == ("b",)
+        assert shape.index_keys[FactGroup(["a", "d"])] == ("a", "b", "d")
 
 
 class TestGeneration:

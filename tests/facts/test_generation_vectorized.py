@@ -113,6 +113,26 @@ class TestVectorizedParity:
         reference = PerRowFactGenerator(relation, **kwargs).generate(base_scope=base)
         assert_identical_facts(generated, reference)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        relation=hypothesis_relations(),
+        base=_BASES,
+        other=_BASES,
+        max_extra=st.integers(min_value=0, max_value=3),
+    )
+    def test_a_warm_group_cache_gives_the_fresh_facts(self, relation, base, other, max_extra):
+        """Fact groups a generator built for another base scope (maybe
+        the same shape) change nothing in the facts or their index."""
+        cache = {}
+        FactGenerator(relation, max_extra, group_cache=cache).generate(other)
+        warm = FactGenerator(relation, max_extra, group_cache=cache).generate(base)
+        fresh = FactGenerator(relation, max_extra).generate(base)
+        assert_identical_facts(warm, fresh)
+        assert warm.group_ranges == fresh.group_ranges
+        assert warm.index_keys == fresh.index_keys
+        warm_index, fresh_index = warm.scope_index(relation), fresh.scope_index(relation)
+        assert warm_index.groups.keys() == fresh_index.groups.keys()
+
     @settings(max_examples=100, deadline=None)
     @given(
         relation=hypothesis_relations(),

@@ -25,11 +25,20 @@ pruned greedy summarizers shared one group lattice per group set, took
 a speech's utility from the greedy's final state, skipped the copy
 search for generated candidates and gathered each plan's source
 entries once.
+
+The acs and primaries G-O digests and the digest of a flights table
+with NULLs in two dimension columns were computed before plan choice ran
+on flat per-group lists, one bincount gave every target's bound, and
+fact generation kept its fact groups across problems and read a base
+column's census off its single-value coding.  The NULL-dimension table
+pins the census fallback (a column with a NULL code is counted) and
+the dropping of NULL keys, which no dataset reaches otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +62,11 @@ STACKOVERFLOW_300_G_O_DIGEST = (
     "07b4e607bfea5cec74e29dfaf9b237bc5eb84d26699012e31bd28f8b37535364"
 )
 FLIGHTS_300_G_P_DIGEST = "8ff27d8ef95a64d854d3932af48d43b4f26ee4f9f408a63693629f3c74ea26a0"
+ACS_300_G_O_DIGEST = "22fb2f168bb992a12e846816e61ad5dd44a6f5933cf8909e1bf2e425ef2b92cb"
+PRIMARIES_300_G_O_DIGEST = "b919a9a101a83bcdb1258e0bc4ebc5780cffd61d643a5b13af2e75b10dfcfb4c"
+FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST = (
+    "9b8d21d6a24ae43d08cb96e5fa8532a8da7db80410de2b83ac9aee3bae33bb1c"
+)
 
 
 def _engine(dataset, algorithm: str = "G-O") -> VoiceQueryEngine:
@@ -88,6 +102,22 @@ def _append_batches(base: Table) -> list[Table]:
     return [Table.from_rows(base.name, names, types, values[i : i + 5]) for i in range(0, 20, 5)]
 
 
+def with_null_dimensions(dataset):
+    """``dataset`` with NULL ``origin_region`` on every 7th row and NULL
+    ``season`` on every 5th."""
+    table = dataset.table
+    names = table.column_names
+    types = [column.ctype for column in table.columns]
+    rows = table.to_dicts()
+    for i, row in enumerate(rows):
+        if i % 7 == 3:
+            row["origin_region"] = None
+        if i % 5 == 1:
+            row["season"] = None
+    values = [[row[name] for name in names] for row in rows]
+    return replace(dataset, table=Table.from_rows(table.name, names, types, values))
+
+
 @pytest.fixture(scope="module")
 def full_flights_engine() -> VoiceQueryEngine:
     return _engine(load_dataset("flights", num_rows=5000, seed=20210318))
@@ -107,6 +137,22 @@ def test_stackoverflow_store_matches_golden_digest():
 def test_flights_g_p_store_matches_golden_digest():
     engine = _engine(load_dataset("flights", num_rows=300), algorithm="G-P")
     assert _store_digest(engine) == (928, FLIGHTS_300_G_P_DIGEST)
+
+
+@pytest.mark.parametrize(
+    "name, speeches, digest",
+    [("acs", 252, ACS_300_G_O_DIGEST), ("primaries", 195, PRIMARIES_300_G_O_DIGEST)],
+)
+def test_other_datasets_match_golden_digests(name, speeches, digest):
+    assert _store_digest(_engine(load_dataset(name, num_rows=300))) == (speeches, digest)
+
+
+def test_flights_with_null_dimensions_matches_golden_digest():
+    dataset = with_null_dimensions(load_dataset("flights", num_rows=300))
+    for column in ("origin_region", "season"):
+        assert dataset.table.column(column).null_count() > 0
+    engine = _engine(dataset)
+    assert _store_digest(engine) == (922, FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST)
 
 
 def test_full_flights_store_matches_golden_digest(full_flights_engine):
