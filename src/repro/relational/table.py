@@ -201,26 +201,36 @@ class Table:
         """Return a new table keeping rows where ``keep`` is True."""
         return Table(self._name, [c.mask(keep) for c in self._columns])
 
-    def concat(self, other: "Table") -> "Table":
-        """Append ``other``'s rows to this table.
+    def concat(self, *others: "Table") -> "Table":
+        """Append the rows of ``others``, in order, to this table.
 
-        Schemas (names and types, in order) must match exactly.  Both
-        sides' values are already normalised for their (equal) column
+        Schemas (names and types, in order) must match exactly.  Every
+        side's values are already normalised for their (equal) column
         types, so nothing is normalised again: appending a few rows to
         a large table costs a list copy, not a pass over every value.
+        Folding k batches in one call copies each column once, where k
+        pairwise calls would copy the growing table k times.  With no
+        ``others`` the table itself is returned (tables are immutable).
         """
-        if self.column_names != other.column_names:
-            raise SchemaError(
-                f"cannot concat: schemas differ ({self.column_names} vs {other.column_names})"
-            )
-        cols = []
-        for mine, theirs in zip(self._columns, other._columns):
-            if mine.ctype is not theirs.ctype:
+        if not others:
+            return self
+        for other in others:
+            if self.column_names != other.column_names:
                 raise SchemaError(
-                    f"cannot concat: column {mine.name!r} types differ "
-                    f"({mine.ctype} vs {theirs.ctype})"
+                    f"cannot concat: schemas differ ({self.column_names} vs {other.column_names})"
                 )
-            cols.append(mine._derived(mine._values + theirs._values))
+            for mine, theirs in zip(self._columns, other._columns):
+                if mine.ctype is not theirs.ctype:
+                    raise SchemaError(
+                        f"cannot concat: column {mine.name!r} types differ "
+                        f"({mine.ctype} vs {theirs.ctype})"
+                    )
+        cols = []
+        for index, mine in enumerate(self._columns):
+            values = list(mine._values)
+            for other in others:
+                values.extend(other._columns[index]._values)
+            cols.append(mine._derived(values))
         return Table(self._name, cols)
 
 

@@ -65,7 +65,6 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 from repro.api.errors import MaintenanceUnavailableError
@@ -560,7 +559,6 @@ class MaintenanceScheduler:
                     self._durability.commit_applied,
                     job.journal_seqs,
                     self._registry.compacted,
-                    self._maintainer.table,
                     job.snapshot_version,
                 )
             if self._on_swap is not None:
@@ -626,4 +624,4 @@ class MaintenanceScheduler:
 
 def _concat(batches: list[Table]) -> Table:
     """Concatenate append batches in arrival order."""
-    return reduce(lambda left, right: left.concat(right), batches)
+    return batches[0].concat(*batches[1:])

@@ -267,9 +267,7 @@ class VoiceService:
             # Fold the replayed records into a fresh checkpoint so the
             # next restart (and every crash until the first policy
             # checkpoint) replays nothing twice.
-            self._durability.checkpoint_now(
-                self._registry.compacted(), self._recovery.table, store_version=0
-            )
+            self._durability.checkpoint_now(self._registry.compacted(), store_version=0)
         self._scheduler = MaintenanceScheduler(
             maintainer
             or IncrementalMaintainer(
@@ -508,9 +506,7 @@ class VoiceService:
                 # A clean shutdown checkpoints the final state so the
                 # next start replays nothing.
                 self._durability.checkpoint_now(
-                    self._registry.compacted(),
-                    self._scheduler.table,
-                    self._registry.version,
+                    self._registry.compacted(), self._registry.version
                 )
             self._durability.close()
 

@@ -205,9 +205,9 @@ def _attach_engine(template: bytes, snapshot_dir: str, appended: list[list]) -> 
     engine.swap_store(attached)
     if version:
         table = engine.table
-        for rows in appended[:version]:
-            table = table.concat(build_append_table(table, rows))
-        engine.adopt_table(table)
+        engine.adopt_table(
+            table.concat(*(build_append_table(table, rows) for rows in appended[:version]))
+        )
     return engine
 
 

@@ -9,12 +9,14 @@ survive *process death*.  Three pieces compose:
   CRC32-checksummed, optionally fsync'd) *before* the caller is acked,
   so an acked batch is never lost to a crash.
 * :mod:`repro.storage.checkpoint` — atomic checkpoints of the speech
-  store plus the maintained table, written temp → fsync → rename with
-  a checksummed manifest, so a crash mid-checkpoint leaves the
-  previous checkpoint intact.
+  store, written temp → fsync → rename with a checksummed manifest,
+  so a crash mid-checkpoint leaves the previous checkpoint intact.
+  The maintained table is not checkpointed: the journal already holds
+  every appended batch.
 * :mod:`repro.storage.recovery` — startup recovery (newest valid
-  checkpoint + replay of unapplied journal records through the
-  deterministic maintainer) and the :class:`DurabilityCoordinator`
+  checkpoint, its table rebuilt from the base table and the journal's
+  covered batches, then replay of unapplied journal records through
+  the deterministic maintainer) and the :class:`DurabilityCoordinator`
   that the maintenance scheduler threads journal/checkpoint calls
   through at runtime.
 
@@ -24,9 +26,8 @@ On-disk layout under a service's ``data_dir``::
       journal.wal            append-only record log
       checkpoints/
         ckpt-000000000042/   one checkpoint (name = applied_seq)
-          manifest.json      watermark + checksums
+          manifest.json      watermark, journal offset, store checksum
           store.snap         compact columnar speech-store snapshot
-          table.json         canonical table payload
 """
 
 from repro.storage.checkpoint import CheckpointManager, LoadedCheckpoint

@@ -1,4 +1,4 @@
-"""Atomic, checksummed checkpoints of the serving store + table.
+"""Atomic, checksummed checkpoints of the serving store.
 
 A checkpoint bounds recovery time: instead of replaying the whole
 journal through the maintainer, startup loads the newest valid
@@ -6,7 +6,7 @@ checkpoint and replays only the records past its ``applied_seq``
 watermark.
 
 Each checkpoint is a directory named by its watermark
-(``ckpt-000000000042``) holding three files:
+(``ckpt-000000000042``) holding two files:
 
 * ``store.snap`` — the speech store in the checksummed columnar
   snapshot format of :mod:`repro.store`, validated twice on load
@@ -15,20 +15,22 @@ Each checkpoint is a directory named by its watermark
   hands :meth:`CheckpointManager.save` the snapshot registry's
   compaction of the version (the one a snapshot publish freezes too),
   so saving writes that file without compacting the store again.
-* ``table.json`` — the maintained table, canonically encoded.
 * ``manifest.json`` — the watermark (``applied_seq``), the snapshot
   version that produced the state, the journal byte offset at save
-  time, the format version, and CRC32 checksums of the other two files.
+  time, the format version, and the CRC32 checksum of ``store.snap``.
 
-Format version 1 stored the speech store as canonical JSON
-(``store.json``); such checkpoints fail the version check, so recovery
-skips them and replays the journal from the base store instead.
+The maintained table is not written: recovery rebuilds it from the
+journal, so the caller fsyncs the journal up to ``journal_offset``
+before saving, and loading skips a checkpoint the journal scan it is
+given cannot rebuild the table for.  Older formats fail the
+version check and are skipped: format 1 held a JSON ``store.json``,
+format 2 a ``table.json``.
 
 Atomicity: the directory is written as ``.tmp-ckpt-*`` first, every
 file fsync'd, then renamed into place (one atomic metadata operation
 on POSIX) and the parent directory fsync'd.  A crash mid-save leaves a
 ``.tmp-`` directory that loading ignores and the next save sweeps.
-Loading validates the manifest and both checksums and silently falls
+Loading validates the manifest and the checksums and silently falls
 back to the next-older checkpoint on any mismatch — a corrupt or
 version-skewed checkpoint costs replay time, never correctness.
 """
@@ -42,14 +44,13 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.relational.table import Table
 from repro.reliability import faults
-from repro.storage.durability import table_from_payload, table_to_payload
+from repro.storage.durability import JournalScan
 from repro.store import CompactSpeechStore, attach, freeze
 from repro.system.speech_store import SpeechStore
 
 #: Manifest format marker; a mismatch invalidates the checkpoint.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _PREFIX = "ckpt-"
 _TMP_PREFIX = ".tmp-"
@@ -65,7 +66,6 @@ class LoadedCheckpoint:
     """A validated checkpoint, decoded and ready to recover from."""
 
     store: SpeechStore
-    table: Table
     applied_seq: int
     store_version: int
     journal_offset: int
@@ -110,7 +110,6 @@ class CheckpointManager:
     def save(
         self,
         store: SpeechStore | CompactSpeechStore,
-        table: Table,
         applied_seq: int,
         store_version: int,
         journal_offset: int,
@@ -118,7 +117,9 @@ class CheckpointManager:
         """Atomically persist one checkpoint; returns its directory.
 
         A :class:`CompactSpeechStore` is written as it is; a mutable
-        store is compacted first.
+        store is compacted first.  The caller must have made the
+        journal durable up to ``journal_offset``: recovery rebuilds the
+        checkpoint's table from those bytes.
 
         The ``checkpoint.save`` failpoint fires after the temporary
         files are written but before the rename — a killing rule
@@ -137,18 +138,13 @@ class CheckpointManager:
         try:
             freeze(store, tmp / _STORE_FILE, snapshot_version=int(store_version))
             store_payload = (tmp / _STORE_FILE).read_bytes()
-            table_payload = json.dumps(
-                table_to_payload(table), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
             manifest = {
                 "format_version": CHECKPOINT_FORMAT_VERSION,
                 "applied_seq": int(applied_seq),
                 "store_version": int(store_version),
                 "journal_offset": int(journal_offset),
                 "store_crc32": zlib.crc32(store_payload),
-                "table_crc32": zlib.crc32(table_payload),
             }
-            self._write_file(tmp / "table.json", table_payload)
             self._write_file(
                 tmp / "manifest.json",
                 json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
@@ -200,50 +196,47 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # Load
     # ------------------------------------------------------------------
-    def load_latest(self) -> LoadedCheckpoint | None:
+    def load_latest(self, journal: JournalScan) -> LoadedCheckpoint | None:
         """The newest checkpoint that passes validation, or None.
 
         Invalid checkpoints (unreadable manifest, format-version skew —
-        including every format-1 JSON checkpoint — checksum mismatch,
-        undecodable payloads) are skipped in favour of the next-older
-        one — recovery degrades to more journal replay, never to
-        corrupt state.
+        every format-1 and format-2 checkpoint included — checksum
+        mismatch, undecodable payloads, and one the ``journal`` scan
+        recovery replays from cannot rebuild the table for) are skipped
+        in favour of the next-older one — recovery degrades to more
+        journal replay, never to corrupt state.
         """
+        rebuildable = journal.rebuildable_seq()
         for path in reversed(self.list_checkpoints()):
-            loaded = self._load_one(path)
+            loaded = self._load_one(path, journal.good_offset, rebuildable)
             if loaded is not None:
                 return loaded
         return None
 
-    def _load_one(self, path: Path) -> LoadedCheckpoint | None:
+    def _load_one(
+        self, path: Path, good_offset: int, rebuildable_seq: int
+    ) -> LoadedCheckpoint | None:
         try:
             manifest = json.loads((path / "manifest.json").read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(manifest, dict):
-            return None
-        if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            return None
-        try:
-            store_payload = (path / _STORE_FILE).read_bytes()
-            table_payload = (path / "table.json").read_bytes()
-            if zlib.crc32(store_payload) != int(manifest["store_crc32"]):
+            if manifest["format_version"] != CHECKPOINT_FORMAT_VERSION:
                 return None
-            if zlib.crc32(table_payload) != int(manifest["table_crc32"]):
+            applied_seq = int(manifest["applied_seq"])
+            journal_offset = int(manifest["journal_offset"])
+            if journal_offset > good_offset or applied_seq > rebuildable_seq:
+                return None
+            store_payload = (path / _STORE_FILE).read_bytes()
+            if zlib.crc32(store_payload) != int(manifest["store_crc32"]):
                 return None
             # attach() re-verifies the format's own checksums; thaw to a
             # mutable store so journal replay can build on it.
-            store = attach(path / _STORE_FILE).clone()
-            table = table_from_payload(json.loads(table_payload.decode("utf-8")))
             return LoadedCheckpoint(
-                store=store,
-                table=table,
-                applied_seq=int(manifest["applied_seq"]),
+                store=attach(path / _STORE_FILE).clone(),
+                applied_seq=applied_seq,
                 store_version=int(manifest["store_version"]),
-                journal_offset=int(manifest["journal_offset"]),
+                journal_offset=journal_offset,
                 path=path,
             )
         except Exception:
-            # Any decode failure means this checkpoint is unusable;
-            # the caller falls back to an older one.
+            # Any read or decode failure (manifest included) means this
+            # checkpoint is unusable; the caller falls back to an older one.
             return None

@@ -160,7 +160,6 @@ class JournalScan:
 
     records: tuple[JournalRecord, ...]
     good_offset: int
-    file_size: int
     truncated_reason: str | None = None
 
     @property
@@ -184,13 +183,20 @@ class JournalScan:
                 dropped.update(int(seq) for seq in entry.record.get("seqs", ()))
         return frozenset(dropped)
 
-    def applied_seqs(self) -> frozenset[int]:
-        """Seqs covered by ``applied`` markers (bookkeeping only)."""
-        applied: set[int] = set()
-        for entry in self.records:
-            if entry.kind == "applied":
-                applied.update(int(seq) for seq in entry.record.get("seqs", ()))
-        return frozenset(applied)
+    def rebuildable_seq(self) -> int:
+        """Highest seq ``s`` whose batches ``1..s`` the journal all holds.
+
+        Every seq up to it has its ``append`` record or a ``dropped``
+        marker, so a checkpoint with ``applied_seq <= s`` can have its
+        table rebuilt from this journal.
+        """
+        present = self.dropped_seqs() | {
+            int(entry.record["seq"]) for entry in self.records if entry.kind == "append"
+        }
+        seq = 0
+        while seq + 1 in present:
+            seq += 1
+        return seq
 
 
 def read_journal(path: str | Path) -> JournalScan:
@@ -205,7 +211,7 @@ def read_journal(path: str | Path) -> JournalScan:
     try:
         blob = path.read_bytes()
     except FileNotFoundError:
-        return JournalScan(records=(), good_offset=0, file_size=0)
+        return JournalScan(records=(), good_offset=0)
     records: list[JournalRecord] = []
     offset = 0
     truncated_reason = None
@@ -220,7 +226,6 @@ def read_journal(path: str | Path) -> JournalScan:
     return JournalScan(
         records=tuple(records),
         good_offset=offset,
-        file_size=len(blob),
         truncated_reason=truncated_reason,
     )
 
@@ -267,10 +272,6 @@ class JournalWriter:
                 os.truncate(self._path, truncate_at)
         self._file = open(self._path, "ab")
         self._offset = self._file.tell()
-
-    @property
-    def path(self) -> Path:
-        return self._path
 
     @property
     def offset(self) -> int:
@@ -337,6 +338,11 @@ class JournalWriter:
         except OSError as exc:
             raise JournalError(f"journal write to {self._path} failed: {exc}") from exc
         self._offset += len(blob)
+
+    def sync(self) -> None:
+        """fsync every record written so far (a no-op when each already was)."""
+        if not self._fsync:
+            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if not self._file.closed:

@@ -2,12 +2,15 @@
 
 Recovery rebuilds the serving store a crashed process lost:
 
-1. Load the newest *valid* checkpoint (corrupt ones are skipped for
-   older ones); absent any, start from the pre-processed base store.
-2. Scan the journal to its longest valid prefix (torn tails healed).
-3. Replay every ``append`` record past the checkpoint's
-   ``applied_seq`` watermark — except seqs covered by ``dropped``
-   markers — through :class:`IncrementalMaintainer.maintain`.
+1. Scan the journal to its longest valid prefix (torn tails healed).
+2. Load the newest *valid* checkpoint (corrupt ones, and ones the
+   journal cannot rebuild the table for, are skipped for older ones);
+   absent any, start from the pre-processed base store.
+3. Rebuild its table with one concat of the base table and the
+   undropped ``append`` batches up to its ``applied_seq`` watermark,
+   in seq order — the serial scheduler's order.
+4. Replay every undropped ``append`` record past the watermark
+   through :class:`IncrementalMaintainer.maintain`.
 
 Replay must reproduce the original run's **job grouping**, not just
 its record order: a maintenance pass over one coalesced batch is not
@@ -19,7 +22,10 @@ pass per marker group, in marker order, and then one final coalesced
 pass over the unapplied suffix (seqs with no marker — batches the
 crashed process had accepted but not yet applied, which is also
 precisely the single coalesced job a restarted scheduler would run
-for them).  With that grouping, deterministic maintenance makes the
+for them).  :func:`recover_engine` writes an ``applied`` marker for
+that final pass before the restarted process accepts anything, so a
+later replay keeps it apart from the batches accepted after the
+restart.  With that grouping, deterministic maintenance makes the
 replayed store byte-identical (canonical payload) to the store the
 original serialized jobs produced — the parity the
 ``recover --verify`` CLI subcommand and the crash tests check.
@@ -90,6 +96,7 @@ class RecoveredState:
     next_seq: int
     journal_offset: int
     replayed_seqs: tuple[int, ...]
+    unmarked_seqs: tuple[int, ...]
     dropped_seqs: frozenset[int]
     checkpoint: LoadedCheckpoint | None
     scan: JournalScan
@@ -141,23 +148,27 @@ def recover_state(
     """
     data_dir = Path(data_dir)
     scan = read_journal(data_dir / JOURNAL_NAME)
-    checkpoint = CheckpointManager(data_dir).load_latest() if use_checkpoint else None
+    checkpoint = CheckpointManager(data_dir).load_latest(scan) if use_checkpoint else None
     if checkpoint is not None:
         store = checkpoint.store
-        table = checkpoint.table
         watermark = checkpoint.applied_seq
     else:
         store = base_store.clone()
-        table = base_table
         watermark = 0
     dropped = scan.dropped_seqs()
+    covered: list[Table] = []
     appends: dict[int, Table] = {}
     groups: list[list[int]] = []
     for entry in scan.records:
         if entry.kind == "append":
             seq = int(entry.record["seq"])
-            if seq > watermark and seq not in dropped:
-                appends[seq] = table_from_payload(entry.record["table"])
+            if seq in dropped:
+                continue
+            rows = table_from_payload(entry.record["table"])
+            if seq > watermark:
+                appends[seq] = rows
+            else:
+                covered.append(rows)
         elif entry.kind == "applied":
             group = [
                 int(seq)
@@ -170,6 +181,8 @@ def recover_state(
     suffix = sorted(seq for seq in appends if seq not in grouped)
     if suffix:
         groups.append(suffix)
+    # Journal records are written in seq order, so ``covered`` is too.
+    table = base_table.concat(*covered)
     maintainer = IncrementalMaintainer(
         config, table, summarizer=summarizer, realizer=realizer
     )
@@ -178,16 +191,15 @@ def recover_state(
         # One pass per original job (see module docstring): coalesce
         # the group's batches in seq order, exactly as the scheduler's
         # job did, so deterministic maintenance reproduces its bytes.
-        batch = None
+        batch = []
         for seq in sorted(group):
             if seq not in appends:
                 continue  # marker for a record lost to a torn tail
             faults.FAILPOINTS.inject(faults.RECOVER_REPLAY)
-            rows = appends[seq]
-            batch = rows if batch is None else batch.concat(rows)
+            batch.append(appends[seq])
             replayed.append(seq)
-        if batch is not None:
-            maintainer.maintain(batch, store)
+        if batch:
+            maintainer.maintain(batch[0].concat(*batch[1:]), store)
     replayed.sort()
     return RecoveredState(
         store=store,
@@ -196,6 +208,7 @@ def recover_state(
         next_seq=scan.next_seq,
         journal_offset=scan.good_offset,
         replayed_seqs=tuple(replayed),
+        unmarked_seqs=tuple(suffix),
         dropped_seqs=dropped,
         checkpoint=checkpoint,
         scan=scan,
@@ -213,7 +226,8 @@ def recover_engine(
     :func:`recover_state` from the engine's pre-processed state, makes
     the engine adopt the recovered store and table, and returns a
     :class:`DurabilityCoordinator` whose journal resumes past the
-    longest valid prefix.
+    longest valid prefix, with the replay's final coalesced pass
+    marked applied.
     """
     if config.failpoints:
         faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
@@ -238,6 +252,11 @@ def recover_engine(
         truncate_at=recovered.journal_offset,
         applied_seq=recovered.applied_seq,
     )
+    if recovered.unmarked_seqs:
+        # Replay applied these batches as one pass no marker records;
+        # without one, a later pure replay would coalesce them with the
+        # batches this process accepts next.
+        durability.mark_applied(recovered.unmarked_seqs, store_version=0)
     return recovered, durability
 
 
@@ -296,10 +315,6 @@ class DurabilityCoordinator:
         self._last_checkpoint_error: str | None = None
         self._closed = False
 
-    @property
-    def data_dir(self) -> Path:
-        return self._data_dir
-
     # ------------------------------------------------------------------
     # Scheduler hooks
     # ------------------------------------------------------------------
@@ -312,7 +327,6 @@ class DurabilityCoordinator:
         self,
         seqs: Sequence[int],
         compacted: Callable[[], SpeechStore | CompactSpeechStore],
-        table: Table,
         store_version: int,
     ) -> None:
         """Record a committed swap; checkpoint when the policy says so.
@@ -334,7 +348,7 @@ class DurabilityCoordinator:
                 >= self._every_bytes
             )
             if due:
-                self._checkpoint(compacted(), table, store_version)
+                self._checkpoint(compacted(), store_version)
 
     def mark_applied(self, seqs: Sequence[int], store_version: int) -> None:
         """Record an applied group without checkpointing.
@@ -357,20 +371,18 @@ class DurabilityCoordinator:
             if seqs:
                 self._applied_seq = max(self._applied_seq, max(int(s) for s in seqs))
 
-    def checkpoint_now(
-        self, store: SpeechStore | CompactSpeechStore, table: Table, store_version: int
-    ) -> bool:
+    def checkpoint_now(self, store: SpeechStore | CompactSpeechStore, store_version: int) -> bool:
         """Force a checkpoint (e.g. right after a replaying recovery)."""
         with self._lock:
-            return self._checkpoint(store, table, store_version)
+            return self._checkpoint(store, store_version)
 
-    def _checkpoint(
-        self, store: SpeechStore | CompactSpeechStore, table: Table, store_version: int
-    ) -> bool:
+    def _checkpoint(self, store: SpeechStore | CompactSpeechStore, store_version: int) -> bool:
         try:
+            # The checkpoint's table is rebuilt from the journal, so the
+            # journal must be durable up to the offset it records.
+            self._journal.sync()
             self._checkpoints.save(
                 store,
-                table,
                 applied_seq=self._applied_seq,
                 store_version=store_version,
                 journal_offset=self._journal.offset,
@@ -406,10 +418,6 @@ class DurabilityCoordinator:
                 "last_checkpoint_seq": self._last_checkpoint_seq,
                 "last_checkpoint_error": self._last_checkpoint_error,
             }
-
-    @property
-    def checkpoint_failures(self) -> int:
-        return self._checkpoint_failures
 
     @property
     def last_checkpoint_error(self) -> str | None:

@@ -155,6 +155,40 @@ class TestTransformations:
         assert combined.num_rows == 51
         assert normalised == []
 
+    def test_concat_of_several_equals_the_pairwise_fold(self):
+        base = self.typed_table([("a", 1, 2), (None, None, 3)])
+        batches = [
+            self.typed_table([("b", 2.5, 4)]),
+            self.typed_table([]),
+            self.typed_table([(None, 3, 5), ("c", None, 6)]),
+        ]
+        folded = base
+        for batch in batches:
+            folded = folded.concat(batch)
+        combined = base.concat(*batches)
+        assert combined.name == folded.name
+        assert combined == folded
+        for got, expected in zip(combined.columns, folded.columns):
+            assert got.ctype is expected.ctype
+            assert [type(v) for v in got] == [type(v) for v in expected]
+        # The base is untouched: tables are immutable.
+        assert base.num_rows == 2
+
+    def test_concat_of_nothing_is_the_table(self):
+        table = make_table()
+        assert table.concat() is table
+
+    def test_concat_checks_every_batch(self):
+        good = self.typed_table([("a", 1.0, 2)])
+        bad = Table.from_rows(
+            "t",
+            ["c", "n", "i"],
+            [ColumnType.CATEGORICAL, ColumnType.NUMERIC, ColumnType.NUMERIC],
+            [("b", 2.0, 3.0)],
+        )
+        with pytest.raises(SchemaError, match="types differ"):
+            good.concat(good, bad)
+
     def test_renamed(self):
         assert make_table().renamed("other").name == "other"
 

@@ -22,6 +22,7 @@ Three contracts of :class:`repro.serving.sharding.ShardManager`:
 from __future__ import annotations
 
 import asyncio
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from hypothesis import strategies as st
 from repro.api import ServingConfig, VoiceRequest
 from repro.api.envelopes import ResponseKind
 from repro.serving import ConsistentHashRing, ShardManager, VoiceService
+from repro.serving.sharding import _attach_engine
+from repro.system.speech_store import SpeechStore
 
 from tests.conftest import build_example_table
 from tests.serving.conftest import append_table, make_engine
@@ -114,6 +117,40 @@ async def until_published(manager: ShardManager, version: int) -> None:
     # return before the file is on disk.
     while version not in manager.publisher.versions():
         await asyncio.sleep(0.02)
+
+
+class TestAttachEngine:
+    """What a (re)spawned shard runs, in process."""
+
+    def test_attached_table_equals_the_maintained_table_after_several_appends(
+        self, tmp_path
+    ):
+        batches = [APPEND_ROWS, SECOND_ROWS, [("South", "Spring", 12.0)]]
+        engine = make_engine(build_example_table())
+        previous = engine.swap_store(SpeechStore())
+        template = pickle.dumps(engine)
+        engine.swap_store(previous)
+
+        async def maintain() -> VoiceService:
+            service = VoiceService(engine, ServingConfig(snapshot_dir=str(tmp_path)))
+            async with service:
+                for rows in batches:
+                    service.request_append(append_table(rows))
+                    await service.scheduler.quiesce()
+            return service
+
+        service = asyncio.run(maintain())
+        attached = _attach_engine(
+            template, str(tmp_path), [wire_rows(rows) for rows in batches]
+        )
+        assert attached.store.snapshot_version == len(batches)
+        # One fold of every covered batch gives the table the live
+        # maintainer built one job at a time: values and column types.
+        assert attached.table == service.scheduler.table
+        assert [column.ctype for column in attached.table.columns] == [
+            column.ctype for column in service.scheduler.table.columns
+        ]
+        assert attached.table.num_rows == engine.table.num_rows
 
 
 class TestShardedServing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zlib
 
@@ -12,8 +13,10 @@ from repro.storage.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointManager,
 )
-from repro.storage.durability import table_to_payload
+from repro.storage.durability import JournalWriter, read_journal, table_to_payload
+from repro.storage.recovery import JOURNAL_NAME
 from repro.system.persistence import canonical_store_payload
+from repro.store import freeze
 from repro.system.speech_store import SpeechStore
 
 from tests.serving.conftest import append_table
@@ -23,11 +26,20 @@ from tests.storage.test_recovery import BATCH_A, BATCH_B, live_run, recover
 def save_checkpoint(manager, engine, applied_seq, journal_offset=0):
     return manager.save(
         engine.store,
-        engine.table,
         applied_seq=applied_seq,
         store_version=applied_seq,
         journal_offset=journal_offset,
     )
+
+
+@pytest.fixture
+def journal(tmp_path):
+    """A journal holding seqs 1-9: it backs every checkpoint saved below."""
+    writer = JournalWriter(tmp_path / JOURNAL_NAME)
+    for _ in range(9):
+        writer.log_append(append_table(BATCH_A))
+    writer.close()
+    return read_journal(tmp_path / JOURNAL_NAME)
 
 
 def flip_middle_byte(path):
@@ -37,17 +49,17 @@ def flip_middle_byte(path):
 
 
 class TestSaveAndLoad:
-    def test_round_trip(self, tmp_path, engine):
+    def test_round_trip(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         path = save_checkpoint(manager, engine, applied_seq=7, journal_offset=123)
         assert path.name == "ckpt-000000000007"
+        # Two files: the table is rebuilt from the journal, not stored.
         assert sorted(entry.name for entry in path.iterdir()) == [
             "manifest.json",
             "store.snap",
-            "table.json",
         ]
 
-        loaded = CheckpointManager(tmp_path).load_latest()
+        loaded = CheckpointManager(tmp_path).load_latest(journal)
         assert loaded is not None
         assert loaded.applied_seq == 7
         assert loaded.store_version == 7
@@ -55,7 +67,7 @@ class TestSaveAndLoad:
         assert canonical_store_payload(loaded.store) == canonical_store_payload(
             engine.store
         )
-        assert loaded.table.num_rows == engine.table.num_rows
+        assert not hasattr(loaded, "table")
         # The store is thawed to a mutable store: journal replay
         # maintains it in place.
         assert isinstance(loaded.store, SpeechStore)
@@ -63,27 +75,27 @@ class TestSaveAndLoad:
     def test_manifest_names_the_format_version_only(self, tmp_path, engine):
         path = save_checkpoint(CheckpointManager(tmp_path), engine, applied_seq=1)
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
         assert sorted(manifest) == [
             "applied_seq",
             "format_version",
             "journal_offset",
             "store_crc32",
             "store_version",
-            "table_crc32",
         ]
         assert manifest["store_crc32"] == zlib.crc32(
             (path / "store.snap").read_bytes()
         )
 
     def test_empty_directory_loads_none(self, tmp_path):
-        assert CheckpointManager(tmp_path).load_latest() is None
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        assert CheckpointManager(tmp_path).load_latest(scan) is None
 
-    def test_newest_valid_wins(self, tmp_path, engine):
+    def test_newest_valid_wins(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         save_checkpoint(manager, engine, applied_seq=2)
-        assert manager.load_latest().applied_seq == 2
+        assert manager.load_latest(journal).applied_seq == 2
 
     def test_prune_keeps_newest(self, tmp_path, engine):
         manager = CheckpointManager(tmp_path, keep=2)
@@ -92,11 +104,11 @@ class TestSaveAndLoad:
         names = [path.name for path in manager.list_checkpoints()]
         assert names == ["ckpt-000000000002", "ckpt-000000000003"]
 
-    def test_same_watermark_resave_replaces(self, tmp_path, engine):
+    def test_same_watermark_resave_replaces(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=4, journal_offset=10)
         save_checkpoint(manager, engine, applied_seq=4, journal_offset=20)
-        loaded = manager.load_latest()
+        loaded = manager.load_latest(journal)
         assert loaded.applied_seq == 4
         assert loaded.journal_offset == 20
 
@@ -106,18 +118,18 @@ class TestSaveAndLoad:
 
 
 class TestCorruptCheckpoints:
-    def test_store_crc_mismatch_falls_back_to_older(self, tmp_path, engine):
+    def test_store_crc_mismatch_falls_back_to_older(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         newest = save_checkpoint(manager, engine, applied_seq=2)
         flip_middle_byte(newest / "store.snap")
 
-        loaded = manager.load_latest()
+        loaded = manager.load_latest(journal)
         assert loaded is not None
         assert loaded.applied_seq == 1
 
     def test_snapshot_checksums_catch_what_the_manifest_misses(
-        self, tmp_path, engine
+        self, tmp_path, engine, journal
     ):
         # A flipped byte whose manifest CRC was rewritten to match still
         # fails the snapshot format's own checksums on attach.
@@ -129,43 +141,53 @@ class TestCorruptCheckpoints:
         manifest["store_crc32"] = zlib.crc32((newest / "store.snap").read_bytes())
         (newest / "manifest.json").write_text(json.dumps(manifest))
 
-        assert manager.load_latest().applied_seq == 1
+        assert manager.load_latest(journal).applied_seq == 1
 
-    def test_table_crc_mismatch_invalidates(self, tmp_path, engine):
+    def test_journal_without_the_covered_appends_invalidates(self, tmp_path, engine):
+        # The table a checkpoint stands for lives in the journal: a
+        # journal missing a covered append record cannot rebuild it.
+        live_run(engine, tmp_path, groups=[[append_table(BATCH_A)]])
         manager = CheckpointManager(tmp_path)
-        newest = save_checkpoint(manager, engine, applied_seq=2)
-        (newest / "table.json").write_bytes(b"{}")
-        assert manager.load_latest() is None
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        save_checkpoint(manager, engine, applied_seq=1, journal_offset=scan.good_offset)
+        save_checkpoint(manager, engine, applied_seq=2, journal_offset=scan.good_offset)
+        assert manager.load_latest(scan).applied_seq == 1
 
-    def test_format_version_skew_invalidates(self, tmp_path, engine):
+        # A dropped marker accounts for seq 2: the newer one is valid again.
+        writer = JournalWriter(tmp_path / JOURNAL_NAME, next_seq=2)
+        writer.mark_dropped([2])
+        writer.close()
+        assert manager.load_latest(read_journal(tmp_path / JOURNAL_NAME)).applied_seq == 2
+
+    def test_format_version_skew_invalidates(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
         manifest = json.loads((newest / "manifest.json").read_text())
         assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
         manifest["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
         (newest / "manifest.json").write_text(json.dumps(manifest))
-        assert manager.load_latest() is None
+        assert manager.load_latest(journal) is None
 
-    def test_unreadable_manifest_invalidates(self, tmp_path, engine):
+    def test_unreadable_manifest_invalidates(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
         (newest / "manifest.json").write_text("not json{")
-        assert manager.load_latest() is None
+        assert manager.load_latest(journal) is None
 
-    def test_missing_store_file_invalidates(self, tmp_path, engine):
+    def test_missing_store_file_invalidates(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
         (newest / "store.snap").unlink()
-        assert manager.load_latest() is None
+        assert manager.load_latest(journal) is None
 
-    def test_tmp_leftovers_ignored_and_swept(self, tmp_path, engine):
+    def test_tmp_leftovers_ignored_and_swept(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         leftover = manager.directory / ".tmp-ckpt-000000000009"
         leftover.mkdir()
         (leftover / "store.snap").write_bytes(b"half-written")
 
-        assert manager.load_latest().applied_seq == 1
+        assert manager.load_latest(journal).applied_seq == 1
         save_checkpoint(manager, engine, applied_seq=2)
         assert not leftover.exists()
 
@@ -205,19 +227,63 @@ class TestJsonCheckpointsAreSkipped:
         # that format would replay nothing.
         self.write_json_checkpoint(tmp_path, live_store, live_table, applied_seq=2)
 
-        assert CheckpointManager(tmp_path).load_latest() is None
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        assert CheckpointManager(tmp_path).load_latest(scan) is None
         recovered = recover(engine, tmp_path)
         assert recovered.checkpoint is None
         assert recovered.replayed_seqs == (1, 2)
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
-        assert recovered.table.num_rows == live_table.num_rows
+        assert recovered.table == live_table
+
+
+class TestTableCheckpointsAreSkipped:
+    """Format-2 checkpoints also stored the maintained table (``table.json``)."""
+
+    def write_table_checkpoint(self, data_dir, store, table, applied_seq):
+        path = data_dir / "checkpoints" / f"ckpt-{applied_seq:012d}"
+        path.mkdir(parents=True)
+        freeze(store, path / "store.snap", snapshot_version=applied_seq)
+        table_payload = json.dumps(
+            table_to_payload(table), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        (path / "table.json").write_bytes(table_payload)
+        manifest = {
+            "format_version": 2,
+            "applied_seq": applied_seq,
+            "store_version": applied_seq,
+            "journal_offset": read_journal(data_dir / JOURNAL_NAME).good_offset,
+            "store_crc32": zlib.crc32((path / "store.snap").read_bytes()),
+            "table_crc32": zlib.crc32(table_payload),
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+    def test_recovery_replays_the_whole_journal_past_a_table_checkpoint(
+        self, tmp_path, engine
+    ):
+        live_store, live_table = live_run(
+            engine,
+            tmp_path,
+            groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
+        )
+        # Intact in its own format and covering both seqs.
+        self.write_table_checkpoint(tmp_path, live_store, live_table, applied_seq=2)
+
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        assert CheckpointManager(tmp_path).load_latest(scan) is None
+        recovered = recover(engine, tmp_path)
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2)
+        assert hashlib.sha256(
+            canonical_store_payload(recovered.store)
+        ).hexdigest() == hashlib.sha256(canonical_store_payload(live_store)).hexdigest()
+        assert recovered.table == live_table
 
 
 class TestCheckpointFailpoint:
     def test_save_fault_leaves_previous_checkpoint_authoritative(
-        self, tmp_path, engine
+        self, tmp_path, engine, journal
     ):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
@@ -225,13 +291,13 @@ class TestCheckpointFailpoint:
         with pytest.raises(faults.InjectedFault):
             save_checkpoint(manager, engine, applied_seq=2)
 
-        assert manager.load_latest().applied_seq == 1
+        assert manager.load_latest(journal).applied_seq == 1
         # The interrupted save left no tmp directory behind (raise mode
         # cleans up; kill mode leaves one that loading ignores anyway).
         assert [p.name for p in manager.list_checkpoints()] == ["ckpt-000000000001"]
         # The failpoint is exhausted; the next save succeeds.
         save_checkpoint(manager, engine, applied_seq=2)
-        assert manager.load_latest().applied_seq == 2
+        assert manager.load_latest(journal).applied_seq == 2
 
 
 class TestAppendTableHelper:

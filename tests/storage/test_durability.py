@@ -134,10 +134,24 @@ class TestJournalWriter:
             "append", "append", "applied", "append", "dropped",
         ]
         assert scan.next_seq == 4
-        assert scan.applied_seqs() == frozenset({1, 2})
+        assert scan.records[2].record["seqs"] == [1, 2]
         assert scan.dropped_seqs() == frozenset({3})
         assert scan.good_offset == path.stat().st_size
         assert not scan.truncated
+
+    def test_rebuildable_seq_stops_at_the_first_missing_batch(self, tmp_path):
+        path = tmp_path / "journal.wal"
+        assert read_journal(path).rebuildable_seq() == 0
+        writer = JournalWriter(path)
+        batch = append_table([("East", "Winter", 55.0)])
+        writer.log_append(batch)
+        writer.log_append(batch)
+        writer.mark_dropped([3])  # a dropped seq counts without its record
+        writer.close()
+        writer = JournalWriter(path, next_seq=5)  # seq 4 is missing
+        writer.log_append(batch)
+        writer.close()
+        assert read_journal(path).rebuildable_seq() == 3
 
     def test_empty_marker_lists_not_written(self, tmp_path):
         writer = JournalWriter(tmp_path / "journal.wal")

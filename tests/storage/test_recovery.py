@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.reliability import faults
 from repro.storage.checkpoint import CheckpointManager
 from repro.storage.durability import JournalWriter, read_journal
+from repro.api.config import ServingConfig
 from repro.storage.recovery import (
     JOURNAL_NAME,
     DurabilityCoordinator,
+    recover_engine,
     recover_state,
 )
 from repro.system.persistence import canonical_store_payload, store_from_payload
@@ -79,8 +83,10 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             engine.store
         )
-        # The base store was cloned, not adopted.
+        # The base store was cloned, not adopted; the base table is
+        # immutable and comes back as it is.
         assert recovered.store is not engine.store
+        assert recovered.table is engine.table
 
     def test_journal_replay_matches_live_run(self, tmp_path, engine):
         live_store, live_table = live_run(
@@ -93,12 +99,12 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
-        assert recovered.table.num_rows == live_table.num_rows
+        assert recovered.table == live_table
 
     def test_replay_reproduces_job_grouping(self, tmp_path, engine):
         # One job coalesced two batches: replaying them as two passes
         # would diverge, so the applied marker's grouping must be used.
-        live_store, _ = live_run(
+        live_store, live_table = live_run(
             engine,
             tmp_path,
             groups=[[append_table(BATCH_A), append_table(BATCH_B)]],
@@ -108,6 +114,7 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
+        assert recovered.table == live_table
 
     def test_unapplied_suffix_replayed_as_one_coalesced_pass(self, tmp_path, engine):
         writer = JournalWriter(tmp_path / JOURNAL_NAME)
@@ -132,9 +139,10 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             expected
         )
+        assert recovered.table == maintainer.table
 
     def test_dropped_seqs_never_replayed(self, tmp_path, engine):
-        live_store, _ = live_run(
+        live_store, live_table = live_run(
             engine,
             tmp_path,
             groups=[[append_table(BATCH_A)]],
@@ -146,6 +154,7 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
+        assert recovered.table == live_table
 
     def test_checkpoint_skips_covered_prefix(self, tmp_path, engine):
         live_store, live_table = live_run(
@@ -154,12 +163,11 @@ class TestRecoverState:
             groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
         )
         # Checkpoint covering seq 1 only: recovery must replay seq 2.
-        partial_store, partial_table = live_run(
+        partial_store, _ = live_run(
             engine, tmp_path / "partial", groups=[[append_table(BATCH_A)]]
         )
         CheckpointManager(tmp_path).save(
             partial_store,
-            partial_table,
             applied_seq=1,
             store_version=1,
             journal_offset=0,
@@ -170,6 +178,7 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
+        assert recovered.table == live_table
 
     def test_verify_paths_agree(self, tmp_path, engine):
         live_store, live_table = live_run(
@@ -179,7 +188,6 @@ class TestRecoverState:
         )
         CheckpointManager(tmp_path).save(
             live_store,
-            live_table,
             applied_seq=2,
             store_version=2,
             journal_offset=0,
@@ -191,10 +199,12 @@ class TestRecoverState:
         assert canonical_store_payload(
             via_checkpoint.store
         ) == canonical_store_payload(via_journal.store)
+        # The checkpoint path rebuilt its table from the journal.
+        assert via_checkpoint.table == via_journal.table == live_table
 
     def test_torn_tail_recovers_good_prefix(self, tmp_path, engine):
         live_run(engine, tmp_path, groups=[[append_table(BATCH_A)]])
-        partial, _ = live_run(
+        partial, partial_table = live_run(
             engine, tmp_path / "oracle", groups=[[append_table(BATCH_A)]]
         )
         path = tmp_path / JOURNAL_NAME
@@ -209,12 +219,121 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             partial
         )
+        assert recovered.table == partial_table
+
+    def test_recover_engine_marks_the_replayed_suffix_applied(self, tmp_path, engine):
+        writer = JournalWriter(tmp_path / JOURNAL_NAME)
+        writer.log_append(append_table(BATCH_A))
+        writer.log_append(append_table(BATCH_B))
+        writer.close()
+
+        recovered, durability = recover_engine(engine, ServingConfig(data_dir=str(tmp_path)))
+        durability.close()
+        assert recovered.unmarked_seqs == (1, 2)
+        # The restarted process applied both batches in one pass; the
+        # marker keeps a later replay from merging them with new ones.
+        assert read_journal(tmp_path / JOURNAL_NAME).records[-1].record == {
+            "kind": "applied",
+            "seqs": [1, 2],
+            "snapshot_version": 0,
+        }
 
     def test_recover_replay_failpoint_fires_per_record(self, tmp_path, engine):
         live_run(engine, tmp_path, groups=[[append_table(BATCH_A)]])
         faults.FAILPOINTS.configure(["recover.replay:times=1"])
         with pytest.raises(faults.InjectedFault):
             recover(engine, tmp_path)
+
+
+class TestTableFromJournal:
+    """A checkpoint's table is the base plus the journal's covered batches."""
+
+    def test_checkpoint_past_a_truncated_journal_is_skipped(self, tmp_path, engine):
+        live_store, live_table = live_run(
+            engine,
+            tmp_path,
+            groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
+        )
+        path = tmp_path / JOURNAL_NAME
+        full = read_journal(path)
+        CheckpointManager(tmp_path).save(
+            live_store, applied_seq=2, store_version=2, journal_offset=full.good_offset
+        )
+        # Tear the last record (seq 2's applied marker): the checkpoint's
+        # offset now lies past the journal's longest valid prefix.
+        os.truncate(path, full.records[-1].offset + 3)
+
+        recovered = recover(engine, tmp_path)
+        assert recovered.scan.truncated
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2)
+        assert canonical_store_payload(recovered.store) == canonical_store_payload(
+            live_store
+        )
+        assert recovered.table == live_table
+
+    def test_dropped_seq_below_the_watermark_never_enters_the_table(
+        self, tmp_path, engine
+    ):
+        writer = JournalWriter(tmp_path / JOURNAL_NAME)
+        store = engine.store.clone()
+        maintainer = IncrementalMaintainer(
+            engine.config,
+            engine.table,
+            summarizer=engine.summarizer,
+            realizer=engine.realizer,
+        )
+        applied = writer.log_append(append_table(BATCH_A))
+        maintainer.maintain(append_table(BATCH_A), store)
+        writer.mark_applied([applied], snapshot_version=1)
+        writer.mark_dropped([writer.log_append(append_table(BATCH_B))])
+        applied = writer.log_append(append_table(BATCH_C))
+        maintainer.maintain(append_table(BATCH_C), store)
+        writer.mark_applied([applied], snapshot_version=2)
+        CheckpointManager(tmp_path).save(
+            store, applied_seq=3, store_version=2, journal_offset=writer.offset
+        )
+        writer.close()
+
+        recovered = recover(engine, tmp_path)
+        assert recovered.checkpoint is not None
+        assert recovered.replayed_seqs == ()
+        assert recovered.dropped_seqs == frozenset({2})
+        assert recovered.table == maintainer.table
+        assert recovered.table.num_rows == engine.table.num_rows + 3
+        assert canonical_store_payload(recovered.store) == canonical_store_payload(
+            store
+        )
+
+    def test_checkpoint_syncs_the_journal_before_its_manifest(
+        self, tmp_path, engine, monkeypatch
+    ):
+        coordinator = DurabilityCoordinator(tmp_path, checkpoint_every_swaps=1)
+        journal_fd = coordinator._journal._file.fileno()
+        events = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            events.append("journal" if fd == journal_fd else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        real_write = CheckpointManager._write_file
+
+        def write_file(path, payload):
+            events.append(path.name)
+            real_write(path, payload)
+
+        monkeypatch.setattr(CheckpointManager, "_write_file", staticmethod(write_file))
+        seq = coordinator.log_append(append_table(BATCH_A))
+        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
+        coordinator.close()
+
+        assert "journal" in events
+        assert events.index("journal") < events.index("manifest.json")
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        loaded = CheckpointManager(tmp_path).load_latest(scan)
+        assert loaded.journal_offset == scan.good_offset
 
 
 class TestCanonicalPayloadParity:
@@ -255,23 +374,22 @@ class TestDurabilityCoordinator:
 
         for version in (1, 2):
             seq = coordinator.log_append(append_table(BATCH_A))
-            coordinator.commit_applied(
-                [seq], compacted, engine.table, store_version=version
-            )
+            coordinator.commit_applied([seq], compacted, store_version=version)
         # The store is only asked for when a checkpoint is due.
         assert asked == [True]
         stats = coordinator.stats()
         assert stats["checkpoints_written"] == 1
         assert stats["last_checkpoint_seq"] == 2
-        assert CheckpointManager(tmp_path).load_latest().applied_seq == 2
         coordinator.close()
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        assert CheckpointManager(tmp_path).load_latest(scan).applied_seq == 2
 
     def test_policy_checkpoint_after_journal_bytes(self, tmp_path, engine):
         coordinator = self.make(
             tmp_path, checkpoint_every_swaps=1000, checkpoint_every_bytes=1
         )
         seq = coordinator.log_append(append_table(BATCH_A))
-        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=1)
+        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
         assert coordinator.stats()["checkpoints_written"] == 1
         coordinator.close()
 
@@ -280,15 +398,16 @@ class TestDurabilityCoordinator:
         faults.FAILPOINTS.configure(["checkpoint.save:times=1"])
         seq = coordinator.log_append(append_table(BATCH_A))
         # Must not raise into the swap path.
-        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=1)
-        assert coordinator.checkpoint_failures == 1
+        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
+        assert coordinator.stats()["checkpoint_failures"] == 1
         assert "InjectedFault" in coordinator.last_checkpoint_error
         # The journal still covers the batch.
         scan = read_journal(tmp_path / JOURNAL_NAME)
-        assert scan.applied_seqs() == frozenset({1})
+        assert [entry.kind for entry in scan.records] == ["append", "applied"]
+        assert scan.records[1].record["seqs"] == [1]
         # The next swap checkpoints cleanly and clears the error.
         seq = coordinator.log_append(append_table(BATCH_B))
-        coordinator.commit_applied([seq], lambda: engine.store, engine.table, store_version=2)
+        coordinator.commit_applied([seq], lambda: engine.store, store_version=2)
         assert coordinator.last_checkpoint_error is None
         assert coordinator.stats()["checkpoints_written"] == 1
         coordinator.close()
