@@ -459,8 +459,9 @@ def run_durability(
 
     ``throughput_ratio`` prices the write-ahead journal: qps of the
     identical stream-plus-appends workload with ``data_dir`` set /
-    ``serve_with_maintenance``'s qps without it.  After the service
-    stops cleanly (final checkpoint written), the data directory is
+    ``serve_with_maintenance``'s qps without it; with ``data_dir`` set
+    every swap publishes its snapshot under it and checkpoints it.
+    After the service stops cleanly, the data directory is
     recovered cold on both paths — checkpoint + journal suffix, and
     pure journal replay from the pre-processed base — each timed and
     required to be byte-identical to the live run's final store.
@@ -477,7 +478,7 @@ def run_durability(
     outstanding = SERVING.max_queue_depth // 2
 
     with tempfile.TemporaryDirectory(prefix="repro-durability-") as data_dir:
-        serving = SERVING.replace(data_dir=data_dir, checkpoint_every_swaps=2)
+        serving = SERVING.replace(data_dir=data_dir)
 
         async def bench():
             async with VoiceService(engine, serving) as service:

@@ -59,24 +59,19 @@ data_dir:
     Directory for durable serving state (write-ahead journal +
     checkpoints, see :mod:`repro.storage`).  ``None`` (default) serves
     purely in memory; set, the service recovers from the directory at
-    construction and journals every accepted append before acking.
+    construction, journals every accepted append before acking, and
+    checkpoints every snapshot swap with a manifest naming the
+    version's published snapshot (see :mod:`repro.storage.checkpoint`).
 journal_fsync:
     fsync each journal record (machine-crash durable) instead of only
     flushing it (process-crash durable).  Costs per-append latency.
-checkpoint_every_swaps / checkpoint_every_bytes:
-    Checkpoint policy: persist a checkpoint after this many snapshot
-    swaps, or once this many journal bytes accumulated since the last
-    checkpoint — whichever comes first.
-checkpoint_keep:
-    Checkpoints retained on disk (older ones are pruned).  Checkpoints
-    always hold the store in the compact snapshot format
-    (``store.snap``, see :mod:`repro.storage.checkpoint`).
 snapshot_dir:
     Directory for frozen compact-store snapshots (see
     :mod:`repro.store.publish`).  Set, the serving side freezes
     ``store-v{version}.snap`` there — the base store at startup and
     every maintenance swap after.  ``None`` (default): a single-process
-    service publishes nothing, and a sharded deployment uses a private
+    service publishes into ``data_dir/snapshots`` when ``data_dir`` is
+    set and nothing otherwise, and a sharded deployment uses a private
     temporary directory that the router removes at stop.  Shards always
     spawn by **mmap-attach**: each maps the newest snapshot read-only
     from a store-free engine template, so N shards share one
@@ -124,9 +119,6 @@ class ServingConfig:
     failpoint_seed: int = 0
     data_dir: str | None = None
     journal_fsync: bool = False
-    checkpoint_every_swaps: int = 4
-    checkpoint_every_bytes: int = 4 * 1024 * 1024
-    checkpoint_keep: int = 3
     snapshot_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -177,18 +169,6 @@ class ServingConfig:
             raise ValueError("failpoints must be non-empty spec strings")
         if self.data_dir is not None and not str(self.data_dir).strip():
             raise ValueError("data_dir must be a non-empty path or None")
-        if self.checkpoint_every_swaps < 1:
-            raise ValueError(
-                f"checkpoint_every_swaps must be >= 1, got {self.checkpoint_every_swaps}"
-            )
-        if self.checkpoint_every_bytes < 1:
-            raise ValueError(
-                f"checkpoint_every_bytes must be >= 1, got {self.checkpoint_every_bytes}"
-            )
-        if self.checkpoint_keep < 1:
-            raise ValueError(
-                f"checkpoint_keep must be >= 1, got {self.checkpoint_keep}"
-            )
         if self.snapshot_dir is not None and not str(self.snapshot_dir).strip():
             raise ValueError("snapshot_dir must be a non-empty path or None")
 

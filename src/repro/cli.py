@@ -291,8 +291,6 @@ def _build_serving_config(args: argparse.Namespace):
         failpoint_seed=args.failpoint_seed,
         data_dir=args.data_dir,
         journal_fsync=args.journal_fsync,
-        checkpoint_every_swaps=args.checkpoint_every_swaps,
-        checkpoint_keep=args.checkpoint_keep,
         snapshot_dir=getattr(args, "snapshot_dir", None),
     )
 
@@ -656,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--data-dir", default=None, dest="data_dir",
         help="directory for durable serving state (write-ahead journal + "
-        "checkpoints); the service recovers from it at start and "
-        "journals every accepted append before acking",
+        "checkpoints); the service recovers from it at start, "
+        "journals every accepted append before acking and checkpoints "
+        "every snapshot swap",
     )
     serve_parser.add_argument(
         "--journal-fsync", action="store_true", dest="journal_fsync",
@@ -665,19 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
         "of flushing only (process-crash durable, the default)",
     )
     serve_parser.add_argument(
-        "--checkpoint-every", type=int, default=4, dest="checkpoint_every_swaps",
-        metavar="SWAPS", help="persist a checkpoint every N snapshot swaps",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-keep", type=int, default=3, dest="checkpoint_keep",
-        help="checkpoints retained on disk (older ones pruned)",
-    )
-    serve_parser.add_argument(
         "--snapshot-dir", default=None, dest="snapshot_dir",
         help="directory for frozen compact-store snapshots, refrozen on "
         "every maintenance swap; the --shards > 1 router clears it at start "
-        "(default: no snapshots for one process, a private temporary "
-        "directory for shards)",
+        "(default: DATA_DIR/snapshots with --data-dir, else none for one "
+        "process and a private temporary directory for shards)",
     )
     serve_parser.set_defaults(handler=command_serve)
 

@@ -67,7 +67,7 @@ The well-known sites
     swap publishes a finished build — the pre-swap crash site.
 ``checkpoint.save``
     Fires inside :class:`repro.storage.checkpoint.CheckpointManager`
-    after the temporary checkpoint files are written but before the
+    after the temporary checkpoint manifest is written but before the
     atomic rename — a killing rule leaves a half-written checkpoint
     that recovery must ignore.
 ``recover.replay``

@@ -23,10 +23,10 @@ disturbed, and publishes the maintained store with one atomic
 serialized and each starts from the previous swap, the final store is
 identical to running ``maintain`` serially on the same job batches in
 the same order — the parity the serving benchmark and property tests
-verify byte-for-byte.  A snapshot publish and a checkpoint of the new
-version both write the registry's one compaction of it
-(:meth:`SnapshotRegistry.compacted`), which starts from the previous
-version's and re-encodes only the speeches the job changed.
+verify byte-for-byte.  A snapshot publish freezes the registry's one
+compaction of the new version (:meth:`SnapshotRegistry.publish_current`),
+which starts from the previous version's and re-encodes only the
+speeches the job changed; a checkpoint is a manifest naming that file.
 
 Failures are survived, not just recorded.  A failed job rolls the
 maintainer back (the half-applied append would otherwise corrupt the
@@ -539,26 +539,27 @@ class MaintenanceScheduler:
             job.status = "completed"
             self._consecutive_failures = 0
             self._breaker_opened_at = None
+            published = None
             if self._registry.publisher is not None:
-                # Freeze the maintained store for shard (re)spawns: the
-                # compaction costs the changed speeches, the file write
-                # the store, so on the executor; failures are recorded
-                # on the publisher, never raised into the job.
-                await loop.run_in_executor(
+                # Freeze the maintained store for shard (re)spawns and
+                # checkpoints: the compaction costs the changed
+                # speeches, the file write the store, so on the
+                # executor; failures are recorded on the publisher,
+                # never raised into the job.
+                published = await loop.run_in_executor(
                     self._executor, self._registry.publish_current
                 )
             if attempt > 1:
                 self._retry_successes += 1
             if self._durability is not None and job.journal_seqs:
-                # On the executor thread: marking applied may trigger a
-                # checkpoint, which writes the registry's compaction of
-                # this version (the one the publish froze) to disk —
-                # never on the event loop.
+                # On the executor thread: the checkpoint fsyncs the
+                # journal and writes a manifest naming the published
+                # file — never on the event loop.
                 await loop.run_in_executor(
                     self._executor,
                     self._durability.commit_applied,
                     job.journal_seqs,
-                    self._registry.compacted,
+                    published,
                     job.snapshot_version,
                 )
             if self._on_swap is not None:

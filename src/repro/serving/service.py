@@ -34,15 +34,16 @@
   in; serving never pauses.
 * **Metrics** — per-request latency feeds aggregate p50/p95/p99, qps,
   hit rate and offload counts (:class:`ServiceMetrics`).
-* **Snapshot publishing** — with ``config.snapshot_dir`` the registry
+* **Snapshot publishing** — with ``config.snapshot_dir``, or with
+  ``config.data_dir`` (into ``data_dir/snapshots`` then), the registry
   freezes its first snapshot at construction and every swap after.
-  The registry's first version is the one the engine's store was
-  frozen at when it is an attached
-  :class:`repro.store.CompactSpeechStore` (a shard started from a
-  published snapshot), else 0 — and then the directory's snapshot
-  files from a previous run are deleted first, since publishing skips
-  versions already on disk.  Snapshot publishes and checkpoints write
-  the registry's one compaction per version.
+  Its first version is the recovered one with a ``data_dir``, the one
+  an attached :class:`repro.store.CompactSpeechStore` was frozen at (a
+  shard started from a published snapshot), else 0; since publishing
+  skips versions already on disk, a previous run's files from that
+  version on are deleted first.  With a ``data_dir`` each published
+  version is also checkpointed: a manifest names its file
+  (:mod:`repro.storage.checkpoint`).
 
 The engine's session state is untouched while serving, and after every
 snapshot swap the engine re-derives its table-bound components
@@ -61,6 +62,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.api.config import DEFAULT_LATENCY_WINDOW, ServingConfig
 from repro.api.envelopes import VoiceRequest, build_append_table
@@ -235,26 +237,31 @@ class VoiceService:
         )
         self._durability: DurabilityCoordinator | None = None
         self._recovery: RecoveredState | None = None
-        self._publisher = None
-        if config.snapshot_dir is not None:
-            self._publisher = SnapshotPublisher(config.snapshot_dir)
+        snapshot_dir = config.snapshot_dir
+        if snapshot_dir is None and config.data_dir is not None:
+            snapshot_dir = Path(config.data_dir) / "snapshots"
+        self._publisher = None if snapshot_dir is None else SnapshotPublisher(snapshot_dir)
         if config.data_dir is not None:
             # Recover durable state *before* seeding the first snapshot
             # and the maintainer, so both see the journal's appends.
-            recovered, self._durability = recover_engine(engine, config)
-            self._recovery = recovered
+            self._recovery, self._durability = recover_engine(engine, config)
         store = engine.store
-        version = 0
-        if isinstance(store, CompactSpeechStore):
+        attached = isinstance(store, CompactSpeechStore)
+        if self._recovery is not None:
+            version = self._recovery.store_version
+        elif attached:
             # An attached snapshot (how every shard's engine starts)
             # carries the version it was frozen at; the registry
             # continues from there so the router's barrier lines up.
             version = store.snapshot_version or 0
-        elif self._publisher is not None:
-            # Versions restart at 0, so a previous run's snapshots
-            # would be kept (publishing skips versions on disk) and
-            # served in place of this store's.
-            self._publisher.clear()
+        else:
+            version = 0
+        if self._publisher is not None and (self._recovery is not None or not attached):
+            # Publishing skips versions on disk, so a previous run's
+            # files from this version on would be served in place of
+            # this store's; only an attached version's own file stays.
+            # (A shard leaves the directory it shares to the router.)
+            self._publisher.clear(after=version if attached else version - 1)
         self._registry = SnapshotRegistry(
             store, version=version, publisher=self._publisher
         )
@@ -262,12 +269,11 @@ class VoiceService:
         # a cold (re)spawn (a no-op when this version is already on
         # disk, e.g. the one just attached); swaps refreeze via the
         # scheduler.
-        self._registry.publish_current()
+        published = self._registry.publish_current()
         if self._recovery is not None and self._recovery.replayed_records:
-            # Fold the replayed records into a fresh checkpoint so the
-            # next restart (and every crash until the first policy
-            # checkpoint) replays nothing twice.
-            self._durability.checkpoint_now(self._registry.compacted(), store_version=0)
+            # Checkpoint the replayed version so the next restart (and
+            # every crash until the first swap) replays nothing twice.
+            self._durability.checkpoint_now(published, version)
         self._scheduler = MaintenanceScheduler(
             maintainer
             or IncrementalMaintainer(
@@ -340,7 +346,7 @@ class VoiceService:
 
     @property
     def publisher(self) -> SnapshotPublisher | None:
-        """The snapshot publisher (None without ``snapshot_dir``)."""
+        """The snapshot publisher (None without ``snapshot_dir`` or ``data_dir``)."""
         return self._publisher
 
     @property
@@ -503,10 +509,11 @@ class VoiceService:
         if self._durability is not None:
             stats = self._durability.stats()
             if stats["applied_seq"] > stats["last_checkpoint_seq"]:
-                # A clean shutdown checkpoints the final state so the
+                # A swap's checkpoint failed, or seqs were dropped since:
+                # a clean shutdown checkpoints the final state so the
                 # next start replays nothing.
                 self._durability.checkpoint_now(
-                    self._registry.compacted(), self._registry.version
+                    self._registry.publish_current(), self._registry.version
                 )
             self._durability.close()
 

@@ -18,11 +18,11 @@ serving layer never mutates the store it reads.  Instead:
   speech payloads — mutates the clone off to the side, and publishes it
   via :meth:`SnapshotRegistry.swap`;
 * the registry compacts the current store into a
-  :class:`repro.store.CompactSpeechStore` at most once per version, and
-  only when a snapshot publish or a checkpoint asks for it
-  (:meth:`SnapshotRegistry.compacted`).  Each compaction starts from
-  the previous one and re-encodes only the speeches maintenance
-  replaced or added, so it costs about what the append changed.
+  :class:`repro.store.CompactSpeechStore` once per version, when a
+  snapshot publish asks for it (:meth:`SnapshotRegistry.publish_current`).
+  Each compaction starts from the previous one and re-encodes only the
+  speeches maintenance replaced or added, so it costs about what the
+  append changed.
 
 Requests pin the snapshot once at admission (``registry.current``) and
 answer entirely from it; in-flight requests keep their pinned snapshot
@@ -118,18 +118,15 @@ class SnapshotRegistry:
         """Version of the latest published snapshot."""
         return self._current.version
 
-    def compacted(self) -> CompactSpeechStore:
-        """The current snapshot's store as a compact store.
+    def _compact(self, snapshot: StoreSnapshot) -> CompactSpeechStore:
+        """``snapshot``'s store as a compact store.
 
         Computed at most once per version, from the last compaction
         (:meth:`repro.store.Compaction.advance`), so a version costs the
         speeches that changed since the last one compacted rather than
-        the whole store.  A current store that is already compact (an
-        attached snapshot) is returned as it is.
+        the whole store.  A store that is already compact (an attached
+        snapshot) is returned as it is.
         """
-        return self._compact(self._current)
-
-    def _compact(self, snapshot: StoreSnapshot) -> CompactSpeechStore:
         with self._compact_lock:
             if isinstance(snapshot.store, CompactSpeechStore):
                 return snapshot.store
@@ -142,9 +139,9 @@ class SnapshotRegistry:
         """Freeze the current snapshot through the publisher, if any.
 
         Runs off the event loop (the maintenance scheduler calls it on
-        its executor after each swap).  The freeze writes
-        :meth:`compacted`, so it costs the changed speeches plus the
-        file write.  Returns the snapshot file path, or None when there
+        its executor after each swap).  The freeze writes the version's
+        one compaction, so it costs the changed speeches plus the file
+        write.  Returns the snapshot file path, or None when there
         is no publisher or the freeze failed (recorded on
         ``publisher.last_error`` — a failed publish never takes serving
         down; the previous frozen version keeps covering respawns).

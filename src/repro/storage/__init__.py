@@ -8,26 +8,28 @@ survive *process death*.  Three pieces compose:
   journal.  Every accepted append batch is written (length-prefixed,
   CRC32-checksummed, optionally fsync'd) *before* the caller is acked,
   so an acked batch is never lost to a crash.
-* :mod:`repro.storage.checkpoint` — atomic checkpoints of the speech
-  store, written temp → fsync → rename with a checksummed manifest,
-  so a crash mid-checkpoint leaves the previous checkpoint intact.
-  The maintained table is not checkpointed: the journal already holds
-  every appended batch.
-* :mod:`repro.storage.recovery` — startup recovery (newest valid
-  checkpoint, its table rebuilt from the base table and the journal's
-  covered batches, then replay of unapplied journal records through
-  the deterministic maintainer) and the :class:`DurabilityCoordinator`
-  that the maintenance scheduler threads journal/checkpoint calls
-  through at runtime.
+* :mod:`repro.storage.checkpoint` — atomic checkpoints: one manifest
+  per snapshot swap, written temp → fsync → rename, that names the
+  snapshot file the publisher froze for the version, so a crash
+  mid-checkpoint leaves the previous checkpoint intact.  Neither the
+  store nor the maintained table is written again: the snapshot holds
+  the one, the journal every appended batch of the other.
+* :mod:`repro.storage.recovery` — startup recovery (the newest valid
+  checkpoint's snapshot attached, its table rebuilt from the base
+  table and the journal's covered batches, then replay of unapplied
+  journal records through the deterministic maintainer) and the
+  :class:`DurabilityCoordinator` that the maintenance scheduler
+  threads journal/checkpoint calls through at runtime.
 
 On-disk layout under a service's ``data_dir``::
 
     data_dir/
-      journal.wal            append-only record log
+      journal.wal                  append-only record log
+      snapshots/                   unless ``snapshot_dir`` is set
+        store-v000000000007.snap   compact columnar speech-store snapshot
       checkpoints/
-        ckpt-000000000042/   one checkpoint (name = applied_seq)
-          manifest.json      watermark, journal offset, store checksum
-          store.snap         compact columnar speech-store snapshot
+        ckpt-000000000042.json     watermark, version, journal offset,
+                                   snapshot path and header checksum
 """
 
 from repro.storage.checkpoint import CheckpointManager, LoadedCheckpoint

@@ -3,14 +3,16 @@
 Recovery rebuilds the serving store a crashed process lost:
 
 1. Scan the journal to its longest valid prefix (torn tails healed).
-2. Load the newest *valid* checkpoint (corrupt ones, and ones the
-   journal cannot rebuild the table for, are skipped for older ones);
-   absent any, start from the pre-processed base store.
+2. Attach the snapshot the newest *valid* checkpoint names (corrupt
+   or pruned ones, and ones the journal cannot rebuild the table for,
+   are skipped for older ones); absent any, start from the
+   pre-processed base store.
 3. Rebuild its table with one concat of the base table and the
    undropped ``append`` batches up to its ``applied_seq`` watermark,
    in seq order — the serial scheduler's order.
 4. Replay every undropped ``append`` record past the watermark
-   through :class:`IncrementalMaintainer.maintain`.
+   through :class:`IncrementalMaintainer.maintain`, into a mutable
+   clone of the attached store (only when there is such a record).
 
 Replay must reproduce the original run's **job grouping**, not just
 its record order: a maintenance pass over one coalesced batch is not
@@ -40,11 +42,12 @@ an exemption.
 :class:`JournalWriter` and :class:`CheckpointManager` for a data
 directory and gives the maintenance scheduler three hooks —
 ``log_append`` (before ack), ``commit_applied`` (after a snapshot
-swap; may trigger a policy checkpoint), ``mark_dropped`` (retries
-exhausted).  Checkpoint failures are counted and surfaced through
-``stats()`` / service health, never raised into the swap path: the
-journal alone is sufficient for correctness, a missed checkpoint only
-costs replay time.  :func:`recover_engine` joins the two halves into
+swap and its publish: writes the version's checkpoint manifest),
+``mark_dropped`` (retries exhausted).  Checkpoint failures (a failed
+publish included) are counted and surfaced through ``stats()`` /
+service health, never raised into the swap path: the journal alone is
+sufficient for correctness, a missed checkpoint only costs replay
+time.  :func:`recover_engine` joins the two halves into
 the start-up step both the single service and the shard router run.
 """
 
@@ -53,7 +56,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.relational.table import Table
 from repro.reliability import faults
@@ -76,22 +79,14 @@ if TYPE_CHECKING:
 #: Journal file name inside a data directory.
 JOURNAL_NAME = "journal.wal"
 
-#: Default checkpoint policy: after this many snapshot swaps ...
-DEFAULT_CHECKPOINT_EVERY_SWAPS = 4
-
-#: ... or once this many journal bytes accumulated since the last one.
-DEFAULT_CHECKPOINT_EVERY_BYTES = 4 * 1024 * 1024
-
-#: Default checkpoints retained.
-DEFAULT_CHECKPOINT_KEEP = 3
-
 
 @dataclass(frozen=True)
 class RecoveredState:
     """What :func:`recover_state` rebuilt from a data directory."""
 
-    store: SpeechStore
+    store: SpeechStore | CompactSpeechStore
     table: Table
+    store_version: int
     applied_seq: int
     next_seq: int
     journal_offset: int
@@ -118,6 +113,7 @@ class RecoveredState:
             "replayed_records": self.replayed_records,
             "dropped_seqs": sorted(self.dropped_seqs),
             "applied_seq": self.applied_seq,
+            "store_version": self.store_version,
             "next_seq": self.next_seq,
             "speeches": len(self.store),
             "table_rows": self.table.num_rows,
@@ -136,29 +132,32 @@ def recover_state(
     """Rebuild serving state from ``data_dir`` (checkpoint + journal).
 
     ``base_store`` / ``base_table`` are the pre-processed engine state
-    used when no (valid) checkpoint exists; the base store is cloned,
-    never mutated.  ``summarizer`` / ``realizer`` must match the ones
+    used when no (valid) checkpoint exists; the base store is never
+    mutated (replay maintains a clone).  ``summarizer`` / ``realizer`` must match the ones
     the engine maintains with, or replay diverges from the
     uninterrupted run.  ``use_checkpoint=False`` forces a pure journal
     replay from the base — the independent recovery path
     ``recover --verify`` compares against the checkpoint path.
 
-    An empty or missing data directory recovers to the base state (a
-    first boot), so callers need no existence checks.
+    The recovered store is the checkpoint's attached snapshot (or the
+    base store) when nothing past the watermark is replayed, else a
+    mutable clone of it the replay maintained.  Its ``store_version``
+    is the checkpoint's version (0 without one) or, when records were
+    replayed, one past both that and every version the journal's
+    ``applied`` markers name.  An empty or missing data directory
+    recovers to the base state (a first boot), so callers need no
+    existence checks.
     """
     data_dir = Path(data_dir)
     scan = read_journal(data_dir / JOURNAL_NAME)
     checkpoint = CheckpointManager(data_dir).load_latest(scan) if use_checkpoint else None
-    if checkpoint is not None:
-        store = checkpoint.store
-        watermark = checkpoint.applied_seq
-    else:
-        store = base_store.clone()
-        watermark = 0
+    store = checkpoint.store if checkpoint is not None else base_store
+    watermark = checkpoint.applied_seq if checkpoint is not None else 0
     dropped = scan.dropped_seqs()
     covered: list[Table] = []
     appends: dict[int, Table] = {}
     groups: list[list[int]] = []
+    marked_version = 0
     for entry in scan.records:
         if entry.kind == "append":
             seq = int(entry.record["seq"])
@@ -170,6 +169,7 @@ def recover_state(
             else:
                 covered.append(rows)
         elif entry.kind == "applied":
+            marked_version = max(marked_version, int(entry.record.get("snapshot_version", 0)))
             group = [
                 int(seq)
                 for seq in entry.record.get("seqs", ())
@@ -186,6 +186,8 @@ def recover_state(
     maintainer = IncrementalMaintainer(
         config, table, summarizer=summarizer, realizer=realizer
     )
+    if appends:
+        store = store.clone()
     replayed: list[int] = []
     for group in groups:
         # One pass per original job (see module docstring): coalesce
@@ -201,9 +203,15 @@ def recover_state(
         if batch:
             maintainer.maintain(batch[0].concat(*batch[1:]), store)
     replayed.sort()
+    store_version = checkpoint.store_version if checkpoint is not None else 0
+    if replayed:
+        # Past every version the dead process reached, so versions
+        # never go backwards even when its last checkpoints failed.
+        store_version = max(store_version, marked_version) + 1
     return RecoveredState(
         store=store,
         table=maintainer.table,
+        store_version=store_version,
         applied_seq=replayed[-1] if replayed else watermark,
         next_seq=scan.next_seq,
         journal_offset=scan.good_offset,
@@ -227,7 +235,7 @@ def recover_engine(
     the engine adopt the recovered store and table, and returns a
     :class:`DurabilityCoordinator` whose journal resumes past the
     longest valid prefix, with the replay's final coalesced pass
-    marked applied.
+    marked applied at the recovered store version.
     """
     if config.failpoints:
         faults.FAILPOINTS.ensure(config.failpoints, seed=config.failpoint_seed)
@@ -245,18 +253,16 @@ def recover_engine(
     durability = DurabilityCoordinator(
         config.data_dir,
         fsync=config.journal_fsync,
-        checkpoint_every_swaps=config.checkpoint_every_swaps,
-        checkpoint_every_bytes=config.checkpoint_every_bytes,
-        checkpoint_keep=config.checkpoint_keep,
         next_seq=recovered.next_seq,
         truncate_at=recovered.journal_offset,
         applied_seq=recovered.applied_seq,
+        checkpoint_seq=recovered.checkpoint.applied_seq if recovered.checkpoint else 0,
     )
     if recovered.unmarked_seqs:
         # Replay applied these batches as one pass no marker records;
         # without one, a later pure replay would coalesce them with the
         # batches this process accepts next.
-        durability.mark_applied(recovered.unmarked_seqs, store_version=0)
+        durability.mark_applied(recovered.unmarked_seqs, store_version=recovered.store_version)
     return recovered, durability
 
 
@@ -265,36 +271,27 @@ class DurabilityCoordinator:
 
     Construction is cheap and does no recovery — pass the values a
     prior :func:`recover_state` produced (``next_seq``,
-    ``journal_offset`` as ``truncate_at``, ``applied_seq``) so the
+    ``journal_offset`` as ``truncate_at``, ``applied_seq``, and the
+    loaded checkpoint's watermark as ``checkpoint_seq``) so the
     journal resumes exactly past its longest valid prefix.
 
     Thread model: ``log_append`` and ``mark_dropped`` run on the event
     loop (small, flushed writes); ``commit_applied`` and
     ``checkpoint_now`` run on the maintenance executor thread (a
-    checkpoint writes the whole store file, though the store it writes
-    is the registry's compaction of that version, not a fresh one).  A
-    single lock serialises all journal and policy state.
+    checkpoint fsyncs the journal and writes one manifest naming the
+    version's published snapshot).  A single lock serialises all
+    journal and checkpoint state.
     """
 
     def __init__(
         self,
         data_dir: str | Path,
         fsync: bool = False,
-        checkpoint_every_swaps: int = DEFAULT_CHECKPOINT_EVERY_SWAPS,
-        checkpoint_every_bytes: int = DEFAULT_CHECKPOINT_EVERY_BYTES,
-        checkpoint_keep: int = DEFAULT_CHECKPOINT_KEEP,
         next_seq: int = 1,
         truncate_at: int | None = None,
         applied_seq: int = 0,
+        checkpoint_seq: int = 0,
     ):
-        if checkpoint_every_swaps < 1:
-            raise ValueError(
-                f"checkpoint_every_swaps must be >= 1, got {checkpoint_every_swaps}"
-            )
-        if checkpoint_every_bytes < 1:
-            raise ValueError(
-                f"checkpoint_every_bytes must be >= 1, got {checkpoint_every_bytes}"
-            )
         self._data_dir = Path(data_dir)
         self._lock = threading.Lock()
         self._journal = JournalWriter(
@@ -303,15 +300,11 @@ class DurabilityCoordinator:
             next_seq=next_seq,
             truncate_at=truncate_at,
         )
-        self._checkpoints = CheckpointManager(self._data_dir, keep=checkpoint_keep)
-        self._every_swaps = int(checkpoint_every_swaps)
-        self._every_bytes = int(checkpoint_every_bytes)
+        self._checkpoints = CheckpointManager(self._data_dir)
         self._applied_seq = int(applied_seq)
-        self._swaps_since_checkpoint = 0
-        self._bytes_at_checkpoint = self._journal.offset
         self._checkpoints_written = 0
         self._checkpoint_failures = 0
-        self._last_checkpoint_seq = 0
+        self._last_checkpoint_seq = int(checkpoint_seq)
         self._last_checkpoint_error: str | None = None
         self._closed = False
 
@@ -324,40 +317,31 @@ class DurabilityCoordinator:
             return self._journal.log_append(new_rows)
 
     def commit_applied(
-        self,
-        seqs: Sequence[int],
-        compacted: Callable[[], SpeechStore | CompactSpeechStore],
-        store_version: int,
+        self, seqs: Sequence[int], snapshot: Path | None, store_version: int
     ) -> None:
-        """Record a committed swap; checkpoint when the policy says so.
+        """Record a committed swap and checkpoint its version.
 
         Runs on the maintenance executor thread after the snapshot
-        swap published.  ``compacted`` returns the just-published store
-        (the registry's compaction of it, shared with the snapshot
-        publish), so a triggered checkpoint writes consistent state; it
-        is called only when a checkpoint is due.
+        swap published.  ``snapshot`` is the file the publish froze
+        for ``store_version``, or None when that publish failed — then
+        no manifest is written, the failure is counted, and the
+        previous checkpoint stays authoritative.
         """
         with self._lock:
             self._journal.mark_applied(seqs, store_version)
             if seqs:
                 self._applied_seq = max(self._applied_seq, max(int(s) for s in seqs))
-            self._swaps_since_checkpoint += 1
-            due = (
-                self._swaps_since_checkpoint >= self._every_swaps
-                or self._journal.offset - self._bytes_at_checkpoint
-                >= self._every_bytes
-            )
-            if due:
-                self._checkpoint(compacted(), store_version)
+            self._checkpoint(snapshot, store_version)
 
     def mark_applied(self, seqs: Sequence[int], store_version: int) -> None:
         """Record an applied group without checkpointing.
 
         For coordinators that own the journal but not the maintained
-        store (the shard router: its stores live in worker processes).
-        The marker preserves replay's job grouping; skipping the policy
-        checkpoint only costs recovery time — the watermark stays at
-        the last checkpoint and replay covers the rest of the journal.
+        store (the shard router: its stores live in worker processes),
+        and for the replay of a restart, which the service checkpoints
+        once it published the recovered version.  The marker preserves
+        replay's job grouping; a missing checkpoint only costs recovery
+        time — replay covers the journal past the last one.
         """
         with self._lock:
             self._journal.mark_applied(seqs, store_version)
@@ -371,18 +355,20 @@ class DurabilityCoordinator:
             if seqs:
                 self._applied_seq = max(self._applied_seq, max(int(s) for s in seqs))
 
-    def checkpoint_now(self, store: SpeechStore | CompactSpeechStore, store_version: int) -> bool:
-        """Force a checkpoint (e.g. right after a replaying recovery)."""
+    def checkpoint_now(self, snapshot: Path | None, store_version: int) -> bool:
+        """Checkpoint ``store_version``'s published ``snapshot`` now."""
         with self._lock:
-            return self._checkpoint(store, store_version)
+            return self._checkpoint(snapshot, store_version)
 
-    def _checkpoint(self, store: SpeechStore | CompactSpeechStore, store_version: int) -> bool:
+    def _checkpoint(self, snapshot: Path | None, store_version: int) -> bool:
         try:
+            if snapshot is None:
+                raise RuntimeError(f"snapshot v{store_version} was not published")
             # The checkpoint's table is rebuilt from the journal, so the
             # journal must be durable up to the offset it records.
             self._journal.sync()
             self._checkpoints.save(
-                store,
+                snapshot,
                 applied_seq=self._applied_seq,
                 store_version=store_version,
                 journal_offset=self._journal.offset,
@@ -397,8 +383,6 @@ class DurabilityCoordinator:
         self._checkpoints_written += 1
         self._last_checkpoint_seq = self._applied_seq
         self._last_checkpoint_error = None
-        self._swaps_since_checkpoint = 0
-        self._bytes_at_checkpoint = self._journal.offset
         return True
 
     # ------------------------------------------------------------------

@@ -15,8 +15,8 @@ from repro.store.errors import (
     SnapshotFormatError,
     SnapshotVersionError,
 )
-from repro.store.format import SNAPSHOT_FORMAT_VERSION, attach, freeze
-from repro.store.publish import SnapshotPublisher, snapshot_filename
+from repro.store.format import SNAPSHOT_FORMAT_VERSION, attach, freeze, header_crc
+from repro.store.publish import SNAPSHOTS_KEPT, SnapshotPublisher, snapshot_filename
 
 __all__ = [
     "CompactSpeechStore",
@@ -28,6 +28,8 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "attach",
     "freeze",
+    "header_crc",
+    "SNAPSHOTS_KEPT",
     "SnapshotPublisher",
     "snapshot_filename",
 ]

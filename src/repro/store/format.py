@@ -193,6 +193,20 @@ def freeze(
     return path
 
 
+def header_crc(path: str | Path) -> int:
+    """The header checksum of a frozen snapshot, read from its header alone.
+
+    It covers the three other checksums and the file length, so it
+    names the file's content without reading the file; :func:`attach`
+    still verifies every byte.
+    """
+    with open(path, "rb") as handle:
+        header = handle.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE:
+        raise SnapshotCorruptionError(f"snapshot {path} is shorter than its header")
+    return _HEADER_CRC.unpack_from(header, _HEADER.size)[0]
+
+
 def attach(path: str | Path) -> CompactSpeechStore:
     """Open a frozen snapshot via mmap, verifying every checksum.
 

@@ -15,10 +15,15 @@ naming scheme:
   speeches the append changed plus the file write;
 * a deployment that starts its versions at 0 again (the router, or a
   service not started from an attached snapshot) first deletes the
-  previous run's files (:meth:`SnapshotPublisher.clear`), which
-  skip-if-present would otherwise keep serving;
+  previous run's files, and a durable service restarting at its
+  checkpoint's version deletes the files past it
+  (:meth:`SnapshotPublisher.clear`) — skip-if-present would otherwise
+  keep serving them;
 * a (re)spawned shard attaches the *newest* version present and only
-  replays the append-log suffix past it.
+  replays the append-log suffix past it;
+* a durable service's checkpoint is a manifest naming one of these
+  files, so checkpoints and snapshots are retained alike
+  (:data:`SNAPSHOTS_KEPT`).
 
 Publishing never takes the serving path down: a failed freeze is
 recorded on ``last_error`` and the previous snapshot keeps serving, and
@@ -37,6 +42,11 @@ from repro.store.format import attach, freeze
 
 _SNAPSHOT_NAME = re.compile(r"^store-v(\d{12})\.snap$")
 
+#: Snapshot versions a publisher keeps, and checkpoint manifests a
+#: durable service keeps: the newest manifest then always names a
+#: version still on disk.
+SNAPSHOTS_KEPT = 4
+
 
 def snapshot_filename(version: int) -> str:
     """Canonical file name for one snapshot version."""
@@ -46,10 +56,9 @@ def snapshot_filename(version: int) -> str:
 class SnapshotPublisher:
     """Owns one snapshot directory: freeze in, attach out, prune old."""
 
-    def __init__(self, directory: str | Path, keep: int = 4):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = max(1, int(keep))
         #: Last publish/attach failure, for observability (never raised
         #: into the serving path).
         self.last_error: str | None = None
@@ -67,10 +76,14 @@ class SnapshotPublisher:
                 found.append(int(match.group(1)))
         return sorted(found)
 
-    def clear(self) -> None:
-        """Delete every snapshot file (a previous run's versions)."""
+    def clear(self, after: int = -1) -> None:
+        """Delete the snapshot files newer than version ``after``.
+
+        By default every file goes (a previous run's versions).
+        """
         for version in self.versions():
-            self.path_for(version).unlink(missing_ok=True)
+            if version > after:
+                self.path_for(version).unlink(missing_ok=True)
 
     def publish(self, store: Any, version: int) -> Path | None:
         """Freeze ``store`` as ``version``; None when the freeze failed.
@@ -106,7 +119,7 @@ class SnapshotPublisher:
 
     def _prune(self) -> None:
         versions = self.versions()
-        for version in versions[: -self.keep]:
+        for version in versions[:-SNAPSHOTS_KEPT]:
             try:
                 self.path_for(version).unlink(missing_ok=True)
             except OSError:

@@ -14,15 +14,17 @@ Four contracts wire :mod:`repro.store` into the serving tier:
 * the shard router restarts its version sequence at 0, so it clears a
   reused directory's snapshots before freezing v0 — and so does a
   service that was not started from an attached snapshot;
-* a snapshot publish and a checkpoint of the same version write one
-  compaction of it, so their store files are identical.
+* a checkpoint is a manifest naming the published snapshot, so each
+  version is compacted once and frozen once.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.store import (
     attach,
 )
 from repro.storage import CheckpointManager
+from repro.store import publish as publish_module
 from repro.system.persistence import canonical_store_payload
 from repro.system.updates import IncrementalMaintainer
 
@@ -199,35 +202,37 @@ class TestReusedSnapshotDir:
 
 
 class TestOneCompactionPerVersion:
-    def test_publish_and_checkpoint_share_one_compaction(
-        self, engine, tmp_path, monkeypatch
-    ):
-        config = ServingConfig(
-            concurrency=2,
-            snapshot_dir=str(tmp_path / "snapshots"),
-            data_dir=str(tmp_path / "data"),
-            checkpoint_every_swaps=1,
-        )
-        compactions = []
+    def test_checkpoint_names_the_one_published_file(self, engine, tmp_path, monkeypatch):
+        # No snapshot_dir: a durable service publishes under data_dir.
+        config = ServingConfig(concurrency=2, data_dir=str(tmp_path))
+        compactions, freezes = [], []
         advance = Compaction.advance
+        freeze = publish_module.freeze
 
-        def counting(self, store):
+        def counting_advance(self, store):
             compactions.append(len(store))
             return advance(self, store)
 
-        monkeypatch.setattr(Compaction, "advance", counting)
+        def counting_freeze(store, path, **kwargs):
+            freezes.append(Path(path).name)
+            return freeze(store, path, **kwargs)
+
+        monkeypatch.setattr(Compaction, "advance", counting_advance)
+        monkeypatch.setattr(publish_module, "freeze", counting_freeze)
 
         async def run():
             async with VoiceService(engine, config) as service:
-                assert len(compactions) == 1  # v0, for the base snapshot
+                assert len(compactions) == len(freezes) == 1  # v0, the base
                 service.request_append(append_table(APPEND_ROWS))
                 await service.scheduler.quiesce()
                 assert service.durability.stats()["checkpoints_written"] == 1
-                return len(compactions)
 
-        assert asyncio.run(run()) == 2
+        asyncio.run(run())
         # Stopping checkpoints nothing new: v1 is already checkpointed.
         assert len(compactions) == 2
-        (checkpoint,) = CheckpointManager(tmp_path / "data").list_checkpoints()
+        assert freezes == ["store-v000000000000.snap", "store-v000000000001.snap"]
+        (checkpoint,) = CheckpointManager(tmp_path).list_checkpoints()
+        assert [entry.name for entry in checkpoint.parent.iterdir()] == [checkpoint.name]
+        manifest = json.loads(checkpoint.read_text())
         published = SnapshotPublisher(tmp_path / "snapshots").path_for(1)
-        assert (checkpoint / "store.snap").read_bytes() == published.read_bytes()
+        assert (checkpoint.parent / manifest["snapshot"]).resolve() == published.resolve()

@@ -16,20 +16,31 @@ from repro.storage.checkpoint import (
 from repro.storage.durability import JournalWriter, read_journal, table_to_payload
 from repro.storage.recovery import JOURNAL_NAME
 from repro.system.persistence import canonical_store_payload
-from repro.store import freeze
-from repro.system.speech_store import SpeechStore
+from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, SnapshotPublisher, freeze
 
 from tests.serving.conftest import append_table
-from tests.storage.test_recovery import BATCH_A, BATCH_B, live_run, recover
+from tests.storage.test_recovery import (
+    BATCH_A,
+    BATCH_B,
+    checkpoint,
+    live_run,
+    maintained,
+    recover,
+)
 
 
 def save_checkpoint(manager, engine, applied_seq, journal_offset=0):
-    return manager.save(
+    return checkpoint(
+        manager.directory.parent,
         engine.store,
         applied_seq=applied_seq,
         store_version=applied_seq,
         journal_offset=journal_offset,
     )
+
+
+def snapshot_of(manifest_path):
+    return manifest_path.parent / json.loads(manifest_path.read_text())["snapshot"]
 
 
 @pytest.fixture
@@ -52,12 +63,9 @@ class TestSaveAndLoad:
     def test_round_trip(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         path = save_checkpoint(manager, engine, applied_seq=7, journal_offset=123)
-        assert path.name == "ckpt-000000000007"
-        # Two files: the table is rebuilt from the journal, not stored.
-        assert sorted(entry.name for entry in path.iterdir()) == [
-            "manifest.json",
-            "store.snap",
-        ]
+        assert path.name == "ckpt-000000000007.json"
+        # The manifest is the whole checkpoint: no store is written.
+        assert [entry.name for entry in manager.directory.iterdir()] == [path.name]
 
         loaded = CheckpointManager(tmp_path).load_latest(journal)
         assert loaded is not None
@@ -68,24 +76,29 @@ class TestSaveAndLoad:
             engine.store
         )
         assert not hasattr(loaded, "table")
-        # The store is thawed to a mutable store: journal replay
-        # maintains it in place.
-        assert isinstance(loaded.store, SpeechStore)
+        # The store is the published snapshot, attached as a shard
+        # attaches it; recovery thaws it only to replay into it.
+        assert isinstance(loaded.store, CompactSpeechStore)
+        assert loaded.store.snapshot_version == 7
 
-    def test_manifest_names_the_format_version_only(self, tmp_path, engine):
+    def test_manifest_names_the_published_snapshot(self, tmp_path, engine):
         path = save_checkpoint(CheckpointManager(tmp_path), engine, applied_seq=1)
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+        manifest = json.loads(path.read_text())
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
         assert sorted(manifest) == [
             "applied_seq",
             "format_version",
             "journal_offset",
-            "store_crc32",
+            "snapshot",
+            "snapshot_header_crc32",
             "store_version",
         ]
-        assert manifest["store_crc32"] == zlib.crc32(
-            (path / "store.snap").read_bytes()
-        )
+        published = SnapshotPublisher(tmp_path / "snapshots").path_for(1)
+        assert snapshot_of(path).resolve() == published.resolve()
+        # The header checksum, read from the 44-byte header alone.
+        header = published.read_bytes()[:44]
+        assert manifest["snapshot_header_crc32"] == int.from_bytes(header[40:], "little")
+        assert manifest["snapshot_header_crc32"] == zlib.crc32(header[:40])
 
     def test_empty_directory_loads_none(self, tmp_path):
         scan = read_journal(tmp_path / JOURNAL_NAME)
@@ -97,12 +110,17 @@ class TestSaveAndLoad:
         save_checkpoint(manager, engine, applied_seq=2)
         assert manager.load_latest(journal).applied_seq == 2
 
-    def test_prune_keeps_newest(self, tmp_path, engine):
-        manager = CheckpointManager(tmp_path, keep=2)
-        for seq in (1, 2, 3):
+    def test_prune_keeps_as_many_as_the_publisher(self, tmp_path, engine):
+        manager = CheckpointManager(tmp_path)
+        for seq in range(1, SNAPSHOTS_KEPT + 2):
             save_checkpoint(manager, engine, applied_seq=seq)
         names = [path.name for path in manager.list_checkpoints()]
-        assert names == ["ckpt-000000000002", "ckpt-000000000003"]
+        assert names == [
+            f"ckpt-{seq:012d}.json" for seq in range(2, SNAPSHOTS_KEPT + 2)
+        ]
+        # Each kept manifest names a version the publisher still holds.
+        for path in manager.list_checkpoints():
+            assert snapshot_of(path).exists()
 
     def test_same_watermark_resave_replaces(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
@@ -112,37 +130,65 @@ class TestSaveAndLoad:
         assert loaded.applied_seq == 4
         assert loaded.journal_offset == 20
 
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="keep must be >= 1"):
-            CheckpointManager(tmp_path, keep=0)
 
+class TestBadSnapshots:
+    """A manifest whose snapshot cannot be trusted is skipped."""
 
-class TestCorruptCheckpoints:
-    def test_store_crc_mismatch_falls_back_to_older(self, tmp_path, engine, journal):
+    def test_corrupt_snapshot_falls_back_to_older(self, tmp_path, engine, journal):
+        # The header is intact, so its checksum still matches the
+        # manifest; attach() catches the flipped payload byte.
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        flip_middle_byte(newest / "store.snap")
+        flip_middle_byte(snapshot_of(newest))
 
         loaded = manager.load_latest(journal)
         assert loaded is not None
         assert loaded.applied_seq == 1
 
-    def test_snapshot_checksums_catch_what_the_manifest_misses(
+    def test_replaced_snapshot_fails_the_header_checksum(
         self, tmp_path, engine, journal
     ):
-        # A flipped byte whose manifest CRC was rewritten to match still
-        # fails the snapshot format's own checksums on attach.
+        # A valid snapshot of another store under the same name.
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        flip_middle_byte(newest / "store.snap")
-        manifest = json.loads((newest / "manifest.json").read_text())
-        manifest["store_crc32"] = zlib.crc32((newest / "store.snap").read_bytes())
-        (newest / "manifest.json").write_text(json.dumps(manifest))
+        freeze(maintained(engine, BATCH_B), snapshot_of(newest), snapshot_version=2)
 
         assert manager.load_latest(journal).applied_seq == 1
 
+    @pytest.mark.parametrize("older", [False, True], ids=["alone", "with-older"])
+    def test_missing_or_pruned_snapshot(self, tmp_path, engine, journal, older):
+        manager = CheckpointManager(tmp_path)
+        if older:
+            save_checkpoint(manager, engine, applied_seq=1)
+        newest = save_checkpoint(manager, engine, applied_seq=2)
+        snapshot_of(newest).unlink()
+        loaded = manager.load_latest(journal)
+        assert (loaded.applied_seq if loaded else None) == (1 if older else None)
+
+    def test_recovery_past_bad_snapshots_is_a_pure_replay(self, tmp_path, engine):
+        live_store, live_table = live_run(
+            engine,
+            tmp_path,
+            groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
+        )
+        offset = read_journal(tmp_path / JOURNAL_NAME).good_offset
+        first = checkpoint(tmp_path, maintained(engine, BATCH_A), 1, 1, offset)
+        second = checkpoint(tmp_path, live_store, 2, 2, offset)
+        snapshot_of(first).unlink()
+        flip_middle_byte(snapshot_of(second))
+
+        recovered = recover(engine, tmp_path)
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2)
+        assert canonical_store_payload(recovered.store) == canonical_store_payload(
+            live_store
+        )
+        assert recovered.table == live_table
+
+
+class TestCorruptCheckpoints:
     def test_journal_without_the_covered_appends_invalidates(self, tmp_path, engine):
         # The table a checkpoint stands for lives in the journal: a
         # journal missing a covered append record cannot rebuild it.
@@ -162,30 +208,23 @@ class TestCorruptCheckpoints:
     def test_format_version_skew_invalidates(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        manifest = json.loads((newest / "manifest.json").read_text())
+        manifest = json.loads(newest.read_text())
         assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
         manifest["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
-        (newest / "manifest.json").write_text(json.dumps(manifest))
+        newest.write_text(json.dumps(manifest))
         assert manager.load_latest(journal) is None
 
     def test_unreadable_manifest_invalidates(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         newest = save_checkpoint(manager, engine, applied_seq=2)
-        (newest / "manifest.json").write_text("not json{")
-        assert manager.load_latest(journal) is None
-
-    def test_missing_store_file_invalidates(self, tmp_path, engine, journal):
-        manager = CheckpointManager(tmp_path)
-        newest = save_checkpoint(manager, engine, applied_seq=2)
-        (newest / "store.snap").unlink()
+        newest.write_text("not json{")
         assert manager.load_latest(journal) is None
 
     def test_tmp_leftovers_ignored_and_swept(self, tmp_path, engine, journal):
         manager = CheckpointManager(tmp_path)
         save_checkpoint(manager, engine, applied_seq=1)
-        leftover = manager.directory / ".tmp-ckpt-000000000009"
-        leftover.mkdir()
-        (leftover / "store.snap").write_bytes(b"half-written")
+        leftover = manager.directory / ".tmp-ckpt-000000000009.json"
+        leftover.write_bytes(b"half-written")
 
         assert manager.load_latest(journal).applied_seq == 1
         save_checkpoint(manager, engine, applied_seq=2)
@@ -281,6 +320,37 @@ class TestTableCheckpointsAreSkipped:
         assert recovered.table == live_table
 
 
+class TestStoreCopyCheckpointsAreSkipped:
+    """Format-3 checkpoints were directories holding their own ``store.snap``."""
+
+    def test_recovery_replays_the_whole_journal_past_a_store_copy(
+        self, tmp_path, engine
+    ):
+        live_store, live_table = live_run(
+            engine,
+            tmp_path,
+            groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
+        )
+        path = tmp_path / "checkpoints" / f"ckpt-{2:012d}"
+        path.mkdir(parents=True)
+        freeze(live_store, path / "store.snap", snapshot_version=2)
+        manifest = {
+            "format_version": 3,
+            "applied_seq": 2,
+            "store_version": 2,
+            "journal_offset": read_journal(tmp_path / JOURNAL_NAME).good_offset,
+            "store_crc32": zlib.crc32((path / "store.snap").read_bytes()),
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+        recovered = recover(engine, tmp_path)
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2)
+        assert canonical_store_payload(recovered.store) == canonical_store_payload(
+            live_store
+        )
+
+
 class TestCheckpointFailpoint:
     def test_save_fault_leaves_previous_checkpoint_authoritative(
         self, tmp_path, engine, journal
@@ -292,9 +362,9 @@ class TestCheckpointFailpoint:
             save_checkpoint(manager, engine, applied_seq=2)
 
         assert manager.load_latest(journal).applied_seq == 1
-        # The interrupted save left no tmp directory behind (raise mode
+        # The interrupted save left no tmp file behind (raise mode
         # cleans up; kill mode leaves one that loading ignores anyway).
-        assert [p.name for p in manager.list_checkpoints()] == ["ckpt-000000000001"]
+        assert [p.name for p in manager.directory.iterdir()] == ["ckpt-000000000001.json"]
         # The failpoint is exhausted; the next save succeeds.
         save_checkpoint(manager, engine, applied_seq=2)
         assert manager.load_latest(journal).applied_seq == 2

@@ -156,7 +156,7 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
         "journal.sync:mode=kill,after=2,times=1",
         # Pre-swap crash: acked batches journalled, never applied.
         "swap.commit:mode=kill,times=1",
-        # Mid-checkpoint crash: only an ignorable .tmp- directory remains.
+        # Mid-checkpoint crash: only an ignorable .tmp- manifest remains.
         "checkpoint.save:mode=kill,times=1",
     ],
     ids=["journal-sync", "swap-commit", "checkpoint-save"],
@@ -166,7 +166,7 @@ def test_sigkill_then_restart_recovers(tmp_path, failpoint):
 
     proc, address = _start_server(
         data_dir,
-        ["--checkpoint-every", "1", "--failpoint", failpoint],
+        ["--failpoint", failpoint],
     )
     try:
         acked = _drive_until_killed(proc, address)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.storage.recovery import (
     recover_engine,
     recover_state,
 )
+from repro.store import SnapshotPublisher
 from repro.system.persistence import canonical_store_payload, store_from_payload
 from repro.system.updates import IncrementalMaintainer
 
@@ -57,6 +59,33 @@ def live_run(engine, data_dir, groups, dropped=()):
     return store, maintainer.table
 
 
+def checkpoint(data_dir, store, applied_seq, store_version, journal_offset=0):
+    """Publish ``store`` as ``store_version`` and checkpoint it there.
+
+    What a durable service does after a swap: the checkpoint is a
+    manifest naming the file the publisher froze.
+    """
+    snapshot = SnapshotPublisher(data_dir / "snapshots").publish(store, store_version)
+    return CheckpointManager(data_dir).save(
+        snapshot,
+        applied_seq=applied_seq,
+        store_version=store_version,
+        journal_offset=journal_offset,
+    )
+
+
+def maintained(engine, rows):
+    """The engine's store after one maintenance pass over ``rows``."""
+    store = engine.store.clone()
+    IncrementalMaintainer(
+        engine.config,
+        engine.table,
+        summarizer=engine.summarizer,
+        realizer=engine.realizer,
+    ).maintain(append_table(rows), store)
+    return store
+
+
 def recover(engine, data_dir, **kwargs):
     return recover_state(
         data_dir,
@@ -83,9 +112,9 @@ class TestRecoverState:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             engine.store
         )
-        # The base store was cloned, not adopted; the base table is
-        # immutable and comes back as it is.
-        assert recovered.store is not engine.store
+        # Nothing to replay: the base store and table come back as
+        # they are (replay would maintain a clone, never the base).
+        assert recovered.store is engine.store
         assert recovered.table is engine.table
 
     def test_journal_replay_matches_live_run(self, tmp_path, engine):
@@ -166,15 +195,12 @@ class TestRecoverState:
         partial_store, _ = live_run(
             engine, tmp_path / "partial", groups=[[append_table(BATCH_A)]]
         )
-        CheckpointManager(tmp_path).save(
-            partial_store,
-            applied_seq=1,
-            store_version=1,
-            journal_offset=0,
-        )
+        checkpoint(tmp_path, partial_store, applied_seq=1, store_version=1)
         recovered = recover(engine, tmp_path)
         assert recovered.checkpoint is not None
         assert recovered.replayed_seqs == (2,)
+        # Past the version the journal's last marker names.
+        assert recovered.store_version == 3
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
@@ -186,15 +212,13 @@ class TestRecoverState:
             tmp_path,
             groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
         )
-        CheckpointManager(tmp_path).save(
-            live_store,
-            applied_seq=2,
-            store_version=2,
-            journal_offset=0,
-        )
+        checkpoint(tmp_path, live_store, applied_seq=2, store_version=2)
         via_checkpoint = recover(engine, tmp_path)
         via_journal = recover(engine, tmp_path, use_checkpoint=False)
         assert via_checkpoint.replayed_seqs == ()
+        # Nothing replayed: the checkpoint's snapshot is the store.
+        assert via_checkpoint.store is via_checkpoint.checkpoint.store
+        assert via_checkpoint.store_version == 2
         assert via_journal.replayed_seqs == (1, 2)
         assert canonical_store_payload(
             via_checkpoint.store
@@ -232,10 +256,12 @@ class TestRecoverState:
         assert recovered.unmarked_seqs == (1, 2)
         # The restarted process applied both batches in one pass; the
         # marker keeps a later replay from merging them with new ones.
+        # It carries the recovered version, not 0.
+        assert recovered.store_version == 1
         assert read_journal(tmp_path / JOURNAL_NAME).records[-1].record == {
             "kind": "applied",
             "seqs": [1, 2],
-            "snapshot_version": 0,
+            "snapshot_version": 1,
         }
 
     def test_recover_replay_failpoint_fires_per_record(self, tmp_path, engine):
@@ -256,9 +282,7 @@ class TestTableFromJournal:
         )
         path = tmp_path / JOURNAL_NAME
         full = read_journal(path)
-        CheckpointManager(tmp_path).save(
-            live_store, applied_seq=2, store_version=2, journal_offset=full.good_offset
-        )
+        checkpoint(tmp_path, live_store, 2, 2, journal_offset=full.good_offset)
         # Tear the last record (seq 2's applied marker): the checkpoint's
         # offset now lies past the journal's longest valid prefix.
         os.truncate(path, full.records[-1].offset + 3)
@@ -290,9 +314,7 @@ class TestTableFromJournal:
         applied = writer.log_append(append_table(BATCH_C))
         maintainer.maintain(append_table(BATCH_C), store)
         writer.mark_applied([applied], snapshot_version=2)
-        CheckpointManager(tmp_path).save(
-            store, applied_seq=3, store_version=2, journal_offset=writer.offset
-        )
+        checkpoint(tmp_path, store, 3, 2, journal_offset=writer.offset)
         writer.close()
 
         recovered = recover(engine, tmp_path)
@@ -308,29 +330,28 @@ class TestTableFromJournal:
     def test_checkpoint_syncs_the_journal_before_its_manifest(
         self, tmp_path, engine, monkeypatch
     ):
-        coordinator = DurabilityCoordinator(tmp_path, checkpoint_every_swaps=1)
+        coordinator = DurabilityCoordinator(tmp_path)
+        snapshot = SnapshotPublisher(tmp_path / "snapshots").publish(engine.store, 1)
         journal_fd = coordinator._journal._file.fileno()
         events = []
-        real_fsync = os.fsync
+        real_fsync, real_replace = os.fsync, os.replace
 
         def fsync(fd):
             events.append("journal" if fd == journal_fd else "file")
             real_fsync(fd)
 
+        def replace(src, dst):
+            events.append(Path(dst).name)
+            real_replace(src, dst)
+
         monkeypatch.setattr(os, "fsync", fsync)
-        real_write = CheckpointManager._write_file
-
-        def write_file(path, payload):
-            events.append(path.name)
-            real_write(path, payload)
-
-        monkeypatch.setattr(CheckpointManager, "_write_file", staticmethod(write_file))
+        monkeypatch.setattr(os, "replace", replace)
         seq = coordinator.log_append(append_table(BATCH_A))
-        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
+        coordinator.commit_applied([seq], snapshot, store_version=1)
         coordinator.close()
 
         assert "journal" in events
-        assert events.index("journal") < events.index("manifest.json")
+        assert events.index("journal") < events.index("ckpt-000000000001.json")
         scan = read_journal(tmp_path / JOURNAL_NAME)
         loaded = CheckpointManager(tmp_path).load_latest(scan)
         assert loaded.journal_offset == scan.good_offset
@@ -364,41 +385,41 @@ class TestDurabilityCoordinator:
         scan = read_journal(tmp_path / JOURNAL_NAME)
         assert scan.next_seq == 3
 
-    def test_policy_checkpoint_after_n_swaps(self, tmp_path, engine):
-        coordinator = self.make(tmp_path, checkpoint_every_swaps=2)
-        asked = []
-
-        def compacted():
-            asked.append(True)
-            return engine.store
-
+    def test_every_swap_checkpoints_its_published_snapshot(self, tmp_path, engine):
+        coordinator = self.make(tmp_path)
+        publisher = SnapshotPublisher(tmp_path / "snapshots")
         for version in (1, 2):
             seq = coordinator.log_append(append_table(BATCH_A))
-            coordinator.commit_applied([seq], compacted, store_version=version)
-        # The store is only asked for when a checkpoint is due.
-        assert asked == [True]
+            snapshot = publisher.publish(engine.store, version)
+            coordinator.commit_applied([seq], snapshot, store_version=version)
         stats = coordinator.stats()
-        assert stats["checkpoints_written"] == 1
+        assert stats["checkpoints_written"] == 2
         assert stats["last_checkpoint_seq"] == 2
         coordinator.close()
         scan = read_journal(tmp_path / JOURNAL_NAME)
-        assert CheckpointManager(tmp_path).load_latest(scan).applied_seq == 2
+        loaded = CheckpointManager(tmp_path).load_latest(scan)
+        assert (loaded.applied_seq, loaded.store_version) == (2, 2)
 
-    def test_policy_checkpoint_after_journal_bytes(self, tmp_path, engine):
-        coordinator = self.make(
-            tmp_path, checkpoint_every_swaps=1000, checkpoint_every_bytes=1
-        )
+    def test_failed_publish_writes_no_manifest(self, tmp_path, engine):
+        coordinator = self.make(tmp_path)
         seq = coordinator.log_append(append_table(BATCH_A))
-        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
-        assert coordinator.stats()["checkpoints_written"] == 1
+        coordinator.commit_applied([seq], None, store_version=1)
+        stats = coordinator.stats()
+        assert (stats["checkpoints_written"], stats["checkpoint_failures"]) == (0, 1)
+        assert "not published" in coordinator.last_checkpoint_error
+        assert CheckpointManager(tmp_path).list_checkpoints() == []
         coordinator.close()
+        # The swap is still marked applied: replay keeps its grouping.
+        scan = read_journal(tmp_path / JOURNAL_NAME)
+        assert scan.records[-1].record["seqs"] == [seq]
 
     def test_checkpoint_failure_is_isolated_and_surfaced(self, tmp_path, engine):
-        coordinator = self.make(tmp_path, checkpoint_every_swaps=1)
+        coordinator = self.make(tmp_path)
+        publisher = SnapshotPublisher(tmp_path / "snapshots")
         faults.FAILPOINTS.configure(["checkpoint.save:times=1"])
         seq = coordinator.log_append(append_table(BATCH_A))
         # Must not raise into the swap path.
-        coordinator.commit_applied([seq], lambda: engine.store, store_version=1)
+        coordinator.commit_applied([seq], publisher.publish(engine.store, 1), store_version=1)
         assert coordinator.stats()["checkpoint_failures"] == 1
         assert "InjectedFault" in coordinator.last_checkpoint_error
         # The journal still covers the batch.
@@ -407,7 +428,7 @@ class TestDurabilityCoordinator:
         assert scan.records[1].record["seqs"] == [1]
         # The next swap checkpoints cleanly and clears the error.
         seq = coordinator.log_append(append_table(BATCH_B))
-        coordinator.commit_applied([seq], lambda: engine.store, store_version=2)
+        coordinator.commit_applied([seq], publisher.publish(engine.store, 2), store_version=2)
         assert coordinator.last_checkpoint_error is None
         assert coordinator.stats()["checkpoints_written"] == 1
         coordinator.close()
@@ -436,9 +457,3 @@ class TestDurabilityCoordinator:
         scan = read_journal(tmp_path / JOURNAL_NAME)
         assert not scan.truncated
         assert [entry.record["seq"] for entry in scan.records] == [1, 2]
-
-    def test_rejects_invalid_policy(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint_every_swaps"):
-            self.make(tmp_path, checkpoint_every_swaps=0)
-        with pytest.raises(ValueError, match="checkpoint_every_bytes"):
-            self.make(tmp_path, checkpoint_every_bytes=0)

@@ -1,25 +1,30 @@
 """Recovered vs uninterrupted, over random runs (model-based).
 
 Hypothesis draws runs of the durable maintenance path and drives
-:class:`IncrementalMaintainer` plus :class:`DurabilityCoordinator`
-directly, the way :class:`MaintenanceScheduler` does:
+:class:`IncrementalMaintainer`, :class:`DurabilityCoordinator` and a
+real :class:`SnapshotPublisher` directly, the way
+:class:`MaintenanceScheduler` and :class:`VoiceService` do:
 
 * ``append`` journals a batch (the ack boundary) and queues it;
 * ``publish`` runs one job over every queued batch, coalesced in seq
-  order, and commits the swap (the coordinator checkpoints after every
-  ``checkpoint_every_swaps`` swaps); when drawn, a checkpoint is also
-  forced right after the swap;
+  order, publishes the new version and commits the swap, which
+  checkpoints it; the draw may make the publish fail (no file, no
+  manifest) or the manifest write fail (a file past the last
+  manifest);
 * ``drop`` runs a job that fails until its retries are exhausted: the
   maintainer rolls its table back and the seqs are marked dropped;
 * ``restart`` crashes and starts again through :func:`recover_engine`,
-  forcing the post-replay checkpoint :class:`VoiceService` writes.
+  then clears the files past the attached version, publishes the
+  recovered one and checkpoints it when records were replayed.
 
 Every run ends in a crash; a crash may land mid-write (a torn record
 tail).  After each crash, recovery from the newest checkpoint, pure
 journal replay, and the live run must agree — the live run's queued
 batches applied as the one job a restarted scheduler runs first.  The
 store is compared by canonical payload, the table by values and
-column types.
+column types.  Across the whole run, including restarts, no snapshot
+is published at a lower version than one before it, and every
+``applied`` marker carries a higher version than all before it.
 """
 
 from __future__ import annotations
@@ -32,12 +37,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.api.config import ServingConfig
+from repro.reliability import faults
+from repro.storage.durability import read_journal
 from repro.storage.recovery import (
     JOURNAL_NAME,
     DurabilityCoordinator,
     recover_engine,
     recover_state,
 )
+from repro.store import CompactSpeechStore, SnapshotPublisher
 from repro.system.persistence import canonical_store_payload
 from repro.system.updates import IncrementalMaintainer
 
@@ -51,7 +59,7 @@ ROW = st.tuples(
 )
 STEP = st.one_of(
     st.tuples(st.just("append"), st.lists(ROW, min_size=1, max_size=2)),
-    st.tuples(st.just("publish"), st.booleans()),
+    st.tuples(st.just("publish"), st.sampled_from(["ok", "ok", "no-publish", "no-manifest"])),
     st.tuples(st.just("drop"), st.none()),
     st.tuples(st.just("restart"), st.booleans()),
 )
@@ -66,17 +74,26 @@ def base_engine():
 class LiveRun:
     """One uninterrupted process over a data directory, plus its crashes."""
 
-    def __init__(self, data_dir: Path, every_swaps: int):
+    def __init__(self, data_dir: Path):
         self.data_dir = data_dir
-        self.config = ServingConfig(data_dir=str(data_dir), checkpoint_every_swaps=every_swaps)
+        self.config = ServingConfig(data_dir=str(data_dir))
         base = base_engine()
         self.store = base.store.clone()
         self.maintainer = IncrementalMaintainer(
             base.config, base.table, summarizer=base.summarizer, realizer=base.realizer
         )
-        self.durability = DurabilityCoordinator(data_dir, checkpoint_every_swaps=every_swaps)
+        self.durability = DurabilityCoordinator(data_dir)
+        self.publisher = SnapshotPublisher(data_dir / "snapshots")
+        self.published = -1
         self.pending = []
         self.version = 0
+        self.publish(self.store)
+
+    def publish(self, store):
+        """Publish ``store`` as the current version; never a lower one."""
+        assert self.version >= self.published
+        self.published = self.version
+        return self.publisher.publish(store, self.version)
 
     def run(self, step) -> None:
         kind, arg = step
@@ -87,9 +104,11 @@ class LiveRun:
             seqs, batch = self.take_job()
             self.maintainer.maintain(batch, self.store)
             self.version += 1
-            self.durability.commit_applied(seqs, lambda: self.store, self.version)
-            if arg:
-                self.durability.checkpoint_now(self.store, self.version)
+            path = None if arg == "no-publish" else self.publish(self.store)
+            if arg == "no-manifest":
+                faults.FAILPOINTS.configure(["checkpoint.save:times=1"])
+            self.durability.commit_applied(seqs, path, self.version)
+            faults.FAILPOINTS.clear()
         elif kind == "drop" and self.pending:
             seqs, batch = self.take_job()
             before = self.maintainer.table
@@ -100,9 +119,12 @@ class LiveRun:
             self.crash(torn=arg)
             engine = make_engine(build_example_table())
             recovered, self.durability = recover_engine(engine, self.config)
+            self.version = recovered.store_version
+            attached = isinstance(engine.store, CompactSpeechStore)
+            self.publisher.clear(after=self.version if attached else self.version - 1)
+            path = self.publish(engine.store)
             if recovered.replayed_records:
-                self.durability.checkpoint_now(engine.store, store_version=0)
-            self.version = 0
+                assert self.durability.checkpoint_now(path, self.version)
 
     def take_job(self):
         seqs = tuple(seq for seq, _ in self.pending)
@@ -121,6 +143,12 @@ class LiveRun:
             _, batch = self.take_job()
             self.maintainer.maintain(batch, self.store)
         expected = canonical_store_payload(self.store)
+        markers = [
+            entry.record["snapshot_version"]
+            for entry in read_journal(self.data_dir / JOURNAL_NAME).records
+            if entry.kind == "applied"
+        ]
+        assert markers == sorted(set(markers)), markers
         for use_checkpoint in (True, False):
             base = base_engine()
             recovered = recover_state(
@@ -139,9 +167,9 @@ class LiveRun:
             ]
 
 
-def check_run(steps, every_swaps: int = 1000, torn: bool = False) -> None:
+def check_run(steps, torn: bool = False) -> None:
     with tempfile.TemporaryDirectory(prefix="recovery-property-") as data_dir:
-        live = LiveRun(Path(data_dir), every_swaps)
+        live = LiveRun(Path(data_dir))
         for step in steps:
             live.run(step)
         live.crash(torn)
@@ -149,13 +177,9 @@ def check_run(steps, every_swaps: int = 1000, torn: bool = False) -> None:
 
 @seed(1729)
 @settings(max_examples=60, deadline=None, database=None)
-@given(
-    steps=st.lists(STEP, max_size=12),
-    every_swaps=st.sampled_from([1, 2, 3, 1000]),
-    torn=st.booleans(),
-)
-def test_recovery_paths_reach_the_live_run(steps, every_swaps, torn):
-    check_run(steps, every_swaps, torn)
+@given(steps=st.lists(STEP, max_size=12), torn=st.booleans())
+def test_recovery_paths_reach_the_live_run(steps, torn):
+    check_run(steps, torn)
 
 
 def test_a_restarts_replayed_pass_stays_apart_from_later_batches():
@@ -170,5 +194,25 @@ def test_a_restarts_replayed_pass_stays_apart_from_later_batches():
             ("append", [("East", "Spring", 5.0)]),
             ("restart", False),
             ("append", [("East", "Summer", 5.0)]),
+        ]
+    )
+
+
+def test_versions_continue_past_failed_checkpoints():
+    """Two swaps published without a manifest, then a restart.
+
+    The restart replays both; numbering it one past the checkpoint (0)
+    instead of past the journal's last marker would publish v1 again
+    after v2.
+    """
+    check_run(
+        [
+            ("append", [("East", "Spring", 5.0)]),
+            ("publish", "no-manifest"),
+            ("append", [("West", "Fall", 30.0)]),
+            ("publish", "no-manifest"),
+            ("restart", False),
+            ("append", [("East", "Summer", 5.0)]),
+            ("publish", "ok"),
         ]
     )

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.store import (
     SNAPSHOT_FORMAT_VERSION,
+    SNAPSHOTS_KEPT,
     SnapshotCorruptionError,
     SnapshotError,
     SnapshotFormatError,
@@ -176,10 +177,10 @@ class TestPublisher:
         assert publisher.last_error is not None
 
     def test_prune_keeps_newest(self, tmp_path):
-        publisher = SnapshotPublisher(tmp_path, keep=2)
-        for version in range(5):
-            publisher.publish(self.make_store(*"abcde"[: version + 1]), version)
-        assert publisher.versions() == [3, 4]
+        publisher = SnapshotPublisher(tmp_path)
+        for version in range(SNAPSHOTS_KEPT + 2):
+            publisher.publish(self.make_store(*"abcdefgh"[: version + 1]), version)
+        assert publisher.versions() == list(range(2, SNAPSHOTS_KEPT + 2))
 
     def test_filename_layout(self):
         assert snapshot_filename(7) == "store-v000000000007.snap"
