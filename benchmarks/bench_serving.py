@@ -51,6 +51,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from bench_memory import deep_sizes  # noqa: E402
 from repro.core.model import Fact, Scope, Speech  # noqa: E402
 from repro.system.queries import DataQuery  # noqa: E402
 from repro.system.speech_store import SpeechStore, StoredSpeech  # noqa: E402
@@ -130,41 +131,17 @@ def build_lookups(
 def dict_store_bytes(store: SpeechStore) -> int:
     """Deep ``sys.getsizeof`` over the dict store's object graph.
 
-    Deterministic for a given interpreter (unlike an RSS delta), and
-    counts every unique object once — index dicts, id lists, stored
-    speeches, queries, facts, scopes and strings.
+    Index dicts, id lists, stored speeches, queries, facts, scopes and
+    strings, every unique object once (see :func:`bench_memory.deep_sizes`).
     """
-    seen: set[int] = set()
-    total = 0
-    stack: list = [
+    roots = [
         store._id_of_key,
         store._by_id,
         store._by_target,
         store._postings,
         store._by_target_length,
     ]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-        elif not isinstance(obj, (str, bytes, int, float, bool, type(None))):
-            attrs = getattr(obj, "__dict__", None)
-            if attrs is not None:
-                stack.append(attrs)
-            for klass in type(obj).__mro__:
-                for slot in getattr(klass, "__slots__", ()):
-                    try:
-                        stack.append(getattr(obj, slot))
-                    except AttributeError:
-                        pass
-    return total
+    return sum(deep_sizes(roots).values())
 
 
 def time_lookups(store: SpeechStore, lookups: list[DataQuery], indexed: bool) -> float:
@@ -326,8 +303,10 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
         },
         "sweep": sweep,
         # Headline metrics at the largest size, for the regression gate:
-        # arena bytes per speech is deterministic for a given workload.
+        # arena and dict-store bytes per speech are deterministic for a
+        # given workload and interpreter.
         "bytes_per_speech": largest["compact_bytes_per_speech"],
+        "dict_bytes_per_speech": largest["dict_bytes_per_speech"],
         "compression_ratio": largest["compression_ratio"],
         "lookup_ratio": largest["lookup_ratio"],
         "incremental_speedup": largest["incremental_speedup"],

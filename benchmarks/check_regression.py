@@ -17,7 +17,8 @@ runner CI lands on.  A metric may instead declare
 ``"direction": "lower_is_better"``, which flips the gate into a
 *ceiling*: the measured value fails when it grows more than the
 tolerance above its baseline.  That is reserved for machine-independent
-absolutes such as ``compact.bytes_per_speech`` (arena bytes are
+absolutes such as ``compact.bytes_per_speech`` and
+``memory.speech_bytes_per_speech`` (arena and object bytes are
 deterministic for a given workload, so a bloated encoding is a real
 regression, not runner noise).  Non-gated context numbers (absolute
 seconds, the pool-reuse amortisation, which depends on core count) are
@@ -75,12 +76,29 @@ SPECS: list[dict] = [
             # Guards the headline claim that the columnar layout is
             # several times smaller than the dict store it mirrors.
             {"path": "compact.compression_ratio"},
+            # The dict store's deep-traversed bytes per speech: its
+            # index plus the slotted speech objects and their shared
+            # (column, value) pairs.  Deterministic, so a ceiling: the
+            # ratio above falls when this graph shrinks, and this gate
+            # is what keeps it small.
+            {"path": "compact.dict_bytes_per_speech", "direction": "lower_is_better"},
             # Compacting the largest quick store from scratch / from the
             # previous version's compaction after an append's worth of
             # replaced speeches.  The incremental side takes a few
             # milliseconds, hence the wider tolerance; losing the
             # incremental path collapses the ratio toward 1.
             {"path": "compact.incremental_speedup", "tolerance": 0.5},
+        ],
+    },
+    {
+        # tracemalloc bytes the stored speeches retain per speech at
+        # the largest quick size.  Deterministic for a given workload
+        # and interpreter, so a ceiling, measured once: the value
+        # objects regaining their __dict__s, or their own copies of the
+        # shared (column, value) pairs, each grow it by about 40%.
+        "name": "memory",
+        "metrics": [
+            {"path": "speech_bytes_per_speech", "direction": "lower_is_better"},
         ],
     },
     {

@@ -64,7 +64,7 @@ def _check_json_scalar(value: Any, where: str) -> Any:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoiceRequest:
     """One voice request as it crosses the public API.
 

@@ -25,22 +25,53 @@ from repro.relational.column import ColumnType
 from repro.relational.table import Table
 
 
+#: Every ``(column, value)`` pair a :class:`Scope` or a data query holds,
+#: keyed by ``(type(value), column, value)`` so equal values of different
+#: types (``1``, ``1.0``, ``True``) keep pairs of their own.  Scopes and
+#: queries range over the data's dimension values, so the table grows
+#: with the distinct pairs of the data, as the store's postings do,
+#: while every speech shares them instead of holding copies.
+_PAIRS: dict[tuple[type, str, Any], tuple[str, Any]] = {}
+#: Bound once: the lookup runs per pair of every scope and query built.
+_pair_of = _PAIRS.get
+
+
+def shared_pairs(items: Iterable[tuple[str, Any]]) -> tuple[tuple[str, Any], ...]:
+    """``items`` as a tuple of the shared ``(column, value)`` pairs, in order."""
+    return tuple([_pair_of((type(v), c, v)) or _new_pair(c, v) for c, v in items])
+
+
+def _new_pair(column: str, value: Any) -> tuple[str, Any]:
+    """A pair not in the table yet, entered unless the value is unequal to itself.
+
+    Such a value (NaN) keeps a pair of its own: it would never find its
+    entry again.
+    """
+    pair = (column, value)
+    if value != value:
+        return pair
+    return _PAIRS.setdefault((type(value), column, value), pair)
+
+
 class Scope:
     """An assignment of values to a subset of dimension columns.
 
     Scopes are immutable and hashable so they can key dictionaries and
     be members of sets.  The empty scope covers the whole relation.
+    Its assignments are :func:`shared_pairs`.
     """
 
-    __slots__ = ("_items", "_columns", "_values")
+    __slots__ = ("_items",)
 
     def __init__(self, assignments: Mapping[str, Any] | None = None):
-        items = tuple(sorted((assignments or {}).items()))
-        object.__setattr__(self, "_items", items)
-        # Precomputed projections: scopes are created once per fact but
-        # queried per candidate per greedy iteration.
-        object.__setattr__(self, "_columns", tuple(col for col, _ in items))
-        object.__setattr__(self, "_values", tuple(val for _, val in items))
+        items = sorted((assignments or {}).items())
+        object.__setattr__(self, "_items", shared_pairs(items))
+
+    def __getstate__(self) -> tuple[tuple[str, Any], ...]:
+        return self._items
+
+    def __setstate__(self, items: tuple[tuple[str, Any], ...]) -> None:
+        object.__setattr__(self, "_items", shared_pairs(items))
 
     # Mapping-like interface -------------------------------------------------
     @property
@@ -51,12 +82,12 @@ class Scope:
     @property
     def columns(self) -> tuple[str, ...]:
         """The restricted dimension columns, sorted by name."""
-        return self._columns
+        return tuple(col for col, _ in self._items)
 
     @property
     def sorted_values(self) -> tuple[Any, ...]:
         """The assigned values, in sorted-column order (pairs ``columns``)."""
-        return self._values
+        return tuple(val for _, val in self._items)
 
     def value(self, column: str) -> Any:
         """Value assigned to ``column`` (KeyError if unrestricted)."""
@@ -117,7 +148,7 @@ class Scope:
         return Scope(merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """A fact: a scope plus the typical (average) target value within it.
 

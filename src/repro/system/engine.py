@@ -68,7 +68,7 @@ _UNSUPPORTED_TEXT = (
 _NO_DATA_TEXT = "I have no summary for that data subset."
 
 
-@dataclass
+@dataclass(slots=True)
 class VoiceResponse:
     """The engine's answer to one voice request.
 

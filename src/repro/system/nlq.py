@@ -52,7 +52,7 @@ class RequestKind(Enum):
     OTHER = "other"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedRequest:
     """Result of parsing one voice request.
 

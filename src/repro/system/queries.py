@@ -9,13 +9,19 @@ number of predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.core.model import Scope
+from repro.core.model import Scope, shared_pairs
 
 
-@dataclass(frozen=True)
+def _canonical(predicates: Iterable[tuple[str, Any]]) -> tuple[tuple[str, Any], ...]:
+    """``predicates`` sorted by column, as :func:`shared_pairs`."""
+    return shared_pairs(sorted(predicates, key=itemgetter(0)))
+
+
+@dataclass(frozen=True, slots=True)
 class DataQuery:
     """A supported voice query.
 
@@ -29,16 +35,16 @@ class DataQuery:
 
     target: str
     predicates: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    #: The ``predicate_map`` cache; not part of equality, hashing or pickling.
+    _predicate_map: Mapping[str, Any] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Canonicalize: predicates are always sorted by column, even when
         # the dataclass is constructed directly — key() equality and the
         # store's subset-key probes depend on one canonical order.
-        object.__setattr__(
-            self,
-            "predicates",
-            tuple(sorted(self.predicates, key=lambda item: item[0])),
-        )
+        object.__setattr__(self, "predicates", _canonical(self.predicates))
 
     @staticmethod
     def create(target: str, predicates: Mapping[str, Any] | None = None) -> "DataQuery":
@@ -52,11 +58,9 @@ class DataQuery:
         The map is materialized once per query instance: lookups hit it
         in inner loops (``is_refinement_of`` during store matching), so
         rebuilding a dict per call would dominate those paths.  The
-        mapping proxy keeps the cache immutable to callers; it lives
-        outside the frozen dataclass fields and does not affect
-        equality, hashing or pickling (see ``__getstate__``).
+        mapping proxy keeps the cache immutable to callers.
         """
-        cached = self.__dict__.get("_predicate_map")
+        cached = self._predicate_map
         if cached is None:
             cached = MappingProxyType(dict(self.predicates))
             object.__setattr__(self, "_predicate_map", cached)
@@ -64,12 +68,13 @@ class DataQuery:
 
     def __getstate__(self) -> dict[str, Any]:
         # The cached mapping proxy is not picklable (and is rebuilt on
-        # demand), so only the dataclass fields travel.
+        # demand), so only the target and the predicates travel.
         return {"target": self.target, "predicates": self.predicates}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         object.__setattr__(self, "target", state["target"])
-        object.__setattr__(self, "predicates", state["predicates"])
+        object.__setattr__(self, "predicates", _canonical(state["predicates"]))
+        object.__setattr__(self, "_predicate_map", None)
 
     @property
     def length(self) -> int:

@@ -35,7 +35,7 @@ from repro.core.model import Speech
 from repro.system.queries import DataQuery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredSpeech:
     """A pre-generated speech with its metadata."""
 
