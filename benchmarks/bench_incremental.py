@@ -184,12 +184,17 @@ def bench_pool_reuse(
 ) -> dict:
     base_store, _ = Preprocessor(config).run(ProblemGenerator(config, base))
 
-    def run_passes(pool: WorkerPool | None) -> tuple[float, str]:
+    def run_passes(shared: WorkerPool | None) -> tuple[float, str]:
+        """All passes on ``shared``, or on a pool opened per pass when None."""
         store = copy_store(base_store)
         maintainer = IncrementalMaintainer(config, base)
         start = time.perf_counter()
         for batch in batches:
-            maintainer.maintain(batch, store, workers=workers, pool=pool)
+            if shared is None:
+                with WorkerPool(workers) as pool:
+                    maintainer.maintain(batch, store, pool=pool)
+            else:
+                maintainer.maintain(batch, store, pool=shared)
         return time.perf_counter() - start, store_payload(store)
 
     fresh_seconds, fresh_payload = run_passes(None)

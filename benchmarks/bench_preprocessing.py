@@ -4,8 +4,8 @@ Builds a synthetic dataset and times the full pre-processing batch
 (problem generation + summarization + speech realization for every
 enumerated query)
 
-* serially (``workers=0``, the in-process loop),
-* on a ``multiprocessing`` pool for each requested worker count,
+* serially (no pool: the same chunk stream, solved in process),
+* on a :class:`WorkerPool` for each requested worker count,
 
 verifying that every parallel run produces a store byte-identical to
 the serial one (via the persistence serialisation).  It also times
@@ -45,6 +45,7 @@ from repro.system.config import SummarizationConfig  # noqa: E402
 from repro.system.persistence import store_to_dict  # noqa: E402
 from repro.system.preprocessor import Preprocessor  # noqa: E402
 from repro.system.problem_generator import ProblemGenerator  # noqa: E402
+from repro.system.worker_pool import WorkerPool  # noqa: E402
 
 DIMENSIONS = ["d1", "d2", "d3"]
 
@@ -69,7 +70,7 @@ def bench_pipeline(
     """Serial vs. pool wall-clock for the whole pre-processing batch."""
     serial_generator = ProblemGenerator(config, table)
     preprocessor = Preprocessor(config)
-    store, report = preprocessor.run(serial_generator, workers=0)
+    store, report = preprocessor.run(serial_generator)
     serial_payload = json.dumps(store_to_dict(store), sort_keys=True)
 
     out = {
@@ -80,7 +81,8 @@ def bench_pipeline(
     }
     for workers in worker_counts:
         generator = ProblemGenerator(config, table)
-        parallel_store, parallel_report = preprocessor.run(generator, workers=workers)
+        with WorkerPool(workers) as pool:
+            parallel_store, parallel_report = preprocessor.run(generator, pool=pool)
         payload = json.dumps(store_to_dict(parallel_store), sort_keys=True)
         out["parallel"].append(
             {

@@ -132,7 +132,7 @@ def replay_payload(config, base, jobs) -> str:
         config, base, summarizer=reference.summarizer, realizer=reference.realizer
     )
     for job in jobs:
-        maintainer.maintain(job.new_rows, reference.store, workers=0)
+        maintainer.maintain(job.new_rows, reference.store)
     return json.dumps(store_to_dict(reference.store), sort_keys=True)
 
 
@@ -566,12 +566,11 @@ def run_fault_recovery(rows: int, requests: int, append_rows: int, passes: int) 
         for index, batch in enumerate(batches)
     }
     serving = SERVING.replace(
-        maintenance_workers=2,  # the crash needs a pool to crash in
         maintenance_retry_limit=3,
         maintenance_backoff_base=0.05,
         maintenance_backoff_cap=0.2,
     )
-    pool = WorkerPool(2)
+    pool = WorkerPool(2)  # the crash needs a pool to crash in
 
     async def bench():
         async with VoiceService(engine, serving, pool=pool) as service:

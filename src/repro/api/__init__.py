@@ -17,8 +17,8 @@ contract a network deployment can expose:
   :class:`repro.system.engine.SessionState`, so a "repeat" through the
   service replays exactly what the interactive engine would.
 * :mod:`repro.api.config` — :class:`ServingConfig`, the one dataclass
-  holding every serving knob (concurrency, queue depth, executor and
-  maintenance workers, session capacity, HTTP bind address), consumed
+  holding every serving knob (concurrency, queue depth, shards,
+  session capacity, HTTP bind address), consumed
   by :class:`repro.serving.service.VoiceService`, the CLI ``serve``
   command and the serving benchmark.
 * :mod:`repro.api.clients` — the transport-agnostic

@@ -6,7 +6,9 @@ and re-declared as constants in the serving benchmark.  ``ServingConfig``
 is now the single source: the service consumes it directly, the CLI
 ``serve`` command builds one from its flags, and
 ``benchmarks/bench_serving_service.py`` constructs its workloads from
-one.
+one.  Maintenance parallelism is not a setting: it is the
+:class:`repro.system.worker_pool.WorkerPool` handed to the service
+(``pool=``), and without one maintenance runs serially.
 
 Fields
 ------
@@ -23,15 +25,6 @@ max_queue_depth:
     Requests allowed to wait for a free ``concurrency`` slot before
     ``submit`` rejects with ``ServiceOverloadedError`` (>= 0; 0 = no
     waiting room).
-executor_workers:
-    Threads in the bounded offload executor, which answers only
-    advanced (comparison/extremum) requests; store answers, exact or
-    subset, stay inline.  ``None`` picks ``max(2, concurrency // 2)``.
-maintenance_workers:
-    Per-job worker count for background maintenance when no shared
-    :class:`repro.system.worker_pool.WorkerPool` is given (0 = serial).
-latency_window:
-    Latency samples kept for the service's percentile metrics.
 session_capacity:
     Bound on live sessions in the service's
     :class:`repro.api.sessions.SessionStore` (LRU-evicted beyond it).
@@ -87,11 +80,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-#: Default latency samples kept for percentile estimation (mirrored by
-#: the service; older samples roll off so a long-lived deployment
-#: reports recent tail behavior).
-DEFAULT_LATENCY_WINDOW = 100_000
-
 #: Default bound on live sessions (see ``session_capacity``).
 DEFAULT_SESSION_CAPACITY = 1024
 
@@ -103,9 +91,6 @@ class ServingConfig:
     concurrency: int = 8
     max_queue_depth: int = 64
     shards: int = 1
-    executor_workers: int | None = None
-    maintenance_workers: int = 0
-    latency_window: int = DEFAULT_LATENCY_WINDOW
     session_capacity: int = DEFAULT_SESSION_CAPACITY
     http_host: str = "127.0.0.1"
     http_port: int = 0
@@ -130,16 +115,6 @@ class ServingConfig:
             raise ValueError(f"max_queue_depth must be >= 0, got {self.max_queue_depth}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ValueError(
-                f"executor_workers must be >= 1 or None, got {self.executor_workers}"
-            )
-        if self.maintenance_workers < 0:
-            raise ValueError(
-                f"maintenance_workers must be >= 0, got {self.maintenance_workers}"
-            )
-        if self.latency_window < 1:
-            raise ValueError(f"latency_window must be >= 1, got {self.latency_window}")
         if self.session_capacity < 1:
             raise ValueError(f"session_capacity must be >= 1, got {self.session_capacity}")
         if not (0 <= self.http_port <= 65535):
@@ -171,13 +146,6 @@ class ServingConfig:
             raise ValueError("data_dir must be a non-empty path or None")
         if self.snapshot_dir is not None and not str(self.snapshot_dir).strip():
             raise ValueError("snapshot_dir must be a non-empty path or None")
-
-    @property
-    def resolved_executor_workers(self) -> int:
-        """The offload-executor size after applying the default rule."""
-        if self.executor_workers is not None:
-            return self.executor_workers
-        return max(2, self.concurrency // 2)
 
     def replace(self, **changes: Any) -> "ServingConfig":
         """A copy with the given fields replaced (re-validated)."""

@@ -22,10 +22,12 @@ The CLI exposes the three workflows a user of the system goes through:
 * ``repro-voice experiment`` — regenerate one of the paper's tables or
   figures and print its rows.
 
-Parallel commands accept ``--pool keep`` to run every pre-processing
-and maintenance pass of one invocation on a single persistent worker
-pool (the streaming service layer), versus the default ``fresh`` pool
-per run.
+``--workers N`` (N > 1) opens one :class:`WorkerPool` of N processes
+for the whole invocation: every pre-processing and maintenance pass of
+the command runs on it, and it closes when the command finishes.
+``--workers`` 0 or 1 opens none and every pass runs serially.  A
+sharded ``serve`` uses the pool for the router's pre-processing only;
+its shards maintain serially.
 
 Every engine-building command also accepts ``--failpoint SPEC``
 (repeatable) and ``--failpoint-seed N`` for deterministic fault
@@ -117,14 +119,13 @@ def _build_engine(args: argparse.Namespace) -> VoiceQueryEngine:
 
 
 def _pool_scope(args: argparse.Namespace):
-    """Context manager for the command's worker pool (``--pool``).
+    """Context manager for the command's one worker pool (``--workers``).
 
-    Under ``keep`` (with ``--workers`` > 1) it yields one persistent
-    :class:`WorkerPool` closed when the command finishes, so every
-    pre-processing and maintenance pass of the invocation shares it;
-    otherwise it yields None and each run forks and reaps its own pool.
+    With ``--workers`` > 1 it yields a :class:`WorkerPool` closed when
+    the command finishes, so every pre-processing and maintenance pass
+    of the invocation shares it; otherwise it yields None (serial).
     """
-    if args.pool == "keep" and args.workers and args.workers > 1:
+    if args.workers > 1:
         return WorkerPool(args.workers)
     return nullcontext()
 
@@ -148,14 +149,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-problems", type=int, default=None, dest="max_problems")
     parser.add_argument(
         "--workers", type=int, default=0,
-        help="pre-processing pool workers (0/1 = serial; N > 1 streams "
-        "query chunks across N processes, same store as a serial run)",
-    )
-    parser.add_argument(
-        "--pool", choices=("fresh", "keep"), default="fresh",
-        help="worker-pool lifecycle: 'fresh' forks a pool per run, 'keep' "
-        "spawns one persistent pool reused by every pre-processing and "
-        "maintenance pass of this invocation",
+        help="worker processes (0/1 = serial; N > 1 opens one pool for the "
+        "command, shared by every pre-processing and maintenance pass; "
+        "same store as a serial run)",
     )
     parser.add_argument(
         "--advanced", action="store_true",
@@ -182,9 +178,7 @@ def command_preprocess(args: argparse.Namespace) -> int:
     """Pre-generate speeches for a dataset and save them to JSON."""
     engine = _build_engine(args)
     with _pool_scope(args) as pool:
-        report = engine.preprocess(
-            max_problems=args.max_problems, workers=args.workers, pool=pool
-        )
+        report = engine.preprocess(max_problems=args.max_problems, pool=pool)
     print(
         f"generated {report.speeches_generated} speeches in {report.total_seconds:.2f}s "
         f"({report.per_query_seconds * 1000:.1f} ms per speech, "
@@ -204,9 +198,7 @@ def command_ask(args: argparse.Namespace) -> int:
         print(f"loaded {loaded} pre-generated speeches from {args.store}")
     else:
         with _pool_scope(args) as pool:
-            engine.preprocess(
-                max_problems=args.max_problems, workers=args.workers, pool=pool
-            )
+            engine.preprocess(max_problems=args.max_problems, pool=pool)
     for question in args.question:
         response = engine.ask(question)
         print(f"user : {question}")
@@ -232,27 +224,25 @@ def command_maintain(args: argparse.Namespace) -> int:
     config = _build_config(args, dataset.spec)
     base_table, new_rows = holdout_split(dataset.table, args.append_rows)
 
-    def run_pass(workers: int, pool: WorkerPool | None):
-        store, _ = Preprocessor(config).run(
-            ProblemGenerator(config, base_table), workers=workers, pool=pool
-        )
+    def run_pass(pool: WorkerPool | None):
+        store, _ = Preprocessor(config).run(ProblemGenerator(config, base_table), pool=pool)
         maintainer = IncrementalMaintainer(config, base_table)
-        report = maintainer.maintain(new_rows, store, workers=workers, pool=pool)
+        report = maintainer.maintain(new_rows, store, pool=pool)
         return store, report
 
     with _pool_scope(args) as pool:
-        store, report = run_pass(args.workers, pool)
+        store, report = run_pass(pool)
     print(
         f"appended {report.new_rows} rows: {report.affected_queries} queries "
         f"affected, {report.rebuilt_speeches} speeches rebuilt, "
         f"{report.unchanged_speeches} untouched in {report.total_seconds:.2f}s "
-        f"(workers={report.workers}, pool={args.pool})"
+        f"(workers={report.workers})"
     )
     if args.output:
         save_store(store, args.output, config)
         print(f"maintained speech store written to {args.output}")
     if args.verify_serial:
-        serial_store, serial_report = run_pass(0, None)
+        serial_store, serial_report = run_pass(None)
         payload = json.dumps(store_to_dict(store), sort_keys=True)
         serial_payload = json.dumps(store_to_dict(serial_store), sort_keys=True)
         if (
@@ -282,7 +272,6 @@ def _build_serving_config(args: argparse.Namespace):
         concurrency=args.concurrency,
         max_queue_depth=args.queue_depth,
         shards=getattr(args, "shards", 1),
-        maintenance_workers=args.workers,
         session_capacity=args.session_capacity,
         http_host=args.http_host,
         http_port=args.http if args.http is not None else 0,
@@ -361,9 +350,7 @@ def command_serve(args: argparse.Namespace) -> int:
         return summary, jobs, reliability
 
     with _pool_scope(args) as pool:
-        report = engine.preprocess(
-            max_problems=args.max_problems, workers=args.workers, pool=pool
-        )
+        report = engine.preprocess(max_problems=args.max_problems, pool=pool)
         print(
             f"pre-processed {report.speeches_generated} speeches in "
             f"{report.total_seconds:.2f}s; serving {args.requests} requests "
@@ -466,9 +453,7 @@ def _serve_http(args: argparse.Namespace, serving_config) -> int:
             return backend.metrics.summary()
 
     with _pool_scope(args) as pool:
-        report = engine.preprocess(
-            max_problems=args.max_problems, workers=args.workers, pool=pool
-        )
+        report = engine.preprocess(max_problems=args.max_problems, pool=pool)
         print(
             f"pre-processed {report.speeches_generated} speeches in "
             f"{report.total_seconds:.2f}s; starting HTTP front-end",
@@ -510,9 +495,7 @@ def command_recover(args: argparse.Namespace) -> int:
         base_table, _ = holdout_split(dataset.table, args.append_rows)
     engine = VoiceQueryEngine(config, base_table, enable_advanced_queries=args.advanced)
     with _pool_scope(args) as pool:
-        engine.preprocess(
-            max_problems=args.max_problems, workers=args.workers, pool=pool
-        )
+        engine.preprocess(max_problems=args.max_problems, pool=pool)
 
     def recover(use_checkpoint: bool):
         return recover_state(

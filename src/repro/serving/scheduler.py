@@ -11,7 +11,7 @@ most one maintenance job at a time on a dedicated thread, so the
 asyncio request loop keeps serving while
 :meth:`repro.system.updates.IncrementalMaintainer.maintain` crunches —
 optionally fanning re-summarization out over a shared
-:class:`repro.system.worker_pool.WorkerPool` (the CLI's ``--pool keep``
+:class:`repro.system.worker_pool.WorkerPool` (the CLI's ``--workers``
 pool).  Batches that arrive while a job is in flight are *coalesced*:
 the next job concatenates every queued batch into one append, paying
 one affected-query discovery and one store swap for all of them.
@@ -153,9 +153,6 @@ class MaintenanceScheduler:
         Optional shared :class:`WorkerPool` for the re-summarization
         fan-out (one deployment-lifetime pool, warmed up at service
         start).  None runs each job serially in the scheduler thread.
-    workers:
-        Per-job worker count when no shared pool is given (forwarded to
-        ``maintain(workers=...)``); ignored when ``pool`` is set.
     on_swap:
         Optional callback invoked after each successful snapshot swap
         with the maintainer's updated table.  Runs on the maintenance
@@ -194,7 +191,6 @@ class MaintenanceScheduler:
         maintainer: IncrementalMaintainer,
         registry: SnapshotRegistry,
         pool: WorkerPool | None = None,
-        workers: int = 0,
         on_swap=None,
         retry_limit: int = DEFAULT_RETRY_LIMIT,
         backoff_base: float = DEFAULT_BACKOFF_BASE_SECONDS,
@@ -215,7 +211,6 @@ class MaintenanceScheduler:
         self._maintainer = maintainer
         self._registry = registry
         self._pool = pool
-        self._workers = int(workers)
         self._on_swap = on_swap
         self._retry_limit = int(retry_limit)
         self._backoff_base = float(backoff_base)
@@ -238,7 +233,6 @@ class MaintenanceScheduler:
         self._breaker_opened_at: float | None = None
         self._jobs: list[MaintenanceJob] = []
         self._job_counter = 0
-        self._active_job: MaintenanceJob | None = None
         self._task: asyncio.Task | None = None
         self._wake: asyncio.Event | None = None
         self._idle: asyncio.Event | None = None
@@ -252,11 +246,6 @@ class MaintenanceScheduler:
     def jobs(self) -> Sequence[MaintenanceJob]:
         """Finished (completed/failed/cancelled) jobs in scheduling order."""
         return tuple(self._jobs)
-
-    @property
-    def active_job(self) -> MaintenanceJob | None:
-        """The job currently maintaining, if any."""
-        return self._active_job
 
     @property
     def pending_batches(self) -> int:
@@ -522,7 +511,6 @@ class MaintenanceScheduler:
                 else seqs
             ),
         )
-        self._active_job = job
         start = time.perf_counter()
         table_before = self._maintainer.table
         try:
@@ -576,7 +564,6 @@ class MaintenanceScheduler:
             self._record_failure(job, attempt)
         finally:
             job.seconds = time.perf_counter() - start
-            self._active_job = None
             self._jobs.append(job)
 
     def _record_failure(self, job: MaintenanceJob, attempt: int) -> None:
@@ -612,9 +599,7 @@ class MaintenanceScheduler:
         large the store grows.
         """
         build = self._registry.current.begin_build()
-        report = self._maintainer.maintain(
-            new_rows, build, workers=self._workers, pool=self._pool
-        )
+        report = self._maintainer.maintain(new_rows, build, pool=self._pool)
         # The maintain.raise failpoint fires *after* the maintainer
         # appended and re-summarized — the worst moment: rollback,
         # retry and the breaker all get exercised on a real, non-empty

@@ -20,8 +20,8 @@
   near-zero-latency common case, or a subset match: a few dict probes
   either way) and is answered inline on the event loop.  Only advanced
   comparison/extremum answers, which aggregate over the table, are
-  offloaded to a bounded thread-pool executor so one heavy request
-  cannot stall the loop.
+  offloaded to a bounded thread-pool executor (``max(2, concurrency //
+  2)`` threads) so one heavy request cannot stall the loop.
 * **Admission control** — a semaphore admits at most ``concurrency``
   requests at once and at most ``max_queue_depth`` may wait for a slot;
   beyond that :meth:`submit` fails fast with
@@ -64,7 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.api.config import DEFAULT_LATENCY_WINDOW, ServingConfig
+from repro.api.config import ServingConfig
 from repro.api.envelopes import VoiceRequest, build_append_table
 from repro.api.errors import ServiceOverloadedError
 from repro.api.sessions import SessionStore
@@ -85,6 +85,10 @@ from repro.system.updates import IncrementalMaintainer
 from repro.system.worker_pool import WorkerPool
 
 __all__ = ["ServiceMetrics", "VoiceService"]
+
+#: Latency samples kept for percentile estimation; older samples roll
+#: off so a long-lived deployment reports recent tail behavior.
+DEFAULT_LATENCY_WINDOW = 100_000
 
 
 @dataclass
@@ -189,9 +193,8 @@ class VoiceService:
         service seeds its first snapshot from ``engine.store``.
     config:
         The :class:`repro.api.config.ServingConfig` holding every
-        serving knob (concurrency, queue depth, executor/maintenance
-        workers, latency window, session capacity).  Defaults to
-        ``ServingConfig()``.
+        serving knob (concurrency, queue depth, session capacity).
+        Defaults to ``ServingConfig()``.
     pool:
         Optional shared :class:`WorkerPool` for maintenance jobs'
         re-summarization fan-out; warmed up during :meth:`start` so the
@@ -230,7 +233,6 @@ class VoiceService:
         self._engine = engine
         self._concurrency = config.concurrency
         self._max_queue_depth = config.max_queue_depth
-        self._executor_workers = config.resolved_executor_workers
         self._pool = pool
         self._sessions = (
             sessions if sessions is not None else SessionStore(config.session_capacity)
@@ -284,7 +286,6 @@ class VoiceService:
             ),
             self._registry,
             pool=pool,
-            workers=config.maintenance_workers,
             retry_limit=config.maintenance_retry_limit,
             backoff_base=config.maintenance_backoff_base,
             backoff_cap=config.maintenance_backoff_cap,
@@ -300,7 +301,7 @@ class VoiceService:
             # whole attributes, which loop-side readers load atomically.
             on_swap=engine.adopt_table,
         )
-        self._metrics = ServiceMetrics(latency_window=config.latency_window)
+        self._metrics = ServiceMetrics()
         self._slots: asyncio.Semaphore | None = None
         self._waiting = 0
         self._executor: ThreadPoolExecutor | None = None
@@ -475,7 +476,7 @@ class VoiceService:
             self._pool.warm_up()
         self._slots = asyncio.Semaphore(self._concurrency)
         self._executor = ThreadPoolExecutor(
-            max_workers=self._executor_workers, thread_name_prefix="voice-serving"
+            max_workers=max(2, self._concurrency // 2), thread_name_prefix="voice-serving"
         )
         self._scheduler.start()
         self._running = True

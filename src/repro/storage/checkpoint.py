@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro.reliability import faults
 from repro.storage.durability import JournalScan
-from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, attach, header_crc
+from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, attach, fsync_directory, header_crc
 
 #: Manifest format marker; a mismatch invalidates the checkpoint.
 CHECKPOINT_FORMAT_VERSION = 4
@@ -136,11 +136,7 @@ class CheckpointManager:
             if isinstance(exc, faults.InjectedFault):
                 raise
             raise CheckpointError(f"checkpoint save to {final} failed: {exc}") from exc
-        fd = os.open(self._dir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_directory(self._dir)
         self._prune()
         return final
 

@@ -57,6 +57,7 @@ from typing import Any, Iterable, Sequence
 from repro.relational.column import Column, ColumnType
 from repro.relational.table import Table
 from repro.reliability import faults
+from repro.store import fsync_directory
 
 #: Record header: payload length, payload CRC32 (both unsigned 32-bit BE).
 _HEADER = struct.Struct(">II")
@@ -266,11 +267,19 @@ class JournalWriter:
         self._fsync = bool(fsync)
         self._next_seq = int(next_seq)
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        if truncate_at is not None and self._path.exists():
-            size = self._path.stat().st_size
-            if truncate_at < size:
-                os.truncate(self._path, truncate_at)
+        created = not self._path.exists()
+        torn = (
+            truncate_at is not None and not created and truncate_at < self._path.stat().st_size
+        )
+        if torn:
+            os.truncate(self._path, truncate_at)
         self._file = open(self._path, "ab")
+        if torn:
+            os.fsync(self._file.fileno())
+        if created:
+            # The new file's directory entry, or an append acked under
+            # fsync could lose the file itself on power loss.
+            fsync_directory(self._path.parent)
         self._offset = self._file.tell()
 
     @property

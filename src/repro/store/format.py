@@ -185,12 +185,17 @@ def freeze(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    directory = os.open(path.parent, os.O_RDONLY)
+    fsync_directory(path.parent)
+    return path
+
+
+def fsync_directory(path: str | Path) -> None:
+    """fsync a directory, making the creates and renames in it durable."""
+    directory = os.open(path, os.O_RDONLY)
     try:
         os.fsync(directory)
     finally:
         os.close(directory)
-    return path
 
 
 def header_crc(path: str | Path) -> int:

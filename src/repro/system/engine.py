@@ -284,24 +284,21 @@ class VoiceQueryEngine:
     def preprocess(
         self,
         max_problems: int | None = None,
-        workers: int = 0,
         pool: WorkerPool | None = None,
     ) -> PreprocessingReport:
         """Generate speeches for all queries up to the configured length.
 
-        ``workers`` > 1 runs the batch on a per-run process pool;
-        passing ``pool`` reuses a caller-owned
-        :class:`repro.system.worker_pool.WorkerPool` instead (one
+        A parallel ``pool`` (a caller-owned
+        :class:`repro.system.worker_pool.WorkerPool`; one
         deployment-lifetime pool amortises process start-up across
-        repeated pre-processing and maintenance passes).  Either way
-        the resulting store is identical to a serial run (see
-        :class:`Preprocessor`).
+        repeated pre-processing and maintenance passes) runs the batch
+        across its workers; without one it runs serially.  Either way
+        the resulting store is identical (see :class:`Preprocessor`).
         """
         self._store, self._report = self._preprocessor.run(
             self._generator,
             store=SpeechStore(),
             max_problems=max_problems,
-            workers=workers,
             pool=pool,
         )
         return self._report

@@ -6,18 +6,18 @@ deployment spends minutes in this loop and afterwards answers queries
 by a simple store lookup.
 
 The batch is embarrassingly parallel — each query's problem is built
-and solved independently — so :meth:`Preprocessor.run` optionally
-streams chunks of the enumerated queries across a
-:class:`repro.system.worker_pool.WorkerPool` (``workers=N``, or a
-caller-owned ``pool=`` reused across runs).  Queries are fed from
+and solved independently — so a run's parallelism is the
+:class:`repro.system.worker_pool.WorkerPool` it is handed (``pool=``,
+reused across runs): a parallel pool fans chunks of the enumerated
+queries out over its processes, and no pool (or a serial one) solves
+the same chunk stream in process.  Queries are fed from
 :meth:`ProblemGenerator.enumerate_query_chunks`, so the full query list
-is never materialised; workers return realized speeches and the parent
-merges them back in enumeration order, so the resulting store (and its
-persisted JSON) is byte-identical to a serial run regardless of worker
-count, chunk scheduling or pool lifetime.  Summarizers whose output
-depends on call order (``Summarizer.deterministic`` is False) are run
-serially even when workers are requested, so the guarantee holds for
-every algorithm.
+is never materialised; chunks come back as realized speeches and are
+merged in enumeration order, so the resulting store (and its persisted
+JSON) is byte-identical for every pool size and chunk size.
+Summarizers whose output depends on call order
+(``Summarizer.deterministic`` is False) are run serially even on a
+parallel pool, so the guarantee holds for every algorithm.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def _solve_query(
 ) -> tuple[StoredSpeech, int] | None:
     """Solve one query end to end; None marks a skipped (too small) query.
 
-    Both the serial loop and the pool workers go through this single
-    function, so the two execution strategies cannot drift apart.
+    Every chunk, solved in a pool worker or in process, goes through
+    this single function, so serial and parallel runs cannot drift apart.
     ``setup`` is the query's predicate scope's shared set-up, if any.
     """
     problem = generator.build_problem(query, setup)
@@ -126,9 +126,9 @@ def solve_query_chunk(
     """Solve one chunk of queries under a broadcast worker-pool context.
 
     The context is the (generator, summarizer, realizer) triple shipped
-    once per run by :class:`repro.system.worker_pool.WorkerPool`; the
-    incremental maintainer shares this entry point, so every execution
-    strategy funnels through :func:`_solve_query`.
+    once per run by :class:`repro.system.worker_pool.WorkerPool`; serial
+    runs and the incremental maintainer share this entry point, so every
+    execution strategy funnels through :func:`_solve_query`.
 
     The chunk is solved scope by scope: the queries of one
     :func:`scope_groups` group (one predicate scope's targets) share
@@ -158,53 +158,36 @@ def scope_groups(queries: list[DataQuery]) -> list[list[int]]:
     return list(groups.values())
 
 
-def resolve_parallelism(
-    summarizer: Summarizer, workers: int, pool: WorkerPool | None, verb: str = "running"
-) -> tuple[int, WorkerPool | None]:
-    """Effective worker count for one batch, honoring the serial fallback.
+#: The pool of a serial run: chunks are solved in the calling process.
+SERIAL_POOL = WorkerPool(0)
 
-    A caller-owned pool's worker count wins over ``workers``.
+
+def resolve_parallelism(
+    summarizer: Summarizer, pool: WorkerPool | None, verb: str = "running"
+) -> WorkerPool:
+    """The pool one batch runs on: ``pool`` if it is parallel, else serial.
+
     Summarizers that carry state across problems (``deterministic``
     False, e.g. the RANDOM baseline) cannot be sharded without changing
-    their output, so they demote the run to serial with a warning.
-    Returns ``(effective_workers, pool)`` where 0 means serial; shared
-    by batch pre-processing and incremental maintenance so the policy
-    cannot drift between them.
+    their output, so a parallel pool is declined for them with a
+    warning.  Shared by batch pre-processing and incremental
+    maintenance so the policy cannot drift between them.
     """
-    requested = pool.workers if pool is not None else int(workers or 0)
-    if requested > 1 and not summarizer.deterministic:
+    if pool is None or not pool.parallel:
+        return SERIAL_POOL
+    if not summarizer.deterministic:
         warnings.warn(
             f"summarizer {summarizer.name!r} carries state across "
             f"problems; {verb} serially to keep its output reproducible",
             stacklevel=3,
         )
-        return 0, None
-    return (requested if requested > 1 else 0), pool
+        return SERIAL_POOL
+    return pool
 
 
 def default_chunk_size(total_items: int, workers: int) -> int:
     """~4 tasks per worker: scheduling slack vs. per-task pickling overhead."""
     return max(1, -(-total_items // (workers * 4)))
-
-
-def stream_solved_chunks(
-    context: tuple[ProblemGenerator, Summarizer, SpeechRealizer],
-    chunks: Iterable[list[DataQuery]],
-    workers: int,
-    pool: WorkerPool | None,
-) -> Iterator[list[tuple[StoredSpeech, int] | None]]:
-    """Yield solved chunk results in order, managing the pool lifetime.
-
-    Uses the caller-owned ``pool`` when given (it stays open for the
-    next run); otherwise spawns a per-run :class:`WorkerPool` that is
-    closed when the stream is exhausted or closed early.
-    """
-    run_pool = pool if pool is not None else WorkerPool(workers)
-    try:
-        yield from run_pool.imap_chunks(context, solve_query_chunk, chunks)
-    finally:
-        if pool is None:
-            run_pool.close()
 
 
 class Preprocessor:
@@ -241,98 +224,64 @@ class Preprocessor:
         generator: ProblemGenerator,
         store: SpeechStore | None = None,
         max_problems: int | None = None,
-        workers: int = 0,
         chunk_size: int | None = None,
         pool: WorkerPool | None = None,
     ) -> tuple[SpeechStore, PreprocessingReport]:
         """Solve all generated problems and store the resulting speeches.
 
         ``max_problems`` caps the number of solved problems (useful for
-        tests and scaled-down experiments).  ``workers`` > 1 streams
-        query chunks across a per-run :class:`WorkerPool`; passing
-        ``pool`` instead reuses a caller-owned pool (its worker count
-        wins), amortising process start-up across runs.  Either way the
-        merged store is byte-identical to the serial result (``workers``
-        0 or 1).  Summarizers that carry state across problems
-        (``deterministic`` False, e.g. the RANDOM baseline) cannot be
-        sharded without changing their output, so they run serially
-        with a warning.  ``chunk_size`` overrides the task granularity.
+        tests and scaled-down experiments).  A parallel ``pool`` streams
+        query chunks across its workers and stays open for the caller's
+        next run; without one the run is serial.  Either way the merged
+        store is byte-identical to the serial result.  Summarizers that
+        carry state across problems (``deterministic`` False, e.g. the
+        RANDOM baseline) cannot be sharded without changing their
+        output, so they run serially with a warning.  ``chunk_size``
+        overrides the task granularity.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-        # workers <= 1 takes the serial path; the report records how the
-        # run actually executed (0 = serial, per the field docstring).
-        effective_workers, pool = resolve_parallelism(self._summarizer, workers, pool)
+        pool = resolve_parallelism(self._summarizer, pool)
         store = store if store is not None else SpeechStore()
-        report = PreprocessingReport(
-            algorithm=self._summarizer.name, workers=effective_workers
-        )
+        report = PreprocessingReport(algorithm=self._summarizer.name, workers=pool.workers)
         start = time.perf_counter()
-        if effective_workers:
-            outcomes = self._parallel_outcomes(
-                generator, effective_workers, pool, chunk_size, max_problems
-            )
-        else:
-            outcomes = self._serial_outcomes(generator, max_problems)
+        outcomes = self._outcomes(generator, pool, chunk_size, max_problems)
         self._merge(outcomes, store, report, max_problems)
         report.total_seconds = time.perf_counter() - start
         return store, report
 
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-    def _serial_outcomes(
+    def _outcomes(
         self,
         generator: ProblemGenerator,
-        max_problems: int | None,
-    ) -> Iterator[tuple[StoredSpeech, int] | None]:
-        """Per-query outcomes, solved lazily in the calling process.
-
-        Queries beyond the ``max_problems`` cap are never built (the
-        merge step stops storing once the cap is hit, so yielding None
-        for them keeps the accounting identical at zero cost).
-        """
-        solved = 0
-        for query in generator.enumerate_queries():
-            if max_problems is not None and solved >= max_problems:
-                yield None
-                continue
-            outcome = _solve_query(generator, self._summarizer, self._realizer, query)
-            if outcome is not None:
-                solved += 1
-            yield outcome
-
-    def _parallel_outcomes(
-        self,
-        generator: ProblemGenerator,
-        workers: int,
-        pool: WorkerPool | None,
+        pool: WorkerPool,
         chunk_size: int | None,
         max_problems: int | None,
     ) -> Iterator[tuple[StoredSpeech, int] | None]:
-        """Per-query outcomes computed by a worker pool, in query order.
+        """Per-query outcomes, solved chunk by chunk on ``pool``, in query order.
 
         The query stream is never materialised: chunks come from
-        :meth:`ProblemGenerator.enumerate_query_chunks` and the pool
-        submits them with bounded look-ahead, collecting results
-        first-in-first-out — so flattening them reproduces the exact
-        enumeration order no matter which worker solved which chunk.
-        Once ``max_problems`` speeches have been produced no further
-        chunks are dispatched (chunks already in flight finish
-        unobserved; a caller-owned pool stays usable).  The remaining
-        queries are reported as bare None outcomes, which the merge
-        step only counts, mirroring the serial path's cap behavior —
-        their count comes from the arithmetic query counter, so the cap
-        short-circuits without enumerating the tail.
+        :meth:`ProblemGenerator.enumerate_query_chunks` (one query each
+        in a serial run, ~4 per worker in a parallel one) and the pool
+        collects results first-in-first-out — so flattening them
+        reproduces the exact enumeration order no matter which worker
+        solved which chunk.  Once ``max_problems`` speeches have been
+        produced no further chunks are dispatched (chunks already in
+        flight finish unobserved; the pool stays usable).  The
+        remaining queries are reported as bare None outcomes, which the
+        merge step only counts — their count comes from the arithmetic
+        query counter, so the cap short-circuits without enumerating
+        the tail.
         """
         total_queries = generator.count_queries()
         if not total_queries:
             return
         if chunk_size is None:
-            chunk_size = default_chunk_size(total_queries, workers)
+            chunk_size = (
+                default_chunk_size(total_queries, pool.workers) if pool.parallel else 1
+            )
         context = (generator, self._summarizer, self._realizer)
-        chunk_results = stream_solved_chunks(
-            context, generator.enumerate_query_chunks(chunk_size), workers, pool
+        chunk_results = pool.imap_chunks(
+            context, solve_query_chunk, generator.enumerate_query_chunks(chunk_size)
         )
         yielded = 0
         solved = 0

@@ -320,8 +320,8 @@ class ProblemGenerator:
         new rows instead of read again: old codes stay, and a value not
         seen before takes the next free code, exactly as factorizing the
         appended table would code it.  The default priors (whole-table
-        target averages) are recomputed on demand.  Only serial
-        (``workers=0``) maintenance gains: pickling drops the caches
+        target averages) are recomputed on demand.  Only serial maintenance
+        (no parallel pool) gains: pickling drops the caches
         (:meth:`__getstate__`), so each pool worker factorizes its table
         again.
         """

@@ -14,11 +14,12 @@ pre-processing.  Affected-query discovery works from the new rows
 alone: a query gains a row exactly when its value tuple is one of the
 new rows' non-NULL value tuples on its columns, so the affected
 queries are those tuples, one set per dimension combination, never a
-filter over the whole query space.  Re-summarization fans out over
-a :class:`repro.system.worker_pool.WorkerPool` (``workers=N``, or a
-caller-owned ``pool=`` shared with the pre-processor) in chunks cut at
-predicate-scope boundaries, with the order-preserving merge keeping the
-maintained store identical to a serial pass.
+filter over the whole query space.  Re-summarization runs on the
+:class:`repro.system.worker_pool.WorkerPool` the caller passes (``pool=``,
+shared with the pre-processor) in chunks cut at predicate-scope
+boundaries, with the order-preserving merge keeping the maintained
+store identical to a serial pass.  Without a parallel pool the one
+chunk holds every affected query.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.system.preprocessor import (
     resolve_parallelism,
     scope_groups,
     solve_query_chunk,
-    stream_solved_chunks,
 )
 from repro.system.problem_generator import ProblemGenerator
 from repro.system.queries import DataQuery
@@ -185,22 +185,22 @@ class IncrementalMaintainer:
         self,
         new_rows: Table,
         store: SpeechStore,
-        workers: int = 0,
         chunk_size: int | None = None,
         pool: WorkerPool | None = None,
     ) -> MaintenanceReport:
         """Append ``new_rows`` and refresh every affected speech in ``store``.
 
         The store is modified in place; speeches for unaffected queries
-        are left exactly as they were.  ``workers`` > 1 fans the
-        re-summarization out over a per-call worker pool; passing
-        ``pool`` reuses a caller-owned
-        :class:`repro.system.worker_pool.WorkerPool` (shared with batch
-        pre-processing) instead, amortising process start-up across
-        maintenance passes.  Rebuilt speeches are merged back in
-        enumeration order, so the maintained store and the report
-        counts are identical to a serial pass for any worker count or
-        chunk size.
+        are left exactly as they were.  A parallel ``pool`` (typically
+        shared with batch pre-processing, so process start-up is paid
+        once across passes) fans the re-summarization out in chunks of
+        about ``chunk_size`` queries, cut at predicate-scope boundaries
+        so every target of a scope is solved on one shared set-up (see
+        :func:`~repro.system.preprocessor.solve_query_chunk`).  Without
+        one the pass is serial: one chunk holding every affected query,
+        in order.  Rebuilt speeches are merged back in enumeration
+        order, so the maintained store and the report counts are
+        identical to a serial pass for any pool or chunk size.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
@@ -209,13 +209,9 @@ class IncrementalMaintainer:
         preprocessor = Preprocessor(
             self._config, summarizer=self._summarizer, realizer=self._realizer
         )
-        effective_workers, pool = resolve_parallelism(
-            preprocessor.summarizer, workers, pool, verb="maintaining"
-        )
+        pool = resolve_parallelism(preprocessor.summarizer, pool, verb="maintaining")
 
-        report = MaintenanceReport(
-            new_rows=new_rows.num_rows, workers=effective_workers
-        )
+        report = MaintenanceReport(new_rows=new_rows.num_rows, workers=pool.workers)
         before = len(store)
 
         self._table = self._table.concat(new_rows)
@@ -231,49 +227,31 @@ class IncrementalMaintainer:
         affected = self._affected_from(self._table, new_rows)
         report.affected_queries = len(affected)
 
+        if not pool.parallel:
+            chunk_size = len(affected)
+        elif chunk_size is None:
+            chunk_size = default_chunk_size(len(affected), pool.workers)
+        chunks: list[list[int]] = []
+        for positions in scope_groups(affected):
+            if not chunks or len(chunks[-1]) >= chunk_size:
+                chunks.append([])
+            chunks[-1].extend(positions)
+        # Each chunk in query order, so the serial chunk is ``affected``.
+        chunks = [sorted(chunk) for chunk in chunks]
         context = (self._generator, preprocessor.summarizer, self._realizer)
-        if effective_workers and affected:
-            outcomes = self._solve_in_pool(context, affected, effective_workers, pool, chunk_size)
-        else:
-            outcomes = solve_query_chunk(context, affected)
+        solved = pool.imap_chunks(
+            context, solve_query_chunk, ([affected[i] for i in chunk] for chunk in chunks)
+        )
+        outcomes: list = [None] * len(affected)
+        # The stream leads the zip, so it runs to its end.
+        for chunk_outcomes, chunk in zip(solved, chunks):
+            for position, outcome in zip(chunk, chunk_outcomes):
+                outcomes[position] = outcome
         replaced = self._merge_outcomes(outcomes, store, report)
 
         report.unchanged_speeches = max(0, before - replaced)
         report.total_seconds = time.perf_counter() - start
         return report
-
-    @staticmethod
-    def _solve_in_pool(
-        context: tuple,
-        affected: list[DataQuery],
-        workers: int,
-        pool: WorkerPool | None,
-        chunk_size: int | None,
-    ) -> list:
-        """Outcomes of ``affected`` solved in pool chunks, in ``affected`` order.
-
-        Chunks are cut at predicate-scope boundaries, so every target
-        of a scope is solved in one chunk on one shared set-up (see
-        :func:`~repro.system.preprocessor.solve_query_chunk`); a chunk
-        closes once it holds ``chunk_size`` queries or more.
-        """
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(affected), workers)
-        chunks: list[list[int]] = [[]]
-        for positions in scope_groups(affected):
-            if len(chunks[-1]) >= chunk_size:
-                chunks.append([])
-            chunks[-1].extend(positions)
-        outcomes: list = [None] * len(affected)
-        solved = stream_solved_chunks(
-            context, ([affected[i] for i in chunk] for chunk in chunks), workers, pool
-        )
-        # The stream leads the zip, so its end (which closes a per-run
-        # pool) is reached.
-        for chunk_outcomes, chunk in zip(solved, chunks):
-            for position, outcome in zip(chunk, chunk_outcomes):
-                outcomes[position] = outcome
-        return outcomes
 
     @staticmethod
     def _merge_outcomes(outcomes, store: SpeechStore, report: MaintenanceReport) -> int:

@@ -242,7 +242,7 @@ class WorkerPool:
         """How many times the full worker set was (re)spawned.
 
         A deployment reusing one pool across N maintenance passes keeps
-        this at 1; the per-run-fork strategy pays N spawns.  Individual
+        this at 1; a pool opened per pass pays N spawns.  Individual
         worker respawns after a crash count in :attr:`respawn_count`,
         not here.
         """

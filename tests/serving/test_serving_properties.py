@@ -61,7 +61,7 @@ def replay_serially(jobs):
     )
     states = [snapshot_state(reference)]
     for job in jobs:
-        report = maintainer.maintain(job.new_rows, reference.store, workers=0)
+        report = maintainer.maintain(job.new_rows, reference.store)
         assert report.new_rows == job.new_rows.num_rows
         states.append(snapshot_state(reference))
     return states

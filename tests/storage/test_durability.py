@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,47 @@ class TestJournalWriter:
         rescanned = read_journal(path)
         assert not rescanned.truncated
         assert [entry.record["seq"] for entry in rescanned.records] == [1, 2]
+
+    @staticmethod
+    def record_fsyncs(monkeypatch) -> list[int]:
+        """Inode of every fsync'd descriptor, in call order."""
+        synced: list[int] = []
+        real_fsync = os.fsync
+
+        def recording(fd: int) -> None:
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        return synced
+
+    def test_creating_the_journal_fsyncs_its_directory(self, tmp_path, monkeypatch):
+        synced = self.record_fsyncs(monkeypatch)
+        directory = tmp_path / "data"
+        writer = JournalWriter(directory / "journal.wal", fsync=True)
+        assert writer.log_append(append_table([("East", "Winter", 55.0)])) == 1
+        # Acked under fsync: the file's directory entry is durable too.
+        assert directory.stat().st_ino in synced
+        writer.close()
+
+        synced.clear()
+        reopened = JournalWriter(directory / "journal.wal", next_seq=2)
+        reopened.close()
+        assert synced == []  # an existing journal's entry already is
+
+    def test_healing_a_torn_tail_fsyncs_the_truncation(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal.wal"
+        writer = JournalWriter(path)
+        writer.log_append(append_table([("East", "Winter", 55.0)]))
+        writer.close()
+        good = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(b"\x00\x01garbage")
+
+        synced = self.record_fsyncs(monkeypatch)
+        JournalWriter(path, next_seq=2, truncate_at=good).close()
+        assert path.stat().st_size == good
+        assert synced == [path.stat().st_ino]
 
     def test_closed_writer_rejects_writes(self, tmp_path):
         writer = JournalWriter(tmp_path / "journal.wal")

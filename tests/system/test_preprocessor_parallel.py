@@ -2,7 +2,7 @@
 
 The pool path chunks queries across worker processes and merges results
 back in enumeration order, so the store — and its persisted JSON — must
-be byte-identical to a serial run for any worker count, chunk size, or
+be byte-identical to a serial run for any pool size, chunk size, or
 ``max_problems`` cap.
 """
 
@@ -17,6 +17,7 @@ from repro.system.config import SummarizationConfig
 from repro.system.persistence import store_to_dict
 from repro.system.preprocessor import Preprocessor
 from repro.system.problem_generator import ProblemGenerator
+from repro.system.worker_pool import WorkerPool
 
 
 @pytest.fixture()
@@ -32,9 +33,13 @@ def config() -> SummarizationConfig:
     )
 
 
-def run_with_workers(config, table, workers, **kwargs):
+def run_with_pool(config, table, workers, **kwargs):
+    """One run on a fresh ``WorkerPool(workers)``; workers=None runs without a pool."""
     generator = ProblemGenerator(config, table)
-    return Preprocessor(config).run(generator, workers=workers, **kwargs)
+    if workers is None:
+        return Preprocessor(config).run(generator, **kwargs)
+    with WorkerPool(workers) as pool:
+        return Preprocessor(config).run(generator, pool=pool, **kwargs)
 
 
 def store_bytes(store, config) -> str:
@@ -52,54 +57,52 @@ def report_fields(report) -> dict:
 
 class TestParallelParity:
     def test_worker_counts_produce_identical_stores_and_reports(self, config, example_table):
-        serial_store, serial_report = run_with_workers(config, example_table, workers=0)
+        serial_store, serial_report = run_with_pool(config, example_table, None)
         expected = store_bytes(serial_store, config)
         assert serial_report.workers == 0
         for workers in (1, 2, 4):
-            store, report = run_with_workers(config, example_table, workers=workers)
+            store, report = run_with_pool(config, example_table, workers)
             assert store_bytes(store, config) == expected, f"workers={workers}"
             assert report_fields(report) == report_fields(serial_report)
-            # workers=1 executes serially, and the report records that.
+            # A one-process pool runs serially, and the report records that.
             assert report.workers == (workers if workers > 1 else 0)
 
     def test_chunk_size_does_not_affect_the_store(self, config, example_table):
-        serial_store, _ = run_with_workers(config, example_table, workers=0)
+        serial_store, _ = run_with_pool(config, example_table, None)
         expected = store_bytes(serial_store, config)
-        for chunk_size in (1, 3, 100):
-            store, _ = run_with_workers(
-                config, example_table, workers=2, chunk_size=chunk_size
-            )
-            assert store_bytes(store, config) == expected, f"chunk_size={chunk_size}"
+        for workers in (None, 2):
+            for chunk_size in (1, 3, 100):
+                store, _ = run_with_pool(config, example_table, workers, chunk_size=chunk_size)
+                label = f"workers={workers} chunk_size={chunk_size}"
+                assert store_bytes(store, config) == expected, label
 
     def test_invalid_chunk_size_rejected(self, config, example_table):
-        for chunk_size in (0, -1):
-            with pytest.raises(ValueError, match="chunk_size"):
-                run_with_workers(
-                    config, example_table, workers=2, chunk_size=chunk_size
-                )
+        for workers in (None, 2):
+            for chunk_size in (0, -1):
+                with pytest.raises(ValueError, match="chunk_size"):
+                    run_with_pool(config, example_table, workers, chunk_size=chunk_size)
 
     def test_max_problems_cap_matches_serial(self, config, example_table):
-        serial_store, serial_report = run_with_workers(
-            config, example_table, workers=0, max_problems=4
+        serial_store, serial_report = run_with_pool(
+            config, example_table, None, max_problems=4
         )
-        store, report = run_with_workers(
-            config, example_table, workers=2, max_problems=4
-        )
+        store, report = run_with_pool(config, example_table, 2, max_problems=4)
         assert store_bytes(store, config) == store_bytes(serial_store, config)
         assert report_fields(report) == report_fields(serial_report)
         assert report.speeches_generated == 4
+        assert serial_report.speeches_generated == 4
 
     def test_parallel_run_time_fields_populated(self, config, example_table):
-        _, report = run_with_workers(config, example_table, workers=2)
+        _, report = run_with_pool(config, example_table, 2)
         assert report.total_seconds > 0
         assert report.per_query_seconds > 0
         assert 0 < report.average_scaled_utility <= 1.0
 
+    @pytest.mark.parametrize("workers, expected", [(None, [1]), (2, [3])])
     def test_streamed_chunks_never_materialise_the_query_list(
-        self, config, example_table, monkeypatch
+        self, config, example_table, monkeypatch, workers, expected
     ):
-        """The pool path must consume the chunk stream, not list(queries)."""
-        generator = ProblemGenerator(config, example_table)
+        """Serial and pool runs consume the chunk stream, not list(queries)."""
         chunk_sizes = []
         original = ProblemGenerator.enumerate_query_chunks
 
@@ -108,20 +111,39 @@ class TestParallelParity:
             return original(self, size)
 
         monkeypatch.setattr(ProblemGenerator, "enumerate_query_chunks", spying)
-        Preprocessor(config).run(generator, workers=2, chunk_size=3)
-        assert chunk_sizes == [3]
+        chunk_size = None if workers is None else 3
+        run_with_pool(config, example_table, workers, chunk_size=chunk_size)
+        assert chunk_sizes == expected
+
+    def test_serial_cap_stops_solving_at_max_problems(self, config, example_table, monkeypatch):
+        """A serial capped run builds no problem past the cap's chunk."""
+        from repro.system import preprocessor
+
+        solved = []
+        original = preprocessor.solve_query_chunk
+
+        def counting(context, chunk):
+            solved.extend(chunk)
+            return original(context, chunk)
+
+        monkeypatch.setattr(preprocessor, "solve_query_chunk", counting)
+        _, report = run_with_pool(config, example_table, None, max_problems=2)
+        assert report.speeches_generated == 2
+        assert len(solved) < report.queries_considered
 
     def test_stateful_summarizer_falls_back_to_serial(self, config, example_table):
         from repro.algorithms.random_baseline import RandomSummarizer
 
-        def run_random(workers):
+        def run_random(pool):
             generator = ProblemGenerator(config, example_table)
             preprocessor = Preprocessor(config, summarizer=RandomSummarizer(seed=42))
-            return preprocessor.run(generator, workers=workers)
+            return preprocessor.run(generator, pool=pool)
 
-        serial_store, _ = run_random(workers=0)
-        with pytest.warns(UserWarning, match="carries state"):
-            store, report = run_random(workers=2)
+        serial_store, _ = run_random(None)
+        with WorkerPool(2) as pool:
+            with pytest.warns(UserWarning, match="carries state"):
+                store, report = run_random(pool)
+            assert pool.spawn_count == 0
         # The pool would shard the RNG stream; serial fallback keeps the
         # byte-identity guarantee for every algorithm.
         assert report.workers == 0
@@ -134,17 +156,14 @@ class TestPersistentPoolParity:
     def test_pool_reuse_matches_serial_for_all_combinations(
         self, config, example_table
     ):
-        serial_store, serial_report = run_with_workers(config, example_table, workers=0)
+        serial_store, serial_report = run_with_pool(config, example_table, None)
         expected = store_bytes(serial_store, config)
-        from repro.system.worker_pool import WorkerPool
 
         with WorkerPool(2) as pool:
             for chunk_size in (None, 1, 4):
                 for max_problems in (None, 4):
-                    store, report = run_with_workers(
-                        config,
-                        example_table,
-                        workers=0,  # the pool's worker count must win
+                    store, report = Preprocessor(config).run(
+                        ProblemGenerator(config, example_table),
                         pool=pool,
                         chunk_size=chunk_size,
                         max_problems=max_problems,
@@ -154,8 +173,8 @@ class TestPersistentPoolParity:
                         assert store_bytes(store, config) == expected, label
                         assert report_fields(report) == report_fields(serial_report)
                     else:
-                        capped_store, capped_report = run_with_workers(
-                            config, example_table, workers=0, max_problems=max_problems
+                        capped_store, capped_report = run_with_pool(
+                            config, example_table, None, max_problems=max_problems
                         )
                         assert store_bytes(store, config) == store_bytes(
                             capped_store, config
@@ -166,7 +185,6 @@ class TestPersistentPoolParity:
 
     def test_engine_preprocess_accepts_a_shared_pool(self, config, example_table):
         from repro.system.engine import VoiceQueryEngine
-        from repro.system.worker_pool import WorkerPool
 
         serial_engine = VoiceQueryEngine(config, example_table)
         serial_engine.preprocess()

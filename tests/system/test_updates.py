@@ -187,32 +187,37 @@ class TestParallelMaintenance:
             algorithm="G-B",
         )
 
-    def run_maintenance(self, config, table, **kwargs):
+    def run_maintenance(self, config, table, pool=None, **kwargs):
         generator = ProblemGenerator(config, table, prior=ZeroPrior())
         store, _ = Preprocessor(config).run(generator)
         maintainer = IncrementalMaintainer(config, table, prior=ZeroPrior())
-        report = maintainer.maintain(new_rows_table(NEW_ROWS), store, **kwargs)
+        report = maintainer.maintain(new_rows_table(NEW_ROWS), store, pool=pool, **kwargs)
         return store, report
+
+    def run_on_pool(self, config, table, workers, **kwargs):
+        with WorkerPool(workers) as pool:
+            return self.run_maintenance(config, table, pool=pool, **kwargs)
 
     def test_worker_counts_match_serial(self, length_two_config, example_table):
         serial_store, serial_report = self.run_maintenance(
             length_two_config, example_table
         )
-        for workers in (2, 3):
-            store, report = self.run_maintenance(
-                length_two_config, example_table, workers=workers
-            )
+        assert serial_report.workers == 0
+        for workers in (1, 2, 3):
+            store, report = self.run_on_pool(length_two_config, example_table, workers)
             assert store_bytes(store) == store_bytes(serial_store), f"workers={workers}"
             assert report_counts(report) == report_counts(serial_report)
-            assert report.workers == workers
+            # A one-process pool runs serially, and the report records that.
+            assert report.workers == (workers if workers > 1 else 0)
 
     def test_chunk_sizes_match_serial(self, length_two_config, example_table):
         serial_store, _ = self.run_maintenance(length_two_config, example_table)
-        for chunk_size in (1, 3, 100):
-            store, _ = self.run_maintenance(
-                length_two_config, example_table, workers=2, chunk_size=chunk_size
-            )
-            assert store_bytes(store) == store_bytes(serial_store)
+        for workers in (1, 2):
+            for chunk_size in (1, 3, 100):
+                store, _ = self.run_on_pool(
+                    length_two_config, example_table, workers, chunk_size=chunk_size
+                )
+                assert store_bytes(store) == store_bytes(serial_store)
 
     def test_shared_pool_across_passes_spawns_once(
         self, length_two_config, example_table
@@ -235,14 +240,14 @@ class TestParallelMaintenance:
 
     def test_invalid_chunk_size_rejected(self, length_two_config, example_table):
         with pytest.raises(ValueError, match="chunk_size"):
-            self.run_maintenance(
-                length_two_config, example_table, workers=2, chunk_size=0
-            )
+            self.run_maintenance(length_two_config, example_table, chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            self.run_on_pool(length_two_config, example_table, 2, chunk_size=0)
 
     def test_stateful_summarizer_falls_back_to_serial(self, config, example_table):
         from repro.algorithms.random_baseline import RandomSummarizer
 
-        def run(workers):
+        def run(pool):
             generator = ProblemGenerator(config, example_table, prior=ZeroPrior())
             store, _ = Preprocessor(
                 config, summarizer=RandomSummarizer(seed=7)
@@ -250,14 +255,73 @@ class TestParallelMaintenance:
             maintainer = IncrementalMaintainer(
                 config, example_table, summarizer=RandomSummarizer(seed=7), prior=ZeroPrior()
             )
-            report = maintainer.maintain(new_rows_table(NEW_ROWS), store, workers=workers)
+            report = maintainer.maintain(new_rows_table(NEW_ROWS), store, pool=pool)
             return store, report
 
-        serial_store, _ = run(workers=0)
-        with pytest.warns(UserWarning, match="carries state"):
-            store, report = run(workers=2)
+        serial_store, _ = run(None)
+        with WorkerPool(2) as pool:
+            with pytest.warns(UserWarning, match="carries state"):
+                store, report = run(pool)
+            assert pool.spawn_count == 0
         assert report.workers == 0
         assert store_bytes(store) == store_bytes(serial_store)
+
+
+class TestSerialMaintenance:
+    """Without a parallel pool a pass is one solve call over every affected query."""
+
+    CONFIG = SummarizationConfig.create(
+        "flight_delays",
+        dimensions=("region", "season"),
+        targets=("delay", "taxi"),
+        max_query_length=2,
+        max_facts_per_speech=2,
+        max_fact_dimensions=1,
+        algorithm="G-B",
+    )
+
+    @staticmethod
+    def two_target_table(rows) -> Table:
+        return Table.from_rows(
+            "flight_delays",
+            ["region", "season", "delay", "taxi"],
+            [ColumnType.CATEGORICAL, ColumnType.CATEGORICAL]
+            + [ColumnType.NUMERIC, ColumnType.NUMERIC],
+            [(region, season, delay, delay / 2 + 3.0) for region, season, delay in rows],
+        )
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_one_solve_call_per_job_with_every_affected_query(self, monkeypatch, workers):
+        from tests.conftest import build_example_table
+
+        from repro.system import updates
+
+        calls = []
+        original = updates.solve_query_chunk
+
+        def recording(context, chunk):
+            calls.append(list(chunk))
+            return original(context, chunk)
+
+        monkeypatch.setattr(updates, "solve_query_chunk", recording)
+        base = self.two_target_table(
+            (row["region"], row["season"], row["delay"])
+            for row in build_example_table().iter_rows()
+        )
+        store, _ = Preprocessor(self.CONFIG).run(ProblemGenerator(self.CONFIG, base))
+        maintainer = IncrementalMaintainer(self.CONFIG, base)
+        batches = [NEW_ROWS[:2], NEW_ROWS[2:]]
+        for number, rows in enumerate(batches, start=1):
+            batch = self.two_target_table(rows)
+            affected = maintainer.affected_queries(batch)
+            pool = None if workers is None else WorkerPool(workers)
+            report = maintainer.maintain(batch, store, pool=pool)
+            assert len(calls) == number
+            # Every affected query, in enumeration order: targets outer,
+            # so both targets of one scope are not adjacent.
+            assert calls[-1] == affected
+            assert report.affected_queries == len(affected)
+            assert report.workers == 0
 
 
 class TestAffectedQueryProperties:

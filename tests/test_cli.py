@@ -163,14 +163,8 @@ class TestMaintainCommand:
         args = build_parser().parse_args(["maintain", "--dataset", "flights"])
         assert args.command == "maintain"
         assert args.append_rows == 25
-        assert args.pool == "fresh"
+        assert args.workers == 0
         assert not args.verify_serial
-
-    def test_pool_choices_are_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["maintain", "--dataset", "flights", "--pool", "forever"]
-            )
 
     def test_serial_maintenance_pass(self, capsys):
         assert main(self.COMMON) == 0
@@ -185,16 +179,32 @@ class TestMaintainCommand:
             self.COMMON
             + [
                 "--workers", "2",
-                "--pool", "keep",
                 "--verify-serial",
                 "--output", str(store_path),
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "workers=2, pool=keep" in output
+        assert "workers=2)" in output
         assert "serial parity verified" in output
         assert store_path.exists()
+
+    def test_workers_open_one_pool_for_every_pass(self, capsys, monkeypatch):
+        """Pre-processing and maintenance share the invocation's one pool."""
+        from repro.system.worker_pool import WorkerPool
+
+        pools = []
+        original = WorkerPool.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            pools.append(self)
+
+        monkeypatch.setattr(WorkerPool, "__init__", recording)
+        assert main(self.COMMON + ["--workers", "2"]) == 0
+        assert "workers=2)" in capsys.readouterr().out
+        assert sum(pool.spawn_count for pool in pools) == 1
+        assert not any(pool.spawned for pool in pools)
 
 
 class TestServeCommand:
