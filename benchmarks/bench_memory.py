@@ -16,7 +16,11 @@ reports, per speech:
 * ``compact_mmap_pss_bytes`` — the proportional set size the frozen
   snapshot adds once attached through mmap (``Pss_File`` of
   ``/proc/self/smaps_rollup``, which the attach's checksum pass pages
-  in; ``null`` where the kernel does not offer it).
+  in; ``null`` where the kernel does not offer it);
+* ``dict_index_build_us_per_speech`` and ``dict_clone_ms`` — the wall
+  clock of adding the speeches to an empty :class:`SpeechStore` and of
+  its ``clone()``, best of five, timed with ``tracemalloc`` off.  Not
+  gated: they move with the machine.
 
 At the largest size it also breaks the speech objects down by type:
 deep ``sys.getsizeof`` bytes per speech, every shared object counted
@@ -39,6 +43,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -218,6 +223,25 @@ def measure(size: int) -> tuple[dict, list[StoredSpeech]]:
     return row, speeches
 
 
+def time_index(size: int, repeats: int = 5) -> dict:
+    """Best-of-``repeats`` dict-index build µs per speech and ``clone()`` ms."""
+    speeches = build_speeches(build_keys(size))
+    builds, clones = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        store = SpeechStore()
+        for stored in speeches:
+            store.add(stored)
+        builds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        store.clone()
+        clones.append(time.perf_counter() - start)
+    return {
+        "dict_index_build_us_per_speech": min(builds) / size * 1e6,
+        "dict_clone_ms": min(clones) * 1e3,
+    }
+
+
 def run(sizes: list[int]) -> dict:
     sweep = []
     tracemalloc.start()
@@ -228,6 +252,8 @@ def run(sizes: list[int]) -> dict:
             sweep.append(row)
     finally:
         tracemalloc.stop()
+    for row in sweep:
+        row.update(time_index(row["speeches"]))
     return {
         "workload": {
             "dimensions": DIMENSIONS,

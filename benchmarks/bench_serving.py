@@ -131,16 +131,11 @@ def build_lookups(
 def dict_store_bytes(store: SpeechStore) -> int:
     """Deep ``sys.getsizeof`` over the dict store's object graph.
 
-    Index dicts, id lists, stored speeches, queries, facts, scopes and
-    strings, every unique object once (see :func:`bench_memory.deep_sizes`).
+    Key dicts, the id list, length sets, stored speeches, queries,
+    facts, scopes and strings, every unique object once (see
+    :func:`bench_memory.deep_sizes`).
     """
-    roots = [
-        store._id_of_key,
-        store._by_id,
-        store._by_target,
-        store._postings,
-        store._by_target_length,
-    ]
+    roots = [store._ids, store._speeches, store._lengths]
     return sum(deep_sizes(roots).values())
 
 

@@ -29,8 +29,8 @@ from repro.relational.table import Table
 #: keyed by ``(type(value), column, value)`` so equal values of different
 #: types (``1``, ``1.0``, ``True``) keep pairs of their own.  Scopes and
 #: queries range over the data's dimension values, so the table grows
-#: with the distinct pairs of the data, as the store's postings do,
-#: while every speech shares them instead of holding copies.
+#: with the distinct pairs of the data, not with the number of scopes
+#: and speeches, which share them instead of holding copies.
 _PAIRS: dict[tuple[type, str, Any], tuple[str, Any]] = {}
 #: Bound once: the lookup runs per pair of every scope and query built.
 _pair_of = _PAIRS.get

@@ -1,11 +1,10 @@
 """Columnar, zero-copy speech store.
 
 :class:`repro.system.speech_store.SpeechStore` is built for cheap
-incremental mutation: dicts of Python lists, one boxed object per
-posting entry.  A serving deployment holding 10⁵–10⁶ speeches pays for
-that twice — once in resident memory (dict + list + PyLong overhead per
-posting) and once per shard, because every spawned shard unpickles its
-own private copy.
+incremental mutation: Python dicts of keys and a list of boxed speech
+objects.  A serving deployment holding 10⁵–10⁶ speeches pays for that
+twice — once in resident memory (one object graph per speech) and once
+per shard, because every spawned shard unpickles its own private copy.
 
 :class:`CompactSpeechStore` is the read-optimized counterpart: the same
 speeches, the same lookup semantics, laid out as a handful of flat
@@ -43,9 +42,10 @@ one-pass compaction from scratch (``tests/store/compact_oracle.py``).
 Matching parity
 ---------------
 ``exact_match`` / ``best_match`` reproduce ``SpeechStore`` bit for bit:
-exact key first, subset enumeration (longest stored query wins,
-smallest speech id within a length) for short queries, posting-list
-intersection with the zero-predicate fallback for long ones.  Speech
+exact key first, then the longest stored query wins and the smallest
+speech id within a length.  Short queries get there by subset
+enumeration, as the dict store does for every query; long ones
+intersect posting lists, with the zero-predicate fallback.  Speech
 ids equal first-insertion order, so insertion-order tie-breaking
 carries over exactly.  The property tests drive both stores plus the
 ``linear_best_match`` oracle over random workloads and require
@@ -561,6 +561,11 @@ class CompactSpeechStore:
         speech_id = self._find_key(query.target, pairs)
         return None if speech_id < 0 else self.stored(speech_id)
 
+    #: Queries with at most this many predicates match via subset
+    #: enumeration (≤ 2^N exact-key probes, store-size independent);
+    #: longer queries fall back to the posting-list intersection.
+    _SUBSET_ENUMERATION_MAX_LENGTH = 6
+
     def best_match(self, query: DataQuery) -> MatchResult | None:
         """The most specific stored speech containing the queried subset.
 
@@ -570,7 +575,7 @@ class CompactSpeechStore:
         exact = self.exact_match(query)
         if exact is not None:
             return MatchResult(stored=exact, exact=True, overlap=query.length)
-        if query.length <= SpeechStore._SUBSET_ENUMERATION_MAX_LENGTH:
+        if query.length <= self._SUBSET_ENUMERATION_MAX_LENGTH:
             return self._subset_enumeration_match(query)
         return self._postings_match(query)
 

@@ -77,19 +77,6 @@ def canonical_store_payload(
     ).encode("utf-8")
 
 
-def store_from_payload(
-    payload: bytes | str,
-) -> tuple[SpeechStore, SummarizationConfig | None]:
-    """Rebuild a store from :func:`canonical_store_payload` bytes."""
-    if isinstance(payload, bytes):
-        payload = payload.decode("utf-8")
-    try:
-        decoded = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError("speech store payload is not valid JSON") from exc
-    return store_from_dict(decoded)
-
-
 def save_store(
     store: SpeechStore,
     path: str | Path,

@@ -16,6 +16,11 @@ from typing import Any, Iterable, Mapping
 from repro.core.model import Scope, shared_pairs
 
 
+#: ``predicate_map`` default for a column the query does not restrict:
+#: equal to no value, ``None`` included.
+_MISSING = object()
+
+
 def _canonical(predicates: Iterable[tuple[str, Any]]) -> tuple[tuple[str, Any], ...]:
     """``predicates`` sorted by column, as :func:`shared_pairs`."""
     return shared_pairs(sorted(predicates, key=itemgetter(0)))
@@ -99,7 +104,7 @@ class DataQuery:
         if self.target != other.target:
             return False
         mine = self.predicate_map
-        return all(mine.get(col) == val for col, val in other.predicates)
+        return all(mine.get(col, _MISSING) == val for col, val in other.predicates)
 
     def describe(self) -> str:
         """Readable description, e.g. "delay for season=Winter, region=East"."""

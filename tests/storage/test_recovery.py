@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from repro.storage.recovery import (
     recover_state,
 )
 from repro.store import SnapshotPublisher
-from repro.system.persistence import canonical_store_payload, store_from_payload
+from repro.system.persistence import canonical_store_payload, store_from_dict
 from repro.system.updates import IncrementalMaintainer
 
 from tests.serving.conftest import append_table
@@ -355,6 +356,11 @@ class TestTableFromJournal:
         scan = read_journal(tmp_path / JOURNAL_NAME)
         loaded = CheckpointManager(tmp_path).load_latest(scan)
         assert loaded.journal_offset == scan.good_offset
+
+
+def store_from_payload(payload: bytes):
+    """Rebuild a store from :func:`canonical_store_payload` bytes."""
+    return store_from_dict(json.loads(payload))
 
 
 class TestCanonicalPayloadParity:

@@ -4,13 +4,6 @@ The generators deliberately draw predicate values across Python's
 cross-type equality classes (``1 == 1.0 == True``) because the dict
 store keys on raw values — the compact store's canonical value tokens
 must collapse exactly the same classes or lookups diverge.
-
-``None`` is excluded from *predicate* values (it stays legal in fact
-scopes): ``SpeechStore.linear_best_match`` reads predicates through
-``predicate_map.get``, whose missing-column default is also ``None``,
-so a stored ``(col, None)`` predicate makes the linear oracle diverge
-from the indexed paths.  That pre-existing quirk is orthogonal to the
-compact layout, so the parity strategies avoid it.
 """
 
 from __future__ import annotations
@@ -22,20 +15,21 @@ from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore, StoredSpeech
 
 COLUMNS = ("region", "season", "carrier", "month")
+#: Enough columns for queries past the compact store's subset-enumeration
+#: threshold (6 predicates), so its posting-list path is drawn too.
+WIDE_COLUMNS = COLUMNS + ("airport", "weekday", "hour", "origin", "dest")
 TARGETS = ("delay", "cancellation")
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
-#: Values usable in query predicates (no None — see module docstring).
+#: Values usable in query predicates and fact scopes.
 predicate_values = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.booleans(),
     st.sampled_from([0.0, 1.0, 2.5, -0.0, 1e300]),
     st.sampled_from(["East", "West", "North", "", "Winter"]),
+    st.none(),
 )
-
-#: Values usable in fact scopes (None allowed there).
-scope_values = st.one_of(predicate_values, st.none())
 
 
 @st.composite
@@ -50,7 +44,7 @@ def stored_speeches(draw) -> StoredSpeech:
         scope_columns = draw(
             st.lists(st.sampled_from(COLUMNS), unique=True, max_size=2)
         )
-        scope = Scope({column: draw(scope_values) for column in scope_columns})
+        scope = Scope({column: draw(predicate_values) for column in scope_columns})
         facts.append(
             Fact(
                 scope=scope,
@@ -99,3 +93,24 @@ def queries(draw, store: SpeechStore) -> DataQuery:
     return DataQuery.create(
         target, {column: draw(predicate_values) for column in columns}
     )
+
+
+@st.composite
+def long_queries(draw, store: SpeechStore) -> DataQuery:
+    """A 7-9 predicate query built over up to three stored keys of one target.
+
+    The stored keys it contains compete for the longest match.
+    """
+    stored = list(store)
+    target = draw(st.sampled_from([s.query.target for s in stored] or TARGETS))
+    same_target = [s for s in stored if s.query.target == target]
+    predicates = {}
+    if same_target:
+        for base in draw(st.lists(st.sampled_from(same_target), max_size=3)):
+            for column, value in base.query.predicates:
+                predicates.setdefault(column, value)
+    free = [column for column in WIDE_COLUMNS if column not in predicates]
+    length = draw(st.integers(min_value=7, max_value=len(WIDE_COLUMNS)))
+    for column in draw(st.permutations(free))[: length - len(predicates)]:
+        predicates[column] = draw(predicate_values)
+    return DataQuery.create(target, predicates)

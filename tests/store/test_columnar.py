@@ -18,7 +18,13 @@ from repro.system.persistence import canonical_store_payload
 from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore, StoredSpeech
 
-from tests.store.conftest import queries, stored_speeches, stores
+from tests.store.conftest import (
+    WIDE_COLUMNS,
+    long_queries,
+    queries,
+    stored_speeches,
+    stores,
+)
 
 
 def simple_speech(target: str, predicates: dict, text: str) -> StoredSpeech:
@@ -79,6 +85,23 @@ class TestMatchParity:
         compact = CompactSpeechStore.from_store(store)
         for _ in range(4):
             assert_same_match(store, compact, data.draw(queries(store)))
+        assert_same_match(store, compact, data.draw(long_queries(store)))
+
+    def test_long_query_ties_break_by_insertion_order(self):
+        """Past the subset-enumeration threshold the compact store
+        intersects postings; equally long matches still go to the
+        first-inserted key."""
+        store = SpeechStore()
+        store.add(simple_speech("delay", {}, "overall"))
+        store.add(simple_speech("delay", {"season": "Winter"}, "winter"))
+        store.add(simple_speech("delay", {"region": "East"}, "east"))
+        compact = CompactSpeechStore.from_store(store)
+        predicates = {column: "x" for column in WIDE_COLUMNS}
+        predicates.update(region="East", season="Winter")
+        query = DataQuery.create("delay", predicates)
+        assert query.length > CompactSpeechStore._SUBSET_ENUMERATION_MAX_LENGTH
+        assert_same_match(store, compact, query)
+        assert compact.best_match(query).stored.text == "winter"
 
     @given(store=stores(min_size=1))
     @settings(max_examples=60, deadline=None)

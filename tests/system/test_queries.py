@@ -45,6 +45,14 @@ class TestDataQuery:
         other = DataQuery.create("delay", {"region": "West"})
         assert not narrow.is_refinement_of(other)
 
+    def test_none_predicate_is_not_contained_by_a_missing_column(self):
+        query = DataQuery.create("delay", {"region": "East"})
+        stored = DataQuery.create("delay", {"season": None})
+        assert not query.is_refinement_of(stored)
+        assert DataQuery.create(
+            "delay", {"region": "East", "season": None}
+        ).is_refinement_of(stored)
+
     def test_describe_mentions_predicates(self):
         query = DataQuery.create("delay", {"region": "East"})
         assert "region=East" in query.describe()

@@ -1,9 +1,9 @@
-"""Tests for the speech store's indexed lookup paths.
+"""Tests for the speech store's indexed lookup.
 
-``best_match`` dispatches between subset-key enumeration (short
-queries) and posting-list intersection (long queries); both must agree
-with the index-free linear scan (``linear_best_match``) on every
-store/query combination, including tie-breaking and replacements.
+``best_match`` probes the query's predicate subsets as exact keys, for
+short and long queries alike; it must agree with the index-free linear
+scan (``linear_best_match``) on every store/query combination,
+including tie-breaking and replacements.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ _VALUES = {
     "season": ["Winter", "Summer"],
     "carrier": ["AA", "BB"],
 }
+#: Nine columns: stored and looked-up queries up to nine predicates long.
+_WIDE_VALUES = {f"d{i}": ["u", "v"] for i in range(9)}
 
 
 def stored(target: str, predicates: dict, text: str = "speech") -> StoredSpeech:
@@ -27,23 +29,25 @@ def stored(target: str, predicates: dict, text: str = "speech") -> StoredSpeech:
     return StoredSpeech(query=query, speech=Speech([fact]), text=text)
 
 
-def _predicate_strategy():
+def _predicate_strategy(vocabulary: dict):
     return st.fixed_dictionaries(
         {},
         optional={
-            dim: st.sampled_from(values) for dim, values in _VALUES.items()
+            dim: st.sampled_from(values) for dim, values in vocabulary.items()
         },
     )
 
 
 @st.composite
-def stores_and_queries(draw):
+def stores_and_queries(draw, vocabulary: dict = _VALUES):
     """A random store (with possible duplicate adds) plus a lookup query."""
-    entries = draw(st.lists(_predicate_strategy(), min_size=1, max_size=12))
+    entries = draw(
+        st.lists(_predicate_strategy(vocabulary), min_size=1, max_size=12)
+    )
     store = SpeechStore()
     for i, predicates in enumerate(entries):
         store.add(stored("delay", predicates, text=f"speech {i}"))
-    lookup = DataQuery.create("delay", draw(_predicate_strategy()))
+    lookup = DataQuery.create("delay", draw(_predicate_strategy(vocabulary)))
     return store, lookup
 
 
@@ -59,26 +63,13 @@ def assert_same_match(store: SpeechStore, lookup: DataQuery) -> None:
     assert indexed.overlap == linear.overlap
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=stores_and_queries())
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.one_of(stores_and_queries(), stores_and_queries(_WIDE_VALUES))
+)
 def test_indexed_match_agrees_with_linear_scan(data):
     store, lookup = data
     assert_same_match(store, lookup)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=stores_and_queries())
-def test_postings_path_agrees_with_linear_scan(data):
-    """Force the long-query path regardless of the fast-path threshold."""
-    store, lookup = data
-    postings = store._postings_match(lookup)
-    linear = store.linear_best_match(lookup)
-    if linear is None or linear.exact:
-        # The postings path is only reached after the exact probe misses.
-        return
-    assert postings is not None
-    assert postings.stored is linear.stored
-    assert postings.overlap == linear.overlap
 
 
 class TestDirectConstruction:
@@ -151,18 +142,22 @@ class TestReplacement:
         for i in range(5):
             store.add(stored("delay", {"region": "East"}, text=f"v{i}"))
         assert len(store) == 1
-        assert store._postings[("delay", "region", "East")] == [0]
-        assert store._by_target_length[("delay", 1)] == [0]
+        assert [s.text for s in store.speeches_for_target("delay")] == ["v4"]
+        match = store.best_match(
+            DataQuery.create("delay", {"region": "East", "season": "Winter"})
+        )
+        assert match is not None
+        assert match.stored.text == "v4"
+        assert match.overlap == 1
 
 
 class TestLongQueries:
-    def test_query_beyond_subset_threshold_uses_postings(self):
+    def test_nine_predicate_query_matches_longest_stored_subset(self):
         dims = [f"d{i}" for i in range(9)]
         store = SpeechStore()
         store.add(stored("delay", {}, text="overall"))
         store.add(stored("delay", {dims[0]: "v", dims[1]: "v"}, text="pair"))
         lookup = DataQuery.create("delay", {d: "v" for d in dims})
-        assert lookup.length > SpeechStore._SUBSET_ENUMERATION_MAX_LENGTH
         match = store.best_match(lookup)
         assert match is not None
         assert match.stored.text == "pair"
