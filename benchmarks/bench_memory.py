@@ -22,12 +22,20 @@ reports, per speech:
   its ``clone()``, best of five, timed with ``tracemalloc`` off.  Not
   gated: they move with the machine.
 
+A ``sessions`` layer measures the serving path's per-conversation
+state: the ``tracemalloc`` bytes a :class:`SessionStore` retains per
+live session after 1 and after 64 recorded exchanges, each exchange a
+real ``ParsedRequest``/``VoiceResponse`` pair from an engine over the
+grid (its parse and its stateless respond), so ``session_id`` keys,
+timestamps and the kept answer are all counted.
+
 At the largest size it also breaks the speech objects down by type:
 deep ``sys.getsizeof`` bytes per speech, every shared object counted
 once.  For a given interpreter every number but the Pss repeats
 within a few bytes per store (the interpreter's own caches), so
-``memory.speech_bytes_per_speech`` is gated as a ceiling by
-``check_regression.py`` without repeated runs.
+``memory.speech_bytes_per_speech`` and
+``memory.session_bytes_per_session`` (at 64 exchanges) are gated as
+ceilings by ``check_regression.py`` without repeated runs.
 
 Usage::
 
@@ -53,8 +61,14 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.api.sessions import SessionStore  # noqa: E402
 from repro.core.model import Fact, Scope, Speech  # noqa: E402
+from repro.relational.column import Column  # noqa: E402
+from repro.relational.table import Table  # noqa: E402
+from repro.serving.workload import question_for_query  # noqa: E402
 from repro.store import Compaction, attach, freeze  # noqa: E402
+from repro.system.config import SummarizationConfig  # noqa: E402
+from repro.system.engine import VoiceQueryEngine  # noqa: E402
 from repro.system.queries import DataQuery  # noqa: E402
 from repro.system.speech_store import SpeechStore, StoredSpeech  # noqa: E402
 
@@ -62,6 +76,10 @@ DIMENSIONS = 8
 VALUES = 32
 TARGETS = ("value_a", "value_b", "value_c", "value_d")
 SEED = 3
+#: Live sessions of the ``sessions`` layer, and the exchanges recorded
+#: per session at each of its measurements.
+SESSIONS = 64
+SESSION_EXCHANGES = (1, 64)
 
 
 def build_keys(count: int, seed: int = SEED) -> list[tuple[str, dict[str, str]]]:
@@ -223,6 +241,60 @@ def measure(size: int) -> tuple[dict, list[StoredSpeech]]:
     return row, speeches
 
 
+def grid_engine(speeches: list[StoredSpeech]) -> VoiceQueryEngine:
+    """An engine over the grid's dimensions and targets answering from ``speeches``."""
+    dimensions = [f"dim{d}" for d in range(DIMENSIONS)]
+    table = Table(
+        "grid",
+        [Column.categorical(dim, [f"{dim}_v{v}" for v in range(VALUES)]) for dim in dimensions]
+        + [Column.numeric(target, [float(v) for v in range(VALUES)]) for target in TARGETS],
+    )
+    config = SummarizationConfig.create(
+        table="grid", dimensions=dimensions, targets=TARGETS, max_query_length=3
+    )
+    engine = VoiceQueryEngine(config, table)
+    store = SpeechStore()
+    for stored in speeches:
+        store.add(stored)
+    engine.swap_store(store)
+    return engine
+
+
+def measure_sessions(engine: VoiceQueryEngine, questions: list[str], exchanges: int) -> float:
+    """Bytes a :class:`SessionStore` retains per session after ``exchanges`` each.
+
+    Every exchange parses and answers a fresh request, so whatever the
+    store keeps of it is allocated after the measurement starts.
+    """
+    start = traced_now()
+    sessions = SessionStore(capacity=SESSIONS)
+    for session in range(SESSIONS):
+        session_id = f"session-{session:03d}"
+        for exchange in range(exchanges):
+            question = questions[(session * exchanges + exchange) % len(questions)]
+            parsed, request_type = engine.parse_and_classify(question)
+            sessions.record(session_id, parsed, engine.respond_to(parsed, request_type))
+    del parsed  # only what the store keeps may count
+    retained = traced_now() - start
+    assert len(sessions) == SESSIONS
+    return retained / SESSIONS
+
+
+def session_layer() -> dict:
+    """:func:`measure_sessions` at every :data:`SESSION_EXCHANGES` count."""
+    speeches = build_speeches(build_keys(1_000))
+    engine = grid_engine(speeches)
+    questions = [question_for_query(stored.query) for stored in speeches]
+    for question in questions:  # warm the parser's and the store's caches
+        engine.respond(question)
+    row = {"sessions": SESSIONS}
+    for exchanges in SESSION_EXCHANGES:
+        row[f"bytes_per_session_after_{exchanges}"] = measure_sessions(
+            engine, questions, exchanges
+        )
+    return row
+
+
 def time_index(size: int, repeats: int = 5) -> dict:
     """Best-of-``repeats`` dict-index build µs per speech and ``clone()`` ms."""
     speeches = build_speeches(build_keys(size))
@@ -250,6 +322,7 @@ def run(sizes: list[int]) -> dict:
             speeches = None  # frees the previous size's speeches first
             row, speeches = measure(size)
             sweep.append(row)
+        sessions = session_layer()
     finally:
         tracemalloc.stop()
     for row in sweep:
@@ -264,8 +337,13 @@ def run(sizes: list[int]) -> dict:
         "python": sys.version.split()[0],
         "sweep": sweep,
         "breakdown_bytes_per_speech": breakdown(speeches),
-        # Headline metric at the largest size, for the regression gate.
+        "sessions": sessions,
+        # Headline metrics, for the regression gate: the speeches at the
+        # largest size, and a session after its last measured exchange.
         "speech_bytes_per_speech": sweep[-1]["speech_bytes_per_speech"],
+        "session_bytes_per_session": sessions[
+            f"bytes_per_session_after_{SESSION_EXCHANGES[-1]}"
+        ],
     }
 
 

@@ -17,8 +17,9 @@ runner CI lands on.  A metric may instead declare
 ``"direction": "lower_is_better"``, which flips the gate into a
 *ceiling*: the measured value fails when it grows more than the
 tolerance above its baseline.  That is reserved for machine-independent
-absolutes such as ``compact.bytes_per_speech`` and
-``memory.speech_bytes_per_speech`` (arena and object bytes are
+absolutes such as ``compact.bytes_per_speech``,
+``memory.speech_bytes_per_speech`` and
+``memory.session_bytes_per_session`` (arena and object bytes are
 deterministic for a given workload, so a bloated encoding is a real
 regression, not runner noise).  Non-gated context numbers (absolute
 seconds, the pool-reuse amortisation, which depends on core count) are
@@ -99,6 +100,10 @@ SPECS: list[dict] = [
         "name": "memory",
         "metrics": [
             {"path": "speech_bytes_per_speech", "direction": "lower_is_better"},
+            # tracemalloc bytes a SessionStore retains per live session
+            # after 64 recorded exchanges: a session holding a history
+            # of its exchanges again grows it about 80-fold.
+            {"path": "session_bytes_per_session", "direction": "lower_is_better"},
         ],
     },
     {

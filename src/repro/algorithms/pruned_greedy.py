@@ -26,7 +26,8 @@ from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.facts.groups import FactGroup, GroupLattice
 
-#: Group sets whose lattices a summarizer keeps before it starts over.
+#: Group sets whose lattices (and plan inputs whose plans) a summarizer
+#: keeps before it starts over.
 _MAX_LATTICES = 1024
 
 
@@ -36,18 +37,21 @@ class _PrunedGreedyBase(Summarizer):
     The summarizer keeps one :class:`~repro.facts.groups.GroupLattice`
     per group set (the tuple of ``index.groups``' column combinations):
     the pruner and the plan optimizer of every problem over that set
-    read it.  Pickling drops them; each process builds its own.
-    ``sigma`` is the cost model's per-fact utility deviation, finite and
-    positive.
+    read it.  It also keeps each plan it chose, keyed on the plan's
+    inputs (:meth:`_plan`).  Pickling drops both; each process builds
+    its own.  ``sigma`` is the cost model's per-fact utility deviation,
+    finite and positive.
     """
 
     def __init__(self, sigma: float = 0.25):
         self._sigma = checked_sigma(sigma)
         self._lattices: dict[tuple[tuple[str, ...], ...], GroupLattice] = {}
+        self._plans: dict[tuple, PruningPlan] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_lattices"] = {}
+        state["_plans"] = {}
         return state
 
     def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
@@ -63,6 +67,27 @@ class _PrunedGreedyBase(Summarizer):
             lattice = self._lattices[key] = GroupLattice(FactGroup(columns) for columns in key)
         return lattice
 
+    def _plan(
+        self, problem: SummarizationProblem, lattice: GroupLattice, group_sizes: list[int]
+    ) -> PruningPlan:
+        """The plan for ``problem``, chosen once per distinct set of its inputs.
+
+        A plan is a pure function of the lattice, the fact count per
+        group, the relation's row count and its distinct counts, so
+        every problem with the same four shares one — e.g. each target
+        of a predicate scope, even when solved in separate chunks.
+        """
+        relation = problem.relation
+        distinct = tuple((dim, relation.distinct_count(dim)) for dim in relation.dimensions)
+        key = (lattice, tuple(group_sizes), relation.num_rows, distinct)
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _MAX_LATTICES:
+                self._plans.clear()
+            costs = lattice_costs(lattice, group_sizes, relation.num_rows, dict(distinct))
+            plan = self._plans[key] = self._choose_plan(lattice, costs)
+        return plan
+
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         speech, stats, _ = self._solve_scored(problem)
         return speech, stats
@@ -77,19 +102,7 @@ class _PrunedGreedyBase(Summarizer):
         index = problem.index()
         lattice = self._lattice(index)
         pruner = FactGroupPruner(index, evaluator, lattice)
-        # The plan depends on fact counts and dimension statistics only,
-        # so every target of a predicate scope shares it.
-        plan_key = (type(self), self._sigma)
-        plan = index.cache.get(plan_key)
-        if plan is None:
-            relation = problem.relation
-            costs = lattice_costs(
-                lattice,
-                pruner.group_sizes,
-                relation.num_rows,
-                {dim: relation.distinct_count(dim) for dim in relation.dimensions},
-            )
-            plan = index.cache[plan_key] = self._choose_plan(lattice, costs)
+        plan = self._plan(problem, lattice, pruner.group_sizes)
 
         selected: list[Fact] = []
         active = np.ones(index.num_facts, dtype=bool)

@@ -13,9 +13,10 @@ contract a network deployment can expose:
   :class:`repro.system.engine.VoiceResponse`, both tagged with
   ``schema_version`` so the contract can evolve.
 * :mod:`repro.api.sessions` — :class:`SessionStore`, a bounded LRU of
-  per-session repeat-state built on the engine's own
-  :class:`repro.system.engine.SessionState`, so a "repeat" through the
-  service replays exactly what the interactive engine would.
+  per-session repeat-state (the last answer and an exchange count)
+  built on the engine's own :class:`repro.system.engine.SessionState`,
+  so a "repeat" through the service replays exactly what the
+  interactive engine would.
 * :mod:`repro.api.config` — :class:`ServingConfig`, the one dataclass
   holding every serving knob (concurrency, queue depth, shards,
   session capacity, HTTP bind address), consumed

@@ -74,7 +74,7 @@ class VoiceRequest:
         The transcript to answer.
     session_id:
         Optional conversation id.  Requests sharing a ``session_id``
-        share repeat-state and a session log (see
+        share repeat-state: the last answer and an exchange count (see
         :class:`repro.api.sessions.SessionStore`); requests without one
         are answered statelessly.
     request_id:

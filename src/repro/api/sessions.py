@@ -5,7 +5,9 @@ The interactive engine keeps one
 service answering millions of users needs one *per conversation*,
 bounded so abandoned sessions cannot grow memory forever.
 :class:`SessionStore` is that container: an LRU mapping ``session_id ->
-SessionState`` with O(1) lookup, record and eviction.
+SessionState`` with O(1) lookup, record and eviction.  A session holds
+only what the serving path reads: its last answer (the repeat-state)
+and its exchange count — no per-session history.
 
 Design notes
 ------------
@@ -34,15 +36,9 @@ from repro.api.envelopes import SCHEMA_VERSION, response_to_dict
 from repro.system.engine import SessionState, VoiceResponse
 from repro.system.nlq import ParsedRequest
 
-#: Exchanges kept per session log (oldest roll off).  Bounds what one
-#: hot network session can hold in memory; the true exchange count is
-#: still reported (``SessionState.handled``), and repeat-state is
-#: independent of the log.
-DEFAULT_SESSION_LOG_LIMIT = 256
-
 
 class SessionStore:
-    """A bounded LRU of per-session repeat-state and session logs.
+    """A bounded LRU of per-session repeat-state and exchange counts.
 
     Parameters
     ----------
@@ -50,10 +46,6 @@ class SessionStore:
         Maximum live sessions; the least-recently-*used* session is
         evicted when a new one would exceed it.  Every :meth:`get` /
         :meth:`record` touch refreshes recency.
-    log_limit:
-        Exchanges kept per session log; None keeps every exchange
-        (the interactive engine's behavior — unsafe against untrusted
-        traffic).
     clock:
         Timestamp source (override in tests); defaults to
         :func:`time.time`.
@@ -62,15 +54,11 @@ class SessionStore:
     def __init__(
         self,
         capacity: int = DEFAULT_SESSION_CAPACITY,
-        log_limit: int | None = DEFAULT_SESSION_LOG_LIMIT,
         clock=time.time,
     ):
         if capacity < 1:
             raise ValueError(f"session capacity must be >= 1, got {capacity}")
-        if log_limit is not None and log_limit < 1:
-            raise ValueError(f"log_limit must be >= 1 or None, got {log_limit}")
         self._capacity = int(capacity)
-        self._log_limit = log_limit
         self._clock = clock
         self._lock = threading.Lock()
         # dicts preserve insertion order; recency = re-insertion order.
@@ -171,7 +159,7 @@ class SessionStore:
             del self._created_at[oldest]
             del self._last_used_at[oldest]
             self._evicted += 1
-        state = SessionState(log_limit=self._log_limit)
+        state = SessionState()
         now = self._clock()
         self._sessions[session_id] = state
         self._created_at[session_id] = now

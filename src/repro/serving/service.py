@@ -10,7 +10,7 @@
   current :class:`StoreSnapshot` at dispatch and answers entirely from
   it, so a maintenance swap mid-request is invisible.
 * **Sessions** — requests carrying a ``session_id`` share repeat-state
-  and a session log through a bounded
+  (the session's last answer and an exchange count) through a bounded
   :class:`repro.api.sessions.SessionStore`, so a "repeat" through the
   service replays exactly what the interactive engine would for the
   same history.  Session-less requests never touch the store, keeping

@@ -12,11 +12,11 @@ Routing
 -------
 Requests carrying a ``session_id`` are routed by **consistent hash**
 (:class:`ConsistentHashRing`): the same session always lands on the
-same shard, so repeat-state and session logs stay local to one
-process.  Session-less requests round-robin across healthy shards.
-When a session's owner shard is down, the ring walks to the next
-healthy shard — a deterministic fallback, so consecutive requests of
-one session keep landing together even mid-outage.
+same shard, so its repeat-state stays local to one process.
+Session-less requests round-robin across healthy shards.  When a
+session's owner shard is down, the ring walks to the next healthy
+shard — a deterministic fallback, so consecutive requests of one
+session keep landing together even mid-outage.
 
 The hot path is a **raw byte relay**: :meth:`ShardManager.relay_ask`
 forwards the client's request body bytes to the shard and hands the

@@ -15,8 +15,8 @@ The request path is split in two layers so the serving service
   immutable store snapshot), touching no session state, so concurrent
   callers on different snapshots never interfere;
 * :meth:`VoiceQueryEngine.ask` — the interactive path layered on top:
-  same answering logic plus the session log and repeat-state the
-  single-session deployment analysis uses.
+  same answering logic plus the repeat-state, and the unbounded session
+  log the single-session deployment analysis uses.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class SessionLog:
     responses: list[VoiceResponse] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
-    """One conversation's repeat-state and history.
+    """One conversation's repeat-state: its last answer and a count.
 
     This is the engine's session primitive: :meth:`VoiceQueryEngine.ask`
     keeps one instance for its interactive session, and the serving
@@ -116,33 +116,19 @@ class SessionState:
     ``session_id`` — both observe responses through the same
     :meth:`observe`, so a "repeat" answered from either path replays
     exactly the same state.
-
-    ``log_limit`` bounds the kept history (oldest exchanges roll off);
-    the interactive engine keeps it unbounded for deployment analysis,
-    while the serving layer caps it so one hot network session cannot
-    grow memory with request count.  Trimming never affects the
-    repeat-state; ``handled`` keeps the true exchange count.
     """
 
-    log: SessionLog = field(default_factory=SessionLog)
     last_response: VoiceResponse | None = None
-    log_limit: int | None = None
     handled: int = 0
 
     def observe(self, parsed: ParsedRequest, response: VoiceResponse) -> None:
         """Record one handled request.
 
-        Every exchange lands in the log; the repeat-state only advances
-        for non-repeat responses ("repeat" twice replays the same
-        answer, matching the deployed assistant).
+        ``handled`` counts every exchange; the repeat-state only
+        advances for non-repeat responses ("repeat" twice replays the
+        same answer, matching the deployed assistant).
         """
         self.handled += 1
-        self.log.requests.append(parsed)
-        self.log.responses.append(response)
-        if self.log_limit is not None and len(self.log.requests) > self.log_limit:
-            excess = len(self.log.requests) - self.log_limit
-            del self.log.requests[:excess]
-            del self.log.responses[:excess]
         if response.kind is not ResponseKind.REPEAT:
             self.last_response = response
 
@@ -196,6 +182,7 @@ class VoiceQueryEngine:
         self._store = SpeechStore()
         self._report: PreprocessingReport | None = None
         self._session = SessionState()
+        self._session_log = SessionLog()
         self._advanced_enabled = enable_advanced_queries
         self._comparison_answerer = None
         self._extremum_answerer = None
@@ -270,12 +257,12 @@ class VoiceQueryEngine:
 
     @property
     def session_log(self) -> SessionLog:
-        """Requests and responses handled so far."""
-        return self._session.log
+        """Every request and response handled so far (unbounded)."""
+        return self._session_log
 
     @property
     def session(self) -> SessionState:
-        """The interactive session's repeat-state and history."""
+        """The interactive session's repeat-state."""
         return self._session
 
     # ------------------------------------------------------------------
@@ -352,8 +339,8 @@ class VoiceQueryEngine:
         """Answer one voice request (a transcript string).
 
         The interactive path: answers exactly like :meth:`respond`
-        against the engine's own store, and additionally records the
-        request in the session log and keeps the repeat-state.
+        against the engine's own store, and additionally keeps the
+        repeat-state and records the exchange in the session log.
         """
         start = time.perf_counter()
         parsed, request_type = self.parse_and_classify(text)
@@ -362,6 +349,8 @@ class VoiceQueryEngine:
         )
         response.latency_seconds = time.perf_counter() - start
         self._session.observe(parsed, response)
+        self._session_log.requests.append(parsed)
+        self._session_log.responses.append(response)
         return response
 
     def parse_and_classify(self, text: str) -> tuple[ParsedRequest, RequestType]:
@@ -386,7 +375,7 @@ class VoiceQueryEngine:
         :class:`repro.serving.snapshots.StoreSnapshot`'s store to answer
         from a consistent snapshot), the session log is not written and
         repeat requests replay ``last_response`` (the caller owns any
-        per-session history).  Safe for concurrent callers.
+        per-session repeat-state).  Safe for concurrent callers.
         """
         start = time.perf_counter()
         parsed, request_type = self.parse_and_classify(text)

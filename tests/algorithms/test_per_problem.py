@@ -68,7 +68,7 @@ def _generator(name: str, algorithm: str = "G-O", rows: int = 300) -> ProblemGen
 
 
 def _solved(name: str, summarizer_class):
-    """Every problem of ``name`` with its statistics after ``summarizer_class`` solved it.
+    """Each problem of ``name`` with the statistics and plan of its ``summarizer_class`` solve.
 
     The targets of a predicate scope share one set-up, as in
     pre-processing, so they share their index's prepared plans.
@@ -82,7 +82,11 @@ def _solved(name: str, summarizer_class):
         for position in positions:
             problem = generator.build_problem(queries[position], setup)
             if problem is not None:
-                solved.append((problem, summarizer.summarize(problem).statistics))
+                statistics = summarizer.summarize(problem).statistics
+                index = problem.index()
+                sizes = [ids.size for ids in index.groups.values()]
+                plan = summarizer._plan(problem, summarizer._lattice(index), sizes)
+                solved.append((problem, statistics, plan))
     return solved
 
 
@@ -118,11 +122,9 @@ def _oracle_inputs(problem):
 
 def test_plans_and_candidate_costs_match_the_oracle(dataset_name, solved_g_o, solved_g_p):
     seen = set()
-    for (problem, _), (other, _) in zip(solved_g_o, solved_g_p):
+    for (problem, _, chosen), (_, _, naive) in zip(solved_g_o, solved_g_p):
         lattice, sizes, fact_counts, statistics, model = _oracle_inputs(problem)
         groups = list(lattice.groups)
-        chosen = problem.index().cache[(OptimizedGreedySummarizer, 0.25)]
-        naive = other.index().cache[(PrunedGreedySummarizer, 0.25)]
         key = (lattice.groups, tuple(sizes), statistics.row_count, str(statistics.distinct_counts))
         if key in seen:
             continue
@@ -157,7 +159,7 @@ def _bound_states(problem):
 
 
 def test_stacked_bounds_are_the_split_bounds_bits(solved_g_o, solved_g_p):
-    for problem, _ in solved_g_o + solved_g_p:
+    for problem, _, _ in solved_g_o + solved_g_p:
         evaluator, states = _bound_states(problem)
         _, _, prepared = problem.index().cache[FactGroupPruner]
         for plan, (_, targets, _, stacked, starts) in prepared.items():
@@ -173,7 +175,7 @@ def test_stacked_bounds_are_the_split_bounds_bits(solved_g_o, solved_g_p):
 def test_evaluation_counts_are_unchanged(dataset_name, solved_g_o, solved_g_p):
     for algorithm, solved in (("G-O", solved_g_o), ("G-P", solved_g_p)):
         totals = tuple(
-            sum(getattr(stats, field) for _, stats in solved)
+            sum(getattr(stats, field) for _, stats, _ in solved)
             for field in ("fact_evaluations", "bound_evaluations", "groups_pruned")
         )
         assert totals == EVALUATION_TOTALS[dataset_name, algorithm]
@@ -188,10 +190,11 @@ def test_pickled_generator_and_summarizer_carry_no_shape_caches(algorithm):
         problem = generator.build_problem(query)
         if problem is not None:
             summarizer.summarize(problem)
-    assert generator._group_cache and summarizer._lattices
+    assert generator._group_cache and summarizer._lattices and summarizer._plans
     generator_copy = pickle.loads(pickle.dumps(generator))
     summarizer_copy = pickle.loads(pickle.dumps(summarizer))
     assert generator_copy._group_cache == {} and summarizer_copy._lattices == {}
+    assert summarizer_copy._plans == {}
 
     config = generator.config
     stores = [

@@ -24,8 +24,9 @@ from repro.relational.column import Column
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.persistence import canonical_store_payload
-from repro.system.preprocessor import Preprocessor
+from repro.system.preprocessor import Preprocessor, solve_query_chunk
 from repro.system.problem_generator import ProblemGenerator
+from repro.system.templates import SpeechRealizer
 
 SUMMARIZERS = [PrunedGreedySummarizer, OptimizedGreedySummarizer]
 
@@ -166,6 +167,12 @@ def _lattice_state(lattice) -> tuple:
     )
 
 
+def _plan_of(summarizer, problem: SummarizationProblem):
+    index = problem.index()
+    sizes = [ids.size for ids in index.groups.values()]
+    return summarizer._plan(problem, summarizer._lattice(index), sizes)
+
+
 def test_problems_over_one_group_set_share_one_lattice():
     first, second = _same_group_set_problems()
     summarizer = OptimizedGreedySummarizer()
@@ -186,9 +193,9 @@ def test_plan_choice_leaves_the_shared_lattice_and_the_next_plan_unchanged():
     assert summarizer._lattice(second.index()) is lattice
     assert _lattice_state(lattice) == before
     fresh_second = _same_group_set_problems()[1]
-    fresh = OptimizedGreedySummarizer().summarize(fresh_second)
-    plan_key = (OptimizedGreedySummarizer, 0.25)
-    assert second.index().cache[plan_key] == fresh_second.index().cache[plan_key]
+    fresh_summarizer = OptimizedGreedySummarizer()
+    fresh = fresh_summarizer.summarize(fresh_second)
+    assert _plan_of(summarizer, second) == _plan_of(fresh_summarizer, fresh_second)
     assert result.speech.facts == fresh.speech.facts
     assert result.utility.hex() == fresh.utility.hex()
     result.statistics.elapsed_seconds = fresh.statistics.elapsed_seconds = 0.0
@@ -212,3 +219,32 @@ def test_a_pickled_summarizer_produces_the_same_store(algorithm):
         store, _ = Preprocessor(config, each).run(ProblemGenerator(config, data.table))
         stores.append(canonical_store_payload(store, config))
     assert stores[0] == stores[1]
+
+
+# ----------------------------------------------------------------------
+# One plan per set of plan inputs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("summarizer_cls", SUMMARIZERS)
+def test_targets_of_one_scope_in_separate_chunks_choose_the_plan_once(summarizer_cls):
+    data = load_dataset("flights", num_rows=200)
+    config = _config(data.spec, summarizer_cls.name)
+    generator = ProblemGenerator(config, data.table)
+    by_scope: dict[tuple, list] = {}
+    for query in generator.enumerate_queries():
+        by_scope.setdefault(query.predicates, []).append(query)
+    pair = next(queries for queries in by_scope.values() if len(queries) >= 2)[:2]
+    assert pair[0].target != pair[1].target
+
+    summarizer = summarizer_cls()
+    chosen = []
+    choose = summarizer._choose_plan
+    summarizer._choose_plan = lambda *args: chosen.append(args) or choose(*args)
+    context = (generator, summarizer, SpeechRealizer())
+    outcomes = [solve_query_chunk(context, [query])[0] for query in pair]
+    assert len(chosen) == 1
+
+    fresh = [
+        solve_query_chunk((generator, summarizer_cls(), SpeechRealizer()), [query])[0]
+        for query in pair
+    ]
+    assert outcomes == fresh

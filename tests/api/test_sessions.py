@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api.sessions import SessionStore
@@ -55,9 +58,9 @@ class TestRecording:
             reference.observe(request, response)
         state = store.record("s", parsed("q3"), speech("a3"))
         reference.observe(parsed("q3"), speech("a3"))
-        assert state.last_response == reference.last_response
-        assert state.log.responses == reference.log.responses
-        assert state.log.requests == reference.log.requests
+        assert state == reference
+        assert state.handled == reference.handled == 4
+        assert state.last_response.text == "a3"
 
     def test_unknown_session_has_no_repeat_state(self):
         store = SessionStore(capacity=4)
@@ -94,32 +97,49 @@ class TestEviction:
         store.record("a", parsed("q2"), speech("new"))
         assert store.last_response("a").text == "new"
         state = store.record("a", parsed("q3"), speech("n2"))
-        assert len(state.log.requests) == 2  # history restarted at re-creation
+        assert state.handled == 2  # the count restarted at re-creation
+        assert state.last_response.text == "n2"
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             SessionStore(capacity=0)
-        with pytest.raises(ValueError, match="log_limit"):
-            SessionStore(log_limit=0)
 
 
 class TestLogBound:
-    def test_session_log_is_bounded_but_counts_every_exchange(self):
-        store = SessionStore(capacity=2, log_limit=5)
+    def test_session_keeps_its_last_answer_and_counts_every_exchange(self):
+        store = SessionStore(capacity=2)
         for index in range(40):
             store.record("hot", parsed(f"q{index}"), speech(f"a{index}"))
         state = store.record("hot", parsed("q-last"), speech("a-last"))
-        assert len(state.log.requests) == 5
-        assert len(state.log.responses) == 5
-        assert state.log.responses[-1].text == "a-last"
-        assert store.describe("hot")["requests"] == 41  # true total, not kept
+        assert state.handled == 41
+        assert state.last_response.text == "a-last"
+        assert store.describe("hot")["requests"] == 41
 
-    def test_trimming_never_disturbs_repeat_state(self):
-        store = SessionStore(capacity=2, log_limit=2)
+    def test_many_exchanges_never_disturb_repeat_state(self):
+        store = SessionStore(capacity=2)
         for index in range(10):
             store.record("s", parsed(f"q{index}"), speech(f"a{index}"))
-        store.record("s", parsed("repeat"), repeat("a9"))
+        state = store.record("s", parsed("repeat"), repeat("a9"))
         assert store.last_response("s").text == "a9"
+        assert state.handled == 11
+
+    def test_recorded_exchanges_are_not_retained(self):
+        class Sentinel:
+            pass
+
+        store = SessionStore(capacity=2)
+        sentinels = []
+        for index in range(1000):
+            sentinel = Sentinel()
+            sentinels.append(weakref.ref(sentinel))
+            request = ParsedRequest(
+                text=f"q{index}", kind=RequestKind.QUERY, matched_values={"v": sentinel}
+            )
+            store.record("s", request, speech(f"a{index}"))
+            del sentinel, request
+        gc.collect()
+        assert [ref for ref in sentinels if ref() is not None] == []
+        assert store.describe("s")["requests"] == 1000
 
 
 class TestDescribe:
