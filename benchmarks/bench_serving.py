@@ -4,8 +4,8 @@ Fills speech stores of increasing size with synthetic pre-generated
 speeches and measures ``best_match`` throughput (queries per second)
 for
 
-* the inverted-index lookup (production path: postings intersection
-  over the query's own predicates), and
+* the indexed lookup (production path: the query's own predicate
+  subsets probed as exact keys, at the stored query lengths), and
 * the index-free linear scan over the target's bucket (the seed
   implementation, kept as ``SpeechStore.linear_best_match``).
 
@@ -20,7 +20,9 @@ The ``compact`` phase additionally prices the columnar
 mirrors: bytes per speech (deep-traversed object bytes vs. the compact
 arena bytes vs. the frozen file), freeze/attach wall time, and lookup
 latency on the identical query stream — with every sampled lookup
-verified byte-identical between the two implementations.  It also
+verified byte-identical between the two implementations, including
+7- and 8-predicate queries, whose compact lookup latency is reported
+on its own (``compact_long_microseconds_per_lookup``).  It also
 times what a maintenance job's snapshot costs: compacting the store
 from scratch against compacting it incrementally, from the previous
 version's compaction, after an append's worth of replaced speeches
@@ -114,14 +116,19 @@ def build_lookups(
     seed: int = 47,
     dims: int = NUM_DIMENSIONS,
     values: int = VALUES_PER_DIMENSION,
+    lengths: tuple[int, int] = (0, 3),
 ) -> list[DataQuery]:
-    """Random run-time queries of length 0-3 over the same vocabulary."""
+    """Random run-time queries over the same vocabulary.
+
+    Query lengths are drawn uniformly from the inclusive range
+    ``lengths`` (by default 0-3, the stored lengths).
+    """
     vocabulary = _vocabulary(dims, values)
     dimensions = list(vocabulary)
     rng = np.random.default_rng(seed)
     lookups = []
     for _ in range(num_lookups):
-        length = int(rng.integers(0, 4))
+        length = int(rng.integers(lengths[0], lengths[1] + 1))
         chosen = rng.choice(dimensions, size=length, replace=False)
         predicates = {d: vocabulary[d][int(rng.integers(0, values))] for d in chosen}
         lookups.append(DataQuery.create(TARGET, predicates))
@@ -227,6 +234,9 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
 
     dims, values = COMPACT_DIMENSIONS, COMPACT_VALUES
     lookups = build_lookups(num_lookups, dims=dims, values=values)
+    long_lookups = build_lookups(
+        max(1, num_lookups // 10), seed=59, dims=dims, values=values, lengths=(7, 8)
+    )
     sweep = []
     agreement = True
     for size in store_sizes:
@@ -252,7 +262,7 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
             attached = attach(path)
             attach_seconds = time.perf_counter() - start
 
-            for query in lookups[: min(400, num_lookups)]:
+            for query in lookups[: min(400, num_lookups)] + long_lookups:
                 dict_best = store.best_match(query)
                 compact_best = attached.best_match(query)
                 if (dict_best is None) != (compact_best is None) or (
@@ -260,6 +270,7 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
                     and (
                         compact_best.stored != dict_best.stored
                         or compact_best.exact != dict_best.exact
+                        or compact_best.overlap != dict_best.overlap
                     )
                 ):
                     agreement = False
@@ -269,6 +280,10 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
             for query in lookups:
                 attached.best_match(query)
             compact_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            for query in long_lookups:
+                attached.best_match(query)
+            compact_long_seconds = time.perf_counter() - start
 
         sweep.append(
             {
@@ -287,6 +302,9 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
                 / num_lookups
                 * 1e6,
                 "lookup_ratio": dict_seconds / compact_seconds,
+                "compact_long_microseconds_per_lookup": compact_long_seconds
+                / len(long_lookups)
+                * 1e6,
             }
         )
     largest = sweep[-1]
@@ -295,6 +313,7 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
             "dimensions": dims,
             "values_per_dimension": values,
             "lookups": num_lookups,
+            "long_lookups": len(long_lookups),
         },
         "sweep": sweep,
         # Headline metrics at the largest size, for the regression gate:

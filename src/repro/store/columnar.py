@@ -22,9 +22,9 @@ Layout
   utility/scaled-utility float64 columns, and the speech text as a
   slice of one UTF-8 blob (offset array + arena).
 * **CSR structures** — stored-query predicates, facts and fact scopes
-  are (offsets, column-id, value-id) compressed sparse rows; posting
-  lists are a digest-sorted key array plus an offsets + int32-id pair,
-  replacing the dict-of-list inverted index.
+  are (offsets, column-id, value-id) compressed sparse rows; the
+  speech ids of each (target, stored length) bucket are one more.
+  There is no inverted index.
 * **Probe tables** — exact-key lookups binary-search a sorted 64-bit
   key-digest array; every digest hit is verified against the stored
   predicates before it is trusted, so a (vanishingly unlikely) digest
@@ -43,13 +43,13 @@ Matching parity
 ---------------
 ``exact_match`` / ``best_match`` reproduce ``SpeechStore`` bit for bit:
 exact key first, then the longest stored query wins and the smallest
-speech id within a length.  Short queries get there by subset
-enumeration, as the dict store does for every query; long ones
-intersect posting lists, with the zero-predicate fallback.  Speech
-ids equal first-insertion order, so insertion-order tie-breaking
-carries over exactly.  The property tests drive both stores plus the
-``linear_best_match`` oracle over random workloads and require
-byte-identical results.
+speech id within a length.  Both stores run that rule as the one
+function :func:`repro.system.speech_store.longest_subset_match`, which
+probes the query's predicate subsets as exact keys; here a probe is a
+digest binary search.  Speech ids equal first-insertion order, so
+insertion-order tie-breaking carries over exactly.  The property tests
+drive both stores plus the ``linear_best_match`` oracle over random
+workloads and require byte-identical results.
 """
 
 from __future__ import annotations
@@ -58,15 +58,20 @@ import json
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from hashlib import blake2b
-from itertools import combinations
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.model import Fact, Scope, Speech
 from repro.system.queries import DataQuery
-from repro.system.speech_store import MatchResult, SpeechStore, StoredSpeech
+from repro.system.speech_store import (
+    MatchResult,
+    SpeechStore,
+    StoredSpeech,
+    longest_subset_match,
+)
 
 #: Decoded :class:`StoredSpeech` objects kept hot per store instance.
 #: Lookups concentrate on few speeches; an unbounded cache would slowly
@@ -104,7 +109,7 @@ def _value_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _key_digest(target: str, pairs: list[tuple[str, str]]) -> int:
+def _key_digest(target: str, pairs: Sequence[tuple[str, str]]) -> int:
     """64-bit digest of an exact-match key ``(target, predicates)``.
 
     ``pairs`` are ``(column, canonical token)`` in the query's own
@@ -121,16 +126,11 @@ def _key_digest(target: str, pairs: list[tuple[str, str]]) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _posting_digest(target: str, column: str, token: str) -> int:
-    """64-bit digest of a posting key ``(target, column, value)``."""
-    h = blake2b(digest_size=8)
-    h.update(b"P\x1f")
-    h.update(target.encode("utf-8"))
-    h.update(b"\x1f")
-    h.update(column.encode("utf-8"))
-    h.update(b"\x1e")
-    h.update(token.encode("utf-8"))
-    return int.from_bytes(h.digest(), "little")
+def _key_pairs(query: DataQuery) -> tuple[tuple[str, str], ...]:
+    """The ``(column, canonical token)`` pairs a query's key digests."""
+    return tuple(
+        (column, _canonical_token(value)) for column, value in query.predicates
+    )
 
 
 # ----------------------------------------------------------------------
@@ -186,14 +186,16 @@ _DTYPES: dict[str, Any] = {
     "s_val": np.int32,
     "key_digest": np.uint64,
     "key_sorted_id": np.int32,
-    "post_digest": np.uint64,
-    "post_off": np.int64,
-    "post_ids": np.int32,
     "bucket_target": np.int32,
     "bucket_length": np.int32,
     "bucket_off": np.int64,
     "bucket_ids": np.int32,
 }
+
+_BLOBS = tuple(f"{name}_blob" for name in (*_POOLS, "text"))
+
+#: Every section of the layout: the schema a snapshot file must carry.
+SECTION_NAMES = frozenset((*_DTYPES, *_BLOBS))
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -370,6 +372,10 @@ class CompactSpeechStore:
             (int(bucket_target[i]), int(bucket_length[i])): i
             for i in range(len(bucket_target))
         }
+        # target -> the lengths of its stored queries, as the dict store keeps.
+        self._lengths: dict[str, set[int]] = {}
+        for tid, length in self._buckets:
+            self._lengths.setdefault(self._targets[tid], set()).add(length)
 
     # ------------------------------------------------------------------
     # Construction from a mutable store
@@ -523,7 +529,7 @@ class CompactSpeechStore:
     # Lookup
     # ------------------------------------------------------------------
     def _key_equals(
-        self, speech_id: int, target: str, pairs: list[tuple[str, str]]
+        self, speech_id: int, target: str, pairs: Sequence[tuple[str, str]]
     ) -> bool:
         """Verify a digest hit against the stored predicates."""
         s = self._sections
@@ -539,8 +545,8 @@ class CompactSpeechStore:
                 return False
         return True
 
-    def _find_key(self, target: str, pairs: list[tuple[str, str]]) -> int:
-        """Speech id stored under exactly this key, or -1."""
+    def _find_key(self, target: str, pairs: Sequence[tuple[str, str]]) -> int | None:
+        """Speech id stored under exactly this key, or None."""
         digests = self._sections["key_digest"]
         digest = np.uint64(_key_digest(target, pairs))
         lo = int(np.searchsorted(digests, digest, side="left"))
@@ -549,121 +555,37 @@ class CompactSpeechStore:
             speech_id = int(self._sections["key_sorted_id"][i])
             if self._key_equals(speech_id, target, pairs):
                 return speech_id
-        return -1
+        return None
 
     def exact_match(self, query: DataQuery) -> StoredSpeech | None:
         """The speech pre-generated for exactly this query, if any."""
-        if query.target not in self._target_index:
+        if query.target not in self._lengths:
             return None
-        pairs = [
-            (column, _canonical_token(value)) for column, value in query.predicates
-        ]
-        speech_id = self._find_key(query.target, pairs)
-        return None if speech_id < 0 else self.stored(speech_id)
-
-    #: Queries with at most this many predicates match via subset
-    #: enumeration (≤ 2^N exact-key probes, store-size independent);
-    #: longer queries fall back to the posting-list intersection.
-    _SUBSET_ENUMERATION_MAX_LENGTH = 6
+        speech_id = self._find_key(query.target, _key_pairs(query))
+        return None if speech_id is None else self.stored(speech_id)
 
     def best_match(self, query: DataQuery) -> MatchResult | None:
         """The most specific stored speech containing the queried subset.
 
         Same contract (and same tie-breaking) as
-        :meth:`SpeechStore.best_match`.
+        :meth:`SpeechStore.best_match`: the query's own key first, then
+        :func:`longest_subset_match` probing the key digests.
         """
-        exact = self.exact_match(query)
-        if exact is not None:
-            return MatchResult(stored=exact, exact=True, overlap=query.length)
-        if query.length <= self._SUBSET_ENUMERATION_MAX_LENGTH:
-            return self._subset_enumeration_match(query)
-        return self._postings_match(query)
-
-    def _subset_enumeration_match(self, query: DataQuery) -> MatchResult | None:
-        tid = self._target_index.get(query.target)
-        if tid is None:
+        lengths = self._lengths.get(query.target)
+        if lengths is None:
             return None
-        pairs = [
-            (column, _canonical_token(value)) for column, value in query.predicates
-        ]
-        for length in range(query.length - 1, -1, -1):
-            if (tid, length) not in self._buckets:
-                continue
-            best_id = -1
-            for subset in combinations(pairs, length):
-                speech_id = self._find_key(query.target, list(subset))
-                if speech_id >= 0 and (best_id < 0 or speech_id < best_id):
-                    best_id = speech_id
-            if best_id >= 0:
-                return MatchResult(
-                    stored=self.stored(best_id), exact=False, overlap=length
-                )
-        return None
-
-    def _speech_has_predicate(
-        self, speech_id: int, target: str, column: str, token: str
-    ) -> bool:
-        s = self._sections
-        if self._targets[int(s["target_id"][speech_id])] != target:
-            return False
-        qa, qb = int(s["q_off"][speech_id]), int(s["q_off"][speech_id + 1])
-        for i in range(qa, qb):
-            if (
-                self._columns[int(s["q_col"][i])] == column
-                and self._token(int(s["q_val"][i])) == token
-            ):
-                return True
-        return False
-
-    def _postings_match(self, query: DataQuery) -> MatchResult | None:
-        tid = self._target_index.get(query.target)
-        if tid is None:
+        pairs = _key_pairs(query)
+        find = partial(self._find_key, query.target)
+        speech_id = find(pairs)
+        if speech_id is not None:
+            return MatchResult(
+                stored=self.stored(speech_id), exact=True, overlap=len(pairs)
+            )
+        found = longest_subset_match(pairs, lengths, find)
+        if found is None:
             return None
-        s = self._sections
-        post_digest = s["post_digest"]
-        post_off = s["post_off"]
-        post_ids = s["post_ids"]
-        hits: dict[int, int] = {}
-        for column, value in query.predicates:
-            token = _canonical_token(value)
-            digest = np.uint64(_posting_digest(query.target, column, token))
-            lo = int(np.searchsorted(post_digest, digest, side="left"))
-            hi = int(np.searchsorted(post_digest, digest, side="right"))
-            for entry in range(lo, hi):
-                a, b = int(post_off[entry]), int(post_off[entry + 1])
-                # All ids in a posting list share one key: verifying the
-                # first member screens out digest collisions.
-                if not self._speech_has_predicate(
-                    int(post_ids[a]), query.target, column, token
-                ):
-                    continue
-                for speech_id in post_ids[a:b]:
-                    speech_id = int(speech_id)
-                    hits[speech_id] = hits.get(speech_id, 0) + 1
-                break
-
-        q_off = s["q_off"]
-        best_id = -1
-        best_length = -1
-        for speech_id, count in hits.items():
-            length = int(q_off[speech_id + 1]) - int(q_off[speech_id])
-            if count != length:
-                continue
-            if length > best_length or (
-                length == best_length and speech_id < best_id
-            ):
-                best_id = speech_id
-                best_length = length
-
-        if best_id < 0:
-            overall = self._buckets.get((tid, 0))
-            if overall is None:
-                return None
-            best_id = int(s["bucket_ids"][int(s["bucket_off"][overall])])
-            best_length = 0
-        return MatchResult(
-            stored=self.stored(best_id), exact=False, overlap=best_length
-        )
+        speech_id, length = found
+        return MatchResult(stored=self.stored(speech_id), exact=False, overlap=length)
 
 
 @dataclass(frozen=True)
@@ -676,8 +598,8 @@ class Compaction:
     re-encoded only when the object at its id is no longer the one
     compacted here (``is``).  Everything else is NumPy over the
     previous sections — splicing the per-speech CSR arrays, ranking the
-    pools by first appearance, then rebuilding the postings, buckets and
-    sorted key digests — so the cost is the changed speeches' encoding
+    pools by first appearance, then rebuilding the buckets and sorted
+    key digests — so the cost is the changed speeches' encoding
     plus a few passes over flat arrays.  The result is section for
     section what compacting the store from scratch gives, for any store
     (ids that changed meaning are simply re-encoded).
@@ -689,7 +611,7 @@ class Compaction:
     @classmethod
     def empty(cls) -> "Compaction":
         """The compaction of the empty store (every compaction starts here)."""
-        sections: dict[str, Any] = {f"{name}_blob": b"" for name in (*_POOLS, "text")}
+        sections: dict[str, Any] = dict.fromkeys(_BLOBS, b"")
         for name, dtype in _DTYPES.items():
             sections[name] = np.zeros(int(name.endswith("_off")), dtype=dtype)
         return cls(CompactSpeechStore(sections, {"speeches": 0}), [])
@@ -749,14 +671,13 @@ class Compaction:
             "columns": [(q_col, q_pos), (s_col, s_pos)],
             "values": [(q_val, q_pos), (s_val, s_pos)],
         }
-        items: dict[str, list[str]] = {}
         renumber: dict[str, np.ndarray] = {}
         for name in _POOLS:
             size = len(pools[name].items)
             order = _first_appearance(size, *streams[name])
-            items[name] = [pools[name].items[i] for i in order.tolist()]
+            items = [pools[name].items[i] for i in order.tolist()]
             renumber[name] = _renumbering(order, size)
-            out[f"{name}_blob"], out[f"{name}_off"] = _Pool(items[name]).blob()
+            out[f"{name}_blob"], out[f"{name}_off"] = _Pool(items).blob()
         out["target_id"] = renumber["targets"][out["target_id"]]
         out["algorithm_id"] = renumber["algorithms"][out["algorithm_id"]]
         out["q_col"], out["s_col"] = (renumber["columns"][c] for c in (q_col, s_col))
@@ -764,55 +685,12 @@ class Compaction:
 
         order = np.argsort(digest, kind="stable")
         out["key_digest"], out["key_sorted_id"] = digest[order], order
-        out.update(_postings(out, items, speech_of_q))
         out.update(_buckets(out["target_id"], np.diff(out["q_off"])))
         sections = {
             name: np.asarray(value, dtype=_DTYPES[name]) if name in _DTYPES else value
             for name, value in out.items()
         }
         return Compaction(CompactSpeechStore(sections, {"speeches": n}), speeches)
-
-
-def _postings(
-    out: dict[str, Any], items: dict[str, list[str]], speech_of_q: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Posting lists: one per (target, column, canonical token) key.
-
-    Keys sort by digest, ties by first appearance; each list holds its
-    speech ids ascending.
-    """
-    token_ids: dict[str, int] = {}
-    value_token = np.array(
-        [
-            token_ids.setdefault(_canonical_token(json.loads(v)), len(token_ids))
-            for v in items["values"]
-        ],
-        dtype=np.int64,
-    )
-    columns, tokens = max(1, len(items["columns"])), max(1, len(token_ids))
-    target_column = out["target_id"][speech_of_q].astype(np.int64) * columns
-    target_column += out["q_col"]
-    code = target_column * tokens + value_token[out["q_val"]]
-    keys, first, key_of_q = np.unique(
-        _narrow(code), return_index=True, return_inverse=True
-    )
-    target, rest = np.divmod(keys.astype(np.int64), columns * tokens)
-    column, token = np.divmod(rest, tokens)
-    token_items = list(token_ids)
-    digests = np.array(
-        [
-            _posting_digest(items["targets"][t], items["columns"][c], token_items[k])
-            for t, c, k in zip(target.tolist(), column.tolist(), token.tolist())
-        ],
-        dtype=np.uint64,
-    )
-    order = np.lexsort((first, digests))
-    entry_of_q = _renumbering(order, len(keys))[key_of_q]
-    return {
-        "post_digest": digests[order],
-        "post_off": _offsets(np.bincount(entry_of_q, minlength=len(keys))),
-        "post_ids": speech_of_q[np.argsort(_narrow(entry_of_q), kind="stable")],
-    }
 
 
 def _buckets(target_id: np.ndarray, length: np.ndarray) -> dict[str, np.ndarray]:

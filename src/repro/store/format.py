@@ -21,9 +21,11 @@ File layout (all integers little-endian)::
 
 The TOC records, per section, its payload-relative offset, byte length,
 dtype and element count, plus snapshot metadata (speech count, the
-publisher's snapshot version).  Every byte of the file is covered by
-exactly one of the three CRCs, so the corruption matrix is total: any
-flipped byte, truncated tail, bad magic or version skew raises a typed
+publisher's snapshot version).  The sections are the compact layout's
+:data:`~repro.store.columnar.SECTION_NAMES`; a file missing one is
+rejected.  Every byte of the file is covered by exactly one of the
+three CRCs, so the corruption matrix is total: any flipped byte,
+truncated tail, bad magic or version skew raises a typed
 :class:`~repro.store.errors.SnapshotError` — an attached snapshot can
 never silently return wrong matches.
 
@@ -45,7 +47,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.store.columnar import CompactSpeechStore
+from repro.store.columnar import SECTION_NAMES, CompactSpeechStore
 from repro.store.errors import (
     SnapshotCorruptionError,
     SnapshotFormatError,
@@ -53,7 +55,7 @@ from repro.store.errors import (
 )
 
 MAGIC = b"RVSNAP01"
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<8sIIQIIQ")  # magic .. file length (40 bytes)
 _HEADER_CRC = struct.Struct("<I")
@@ -61,44 +63,6 @@ HEADER_SIZE = _HEADER.size + _HEADER_CRC.size  # 44
 
 #: dtype codes allowed in a TOC; "bytes" marks an opaque blob section.
 _DTYPES = {"<i4", "<i8", "<f8", "<u8"}
-
-#: Sections every snapshot must carry (the compact layout's schema).
-_REQUIRED = frozenset(
-    {
-        "targets_blob",
-        "targets_off",
-        "columns_blob",
-        "columns_off",
-        "algorithms_blob",
-        "algorithms_off",
-        "values_blob",
-        "values_off",
-        "target_id",
-        "algorithm_id",
-        "utility",
-        "scaled_utility",
-        "text_blob",
-        "text_off",
-        "q_off",
-        "q_col",
-        "q_val",
-        "f_off",
-        "fact_value",
-        "fact_support",
-        "s_off",
-        "s_col",
-        "s_val",
-        "key_digest",
-        "key_sorted_id",
-        "post_digest",
-        "post_off",
-        "post_ids",
-        "bucket_target",
-        "bucket_length",
-        "bucket_off",
-        "bucket_ids",
-    }
-)
 
 
 def _align8(value: int) -> int:
@@ -127,7 +91,7 @@ def freeze(
     scratch first) or a :class:`CompactSpeechStore`, which is only
     written.  The file appears at ``path`` only when complete: content
     goes to a temporary sibling which is fsynced and renamed over the
-    target.
+    target, and is removed again if any of that fails.
     """
     compacted = CompactSpeechStore.from_store(store)
     path = Path(path)
@@ -177,14 +141,20 @@ def freeze(
     header += _HEADER_CRC.pack(zlib.crc32(header))
 
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(header)
-        handle.write(toc_bytes)
-        handle.write(gap)
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(header)
+            handle.write(toc_bytes)
+            handle.write(gap)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # Only this process's own temp file: shards freeze into one
+        # directory, and another shard's may still be in flight.
+        tmp.unlink(missing_ok=True)
+        raise
     fsync_directory(path.parent)
     return path
 
@@ -293,7 +263,7 @@ def attach(path: str | Path) -> CompactSpeechStore:
             raise SnapshotCorruptionError(
                 f"snapshot {path} section table is not valid"
             ) from exc
-        missing = _REQUIRED - set(described)
+        missing = SECTION_NAMES - set(described)
         if missing:
             raise SnapshotCorruptionError(
                 f"snapshot {path} is missing sections: {sorted(missing)}"

@@ -15,7 +15,9 @@ inverted index.  ``best_match`` probes the query's own predicate
 subsets as exact keys, longest first, and only at the lengths the
 target stores: Σ C(|Q|, l) probes over the stored lengths l < |Q|,
 independent of store size (a 3-predicate voice query costs at most 7;
-a 9-predicate query against stored lengths 0-3 costs 130).
+a 9-predicate query against stored lengths 0-3 costs 130).  That
+subset rule is :func:`longest_subset_match`; the compact store
+(:mod:`repro.store.columnar`) calls it with its own key probe.
 
 Matching is deterministic: among qualifying speeches the longest
 stored query wins, and ties break by insertion order (the speech whose
@@ -27,10 +29,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Collection, Iterator
 
 from repro.core.model import Speech
 from repro.system.queries import DataQuery
+
+
+def longest_subset_match(
+    predicates: tuple,
+    lengths: Collection[int],
+    probe: Callable[[tuple], int | None],
+) -> tuple[int, int] | None:
+    """(speech id, length) of the longest stored proper subset of a query.
+
+    The one subset rule both stores share: ``probe`` maps a predicate
+    subset (a tuple, in the query's own order) to the id of the speech
+    stored under exactly that key, or None.  Subsets are probed longest
+    first, only at the ``lengths`` the target stores, and within a
+    length the smallest id (earliest first insertion) wins: Σ C(|Q|, l)
+    probes over the stored lengths l < |Q|, however many speeches are
+    stored.  None when no proper subset is stored.
+    """
+    for length in range(len(predicates) - 1, -1, -1):
+        if length not in lengths:
+            continue
+        best_id = None
+        for subset in combinations(predicates, length):
+            speech_id = probe(subset)
+            if speech_id is not None and (best_id is None or speech_id < best_id):
+                best_id = speech_id
+        if best_id is not None:
+            return best_id, length
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +176,8 @@ class SpeechStore:
     def best_match(self, query: DataQuery) -> MatchResult | None:
         """The most specific stored speech containing the queried subset.
 
-        Probes every predicate subset of the query as an exact key,
-        longest first, skipping the lengths the target stores no query
-        of: Σ C(|Q|, l) dict probes over the stored lengths l < |Q|,
-        however many speeches are stored.  Within a length the smallest
-        speech id (earliest first insertion) wins.
+        The query's own key first, then :func:`longest_subset_match`
+        probing the key dict.
 
         Returns None when no stored speech references the queried
         target column, or when no stored subset contains the query.
@@ -164,20 +191,13 @@ class SpeechStore:
             return MatchResult(
                 stored=self._speeches[speech_id], exact=True, overlap=len(predicates)
             )
-        lengths = self._lengths[query.target]
-        for length in range(len(predicates) - 1, -1, -1):
-            if length not in lengths:
-                continue
-            best_id = -1
-            for subset in combinations(predicates, length):
-                speech_id = ids.get(subset)
-                if speech_id is not None and (best_id < 0 or speech_id < best_id):
-                    best_id = speech_id
-            if best_id >= 0:
-                return MatchResult(
-                    stored=self._speeches[best_id], exact=False, overlap=length
-                )
-        return None
+        found = longest_subset_match(predicates, self._lengths[query.target], ids.get)
+        if found is None:
+            return None
+        speech_id, length = found
+        return MatchResult(
+            stored=self._speeches[speech_id], exact=False, overlap=length
+        )
 
     # ------------------------------------------------------------------
     # Reference path

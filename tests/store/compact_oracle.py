@@ -3,10 +3,9 @@
 This is the compaction :class:`repro.store.CompactSpeechStore` used to
 run on every freeze, kept as the oracle for the incremental compaction
 (:meth:`repro.store.Compaction.advance`): interning each speech's
-strings into the pools as it goes, building postings and buckets in
-dicts, then sorting.  Every section it returns must equal the
-incremental result array for array, and a freeze of either must write
-the same bytes.
+strings into the pools as it goes, building buckets in a dict, then
+sorting.  Every section it returns must equal the incremental result
+array for array, and a freeze of either must write the same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.store.columnar import (
     _canonical_token,
     _key_digest,
     _Pool,
-    _posting_digest,
     _value_json,
 )
 
@@ -49,8 +47,6 @@ def oracle_sections(store) -> dict[str, Any]:
     s_col: list[int] = []
     s_val: list[int] = []
     key_digests: list[int] = []
-    postings: dict[tuple[int, int, str], list[int]] = {}
-    posting_digests: dict[tuple[int, int, str], int] = {}
     buckets: dict[tuple[int, int], list[int]] = {}
 
     for speech_id, stored in enumerate(store):
@@ -66,16 +62,9 @@ def oracle_sections(store) -> dict[str, Any]:
 
         pairs: list[tuple[str, str]] = []
         for column, value in stored.query.predicates:
-            cid = columns.intern(column)
-            q_col.append(cid)
+            q_col.append(columns.intern(column))
             q_val.append(values.intern(_value_json(value)))
-            token = _canonical_token(value)
-            pairs.append((column, token))
-            posting_key = (tid, cid, token)
-            if posting_key not in postings:
-                postings[posting_key] = []
-                posting_digests[posting_key] = _posting_digest(target, column, token)
-            postings[posting_key].append(speech_id)
+            pairs.append((column, _canonical_token(value)))
         q_off.append(len(q_col))
         key_digests.append(_key_digest(target, pairs))
         buckets.setdefault((tid, stored.query.length), []).append(speech_id)
@@ -114,18 +103,6 @@ def oracle_sections(store) -> dict[str, Any]:
     order = np.argsort(digest_array, kind="stable")
     sections["key_digest"] = digest_array[order]
     sections["key_sorted_id"] = order.astype(np.int32)
-
-    posting_keys = sorted(postings, key=lambda k: posting_digests[k])
-    post_off = [0]
-    post_ids: list[int] = []
-    for key in posting_keys:
-        post_ids.extend(postings[key])
-        post_off.append(len(post_ids))
-    sections["post_digest"] = np.asarray(
-        [posting_digests[k] for k in posting_keys], dtype=np.uint64
-    )
-    sections["post_off"] = np.asarray(post_off, dtype=np.int64)
-    sections["post_ids"] = np.asarray(post_ids, dtype=np.int32)
 
     bucket_keys = sorted(buckets)
     bucket_off = [0]

@@ -127,11 +127,10 @@ class TestAgainstOracle:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_digest_ties_keep_the_oracle_order(self, data):
-        """Colliding key and posting digests: ties break like the oracle's."""
+        """Colliding key digests: ties break like the oracle's."""
         with pytest.MonkeyPatch.context() as patch:
             for module in (columnar, compact_oracle):
                 patch.setattr(module, "_key_digest", lambda *key: len(key[1]) % 2)
-                patch.setattr(module, "_posting_digest", lambda *key: len(key[2]) % 3)
             advance_chain(data, data.draw(st.integers(min_value=1, max_value=4)))
 
     def test_empty_store(self):

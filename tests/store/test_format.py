@@ -10,6 +10,8 @@ single flipped byte and *any* truncation point.
 
 from __future__ import annotations
 
+import json
+import os
 import zlib
 
 import pytest
@@ -28,6 +30,7 @@ from repro.store import (
     freeze,
     snapshot_filename,
 )
+from repro.store.columnar import SECTION_NAMES
 from repro.store.format import HEADER_SIZE, MAGIC
 from repro.system.persistence import canonical_store_payload
 from repro.system.speech_store import SpeechStore
@@ -68,6 +71,11 @@ class TestRoundTrip:
         freeze(store, tmp_path / "b.snap")
         assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
+    def test_freeze_writes_exactly_the_layout_sections(self, frozen_bytes):
+        toc_length = int.from_bytes(frozen_bytes[16:24], "little")
+        toc = json.loads(frozen_bytes[HEADER_SIZE : HEADER_SIZE + toc_length])
+        assert set(toc["sections"]) == SECTION_NAMES
+
     def test_attach_missing_file_raises(self, tmp_path):
         with pytest.raises(SnapshotError):
             attach(tmp_path / "absent.snap")
@@ -85,6 +93,15 @@ def frozen_bytes(tmp_path_factory) -> bytes:
     path = tmp_path_factory.mktemp("frozen") / "store.snap"
     freeze(store, path, snapshot_version=3)
     return path.read_bytes()
+
+
+def with_format_version(blob: bytes, version: int) -> bytes:
+    """``blob`` claiming format ``version``, with its header CRC recomputed
+    so that the version check, not the checksum, is what fires."""
+    blob = bytearray(blob)
+    blob[8:12] = version.to_bytes(4, "little")
+    blob[40:44] = zlib.crc32(bytes(blob[:40])).to_bytes(4, "little")
+    return bytes(blob)
 
 
 class TestCorruptionMatrix:
@@ -124,13 +141,9 @@ class TestCorruptionMatrix:
             attach(self.write(tmp_path_factory, bytes(blob)))
 
     def test_version_skew_raises_version_error(self, frozen_bytes, tmp_path_factory):
-        # Bump the format version *and* recompute the header CRC, so the
-        # version check (not the checksum) is what fires.
-        blob = bytearray(frozen_bytes)
-        blob[8:12] = (SNAPSHOT_FORMAT_VERSION + 1).to_bytes(4, "little")
-        blob[40:44] = zlib.crc32(bytes(blob[:40])).to_bytes(4, "little")
+        blob = with_format_version(frozen_bytes, SNAPSHOT_FORMAT_VERSION + 1)
         with pytest.raises(SnapshotVersionError):
-            attach(self.write(tmp_path_factory, bytes(blob)))
+            attach(self.write(tmp_path_factory, blob))
 
     def test_header_size_is_stable(self, frozen_bytes):
         # The corruption tests poke absolute offsets; pin the layout.
@@ -175,6 +188,26 @@ class TestPublisher:
         attached = publisher.attach_latest()
         assert attached is not None and attached.snapshot_version == 0
         assert publisher.last_error is not None
+
+    def test_attach_latest_skips_a_version_one_file(self, tmp_path):
+        publisher = SnapshotPublisher(tmp_path)
+        publisher.publish(self.make_store("a"), 0)
+        publisher.publish(self.make_store("a", "b"), 1)
+        newest = publisher.path_for(1)
+        newest.write_bytes(with_format_version(newest.read_bytes(), 1))
+        attached = publisher.attach_latest()
+        assert attached is not None and attached.snapshot_version == 0
+        assert "format version 1 (expected 2)" in publisher.last_error
+
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("no space left on device")
+
+        publisher = SnapshotPublisher(tmp_path)
+        monkeypatch.setattr(os, "replace", fail)
+        assert publisher.publish(self.make_store("a"), 0) is None
+        assert "no space left" in publisher.last_error
+        assert [entry.name for entry in tmp_path.iterdir()] == []
 
     def test_prune_keeps_newest(self, tmp_path):
         publisher = SnapshotPublisher(tmp_path)

@@ -7,10 +7,12 @@ the kernel and the G-O pruner tracked facts by id.  Any change to the
 enumerated queries, the candidate facts, the chosen plans, the greedy
 selection, the utilities or the realized texts changes them.
 
-The frozen-snapshot digest of the full store was computed when every
-freeze still compacted the store speech by speech, before compaction
-became incremental: a change to the compact layout, the pool order or
-the file format changes it.
+The frozen-snapshot digest of the full store pins the compact layout,
+the pool order and the file format, so it is re-pinned on a format
+change; the test also attaches the file and checks it still holds the
+full store's canonical digest, so only the layout moved.  It was last
+pinned when format version 2 dropped the posting lists (version 1 was
+pinned before compaction became incremental).
 
 The maintained-store digest was computed when every (target, scope)
 problem was still built from scratch, before the targets of a predicate
@@ -44,7 +46,7 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.relational.table import Table
-from repro.store import freeze
+from repro.store import attach, freeze
 from repro.system.config import SummarizationConfig
 from repro.system.engine import VoiceQueryEngine
 from repro.system.persistence import canonical_store_payload
@@ -56,7 +58,7 @@ FLIGHTS_300_G_O_MAINTAINED_DIGEST = (
     "d84a28d86bff1543ed8593b7209e0d0c5c27ef0ef048a3bac6ed2098ce138f5a"
 )
 FLIGHTS_5000_G_O_FROZEN_DIGEST = (
-    "03e5f1fdb134ebc9d1e87bf2192a450deb4de1563154b99860cc0f29fa74cd03"
+    "897d9685af8f9dc369f2ca0a8b50096370b5bc06ac4d9d609f354e2a069834c8"
 )
 STACKOVERFLOW_300_G_O_DIGEST = (
     "07b4e607bfea5cec74e29dfaf9b237bc5eb84d26699012e31bd28f8b37535364"
@@ -162,6 +164,8 @@ def test_full_flights_store_matches_golden_digest(full_flights_engine):
 def test_full_flights_frozen_store_matches_golden_digest(full_flights_engine, tmp_path):
     path = freeze(full_flights_engine.store, tmp_path / "store.snap")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FLIGHTS_5000_G_O_FROZEN_DIGEST
+    payload = canonical_store_payload(attach(path), full_flights_engine.config)
+    assert hashlib.sha256(payload).hexdigest() == FLIGHTS_5000_G_O_DIGEST
 
 
 def test_maintained_flights_store_matches_golden_digest():
