@@ -67,9 +67,9 @@ The well-known sites
     swap publishes a finished build — the pre-swap crash site.
 ``checkpoint.save``
     Fires inside :class:`repro.storage.checkpoint.CheckpointManager`
-    after the temporary checkpoint manifest is written but before the
-    atomic rename — a killing rule leaves a half-written checkpoint
-    that recovery must ignore.
+    after the temporary checkpoint manifest is durable but before the
+    atomic rename — a killing rule leaves a temp file that recovery
+    must ignore.
 ``recover.replay``
     Fires once per journal record replayed during startup recovery.
 ``shard.crash``

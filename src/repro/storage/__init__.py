@@ -5,15 +5,13 @@ maintenance jobs) via `repro.reliability`; this package makes it
 survive *process death*.  Three pieces compose:
 
 * :mod:`repro.storage.durability` — the append-only write-ahead
-  journal.  Every accepted append batch is written (length-prefixed,
-  CRC32-checksummed, optionally fsync'd) *before* the caller is acked,
-  so an acked batch is never lost to a crash.
+  journal of length-prefixed, CRC32-checksummed records, so an acked
+  batch is never lost to a crash.
 * :mod:`repro.storage.checkpoint` — atomic checkpoints: one manifest
-  per snapshot swap, written temp → fsync → rename, that names the
-  snapshot file the publisher froze for the version, so a crash
-  mid-checkpoint leaves the previous checkpoint intact.  Neither the
-  store nor the maintained table is written again: the snapshot holds
-  the one, the journal every appended batch of the other.
+  per snapshot swap that names the snapshot file the publisher froze
+  for the version.  Neither the store nor the maintained table is
+  written again: the snapshot holds the one, the journal every
+  appended batch of the other.
 * :mod:`repro.storage.recovery` — startup recovery (the newest valid
   checkpoint's snapshot attached, its table rebuilt from the base
   table and the journal's covered batches, then replay of unapplied
@@ -30,6 +28,15 @@ On-disk layout under a service's ``data_dir``::
       checkpoints/
         ckpt-000000000042.json     watermark, version, journal offset,
                                    snapshot path and header checksum
+
+Every file operation goes through :mod:`repro.store.fs`, in this order
+per swap: the journal record (fsync'd under ``journal_fsync``) before
+the ack; old snapshots unlinked; the snapshot written to a temp file
+``.<name>.tmp-<pid>``, fsync'd, renamed into place, its directory
+fsync'd; the ``applied`` marker, then a journal fsync; the manifest as
+the snapshot; old manifests unlinked.  A new journal's directory is
+fsync'd; a restart cuts a torn journal tail (fsync'd) and deletes the
+dead run's snapshot and temp files.
 """
 
 from repro.storage.checkpoint import CheckpointManager, LoadedCheckpoint

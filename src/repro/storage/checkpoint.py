@@ -22,13 +22,12 @@ before saving, and loading skips a checkpoint the journal scan it is
 given cannot rebuild the table for.  Older formats are skipped: format
 1-3 checkpoints were directories holding their own store copy.
 
-Atomicity: the manifest is written as ``.tmp-ckpt-*.json`` first,
-fsync'd, renamed into place (one atomic metadata operation on POSIX)
-and the directory fsync'd.  A crash mid-save leaves a ``.tmp-`` file
-that loading ignores and the next save sweeps.  Loading falls back to
-the next-older checkpoint on any mismatch — an unreadable manifest,
-format skew, or a snapshot that is missing, pruned, corrupt or
-replaced — so a bad checkpoint costs replay time, never correctness.
+The manifest is written by :func:`repro.store.fs.atomic_write` (order:
+:mod:`repro.storage`); a crash mid-save leaves a temp file that loading
+ignores and the next save sweeps.  Loading falls back to the next-older
+checkpoint on any mismatch — an unreadable manifest, format skew, or a
+missing, pruned, corrupt or replaced snapshot — so a bad checkpoint
+costs replay time, never correctness.
 """
 
 from __future__ import annotations
@@ -40,18 +39,13 @@ from pathlib import Path
 
 from repro.reliability import faults
 from repro.storage.durability import JournalScan
-from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, attach, fsync_directory, header_crc
+from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, attach, fs, header_crc
 
 #: Manifest format marker; a mismatch invalidates the checkpoint.
 CHECKPOINT_FORMAT_VERSION = 4
 
 _PREFIX = "ckpt-"
 _SUFFIX = ".json"
-_TMP_PREFIX = ".tmp-"
-
-
-class CheckpointError(Exception):
-    """Raised when a checkpoint cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -81,13 +75,7 @@ class CheckpointManager:
 
     def list_checkpoints(self) -> list[Path]:
         """Checkpoint manifests, oldest first (tmp leftovers excluded)."""
-        if not self._dir.is_dir():
-            return []
-        return sorted(
-            entry
-            for entry in self._dir.iterdir()
-            if entry.name.startswith(_PREFIX) and entry.name.endswith(_SUFFIX)
-        )
+        return sorted(self._dir.glob(f"{_PREFIX}*{_SUFFIX}"))
 
     # ------------------------------------------------------------------
     # Save
@@ -104,49 +92,25 @@ class CheckpointManager:
         ``snapshot`` is the published ``store-v<store_version>.snap``.
         The caller must have made the journal durable up to
         ``journal_offset``: recovery rebuilds the checkpoint's table
-        from those bytes.
-
-        The ``checkpoint.save`` failpoint fires after the temporary
-        file is written but before the rename — a killing rule leaves
-        only the ignorable ``.tmp-`` file behind, a raising rule
-        surfaces as a save failure the coordinator records (the
-        previous checkpoint stays authoritative either way).
+        from those bytes.  A failed write raises and leaves the previous
+        checkpoint authoritative.  The ``checkpoint.save`` failpoint
+        fires once the temp file is durable, before the rename.
         """
-        self._dir.mkdir(parents=True, exist_ok=True)
         final = self._dir / f"{_PREFIX}{int(applied_seq):012d}{_SUFFIX}"
-        tmp = self._dir / f"{_TMP_PREFIX}{final.name}"
-        try:
-            manifest = {
-                "format_version": CHECKPOINT_FORMAT_VERSION,
-                "applied_seq": int(applied_seq),
-                "store_version": int(store_version),
-                "journal_offset": int(journal_offset),
-                "snapshot": os.path.relpath(os.path.abspath(snapshot), self._dir.absolute()),
-                "snapshot_header_crc32": header_crc(snapshot),
-            }
-            with open(tmp, "wb") as handle:
-                handle.write(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
-                handle.flush()
-                os.fsync(handle.fileno())
+        manifest = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "applied_seq": int(applied_seq),
+            "store_version": int(store_version),
+            "journal_offset": int(journal_offset),
+            "snapshot": os.path.relpath(os.path.abspath(snapshot), self._dir.absolute()),
+            "snapshot_header_crc32": header_crc(snapshot),
+        }
+        # Replaces a manifest of the same watermark atomically.
+        with fs.atomic_write(final, json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")):
             faults.FAILPOINTS.inject(faults.CHECKPOINT_SAVE)
-            # Replaces a manifest of the same watermark atomically.
-            os.replace(tmp, final)
-        except Exception as exc:
-            tmp.unlink(missing_ok=True)
-            if isinstance(exc, faults.InjectedFault):
-                raise
-            raise CheckpointError(f"checkpoint save to {final} failed: {exc}") from exc
-        fsync_directory(self._dir)
-        self._prune()
+        # Drop all but the newest manifests, and temp leftovers.
+        fs.remove(self.list_checkpoints()[:-SNAPSHOTS_KEPT] + fs.temp_files(self._dir))
         return final
-
-    def _prune(self) -> None:
-        """Drop all but the newest manifests, and tmp leftovers."""
-        for stale in self.list_checkpoints()[:-SNAPSHOTS_KEPT]:
-            stale.unlink(missing_ok=True)
-        for entry in self._dir.iterdir():
-            if entry.name.startswith(_TMP_PREFIX):
-                entry.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Load

@@ -37,17 +37,15 @@ in order.
 
 fsync trade-off
 ---------------
-``flush()`` (always) makes a record survive process death — the bytes
-live in the OS page cache, which outlives the process.  ``fsync``
-(``journal_fsync=True``) additionally survives machine/kernel crashes
-at a large per-append latency cost.  The default is flush-only: the
-fault model of this repo's chaos tests is SIGKILL, not power loss.
+A written record survives process death (the OS page cache outlives
+the process); under ``journal_fsync`` it is fsync'd and survives power
+loss too, at a large per-append latency cost.  The default is
+write-only: the fault model of this repo's chaos tests is SIGKILL.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -57,7 +55,7 @@ from typing import Any, Iterable, Sequence
 from repro.relational.column import Column, ColumnType
 from repro.relational.table import Table
 from repro.reliability import faults
-from repro.store import fsync_directory
+from repro.store import fs
 
 #: Record header: payload length, payload CRC32 (both unsigned 32-bit BE).
 _HEADER = struct.Struct(">II")
@@ -235,7 +233,7 @@ def read_journal(path: str | Path) -> JournalScan:
 # Writer
 # ----------------------------------------------------------------------
 class JournalWriter:
-    """Appends records to the journal, flushing before every ack.
+    """Appends records to the journal, each written before its ack.
 
     Parameters
     ----------
@@ -243,7 +241,7 @@ class JournalWriter:
         The journal file; parent directories are created.
     fsync:
         When True every record is fsync'd (machine-crash durable);
-        otherwise records are flushed to the OS (process-crash durable).
+        otherwise records are written to the OS (process-crash durable).
     next_seq:
         First seq to assign (recovery passes ``JournalScan.next_seq``).
     truncate_at:
@@ -266,20 +264,7 @@ class JournalWriter:
         self._path = Path(path)
         self._fsync = bool(fsync)
         self._next_seq = int(next_seq)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        created = not self._path.exists()
-        torn = (
-            truncate_at is not None and not created and truncate_at < self._path.stat().st_size
-        )
-        if torn:
-            os.truncate(self._path, truncate_at)
-        self._file = open(self._path, "ab")
-        if torn:
-            os.fsync(self._file.fileno())
-        if created:
-            # The new file's directory entry, or an append acked under
-            # fsync could lose the file itself on power loss.
-            fsync_directory(self._path.parent)
+        self._file = fs.open_append(self._path, truncate_at)
         self._offset = self._file.tell()
 
     @property
@@ -299,7 +284,7 @@ class JournalWriter:
     def log_append(self, table: Table) -> int:
         """Journal one accepted append batch; returns its seq.
 
-        The record is durable (flushed, optionally fsync'd) when this
+        The record is durable (written, optionally fsync'd) when this
         returns — the caller may ack.  The ``journal.write`` failpoint
         fires before anything is written (a raising rule is a clean
         journal failure: nothing persisted, nothing acked); the
@@ -336,24 +321,19 @@ class JournalWriter:
         self._write({"kind": "dropped", "seqs": seqs})
 
     def _write(self, record: dict[str, Any]) -> None:
-        if self._file.closed:
-            raise JournalError(f"journal {self._path} is closed")
         blob = encode_record(record)
         try:
-            self._file.write(blob)
-            self._file.flush()
+            fs.append(self._file, blob)
             if self._fsync:
-                os.fsync(self._file.fileno())
-        except OSError as exc:
+                fs.sync(self._file)
+        except (OSError, ValueError) as exc:  # ValueError: the file is closed
             raise JournalError(f"journal write to {self._path} failed: {exc}") from exc
         self._offset += len(blob)
 
     def sync(self) -> None:
         """fsync every record written so far (a no-op when each already was)."""
         if not self._fsync:
-            os.fsync(self._file.fileno())
+            fs.sync(self._file)
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        self._file.close()

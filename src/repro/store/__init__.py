@@ -15,7 +15,7 @@ from repro.store.errors import (
     SnapshotFormatError,
     SnapshotVersionError,
 )
-from repro.store.format import SNAPSHOT_FORMAT_VERSION, attach, freeze, fsync_directory, header_crc
+from repro.store.format import SNAPSHOT_FORMAT_VERSION, attach, freeze, header_crc
 from repro.store.publish import SNAPSHOTS_KEPT, SnapshotPublisher, snapshot_filename
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "attach",
     "freeze",
-    "fsync_directory",
     "header_crc",
     "SNAPSHOTS_KEPT",
     "SnapshotPublisher",

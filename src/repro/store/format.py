@@ -47,6 +47,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.store import fs
 from repro.store.columnar import SECTION_NAMES, CompactSpeechStore
 from repro.store.errors import (
     SnapshotCorruptionError,
@@ -89,13 +90,11 @@ def freeze(
 
     ``store`` may be a mutable :class:`SpeechStore` (compacted from
     scratch first) or a :class:`CompactSpeechStore`, which is only
-    written.  The file appears at ``path`` only when complete: content
-    goes to a temporary sibling which is fsynced and renamed over the
-    target, and is removed again if any of that fails.
+    written.  The file appears at ``path`` only when complete, through
+    :func:`repro.store.fs.atomic_write`.
     """
     compacted = CompactSpeechStore.from_store(store)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
 
     toc_sections: dict[str, dict[str, Any]] = {}
     chunks: list[bytes] = []
@@ -140,32 +139,9 @@ def freeze(
     )
     header += _HEADER_CRC.pack(zlib.crc32(header))
 
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(toc_bytes)
-            handle.write(gap)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        # Only this process's own temp file: shards freeze into one
-        # directory, and another shard's may still be in flight.
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(path.parent)
+    with fs.atomic_write(path, header, toc_bytes, gap, payload):
+        pass
     return path
-
-
-def fsync_directory(path: str | Path) -> None:
-    """fsync a directory, making the creates and renames in it durable."""
-    directory = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
 
 
 def header_crc(path: str | Path) -> int:

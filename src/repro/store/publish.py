@@ -25,9 +25,9 @@ naming scheme:
   files, so checkpoints and snapshots are retained alike
   (:data:`SNAPSHOTS_KEPT`).
 
-Publishing never takes the serving path down: a failed freeze is
-recorded on ``last_error`` and the previous snapshot keeps serving, and
-``attach_latest`` falls back version by version past corrupt files.
+Publishing never takes the serving path down: a failed freeze or
+unlink is recorded on ``last_error`` and the previous snapshot keeps
+serving, and ``attach_latest`` falls back past corrupt files.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import re
 from pathlib import Path
 from typing import Any
 
+from repro.store import fs
 from repro.store.columnar import CompactSpeechStore
 from repro.store.errors import SnapshotError
 from repro.store.format import attach, freeze
@@ -77,30 +78,31 @@ class SnapshotPublisher:
         return sorted(found)
 
     def clear(self, after: int = -1) -> None:
-        """Delete the snapshot files newer than version ``after``.
+        """Delete the snapshot files newer than ``after`` (default: all), and temp files.
 
-        By default every file goes (a previous run's versions).
+        Only the directory's one writer calls this, at start, so every
+        temp file is a killed freeze's.  A failed unlink raises.
         """
-        for version in self.versions():
-            if version > after:
-                self.path_for(version).unlink(missing_ok=True)
+        stale = [self.path_for(version) for version in self.versions() if version > after]
+        fs.remove(stale + fs.temp_files(self.directory))
 
     def publish(self, store: Any, version: int) -> Path | None:
-        """Freeze ``store`` as ``version``; None when the freeze failed.
+        """Freeze ``store`` as ``version``; None when the publish failed.
 
         Re-publishing an existing version is a no-op: freezing is
         deterministic, so the file on disk already holds these bytes.
+        Old versions are dropped first, to make room for this one.
         """
         path = self.path_for(version)
         if path.exists():
             return path
         try:
+            fs.remove(self.path_for(v) for v in self.versions()[: 1 - SNAPSHOTS_KEPT])
             freeze(store, path, snapshot_version=version)
-        except Exception as exc:  # freeze must never sink the server
+        except Exception as exc:  # publishing must never sink the server
             self.last_error = f"publish v{version}: {exc}"
             return None
         self.published += 1
-        self._prune()
         return path
 
     def attach_latest(self) -> CompactSpeechStore | None:
@@ -116,11 +118,3 @@ class SnapshotPublisher:
             except SnapshotError as exc:
                 self.last_error = f"attach v{version}: {exc}"
         return None
-
-    def _prune(self) -> None:
-        versions = self.versions()
-        for version in versions[:-SNAPSHOTS_KEPT]:
-            try:
-                self.path_for(version).unlink(missing_ok=True)
-            except OSError:
-                pass

@@ -74,15 +74,15 @@ def base_engine():
 class LiveRun:
     """One uninterrupted process over a data directory, plus its crashes."""
 
-    def __init__(self, data_dir: Path):
+    def __init__(self, data_dir: Path, journal_fsync: bool = False):
         self.data_dir = data_dir
-        self.config = ServingConfig(data_dir=str(data_dir))
+        self.config = ServingConfig(data_dir=str(data_dir), journal_fsync=journal_fsync)
         base = base_engine()
         self.store = base.store.clone()
         self.maintainer = IncrementalMaintainer(
             base.config, base.table, summarizer=base.summarizer, realizer=base.realizer
         )
-        self.durability = DurabilityCoordinator(data_dir)
+        self.durability = DurabilityCoordinator(data_dir, fsync=journal_fsync)
         self.publisher = SnapshotPublisher(data_dir / "snapshots")
         self.published = -1
         self.pending = []

@@ -10,7 +10,8 @@ do to the snapshot directory:
 * a file the dead process published past its last manifest is deleted
   at restart and never attached or served;
 * a restart that replays the journal publishes and checkpoints the
-  replayed store as the next version, never a lower one.
+  replayed store as the next version, never a lower one;
+* a temp file a killed freeze left behind is deleted at restart.
 """
 
 from __future__ import annotations
@@ -130,3 +131,21 @@ def test_a_replaying_restart_republishes_past_the_manifest(tmp_path, engine):
     assert (version, attached) == (2, True)
     assert again == replayed
     assert stats["checkpoints_written"] == 0
+
+
+def test_a_killed_freezes_temp_file_is_removed_at_restart(tmp_path):
+    """A freeze killed between its create and its rename leaves a temp file.
+
+    Every start of the directory's one writer clears it, as it clears
+    the dead run's snapshot files: each leftover costs a snapshot of disk.
+    """
+    run_service(tmp_path, appends=[BATCH_A])
+    snapshots = tmp_path / "snapshots"
+    leftover = snapshots / ".store-v000000000002.snap.tmp-4242"
+    leftover.write_bytes(b"half a snapshot")
+
+    run_service(tmp_path)
+    assert sorted(entry.name for entry in snapshots.iterdir()) == [
+        "store-v000000000000.snap",
+        "store-v000000000001.snap",
+    ]

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import CheckpointManager
 from repro.store import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOTS_KEPT,
@@ -28,6 +29,7 @@ from repro.store import (
     SnapshotVersionError,
     attach,
     freeze,
+    fs,
     snapshot_filename,
 )
 from repro.store.columnar import SECTION_NAMES
@@ -199,15 +201,51 @@ class TestPublisher:
         assert attached is not None and attached.snapshot_version == 0
         assert "format version 1 (expected 2)" in publisher.last_error
 
-    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", ["write", "fsync", "replace"])
+    @pytest.mark.parametrize("writer", ["snapshot", "manifest"])
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path, monkeypatch, writer, failing):
+        """A failed write, fsync or rename leaves the target as it was, and no temp file."""
+
         def fail(*args):
             raise OSError("no space left on device")
 
-        publisher = SnapshotPublisher(tmp_path)
-        monkeypatch.setattr(os, "replace", fail)
-        assert publisher.publish(self.make_store("a"), 0) is None
+        publisher = SnapshotPublisher(tmp_path / "snapshots")
+        snapshot = publisher.publish(self.make_store("a"), 0)
+        manager = CheckpointManager(tmp_path)
+        if writer == "manifest":
+            target = manager.save(snapshot, applied_seq=1, store_version=0, journal_offset=0)
+        else:
+            target = snapshot
+        before = target.read_bytes()
+        monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError, match="no space left"):
+            if writer == "manifest":
+                manager.save(snapshot, applied_seq=1, store_version=7, journal_offset=0)
+            else:
+                freeze(self.make_store("b"), target)
+        # The publisher records a failed freeze and keeps serving.
+        assert publisher.publish(self.make_store("b"), 1) is None
         assert "no space left" in publisher.last_error
-        assert [entry.name for entry in tmp_path.iterdir()] == []
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert publisher.versions() == [0]
+        assert fs.temp_files(target.parent) == []
+
+    def test_an_unlink_failure_fails_clear_and_publish_loudly(self, tmp_path, monkeypatch):
+        def fail(path):
+            raise PermissionError(f"cannot unlink {path}")
+
+        publisher = SnapshotPublisher(tmp_path)
+        for version in range(SNAPSHOTS_KEPT):
+            publisher.publish(self.make_store("a"), version)
+        monkeypatch.setattr(os, "unlink", fail)
+        # A publish that cannot drop an old version fails, recorded.
+        assert publisher.publish(self.make_store("b"), SNAPSHOTS_KEPT) is None
+        assert "cannot unlink" in publisher.last_error
+        # A file clear leaves in place would be served: the start fails.
+        with pytest.raises(PermissionError):
+            publisher.clear()
+        assert publisher.versions() == list(range(SNAPSHOTS_KEPT))
 
     def test_prune_keeps_newest(self, tmp_path):
         publisher = SnapshotPublisher(tmp_path)
