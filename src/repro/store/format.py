@@ -56,7 +56,10 @@ from repro.store.errors import (
 )
 
 MAGIC = b"RVSNAP01"
-SNAPSHOT_FORMAT_VERSION = 2
+#: 3 since stores list their speeches scope-major: a version-2 file
+#: lists the same speeches target-major, so it must not be attached
+#: and compared with a store built now.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<8sIIQIIQ")  # magic .. file length (40 bytes)
 _HEADER_CRC = struct.Struct("<I")

@@ -14,7 +14,11 @@ the same chunk stream in process.  Queries are fed from
 :meth:`ProblemGenerator.enumerate_query_chunks`, so the full query list
 is never materialised; chunks come back as realized speeches and are
 merged in enumeration order, so the resulting store (and its persisted
-JSON) is byte-identical for every pool size and chunk size.
+JSON) is byte-identical for every pool size and chunk size.  The
+enumeration is scope-major, and the generator keeps the last predicate
+scope's set-up, so a serial run builds each scope once, not once per
+target; in a pool, a scope is built twice only where a chunk boundary
+splits its targets.
 Summarizers whose output depends on call order
 (``Summarizer.deterministic`` is False) are run serially even on a
 parallel pool, so the guarantee holds for every algorithm.
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator
 from repro.algorithms.base import Summarizer
 from repro.algorithms.registry import make_summarizer
 from repro.system.config import SummarizationConfig
-from repro.system.problem_generator import ProblemGenerator, ScopeSetup
+from repro.system.problem_generator import ProblemGenerator
 from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore, StoredSpeech
 from repro.system.templates import SpeechRealizer
@@ -93,15 +97,13 @@ def _solve_query(
     summarizer: Summarizer,
     realizer: SpeechRealizer,
     query: DataQuery,
-    setup: ScopeSetup | None = None,
 ) -> tuple[StoredSpeech, int] | None:
     """Solve one query end to end; None marks a skipped (too small) query.
 
     Every chunk, solved in a pool worker or in process, goes through
     this single function, so serial and parallel runs cannot drift apart.
-    ``setup`` is the query's predicate scope's shared set-up, if any.
     """
-    problem = generator.build_problem(query, setup)
+    problem = generator.build_problem(query)
     if problem is None:
         return None
     result = summarizer.summarize(problem)
@@ -130,32 +132,13 @@ def solve_query_chunk(
     runs and the incremental maintainer share this entry point, so every
     execution strategy funnels through :func:`_solve_query`.
 
-    The chunk is solved scope by scope: the queries of one
-    :func:`scope_groups` group (one predicate scope's targets) share
-    one :class:`ScopeSetup`, made for that group alone and dropped
-    before the next group's.  Outcomes come back in query order.  A
-    summarizer that carries state across problems (``deterministic``
-    False) solves the queries in chunk order, each on its own.
+    Queries are solved in chunk order.  The generator shares a predicate
+    scope's set-up between targets built back to back (see
+    :meth:`ProblemGenerator.build_problem`), so scope-major chunks, or a
+    serial run's one-query chunks, build each scope once.
     """
     generator, summarizer, realizer = context
-    if not summarizer.deterministic:
-        return [_solve_query(generator, summarizer, realizer, query) for query in chunk]
-    outcomes: list[tuple[StoredSpeech, int] | None] = [None] * len(chunk)
-    for positions in scope_groups(chunk):
-        setup = ScopeSetup() if len(positions) > 1 else None
-        for position in positions:
-            outcomes[position] = _solve_query(
-                generator, summarizer, realizer, chunk[position], setup
-            )
-    return outcomes
-
-
-def scope_groups(queries: list[DataQuery]) -> list[list[int]]:
-    """Positions of ``queries`` grouped by predicate scope, scopes by first appearance."""
-    groups: dict[tuple, list[int]] = {}
-    for position, query in enumerate(queries):
-        groups.setdefault(query.predicates, []).append(position)
-    return list(groups.values())
+    return [_solve_query(generator, summarizer, realizer, query) for query in chunk]
 
 
 #: The pool of a serial run: chunks are solved in the calling process.
@@ -192,6 +175,10 @@ def default_chunk_size(total_items: int, workers: int) -> int:
 
 class Preprocessor:
     """Runs a summarization algorithm over every pre-processing query.
+
+    Queries are solved and stored in scope-major enumeration order (see
+    :meth:`ProblemGenerator.enumerate_queries`): every target of a
+    predicate scope back to back, on one shared set-up.
 
     Parameters
     ----------
@@ -230,14 +217,15 @@ class Preprocessor:
         """Solve all generated problems and store the resulting speeches.
 
         ``max_problems`` caps the number of solved problems (useful for
-        tests and scaled-down experiments).  A parallel ``pool`` streams
-        query chunks across its workers and stays open for the caller's
-        next run; without one the run is serial.  Either way the merged
-        store is byte-identical to the serial result.  Summarizers that
-        carry state across problems (``deterministic`` False, e.g. the
-        RANDOM baseline) cannot be sharded without changing their
-        output, so they run serially with a warning.  ``chunk_size``
-        overrides the task granularity.
+        tests and scaled-down experiments); it keeps the first ones in
+        scope-major order, so every target of fewer scopes.  A parallel
+        ``pool`` streams query chunks across its workers and stays open
+        for the caller's next run; without one the run is serial.
+        Either way the merged store is byte-identical to the serial
+        result.  Summarizers that carry state across problems
+        (``deterministic`` False, e.g. the RANDOM baseline) cannot be
+        sharded without changing their output, so they run serially
+        with a warning.  ``chunk_size`` overrides the task granularity.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")

@@ -11,7 +11,7 @@ predicates."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -31,7 +31,7 @@ from repro.system.queries import DataQuery
 
 # ``select`` computes the same subset row by row; it stays importable
 # here because span tracers wrap it at this module path.
-__all__ = ["GeneratedProblem", "ProblemGenerator", "ScopeSetup", "select"]
+__all__ = ["GeneratedProblem", "ProblemGenerator", "select"]
 
 
 @dataclass
@@ -42,29 +42,28 @@ class GeneratedProblem:
     problem: SummarizationProblem
 
 
+@dataclass(frozen=True)
 class ScopeSetup:
     """The target-independent half of the problems of one predicate scope.
 
     Every target of a scope summarizes the same data subset, so its
     problems share the subset rows, the relation's codes and group
     layouts, the candidate facts' scopes and the CSR skeleton of their
-    index.  The first :meth:`ProblemGenerator.build_problem` given an
-    empty set-up fills it; a later target whose non-NULL rows are the
-    same then computes only its target's values, fact values and fact
-    errors.  A target that keeps other rows is built from scratch.  A
-    set-up serves the queries of one predicate scope only: the caller
-    makes a new one per scope (``preprocessor.scope_groups``).
+    index (with its ``cache`` of prepared plans).  A
+    :class:`ProblemGenerator` keeps the set-up of the last scope it
+    built from scratch; a later target of that scope whose non-NULL
+    rows are the same then computes only its target's values, fact
+    values and fact errors.  A target that keeps other rows is built
+    from scratch.
     """
 
-    __slots__ = ("rows", "nulls", "relation", "generated", "index")
-
-    def __init__(self):
-        #: The subset rows, NULL targets included, and the first
-        #: target's NULLs among them.
-        self.rows = self.nulls = None
-        self.relation: SummarizationRelation | None = None
-        self.generated: GeneratedFacts | None = None
-        self.index: FactScopeIndex | None = None
+    predicates: tuple
+    rows: np.ndarray
+    #: The NULLs of the target that filled the set-up, among ``rows``.
+    nulls: np.ndarray
+    relation: SummarizationRelation
+    generated: GeneratedFacts
+    index: FactScopeIndex | None
 
 
 class ProblemGenerator:
@@ -85,6 +84,11 @@ class ProblemGenerator:
     min_subset_rows:
         Data subsets with fewer rows than this are skipped (no speech is
         pre-generated for them).
+
+    One thread builds problems on a generator at a time: it keeps the
+    last predicate scope's :class:`ScopeSetup` between calls.  The
+    engine's generator only pre-processes, and a maintainer's runs on
+    the maintenance thread.
     """
 
     def __init__(
@@ -113,6 +117,8 @@ class ProblemGenerator:
         self._target_cache: dict[str, np.ndarray] = {}
         # The fact groups of each base-scope shape, for every FactGenerator.
         self._group_cache: dict = {}
+        # The last scope built from scratch, for its next target.
+        self._scope: ScopeSetup | None = None
 
     @property
     def config(self) -> SummarizationConfig:
@@ -125,35 +131,42 @@ class ProblemGenerator:
         The prior, column-code and target caches hold numpy-heavy derived state
         that every worker can rebuild lazily from the table; shipping
         them would dominate the pool start-up payload.  The fact-group
-        cache is rebuilt likewise.
+        cache and the kept scope set-up are rebuilt likewise.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
         state["_codes_cache"] = {}
         state["_target_cache"] = {}
         state["_group_cache"] = {}
+        state["_scope"] = None
         return state
 
     # ------------------------------------------------------------------
     # Query enumeration
     # ------------------------------------------------------------------
     def enumerate_queries(self) -> Iterator[DataQuery]:
-        """Yield every (target, predicate-combination) query.
+        """Yield every (target, predicate-combination) query, scope-major.
 
         Predicates range over all dimension-value combinations that
         appear in the data; query lengths range from zero (the overall
-        summary) up to ``max_query_length``.
+        summary) up to ``max_query_length``.  Scopes come in that order,
+        then by dimension combination and value product, and each scope
+        is followed by every target in configured order, so the targets
+        of a scope are built back to back on one :class:`ScopeSetup`.
         """
         domains = {
             dim: self._table.column(dim).distinct_values()
             for dim in self._config.dimensions
         }
-        for target in self._config.targets:
-            yield DataQuery.create(target, {})
-            for length in range(1, self._config.max_query_length + 1):
-                for dims in combinations(self._config.dimensions, length):
-                    for values in product(*(domains[d] for d in dims)):
-                        yield DataQuery.create(target, dict(zip(dims, values)))
+        scopes = (
+            dict(zip(dims, values))
+            for length in range(1, self._config.max_query_length + 1)
+            for dims in combinations(self._config.dimensions, length)
+            for values in product(*(domains[d] for d in dims))
+        )
+        for scope in chain([{}], scopes):
+            for target in self._config.targets:
+                yield DataQuery.create(target, scope)
 
     def enumerate_query_chunks(self, size: int) -> Iterator[list[DataQuery]]:
         """Stream the enumerated queries as lists of at most ``size``.
@@ -201,18 +214,17 @@ class ProblemGenerator:
     # ------------------------------------------------------------------
     # Problem construction
     # ------------------------------------------------------------------
-    def build_problem(
-        self, query: DataQuery, setup: ScopeSetup | None = None
-    ) -> SummarizationProblem | None:
+    def build_problem(self, query: DataQuery) -> SummarizationProblem | None:
         """Build the summarization problem answering ``query``.
 
         Returns None when the query's data subset is too small or when
-        no candidate facts can be generated for it.  ``setup`` shares
-        the target-independent work between the targets of one
-        predicate scope (see :class:`ScopeSetup`); the problem is the
-        same either way.
+        no candidate facts can be generated for it.  The target-independent
+        work of the last predicate scope built from scratch is kept (see
+        :class:`ScopeSetup`), so the targets of a scope, built back to
+        back as :meth:`enumerate_queries` yields them, share it; the
+        problem is the same in any order.
         """
-        shared = self._shared_half(query, setup)
+        shared = self._shared_half(query)
         if shared is not None:
             relation, generated, index = shared
         else:
@@ -228,10 +240,9 @@ class ProblemGenerator:
             ).generate(base_scope=query.predicate_map)
             # The generator already found every fact's rows.
             index = generated.scope_index(relation) if generated.facts else None
-            if setup is not None and setup.rows is None:
-                setup.rows = rows
-                setup.nulls = np.isnan(self._target_floats(query.target)[rows])
-                setup.relation, setup.generated, setup.index = relation, generated, index
+            if self._scope is None or self._scope.predicates != query.predicates:
+                nulls = np.isnan(self._target_floats(query.target)[rows])
+                self._scope = ScopeSetup(query.predicates, rows, nulls, relation, generated, index)
         if index is None:
             return None
 
@@ -249,16 +260,17 @@ class ProblemGenerator:
         )
 
     def _shared_half(
-        self, query: DataQuery, setup: ScopeSetup | None
+        self, query: DataQuery
     ) -> tuple[SummarizationRelation, GeneratedFacts, FactScopeIndex | None] | None:
-        """``query``'s relation, facts and index retargeted from a filled ``setup``.
+        """``query``'s relation, facts and index retargeted from the kept set-up.
 
         The index is None when the scope has no candidate facts.  None
-        when there is nothing to share: no set-up, an empty one, or a
-        target whose NULLs fall on other subset rows than the first
-        target's.
+        when there is nothing to share: the kept set-up is another
+        scope's, or ``query``'s target has its NULLs on other subset
+        rows than the target that filled it.
         """
-        if setup is None or setup.rows is None:
+        setup = self._scope
+        if setup is None or setup.predicates != query.predicates:
             return None
         values = self._target_floats(query.target)[setup.rows]
         nulls = np.isnan(values)

@@ -16,10 +16,10 @@ new rows' non-NULL value tuples on its columns, so the affected
 queries are those tuples, one set per dimension combination, never a
 filter over the whole query space.  Re-summarization runs on the
 :class:`repro.system.worker_pool.WorkerPool` the caller passes (``pool=``,
-shared with the pre-processor) in chunks cut at predicate-scope
-boundaries, with the order-preserving merge keeping the maintained
-store identical to a serial pass.  Without a parallel pool the one
-chunk holds every affected query.
+shared with the pre-processor) in scope-major chunks cut at
+predicate-scope boundaries, with the order-preserving merge keeping
+the maintained store identical to a serial pass.  Without a parallel
+pool the one chunk holds every affected query.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.system.preprocessor import (
     Preprocessor,
     default_chunk_size,
     resolve_parallelism,
-    scope_groups,
     solve_query_chunk,
 )
 from repro.system.problem_generator import ProblemGenerator
@@ -146,13 +145,14 @@ class IncrementalMaintainer:
         return self._affected_from(self._table.concat(new_rows), new_rows)
 
     def _affected_from(self, updated: Table, new_rows: Table) -> list[DataQuery]:
-        """The affected queries, in enumeration order.
+        """The affected queries, in (scope-major) enumeration order.
 
         Per dimension combination (in configured order), the affected
-        queries are the new rows' distinct non-NULL value tuples on it.
+        scopes are the new rows' distinct non-NULL value tuples on it.
         :meth:`ProblemGenerator.enumerate_queries` orders a column's
         values by first appearance in ``updated``, so the tuples sort by
-        the rows where their values first appear.
+        the rows where their values first appear.  Each scope is
+        followed by every target.
         """
         if new_rows.num_rows == 0:
             return []
@@ -174,8 +174,8 @@ class IncrementalMaintainer:
                 )
         return [
             DataQuery.create(target, scope)
-            for target in self._config.targets
             for scope in ({}, *predicates)
+            for target in self._config.targets
         ]
 
     # ------------------------------------------------------------------
@@ -194,13 +194,13 @@ class IncrementalMaintainer:
         are left exactly as they were.  A parallel ``pool`` (typically
         shared with batch pre-processing, so process start-up is paid
         once across passes) fans the re-summarization out in chunks of
-        about ``chunk_size`` queries, cut at predicate-scope boundaries
-        so every target of a scope is solved on one shared set-up (see
-        :func:`~repro.system.preprocessor.solve_query_chunk`).  Without
-        one the pass is serial: one chunk holding every affected query,
-        in order.  Rebuilt speeches are merged back in enumeration
-        order, so the maintained store and the report counts are
-        identical to a serial pass for any pool or chunk size.
+        about ``chunk_size`` queries, rounded up to whole predicate
+        scopes so every target of a scope is solved on one shared set-up
+        (see :meth:`ProblemGenerator.build_problem`).  Without one the
+        pass is serial: one chunk holding every affected query, in order.
+        Rebuilt speeches are merged back in enumeration order, so the
+        maintained store and the report counts are identical to a serial
+        pass for any pool or chunk size.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
@@ -228,25 +228,15 @@ class IncrementalMaintainer:
         report.affected_queries = len(affected)
 
         if not pool.parallel:
-            chunk_size = len(affected)
+            chunk_size = len(affected) or 1
         elif chunk_size is None:
             chunk_size = default_chunk_size(len(affected), pool.workers)
-        chunks: list[list[int]] = []
-        for positions in scope_groups(affected):
-            if not chunks or len(chunks[-1]) >= chunk_size:
-                chunks.append([])
-            chunks[-1].extend(positions)
-        # Each chunk in query order, so the serial chunk is ``affected``.
-        chunks = [sorted(chunk) for chunk in chunks]
+        per_scope = len(self._config.targets)
+        size = -(-chunk_size // per_scope) * per_scope
+        chunks = (affected[start : start + size] for start in range(0, len(affected), size))
         context = (self._generator, preprocessor.summarizer, self._realizer)
-        solved = pool.imap_chunks(
-            context, solve_query_chunk, ([affected[i] for i in chunk] for chunk in chunks)
-        )
-        outcomes: list = [None] * len(affected)
-        # The stream leads the zip, so it runs to its end.
-        for chunk_outcomes, chunk in zip(solved, chunks):
-            for position, outcome in zip(chunk, chunk_outcomes):
-                outcomes[position] = outcome
+        solved = pool.imap_chunks(context, solve_query_chunk, chunks)
+        outcomes = [outcome for chunk_outcomes in solved for outcome in chunk_outcomes]
         replaced = self._merge_outcomes(outcomes, store, report)
 
         report.unchanged_speeches = max(0, before - replaced)

@@ -25,8 +25,8 @@ from repro.relational.catalog import TableStatistics
 from repro.relational.planner import CostEstimator
 from repro.system.config import SummarizationConfig
 from repro.system.persistence import canonical_store_payload
-from repro.system.preprocessor import Preprocessor, scope_groups
-from repro.system.problem_generator import ProblemGenerator, ScopeSetup
+from repro.system.preprocessor import Preprocessor
+from repro.system.problem_generator import ProblemGenerator
 from tests.algorithms import plan_oracle
 from tests.system.test_store_golden import with_null_dimensions
 
@@ -70,23 +70,21 @@ def _generator(name: str, algorithm: str = "G-O", rows: int = 300) -> ProblemGen
 def _solved(name: str, summarizer_class):
     """Each problem of ``name`` with the statistics and plan of its ``summarizer_class`` solve.
 
-    The targets of a predicate scope share one set-up, as in
-    pre-processing, so they share their index's prepared plans.
+    Problems are built in enumeration order on one generator, as in
+    pre-processing, so the targets of a predicate scope share one
+    set-up and their index's prepared plans.
     """
     generator = _generator(name)
     summarizer = summarizer_class()
-    queries = list(generator.enumerate_queries())
     solved = []
-    for positions in scope_groups(queries):
-        setup = ScopeSetup()
-        for position in positions:
-            problem = generator.build_problem(queries[position], setup)
-            if problem is not None:
-                statistics = summarizer.summarize(problem).statistics
-                index = problem.index()
-                sizes = [ids.size for ids in index.groups.values()]
-                plan = summarizer._plan(problem, summarizer._lattice(index), sizes)
-                solved.append((problem, statistics, plan))
+    for query in generator.enumerate_queries():
+        problem = generator.build_problem(query)
+        if problem is not None:
+            statistics = summarizer.summarize(problem).statistics
+            index = problem.index()
+            sizes = [ids.size for ids in index.groups.values()]
+            plan = summarizer._plan(problem, summarizer._lattice(index), sizes)
+            solved.append((problem, statistics, plan))
     return solved
 
 

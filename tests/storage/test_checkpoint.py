@@ -16,9 +16,21 @@ from repro.storage.checkpoint import (
 from repro.storage.durability import JournalWriter, read_journal, table_to_payload
 from repro.storage.recovery import JOURNAL_NAME
 from repro.system.persistence import canonical_store_payload
-from repro.store import SNAPSHOTS_KEPT, CompactSpeechStore, SnapshotPublisher, freeze
+from repro.cli import _build_engine, build_parser, main
+from repro.datasets import load_dataset
+from repro.store import (
+    SNAPSHOTS_KEPT,
+    CompactSpeechStore,
+    SnapshotPublisher,
+    SnapshotVersionError,
+    attach,
+    freeze,
+    header_crc,
+)
+from repro.system.speech_store import SpeechStore
 
 from tests.serving.conftest import append_table
+from tests.store.test_format import with_format_version
 from tests.storage.test_recovery import (
     BATCH_A,
     BATCH_B,
@@ -349,6 +361,77 @@ class TestStoreCopyCheckpointsAreSkipped:
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
             live_store
         )
+
+
+class TestVersionTwoSnapshotsAreSkipped:
+    """Format-2 snapshots list a multi-target store target-major.
+
+    Pre-processing now stores speeches scope-major, so a version-2 file
+    holds the same speeches as a fresh replay in another order.  It must
+    be skipped by its version (recovery replays the journal), never
+    attached and compared with a fresh replay.
+    """
+
+    def as_version_two(self, manifest_path, store):
+        """Replace the manifest's snapshot by ``store`` frozen as format 2.
+
+        The manifest's header checksum is updated, so that the format
+        version is the only thing wrong with the checkpoint.
+        """
+        snapshot = snapshot_of(manifest_path)
+        freeze(store, snapshot, snapshot_version=1)
+        snapshot.write_bytes(with_format_version(snapshot.read_bytes(), 2))
+        manifest = json.loads(manifest_path.read_text())
+        manifest["snapshot_header_crc32"] = header_crc(snapshot)
+        manifest_path.write_text(json.dumps(manifest))
+        return snapshot
+
+    def test_recovery_replays_the_journal_past_version_two_snapshots(
+        self, tmp_path, engine
+    ):
+        live_store, live_table = live_run(
+            engine,
+            tmp_path,
+            groups=[[append_table(BATCH_A)], [append_table(BATCH_B)]],
+        )
+        offset = read_journal(tmp_path / JOURNAL_NAME).good_offset
+        first = checkpoint(tmp_path, maintained(engine, BATCH_A), 1, 1, offset)
+        second = checkpoint(tmp_path, live_store, 2, 2, offset)
+        for manifest_path in (first, second):
+            snapshot = self.as_version_two(manifest_path, live_store)
+            with pytest.raises(SnapshotVersionError):
+                attach(snapshot)
+
+        recovered = recover(engine, tmp_path)
+        assert recovered.checkpoint is None
+        assert recovered.replayed_seqs == (1, 2)
+        assert canonical_store_payload(recovered.store) == canonical_store_payload(
+            live_store
+        )
+        assert recovered.table == live_table
+
+    def test_recover_verify_passes_on_a_target_major_data_dir(self, tmp_path, capsys):
+        """``recover --verify`` on a data dir written target-major reports no divergence."""
+        argv = ["recover", "--dataset", "flights", "--rows", "120", "--algorithm", "G-B"]
+        argv += ["--data-dir", str(tmp_path), "--verify"]
+        engine = _build_engine(build_parser().parse_args(argv))
+        engine.preprocess()
+        targets = engine.config.targets
+        assert len(targets) == 2
+        batch = load_dataset("flights", num_rows=4, seed=7).table
+        live_store, _ = live_run(engine, tmp_path, groups=[[batch]])
+        target_major = SpeechStore()
+        for stored in sorted(live_store, key=lambda stored: targets.index(stored.query.target)):
+            target_major.add(stored)
+        assert canonical_store_payload(target_major) != canonical_store_payload(live_store)
+        offset = read_journal(tmp_path / JOURNAL_NAME).good_offset
+        self.as_version_two(checkpoint(tmp_path, live_store, 1, 1, offset), target_major)
+
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        # The version-2 checkpoint was skipped: both paths replayed the journal.
+        assert '"checkpoint": null' in output
+        assert "verified: checkpoint recovery matches pure journal replay" in output
 
 
 class TestCheckpointFailpoint:

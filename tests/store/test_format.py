@@ -191,15 +191,18 @@ class TestPublisher:
         assert attached is not None and attached.snapshot_version == 0
         assert publisher.last_error is not None
 
-    def test_attach_latest_skips_a_version_one_file(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_attach_latest_skips_an_older_format_file(self, tmp_path, version):
+        """Version 1 predates incremental compaction, version 2 scope-major order."""
         publisher = SnapshotPublisher(tmp_path)
         publisher.publish(self.make_store("a"), 0)
         publisher.publish(self.make_store("a", "b"), 1)
         newest = publisher.path_for(1)
-        newest.write_bytes(with_format_version(newest.read_bytes(), 1))
+        newest.write_bytes(with_format_version(newest.read_bytes(), version))
         attached = publisher.attach_latest()
         assert attached is not None and attached.snapshot_version == 0
-        assert "format version 1 (expected 2)" in publisher.last_error
+        expected = f"format version {version} (expected {SNAPSHOT_FORMAT_VERSION})"
+        assert expected in publisher.last_error
 
     @pytest.mark.parametrize("failing", ["write", "fsync", "replace"])
     @pytest.mark.parametrize("writer", ["snapshot", "manifest"])

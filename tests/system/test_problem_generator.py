@@ -110,6 +110,32 @@ class TestQueryEnumeration:
         generator = ProblemGenerator(config, table)
         assert generator.count_queries() == sum(1 for _ in generator.enumerate_queries())
 
+    def test_enumeration_is_scope_major(self, example_table):
+        """Each scope, in one-target order, is followed by every target in config order."""
+        table = example_table.with_column(
+            example_table.column("delay").renamed("delay_copy")
+        )
+        config = SummarizationConfig.create(
+            "flight_delays",
+            dimensions=("region", "season"),
+            targets=("delay_copy", "delay"),
+            max_query_length=2,
+        )
+        one_target = SummarizationConfig.create(
+            "flight_delays",
+            dimensions=("region", "season"),
+            targets=("delay",),
+            max_query_length=2,
+        )
+        scopes = [
+            query.predicate_map
+            for query in ProblemGenerator(one_target, table).enumerate_queries()
+        ]
+        queries = list(ProblemGenerator(config, table).enumerate_queries())
+        assert queries == [
+            DataQuery.create(target, scope) for scope in scopes for target in config.targets
+        ]
+
 
 class TestQueryChunkStreaming:
     def test_chunks_concatenate_to_enumeration_order(self, generator):

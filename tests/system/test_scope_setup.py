@@ -1,17 +1,18 @@
 """One problem set-up per predicate scope (``ScopeSetup``).
 
-The targets of a predicate scope summarize the same data subset, so
-``solve_query_chunk`` builds the subset, the grouping pass, the fact
-structure and the CSR skeleton once per scope and only the target's
-values per query.  Every outcome must equal the query solved on its
-own, down to the bits of its utilities and its fact-evaluation count;
-a target whose NULLs fall on other rows is built from scratch, and a
-summarizer that carries state across problems keeps its call order.
+The targets of a predicate scope summarize the same data subset, and
+queries are enumerated scope-major, so a ``ProblemGenerator`` keeps the
+last scope's subset, grouping pass, fact structure and CSR skeleton and
+builds only the target's values for the scope's next target.  Every
+outcome must equal the query solved on a fresh generator, down to the
+bits of its utilities and its fact-evaluation count; a target whose
+NULLs fall on other rows is built from scratch, and a summarizer that
+carries state across problems keeps its call order.
 """
 
 from __future__ import annotations
 
-import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.facts.generation import FactGenerator
 from repro.relational.column import Column
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
-from repro.system.preprocessor import _solve_query, scope_groups, solve_query_chunk
+from repro.system.preprocessor import _solve_query, solve_query_chunk
 from repro.system.problem_generator import ProblemGenerator
 from repro.system.queries import DataQuery
 from repro.system.templates import SpeechRealizer
@@ -38,53 +39,46 @@ def _config(spec, algorithm: str) -> SummarizationConfig:
     )
 
 
-def _mixed_chunks(queries: list[DataQuery], scopes: int) -> list[list[DataQuery]]:
-    """Every target of the first and last ``scopes`` scopes, in shuffled chunks of 7.
+def _every_fifth_scope(queries: list[DataQuery]) -> list[DataQuery]:
+    """Every target of every fifth predicate scope, in enumeration order.
 
-    Taken scope by scope, so a chunk holds several targets of a scope
-    and the scopes on both sides of it.
+    A stride keeps the test short and still spans the empty scope and
+    both query lengths; each scope's targets stay back to back.
     """
-    groups = scope_groups(queries)
-    picked = [queries[i] for positions in groups[:scopes] + groups[-scopes:] for i in positions]
-    chunks = [picked[i : i + 7] for i in range(0, len(picked), 7)]
-    for chunk in chunks:
-        random.Random(0).shuffle(chunk)
-    return chunks
+    runs = [list(run) for _, run in groupby(queries, key=lambda query: query.predicates)]
+    return [query for run in runs[::5] for query in run]
 
 
-def _solo(generator, summarizer, chunk):
+def _fresh(config, table, summarizer, queries):
+    """Each query solved on a generator that has built nothing before it."""
     realizer = SpeechRealizer()
-    return [_solve_query(generator, summarizer, realizer, query) for query in chunk]
+    return [
+        _solve_query(ProblemGenerator(config, table), summarizer, realizer, query)
+        for query in queries
+    ]
 
 
 @pytest.mark.parametrize("algorithm", ["G-B", "G-L", "G-P", "G-O"])
 @pytest.mark.parametrize("dataset", available_datasets())
-def test_chunks_match_queries_solved_alone(dataset, algorithm):
+def test_queries_in_order_match_queries_solved_fresh(dataset, algorithm):
     data = load_dataset(dataset, num_rows=200)
     config = _config(data.spec, algorithm)
-    queries = list(ProblemGenerator(config, data.table).enumerate_queries())
-    chunks = _mixed_chunks(queries, scopes=6)
-    # Chunks mix scopes, and targets within a scope.
-    assert any(len(scope_groups(chunk)) > 1 for chunk in chunks)
-    if len(data.spec.targets) > 1:
-        assert any(max(map(len, scope_groups(chunk))) > 1 for chunk in chunks)
+    generator = ProblemGenerator(config, data.table)
+    queries = _every_fifth_scope(list(generator.enumerate_queries()))
     summarizer = make_summarizer(algorithm)
-    context = (ProblemGenerator(config, data.table), summarizer, SpeechRealizer())
-    alone = ProblemGenerator(config, data.table)
-    for chunk in chunks:
-        assert solve_query_chunk(context, chunk) == _solo(alone, summarizer, chunk)
+    in_order = solve_query_chunk((generator, summarizer, SpeechRealizer()), queries)
+    assert sum(outcome is not None for outcome in in_order) > len(queries) // 2
+    assert in_order == _fresh(config, data.table, summarizer, queries)
 
 
 def test_random_keeps_its_call_order():
     data = load_dataset("flights", num_rows=200)
     config = _config(data.spec, "RANDOM")
-    queries = list(ProblemGenerator(config, data.table).enumerate_queries())
-    chunk = [query for chunk in _mixed_chunks(queries, scopes=4) for query in chunk]
-    summarizer = make_summarizer("RANDOM", seed=3)
-    context = (ProblemGenerator(config, data.table), summarizer, SpeechRealizer())
-    alone = ProblemGenerator(config, data.table)
-    expected = _solo(alone, make_summarizer("RANDOM", seed=3), chunk)
-    assert solve_query_chunk(context, chunk) == expected
+    generator = ProblemGenerator(config, data.table)
+    queries = _every_fifth_scope(list(generator.enumerate_queries()))
+    context = (generator, make_summarizer("RANDOM", seed=3), SpeechRealizer())
+    expected = _fresh(config, data.table, make_summarizer("RANDOM", seed=3), queries)
+    assert solve_query_chunk(context, queries) == expected
 
 
 def _null_table() -> Table:
@@ -107,13 +101,13 @@ def _null_table() -> Table:
     )
 
 
-def test_a_target_with_other_nulls_is_built_alone(monkeypatch):
+def test_a_target_with_other_nulls_is_built_from_scratch(monkeypatch):
     table = _null_table()
     config = SummarizationConfig.create(
         "trips",
         dimensions=("region", "season"),
         targets=("delay", "cost"),
-        max_query_length=1,
+        max_query_length=2,
         algorithm="G-O",
     )
     generations = []
@@ -123,15 +117,15 @@ def test_a_target_with_other_nulls_is_built_alone(monkeypatch):
         generations.append(dict(base_scope or {}))
         return generate(self, base_scope)
 
-    queries = list(ProblemGenerator(config, table).enumerate_queries())
+    generator = ProblemGenerator(config, table)
+    queries = list(generator.enumerate_queries())
     summarizer = make_summarizer("G-O")
-    expected = _solo(ProblemGenerator(config, table), summarizer, queries)
+    expected = _fresh(config, table, summarizer, queries)
     monkeypatch.setattr(FactGenerator, "generate", counted)
-    context = (ProblemGenerator(config, table), summarizer, SpeechRealizer())
-    outcomes = solve_query_chunk(context, queries)
+    outcomes = solve_query_chunk((generator, summarizer, SpeechRealizer()), queries)
     assert outcomes == expected
-    # Where the scope holds a NULL cost, both targets generate facts;
-    # every other scope generates them once.
+    # Where the scope holds a NULL cost, the second target (cost) falls
+    # back to a from-scratch build; every other scope generates once.
     built = [tuple(sorted(scope.items())) for scope in generations]
     with_nulls = {
         scope
@@ -141,4 +135,3 @@ def test_a_target_with_other_nulls_is_built_alone(monkeypatch):
     }
     assert (("region", "North"),) in with_nulls and (("region", "South"),) not in with_nulls
     assert sorted(built) == sorted([*set(built), *with_nulls])
-

@@ -35,40 +35,68 @@ fact generation kept its fact groups across problems and read a base
 column's census off its single-value coding.  The NULL-dimension table
 pins the census fallback (a column with a NULL code is counted) and
 the dropping of NULL keys, which no dataset reaches otherwise.
+
+Every insertion-order digest but primaries' (one target) was re-pinned
+when query enumeration became scope-major (each predicate scope
+followed by all its targets); the frozen digest also moved to format
+version 3 then.  Beside each stands an order-free digest, computed
+before that change over the sorted canonical per-speech entries: it
+holds across both orders, so the re-pin moved the order and nothing
+else.  A property test checks that the order change cannot change an
+answer.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
+from repro.facts.generation import FactGenerator
 from repro.relational.table import Table
-from repro.store import attach, freeze
+from repro.store import CompactSpeechStore, attach, freeze
 from repro.system.config import SummarizationConfig
 from repro.system.engine import VoiceQueryEngine
-from repro.system.persistence import canonical_store_payload
+from repro.system.persistence import canonical_store_payload, store_to_dict
+from repro.system.queries import DataQuery
+from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
 
-FLIGHTS_300_G_O_DIGEST = "ee2b0a22973f985bab028a742f7d6001a0575b6c538392a42b86dd59a0f12da7"
-FLIGHTS_5000_G_O_DIGEST = "bd61512455a4f3219140dd2446945155065f95f5ab617918011e47a31bd55ba6"
+FLIGHTS_300_G_O_DIGEST = "69bfd0eba9832ea9692e2ba71f257aaabc066962738c51badce4897f31fee0fc"
+FLIGHTS_5000_G_O_DIGEST = "7c2287cd8172f1eb5c02b791958b3f771670d04970e5ef5c2e8753430262bf95"
 FLIGHTS_300_G_O_MAINTAINED_DIGEST = (
-    "d84a28d86bff1543ed8593b7209e0d0c5c27ef0ef048a3bac6ed2098ce138f5a"
+    "c5fb816c05d5c3f60a582542b7107b64b0d6237d43621c0fc8be2cb8fa7c8caa"
 )
 FLIGHTS_5000_G_O_FROZEN_DIGEST = (
-    "897d9685af8f9dc369f2ca0a8b50096370b5bc06ac4d9d609f354e2a069834c8"
+    "0128826d6ceb11a69ff1780d95e167ba930e4868578d2f321d215f7dcf354eba"
 )
 STACKOVERFLOW_300_G_O_DIGEST = (
-    "07b4e607bfea5cec74e29dfaf9b237bc5eb84d26699012e31bd28f8b37535364"
+    "746889ed0b2a44c8d6d587d4d76b794114be47a2c6f847672d1a3eca973e4d4c"
 )
-FLIGHTS_300_G_P_DIGEST = "8ff27d8ef95a64d854d3932af48d43b4f26ee4f9f408a63693629f3c74ea26a0"
-ACS_300_G_O_DIGEST = "22fb2f168bb992a12e846816e61ad5dd44a6f5933cf8909e1bf2e425ef2b92cb"
+FLIGHTS_300_G_P_DIGEST = "6ed5bd6dfe03d7c725718f726ed156273bc92590654f753f7aeb62b474127292"
+ACS_300_G_O_DIGEST = "87cd4a6d01704c8af303929af719fca4c0a16e82fc3101ea073269f0ee77fd74"
 PRIMARIES_300_G_O_DIGEST = "b919a9a101a83bcdb1258e0bc4ebc5780cffd61d643a5b13af2e75b10dfcfb4c"
 FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST = (
-    "9b8d21d6a24ae43d08cb96e5fa8532a8da7db80410de2b83ac9aee3bae33bb1c"
+    "d3a424e524629f4aa9ca5f97687cb1a402bf6e97540820f1206997aee81f2b3c"
 )
+
+#: Order-free digests (:func:`_order_free_digest`), one per store above.
+ORDER_FREE_DIGESTS = {
+    "flights G-O": "1d8a56f99c51a33280e5626d11c657cbf8c34fe74c2f184f873fcc4c038d3f7a",
+    "flights full": "71f3c2cc61f3299ec95c1d03d1fe137eb95151c294108381fff4173bf10a3b23",
+    "flights maintained": "ceb610a49bcc97bcd224ae4b60fd957070c60afad0b03c966590e040b8ee7c5f",
+    "stackoverflow": "b3f587926f5a653f4b5c29c9f796e7fa0d894dc5f34d44ebd473eadb507cf422",
+    "flights G-P": "795147c978a66369a5028e126fe4629a05ee8eadfb0722a67f720a636d3858b0",
+    "acs": "bbcc6be8974a3433f31e8d91aa88f120e14501fe07b78dd59287fa3e3fa6830b",
+    "primaries": "c64e86ff763accdd3108cf8c9933d3e592f35ce032a9c4ca076720ad5ca01e8c",
+    "flights NULL dimensions": "f91deb42ddd8157ae641b1999692e284b7e703882bf67e32f4e088ca41016e2c",
+}
+
 
 
 def _engine(dataset, algorithm: str = "G-O") -> VoiceQueryEngine:
@@ -87,6 +115,24 @@ def _engine(dataset, algorithm: str = "G-O") -> VoiceQueryEngine:
 def _store_digest(engine: VoiceQueryEngine) -> tuple[int, str]:
     payload = canonical_store_payload(engine.store, engine.config)
     return len(engine.store), hashlib.sha256(payload).hexdigest()
+
+
+def _order_free_digest(store) -> str:
+    """sha256 over the store's canonical per-speech entries, sorted.
+
+    Blind to insertion order only: any change to a speech, its query,
+    its text or its utilities moves it.
+    """
+    entries = sorted(
+        json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        for entry in store_to_dict(store)["speeches"]
+    )
+    return hashlib.sha256("\n".join(entries).encode("utf-8")).hexdigest()
+
+
+def _assert_golden(engine: VoiceQueryEngine, name: str, speeches: int, digest: str) -> None:
+    assert _order_free_digest(engine.store) == ORDER_FREE_DIGESTS[name]
+    assert _store_digest(engine) == (speeches, digest)
 
 
 def _append_batches(base: Table) -> list[Table]:
@@ -121,24 +167,57 @@ def with_null_dimensions(dataset):
 
 
 @pytest.fixture(scope="module")
-def full_flights_engine() -> VoiceQueryEngine:
-    return _engine(load_dataset("flights", num_rows=5000, seed=20210318))
+def full_flights_run() -> tuple[VoiceQueryEngine, int]:
+    """The full flights engine, pre-processed serially, and its fact generations.
+
+    The data and configuration of the ``voice_e2e`` ``preprocess``
+    workload.
+    """
+    generations = []
+    generate = FactGenerator.generate
+
+    def counted(self, base_scope=None):
+        generations.append(base_scope)
+        return generate(self, base_scope)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FactGenerator, "generate", counted)
+        engine = _engine(load_dataset("flights", num_rows=5000, seed=20210318))
+    return engine, len(generations)
+
+
+@pytest.fixture(scope="module")
+def full_flights_engine(full_flights_run) -> VoiceQueryEngine:
+    return full_flights_run[0]
+
+
+def test_full_flights_preprocessing_builds_each_scope_once(full_flights_run):
+    """The work, not the clock: one fact generation per viable scope.
+
+    Both targets of each of the 513 viable scopes share one generation
+    (1,026 when every problem was built from scratch), and the greedy
+    does exactly the work it did then.
+    """
+    engine, generations = full_flights_run
+    assert generations == 513
+    assert engine.report.speeches_generated == 1026
+    assert engine.report.fact_evaluations == 393_901
 
 
 def test_flights_store_matches_golden_digest():
     engine = _engine(load_dataset("flights", num_rows=300))
-    assert _store_digest(engine) == (928, FLIGHTS_300_G_O_DIGEST)
+    _assert_golden(engine, "flights G-O", 928, FLIGHTS_300_G_O_DIGEST)
 
 
 def test_stackoverflow_store_matches_golden_digest():
     dataset = load_dataset("stackoverflow", num_rows=300)
     assert len(dataset.spec.targets) == 6
-    assert _store_digest(_engine(dataset)) == (2670, STACKOVERFLOW_300_G_O_DIGEST)
+    _assert_golden(_engine(dataset), "stackoverflow", 2670, STACKOVERFLOW_300_G_O_DIGEST)
 
 
 def test_flights_g_p_store_matches_golden_digest():
     engine = _engine(load_dataset("flights", num_rows=300), algorithm="G-P")
-    assert _store_digest(engine) == (928, FLIGHTS_300_G_P_DIGEST)
+    _assert_golden(engine, "flights G-P", 928, FLIGHTS_300_G_P_DIGEST)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +225,7 @@ def test_flights_g_p_store_matches_golden_digest():
     [("acs", 252, ACS_300_G_O_DIGEST), ("primaries", 195, PRIMARIES_300_G_O_DIGEST)],
 )
 def test_other_datasets_match_golden_digests(name, speeches, digest):
-    assert _store_digest(_engine(load_dataset(name, num_rows=300))) == (speeches, digest)
+    _assert_golden(_engine(load_dataset(name, num_rows=300)), name, speeches, digest)
 
 
 def test_flights_with_null_dimensions_matches_golden_digest():
@@ -154,17 +233,21 @@ def test_flights_with_null_dimensions_matches_golden_digest():
     for column in ("origin_region", "season"):
         assert dataset.table.column(column).null_count() > 0
     engine = _engine(dataset)
-    assert _store_digest(engine) == (922, FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST)
+    _assert_golden(
+        engine, "flights NULL dimensions", 922, FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST
+    )
 
 
 def test_full_flights_store_matches_golden_digest(full_flights_engine):
-    assert _store_digest(full_flights_engine) == (1026, FLIGHTS_5000_G_O_DIGEST)
+    _assert_golden(full_flights_engine, "flights full", 1026, FLIGHTS_5000_G_O_DIGEST)
 
 
 def test_full_flights_frozen_store_matches_golden_digest(full_flights_engine, tmp_path):
     path = freeze(full_flights_engine.store, tmp_path / "store.snap")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FLIGHTS_5000_G_O_FROZEN_DIGEST
-    payload = canonical_store_payload(attach(path), full_flights_engine.config)
+    attached = attach(path)
+    assert _order_free_digest(attached) == ORDER_FREE_DIGESTS["flights full"]
+    payload = canonical_store_payload(attached, full_flights_engine.config)
     assert hashlib.sha256(payload).hexdigest() == FLIGHTS_5000_G_O_DIGEST
 
 
@@ -173,4 +256,56 @@ def test_maintained_flights_store_matches_golden_digest():
     maintainer = IncrementalMaintainer(engine.config, engine.table)
     for batch in _append_batches(engine.table):
         maintainer.maintain(batch, engine.store)
-    assert _store_digest(engine) == (944, FLIGHTS_300_G_O_MAINTAINED_DIGEST)
+    _assert_golden(engine, "flights maintained", 944, FLIGHTS_300_G_O_MAINTAINED_DIGEST)
+
+
+#: The flights G-O digest when queries were enumerated target-major.
+FLIGHTS_300_G_O_TARGET_MAJOR_DIGEST = (
+    "ee2b0a22973f985bab028a742f7d6001a0575b6c538392a42b86dd59a0f12da7"
+)
+
+
+@pytest.fixture(scope="module")
+def flights_orders():
+    """The flights G-O engine, and its speeches in scope-major and target-major order.
+
+    The target-major store re-adds the scope-major store's speeches
+    sorted (stably) by target, each store as a dict and a compact one.
+    """
+    engine = _engine(load_dataset("flights", num_rows=300))
+    targets = engine.config.targets
+    target_major = SpeechStore()
+    for stored in sorted(engine.store, key=lambda stored: targets.index(stored.query.target)):
+        target_major.add(stored)
+    stores = [engine.store, target_major]
+    return engine, target_major, [*stores, *map(CompactSpeechStore.from_store, stores)]
+
+
+def test_the_store_is_the_target_major_store_reordered(flights_orders):
+    engine, target_major, _ = flights_orders
+    payload = canonical_store_payload(target_major, engine.config)
+    assert hashlib.sha256(payload).hexdigest() == FLIGHTS_300_G_O_TARGET_MAJOR_DIGEST
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_insertion_order_does_not_change_an_answer(flights_orders, data):
+    """Both orders answer every query alike, on the dict and the compact store.
+
+    ``longest_subset_match`` breaks ties by id among one target's
+    speeches, and both orders keep each target's speeches in the same
+    relative order.
+    """
+    engine, _, stores = flights_orders
+    predicates = {}
+    for dim in engine.config.dimensions:
+        values = engine.table.column(dim).distinct_values()
+        value = data.draw(st.one_of(st.none(), st.sampled_from([*values, "Atlantis"])))
+        if value is not None:
+            predicates[dim] = value
+    query = DataQuery.create(data.draw(st.sampled_from(engine.config.targets)), predicates)
+    answers = set()
+    for store in stores:
+        match = store.best_match(query)
+        answers.add(match and (match.stored, match.exact, match.overlap))
+    assert len(answers) == 1

@@ -372,6 +372,23 @@ class TestAffectedQueryProperties:
         fast = maintainer.affected_queries(new_rows)
         assert fast == self.reference_affected(self.CONFIG, table, new_rows)
 
+    def test_two_targets_come_scope_major(self):
+        """Each affected scope is followed by every target, as enumeration yields them."""
+        from repro.datasets import load_dataset
+
+        dataset = load_dataset("flights", num_rows=60)
+        config = SummarizationConfig.create(
+            "flights",
+            dimensions=dataset.spec.dimensions[:3],
+            targets=dataset.spec.targets,
+            max_query_length=2,
+        )
+        new_rows = load_dataset("flights", num_rows=3, seed=7).table
+        fast = IncrementalMaintainer(config, dataset.table).affected_queries(new_rows)
+        assert fast == self.reference_affected(config, dataset.table, new_rows)
+        assert [query.target for query in fast[:2]] == list(config.targets)
+        assert fast[0].predicates == fast[1].predicates
+
     def test_no_new_rows_affect_nothing(self, example_table):
         maintainer = IncrementalMaintainer(self.CONFIG, example_table)
         assert maintainer.affected_queries(new_rows_table([])) == []
