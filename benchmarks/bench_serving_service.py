@@ -565,11 +565,7 @@ def run_fault_recovery(rows: int, requests: int, append_rows: int, passes: int) 
         (index + 1) * (len(questions) // (len(batches) + 1)): batch
         for index, batch in enumerate(batches)
     }
-    serving = SERVING.replace(
-        maintenance_retry_limit=3,
-        maintenance_backoff_base=0.05,
-        maintenance_backoff_cap=0.2,
-    )
+    serving = SERVING  # the scheduler's retry policy: 3 retries, 0.05 s backoff base
     pool = WorkerPool(2)  # the crash needs a pool to crash in
 
     async def bench():

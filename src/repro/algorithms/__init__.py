@@ -20,7 +20,7 @@ from repro.algorithms.base import SummaryResult, Summarizer, SummarizerStatistic
 from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.exact import ExactSummarizer
 from repro.algorithms.pruning import FactGroupPruner, PruningPlan
-from repro.algorithms.cost_model import LatticeCosts, PruningCostModel, lattice_costs
+from repro.algorithms.cost_model import LatticeCosts, lattice_costs
 from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer, RangeFact
@@ -36,7 +36,6 @@ __all__ = [
     "FactGroupPruner",
     "PruningPlan",
     "LatticeCosts",
-    "PruningCostModel",
     "lattice_costs",
     "candidate_plans",
     "choose_plan",

@@ -39,16 +39,6 @@ class SummarizerStatistics:
     groups_pruned: int = 0
     bound_evaluations: int = 0
 
-    def merge(self, other: "SummarizerStatistics") -> "SummarizerStatistics":
-        """Combine two statistics objects (used when batching problems)."""
-        return SummarizerStatistics(
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            fact_evaluations=self.fact_evaluations + other.fact_evaluations,
-            speeches_considered=self.speeches_considered + other.speeches_considered,
-            speeches_pruned=self.speeches_pruned + other.speeches_pruned,
-            groups_pruned=self.groups_pruned + other.groups_pruned,
-            bound_evaluations=self.bound_evaluations + other.bound_evaluations,
-        )
 
 
 @dataclass

@@ -28,14 +28,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from repro.facts.groups import FactGroup, GroupLattice
 from repro.relational.catalog import combination_estimate
-from repro.relational.planner import CostEstimator, join_costs
+from repro.relational.planner import join_costs
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _standard_normal_cdf(x: float) -> float:
-    """Φ(x) for the standard normal distribution."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def checked_sigma(sigma: float) -> float:
@@ -58,7 +53,7 @@ def keep_row(mean: float, means: Sequence[float], sigma: float) -> list[float]:
 
         Pr(P_{s→t}) = Pr(u_s > u_t) = Φ((1/M(s) − 1/M(t)) / (σ·√2)),
 
-    evaluated here as :func:`_standard_normal_cdf` evaluates it.
+    with Φ(x) = (1 + erf(x/√2)) / 2, the standard normal CDF.
     """
     scale = sigma * _SQRT2
     erf = math.erf
@@ -71,11 +66,6 @@ class PruningPlan:
 
     sources: tuple[FactGroup, ...]
     targets: tuple[FactGroup, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for the no-pruning plan (no sources or no targets)."""
-        return not self.sources or not self.targets
 
     def __repr__(self) -> str:
         src = ", ".join(repr(s) for s in self.sources) or "<none>"
@@ -108,8 +98,7 @@ def lattice_costs(
     ``fact_counts[g]`` is group ``g``'s number of candidate facts, so
     M(g) = max(1, fact_counts[g]); C_U and C_D come from the estimated
     combination count of the group's columns over ``row_count`` rows
-    with ``distinct_counts`` (:func:`~repro.relational.planner.join_costs`),
-    as a :class:`PruningCostModel` over those statistics computes them.
+    with ``distinct_counts`` (:func:`~repro.relational.planner.join_costs`).
     """
     utility: list[float] = []
     deviation: list[float] = []
@@ -123,71 +112,3 @@ def lattice_costs(
         deviation.append(bound)
         means.append(1.0 / max(1, count))
     return LatticeCosts(list(fact_counts), utility, deviation, means)
-
-
-class PruningCostModel:
-    """The cost model's components for any fact group.
-
-    Production plan choice reads :func:`lattice_costs` instead; this
-    group-at-a-time model is kept as the reference the test oracle
-    costs plans with.
-
-    Parameters
-    ----------
-    fact_counts:
-        Number of candidate facts per fact group (M(g) in the paper).
-        Obtained either from catalog statistics or from the actual
-        generated fact sets.
-    cost_estimator:
-        Provides C_U / C_D estimates from relation statistics, and M(g)
-        for a group missing from ``fact_counts``.
-    sigma:
-        Standard deviation of the per-fact utility distribution
-        (a fixed model parameter; the paper assumes a constant σ²);
-        finite and positive.
-
-    M(g) is memoized per model instance.
-    """
-
-    def __init__(
-        self,
-        fact_counts: Mapping[FactGroup, int],
-        cost_estimator: CostEstimator,
-        sigma: float = 0.25,
-    ):
-        self.sigma = checked_sigma(sigma)
-        self._fact_counts = dict(fact_counts)
-        self._estimator = cost_estimator
-        self._fact_count_memo: dict[FactGroup, int] = {}
-
-    def fact_count(self, group: FactGroup) -> int:
-        """M(g): number of facts in the group (≥ 1)."""
-        count = self._fact_count_memo.get(group)
-        if count is None:
-            count = self._fact_counts.get(group)
-            if count is None:
-                count = self._estimator.fact_count(group.dimensions)
-            count = self._fact_count_memo[group] = max(1, count)
-        return count
-
-    def group_costs(self, group: FactGroup) -> tuple[float, float]:
-        """``(C_U(g), C_D(g))``: the utility join's and the bound query's cost."""
-        return self._estimator.group_costs(group.dimensions)
-
-    def utility_cost(self, group: FactGroup) -> float:
-        """C_U(g): cost of computing utility gains for all facts of ``g``."""
-        return self.group_costs(group)[0]
-
-    def deviation_cost(self, group: FactGroup) -> float:
-        """C_D(g): cost of computing the per-scope bounds of ``g``."""
-        return self.group_costs(group)[1]
-
-    def prune_probability(self, source: FactGroup, target: FactGroup) -> float:
-        """Pr(P_{s→t}): probability the source's best gain dominates the target bound.
-
-        See :func:`keep_row`, which gives 1 minus this for many targets.
-        """
-        z = (1.0 / self.fact_count(source) - 1.0 / self.fact_count(target)) / (
-            self.sigma * _SQRT2
-        )
-        return _standard_normal_cdf(z)

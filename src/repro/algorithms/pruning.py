@@ -203,9 +203,8 @@ class FactGroupPruner:
         the stacked ids and ``starts`` number those groups across all
         targets (:meth:`~repro.core.model.SummarizationRelation.stacked_group_ids`).
         A bincount of the error vector tiled once per target adds each
-        group's errors in row order, as
-        :meth:`~repro.core.utility.UtilityEvaluator.max_split_bound` adds
-        them, so each target's maximum is that bound's bits.
+        group's errors in row order, as a bincount over one target's
+        groups adds them, so each target's maximum has that bound's bits.
         """
         prepared = self._prepared.get(plan)
         if prepared is not None:

@@ -55,6 +55,11 @@ MAX_RESPONSE_BYTES = 4 * 1024 * 1024
 #: or hostile intermediary must not park the client for minutes.
 MAX_RETRY_AFTER_SECONDS = 5.0
 
+#: Base of the capped exponential backoff between 503 retries when the
+#: server sends no ``Retry-After`` hint (read when used, so a test may
+#: monkeypatch it).
+RETRY_BACKOFF_SECONDS = 0.05
+
 
 def _json_payload(status: int, raw: bytes) -> dict[str, Any]:
     """A response body as a JSON object; non-JSON error bodies degrade."""
@@ -211,14 +216,12 @@ class HttpClient:
         Times :meth:`ask` re-submits after a 503 before surfacing
         :class:`ServiceOverloadedError`.  A 503 means the request was
         rejected *before* processing, so re-submitting cannot double-
-        apply anything.  0 disables retrying.
-    retry_backoff:
-        Base of the capped exponential backoff (seconds, with up to 10%
-        deterministic jitter) between 503 retries — used when the
-        server sends no ``Retry-After`` hint; a hint takes precedence
-        (clamped to ``MAX_RETRY_AFTER_SECONDS``).
-    retry_seed:
-        Seed of the jitter RNG, keeping retry pacing reproducible.
+        apply anything.  0 disables retrying.  Between retries the
+        client waits the server's ``Retry-After`` hint (clamped to
+        :data:`MAX_RETRY_AFTER_SECONDS`) or, without one, a capped
+        exponential backoff from :data:`RETRY_BACKOFF_SECONDS`; either
+        way plus up to 10% jitter from an RNG seeded with 0, so retry
+        pacing is reproducible.
 
     Connections are pooled and reused across requests (HTTP/1.1
     keep-alive); a connection the server closed between requests is
@@ -232,21 +235,16 @@ class HttpClient:
         max_connections: int = 8,
         timeout: float = 30.0,
         overload_retries: int = 2,
-        retry_backoff: float = 0.05,
-        retry_seed: int = 0,
     ):
         if max_connections < 1:
             raise ValueError(f"max_connections must be >= 1, got {max_connections}")
         if overload_retries < 0:
             raise ValueError(f"overload_retries must be >= 0, got {overload_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         self._host = host
         self._port = int(port)
         self._timeout = float(timeout)
         self._overload_retries = int(overload_retries)
-        self._retry_backoff = float(retry_backoff)
-        self._jitter = random.Random(retry_seed)
+        self._jitter = random.Random(0)
         self._limiter = asyncio.Semaphore(max_connections)
         self._idle: list[_Connection] = []
         self._closed = False
@@ -282,7 +280,7 @@ class HttpClient:
         if retry_after is not None:
             delay = min(retry_after, MAX_RETRY_AFTER_SECONDS)
         else:
-            delay = min(1.0, self._retry_backoff * 2**attempt)
+            delay = min(1.0, RETRY_BACKOFF_SECONDS * 2**attempt)
         return delay * (1.0 + 0.1 * self._jitter.random())
 
     async def append(self, rows: list) -> dict[str, Any]:

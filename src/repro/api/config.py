@@ -8,7 +8,9 @@ is now the single source: the service consumes it directly, the CLI
 ``benchmarks/bench_serving_service.py`` constructs its workloads from
 one.  Maintenance parallelism is not a setting: it is the
 :class:`repro.system.worker_pool.WorkerPool` handed to the service
-(``pool=``), and without one maintenance runs serially.
+(``pool=``), and without one maintenance runs serially.  Nor is the
+maintenance retry and circuit-breaker policy: it is the module
+constants of :mod:`repro.serving.scheduler`.
 
 Fields
 ------
@@ -36,14 +38,6 @@ default_deadline_ms:
     Latency budget applied to requests that carry no ``deadline_ms`` of
     their own; expired requests get a ``timeout``-kind response.
     ``None`` (default) means no deadline.
-maintenance_retry_limit / maintenance_backoff_base / maintenance_backoff_cap:
-    Retry policy for failed maintenance jobs (see
-    :class:`repro.serving.scheduler.MaintenanceScheduler`): retries per
-    payload and the capped exponential backoff between them.
-breaker_threshold / breaker_cooldown_seconds:
-    Maintenance circuit breaker: consecutive failures before appends
-    are rejected, and how long the breaker stays open before a
-    half-open probe.
 failpoints / failpoint_seed:
     Deterministic fault-injection specs (see
     :mod:`repro.reliability.faults`) installed when the service starts.
@@ -95,11 +89,6 @@ class ServingConfig:
     http_host: str = "127.0.0.1"
     http_port: int = 0
     default_deadline_ms: float | None = None
-    maintenance_retry_limit: int = 3
-    maintenance_backoff_base: float = 0.05
-    maintenance_backoff_cap: float = 2.0
-    breaker_threshold: int = 5
-    breaker_cooldown_seconds: float = 1.0
     failpoints: tuple = ()
     failpoint_seed: int = 0
     data_dir: str | None = None
@@ -125,20 +114,6 @@ class ServingConfig:
             raise ValueError(
                 "default_deadline_ms must be a positive finite number or None, "
                 f"got {self.default_deadline_ms}"
-            )
-        if self.maintenance_retry_limit < 0:
-            raise ValueError(
-                f"maintenance_retry_limit must be >= 0, got {self.maintenance_retry_limit}"
-            )
-        if self.maintenance_backoff_base < 0 or self.maintenance_backoff_cap < 0:
-            raise ValueError("maintenance backoff base/cap must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_seconds < 0:
-            raise ValueError(
-                f"breaker_cooldown_seconds must be >= 0, got {self.breaker_cooldown_seconds}"
             )
         if not all(isinstance(spec, str) and spec.strip() for spec in self.failpoints):
             raise ValueError("failpoints must be non-empty spec strings")

@@ -49,8 +49,8 @@ class MaintenanceUnavailableError(VoiceApiError):
 
     Raised by
     :meth:`repro.serving.scheduler.MaintenanceScheduler.request_append`
-    while its circuit breaker is open: after ``breaker_threshold``
-    consecutive job failures the scheduler stops accepting new appends
+    while its circuit breaker is open: after
+    :data:`repro.serving.scheduler.BREAKER_THRESHOLD` consecutive job failures the scheduler stops accepting new appends
     (each would join a payload that keeps failing) until a cooldown
     passes and a half-open probe succeeds.  Callers should surface the
     rejection to the writer rather than drop rows silently.

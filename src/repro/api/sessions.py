@@ -65,7 +65,6 @@ class SessionStore:
         self._sessions: dict[str, SessionState] = {}
         self._created_at: dict[str, float] = {}
         self._last_used_at: dict[str, float] = {}
-        self._evicted = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -74,11 +73,6 @@ class SessionStore:
     def capacity(self) -> int:
         """Maximum live sessions before LRU eviction."""
         return self._capacity
-
-    @property
-    def evicted(self) -> int:
-        """Sessions evicted so far (monotonic counter)."""
-        return self._evicted
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -158,7 +152,6 @@ class SessionStore:
             del self._sessions[oldest]
             del self._created_at[oldest]
             del self._last_used_at[oldest]
-            self._evicted += 1
         state = SessionState()
         now = self._clock()
         self._sessions[session_id] = state

@@ -199,19 +199,6 @@ class FactScopeIndex:
         """Number of indexed facts."""
         return len(self.facts)
 
-    @property
-    def total_scope_rows(self) -> int:
-        """Total flat entries (sum of per-fact scope sizes)."""
-        return int(self.row_indices.size)
-
-    def rows_of(self, fact_id: int) -> np.ndarray:
-        """Scope row indices of fact ``fact_id`` (ascending)."""
-        return self.row_indices[self.offsets[fact_id] : self.offsets[fact_id + 1]]
-
-    def errors_of(self, fact_id: int) -> np.ndarray:
-        """Per-row fact errors of fact ``fact_id``."""
-        return self.fact_errors[self.offsets[fact_id] : self.offsets[fact_id + 1]]
-
     def copies_of(self, fact_id: int) -> list[int]:
         """Ids of the facts equal to fact ``fact_id``, itself included.
 

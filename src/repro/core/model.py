@@ -123,29 +123,9 @@ class Scope:
         inner = ", ".join(f"{col}={val!r}" for col, val in self._items)
         return f"Scope({inner})"
 
-    # Set-like relations between scopes --------------------------------------
-    def is_subscope_of(self, other: "Scope") -> bool:
-        """True when this scope's assignments are a subset of ``other``'s.
-
-        A sub-scope restricts fewer (or equal) dimensions, i.e. covers a
-        superset of the data rows.
-        """
-        mine = dict(self._items)
-        theirs = dict(other._items)
-        return all(col in theirs and theirs[col] == val for col, val in mine.items())
-
     def contains_row(self, row: Mapping[str, Any]) -> bool:
         """True when a data row (dict) falls within this scope."""
         return all(row.get(col) == val for col, val in self._items)
-
-    def merged_with(self, other: "Scope") -> "Scope | None":
-        """Combine two scopes; None when they conflict on some column."""
-        merged = dict(self._items)
-        for col, val in other._items:
-            if col in merged and merged[col] != val:
-                return None
-            merged[col] = val
-        return Scope(merged)
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,14 +201,6 @@ class Speech:
 
     def __repr__(self) -> str:
         return f"Speech({list(self._facts)!r})"
-
-    def with_fact(self, fact: Fact) -> "Speech":
-        """Return a new speech with ``fact`` added."""
-        return Speech(self._facts + (fact,))
-
-    def relevant_facts(self, row: Mapping[str, Any]) -> list[Fact]:
-        """Facts whose scope contains ``row``."""
-        return [fact for fact in self._facts if fact.covers_row(row)]
 
 
 #: Integer codes of one column: ``(codes, decode, code_of)`` — per-row

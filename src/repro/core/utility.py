@@ -151,24 +151,6 @@ class UtilityEvaluator:
     # ------------------------------------------------------------------
     # Single-fact utilities and incremental gains (closest model)
     # ------------------------------------------------------------------
-    def single_fact_utility(self, fact: Fact) -> float:
-        """Utility of the speech containing only ``fact``.
-
-        Under the closest-relevant-value model this equals the summed
-        per-row reduction of deviation on the fact's scope.
-        """
-        indices = self.scope_indices(fact.scope)
-        if indices.size == 0:
-            return 0.0
-        truth = self._relation.target_values[indices]
-        prior_err = self._prior_error[indices]
-        fact_err = np.abs(fact.value - truth)
-        return float(np.maximum(prior_err - fact_err, 0.0).sum())
-
-    def single_fact_utilities(self, facts: Sequence[Fact]) -> np.ndarray:
-        """Single-fact utilities for a list of facts."""
-        return np.array([self.single_fact_utility(f) for f in facts], dtype=float)
-
     def initial_state(self) -> ExpectationState:
         """Greedy state for the empty speech (expectation = prior)."""
         return ExpectationState(
@@ -247,14 +229,6 @@ class UtilityEvaluator:
         sums = np.bincount(inverse, weights=error, minlength=len(keys))
         return {key: float(sums[g]) for g, key in enumerate(keys)}
 
-    def max_group_bound(
-        self,
-        group_columns: Sequence[str],
-        state: ExpectationState | None = None,
-    ) -> float:
-        """The largest per-scope bound of a fact group (0.0 when empty)."""
-        return self.max_split_bound(self.split_columns(group_columns), state)
-
     def split_columns(self, group_columns: Sequence[str]) -> list[str]:
         """The columns of a group that split the relation's rows.
 
@@ -264,14 +238,3 @@ class UtilityEvaluator:
         beyond the query's own predicates.
         """
         return [c for c in group_columns if not self._relation.is_constant(c)]
-
-    def max_split_bound(
-        self, columns: Sequence[str], state: ExpectationState | None = None
-    ) -> float:
-        """:meth:`max_group_bound` over columns :meth:`split_columns` already chose."""
-        error = state.error if state is not None else self._prior_error
-        inverse, _, offsets = self._relation.group_layout(columns)
-        if offsets.size == 1:
-            return 0.0
-        sums = np.bincount(inverse, weights=error, minlength=offsets.size - 1)
-        return float(sums.max())

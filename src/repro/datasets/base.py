@@ -68,13 +68,6 @@ class SyntheticDataset:
             )
         return SummarizationRelation(self.table, list(self.spec.dimensions), chosen)
 
-    def dimension_domains(self) -> dict[str, list]:
-        """Distinct values of every dimension column."""
-        return {
-            dim: self.table.column(dim).distinct_values()
-            for dim in self.spec.dimensions
-        }
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Create the seeded RNG all generators use (deterministic outputs)."""

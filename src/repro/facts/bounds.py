@@ -30,11 +30,6 @@ class GroupBound:
     per_scope: dict[tuple, float]
     maximum: float
 
-    @property
-    def scope_count(self) -> int:
-        """Number of distinct value combinations (facts) in the group."""
-        return len(self.per_scope)
-
 
 def group_utility_bounds(
     evaluator: UtilityEvaluator,

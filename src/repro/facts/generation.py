@@ -158,11 +158,6 @@ class GeneratedFacts:
         """Number of candidate facts."""
         return len(self.facts)
 
-    @property
-    def by_group(self) -> dict[FactGroup, list[Fact]]:
-        """Facts keyed by their fact group."""
-        return {group: self.facts[ids.start : ids.stop] for group, ids in self.group_ranges.items()}
-
     def retarget(self, relation: SummarizationRelation) -> "GeneratedFacts":
         """The same candidate scopes valued over ``relation``'s target.
 
@@ -192,16 +187,6 @@ class GeneratedFacts:
     def groups(self) -> list[FactGroup]:
         """Fact groups with at least one candidate fact."""
         return list(self.group_ranges)
-
-    def facts_in_groups(self, groups: Sequence[FactGroup]) -> list[Fact]:
-        """Facts belonging to any of the given groups."""
-        wanted = set(groups)
-        return [
-            fact
-            for group, ids in self.group_ranges.items()
-            if group in wanted
-            for fact in self.facts[ids.start : ids.stop]
-        ]
 
 
 class FactGroups(NamedTuple):

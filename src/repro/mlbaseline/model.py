@@ -108,11 +108,6 @@ class TemplateSeq2SeqModel:
             sentences_per_summary=float(self._sentence_count),
         )
 
-    @property
-    def is_trained(self) -> bool:
-        """Whether :meth:`fit` has been called."""
-        return self._trained
-
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The paper executes its algorithms as a series of SQL queries against
 Postgres.  Pre-processing here works on cached column codes instead, so
 this package keeps only what that needs: typed columns and immutable
-tables, CSV import and export, equality predicates with one ``select``
-(the row-level reference for subset selection), and the table
-statistics and cost estimates the plan optimizer consumes.
+tables, CSV import and export, and equality predicates with one
+``select`` (the row-level reference for subset selection).
 """
 
 from repro.relational.column import Column, ColumnType
@@ -17,8 +16,6 @@ from repro.relational.expressions import (
     TruePredicate,
 )
 from repro.relational.operators import select
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator, CostEstimate
 from repro.relational.csvio import read_csv, write_csv
 
 __all__ = [
@@ -30,9 +27,6 @@ __all__ = [
     "EqualsPredicate",
     "AndPredicate",
     "select",
-    "TableStatistics",
-    "CostEstimator",
-    "CostEstimate",
     "read_csv",
     "write_csv",
 ]

@@ -196,21 +196,9 @@ class Column:
             )
         return self._derived([v for v, k in zip(self._values, keep) if k])
 
-    def with_values(self, values: Iterable[Any]) -> "Column":
-        """Return a new column with the same name/type but new values."""
-        return Column(self._name, self._ctype, values)
-
     # ------------------------------------------------------------------
     # Statistics and numeric access
     # ------------------------------------------------------------------
-    def is_null(self, index: int) -> bool:
-        """Return True when the value at ``index`` is NULL."""
-        return self._values[index] is None
-
-    def null_count(self) -> int:
-        """Number of NULL entries."""
-        return sum(1 for v in self._values if v is None)
-
     def first_index(self, value: Any) -> int:
         """Row of the first value equal to ``value`` (ValueError if none)."""
         return self._values.index(value)

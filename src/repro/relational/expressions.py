@@ -2,15 +2,14 @@
 
 Predicates model the WHERE clause of a query scope in the paper's SQL
 implementation: a conjunction of ``column = value`` equalities on
-dimension columns (NULL never matches).  Each predicate can evaluate a
-single row (``matches_row``) or a whole table at once (``evaluate``),
-returning a boolean mask.
+dimension columns (NULL never matches).  A predicate evaluates a whole
+table at once (``evaluate``), returning a boolean mask.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.relational.errors import SchemaError
 from repro.relational.table import Table
@@ -18,10 +17,6 @@ from repro.relational.table import Table
 
 class Predicate(abc.ABC):
     """Base class for boolean expressions over table rows."""
-
-    @abc.abstractmethod
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        """Return True when the predicate holds for ``row`` (a dict)."""
 
     @abc.abstractmethod
     def referenced_columns(self) -> set[str]:
@@ -42,9 +37,6 @@ class Predicate(abc.ABC):
 
 class TruePredicate(Predicate):
     """A predicate that accepts every row."""
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        return True
 
     def referenced_columns(self) -> set[str]:
         return set()
@@ -68,12 +60,6 @@ class EqualsPredicate(Predicate):
     def __init__(self, column: str, value: Any):
         self.column = column
         self.value = value
-
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        actual = row.get(self.column)
-        if actual is None:
-            return False
-        return actual == self.value
 
     def referenced_columns(self) -> set[str]:
         return {self.column}
@@ -102,9 +88,6 @@ class AndPredicate(Predicate):
     def __init__(self, children: Sequence[Predicate]):
         self.children = list(children)
 
-    def matches_row(self, row: Mapping[str, Any]) -> bool:
-        return all(child.matches_row(row) for child in self.children)
-
     def referenced_columns(self) -> set[str]:
         cols: set[str] = set()
         for child in self.children:
@@ -122,17 +105,3 @@ class AndPredicate(Predicate):
 
     def __repr__(self) -> str:
         return "(" + " AND ".join(repr(c) for c in self.children) + ")"
-
-
-def conjunction_of_equalities(assignments: Mapping[str, Any]) -> Predicate:
-    """Build ``col1 = v1 AND col2 = v2 AND ...`` from a mapping.
-
-    An empty mapping yields :class:`TruePredicate` (no restriction),
-    matching how an empty query scope selects the whole relation.
-    """
-    if not assignments:
-        return TruePredicate()
-    children = [EqualsPredicate(col, val) for col, val in sorted(assignments.items())]
-    if len(children) == 1:
-        return children[0]
-    return AndPredicate(children)

@@ -120,11 +120,6 @@ class Table:
         """Number of rows."""
         return self._nrows
 
-    @property
-    def num_columns(self) -> int:
-        """Number of columns."""
-        return len(self._columns)
-
     def __len__(self) -> int:
         return self._nrows
 
@@ -176,22 +171,6 @@ class Table:
     def renamed(self, new_name: str) -> "Table":
         """Return the same table under a different name."""
         return Table(new_name, self._columns)
-
-    def with_column(self, column: Column) -> "Table":
-        """Return a new table with ``column`` appended or replaced.
-
-        If a column of the same name exists, it is replaced in place
-        (keeping schema order); otherwise the column is appended.
-        """
-        if len(column) != self._nrows and self._nrows > 0:
-            raise SchemaError(
-                f"new column {column.name!r} has {len(column)} rows, table has {self._nrows}"
-            )
-        if column.name in self._by_name:
-            cols = [column if c.name == column.name else c for c in self._columns]
-        else:
-            cols = self._columns + [column]
-        return Table(self._name, cols)
 
     def take(self, indices: Sequence[int]) -> "Table":
         """Return a new table with rows at ``indices`` (in order)."""

@@ -266,11 +266,6 @@ class FailpointRegistry:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def configured(self) -> bool:
-        """True when any failpoint rule is installed."""
-        return bool(self._rules)
-
-    @property
     def specs(self) -> tuple[str, ...]:
         """The spec strings behind the active rules."""
         return self._specs

@@ -30,14 +30,14 @@ speeches the job changed; a checkpoint is a manifest naming that file.
 
 Failures are survived, not just recorded.  A failed job rolls the
 maintainer back (the half-applied append would otherwise corrupt the
-next pass), then its exact coalesced payload is **retried** with capped
+next pass), then its exact coalesced payload is **retried** with
 exponential backoff and deterministic jitter, strictly before any
 batches that arrived later — so the sequence of *published* appends is
-the same as a no-fault run.  Only after ``retry_limit`` retries are the
-rows declared lost: the final job records them in ``dropped_rows``
+the same as a no-fault run.  Only after :data:`RETRY_LIMIT` retries are
+the rows declared lost: the final job records them in ``dropped_rows``
 (previously they vanished silently) and the total is surfaced through
 the service metrics.  A **circuit breaker** opens after
-``breaker_threshold`` consecutive failures: new appends are rejected
+:data:`BREAKER_THRESHOLD` consecutive failures: new appends are rejected
 with :class:`repro.api.errors.MaintenanceUnavailableError` until a
 cooldown elapses and a half-open probe job succeeds.
 
@@ -75,18 +75,21 @@ from repro.storage.recovery import DurabilityCoordinator
 from repro.system.updates import IncrementalMaintainer, MaintenanceReport
 from repro.system.worker_pool import WorkerPool
 
-#: Default retries per failed payload (on top of its first attempt).
-DEFAULT_RETRY_LIMIT = 3
+# The retry and breaker policy.  Each constant is read when it is
+# used, so a test that needs another value monkeypatches the module.
 
-#: Default backoff: base * 2**(attempt-1), capped, plus <= 10% jitter.
-DEFAULT_BACKOFF_BASE_SECONDS = 0.05
-DEFAULT_BACKOFF_CAP_SECONDS = 2.0
+#: Retries per failed payload (on top of its first attempt).
+RETRY_LIMIT = 3
 
-#: Default consecutive failures before the circuit breaker opens.
-DEFAULT_BREAKER_THRESHOLD = 5
+#: Backoff before retry ``attempt``: base * 2**(attempt-1), plus <= 10%
+#: jitter (0.05, 0.1, 0.2 s for the three retries).
+BACKOFF_BASE_SECONDS = 0.05
 
-#: Default seconds the breaker stays open before a half-open probe.
-DEFAULT_BREAKER_COOLDOWN_SECONDS = 1.0
+#: Consecutive failures before the circuit breaker opens.
+BREAKER_THRESHOLD = 5
+
+#: Seconds the breaker stays open before a half-open probe.
+BREAKER_COOLDOWN_SECONDS = 1.0
 
 
 @dataclass
@@ -159,18 +162,6 @@ class MaintenanceScheduler:
         executor thread (it may do O(table) work, e.g. rebuilding a
         parser lexicon) — implementations must restrict themselves to
         atomic attribute swaps visible to the event loop.
-    retry_limit:
-        Retries granted to a failed payload beyond its first attempt
-        before its rows are declared dropped.
-    backoff_base / backoff_cap:
-        Exponential backoff between retries of the same payload:
-        ``min(cap, base * 2**(attempt-1))`` seconds, plus up to 10%
-        deterministic jitter.
-    breaker_threshold:
-        Consecutive job failures that open the circuit breaker.
-    breaker_cooldown:
-        Seconds the breaker stays open before allowing a half-open
-        probe append.
     retry_seed:
         Seed of the jitter RNG, so chaos runs back off identically.
     durability:
@@ -192,31 +183,13 @@ class MaintenanceScheduler:
         registry: SnapshotRegistry,
         pool: WorkerPool | None = None,
         on_swap=None,
-        retry_limit: int = DEFAULT_RETRY_LIMIT,
-        backoff_base: float = DEFAULT_BACKOFF_BASE_SECONDS,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP_SECONDS,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown: float = DEFAULT_BREAKER_COOLDOWN_SECONDS,
         retry_seed: int = 0,
         durability: DurabilityCoordinator | None = None,
     ):
-        if retry_limit < 0:
-            raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ValueError("backoff_base and backoff_cap must be >= 0")
-        if breaker_threshold < 1:
-            raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
-        if breaker_cooldown < 0:
-            raise ValueError(f"breaker_cooldown must be >= 0, got {breaker_cooldown}")
         self._maintainer = maintainer
         self._registry = registry
         self._pool = pool
         self._on_swap = on_swap
-        self._retry_limit = int(retry_limit)
-        self._backoff_base = float(backoff_base)
-        self._backoff_cap = float(backoff_cap)
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_cooldown = float(breaker_cooldown)
         self._jitter = random.Random(retry_seed)
         self._durability = durability
         #: Queued batches as (journal seq or None, rows).
@@ -246,11 +219,6 @@ class MaintenanceScheduler:
     def jobs(self) -> Sequence[MaintenanceJob]:
         """Finished (completed/failed/cancelled) jobs in scheduling order."""
         return tuple(self._jobs)
-
-    @property
-    def pending_batches(self) -> int:
-        """Appended-row batches queued but not yet picked up by a job."""
-        return len(self._pending)
 
     @property
     def running(self) -> bool:
@@ -292,13 +260,13 @@ class MaintenanceScheduler:
         """Circuit breaker state: ``closed``, ``open`` or ``half_open``.
 
         ``open`` rejects :meth:`request_append`; after
-        ``breaker_cooldown`` seconds it reads ``half_open``, which lets
+        :data:`BREAKER_COOLDOWN_SECONDS` it reads ``half_open``, which lets
         one append through as a probe — success closes the breaker,
         failure reopens it for another cooldown.
         """
         if self._breaker_opened_at is None:
             return "closed"
-        if time.monotonic() - self._breaker_opened_at >= self._breaker_cooldown:
+        if time.monotonic() - self._breaker_opened_at >= BREAKER_COOLDOWN_SECONDS:
             return "half_open"
         return "open"
 
@@ -402,7 +370,7 @@ class MaintenanceScheduler:
         promised, nothing was accepted.
 
         Raises :class:`MaintenanceUnavailableError` while the circuit
-        breaker is open (``breaker_threshold`` consecutive failures,
+        breaker is open (:data:`BREAKER_THRESHOLD` consecutive failures,
         cooldown not yet elapsed): accepting the rows would only grow a
         payload that keeps failing, so the caller is told explicitly
         instead of the rows being dropped later.
@@ -569,12 +537,12 @@ class MaintenanceScheduler:
     def _record_failure(self, job: MaintenanceJob, attempt: int) -> None:
         """Schedule a retry, or account the rows as dropped; feed the breaker."""
         self._consecutive_failures += 1
-        if self._consecutive_failures >= self._breaker_threshold:
+        if self._consecutive_failures >= BREAKER_THRESHOLD:
             # (Re)open — a failed half-open probe lands here too and
             # restarts the cooldown.
             self._breaker_opened_at = time.monotonic()
-        if attempt <= self._retry_limit:
-            delay = min(self._backoff_cap, self._backoff_base * 2 ** (attempt - 1))
+        if attempt <= RETRY_LIMIT:
+            delay = BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)
             delay *= 1.0 + 0.1 * self._jitter.random()
             self._retry = (
                 job.new_rows,

@@ -87,8 +87,9 @@ from repro.system.worker_pool import WorkerPool
 __all__ = ["ServiceMetrics", "VoiceService"]
 
 #: Latency samples kept for percentile estimation; older samples roll
-#: off so a long-lived deployment reports recent tail behavior.
-DEFAULT_LATENCY_WINDOW = 100_000
+#: off so a long-lived deployment reports recent tail behavior (read
+#: when a :class:`ServiceMetrics` is made, so a test may monkeypatch it).
+LATENCY_WINDOW = 100_000
 
 
 @dataclass
@@ -104,13 +105,12 @@ class ServiceMetrics:
     inline: int = 0
     exact_hits: int = 0
     responses_by_kind: dict[str, int] = field(default_factory=dict)
-    latency_window: int = DEFAULT_LATENCY_WINDOW
     _latencies: deque[float] = field(init=False, repr=False)
     _started_at: float = field(default_factory=time.perf_counter)
 
     def __post_init__(self) -> None:
-        # The newest ``latency_window`` samples; older ones roll off in O(1).
-        self._latencies = deque(maxlen=self.latency_window)
+        # The newest ``LATENCY_WINDOW`` samples; older ones roll off in O(1).
+        self._latencies = deque(maxlen=LATENCY_WINDOW)
 
     def reset(self) -> None:
         """Zero all counters and restart the qps clock."""
@@ -286,11 +286,6 @@ class VoiceService:
             ),
             self._registry,
             pool=pool,
-            retry_limit=config.maintenance_retry_limit,
-            backoff_base=config.maintenance_backoff_base,
-            backoff_cap=config.maintenance_backoff_cap,
-            breaker_threshold=config.breaker_threshold,
-            breaker_cooldown=config.breaker_cooldown_seconds,
             retry_seed=config.failpoint_seed,
             durability=self._durability,
             # After every swap the engine re-derives its table-bound

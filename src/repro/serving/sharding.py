@@ -135,16 +135,14 @@ class ConsistentHashRing:
     two routers built for the same deployment agree on every key.
     """
 
-    def __init__(self, shard_count: int, vnodes: int = VNODES_PER_SHARD):
+    def __init__(self, shard_count: int):
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self._shard_count = shard_count
         points = [
             (_stable_hash(f"shard-{index}:vnode-{vnode}"), index)
             for index in range(shard_count)
-            for vnode in range(vnodes)
+            for vnode in range(VNODES_PER_SHARD)
         ]
         points.sort()
         self._points = [point for point, _ in points]
@@ -395,10 +393,6 @@ class ShardManager:
         return self._shard_count
 
     @property
-    def ring(self) -> ConsistentHashRing:
-        return self._ring
-
-    @property
     def running(self) -> bool:
         return self._running
 
@@ -410,10 +404,6 @@ class ShardManager:
     @property
     def queue_depth(self) -> int:
         return sum(handle.last_queue_depth for handle in self._shards)
-
-    @property
-    def respawn_total(self) -> int:
-        return self._respawn_total
 
     @property
     def durability(self) -> DurabilityCoordinator | None:

@@ -162,10 +162,6 @@ class JournalScan:
     truncated_reason: str | None = None
 
     @property
-    def truncated(self) -> bool:
-        return self.truncated_reason is not None
-
-    @property
     def next_seq(self) -> int:
         """One past the highest ``append`` seq seen (1 for an empty log)."""
         highest = 0

@@ -499,19 +499,6 @@ class CompactSpeechStore:
         """Target columns with at least one stored speech."""
         return sorted(self._targets)
 
-    def speeches_for_target(self, target: str) -> list[StoredSpeech]:
-        """All stored speeches for one target column (insertion order)."""
-        tid = self._target_index.get(target)
-        if tid is None:
-            return []
-        s = self._sections
-        ids: list[int] = []
-        for (bucket_tid, _length), row in self._buckets.items():
-            if bucket_tid == tid:
-                a, b = int(s["bucket_off"][row]), int(s["bucket_off"][row + 1])
-                ids.extend(int(i) for i in s["bucket_ids"][a:b])
-        return [self.stored(i) for i in sorted(ids)]
-
     def clone(self) -> SpeechStore:
         """Thaw into a mutable :class:`SpeechStore`.
 

@@ -49,11 +49,6 @@ class ComparisonAnswer:
     text: str
 
     @property
-    def difference(self) -> float:
-        """Signed difference (first minus second)."""
-        return self.first.average - self.second.average
-
-    @property
     def ratio(self) -> float | None:
         """Ratio first/second (None when the second average is zero)."""
         if self.second.average == 0:

@@ -113,8 +113,3 @@ class SummarizationConfig:
         payload["dimensions"] = tuple(payload["dimensions"])
         payload["targets"] = tuple(payload["targets"])
         return SummarizationConfig(**payload)
-
-    @staticmethod
-    def load(path: str | Path) -> "SummarizationConfig":
-        """Read a configuration from a JSON file."""
-        return SummarizationConfig.from_json(Path(path).read_text())

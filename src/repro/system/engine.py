@@ -22,7 +22,7 @@ The request path is split in two layers so the serving service
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -96,14 +96,6 @@ class VoiceResponse:
     query: DataQuery | None = None
     exact_match: bool = False
     latency_seconds: float = 0.0
-
-
-@dataclass
-class SessionLog:
-    """Chronological record of requests and responses (for analysis)."""
-
-    requests: list[ParsedRequest] = field(default_factory=list)
-    responses: list[VoiceResponse] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -182,7 +174,6 @@ class VoiceQueryEngine:
         self._store = SpeechStore()
         self._report: PreprocessingReport | None = None
         self._session = SessionState()
-        self._session_log = SessionLog()
         self._advanced_enabled = enable_advanced_queries
         self._comparison_answerer = None
         self._extremum_answerer = None
@@ -254,11 +245,6 @@ class VoiceQueryEngine:
     def advanced_enabled(self) -> bool:
         """Whether comparison/extremum requests are answered at run time."""
         return self._advanced_enabled
-
-    @property
-    def session_log(self) -> SessionLog:
-        """Every request and response handled so far (unbounded)."""
-        return self._session_log
 
     @property
     def session(self) -> SessionState:
@@ -340,7 +326,7 @@ class VoiceQueryEngine:
 
         The interactive path: answers exactly like :meth:`respond`
         against the engine's own store, and additionally keeps the
-        repeat-state and records the exchange in the session log.
+        repeat-state.
         """
         start = time.perf_counter()
         parsed, request_type = self.parse_and_classify(text)
@@ -349,8 +335,6 @@ class VoiceQueryEngine:
         )
         response.latency_seconds = time.perf_counter() - start
         self._session.observe(parsed, response)
-        self._session_log.requests.append(parsed)
-        self._session_log.responses.append(response)
         return response
 
     def parse_and_classify(self, text: str) -> tuple[ParsedRequest, RequestType]:
@@ -373,8 +357,8 @@ class VoiceQueryEngine:
         Unlike :meth:`ask` this touches no engine state: lookups go to
         ``store`` (default: the engine's own store — e.g. pass a
         :class:`repro.serving.snapshots.StoreSnapshot`'s store to answer
-        from a consistent snapshot), the session log is not written and
-        repeat requests replay ``last_response`` (the caller owns any
+        from a consistent snapshot), the session's repeat-state is not
+        advanced and repeat requests replay ``last_response`` (the caller owns any
         per-session repeat-state).  Safe for concurrent callers.
         """
         start = time.perf_counter()

@@ -236,25 +236,6 @@ class NaturalLanguageParser:
             value_mentions=mentions,
         )
 
-    def extract_value_mentions(self, text: str) -> list[tuple[str, Any]]:
-        """Every recognised dimension value, in text order of first match.
-
-        Unlike the predicates, a dimension may contribute several values
-        ("between East and West"); occurrences inside a longer value
-        already mentioned are still skipped.
-        """
-        return self._values(self._scan(f" {text.strip().lower()} "))[1]
-
-    def extract_dimension_mention(self, text: str) -> str | None:
-        """A dimension column referenced by name in the text, if any.
-
-        Candidate phrases are each dimension's full name plus, for
-        multi-word names, its head noun ("region" for "origin region");
-        the longest matching phrase wins.
-        """
-        found = self._scan(f" {text.strip().lower()} ")
-        return _lowest(found, self._dimension_rank, self._dimensions)
-
     # ------------------------------------------------------------------
     # Extraction internals
     # ------------------------------------------------------------------

@@ -309,8 +309,3 @@ class Preprocessor:
             report.total_scaled_utility += stored.scaled_utility
             report.fact_evaluations += fact_evaluations
             report.query_labels.append(stored.query.describe())
-
-    @staticmethod
-    def lookup_query(store: SpeechStore, query: DataQuery):
-        """Convenience wrapper for run-time lookups (store.best_match)."""
-        return store.best_match(query)

@@ -283,22 +283,6 @@ class ProblemGenerator:
         index = setup.index.retarget(generated.facts, generated.values, relation.target_values)
         return relation, generated, index
 
-    def subset_relation(self, query: DataQuery) -> SummarizationRelation | None:
-        """The relation over ``query``'s data subset; None when it is too small.
-
-        Its table is the one ``select`` returns for the query's
-        predicates, named ``<table>_subset``; ``min_subset_rows`` counts
-        its rows before the relation drops NULL-target rows.  The rows
-        are found on the table's cached column codes, and the relation
-        inherits those codes and the cached target floats at the rows
-        instead of reading its columns; it gathers its table only when
-        something reads it.
-        """
-        rows = self._subset_rows(query.predicate_map)
-        if rows.size < self._min_subset_rows:
-            return None
-        return self._relation_at(rows, query)
-
     def _relation_at(self, rows: np.ndarray, query: DataQuery) -> SummarizationRelation:
         """The relation over the table's ``rows`` (``query``'s subset) summarizing its target.
 

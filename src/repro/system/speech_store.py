@@ -157,11 +157,6 @@ class SpeechStore:
         """Target columns with at least one stored speech."""
         return sorted(self._ids)
 
-    def speeches_for_target(self, target: str) -> list[StoredSpeech]:
-        """All stored speeches for one target column (insertion order)."""
-        ids = self._ids.get(target)
-        return [] if ids is None else [self._speeches[i] for i in ids.values()]
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

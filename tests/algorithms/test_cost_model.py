@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.algorithms.cost_model import PruningCostModel, PruningPlan, _standard_normal_cdf
+from repro.algorithms.cost_model import PruningPlan
 from repro.facts.groups import FactGroup
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator
 from tests.algorithms import plan_oracle
+from tests.algorithms.cost_oracle import (
+    CostEstimator,
+    PruningCostModel,
+    TableStatistics,
+    standard_normal_cdf,
+)
 
 
 @pytest.fixture()
@@ -31,11 +35,11 @@ ALL_GROUPS = [
 
 class TestNormalCdf:
     def test_symmetry(self):
-        assert _standard_normal_cdf(0.0) == pytest.approx(0.5)
-        assert _standard_normal_cdf(2.0) + _standard_normal_cdf(-2.0) == pytest.approx(1.0)
+        assert standard_normal_cdf(0.0) == pytest.approx(0.5)
+        assert standard_normal_cdf(2.0) + standard_normal_cdf(-2.0) == pytest.approx(1.0)
 
     def test_monotone(self):
-        assert _standard_normal_cdf(-1.0) < _standard_normal_cdf(0.0) < _standard_normal_cdf(1.0)
+        assert standard_normal_cdf(-1.0) < standard_normal_cdf(0.0) < standard_normal_cdf(1.0)
 
 
 class TestProbabilities:
@@ -99,8 +103,7 @@ class TestPlanCost:
         with pytest.raises(ValueError):
             PruningCostModel({}, CostEstimator(statistics), sigma=0.0)
 
-    def test_plan_repr_and_trivial_flag(self):
-        assert PruningPlan((), ()).is_trivial
+    def test_plan_repr(self):
+        assert repr(PruningPlan((), ())) == "PruningPlan(sources=[<none>], targets=[<none>])"
         plan = PruningPlan((FactGroup(["a"]),), (FactGroup(["b"]),))
-        assert not plan.is_trivial
         assert "a" in repr(plan)

@@ -18,12 +18,13 @@ class TestGreedySelection:
 
     def test_first_fact_has_maximal_single_fact_utility(self, small_problem):
         evaluator = small_problem.evaluator()
+        prior = evaluator.initial_state()
         best_single = max(
-            evaluator.single_fact_utility(f) for f in small_problem.candidate_facts
+            evaluator.incremental_gain(f, prior) for f in small_problem.candidate_facts
         )
         result = GreedySummarizer().summarize(small_problem)
         chosen_first_utilities = [
-            evaluator.single_fact_utility(f) for f in result.speech.facts
+            evaluator.incremental_gain(f, prior) for f in result.speech.facts
         ]
         assert max(chosen_first_utilities) == pytest.approx(best_single)
 

@@ -15,20 +15,20 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.algorithms.cost_model import PruningCostModel, lattice_costs
+from repro.algorithms.cost_model import lattice_costs
 from repro.algorithms.plan_optimizer import candidate_plans
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.pruning import FactGroupPruner
 from repro.datasets import load_dataset
 from repro.facts.groups import FactGroup, GroupLattice
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator
 from repro.system.config import SummarizationConfig
 from repro.system.persistence import canonical_store_payload
 from repro.system.preprocessor import Preprocessor
 from repro.system.problem_generator import ProblemGenerator
 from tests.algorithms import plan_oracle
+from tests.algorithms.dict_pruner import max_split_bound
 from tests.system.test_store_golden import with_null_dimensions
+from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
 
 DATASETS = ["flights", "stackoverflow", "acs", "primaries", "flights-nulls"]
 
@@ -166,7 +166,7 @@ def test_stacked_bounds_are_the_split_bounds_bits(solved_g_o, solved_g_p):
             for state in states:
                 sums = np.bincount(stacked, weights=np.tile(state.error, len(targets)))
                 bounds = np.maximum.reduceat(sums, starts).tolist() if targets else []
-                expected = [evaluator.max_split_bound(c, state) for c in columns]
+                expected = [max_split_bound(evaluator, c, state) for c in columns]
                 assert [b.hex() for b in bounds] == [b.hex() for b in expected]
 
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.algorithms.cost_model import PruningCostModel
 from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.registry import make_summarizer
-from repro.relational.catalog import TableStatistics
-from repro.relational.planner import CostEstimator
+from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
 
 
 class TestQualityEquivalence:

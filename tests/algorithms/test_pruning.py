@@ -24,7 +24,7 @@ from repro.relational.column import Column
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.problem_generator import ProblemGenerator
-from tests.algorithms.dict_pruner import dict_pruned_solve
+from tests.algorithms.dict_pruner import dict_pruned_solve, max_group_bound
 
 # One pruning pass in which the target ``a`` (dominated by the overall
 # fact) takes four groups with it; prints the pruned groups in order.
@@ -149,12 +149,12 @@ class TestComputeGains:
             for i in index.groups[()]
         )
         for group in outcome.pruned_groups:
-            bound = example_evaluator.max_group_bound(list(group.dimensions), state)
+            bound = max_group_bound(example_evaluator, list(group.dimensions), state)
             # A pruned group's bound must be dominated by the source
             # (directly or through a generalisation it specializes).
             assert bound <= max_source_gain + 1e-9 or any(
                 group.is_specialization_of(t)
-                and example_evaluator.max_group_bound(list(t.dimensions), state)
+                and max_group_bound(example_evaluator, list(t.dimensions), state)
                 < max_source_gain
                 for t in plan.targets
             )

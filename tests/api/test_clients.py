@@ -99,6 +99,7 @@ class TestInProcessClientSessions:
                             text="what is the delay for East", session_id=session
                         )
                     )
+                assert "a" not in service.sessions  # the LRU bound evicted it
                 evicted_replay = await client.ask(
                     VoiceRequest(text="repeat", session_id="a")
                 )
@@ -108,7 +109,6 @@ class TestInProcessClientSessions:
                 return service, answers, evicted_replay, live_replay
 
         service, answers, evicted_replay, live_replay = asyncio.run(scenario())
-        assert service.sessions.evicted >= 1
         # "a" was evicted: repeat degrades to the stateless answer ...
         assert evicted_replay.text == engine.respond("repeat").text
         # ... while the still-live "c" replays its real answer.

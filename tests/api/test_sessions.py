@@ -74,7 +74,6 @@ class TestEviction:
         store.record("b", parsed("q"), speech("rb"))
         store.record("c", parsed("q"), speech("rc"))  # evicts a
         assert len(store) == 2
-        assert store.evicted == 1
         assert "a" not in store
         assert store.last_response("a") is None  # degraded, not an error
         assert store.last_response("b").text == "rb"

@@ -49,11 +49,12 @@ class TestSpeech:
         assert Speech([f1, f2]) == Speech([f2, f1])
         assert hash(Speech([f1, f2])) == hash(Speech([f2, f1]))
 
-    def test_with_fact_returns_new_speech(self):
+    def test_extending_a_speech_leaves_it_unchanged(self):
         original = Speech([fact({"a": 1}, 1.0)])
-        extended = original.with_fact(fact({"b": 2}, 2.0))
+        extended = Speech([*original, fact({"b": 2}, 2.0)])
         assert original.length == 1
         assert extended.length == 2
+        assert isinstance(original.facts, tuple)
 
     def test_contains(self):
         member = fact({"a": 1}, 1.0)
@@ -64,10 +65,10 @@ class TestSpeech:
         winter = fact({"season": "Winter"}, 15.0)
         north = fact({"region": "North"}, 15.0)
         speech = Speech([winter, north])
-        relevant = speech.relevant_facts({"season": "Winter", "region": "South"})
-        assert relevant == [winter]
+        row = {"season": "Winter", "region": "South"}
+        assert [f for f in speech.facts if f.covers_row(row)] == [winter]
 
     def test_empty_speech(self):
         speech = Speech()
         assert speech.length == 0
-        assert speech.relevant_facts({"a": 1}) == []
+        assert speech.facts == ()

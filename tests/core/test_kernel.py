@@ -17,6 +17,7 @@ from repro.core.problem import SummarizationProblem
 from repro.facts.generation import FactGenerator
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
+from tests.facts.test_generation_vectorized import scope_rows
 
 
 def random_relation(seed: int, num_rows: int = 120) -> SummarizationRelation:
@@ -58,7 +59,7 @@ class TestFactScopeIndexStructure:
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         for fact_id, fact in enumerate(example_facts.facts):
             expected = example_evaluator.scope_indices(fact.scope)
-            np.testing.assert_array_equal(index.rows_of(fact_id), expected)
+            np.testing.assert_array_equal(scope_rows(index, fact_id), expected)
 
     def test_supports_match_fact_supports(self, example_evaluator, example_facts):
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
@@ -69,12 +70,13 @@ class TestFactScopeIndexStructure:
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         truth = example_evaluator.relation.target_values
         for fact_id, fact in enumerate(example_facts.facts):
-            expected = np.abs(fact.value - truth[index.rows_of(fact_id)])
-            np.testing.assert_allclose(index.errors_of(fact_id), expected)
+            expected = np.abs(fact.value - truth[scope_rows(index, fact_id)])
+            errors = index.fact_errors[index.offsets[fact_id] : index.offsets[fact_id + 1]]
+            np.testing.assert_allclose(errors, expected)
 
     def test_total_scope_rows(self, example_evaluator, example_facts):
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
-        assert index.total_scope_rows == sum(f.support for f in example_facts.facts)
+        assert index.row_indices.size == sum(f.support for f in example_facts.facts)
 
     def test_copies_of_finds_equal_facts_only(self, example_evaluator, example_facts):
         facts = list(example_facts.facts)
@@ -116,7 +118,8 @@ class TestBatchGainParity:
     def test_single_fact_utilities_parity(self, example_evaluator, example_facts):
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         batch = example_evaluator.batch_single_fact_utilities(index)
-        per_fact = example_evaluator.single_fact_utilities(list(example_facts.facts))
+        prior = example_evaluator.initial_state()
+        per_fact = [example_evaluator.incremental_gain(f, prior) for f in example_facts.facts]
         np.testing.assert_allclose(batch, per_fact, rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -164,7 +167,7 @@ class TestBatchGainParity:
         gains, counts = index.sampled_gains(state.error, row_mask)
         truth = evaluator.relation.target_values
         for fact_id, fact in enumerate(problem.candidate_facts):
-            rows = index.rows_of(fact_id)
+            rows = scope_rows(index, fact_id)
             in_sample = rows[row_mask[rows]]
             assert counts[fact_id] == in_sample.size
             fact_err = np.abs(fact.value - truth[in_sample])

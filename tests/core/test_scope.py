@@ -43,29 +43,45 @@ class TestScopeBasics:
 
 
 class TestScopeRelations:
-    def test_is_subscope_of(self):
-        general = Scope({"region": "East"})
-        specific = Scope({"region": "East", "season": "Winter"})
-        assert general.is_subscope_of(specific)
-        assert not specific.is_subscope_of(general)
-        assert Scope().is_subscope_of(general)
-
-    def test_is_subscope_requires_equal_values(self):
-        assert not Scope({"region": "East"}).is_subscope_of(Scope({"region": "West"}))
-
     def test_contains_row(self):
         scope = Scope({"region": "East", "season": "Winter"})
         assert scope.contains_row({"region": "East", "season": "Winter", "delay": 5})
         assert not scope.contains_row({"region": "East", "season": "Summer"})
         assert Scope().contains_row({"anything": 1})
 
-    def test_merged_with_compatible(self):
-        merged = Scope({"region": "East"}).merged_with(Scope({"season": "Winter"}))
-        assert merged == Scope({"region": "East", "season": "Winter"})
+    def test_contains_row_requires_equal_values(self):
+        assert not Scope({"region": "East"}).contains_row({"region": "West"})
+        assert not Scope({"region": "East"}).contains_row({"season": "Winter"})
 
-    def test_merged_with_conflict_returns_none(self):
-        assert Scope({"region": "East"}).merged_with(Scope({"region": "West"})) is None
+    def test_scope_mask_agrees_with_contains_row(self, example_relation):
+        rows = list(example_relation.iter_rows())
+        for scope in (
+            Scope(),
+            Scope({"region": "East"}),
+            Scope({"region": "South", "season": "Summer"}),
+            Scope({"region": "Atlantis"}),
+        ):
+            expected = [scope.contains_row(row) for row in rows]
+            assert example_relation.scope_mask(scope).tolist() == expected
 
-    def test_merged_with_same_value_is_fine(self):
-        merged = Scope({"region": "East"}).merged_with(Scope({"region": "East"}))
-        assert merged == Scope({"region": "East"})
+    def test_more_specific_scope_selects_a_subset_of_rows(self, example_relation):
+        general = set(example_relation.scope_row_indices(Scope({"region": "East"})))
+        specific = example_relation.scope_row_indices(Scope({"region": "East", "season": "Winter"}))
+        everything = set(example_relation.scope_row_indices(Scope()))
+        assert 0 < len(specific) < len(general) < len(everything)
+        assert set(specific) <= general <= everything
+
+    def test_combined_scope_selects_the_intersection(self, example_relation):
+        def rows(assignments):
+            return set(example_relation.scope_row_indices(Scope(assignments)).tolist())
+
+        combined = rows({"region": "East", "season": "Winter"})
+        assert combined == rows({"region": "East"}) & rows({"season": "Winter"})
+        assert rows({"region": "East"}) == rows({"region": "East"}) & rows({"region": "East"})
+
+    def test_conflicting_values_select_no_rows(self, example_relation):
+        east = example_relation.scope_row_indices(Scope({"region": "East"}))
+        west = example_relation.scope_row_indices(Scope({"region": "West"}))
+        assert len(east) and len(west)
+        assert not set(east.tolist()) & set(west.tolist())
+        assert example_relation.average_target(Scope({"region": "Atlantis"})) == (None, 0)

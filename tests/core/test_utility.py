@@ -80,22 +80,26 @@ class TestDeviationAndUtility:
 
 
 class TestSingleFactUtility:
+    """A single-fact utility is the fact's gain over the empty speech."""
+
     def test_matches_full_evaluation(self, example_evaluator):
+        prior = example_evaluator.initial_state()
         for fact in (WINTER, NORTH, SOUTH_SUMMER):
-            assert example_evaluator.single_fact_utility(fact) == pytest.approx(
+            assert example_evaluator.incremental_gain(fact, prior) == pytest.approx(
                 example_evaluator.utility([fact])
             )
 
-    def test_vectorised_helper(self, example_evaluator):
-        utilities = example_evaluator.single_fact_utilities([WINTER, NORTH])
-        assert list(utilities) == [
+    def test_several_facts(self, example_evaluator):
+        prior = example_evaluator.initial_state()
+        utilities = [example_evaluator.incremental_gain(f, prior) for f in (WINTER, NORTH)]
+        assert utilities == [
             pytest.approx(60.0),
             pytest.approx(60.0),
         ]
 
     def test_empty_scope_fact(self, example_evaluator):
         ghost = _fact({"region": "Atlantis"}, 5.0, support=0)
-        assert example_evaluator.single_fact_utility(ghost) == 0.0
+        assert example_evaluator.incremental_gain(ghost, example_evaluator.initial_state()) == 0.0
 
 
 class TestIncrementalState:
@@ -155,7 +159,8 @@ class TestGroupBounds:
 
     def test_max_group_bound(self, example_evaluator):
         # Per-region deviation sums: East 45, South 55, West 45, North 60.
-        assert example_evaluator.max_group_bound(["region"]) == pytest.approx(60.0)
+        bounds = example_evaluator.group_deviation_bounds(["region"])
+        assert max(bounds.values()) == pytest.approx(60.0)
 
     def test_empty_group_is_whole_relation(self, example_evaluator):
         bounds = example_evaluator.group_deviation_bounds([])

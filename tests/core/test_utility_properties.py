@@ -122,6 +122,6 @@ def test_single_fact_utility_upper_bounds_incremental_gain(data):
     for fact in facts[:-1]:
         evaluator.apply_fact(fact, state)
     last = facts[-1]
-    single = evaluator.single_fact_utility(last)
+    single = evaluator.incremental_gain(last, evaluator.initial_state())
     later_gain = evaluator.incremental_gain(last, state)
     assert later_gain <= single + 1e-6

@@ -4,19 +4,20 @@ import pytest
 
 from repro.facts.bounds import bounds_for_groups, group_utility_bounds
 from repro.facts.groups import FactGroup
+from tests.facts.test_generation_vectorized import by_group
 
 
 class TestGroupBounds:
     def test_bound_structure(self, example_evaluator):
         bound = group_utility_bounds(example_evaluator, FactGroup(["region"]))
         assert bound.group == FactGroup(["region"])
-        assert bound.scope_count == 4
+        assert len(bound.per_scope) == 4
         assert bound.maximum == pytest.approx(60.0)
         assert bound.per_scope[("North",)] == pytest.approx(60.0)
 
     def test_bounds_upper_bound_fact_gains(self, example_evaluator, example_facts):
         state = example_evaluator.initial_state()
-        for group, facts in example_facts.by_group.items():
+        for group, facts in by_group(example_facts).items():
             bound = group_utility_bounds(example_evaluator, group, state)
             for fact in facts:
                 gain = example_evaluator.incremental_gain(fact, state)

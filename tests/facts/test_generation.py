@@ -11,7 +11,7 @@ from repro.facts.groups import FactGroup, enumerate_fact_groups
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
 
-from tests.facts.test_generation_vectorized import random_relation
+from tests.facts.test_generation_vectorized import by_group, facts_in_groups, random_relation
 
 
 class TestGroupCache:
@@ -56,14 +56,14 @@ class TestGeneration:
         generated = FactGenerator(example_relation, max_extra_dimensions=2).generate()
         # 1 overall + 4 regions + 4 seasons + 16 combinations = 25 facts.
         assert generated.count == 25
-        assert len(generated.by_group) == 4
+        assert len(by_group(generated)) == 4
 
     def test_groups_partition_facts(self, example_relation):
         generated = FactGenerator(example_relation, max_extra_dimensions=2).generate()
-        assert sum(len(v) for v in generated.by_group.values()) == generated.count
-        assert generated.by_group[FactGroup([])][0].scope == Scope()
-        assert len(generated.by_group[FactGroup(["region"])]) == 4
-        assert len(generated.by_group[FactGroup(["region", "season"])]) == 16
+        assert sum(len(v) for v in by_group(generated).values()) == generated.count
+        assert by_group(generated)[FactGroup([])][0].scope == Scope()
+        assert len(by_group(generated)[FactGroup(["region"])]) == 4
+        assert len(by_group(generated)[FactGroup(["region", "season"])]) == 16
 
     def test_max_extra_dimensions_one(self, example_relation):
         generated = FactGenerator(example_relation, max_extra_dimensions=1).generate()
@@ -102,13 +102,13 @@ class TestGeneration:
         )
         relation = SummarizationRelation(table, ["dim"], "target")
         generated = FactGenerator(relation, max_extra_dimensions=1).generate()
-        members = generated.by_group[FactGroup(["dim"])]
+        members = by_group(generated)[FactGroup(["dim"])]
         assert {f.scope.value("dim"): (f.value, f.support) for f in members} == {
             "x": (pytest.approx(2.0), 2),
             "y": (pytest.approx(4.0), 1),
         }
         # The overall fact still covers the row with a NULL dimension.
-        assert generated.by_group[FactGroup([])][0].support == 4
+        assert by_group(generated)[FactGroup([])][0].support == 4
 
     @pytest.mark.parametrize("seed", range(4))
     def test_group_sizes_equal_distinct_value_combinations(self, seed):
@@ -118,12 +118,12 @@ class TestGeneration:
         generated = FactGenerator(relation, max_extra_dimensions=2).generate()
         rows = list(relation.iter_rows())
         groups = enumerate_fact_groups(relation.dimensions, max_arity=2, include_empty=True)
-        assert set(generated.by_group) <= set(groups)
+        assert set(by_group(generated)) <= set(groups)
         for group in groups:
             dims = group.dimensions
             expected = {tuple(row[d] for d in dims) for row in rows}
             expected = {combo for combo in expected if None not in combo}
-            members = generated.by_group.get(group, [])
+            members = by_group(generated).get(group, [])
             assert len(members) == len(expected)
             assert {tuple(f.scope.value(d) for d in dims) for f in members} == expected
 
@@ -155,7 +155,7 @@ class TestGeneration:
         assert from_full.facts
         assert len(from_subset.facts) == len(from_full.facts)
         assert set(from_subset.facts) == set(from_full.facts)
-        assert set(from_subset.by_group) == set(from_full.by_group)
+        assert set(by_group(from_subset)) == set(by_group(from_full))
 
     def test_base_scope_restricts_candidates(self, example_relation):
         generated = FactGenerator(example_relation, max_extra_dimensions=1).generate(
@@ -180,7 +180,7 @@ class TestGeneration:
             example_relation, max_extra_dimensions=2, min_support=2
         ).generate()
         # Single (region, season) cells have support 1 and are filtered out.
-        assert FactGroup(["region", "season"]) not in generated.by_group
+        assert FactGroup(["region", "season"]) not in by_group(generated)
         assert generated.count == 9
 
     def test_empty_base_scope_subset(self, example_relation):
@@ -197,6 +197,6 @@ class TestGeneration:
 
     def test_facts_in_groups_helper(self, example_relation):
         generated = FactGenerator(example_relation, max_extra_dimensions=2).generate()
-        selected = generated.facts_in_groups([FactGroup(["region"]), FactGroup(["season"])])
+        selected = facts_in_groups(generated, [FactGroup(["region"]), FactGroup(["season"])])
         assert len(selected) == 8
         assert generated.groups()

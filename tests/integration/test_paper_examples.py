@@ -71,8 +71,10 @@ class TestExample6PruningArithmetic:
     def test_bound_rule(self, evaluator, paper_relation):
         south_summer = paper_relation.make_fact({"region": "South", "season": "Summer"})
         east_winter = paper_relation.make_fact({"region": "East", "season": "Winter"})
-        partial_bound = evaluator.single_fact_utility(south_summer)
-        candidate_utility = evaluator.single_fact_utility(east_winter)
+        # A single-fact utility is the fact's gain over the empty speech.
+        prior = evaluator.initial_state()
+        partial_bound = evaluator.incremental_gain(south_summer, prior)
+        candidate_utility = evaluator.incremental_gain(east_winter, prior)
         assert partial_bound == pytest.approx(20.0)
         assert candidate_utility == pytest.approx(20.0)
         lower_bound = 85.0  # utility of a speech found by the heuristic
@@ -114,5 +116,7 @@ class TestExample7GreedyChoices:
         south_summer = paper_relation.make_fact({"region": "South", "season": "Summer"})
         winter = paper_relation.make_fact({"season": "Winter"})
         north = paper_relation.make_fact({"region": "North"})
-        assert evaluator.single_fact_utility(south_summer) < evaluator.single_fact_utility(winter)
-        assert evaluator.single_fact_utility(south_summer) < evaluator.single_fact_utility(north)
+        prior = evaluator.initial_state()
+        dominated = evaluator.incremental_gain(south_summer, prior)
+        assert dominated < evaluator.incremental_gain(winter, prior)
+        assert dominated < evaluator.incremental_gain(north, prior)

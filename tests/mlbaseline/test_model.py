@@ -36,7 +36,8 @@ class TestTraining:
         report = model.fit([_example(2), _example(4)])
         assert report.examples == 2
         assert report.sentences_per_summary == 3.0
-        assert model.is_trained
+        # A fitted model generates (an unfitted one raises RuntimeError).
+        assert model.generate("delays of 3 and 4").text
 
     def test_fit_requires_examples(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
-"""Unit tests for repro.relational.catalog and planner."""
+"""Unit tests for the table statistics and cost estimates of the cost oracle.
+
+They are the group-at-a-time reference (:mod:`tests.algorithms.cost_oracle`)
+over :func:`repro.relational.catalog.combination_estimate` and
+:func:`repro.relational.planner.join_costs`.
+"""
 
 import pytest
 
-from repro.relational.catalog import TableStatistics
 from repro.relational.column import Column
-from repro.relational.planner import CostEstimate, CostEstimator
 from repro.relational.table import Table
+from tests.algorithms.cost_oracle import CostEstimate, CostEstimator, TableStatistics
 
 
 @pytest.fixture()
@@ -68,17 +72,15 @@ class TestCostEstimator:
         estimator = CostEstimator(TableStatistics.from_table(table))
         assert estimator.data_row_count == 4
 
-    @pytest.mark.parametrize("tuple_cost", [1.0, 0.3])
-    def test_group_costs_follow_the_formulas(self, tuple_cost):
-        """C_U = n + M + 2n and C_D = n + M, times the tuple cost, with M
-        the capped product of distinct counts; the estimates carry the
-        same numbers."""
+    def test_group_costs_follow_the_formulas(self):
+        """C_U = n + M + 2n and C_D = n + M, with M the capped product of
+        distinct counts; the estimates carry the same numbers."""
         statistics = TableStatistics(row_count=1033, distinct_counts={"a": 28, "b": 11, "c": 0})
-        estimator = CostEstimator(statistics, tuple_cost=tuple_cost)
+        estimator = CostEstimator(statistics)
         for columns, facts in ((["a"], 28), (["a", "b"], 308), (["a", "b", "c"], 308), ([], 1)):
             utility, deviation = estimator.group_costs(columns)
-            assert utility.hex() == (tuple_cost * (1033 + facts + 2 * 1033)).hex()
-            assert deviation.hex() == (tuple_cost * (1033 + facts)).hex()
+            assert utility.hex() == float(1033 + facts + 2 * 1033).hex()
+            assert deviation.hex() == float(1033 + facts).hex()
             assert float(estimator.utility_cost(columns)) == utility
             assert float(estimator.deviation_cost(columns)) == deviation
         capped = TableStatistics(row_count=50, distinct_counts={"a": 28, "b": 11})
@@ -115,12 +117,6 @@ class TestCostEstimates:
         estimator = CostEstimator(TableStatistics.from_table(table))
         assert "('region', 'season')" in estimator.utility_cost(["region", "season"]).description
         assert "('region',)" in estimator.deviation_cost(["region"]).description
-
-    def test_tuple_cost_scales_linearly(self, table):
-        stats = TableStatistics.from_table(table)
-        unit = CostEstimator(stats).group_costs(["region"])
-        double = CostEstimator(stats, tuple_cost=2.0).group_costs(["region"])
-        assert double == (2 * unit[0], 2 * unit[1])
 
     def test_fact_count_capped_by_rows(self, table):
         estimator = CostEstimator(TableStatistics.from_table(table))

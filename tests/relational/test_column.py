@@ -77,9 +77,8 @@ class TestDerivedViews:
         with pytest.raises(SchemaError):
             column.mask([True])
 
-    def test_with_values_keeps_type(self):
-        column = Column.numeric("v", [1.0])
-        replacement = column.with_values([3, 4])
+    def test_constructor_normalises_to_the_type(self):
+        replacement = Column("v", Column.numeric("v", [1.0]).ctype, [3, 4])
         assert replacement.ctype is ColumnType.NUMERIC
         assert replacement.values == [3.0, 4.0]
 
@@ -92,11 +91,11 @@ class TestDerivedViews:
 
 
 class TestStatistics:
-    def test_null_count(self):
+    def test_nulls_are_none(self):
         column = Column.categorical("c", ["a", None, None])
-        assert column.null_count() == 2
-        assert column.is_null(1)
-        assert not column.is_null(0)
+        assert column.values.count(None) == 2
+        assert column.values[1] is None
+        assert column.values[0] is not None
 
     def test_distinct_values_order_and_count(self):
         column = Column.categorical("c", ["b", "a", "b", None])
@@ -209,10 +208,9 @@ class TestDerivedViewsKeepValues:
         with pytest.raises(SchemaError):
             Column.numeric("v", [1.0]).renamed("")
 
-    def test_with_values_normalises(self):
-        column = Column.integer("n", [1])
+    def test_constructor_rejects_values_of_another_type(self):
         with pytest.raises(TypeMismatchError):
-            column.with_values([1.5])
+            Column("n", ColumnType.INTEGER, [1.5])
 
 
 class TestNumericAccess:

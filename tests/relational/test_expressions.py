@@ -9,9 +9,9 @@ from repro.relational.expressions import (
     EqualsPredicate,
     Predicate,
     TruePredicate,
-    conjunction_of_equalities,
 )
 from repro.relational.table import Table
+from tests.relational.predicates import conjunction_of_equalities
 
 
 @pytest.fixture()
@@ -31,12 +31,6 @@ class TestEqualsPredicate:
 
     def test_null_never_matches(self, table):
         assert EqualsPredicate("season", None).evaluate(table) == [False] * 4
-
-    def test_matches_row(self):
-        predicate = EqualsPredicate("season", "Winter")
-        assert predicate.matches_row({"season": "Winter"})
-        assert not predicate.matches_row({"season": "Summer"})
-        assert not predicate.matches_row({})
 
     def test_unknown_column_rejected(self, table):
         with pytest.raises(SchemaError):
@@ -88,10 +82,6 @@ class TestPredicateProtocol:
         with pytest.raises(TypeError):
             Predicate()
 
-    def test_true_predicate_accepts_any_row(self):
-        assert TruePredicate().matches_row({})
-        assert TruePredicate().matches_row({"season": None})
-
     def test_true_predicate_equality_hash_and_repr(self):
         assert TruePredicate() == TruePredicate()
         assert hash(TruePredicate()) == hash(TruePredicate())
@@ -111,23 +101,32 @@ class TestPredicateProtocol:
         empty = Table("t", [Column.categorical("season", [])])
         assert EqualsPredicate("season", "Winter").evaluate(empty) == []
 
-    def test_matches_row_agrees_with_evaluate(self, table):
-        for predicate in (
-            EqualsPredicate("season", "Winter"),
-            EqualsPredicate("delay", 5.0),
-            AndPredicate([EqualsPredicate("season", "Winter"), EqualsPredicate("delay", 15.0)]),
-            TruePredicate(),
+    def test_true_predicate_accepts_rows_of_nulls(self):
+        nulls = Table("t", [Column.categorical("season", [None, None])])
+        assert TruePredicate().evaluate(nulls) == [True, True]
+
+    def test_evaluate_agrees_with_a_row_filter(self, table):
+        """Each predicate selects exactly the rows whose non-NULL values
+        equal every constant it names."""
+        for assignments in (
+            {"season": "Winter"},
+            {"delay": 5.0},
+            {"season": "Winter", "delay": 15.0},
+            {},
         ):
-            rowwise = [predicate.matches_row(row) for row in table.iter_rows()]
+            predicate = conjunction_of_equalities(assignments)
+            rowwise = [
+                all(row[col] is not None and row[col] == val for col, val in assignments.items())
+                for row in table.iter_rows()
+            ]
             assert predicate.evaluate(table) == rowwise
 
 
 class TestAndPredicate:
-    def test_matches_row(self):
+    def test_row_failing_one_child_is_rejected(self):
+        pairs = Table("t", [Column.integer("a", [1, 1, 2]), Column.integer("b", [2, 3, 2])])
         predicate = AndPredicate([EqualsPredicate("a", 1), EqualsPredicate("b", 2)])
-        assert predicate.matches_row({"a": 1, "b": 2})
-        assert not predicate.matches_row({"a": 1, "b": 3})
-        assert AndPredicate([]).matches_row({})
+        assert predicate.evaluate(pairs) == [True, False, False]
 
     def test_unknown_column_in_child_rejected(self, table):
         predicate = AndPredicate([EqualsPredicate("season", "Winter"), EqualsPredicate("x", 1)])

@@ -10,9 +10,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.column import Column
-from repro.relational.expressions import EqualsPredicate, conjunction_of_equalities
+from repro.relational.expressions import EqualsPredicate
 from repro.relational.operators import select
 from repro.relational.table import Table
+from tests.relational.predicates import conjunction_of_equalities
 
 _CATEGORIES = ["a", "b", "c", None]
 
@@ -69,5 +70,5 @@ def test_select_of_conjunction_matches_successive_selects(table, first, second):
 def test_select_partitions_non_null_rows(table, value):
     """Selecting each value of d1 in turn splits the non-NULL rows."""
     sizes = {v: select(table, EqualsPredicate("d1", v)).num_rows for v in ("a", "b", "c")}
-    assert sum(sizes.values()) == table.num_rows - table.column("d1").null_count()
+    assert sum(sizes.values()) == table.num_rows - table.column("d1").values.count(None)
     assert select(table, EqualsPredicate("d1", value)).num_rows == sizes[value]

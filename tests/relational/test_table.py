@@ -23,7 +23,6 @@ class TestConstruction:
         table = make_table()
         assert table.name == "people"
         assert table.num_rows == 3
-        assert table.num_columns == 2
         assert table.column_names == ["city", "age"]
         assert len(table) == 3
 
@@ -90,19 +89,6 @@ class TestAccess:
 
 
 class TestTransformations:
-    def test_with_column_appends(self):
-        table = make_table().with_column(Column.numeric("height", [1.0, 2.0, 3.0]))
-        assert table.column_names == ["city", "age", "height"]
-
-    def test_with_column_replaces(self):
-        table = make_table().with_column(Column.numeric("age", [0.0, 0.0, 0.0]))
-        assert table.column("age").values == [0.0, 0.0, 0.0]
-        assert table.num_columns == 2
-
-    def test_with_column_length_mismatch(self):
-        with pytest.raises(SchemaError):
-            make_table().with_column(Column.numeric("x", [1.0]))
-
     def test_take_and_mask(self):
         table = make_table()
         assert table.take([2, 0]).column("age").values == [50.0, 30.0]
@@ -132,7 +118,7 @@ class TestTransformations:
         new = self.typed_table([(None, 2.5, True), ("b", 3, 5)])
         combined = base.concat(new)
         for mine, theirs, got in zip(base.columns, new.columns, combined.columns):
-            expected = mine.with_values(list(mine) + list(theirs))
+            expected = Column(mine.name, mine.ctype, list(mine) + list(theirs))
             assert got == expected
             assert [type(v) for v in got] == [type(v) for v in expected]
         assert combined.column("c").values == ["a", None, "7", None, "b"]
@@ -226,7 +212,7 @@ class TestShape:
     def test_table_without_columns_is_empty(self):
         table = Table("t", [])
         assert table.num_rows == 0
-        assert table.num_columns == 0
+        assert table.column_names == []
         assert table.to_dicts() == []
 
     def test_from_rows_schema_length_mismatch_rejected(self):
@@ -263,27 +249,31 @@ class TestRowAccess:
 
 
 class TestImmutability:
-    def test_with_column_leaves_source_unchanged(self):
-        table = make_table()
-        table.with_column(Column.numeric("age", [0.0, 0.0, 0.0]))
-        table.with_column(Column.numeric("h", [1.0, 2.0, 3.0]))
-        assert table.column("age").values == [30.0, 40.0, 50.0]
-        assert table.column_names == ["city", "age"]
-
-    def test_with_column_on_empty_table_sets_row_count(self):
-        table = Table("t", []).with_column(Column.numeric("a", [1.0, 2.0]))
-        assert table.num_rows == 2
-
-    def test_with_column_replacement_keeps_position(self):
-        table = make_table().with_column(Column.categorical("city", ["a", "b", "c"]))
-        assert table.column_names == ["city", "age"]
-
     def test_take_and_mask_keep_name_and_schema(self):
         table = make_table()
         for derived in (table.take([1]), table.mask([True, False, False])):
             assert derived.name == "people"
             assert derived.column_names == ["city", "age"]
         assert table.num_rows == 3
+
+    def test_renamed_leaves_source_unchanged(self):
+        table = make_table()
+        renamed = table.renamed("cities")
+        assert (renamed.name, table.name) == ("cities", "people")
+        assert renamed == table
+
+    def test_concat_leaves_both_sources_unchanged(self):
+        table, other = make_table(), make_table().take([0])
+        combined = table.concat(other)
+        assert combined.num_rows == 4
+        assert (table.num_rows, other.num_rows) == (3, 1)
+        assert table.column("age").values == [30.0, 40.0, 50.0]
+
+    def test_take_of_no_rows_keeps_the_schema(self):
+        empty = make_table().take([])
+        assert empty.num_rows == 0
+        assert empty.column_names == ["city", "age"]
+        assert [c.ctype for c in empty.columns] == [c.ctype for c in make_table().columns]
 
     def test_mask_length_mismatch_rejected(self):
         with pytest.raises(SchemaError):

@@ -85,7 +85,7 @@ class TestRegistry:
         assert registry.trigger("worker.crash") is None
         assert not registry.fires("worker.crash")
         assert not registry.inject("worker.crash")
-        assert not registry.configured
+        assert registry.specs == ()
 
     def test_duplicate_site_rejected(self):
         registry = FailpointRegistry()
@@ -121,13 +121,12 @@ class TestRegistry:
     def test_active_context_clears_on_exit(self):
         registry = FailpointRegistry()
         with registry.active(["x"]):
-            assert registry.configured
             assert registry.specs == ("x",)
-        assert not registry.configured
+        assert registry.specs == ()
 
     def test_active_context_clears_on_error(self):
         registry = FailpointRegistry()
         with pytest.raises(RuntimeError):
             with registry.active(["x"]):
                 raise RuntimeError("test body failed")
-        assert not registry.configured
+        assert registry.specs == ()

@@ -17,7 +17,7 @@ import logging
 import pytest
 
 from repro.api import HttpClient, ServingConfig, VoiceHttpServer, VoiceRequest
-from repro.api.clients import MAX_RETRY_AFTER_SECONDS
+from repro.api.clients import MAX_RETRY_AFTER_SECONDS, RETRY_BACKOFF_SECONDS
 from repro.api.errors import ServiceOverloadedError, VoiceApiError
 from repro.reliability import FAILPOINTS
 from repro.serving import VoiceService
@@ -194,7 +194,8 @@ class TestClientRetries:
         run_with_server(engine, scenario)
 
     def test_retry_delay_honors_and_clamps_the_hint(self):
-        client = HttpClient("localhost", 1, retry_backoff=0.05, retry_seed=0)
+        client = HttpClient("localhost", 1)
+        assert RETRY_BACKOFF_SECONDS == 0.05
         # A hinted delay wins over the backoff, clamped to the ceiling
         # (plus at most 10% jitter).
         hinted = client._retry_delay(0, 0.2)

@@ -17,6 +17,7 @@ import pytest
 from repro.api.errors import MaintenanceUnavailableError
 from repro.reliability import FAILPOINTS
 from repro.reliability.faults import InjectedFault
+from repro.serving import scheduler as scheduler_module
 from repro.serving.scheduler import MaintenanceScheduler
 from repro.serving.snapshots import SnapshotRegistry
 from repro.system.updates import IncrementalMaintainer
@@ -24,13 +25,19 @@ from repro.system.updates import IncrementalMaintainer
 from tests.serving.conftest import make_config
 
 
-def make_scheduler(engine, **kwargs):
+def make_scheduler(engine):
     maintainer = IncrementalMaintainer(
         make_config(), engine.table, summarizer=engine.summarizer, realizer=engine.realizer
     )
     registry = SnapshotRegistry(engine.store)
-    scheduler = MaintenanceScheduler(maintainer, registry, **kwargs)
+    scheduler = MaintenanceScheduler(maintainer, registry)
     return scheduler, registry, maintainer
+
+
+def set_policy(monkeypatch, **constants):
+    """Set the scheduler's retry/breaker constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(scheduler_module, name, value)
 
 
 def fail_maintain(maintainer, times=None):
@@ -56,14 +63,12 @@ async def wait_for(predicate, timeout=10.0):
 
 
 class TestRetry:
-    def test_exhausted_retries_record_dropped_rows(self, engine, append_batch):
+    def test_exhausted_retries_record_dropped_rows(self, engine, append_batch, monkeypatch):
         """Satellite regression: dropped rows are counted, not silent."""
+        set_policy(monkeypatch, RETRY_LIMIT=1, BACKOFF_BASE_SECONDS=0.0, BREAKER_THRESHOLD=99)
 
         async def run():
-            scheduler, registry, maintainer = make_scheduler(
-                engine, retry_limit=1, backoff_base=0.0, backoff_cap=0.0,
-                breaker_threshold=99,
-            )
+            scheduler, registry, maintainer = make_scheduler(engine)
             rows_before = maintainer.table.num_rows
             fail_maintain(maintainer)
             scheduler.start()
@@ -85,12 +90,11 @@ class TestRetry:
         assert registry.version == 0  # nothing was ever published
         assert maintainer.table.num_rows == rows_before  # every attempt rolled back
 
-    def test_retry_waits_for_backoff(self, engine, append_batch):
+    def test_retry_waits_for_backoff(self, engine, append_batch, monkeypatch):
+        set_policy(monkeypatch, RETRY_LIMIT=3, BACKOFF_BASE_SECONDS=0.3, BREAKER_THRESHOLD=99)
+
         async def run():
-            scheduler, registry, maintainer = make_scheduler(
-                engine, retry_limit=3, backoff_base=0.3, backoff_cap=0.3,
-                breaker_threshold=99,
-            )
+            scheduler, registry, maintainer = make_scheduler(engine)
             fail_maintain(maintainer, times=1)
             scheduler.start()
             start = time.perf_counter()
@@ -109,12 +113,11 @@ class TestRetry:
         assert registry.version == 1
         assert elapsed >= 0.28  # the retry waited out its backoff delay
 
-    def test_stop_without_drain_drops_the_pending_retry(self, engine, append_batch):
+    def test_stop_without_drain_drops_the_pending_retry(self, engine, append_batch, monkeypatch):
+        set_policy(monkeypatch, RETRY_LIMIT=5, BACKOFF_BASE_SECONDS=30.0, BREAKER_THRESHOLD=99)
+
         async def run():
-            scheduler, _, maintainer = make_scheduler(
-                engine, retry_limit=5, backoff_base=30.0, backoff_cap=30.0,
-                breaker_threshold=99,
-            )
+            scheduler, _, maintainer = make_scheduler(engine)
             fail_maintain(maintainer)
             scheduler.start()
             scheduler.request_append(append_batch)
@@ -130,11 +133,11 @@ class TestRetry:
         assert cancelled.dropped_rows == append_batch.num_rows
         assert scheduler.dropped_rows_total == append_batch.num_rows
 
-    def test_maintain_raise_failpoint_drives_a_real_retry(self, engine, append_batch):
+    def test_maintain_raise_failpoint_drives_a_real_retry(self, engine, append_batch, monkeypatch):
+        set_policy(monkeypatch, BACKOFF_BASE_SECONDS=0.0)
+
         async def run():
-            scheduler, registry, maintainer = make_scheduler(
-                engine, backoff_base=0.0, backoff_cap=0.0
-            )
+            scheduler, registry, maintainer = make_scheduler(engine)
             rows_before = maintainer.table.num_rows
             with FAILPOINTS.active(["maintain.raise:times=1"]):
                 scheduler.start()
@@ -152,11 +155,11 @@ class TestRetry:
 
 
 class TestCircuitBreaker:
-    def test_breaker_opens_rejects_appends_and_recloses(self, engine, append_batch):
+    def test_breaker_opens_rejects_appends_and_recloses(self, engine, append_batch, monkeypatch):
+        set_policy(monkeypatch, RETRY_LIMIT=0, BREAKER_THRESHOLD=2, BREAKER_COOLDOWN_SECONDS=0.2)
+
         async def run():
-            scheduler, registry, maintainer = make_scheduler(
-                engine, retry_limit=0, breaker_threshold=2, breaker_cooldown=0.2,
-            )
+            scheduler, registry, maintainer = make_scheduler(engine)
             fail_maintain(maintainer, times=2)
             scheduler.start()
             scheduler.request_append(append_batch)
@@ -180,11 +183,11 @@ class TestCircuitBreaker:
         registry = asyncio.run(run())
         assert registry.version == 1  # exactly the probe's append published
 
-    def test_failed_half_open_probe_reopens_the_breaker(self, engine, append_batch):
+    def test_failed_half_open_probe_reopens_the_breaker(self, engine, append_batch, monkeypatch):
+        set_policy(monkeypatch, RETRY_LIMIT=0, BREAKER_THRESHOLD=1, BREAKER_COOLDOWN_SECONDS=0.1)
+
         async def run():
-            scheduler, _, maintainer = make_scheduler(
-                engine, retry_limit=0, breaker_threshold=1, breaker_cooldown=0.1,
-            )
+            scheduler, _, maintainer = make_scheduler(engine)
             fail_maintain(maintainer)
             scheduler.start()
             scheduler.request_append(append_batch)

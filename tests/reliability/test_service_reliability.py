@@ -19,6 +19,7 @@ from repro.api.errors import MaintenanceUnavailableError
 from repro.reliability import FAILPOINTS
 from repro.reliability.faults import InjectedFault
 from repro.serving import VoiceService
+from repro.serving import scheduler as scheduler_module
 from repro.system.engine import ResponseKind
 
 #: An advanced comparison: it aggregates over the table, so the
@@ -132,14 +133,12 @@ class TestHealth:
         assert stopped["status"] == "draining"
 
     def test_open_breaker_degrades_health_and_rejects_appends(
-        self, engine, append_batch
+        self, engine, append_batch, monkeypatch
     ):
-        config = ServingConfig(
-            concurrency=2,
-            maintenance_retry_limit=0,
-            breaker_threshold=1,
-            breaker_cooldown_seconds=60.0,
-        )
+        monkeypatch.setattr(scheduler_module, "RETRY_LIMIT", 0)
+        monkeypatch.setattr(scheduler_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(scheduler_module, "BREAKER_COOLDOWN_SECONDS", 60.0)
+        config = ServingConfig(concurrency=2)
 
         async def run():
             with FAILPOINTS.active(["maintain.raise:times=0"]):

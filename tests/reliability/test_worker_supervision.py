@@ -14,6 +14,7 @@ import signal
 import time
 
 from repro.reliability import FAILPOINTS
+from repro.system import worker_pool
 from repro.system.worker_pool import WorkerPool
 
 
@@ -51,7 +52,7 @@ class TestCrashRecovery:
 
     def test_repeated_crashes_within_budget_stay_parallel(self):
         with FAILPOINTS.active(["worker.crash:times=2"]):
-            with WorkerPool(2, max_respawns=3) as pool:
+            with WorkerPool(2) as pool:  # within the budget of 3 respawns
                 assert run_scaled(pool) == DOUBLED
                 assert pool.respawn_count == 2
                 assert not pool.degraded
@@ -59,14 +60,15 @@ class TestCrashRecovery:
     def test_sigkill_mid_stream_is_detected_promptly(self):
         """A worker SIGKILLed mid-run (satellite: deterministic kill test).
 
-        ``chunk_timeout`` is an hour — if recovery relied on timeout
+        ``CHUNK_TIMEOUT_SECONDS`` is an hour — if recovery relied on timeout
         expiry this test could not finish; finishing fast proves the
         parent watches process sentinels and re-dispatches the lost
         chunks on a respawned worker.
         """
         expected = [[3 * a, 3 * b] for a, b in CHUNKS]
         start = time.perf_counter()
-        with WorkerPool(2, chunk_timeout=3600.0) as pool:
+        assert worker_pool.CHUNK_TIMEOUT_SECONDS == 3600.0
+        with WorkerPool(2) as pool:
             iterator = pool.imap_chunks(
                 {"factor": 3, "sleep": 0.2}, sleepy_scale_chunk, iter(CHUNKS)
             )
@@ -81,13 +83,14 @@ class TestCrashRecovery:
         assert results == expected  # in order, nothing lost or duplicated
         assert elapsed < 20.0  # prompt detection, not the 3600 s timeout
 
-    def test_respawn_budget_exhaustion_degrades_to_serial(self):
+    def test_respawn_budget_exhaustion_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(worker_pool, "MAX_RESPAWNS", 1)
         with FAILPOINTS.active(["worker.crash:times=0"]):  # every dispatch crashes
-            with WorkerPool(2, max_respawns=1) as pool:
+            with WorkerPool(2) as pool:
                 assert run_scaled(pool) == DOUBLED  # finished serially
                 assert pool.degraded
                 assert not pool.parallel
-                assert pool.respawn_count == pool.max_respawns + 1
+                assert pool.respawn_count == worker_pool.MAX_RESPAWNS + 1
                 # The degraded pool stays usable (now serial, so the
                 # crash failpoint is never consulted again).
                 assert run_scaled(pool) == DOUBLED

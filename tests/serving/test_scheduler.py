@@ -121,7 +121,6 @@ class TestCoalescing:
             rest = extra.mask([False] + [True] * (extra.num_rows - 1))
             scheduler.request_append(one_row)
             scheduler.request_append(rest)
-            assert scheduler.pending_batches == 2
             maintainer.gate.set()
             await scheduler.quiesce()
             await scheduler.stop()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import ServiceOverloadedError, ServingConfig, VoiceRequest
 from repro.serving import VoiceService
+from repro.serving import service as service_module
 from repro.serving.service import ServiceMetrics
 from repro.system.classification import RequestType
 from repro.system.engine import ResponseKind, VoiceResponse
@@ -309,8 +310,9 @@ class TestMetrics:
         assert summary["qps"] > 0.0
         assert summary["responses_by_kind"]["speech"] >= 3
 
-    def test_latency_window_keeps_the_newest_samples(self):
+    def test_latency_window_keeps_the_newest_samples(self, monkeypatch):
         window, extra = 50, 17
+        monkeypatch.setattr(service_module, "LATENCY_WINDOW", window)
         response = VoiceResponse(
             kind=ResponseKind.HELP, text="help", request_type=RequestType.HELP
         )
@@ -319,10 +321,10 @@ class TestMetrics:
         rng = random.Random(7)
         samples = [1.0 + i for i in range(extra)]
         samples += [rng.uniform(0.001, 0.01) for _ in range(window)]
-        metrics = ServiceMetrics(latency_window=window)
+        metrics = ServiceMetrics()
         for latency in samples:
             metrics.observe(response, latency, offloaded=False)
-        newest = ServiceMetrics(latency_window=window)
+        newest = ServiceMetrics()
         for latency in samples[-window:]:
             newest.observe(response, latency, offloaded=False)
         summary, expected = metrics.summary(), newest.summary()

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.api import ServingConfig, VoiceRequest
 from repro.api.envelopes import ResponseKind
 from repro.serving import ConsistentHashRing, ShardManager, VoiceService
+from repro.serving import sharding
 from repro.serving.sharding import _attach_engine
 from repro.system.speech_store import SpeechStore
 
@@ -80,8 +81,10 @@ class TestConsistentHashRing:
     @given(key=KEYS, shards=st.integers(min_value=2, max_value=6))
     @settings(max_examples=100, deadline=None)
     def test_vnode_count_does_not_change_determinism(self, key, shards):
-        small = ConsistentHashRing(shards, vnodes=8)
-        assert small.owner(key) == ConsistentHashRing(shards, vnodes=8).owner(key)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sharding, "VNODES_PER_SHARD", 8)
+            small = ConsistentHashRing(shards)
+            assert small.owner(key) == ConsistentHashRing(shards).owner(key)
 
     def test_no_healthy_shards_raises(self):
         ring = ConsistentHashRing(2)
@@ -108,7 +111,7 @@ async def reference_digest(*batches: list[tuple]) -> str:
 
 
 async def until_respawned(manager: ShardManager) -> None:
-    while manager.respawn_total < 1 or manager.health()["status"] != "ok":
+    while manager.reliability()["shard_respawns"] < 1 or manager.health()["status"] != "ok":
         await asyncio.sleep(0.05)
 
 
@@ -179,7 +182,7 @@ class TestShardedServing:
                         await asyncio.sleep(0.05)
 
                 await asyncio.wait_for(until_ok(), timeout=60)
-                assert manager.respawn_total == 1
+                assert manager.reliability()["shard_respawns"] == 1
                 # The session keeps answering after the respawn.
                 again = await manager.submit(request)
                 assert again.kind is ResponseKind.SPEECH
@@ -382,7 +385,7 @@ class TestShardedServing:
                 os.kill(manager.shard_pids()[1], signal.SIGKILL)
                 await asyncio.wait_for(until_respawned(manager), timeout=90)
                 assert attempts == [(0, False), (0, False)]
-                assert manager.respawn_total == 2
+                assert manager.reliability()["shard_respawns"] == 2
                 answers = [(await manager.submit(question)).text for _ in range(4)]
                 assert answers == [current] * 4
                 digests = await manager.store_digest()

@@ -22,8 +22,11 @@ For each state, :func:`recover_state` must rebuild the live run's store
 raise a typed error; it must never serve anything else.  That number
 may not fall below the durability promise: with ``journal_fsync``
 every append acked before the crash, without it the watermark of the
-last checkpoint saved before the crash.  The start that follows must
-leave no temp file in the snapshot directory.
+last checkpoint saved before the crash.  A pure journal replay
+(``use_checkpoint=False``, what ``recover --verify`` compares against)
+must rebuild the same payload and table, and raise where the journal
+is unreadable.  The start that follows must leave no temp file in the
+snapshot directory.
 """
 
 from __future__ import annotations
@@ -259,18 +262,31 @@ def recovered_appends(files: dict[str, bytes], states) -> int | str:
             (root / sub).mkdir()
         for path, content in files.items():
             (root / path).write_bytes(content)
-        try:
-            recovered = recover_state(
+
+        def recover(use_checkpoint: bool):
+            return recover_state(
                 root,
                 base.config,
                 base_store=base.store,
                 base_table=base.table,
                 summarizer=base.summarizer,
                 realizer=base.realizer,
+                use_checkpoint=use_checkpoint,
             )
-        except (JournalError, SnapshotError) as exc:
+
+        try:
+            recovered = recover(use_checkpoint=True)
+        except JournalError as exc:
+            # The journal is read before any checkpoint: replay fails too.
+            with pytest.raises(JournalError):
+                recover(use_checkpoint=False)
+            return type(exc).__name__
+        except SnapshotError as exc:
             return type(exc).__name__
         payload = canonical_store_payload(recovered.store)
+        replayed = recover(use_checkpoint=False)
+        assert canonical_store_payload(replayed.store) == payload, sorted(files)
+        assert replayed.table == recovered.table, sorted(files)
         # The start that follows clears the snapshot directory, and with
         # it the temp file of a freeze the crash cut short.
         publisher = SnapshotPublisher(root / "snapshots")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.reliability import faults
 from repro.relational.column import ColumnType
-from repro.relational.table import Table
 from repro.storage.durability import (
     JournalError,
     JournalWriter,
@@ -117,7 +116,7 @@ class TestJournalWriter:
         assert scan.records == ()
         assert scan.good_offset == 0
         assert scan.next_seq == 1
-        assert not scan.truncated
+        assert scan.truncated_reason is None
 
     def test_append_marks_and_scan(self, tmp_path):
         path = tmp_path / "journal.wal"
@@ -138,7 +137,7 @@ class TestJournalWriter:
         assert scan.records[2].record["seqs"] == [1, 2]
         assert scan.dropped_seqs() == frozenset({3})
         assert scan.good_offset == path.stat().st_size
-        assert not scan.truncated
+        assert scan.truncated_reason is None
 
     def test_rebuildable_seq_stops_at_the_first_missing_batch(self, tmp_path):
         path = tmp_path / "journal.wal"
@@ -176,7 +175,7 @@ class TestJournalWriter:
         scan = read_journal(path)
         assert len(scan.records) == 1
         assert scan.good_offset == good
-        assert scan.truncated
+        assert scan.truncated_reason is not None
         assert "truncated record payload" in scan.truncated_reason
 
     def test_corrupt_middle_record_sacrifices_rest(self, tmp_path):
@@ -207,7 +206,7 @@ class TestJournalWriter:
             handle.write(b"\x00\x01garbage")
 
         scan = read_journal(path)
-        assert scan.truncated
+        assert scan.truncated_reason is not None
         healed = JournalWriter(
             path, next_seq=scan.next_seq, truncate_at=scan.good_offset
         )
@@ -215,7 +214,7 @@ class TestJournalWriter:
         healed.close()
 
         rescanned = read_journal(path)
-        assert not rescanned.truncated
+        assert rescanned.truncated_reason is None
         assert [entry.record["seq"] for entry in rescanned.records] == [1, 2]
 
     @staticmethod

@@ -238,7 +238,7 @@ class TestRecoverState:
             handle.write(b"\x00\x00\x00\x10torn")
 
         recovered = recover(engine, tmp_path)
-        assert recovered.scan.truncated
+        assert recovered.scan.truncated_reason is not None
         assert recovered.journal_offset == good
         assert recovered.replayed_seqs == (1,)
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
@@ -289,7 +289,7 @@ class TestTableFromJournal:
         os.truncate(path, full.records[-1].offset + 3)
 
         recovered = recover(engine, tmp_path)
-        assert recovered.scan.truncated
+        assert recovered.scan.truncated_reason is not None
         assert recovered.checkpoint is None
         assert recovered.replayed_seqs == (1, 2)
         assert canonical_store_payload(recovered.store) == canonical_store_payload(
@@ -461,5 +461,5 @@ class TestDurabilityCoordinator:
         assert coordinator.log_append(append_table(BATCH_B)) == 2
         coordinator.close()
         scan = read_journal(tmp_path / JOURNAL_NAME)
-        assert not scan.truncated
+        assert scan.truncated_reason is None
         assert [entry.record["seq"] for entry in scan.records] == [1, 2]

@@ -65,9 +65,9 @@ class TestPayloadParity:
         assert list(compact) == list(store)
         assert compact.targets() == store.targets()
         for target in store.targets():
-            assert compact.speeches_for_target(target) == store.speeches_for_target(
-                target
-            )
+            assert [s for s in compact if s.query.target == target] == [
+                s for s in store if s.query.target == target
+            ]
 
     @given(store=stores())
     @settings(max_examples=40, deadline=None)

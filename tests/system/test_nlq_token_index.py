@@ -152,6 +152,17 @@ class ScanParser(NaturalLanguageParser):
         return best
 
 
+def value_mentions(parser: NaturalLanguageParser, text: str) -> list:
+    """Every dimension value the indexed parser recognises, in text order."""
+    return parser._values(parser._scan(f" {text.strip().lower()} "))[1]
+
+
+def dimension_mention(parser: NaturalLanguageParser, text: str) -> str | None:
+    """The dimension the indexed parser finds named in ``text``, if any."""
+    found = parser._scan(f" {text.strip().lower()} ")
+    return nlq._lowest(found, parser._dimension_rank, parser._dimensions)
+
+
 def assert_same_parse(indexed, scan, text):
     left = indexed.parse(text)
     right = scan.parse(text)
@@ -161,8 +172,8 @@ def assert_same_parse(indexed, scan, text):
     assert left.value_mentions == right.value_mentions, text
     assert left.mentioned_dimension == right.mentioned_dimension, text
     assert left.wants_minimum == right.wants_minimum, text
-    assert indexed.extract_value_mentions(text) == scan.extract_value_mentions(text), text
-    assert indexed.extract_dimension_mention(text) == scan.extract_dimension_mention(text), text
+    assert value_mentions(indexed, text) == scan.extract_value_mentions(text), text
+    assert dimension_mention(indexed, text) == scan.extract_dimension_mention(text), text
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +281,8 @@ class TestCorpusParity:
     def test_helper_outputs_identical(self, parsers):
         indexed, scan = parsers
         for text in CORPUS:
-            assert indexed.extract_value_mentions(text) == scan.extract_value_mentions(text)
-            assert indexed.extract_dimension_mention(text) == scan.extract_dimension_mention(text)
+            assert value_mentions(indexed, text) == scan.extract_value_mentions(text)
+            assert dimension_mention(indexed, text) == scan.extract_dimension_mention(text)
 
 
 # ----------------------------------------------------------------------

@@ -63,8 +63,8 @@ class TestPreprocessing:
 
     def test_lookup_helper(self, config, generator):
         store, _ = Preprocessor(config).run(generator)
-        match = Preprocessor.lookup_query(
-            store, DataQuery.create("delay", {"region": "North", "season": "Winter"})
+        match = store.best_match(
+            DataQuery.create("delay", {"region": "North", "season": "Winter"})
         )
         assert match is not None
         # The 1-predicate store answers the 2-predicate query with the most

@@ -47,8 +47,9 @@ class TestQueryEnumeration:
         assert generator.count_queries() == 25
 
     def test_multiple_targets_multiply_queries(self, example_table):
-        table = example_table.with_column(
-            example_table.column("delay").renamed("delay_copy")
+        table = Table(
+            example_table.name,
+            example_table.columns + [example_table.column("delay").renamed("delay_copy")],
         )
         config = SummarizationConfig.create(
             "flight_delays",
@@ -98,8 +99,9 @@ class TestQueryEnumeration:
         assert generator.count_queries() == enumerated
 
     def test_arithmetic_count_matches_enumeration_multi_target(self, example_table):
-        table = example_table.with_column(
-            example_table.column("delay").renamed("delay_copy")
+        table = Table(
+            example_table.name,
+            example_table.columns + [example_table.column("delay").renamed("delay_copy")],
         )
         config = SummarizationConfig.create(
             "flight_delays",
@@ -112,8 +114,9 @@ class TestQueryEnumeration:
 
     def test_enumeration_is_scope_major(self, example_table):
         """Each scope, in one-target order, is followed by every target in config order."""
-        table = example_table.with_column(
-            example_table.column("delay").renamed("delay_copy")
+        table = Table(
+            example_table.name,
+            example_table.columns + [example_table.column("delay").renamed("delay_copy")],
         )
         config = SummarizationConfig.create(
             "flight_delays",

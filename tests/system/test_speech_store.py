@@ -18,7 +18,7 @@ class TestPopulation:
         store.add(stored("delay", {"region": "East"}))
         assert len(store) == 2
         assert store.targets() == ["delay"]
-        assert len(store.speeches_for_target("delay")) == 2
+        assert sum(s.query.target == "delay" for s in store) == 2
 
     def test_add_replaces_same_query(self):
         store = SpeechStore()
@@ -26,7 +26,7 @@ class TestPopulation:
         store.add(stored("delay", {}, text="new"))
         assert len(store) == 1
         assert store.exact_match(DataQuery.create("delay", {})).text == "new"
-        assert len(store.speeches_for_target("delay")) == 1
+        assert sum(s.query.target == "delay" for s in store) == 1
 
     def test_iteration(self):
         store = SpeechStore()

@@ -133,7 +133,7 @@ class TestReplacement:
         store.add(stored("delay", {}, text="overall"))
         store.add(stored("delay", {"region": "East"}, text="east"))
         store.add(stored("delay", {}, text="overall v2"))
-        texts = [s.text for s in store.speeches_for_target("delay")]
+        texts = [s.text for s in store if s.query.target == "delay"]
         assert texts == ["overall v2", "east"]
         assert [s.text for s in store] == ["overall v2", "east"]
 
@@ -142,7 +142,7 @@ class TestReplacement:
         for i in range(5):
             store.add(stored("delay", {"region": "East"}, text=f"v{i}"))
         assert len(store) == 1
-        assert [s.text for s in store.speeches_for_target("delay")] == ["v4"]
+        assert [s.text for s in store if s.query.target == "delay"] == ["v4"]
         match = store.best_match(
             DataQuery.create("delay", {"region": "East", "season": "Winter"})
         )

@@ -231,7 +231,7 @@ def test_other_datasets_match_golden_digests(name, speeches, digest):
 def test_flights_with_null_dimensions_matches_golden_digest():
     dataset = with_null_dimensions(load_dataset("flights", num_rows=300))
     for column in ("origin_region", "season"):
-        assert dataset.table.column(column).null_count() > 0
+        assert None in dataset.table.column(column).values
     engine = _engine(dataset)
     _assert_golden(
         engine, "flights NULL dimensions", 922, FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST

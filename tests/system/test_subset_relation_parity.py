@@ -1,10 +1,11 @@
 """The generator's code-derived subset relation equals ``select`` + a fresh relation.
 
-:meth:`ProblemGenerator.subset_relation` finds a query's rows on the
+:meth:`ProblemGenerator.build_problem` finds a query's rows on the
 table's cached column codes and seeds the subset relation with those
-codes.  These properties pin it to the row-by-row oracle on random
-tables: NULL dimensions and targets, predicate values absent from the
-column, and values equal across types (``1 == 1.0 == True``).
+codes (:func:`subset_relation` takes that path alone).  These
+properties pin it to the row-by-row oracle on random tables: NULL
+dimensions and targets, predicate values absent from the column, and
+values equal across types (``1 == 1.0 == True``).
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from hypothesis import strategies as st
 from repro.core.errors import InvalidProblemError
 from repro.core.model import Scope, SummarizationRelation
 from repro.relational.column import ColumnType
-from repro.relational.expressions import conjunction_of_equalities
 from repro.relational.operators import select
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.problem_generator import ProblemGenerator
 from repro.system.queries import DataQuery
+from tests.relational.predicates import conjunction_of_equalities
 
 DIMENSIONS = ("airline", "hub", "gate")
 CATEGORIES = ["a", "b", "1", "True", None]
@@ -67,6 +68,22 @@ def generator_for(table: Table, min_subset_rows: int) -> ProblemGenerator:
         "flights", dimensions=DIMENSIONS, targets=("delay",), max_query_length=3
     )
     return ProblemGenerator(config, table, min_subset_rows=min_subset_rows)
+
+
+def subset_relation(generator: ProblemGenerator, query: DataQuery):
+    """The relation ``build_problem`` summarizes for ``query``; None when too small.
+
+    Its table is the one ``select`` returns for the query's predicates,
+    named ``<table>_subset``; ``min_subset_rows`` counts its rows before
+    the relation drops NULL-target rows.  The rows are found on the
+    table's cached column codes, and the relation inherits those codes
+    and the cached target floats at the rows instead of reading its
+    columns.
+    """
+    rows = generator._subset_rows(query.predicate_map)
+    if rows.size < generator._min_subset_rows:
+        return None
+    return generator._relation_at(rows, query)
 
 
 def oracle(table: Table, predicates: dict, min_subset_rows: int):
@@ -114,7 +131,7 @@ def assert_same_relation(actual: SummarizationRelation, expected: SummarizationR
 def test_subset_relation_matches_select(table, predicates, min_subset_rows):
     generator = generator_for(table, min_subset_rows)
     query = DataQuery.create("delay", predicates)
-    actual = outcome(lambda: generator.subset_relation(query))
+    actual = outcome(lambda: subset_relation(generator, query))
     expected = outcome(lambda: oracle(table, predicates, min_subset_rows))
     if expected is None or isinstance(expected, tuple):
         assert actual == expected
@@ -135,5 +152,5 @@ def test_scope_masks_match_on_inherited_codes(table, predicates, scope):
     expected = outcome(lambda: oracle(table, predicates, 1))
     if not isinstance(expected, SummarizationRelation):
         return
-    actual = generator.subset_relation(DataQuery.create("delay", predicates))
+    actual = subset_relation(generator, DataQuery.create("delay", predicates))
     assert np.array_equal(actual.scope_mask(Scope(scope)), expected.scope_mask(Scope(scope)))

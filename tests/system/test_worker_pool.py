@@ -9,10 +9,12 @@ summarization stack.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
 
+from repro.system import worker_pool
 from repro.system.worker_pool import WorkerPool
 
 
@@ -40,13 +42,22 @@ def run_scaled(pool, factor=2, chunks=CHUNKS):
     return list(pool.imap_chunks({"factor": factor}, scale_chunk, chunk_stream(chunks)))
 
 
+def live_workers():
+    """The pool worker processes alive in this process right now."""
+    return [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-pool-worker-")
+    ]
+
+
 class TestSerialFallback:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_runs_in_process_without_spawning(self, workers):
         with WorkerPool(workers) as pool:
             assert not pool.parallel
             assert run_scaled(pool) == DOUBLED
-            assert not pool.spawned
+            assert not live_workers()
             assert pool.spawn_count == 0
 
     def test_results_match_parallel(self):
@@ -67,12 +78,12 @@ class TestParallelExecution:
 
     def test_spawn_is_lazy(self):
         with WorkerPool(2) as pool:
-            assert not pool.spawned
+            assert not live_workers()
             stream = pool.imap_chunks({"factor": 2}, scale_chunk, chunk_stream(CHUNKS))
             # Building the generator must not spawn either.
-            assert not pool.spawned
+            assert not live_workers()
             assert next(stream) == [2, 4]
-            assert pool.spawned
+            assert live_workers()
             stream.close()
 
     def test_reuse_across_runs_spawns_once(self):
@@ -119,11 +130,12 @@ class TestParallelExecution:
             assert run_scaled(pool, factor=5) == [[5, 10], [15], [20, 25, 30], [35]]
             assert pool.spawn_count == 1
 
-    def test_drain_grants_each_abandoned_chunk_its_own_timeout(self):
+    def test_drain_grants_each_abandoned_chunk_its_own_timeout(self, monkeypatch):
         """A healthy pool must survive draining several near-timeout
         chunks whose *sum* exceeds one chunk timeout (each chunk's
         individual runtime is within contract)."""
-        with WorkerPool(2, chunk_timeout=2.0) as pool:
+        monkeypatch.setattr(worker_pool, "CHUNK_TIMEOUT_SECONDS", 2.0)
+        with WorkerPool(2) as pool:
             stream = pool.imap_chunks(
                 {"run": 1}, sleepy_chunk, chunk_stream([0.0, 1.2, 1.2, 1.2, 1.2])
             )
@@ -147,20 +159,20 @@ class TestLifecycle:
     def test_context_manager_closes(self):
         with WorkerPool(2) as pool:
             run_scaled(pool)
-            assert pool.spawned
-        assert not pool.spawned
+            assert live_workers()
+        assert not live_workers()
 
     def test_double_close_is_idempotent(self):
         pool = WorkerPool(2)
         run_scaled(pool)
         pool.close()
         pool.close()
-        assert not pool.spawned
+        assert not live_workers()
 
     def test_close_before_spawn_is_a_noop(self):
         pool = WorkerPool(2)
         pool.close()
-        assert not pool.spawned
+        assert not live_workers()
         assert pool.spawn_count == 0
 
     def test_reuse_after_close_respawns_lazily(self):
@@ -174,17 +186,13 @@ class TestLifecycle:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(-1)
-        with pytest.raises(ValueError, match="lookahead"):
-            WorkerPool(2, lookahead=0)
-        with pytest.raises(ValueError, match="chunk_timeout"):
-            WorkerPool(2, chunk_timeout=0)
 
     def test_terminate_is_idempotent_and_allows_respawn(self):
         pool = WorkerPool(2)
         run_scaled(pool)
         pool.terminate()
         pool.terminate()
-        assert not pool.spawned
+        assert not live_workers()
         assert run_scaled(pool) == DOUBLED
         assert pool.spawn_count == 2
         pool.close()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -204,7 +206,11 @@ class TestMaintainCommand:
         assert main(self.COMMON + ["--workers", "2"]) == 0
         assert "workers=2)" in capsys.readouterr().out
         assert sum(pool.spawn_count for pool in pools) == 1
-        assert not any(pool.spawned for pool in pools)
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-pool-worker-")
+        ]
 
 
 class TestServeCommand:
