@@ -49,7 +49,7 @@ from repro.datasets import available_datasets, dataset_overview, load_dataset
 from repro.experiments.runner import ExperimentResult, format_rows
 from repro.system.config import SummarizationConfig
 from repro.system.engine import VoiceQueryEngine
-from repro.system.persistence import save_store, store_to_dict
+from repro.system.persistence import PersistenceError, save_store, store_to_dict
 from repro.system.worker_pool import WorkerPool
 
 
@@ -194,7 +194,12 @@ def command_ask(args: argparse.Namespace) -> int:
     """Answer natural-language questions against a dataset."""
     engine = _build_engine(args)
     if args.store:
-        loaded = engine.load_speeches(args.store)
+        try:
+            loaded = engine.load_speeches(args.store)
+        except PersistenceError as exc:
+            # A bad store file is bad input: one line, exit 2.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"loaded {loaded} pre-generated speeches from {args.store}")
     else:
         with _pool_scope(args) as pool:

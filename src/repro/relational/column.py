@@ -72,11 +72,16 @@ class Column:
     # ------------------------------------------------------------------
     def _normalise(self, raw: list[Any]) -> list[Any]:
         """Validate and coerce raw values according to the column type."""
+        # An exact ``str`` (categorical) or non-NaN exact ``float``
+        # (numeric) cell is already its normal form: it skips the call.
         if self._ctype is ColumnType.CATEGORICAL:
-            return [None if _is_null(v) else str(v) for v in raw]
+            return [v if type(v) is str else None if _is_null(v) else str(v) for v in raw]
         if self._ctype is ColumnType.NUMERIC:
             out: list[Any] = []
             for v in raw:
+                if type(v) is float and v == v:
+                    out.append(v)
+                    continue
                 if _is_null(v):
                     out.append(None)
                     continue

@@ -89,6 +89,7 @@ import tempfile
 import time
 from typing import Any, Iterable
 
+from repro.api import http1
 from repro.api.clients import HttpClient, decode_ask
 from repro.api.config import ServingConfig
 from repro.api.envelopes import VoiceRequest, build_append_table
@@ -676,7 +677,7 @@ class ShardManager:
         the next healthy shard, until every shard has been tried.
         """
         if not self._running:
-            return 503, json.dumps(
+            return 503, http1.encode_json(
                 {"code": "draining", "error": "shard router is stopping"}
             ).encode("utf-8")
         session_key = self._route_key(body)
@@ -699,13 +700,11 @@ class ShardManager:
                 handle.down()
                 self._relay_retries += 1
                 last_error = str(exc)
-        return 503, json.dumps(
-            {"code": "overloaded", "error": last_error}
-        ).encode("utf-8")
+        return 503, http1.encode_json({"code": "overloaded", "error": last_error}).encode("utf-8")
 
     async def submit(self, request: VoiceRequest) -> VoiceResponse:
         """Typed ask, routed like :meth:`relay_ask` (for in-process use)."""
-        body = json.dumps(request.to_dict(), allow_nan=False).encode("utf-8")
+        body = http1.encode_json(request.to_dict()).encode("utf-8")
         return decode_ask(*await self.relay_ask(body))
 
     async def describe_session(self, session_id: str) -> dict | None:

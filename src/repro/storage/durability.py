@@ -64,6 +64,10 @@ _HEADER = struct.Struct(">II")
 #: is treated as corruption rather than attempted as an allocation.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
+#: The canonical JSON of a record payload (sorted keys, compact), with
+#: one shared encoder rather than one per record.
+_encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class JournalError(Exception):
     """Raised when the journal cannot be written or a record is invalid."""
@@ -100,7 +104,7 @@ def table_from_payload(payload: dict[str, Any]) -> Table:
 # ----------------------------------------------------------------------
 def encode_record(record: dict[str, Any]) -> bytes:
     """Frame one record dict as length + CRC32 + canonical JSON bytes."""
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = _encode_payload(record).encode("utf-8")
     if len(payload) > MAX_RECORD_BYTES:
         raise JournalError(
             f"record payload of {len(payload)} bytes exceeds {MAX_RECORD_BYTES}"

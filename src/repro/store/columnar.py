@@ -82,6 +82,16 @@ _DECODE_CACHE_SIZE = 1024
 # ----------------------------------------------------------------------
 # Canonical value encoding
 # ----------------------------------------------------------------------
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` with one
+#: shared encoder: the same text, without a ``JSONEncoder`` per value.
+_value_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Value types whose ``==`` and hash match their JSON text and canonical
+#: token within the type; a value of any other type (a float, where
+#: ``0.0 == -0.0``, or a container) is told apart by its ``repr``.
+_EQUAL_BY_VALUE = frozenset((str, int, bool, type(None)))
+
+
 def _canonical_token(value: Any) -> str:
     """A string whose equality mirrors Python ``==`` on predicate values.
 
@@ -101,12 +111,7 @@ def _canonical_token(value: Any) -> str:
         return "s:" + value
     if value is None:
         return "z"
-    return "j:" + json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _value_json(value: Any) -> str:
-    """Lossless storage form of a value (exact type round-trip)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return "j:" + _value_json(value)
 
 
 def _key_digest(target: str, pairs: Sequence[tuple[str, str]]) -> int:
@@ -212,9 +217,22 @@ def _encode(speeches: list[StoredSpeech], pools: dict[str, _Pool]) -> dict[str, 
     """The per-speech sections of ``speeches`` alone.
 
     Strings are interned into ``pools``; offsets start at 0, and
-    ``key_digest`` is per speech, not yet sorted.
+    ``key_digest`` is per speech, not yet sorted.  Each distinct value
+    is encoded once: ``resolved`` maps it to its ``values`` id and its
+    canonical token.
     """
     targets, columns, algorithms, values = (pools[name] for name in _POOLS)
+    resolved: dict[tuple[type, Any], tuple[int, str]] = {}
+
+    def resolve(value: Any) -> tuple[int, str]:
+        cls = type(value)
+        key = (cls, value if cls in _EQUAL_BY_VALUE else repr(value))
+        found = resolved.get(key)
+        if found is None:
+            found = (values.intern(_value_json(value)), _canonical_token(value))
+            resolved[key] = found
+        return found
+
     raw: dict[str, list] = {
         name: []
         for name in (
@@ -246,9 +264,10 @@ def _encode(speeches: list[StoredSpeech], pools: dict[str, _Pool]) -> dict[str, 
 
         pairs: list[tuple[str, str]] = []
         for column, value in stored.query.predicates:
+            value_id, token = resolve(value)
             raw["q_col"].append(columns.intern(column))
-            raw["q_val"].append(values.intern(_value_json(value)))
-            pairs.append((column, _canonical_token(value)))
+            raw["q_val"].append(value_id)
+            pairs.append((column, token))
         raw["q_off"].append(len(raw["q_col"]))
         raw["key_digest"].append(_key_digest(target, pairs))
 
@@ -257,7 +276,7 @@ def _encode(speeches: list[StoredSpeech], pools: dict[str, _Pool]) -> dict[str, 
             raw["fact_support"].append(int(fact.support))
             for column, value in fact.scope:
                 raw["s_col"].append(columns.intern(column))
-                raw["s_val"].append(values.intern(_value_json(value)))
+                raw["s_val"].append(resolve(value)[0])
             raw["s_off"].append(len(raw["s_col"]))
         raw["f_off"].append(len(raw["fact_value"]))
     sections: dict[str, Any] = {

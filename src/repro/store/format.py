@@ -65,6 +65,9 @@ _HEADER = struct.Struct("<8sIIQIIQ")  # magic .. file length (40 bytes)
 _HEADER_CRC = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + _HEADER_CRC.size  # 44
 
+#: The canonical JSON of a TOC (sorted keys, compact), one shared encoder.
+_encode_toc = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 #: dtype codes allowed in a TOC; "bytes" marks an opaque blob section.
 _DTYPES = {"<i4", "<i8", "<f8", "<u8"}
 
@@ -126,7 +129,7 @@ def freeze(
             "snapshot_version": snapshot_version,
         },
     }
-    toc_bytes = json.dumps(toc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    toc_bytes = _encode_toc(toc).encode("utf-8")
     payload_start = _align8(HEADER_SIZE + len(toc_bytes))
     gap = b"\x00" * (payload_start - HEADER_SIZE - len(toc_bytes))
     file_length = payload_start + len(payload)

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.core.errors import InvalidFactError
 from repro.core.model import Fact, Scope, Speech
 from repro.system.config import SummarizationConfig
 from repro.system.queries import DataQuery
@@ -98,7 +99,7 @@ def _decode_fact(payload: dict[str, Any]) -> Fact:
             value=float(payload["value"]),
             support=int(payload.get("support", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidFactError) as exc:
         raise PersistenceError(f"malformed fact entry: {payload!r}") from exc
 
 
@@ -120,18 +121,28 @@ def _decode_stored(payload: dict[str, Any]) -> StoredSpeech:
 
 def store_from_dict(payload: dict[str, Any]) -> tuple[SpeechStore, SummarizationConfig | None]:
     """Rebuild a speech store (and its configuration, if present) from a dict."""
+    if not isinstance(payload, dict):
+        raise PersistenceError(
+            f"speech store payload is a {type(payload).__name__}, not an object"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported speech-store format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    speeches = payload.get("speeches", [])
+    if not isinstance(speeches, list):
+        raise PersistenceError("speech store field 'speeches' is not a list")
     store = SpeechStore()
-    for entry in payload.get("speeches", []):
+    for entry in speeches:
         store.add(_decode_stored(entry))
     config = None
     if "config" in payload:
-        config = SummarizationConfig.from_json(json.dumps(payload["config"]))
+        try:
+            config = SummarizationConfig.from_json(json.dumps(payload["config"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PersistenceError(f"malformed config entry: {exc}") from exc
     return store, config
 
 
@@ -142,6 +153,8 @@ def load_store(path: str | Path) -> tuple[SpeechStore, SummarizationConfig | Non
         payload = json.loads(path.read_text())
     except FileNotFoundError:
         raise PersistenceError(f"speech store file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise PersistenceError(f"cannot read speech store file {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise PersistenceError(f"speech store file {path} is not valid JSON") from exc
     return store_from_dict(payload)

@@ -6,10 +6,13 @@ run on every freeze, kept as the oracle for the incremental compaction
 strings into the pools as it goes, building buckets in a dict, then
 sorting.  Every section it returns must equal the incremental result
 array for array, and a freeze of either must write the same bytes.
+Each value is encoded on its own, with ``json.dumps``, so the oracle
+shares no value memo or encoder with the code under test.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 import numpy as np
@@ -18,8 +21,12 @@ from repro.store.columnar import (
     _canonical_token,
     _key_digest,
     _Pool,
-    _value_json,
 )
+
+
+def _value_json(value: Any) -> str:
+    """The storage form of one value, encoded per call."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _pool_sections(name: str, pool: _Pool, sections: dict[str, Any]) -> None:

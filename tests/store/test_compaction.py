@@ -217,3 +217,49 @@ class TestVersions:
         third = second.advance(after.clone())
         assert encoded == []
         assert frozen(third.store) == frozen(second.store)
+
+
+class TestValueMemo:
+    """Each distinct value is encoded once per compaction, by type and value."""
+
+    #: Python-equal values with different storage forms, and values that
+    #: hash or compare unusually: each must keep its own bytes.
+    CLASHING = (0.0, -0.0, 1, 1.0, True, "1", None, float("nan"), 2**53 + 1)
+
+    def clashing_store(self) -> SpeechStore:
+        # Scope and query pairs are shared per (type, column, value), so
+        # 0.0 and -0.0 in one column would be one object: each value gets
+        # a column of its own, and the clashes meet in the value pool.
+        cells = [(f"memo{i}", value) for i, value in enumerate(self.CLASHING)]
+        store = SpeechStore()
+        for i, cell in enumerate(cells):
+            other = cells[-1 - i]
+            store.add(speech("delay", dict([cell]), [dict([other])], f"q{i}"))
+            store.add(speech("delay", dict([cell, other]), [dict([cell, other])], f"p{i}"))
+        return store
+
+    def test_sections_equal_a_per_value_reference(self):
+        # Every section, values_blob, q_val, s_val and key_digest among them.
+        store = self.clashing_store()
+        assert_matches_oracle(Compaction.empty().advance(store), store)
+
+    def test_every_storage_form_is_kept(self):
+        compaction = Compaction.empty().advance(self.clashing_store())
+        assert sorted(values_pool(compaction)) == sorted(
+            ["0.0", "-0.0", "1", "1.0", "true", '"1"', "null", "NaN", str(2**53 + 1)]
+        )
+
+    def test_equal_values_share_a_key(self):
+        # 0.0 and -0.0 (and 1, 1.0, True) are one key, as in SpeechStore.
+        store = SpeechStore()
+        store.add(speech("delay", {"memo_zero": -0.0}, [], "negative zero"))
+        store.add(speech("delay", {"memo_one": True}, [], "true"))
+        compact = Compaction.empty().advance(store).store
+        for column, value, text in (
+            ("memo_zero", 0.0, "negative zero"),
+            ("memo_zero", 0, "negative zero"),
+            ("memo_one", 1.0, "true"),
+        ):
+            query = DataQuery.create("delay", {column: value})
+            assert compact.exact_match(query).text == text
+            assert store.exact_match(query).text == text

@@ -113,6 +113,32 @@ class TestErrorHandling:
         with pytest.raises(PersistenceError):
             store_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "is a list, not an object"),
+            ('"store"', "is a str, not an object"),
+            ('{"format_version": 1, "speeches": 5}', "'speeches' is not a list"),
+            ('{"format_version": 1, "speeches": [], "config": {}}', "malformed config"),
+        ],
+    )
+    def test_file_of_the_wrong_shape(self, tmp_path, text, message):
+        path = tmp_path / "store.json"
+        path.write_text(text)
+        with pytest.raises(PersistenceError, match=message):
+            load_store(path)
+
+    def test_negative_support(self, tmp_path):
+        speech = {"target": "delay", "facts": [{"scope": {}, "value": 1.0, "support": -1}]}
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION, "speeches": [speech]}))
+        with pytest.raises(PersistenceError, match="malformed fact entry"):
+            load_store(path)
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(PersistenceError, match="cannot read"):
+            load_store(tmp_path)
+
     def test_artifact_is_plain_json(self, prepared, tmp_path):
         config, store = prepared
         path = tmp_path / "speeches.json"

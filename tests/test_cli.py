@@ -149,6 +149,30 @@ class TestBadInput:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "does not exist"),
+            ("{not json", "is not valid JSON"),
+            ("[]", "is a list, not an object"),
+            (
+                '{"format_version": 1, "speeches": [{"target": "delay",'
+                ' "facts": [{"scope": {}, "value": 1.0, "support": -1}]}]}',
+                "malformed fact entry",
+            ),
+        ],
+    )
+    def test_bad_store_file(self, capsys, tmp_path, content, message):
+        """``ask --store`` names a bad store file in one line and exits 2."""
+        path = tmp_path / "store.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["ask", "--dataset", "flights", "--rows", "120", "--store", str(path), "hi"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
+
 
 class TestMaintainCommand:
     COMMON = [
