@@ -78,7 +78,8 @@ class LatticeCosts(NamedTuple):
 
     ``counts[g]`` orders Algorithm 4's sources (the group's fact count,
     1 when unknown); ``utility[g]`` and ``deviation[g]`` are C_U and C_D;
-    ``means[g]`` is 1/M(g), the mean per-fact utility.
+    ``means[g]`` is 1/M(g), the mean per-fact utility.  C_U and C_D are
+    never negative: plan choice stops its search on that.
     """
 
     counts: list[int]

@@ -20,6 +20,17 @@ source (in source order), summed group by group in id order.  Appending
 a target multiplies each specializing group's survival by that target's
 factors, one at a time, so a growing target list is costed bit for bit
 as a from-scratch evaluation costs it.
+
+:func:`choose_plan` stops searching early without changing its answer.
+Every cost component is non-negative, so a candidate costs at least its
+sources' C_U plus its targets' C_D, and only a strictly cheaper
+candidate replaces the best.  It skips a source prefix, and every
+longer one, once the prefix's source cost plus the smallest C_D among
+its candidate targets reaches the best cost so far; it stops growing a
+target list once sources plus deviations so far reach it.  Both rest on
+a float sum of non-negative terms never falling as terms are appended,
+which holds for plain and for compensated (Python 3.12) summation.
+:func:`candidate_plans` still lists every candidate.
 """
 
 from __future__ import annotations
@@ -91,7 +102,10 @@ def _optimize(
     max_source_prefix: int | None,
     candidates: list[_Candidate] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first minimal-cost candidate's ids; ``candidates`` collects every candidate."""
+    """The first minimal-cost candidate's ids; ``candidates`` collects every candidate.
+
+    Without ``candidates`` the search stops early (see the module docstring).
+    """
     size = lattice.size
     utility, deviation, means = costs.utility, costs.deviation, costs.means
     best_cost = 0.0  # the trivial plan: every group survives
@@ -114,15 +128,19 @@ def _optimize(
     # so Pr(P_t) = 1 − survive[t].
     survive = [1.0] * size
     for prefix_length in range(1, prefix_limit + 1):
+        sources = tuple(ordered[:prefix_length])
+        alive = ordered[prefix_length:]
+        source_cost = sum(utility[source] for source in sources)
+        if candidates is None and source_cost + min(deviation[t] for t in alive) >= best_cost:
+            # Every candidate of this prefix costs at least this much, and
+            # a longer prefix adds sources and picks from fewer targets.
+            break
         keep = keep_row(means[ordered[prefix_length - 1]], means, sigma)
         keeps.append(keep)
         survive = [s * k for s, k in zip(survive, keep)]
         pruned = [1.0 - s for s in survive]
-        sources = tuple(ordered[:prefix_length])
-        alive = ordered[prefix_length:]
         others = sorted(alive)
         remaining = lattice.bitset(alive)
-        source_cost = sum(utility[source] for source in sources)
         deviations: list[float] = []
         survival = [1.0] * size
         targets: list[int] = []
@@ -136,9 +154,11 @@ def _optimize(
                     target, value, rank = t, h, tie_rank[t]
             targets.append(target)
             deviations.append(deviation[target])
+            cost = source_cost + sum(deviations)
+            if candidates is None and cost >= best_cost:
+                break  # the survivors' terms only add, and so does a longer target list
             factors = [keep[target] for keep in keeps]
             specializing = specializations[target]
-            cost = source_cost + sum(deviations)
             for gid in others:
                 if specializing >> gid & 1:
                     probability = survival[gid]

@@ -10,6 +10,9 @@ survivors.  They differ only in how the pruning plan is chosen:
 * ``OptimizedGreedySummarizer`` ("G-O") asks the cost-based optimizer
   (Section VI-C/D) for the cheapest candidate plan, which may be the
   trivial no-pruning plan when bounds are unlikely to pay off.
+
+Either plan is chosen once per predicate scope: the scope index that
+the scope's targets share keeps it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.facts.groups import FactGroup, GroupLattice
 
-#: Group sets whose lattices (and plan inputs whose plans) a summarizer
-#: keeps before it starts over.
+#: Group sets whose lattices a summarizer keeps before it starts over.
 _MAX_LATTICES = 1024
 
 
@@ -37,21 +39,19 @@ class _PrunedGreedyBase(Summarizer):
     The summarizer keeps one :class:`~repro.facts.groups.GroupLattice`
     per group set (the tuple of ``index.groups``' column combinations):
     the pruner and the plan optimizer of every problem over that set
-    read it.  It also keeps each plan it chose, keyed on the plan's
-    inputs (:meth:`_plan`).  Pickling drops both; each process builds
-    its own.  ``sigma`` is the cost model's per-fact utility deviation,
-    finite and positive.
+    read it.  Pickling drops them; each process builds its own.  The
+    plan it chose for a problem lives in the problem's scope index
+    (:meth:`_plan`).  ``sigma`` is the cost model's per-fact utility
+    deviation, finite and positive.
     """
 
     def __init__(self, sigma: float = 0.25):
         self._sigma = checked_sigma(sigma)
         self._lattices: dict[tuple[tuple[str, ...], ...], GroupLattice] = {}
-        self._plans: dict[tuple, PruningPlan] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_lattices"] = {}
-        state["_plans"] = {}
         return state
 
     def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
@@ -70,22 +70,23 @@ class _PrunedGreedyBase(Summarizer):
     def _plan(
         self, problem: SummarizationProblem, lattice: GroupLattice, group_sizes: list[int]
     ) -> PruningPlan:
-        """The plan for ``problem``, chosen once per distinct set of its inputs.
+        """The plan for ``problem``, chosen once per scope index.
 
         A plan is a pure function of the lattice, the fact count per
-        group, the relation's row count and its distinct counts, so
-        every problem with the same four shares one — e.g. each target
-        of a predicate scope, even when solved in separate chunks.
+        group, the relation's row count and its distinct counts.  The
+        targets of a predicate scope share all four, and their indexes
+        share one :attr:`~repro.core.kernel.FactScopeIndex.cache`, so the
+        plan is kept there, per summarizer type and σ: each target after
+        the first reuses it, even when solved in a separate chunk.
         """
-        relation = problem.relation
-        distinct = tuple((dim, relation.distinct_count(dim)) for dim in relation.dimensions)
-        key = (lattice, tuple(group_sizes), relation.num_rows, distinct)
-        plan = self._plans.get(key)
+        cache = problem.index().cache
+        key = (type(self), self._sigma)
+        plan = cache.get(key)
         if plan is None:
-            if len(self._plans) >= _MAX_LATTICES:
-                self._plans.clear()
-            costs = lattice_costs(lattice, group_sizes, relation.num_rows, dict(distinct))
-            plan = self._plans[key] = self._choose_plan(lattice, costs)
+            relation = problem.relation
+            distinct = {dim: relation.distinct_count(dim) for dim in relation.dimensions}
+            costs = lattice_costs(lattice, group_sizes, relation.num_rows, distinct)
+            plan = cache[key] = self._choose_plan(lattice, costs)
         return plan
 
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:

@@ -9,14 +9,14 @@ bound is dominated by the best source gain.  The globally best fact is
 never discarded, so the greedy guarantee is preserved.
 
 Gain evaluation runs on the problem's
-:class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id, the
-index supplies each group's ids, and each phase (sources, then
-surviving groups) is a single batch pass.  The sources' pass reads
-only the source groups' CSR ranges, found once per plan.  The
-survivors' pass reads the whole CSR unmasked when no group was pruned:
-the facts it then skips are few.  Either way each fact sums the same
-entries in the same order as a masked pass, so the gains are the same
-bits.
+:class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id and
+the index supplies each group's ids.  Each greedy step makes one batch
+pass over the whole CSR, and each phase (sources, then surviving
+groups) reads the gains it consumes from that pass.  The pass also
+sums the facts of pruned groups, which are few, and costs less than
+the two restricted passes it replaces; a fact's gain sums the same
+entries in the same order whatever else a pass covers, so it is the
+same bits.  The statistics count the gains the phases consume.
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ from repro.core.utility import ExpectationState, UtilityEvaluator
 from repro.facts.groups import FactGroup, GroupLattice
 
 
-_NO_GAINS = np.empty(0)
-
-
 @dataclass
 class PruningOutcome:
     """Result of one pruned gain-computation pass.
 
-    ``fact_ids`` lists every fact whose gain was actually computed
+    ``fact_ids`` lists every fact whose gain Algorithm 3 evaluates
     (facts of pruned groups are absent): source facts first, then
     survivors, each in group order.  ``gains[k]`` is the gain of
     ``fact_ids[k]``; ``pruned_groups`` lists the discarded groups, target
@@ -51,9 +48,9 @@ class PruningOutcome:
     pruned_groups: list[FactGroup]
 
     def best_fact(self) -> tuple[int | None, float]:
-        """Id and gain of the first computed fact with maximal gain.
+        """Id and gain of the first listed fact with maximal gain.
 
-        ``(None, 0.0)`` when no gain was computed.
+        ``(None, 0.0)`` when no fact is listed.
         """
         if not self.fact_ids.size:
             return None, 0.0
@@ -77,14 +74,14 @@ class FactGroupPruner:
         every problem over the same group set; built when not given.
 
     A plan is prepared once, when :meth:`compute_gains` first sees it:
-    its source fact mask, the CSR ranges of its source groups, per
-    target its lattice id and the bitset of groups it prunes, and the
-    targets' stacked bound groups.  Each iteration then evaluates every
-    target's bound in one pass and runs the two batch passes, the first
-    over the source ranges only.  The group order and the prepared plans depend only on
-    the fact structure and the relation's codes, so they live in the
-    index's :attr:`~repro.core.kernel.FactScopeIndex.cache`, shared by
-    the problems of every target of a predicate scope.
+    its source and other fact ids in group order, per target its lattice
+    id and the bitset of groups it prunes, and the targets' stacked
+    bound groups.  Each iteration then makes one gain pass, evaluates
+    every target's bound in one pass, and reads each phase's gains
+    through the prepared ids.  The group order and the prepared plans
+    depend only on the fact structure and the relation's codes, so they
+    live in the index's :attr:`~repro.core.kernel.FactScopeIndex.cache`,
+    shared by the problems of every target of a predicate scope.
     """
 
     def __init__(
@@ -101,14 +98,14 @@ class FactGroupPruner:
         layout = index.cache.get(FactGroupPruner)
         if layout is None:
             ids_by_group = list(index.groups.values())
-            # Fact ids group by group: the order outcomes list gains in.
+            # Fact ids group by group (the order outcomes list gains in),
+            # and the lattice id of each.
             group_order = np.concatenate(ids_by_group)
-            group_of_fact = np.empty(index.num_facts, dtype=np.intp)
-            group_of_fact[group_order] = np.repeat(
+            group_of_order = np.repeat(
                 np.arange(len(ids_by_group)), [ids.size for ids in ids_by_group]
             )
-            layout = index.cache[FactGroupPruner] = group_order, group_of_fact, {}
-        self._group_order, self._group_of_fact, self._prepared = layout
+            layout = index.cache[FactGroupPruner] = group_order, group_of_order, {}
+        self._group_order, self._group_of_order, self._prepared = layout
 
     @property
     def group_sizes(self) -> list[int]:
@@ -130,21 +127,16 @@ class FactGroupPruner:
         source gain are discarded together with their specializations
         (Alg. 3, Line 19).
         """
-        sources, targets, source_ranges, stacked, starts = self._prepare(plan)
-        index = self._index
-        order = self._group_order
+        source_ids, other_ids, other_groups, targets, stacked, starts = self._prepare(plan)
         if active is None:
-            active = np.ones(index.num_facts, dtype=bool)
+            active = np.ones(self._index.num_facts, dtype=bool)
+        # One batch pass gives every fact's gain; each phase reads its own.
+        gains = self._index.batch_gains(state.error)
 
-        # Line 9: utility gains for the pruning sources (one batch pass
-        # over the source groups' CSR ranges).
-        source_ids = order[(sources & active)[order]]
-        source_gains = _NO_GAINS
-        max_source_gain = float("-inf")
-        if source_ids.size:
-            source_gains = index.range_gains(source_ranges, state.error)[source_ids]
-            stats.fact_evaluations += source_ids.size
-            max_source_gain = float(source_gains.max())
+        # Line 9: utility gains for the pruning sources.
+        source_ids = source_ids[active[source_ids]]
+        stats.fact_evaluations += source_ids.size
+        max_source_gain = float(gains[source_ids].max()) if source_ids.size else float("-inf")
 
         # Lines 11-22: prune dominated targets and their specializations,
         # listed in index group order (a set's order would follow the
@@ -155,7 +147,7 @@ class FactGroupPruner:
         if plan.sources and max_source_gain > float("-inf") and targets:
             # Every target's bound from one bincount over the error
             # vector tiled once per target (see :meth:`_prepare`).
-            sums = np.bincount(stacked, weights=np.tile(state.error, len(targets)))
+            sums = np.bincount(stacked, weights=np.concatenate((state.error,) * len(targets)))
             bounds = np.maximum.reduceat(sums, starts).tolist()
             for (target, prunes), bound in zip(targets, bounds):
                 if not remaining >> target & 1:
@@ -170,36 +162,27 @@ class FactGroupPruner:
                         pruned_groups.append(groups[low.bit_length() - 1])
         stats.groups_pruned += len(pruned_groups)
 
-        # Line 24: gains for the facts of all surviving groups (second batch).
-        survivor_mask = ~sources & active
+        # Line 24: gains for the facts of all surviving groups.
+        survives = active[other_ids]
         if pruned_groups:
             alive = np.array([remaining >> g & 1 for g in range(len(groups))], dtype=bool)
-            survivor_mask &= alive[self._group_of_fact]
-        survivor_ids = order[survivor_mask[order]]
-        survivor_gains = _NO_GAINS
-        if survivor_ids.size:
-            if pruned_groups:
-                gains = index.subset_gains(survivor_mask, state.error)
-            else:
-                gains = index.batch_gains(state.error)
-            survivor_gains = gains[survivor_ids]
-            stats.fact_evaluations += survivor_ids.size
+            survives &= alive[other_groups]
+        survivor_ids = other_ids[survives]
+        stats.fact_evaluations += survivor_ids.size
 
-        return PruningOutcome(
-            np.concatenate((source_ids, survivor_ids)),
-            np.concatenate((source_gains, survivor_gains)),
-            pruned_groups,
-        )
+        fact_ids = np.concatenate((source_ids, survivor_ids))
+        return PruningOutcome(fact_ids, gains[fact_ids], pruned_groups)
 
     def _prepare(self, plan: PruningPlan) -> tuple:
-        """``(source fact mask, targets, source ranges, stacked ids, starts)`` for ``plan``.
+        """``(source ids, other ids, their groups, targets, stacked ids, starts)`` for ``plan``.
 
-        Kept per plan.  Each target is ``(group id, bitset of the groups
-        it prunes)``; a target outside the index has no facts and is
-        never evaluated.  The source ranges are the source facts' CSR
-        entries (:meth:`~repro.core.kernel.FactScopeIndex.entry_ranges`).
-        Target ``k``'s bound groups the rows on the columns of its group
-        that split them (:meth:`~repro.core.utility.UtilityEvaluator.split_columns`);
+        Kept per plan.  The source ids are the source groups' fact ids
+        and the other ids every other fact id, each in group order;
+        ``their groups`` holds each other id's lattice id.  Each target
+        is ``(group id, bitset of the groups it prunes)``; a target
+        outside the index has no facts and is never evaluated.  Target
+        ``k``'s bound groups the rows on the columns of its group that
+        split them (:meth:`~repro.core.utility.UtilityEvaluator.split_columns`);
         the stacked ids and ``starts`` number those groups across all
         targets (:meth:`~repro.core.model.SummarizationRelation.stacked_group_ids`).
         A bincount of the error vector tiled once per target adds each
@@ -224,11 +207,13 @@ class FactGroupPruner:
                 targets.append((gid, lattice.specializations[gid]))
                 combinations.append(evaluator.split_columns(target.dimensions))
         stacked, starts = evaluator.relation.stacked_group_ids(combinations)
-        sources = is_source[self._group_of_fact]
+        in_source = is_source[self._group_of_order]
+        other = ~in_source
         prepared = self._prepared[plan] = (
-            sources,
+            self._group_order[in_source],
+            self._group_order[other],
+            self._group_of_order[other],
             targets,
-            self._index.entry_ranges(sources),
             stacked,
             starts,
         )

@@ -37,7 +37,10 @@ async def read_head(reader: asyncio.StreamReader) -> tuple[list[str], dict[str, 
 
     Raises :class:`asyncio.IncompleteReadError` when the peer closes
     mid-head or between messages, and :class:`FramingError` when the
-    head outgrows the reader's buffer limit (64 KiB by default).
+    head outgrows the reader's buffer limit (64 KiB by default) or a
+    header line has no colon, an empty name, or whitespace in or around
+    its name, which covers an obs-fold continuation line (RFC 9112 §5.1,
+    §5.2).
     """
     try:
         raw = await reader.readuntil(b"\r\n\r\n")
@@ -46,8 +49,10 @@ async def read_head(reader: asyncio.StreamReader) -> tuple[list[str], dict[str, 
     start, *lines = raw[:-4].decode("latin-1").split("\r\n")
     headers: dict[str, str] = {}
     for line in lines:
-        name, _, value = line.partition(":")
-        name, value = name.strip().lower(), value.strip()
+        name, colon, value = line.partition(":")
+        if not colon or name.split() != [name]:
+            raise FramingError(f"malformed header line {line!r}")
+        name, value = name.lower(), value.strip()
         headers[name] = f"{headers[name]}, {value}" if name in headers else value
     return start.split(None, 2), headers
 

@@ -28,9 +28,10 @@ resolves them for hand-built fact lists.
 
 With that layout, the gain of *all* facts under the closest-relevant-
 value model is a single clipped subtraction over the flat arrays
-followed by one ``np.bincount`` — no per-fact Python.  Subset, range and
-sampled variants reuse the same flat pass for the pruned-greedy and
-sampling-baseline algorithms.
+followed by one ``np.bincount`` — no per-fact Python.  The pruned-greedy
+variants make that pass once per greedy step and read from it the gains
+of the facts they evaluate; the sampling baseline restricts it to the
+sampled rows.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _clipped_sums(
     the same order return the same bits for it, whatever other facts'
     entries they list.
     """
-    deltas = error[rows] - fact_errors
+    deltas = error[rows]
+    deltas -= fact_errors
     np.maximum(deltas, 0.0, out=deltas)
     return np.bincount(ids, weights=deltas, minlength=num_facts)
 
@@ -107,8 +109,9 @@ class FactScopeIndex:
         self.values = values
         self.supports = np.diff(offsets)
         self.groups = groups
-        #: What summarizers derive from the fact structure alone (group
-        #: order, pruning plans), shared by every retargeted copy.
+        #: What summarizers derive from the fact structure and the rows,
+        #: not the target (group order, prepared and chosen pruning
+        #: plans), shared by every retargeted copy.
         self.cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -228,58 +231,6 @@ class FactScopeIndex:
         return _clipped_sums(
             self.fact_ids, self.row_indices, self.fact_errors, error, self.num_facts
         )
-
-    def subset_gains(self, fact_mask: np.ndarray, error: np.ndarray) -> np.ndarray:
-        """Gains of the facts selected by ``fact_mask`` (others stay 0).
-
-        Used by the pruned-greedy variants, which evaluate pruning
-        sources first and surviving groups afterwards.
-        """
-        selected = fact_mask[self.fact_ids]
-        return _clipped_sums(
-            self.fact_ids[selected],
-            self.row_indices[selected],
-            self.fact_errors[selected],
-            error,
-            self.num_facts,
-        )
-
-    def entry_ranges(self, fact_mask: np.ndarray) -> list[tuple[int, int]]:
-        """The CSR entries of the facts ``fact_mask`` selects, as ascending ``(lo, hi)`` ranges.
-
-        Selected facts with consecutive ids share one range, so the
-        facts of a generated fact group (consecutive by construction)
-        take one.
-        """
-        ids = np.flatnonzero(fact_mask)
-        if not ids.size:
-            return []
-        cuts = np.flatnonzero(np.diff(ids) != 1) + 1
-        firsts = ids[np.concatenate(([0], cuts))]
-        lasts = ids[np.concatenate((cuts - 1, [ids.size - 1]))]
-        los = self.offsets[firsts]
-        his = self.offsets[lasts + 1]
-        kept = los < his
-        return list(zip(los[kept].tolist(), his[kept].tolist()))
-
-    def range_gains(self, ranges: Sequence[tuple[int, int]], error: np.ndarray) -> np.ndarray:
-        """Gains of the facts whose entries ``ranges`` cover (others stay 0).
-
-        Each fact's entries lie in one range and are summed in CSR
-        order, as :meth:`batch_gains` and :meth:`subset_gains` sum them,
-        so its gain is the same bits.  Only the ranges' entries are
-        read.
-        """
-        gains = np.zeros(self.num_facts)
-        for lo, hi in ranges:
-            gains += _clipped_sums(
-                self.fact_ids[lo:hi],
-                self.row_indices[lo:hi],
-                self.fact_errors[lo:hi],
-                error,
-                self.num_facts,
-            )
-        return gains
 
     def sampled_gains(
         self, error: np.ndarray, row_mask: np.ndarray

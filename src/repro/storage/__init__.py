@@ -35,7 +35,8 @@ the ack; old snapshots unlinked; the snapshot written to a temp file
 ``.<name>.tmp-<pid>``, fsync'd, renamed into place, its directory
 fsync'd; the ``applied`` marker, then a journal fsync; the manifest as
 the snapshot; old manifests unlinked.  A new journal's directory is
-fsync'd; a restart cuts a torn journal tail (fsync'd) and deletes the
+fsync'd, and so is the parent of every directory the tier creates,
+before anything is written in it; a restart cuts a torn journal tail (fsync'd) and deletes the
 dead run's snapshot and temp files.
 """
 

@@ -27,7 +27,7 @@ def atomic_write(path: Path, *chunks: bytes) -> Iterator[None]:
     directory, and each may remove only its own.
     """
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_directories(path.parent)
     try:
         with _open(tmp, os.O_TRUNC) as handle:
             for chunk in chunks:
@@ -43,7 +43,7 @@ def atomic_write(path: Path, *chunks: bytes) -> Iterator[None]:
 
 def open_append(path: Path, size: int | None = None) -> BinaryIO:
     """Open ``path`` for appending, durably created, and cut to ``size`` bytes if longer."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_directories(path.parent)
     created = not path.exists()
     handle = _open(path, os.O_APPEND)
     if size is not None and size < handle.seek(0, os.SEEK_END):
@@ -74,6 +74,26 @@ def remove(paths: Iterable[Path]) -> None:
             os.unlink(path)
         except FileNotFoundError:
             pass
+
+
+def make_directories(path: Path) -> None:
+    """Create directory ``path`` and its missing parents, durably.
+
+    Each directory this call creates is made with ``mkdir`` and then its
+    parent is fsync'd, so the new entry survives a power loss before
+    anything is written inside it.  A directory already there, or made
+    meanwhile by another process, is left to whoever made it.
+    """
+    if os.path.isdir(path):
+        return
+    make_directories(path.parent)
+    try:
+        os.mkdir(path)
+    except FileExistsError:
+        if not os.path.isdir(path):
+            raise
+        return
+    fsync_directory(path.parent)
 
 
 def fsync_directory(path: Path) -> None:

@@ -59,7 +59,7 @@ class SnapshotPublisher:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        fs.make_directories(self.directory)
         #: Last publish/attach failure, for observability (never raised
         #: into the serving path).
         self.last_error: str | None = None

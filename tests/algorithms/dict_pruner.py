@@ -28,6 +28,18 @@ from tests.algorithms import plan_oracle
 from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
 
 
+def masked_gains(index: FactScopeIndex, fact_mask: np.ndarray, error: np.ndarray) -> np.ndarray:
+    """Gains of the facts ``fact_mask`` selects (others 0), from their entries alone.
+
+    The pass the pruner made per phase before it read every phase's
+    gains from one pass over all entries.
+    """
+    selected = fact_mask[index.fact_ids]
+    deltas = error[index.row_indices[selected]] - index.fact_errors[selected]
+    np.maximum(deltas, 0.0, out=deltas)
+    return np.bincount(index.fact_ids[selected], weights=deltas, minlength=index.num_facts)
+
+
 def max_split_bound(
     evaluator: UtilityEvaluator, columns: Sequence[str], state: ExpectationState | None = None
 ) -> float:
@@ -117,7 +129,7 @@ class DictFactGroupPruner:
         source_mask &= active
         max_source_gain = float("-inf")
         if source_mask.any():
-            gains = self._index.subset_gains(source_mask, state.error)
+            gains = masked_gains(self._index, source_mask, state.error)
             stats.fact_evaluations += int(source_mask.sum())
             for i in np.flatnonzero(source_mask):
                 outcome.gains[self._facts[i]] = float(gains[i])
@@ -143,7 +155,7 @@ class DictFactGroupPruner:
                 survivor_mask[self._ids_by_group[group]] = True
         survivor_mask &= active & ~source_mask
         if survivor_mask.any():
-            gains = self._index.subset_gains(survivor_mask, state.error)
+            gains = masked_gains(self._index, survivor_mask, state.error)
             stats.fact_evaluations += int(survivor_mask.sum())
             for i in np.flatnonzero(survivor_mask):
                 fact = self._facts[i]

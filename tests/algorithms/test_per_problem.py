@@ -160,7 +160,7 @@ def test_stacked_bounds_are_the_split_bounds_bits(solved_g_o, solved_g_p):
     for problem, _, _ in solved_g_o + solved_g_p:
         evaluator, states = _bound_states(problem)
         _, _, prepared = problem.index().cache[FactGroupPruner]
-        for plan, (_, targets, _, stacked, starts) in prepared.items():
+        for plan, (*_, targets, stacked, starts) in prepared.items():
             columns = [evaluator.split_columns(target.dimensions) for target in plan.targets]
             assert len(columns) == len(targets) == starts.size
             for state in states:
@@ -188,11 +188,10 @@ def test_pickled_generator_and_summarizer_carry_no_shape_caches(algorithm):
         problem = generator.build_problem(query)
         if problem is not None:
             summarizer.summarize(problem)
-    assert generator._group_cache and summarizer._lattices and summarizer._plans
+    assert generator._group_cache and summarizer._lattices
     generator_copy = pickle.loads(pickle.dumps(generator))
     summarizer_copy = pickle.loads(pickle.dumps(summarizer))
     assert generator_copy._group_cache == {} and summarizer_copy._lattices == {}
-    assert summarizer_copy._plans == {}
 
     config = generator.config
     stores = [

@@ -1,8 +1,10 @@
 """Unit tests for the pruning plan optimizer (Algorithm 4 + OPT_PRUNE)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.cost_model import PruningPlan
+from repro.algorithms.cost_model import LatticeCosts, PruningPlan, lattice_costs
 from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
 from repro.facts.groups import FactGroup, GroupLattice
 from tests.algorithms import plan_oracle
@@ -99,3 +101,45 @@ class TestOptimizer:
         chosen = chosen_plan(GROUPS, cost_model)
         trivial_cost = plan_oracle.plan_cost(cost_model, PruningPlan((), ()), GROUPS)
         assert plan_oracle.plan_cost(cost_model, chosen, GROUPS) <= trivial_cost + 1e-9
+
+
+# ----------------------------------------------------------------------
+# Early exits: choose_plan stops searching, never changing its answer
+# ----------------------------------------------------------------------
+_DIMENSIONS = ["a", "b", "c", "d", "e"]
+_GROUP_SETS = st.lists(
+    st.frozensets(st.sampled_from(_DIMENSIONS), max_size=3), min_size=1, max_size=12, unique=True
+)
+# Non-negative, non-integer components: their sums round, unlike the
+# integer-valued costs of lattice_costs.
+_COMPONENT = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _plan_inputs(draw):
+    lattice = GroupLattice(FactGroup(sorted(columns)) for columns in draw(_GROUP_SETS))
+    counts = draw(st.lists(st.integers(0, 6), min_size=lattice.size, max_size=lattice.size))
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 5000))
+        distinct = {dim: draw(st.integers(0, 50)) for dim in _DIMENSIONS}
+        costs = lattice_costs(lattice, counts, rows, distinct)
+    else:
+        size = lattice.size
+        costs = LatticeCosts(
+            counts,
+            draw(st.lists(_COMPONENT, min_size=size, max_size=size)),
+            draw(st.lists(_COMPONENT, min_size=size, max_size=size)),
+            [1.0 / max(1, count) for count in counts],
+        )
+    sigma = draw(st.floats(min_value=0.01, max_value=10.0))
+    cap = draw(st.sampled_from([1, 2, 4, None]))
+    return lattice, costs, sigma, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plan_inputs())
+def test_choose_plan_is_the_first_cheapest_candidate(inputs):
+    lattice, costs, sigma, cap = inputs
+    candidates = candidate_plans(lattice, costs, sigma, cap)
+    first_cheapest = min(candidates, key=lambda candidate: candidate[1])[0]
+    assert choose_plan(lattice, costs, sigma, cap) == first_cheapest

@@ -24,7 +24,7 @@ from repro.relational.column import Column
 from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.problem_generator import ProblemGenerator
-from tests.algorithms.dict_pruner import dict_pruned_solve, max_group_bound
+from tests.algorithms.dict_pruner import dict_pruned_solve, masked_gains, max_group_bound
 
 # One pruning pass in which the target ``a`` (dominated by the overall
 # fact) takes four groups with it; prints the pruned groups in order.
@@ -435,7 +435,7 @@ class TestSurvivorPass:
                 assert bool(outcome.pruned_groups) is prunes
             computed = np.zeros(index.num_facts, dtype=bool)
             computed[outcome.fact_ids] = True
-            masked = index.subset_gains(computed, state.error)[outcome.fact_ids]
+            masked = masked_gains(index, computed, state.error)[outcome.fact_ids]
             assert outcome.gains.tobytes() == masked.tobytes()
             best, _ = outcome.best_fact()
             index.apply_fact(best, state)

@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.api import HttpClient, ServingConfig, VoiceHttpServer, VoiceRequest, http1
-from repro.api.errors import ServiceOverloadedError
+from repro.api.errors import ServiceOverloadedError, TransportError
 from repro.serving import VoiceService
 
 
@@ -41,6 +41,19 @@ class TestFraming:
     def test_status_line_keeps_the_reason_phrase_whole(self):
         start, _ = read_head(b"HTTP/1.1 503 Service Unavailable\r\n\r\n")
         assert start == ["HTTP/1.1", "503", "Service Unavailable"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"Content-Length : 5",  # whitespace before the colon
+            b"X-No-Colon",
+            b"Host: a\r\n  folded",  # obs-fold, even with no colon
+            b"Host: a\r\n\tX-Folded: b",
+        ],
+    )
+    def test_malformed_header_lines_do_not_frame(self, line):
+        with pytest.raises(http1.FramingError, match="malformed header line"):
+            read_head(b"POST /v1/ask HTTP/1.1\r\n" + line + b"\r\n\r\nhello")
 
     @pytest.mark.parametrize("value, length", [(None, 0), ("0", 0), ("42", 42), ("7, 7", 7)])
     def test_content_length_accepts_digits_and_agreeing_repeats(self, value, length):
@@ -156,6 +169,21 @@ class TestServerAgainstHttpClientStdlib:
         assert raw.index(b"HTTP/1.1 200 ") > raw.index(b'"unknown_session"')
 
 
+    def test_a_malformed_header_line_closes_the_connection_unanswered(self, engine):
+        async def scenario(service, server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                b"POST /v1/ask HTTP/1.1\r\nHost: x\r\nContent-Length : 2\r\n"
+                b"Connection: close\r\n\r\n{}"
+            )
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return data
+
+        assert run_with_server(engine, scenario) == b""
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     connections = 0
@@ -216,3 +244,23 @@ class TestClientAgainstHttpServerStdlib:
         assert busy == (503, b'{"code": "overloaded"}', 2.0)
         assert session == {"status": "ok", "path": "/v1/sessions/a%20b"}
         assert _StubHandler.connections == 1
+
+    def test_a_reply_with_a_malformed_header_line_is_a_transport_error(self):
+        async def reply(reader, writer):
+            await http1.read_head(reader)
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\n{}")
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            stub = await asyncio.start_server(reply, "127.0.0.1", 0)
+            port = stub.sockets[0].getsockname()[1]
+            try:
+                async with HttpClient("127.0.0.1", port) as client:
+                    with pytest.raises(TransportError, match="malformed header line"):
+                        await client.health()
+            finally:
+                stub.close()
+                await stub.wait_closed()
+
+        asyncio.run(scenario())

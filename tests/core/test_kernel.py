@@ -17,6 +17,7 @@ from repro.core.problem import SummarizationProblem
 from repro.facts.generation import FactGenerator
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
+from tests.algorithms.dict_pruner import masked_gains
 from tests.facts.test_generation_vectorized import scope_rows
 
 
@@ -122,37 +123,25 @@ class TestBatchGainParity:
         per_fact = [example_evaluator.incremental_gain(f, prior) for f in example_facts.facts]
         np.testing.assert_allclose(batch, per_fact, rtol=1e-12, atol=1e-9)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_subset_gains_match_batch(self, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_gains_are_the_masked_pass_bits(self, seed):
+        """A fact's batch gain is the bits of a pass over its entries alone.
+
+        The pruned-greedy variants read each phase's gains from one batch
+        pass; a pass restricted to the phase's facts (the oracle's) must
+        give them the same bits, at the prior and at a later state.
+        """
         problem = random_problem(seed)
         evaluator = problem.evaluator()
         index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
-        state = evaluator.initial_state()
-        full = evaluator.batch_incremental_gains(index, state)
         rng = np.random.default_rng(seed)
         mask = rng.random(index.num_facts) < 0.5
-        subset = index.subset_gains(mask, state.error)
-        np.testing.assert_allclose(subset[mask], full[mask], rtol=1e-12, atol=1e-9)
-        assert np.all(subset[~mask] == 0.0)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_range_gains_are_the_subset_gains_bits(self, seed):
-        problem = random_problem(seed)
-        evaluator = problem.evaluator()
-        index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
-        rng = np.random.default_rng(seed)
-        error = evaluator.initial_state().error * rng.random(evaluator.relation.num_rows)
-        # Runs of consecutive facts, and single facts between them.
-        mask = np.repeat(rng.random(index.num_facts // 4 + 1) < 0.5, 4)[: index.num_facts]
-        mask[rng.integers(0, index.num_facts, 3)] ^= True
-        ranges = index.entry_ranges(mask)
-        ids = np.flatnonzero(mask)
-        covered = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-        assert covered.tolist() == np.flatnonzero(mask[index.fact_ids]).tolist()
-        assert len(ranges) < ids.size
-        gains = index.range_gains(ranges, error)
-        assert gains.tobytes() == index.subset_gains(mask, error).tobytes()
-        assert index.entry_ranges(np.zeros(index.num_facts, dtype=bool)) == []
+        prior = evaluator.initial_state().error
+        for error in (prior, prior * rng.random(evaluator.relation.num_rows)):
+            batch = index.batch_gains(error)
+            masked = masked_gains(index, mask, error)
+            assert batch[mask].tobytes() == masked[mask].tobytes()
+            assert np.all(masked[~mask] == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_sampled_gains_match_per_fact_estimates(self, seed):

@@ -44,7 +44,9 @@ from repro.storage.recovery import recover_state
 from repro.store import SnapshotError, SnapshotPublisher, fs
 from repro.system.persistence import canonical_store_payload
 
+from tests.storage.test_recovery import BATCH_A
 from tests.storage.test_recovery_properties import LiveRun, base_engine
+from tests.storage.test_restart import run_service
 
 #: Three appends, two swaps and a restart.  The restart finds a torn
 #: record after the third append, heals the journal and replays it.
@@ -299,7 +301,7 @@ def recovered_appends(files: dict[str, bytes], states) -> int | str:
 
 
 @pytest.mark.parametrize(
-    "journal_fsync, count", [(False, 439), (True, 214)], ids=["flush", "fsync"]
+    "journal_fsync, count", [(False, 441), (True, 216)], ids=["flush", "fsync"]
 )
 def test_every_crash_state_recovers_a_promised_state(tmp_path, monkeypatch, journal_fsync, count):
     recorder, states = record(tmp_path, monkeypatch, SCENARIO, journal_fsync)
@@ -340,7 +342,7 @@ def test_the_operations_of_one_durable_swap(tmp_path, monkeypatch):
     operations = []
     for op in log[start:]:
         if op.kind == "fsync_dir":
-            operations.append((op.kind, f"{op.path} dir", None))
+            operations.append((op.kind, f"{op.path or 'data'} dir", None))
         elif op.kind == "rename":
             operations.append((op.kind, f"{role(op.path)} -> {role(op.arg)}", None))
         else:
@@ -358,9 +360,59 @@ def test_the_operations_of_one_durable_swap(tmp_path, monkeypatch):
         ("fsync_dir", "snapshots dir", None),
         ("write", "journal", 58),  # the applied marker
         ("fsync", "journal", None),  # the journal is durable before the manifest
+        ("fsync_dir", "data dir", None),  # the first manifest made checkpoints/
         ("create", "manifest temp", None),
         ("write", "manifest temp", 186),  # its header CRC has one more digit at format 3
         ("fsync", "manifest temp", None),
         ("rename", "manifest temp -> manifest", None),
         ("fsync_dir", "checkpoints dir", None),
     ]
+
+
+class MkdirRecordingOS(RecordingOS):
+    """A :class:`RecordingOS` that also logs each ``mkdir`` (outside the enumerated model)."""
+
+    def mkdir(self, path, mode=0o777):
+        os.mkdir(path, mode)
+        self.log.append(Op("mkdir", self._relative(path)))
+
+
+def test_a_fresh_nested_data_dir_is_durable_before_the_first_ack(tmp_path, monkeypatch):
+    """Every directory a durable service creates has its parent fsync'd.
+
+    Those it creates at start (the data dir, its missing parents and
+    ``snapshots/``) before it acks the first append; ``checkpoints/``
+    before its first manifest is written in it.
+    """
+    recorder = MkdirRecordingOS(tmp_path)
+    monkeypatch.setattr(fs, "os", recorder)
+    log_append = DurabilityCoordinator.log_append
+
+    def acked_log_append(self, rows):
+        seq = log_append(self, rows)
+        recorder.mark("ack", seq)
+        return seq
+
+    monkeypatch.setattr(DurabilityCoordinator, "log_append", acked_log_append)
+    run_service(tmp_path / "deploy" / "state", appends=[BATCH_A])
+    monkeypatch.undo()
+
+    log = recorder.log
+    ack = next(i for i, op in enumerate(log) if op.kind == "ack")
+    made = {op.path: i for i, op in enumerate(log) if op.kind == "mkdir"}
+    assert set(made) == {
+        "deploy",
+        "deploy/state",
+        "deploy/state/snapshots",
+        "deploy/state/checkpoints",
+    }
+    for path, i in made.items():
+        parent = os.path.dirname(path)
+        synced = next(j for j, op in enumerate(log[i:], i) if op == Op("fsync_dir", parent))
+        inside = next(
+            j for j, op in enumerate(log) if op.kind == "create" and op.path.startswith(path + "/")
+        )
+        assert synced < inside, path
+        if i < ack:
+            assert synced < ack, path
+    assert made["deploy/state"] < ack
