@@ -13,17 +13,6 @@ sustained qps and tail latency (p50/p95/p99) in two phases:
 * ``serve_with_maintenance`` — the in-process request stream while
   held-out rows are appended through the background maintenance
   scheduler (store-snapshot swaps mid-stream, serving never pauses);
-* ``sharded`` — the HTTP workload against the multi-process tier at
-  1, 2 and 4 shards.  The measured process runs only the server; the
-  request stream comes from *spawned client worker processes*, so
-  neither client-side encoding nor shard work shares the server's
-  core.  The 1-shard rung is the plain single-process
-  ``VoiceService`` behind the HTTP front-end (no router), making
-  ``sharded.throughput_ratio`` = 2-shard qps / single-process qps the
-  "sharding buys real throughput" claim.  The phase self-verifies
-  session affinity through the router, and — after a broadcast append
-  through the 2-shard manager — that every shard serves the same
-  snapshot version with a byte-identical store (the version barrier);
 * ``durability`` — the same stream-plus-maintenance workload with the
   write-ahead journal and checkpoints enabled (``data_dir`` set): every
   append is journalled before its ack.  The phase also times a cold
@@ -39,18 +28,13 @@ post-swap store must be byte-identical to running serial ``maintain``
 on the exact batches the scheduler's jobs consumed, in order.  Any
 violation exits non-zero.
 
-Four regression metrics are gated, all same-machine ratios that are
+Three regression metrics are gated, all same-machine ratios that are
 comparatively stable across runners: ``throughput_ratio`` (qps with
 maintenance / qps without — the "serving continues" claim),
 ``http.throughput_ratio`` (HTTP qps / in-process qps — the "envelope +
-transport layer stays cheap" claim), ``durability.throughput_ratio``
+transport layer stays cheap" claim) and ``durability.throughput_ratio``
 (qps with the journal on / qps with it off — the "durability stays
-cheap" claim) and ``sharded.throughput_ratio`` (2-shard HTTP qps /
-single-process HTTP qps under external client processes — the
-"sharding buys real throughput" claim, required >= 1.6x on runners
-with at least :data:`MIN_SCALING_CORES` cores; on smaller machines
-multi-process scaling is physically unavailable, so the phase instead
-floors the relay tax and keeps the correctness probes gated).
+cheap" claim).
 
 Usage::
 
@@ -62,10 +46,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import functools
 import json
-import multiprocessing
-import os
 import sys
 import time
 from pathlib import Path
@@ -78,11 +59,10 @@ from repro.api import (  # noqa: E402
     HttpClient,
     ServingConfig,
     VoiceHttpServer,
-    VoiceRequest,
 )
 from repro.datasets import load_dataset  # noqa: E402
 from repro.reliability import FAILPOINTS  # noqa: E402
-from repro.serving import ShardManager, VoiceService  # noqa: E402
+from repro.serving import VoiceService  # noqa: E402
 from repro.system.worker_pool import WorkerPool  # noqa: E402
 from repro.serving.workload import (  # noqa: E402
     drive_client,
@@ -232,224 +212,6 @@ def run(rows: int, requests: int, append_rows: int, passes: int) -> dict:
         ),
         "store_parity": store_parity,
     }
-
-
-#: Client processes (and keep-alive connections each) that drive the
-#: sharded phase.  Spawned, not threaded: the measured process must run
-#: only the server, or client-side encoding would share its core and
-#: flatten the scaling curve.
-CLIENT_PROCS = 4
-CLIENT_CONNECTIONS = 8
-
-#: Cores needed before the 2-shard >= 1.6x single-process claim is
-#: enforced: router, two shards and at least one client each need a
-#: core of their own, or the rungs just time-share one CPU and the
-#: relay hop can only cost throughput (total CPU per request is
-#: strictly higher through the router).  Below this the phase still
-#: runs — correctness probes and the floor on the relay tax stay
-#: gated — and the report records why the scaling claim was skipped.
-MIN_SCALING_CORES = 4
-
-#: On runners without enough cores for real parallelism the ratio
-#: still may not collapse below this: the router's relay must stay
-#: cheap even when it buys nothing.
-MIN_RELAY_RATIO = 0.4
-
-
-def _sharded_client_worker(host, port, questions, conns, pipe) -> None:
-    """Spawned client: wait for ``go``, drive the stream, report back.
-
-    The ready/go handshake keeps interpreter start-up and import time
-    out of the measured window — the parent starts the clock only
-    after every worker reported ready.
-    """
-    pipe.send("ready")
-    pipe.recv()  # the go signal
-
-    async def drive():
-        async with HttpClient(host, port, max_connections=conns) as client:
-            return await drive_client(client, questions, max_outstanding=conns * 2)
-
-    pipe.send(asyncio.run(drive()))
-    pipe.close()
-
-
-def _external_http_qps(host: str, port: int, questions: list[str]) -> dict:
-    """Aggregate qps of spawned client workers against one server.
-
-    Blocking — run it in an executor so the server's event loop keeps
-    serving while the clients hammer it.  The wall clock spans go to
-    last summary, so qps prices in every request of every worker.
-    """
-    ctx = multiprocessing.get_context("spawn")
-    workers, pipes = [], []
-    for chunk in (questions[index::CLIENT_PROCS] for index in range(CLIENT_PROCS)):
-        parent_pipe, child_pipe = ctx.Pipe()
-        worker = ctx.Process(
-            target=_sharded_client_worker,
-            args=(host, port, chunk, CLIENT_CONNECTIONS, child_pipe),
-            daemon=True,
-        )
-        worker.start()
-        child_pipe.close()
-        workers.append(worker)
-        pipes.append(parent_pipe)
-    try:
-        for pipe in pipes:
-            if pipe.recv() != "ready":  # pragma: no cover - defensive
-                raise RuntimeError("sharded client worker failed to start")
-        start = time.perf_counter()
-        for pipe in pipes:
-            pipe.send("go")
-        summaries = [pipe.recv() for pipe in pipes]
-        wall = time.perf_counter() - start
-    finally:
-        for worker in workers:
-            worker.join(timeout=30)
-            if worker.is_alive():  # pragma: no cover - defensive
-                worker.kill()
-    completed = sum(summary["completed"] for summary in summaries)
-    aggregated = {
-        "completed": completed,
-        "errors": sum(summary["errors"] for summary in summaries),
-        "wall_seconds": wall,
-        "qps": completed / wall if wall > 0 else 0.0,
-    }
-    for key in ("p50_ms", "p95_ms", "p99_ms"):
-        weighted = sum(s[key] * s["completed"] for s in summaries)
-        aggregated[key] = weighted / completed if completed else 0.0
-    return aggregated
-
-
-def _process_rss_bytes(pid: int | None) -> int | None:
-    """One process's resident set, from ``/proc`` (None off-Linux)."""
-    if pid is None:
-        return None
-    try:
-        with open(f"/proc/{pid}/status") as handle:
-            for line in handle:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
-def run_sharded(rows: int, requests: int, append_rows: int, passes: int) -> dict:
-    """HTTP qps at 1/2/4 shards plus the sharded correctness probes.
-
-    The parent engine is never mutated: shards attach a frozen copy of
-    its store and the broadcast append lands only in the shard processes
-    and the single-process reference, so each rung starts from
-    identical state.
-    """
-    del passes  # the broadcast append goes out as one batch
-    engine, config, base, held_out = build_engine(rows, append_rows)
-    questions = serving_questions(engine.store, requests)
-    warmup = questions[: min(128, len(questions))]
-    phases: dict[str, dict] = {}
-    checks: dict = {}
-
-    async def measure(backend) -> dict:
-        async with VoiceHttpServer(backend) as server:
-            # Warm parse/realizer caches (round-robin reaches every
-            # shard) and the router's connection pools from the parent,
-            # outside the measured window.
-            async with HttpClient(
-                server.host, server.port, max_connections=CLIENT_CONNECTIONS
-            ) as client:
-                await drive_client(client, warmup, max_outstanding=CLIENT_CONNECTIONS)
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None,
-                functools.partial(
-                    _external_http_qps, server.host, server.port, questions
-                ),
-            )
-
-    async def single_process() -> dict:
-        async with VoiceService(engine, SERVING) as service:
-            return await measure(service)
-
-    async def sharded(shard_count: int) -> dict:
-        serving = SERVING.replace(shards=shard_count)
-        async with ShardManager(engine, serving) as manager:
-            summary = await measure(manager)
-            if shard_count != 2:
-                return summary
-            # Spawn cost and correctness probes ride on the gated
-            # 2-shard rung: the store-free template each shard unpickles,
-            # the snapshot file every shard maps, and the shards' RSS.
-            stats = manager.spawn_stats()
-            spawn_seconds = stats["spawn_seconds"]
-            rss = [_process_rss_bytes(pid) for pid in manager.shard_pids()]
-            checks["spawn"] = {
-                "template_bytes": stats["template_bytes"],
-                "snapshot_bytes": stats.get("snapshot_bytes", 0),
-                "spawn_seconds_mean": sum(spawn_seconds) / len(spawn_seconds),
-                "aggregate_shard_rss_bytes": sum(r for r in rss if r is not None),
-            }
-            first = await manager.submit(
-                VoiceRequest(text=questions[0], session_id="bench-affinity")
-            )
-            again = await manager.submit(
-                VoiceRequest(text="repeat", session_id="bench-affinity")
-            )
-            described = await manager.describe_session("bench-affinity")
-            checks["session_affinity"] = (
-                again.text == first.text
-                and described is not None
-                and described.get("requests") == 2
-            )
-            batch = manager.build_append_table(held_out.to_dicts())
-            await manager.request_append(batch)
-            digests = await manager.store_digest()
-            checks["snapshot_version"] = manager.version
-            checks["barrier_consistent"] = digests["consistent"]
-            checks["shard_digests"] = sorted(set(digests["digests"].values()))
-            return summary
-
-    phases["1"] = asyncio.run(single_process())
-    phases["2"] = asyncio.run(sharded(2))
-    phases["4"] = asyncio.run(sharded(4))
-
-    # Byte-parity oracle for the broadcast append: a single-process
-    # service consuming the identical batch must reach the same store.
-    async def reference_digest() -> str:
-        reference = VoiceQueryEngine(config, base)
-        reference.preprocess()
-        async with VoiceService(reference) as service:
-            service.request_append(held_out)
-            await service.scheduler.quiesce()
-            return service.store_digest()["digest"]
-
-    oracle = asyncio.run(reference_digest())
-    checks["store_parity"] = (
-        checks.get("barrier_consistent", False)
-        and checks.get("shard_digests") == [oracle]
-    )
-
-    cores = os.cpu_count() or 1
-    report = {
-        "client_procs": CLIENT_PROCS,
-        "connections_per_proc": CLIENT_CONNECTIONS,
-        "cpu_cores": cores,
-        "scaling_claim": (
-            "gated"
-            if cores >= MIN_SCALING_CORES
-            else f"skipped: {cores} CPU core(s) < {MIN_SCALING_CORES}"
-        ),
-        "phases": phases,
-        "shard_qps": {count: phase["qps"] for count, phase in phases.items()},
-        "throughput_ratio": (
-            phases["2"]["qps"] / phases["1"]["qps"] if phases["1"]["qps"] else 0.0
-        ),
-        "scaling_4x": (
-            phases["4"]["qps"] / phases["1"]["qps"] if phases["1"]["qps"] else 0.0
-        ),
-    }
-    report.update(checks)
-    return report
 
 
 def run_durability(
@@ -648,45 +410,6 @@ def verify(report: dict) -> list[str]:
     if failed:
         problems.append(f"{len(failed)} maintenance jobs did not complete")
 
-    sharded = report["sharded"]
-    for count, phase in sharded["phases"].items():
-        if phase["errors"]:
-            problems.append(
-                f"sharded[{count}]: {phase['errors']} client-side request errors"
-            )
-        if phase["completed"] != report["workload"]["requests"]:
-            problems.append(
-                f"sharded[{count}]: only {phase['completed']} of "
-                f"{report['workload']['requests']} requests completed"
-            )
-    if not sharded["session_affinity"]:
-        problems.append(
-            "sharded: session requests did not stay on one shard "
-            "(repeat/describe through the router failed)"
-        )
-    if not sharded["store_parity"]:
-        problems.append(
-            "sharded: post-barrier shard stores are not byte-identical to "
-            "the single-process reference"
-        )
-    if sharded["snapshot_version"] != 1:
-        problems.append(
-            "sharded: broadcast append did not advance every shard to "
-            f"version 1 (router saw {sharded['snapshot_version']})"
-        )
-    if sharded["scaling_claim"] == "gated":
-        if sharded["throughput_ratio"] < 1.6:
-            problems.append(
-                f"sharded: 2-shard qps is only {sharded['throughput_ratio']:.2f}x "
-                "the single-process qps (claim requires >= 1.6x)"
-            )
-    elif sharded["throughput_ratio"] < MIN_RELAY_RATIO:
-        problems.append(
-            f"sharded: relay tax too high — 2-shard qps fell to "
-            f"{sharded['throughput_ratio']:.2f}x single-process on a "
-            f"{sharded['cpu_cores']}-core runner (floor {MIN_RELAY_RATIO})"
-        )
-
     durability = report["durability"]
     if not durability["store_parity"]:
         problems.append(
@@ -762,7 +485,6 @@ def main(argv=None) -> int:
             passes=args.passes,
         )
     report = run(**workload)
-    report["sharded"] = run_sharded(**workload)
     report["durability"] = run_durability(
         **workload, baseline_qps=report["serve_with_maintenance"]["qps"]
     )

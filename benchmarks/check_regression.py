@@ -132,17 +132,6 @@ SPECS: list[dict] = [
             # into the default flush-only mode) collapses it.  The
             # smoke also self-verifies cold-recovery store parity.
             {"path": "durability.throughput_ratio", "tolerance": 0.5},
-            # 2-shard HTTP qps through the router / single-process HTTP
-            # qps, both driven by external client processes.  On multi-
-            # core runners this is the "sharding buys real throughput"
-            # claim; on single-core runners (where multi-process scaling
-            # is physically unavailable) it tracks the router's relay
-            # tax instead.  A router regression — per-request JSON
-            # parsing sneaking in, lost keep-alive pooling, a serialized
-            # relay — collapses it on either kind of machine.  The smoke
-            # also self-verifies session affinity and post-barrier
-            # cross-shard byte parity.
-            {"path": "sharded.throughput_ratio", "tolerance": 0.5},
         ],
     },
 ]

@@ -18,8 +18,8 @@ contract a network deployment can expose:
   so a "repeat" through the service replays exactly what the
   interactive engine would.
 * :mod:`repro.api.config` — :class:`ServingConfig`, the one dataclass
-  holding every serving knob (concurrency, queue depth, shards,
-  session capacity, HTTP bind address), consumed
+  holding every serving knob (concurrency, queue depth, session
+  capacity, HTTP bind address), consumed
   by :class:`repro.serving.service.VoiceService`, the CLI ``serve``
   command and the serving benchmark.
 * :mod:`repro.api.clients` — the transport-agnostic
@@ -31,7 +31,7 @@ contract a network deployment can expose:
   stdlib-asyncio HTTP front-end exposing ``POST /v1/ask``,
   ``GET /v1/metrics``, ``GET /healthz`` and ``GET /v1/sessions/<id>``.
 * :mod:`repro.api.http1` — the HTTP/1.1 message framing both of them
-  (and so the shard router) use.
+  use.
 
 Code that talks *to* the system should import from here; the engine and
 serving internals stay free to evolve behind the envelope contract.

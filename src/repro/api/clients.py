@@ -21,9 +21,7 @@ property the serving benchmark leans on when it drives the identical
 workload through both.  :class:`HttpClient` narrows transport failures
 to :class:`repro.api.errors.TransportError`, still a ``VoiceApiError``.
 
-The shard router keeps one :class:`HttpClient` per shard and relays
-``/v1/ask`` bytes through :meth:`HttpClient.request`, so this module is
-the only HTTP client in the codebase.
+This module is the only HTTP client in the codebase.
 """
 
 from __future__ import annotations
@@ -85,11 +83,7 @@ def _json_payload(status: int, raw: bytes) -> dict[str, Any]:
 
 
 def decode_ask(status: int, raw: bytes) -> VoiceResponse:
-    """Decode one ``/v1/ask`` reply into a response or the typed error.
-
-    Shared by :class:`HttpClient` and the shard router, which relays raw
-    reply bytes and decodes them only for in-process callers.
-    """
+    """Decode one ``/v1/ask`` reply into a response or the typed error."""
     payload = _json_payload(status, raw)
     if status == 200:
         try:
@@ -323,11 +317,7 @@ class HttpClient:
         return payload
 
     async def aclose(self) -> None:
-        """Close every pooled connection."""
-        self.close()
-
-    def close(self) -> None:
-        """Synchronous :meth:`aclose`, for callers outside a coroutine.
+        """Close every pooled connection.
 
         Requests already in flight finish; their connections are then
         closed instead of pooled, and new requests fail.

@@ -17,12 +17,6 @@ Fields
 concurrency:
     Requests answered at once (>= 1); each is answered on the task that
     submitted it.
-shards:
-    Worker processes in a sharded deployment (>= 1; the default 1
-    serves from a single process).  Values above 1 are consumed by
-    :class:`repro.serving.sharding.ShardManager`, which spawns one
-    full engine per shard behind a consistent-hash router; each shard
-    then serves with a copy of this config (``shards`` reset to 1).
 max_queue_depth:
     Requests allowed to wait for a free ``concurrency`` slot before
     ``submit`` rejects with ``ServiceOverloadedError`` (>= 0; 0 = no
@@ -41,7 +35,9 @@ default_deadline_ms:
 failpoints / failpoint_seed:
     Deterministic fault-injection specs (see
     :mod:`repro.reliability.faults`) installed when the service starts.
-    Empty (default) injects nothing and the sites cost a dict probe.
+    Each must parse and name a wired site
+    (:data:`repro.reliability.faults.SITES`).  Empty (default) injects
+    nothing and the sites cost a dict probe.
 data_dir:
     Directory for durable serving state (write-ahead journal +
     checkpoints, see :mod:`repro.storage`).  ``None`` (default) serves
@@ -56,15 +52,10 @@ snapshot_dir:
     Directory for frozen compact-store snapshots (see
     :mod:`repro.store.publish`).  Set, the serving side freezes
     ``store-v{version}.snap`` there — the base store at startup and
-    every maintenance swap after.  ``None`` (default): a single-process
-    service publishes into ``data_dir/snapshots`` when ``data_dir`` is
-    set and nothing otherwise, and a sharded deployment uses a private
-    temporary directory that the router removes at stop.  Shards always
-    spawn by **mmap-attach**: each maps the newest snapshot read-only
-    from a store-free engine template, so N shards share one
-    page-cache copy of the store.  The shard router clears the
-    directory's old snapshots at start, so a reused directory never
-    hands shards a previous run's store.
+    every maintenance swap after.  ``None`` (default): the service
+    publishes into ``data_dir/snapshots`` when ``data_dir`` is set and
+    nothing otherwise.  Each checkpoint names one of these files, and
+    recovery mmap-attaches it instead of rebuilding the store.
 """
 
 from __future__ import annotations
@@ -73,6 +64,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any
+
+from repro.reliability import faults
 
 #: Default bound on live sessions (see ``session_capacity``).
 DEFAULT_SESSION_CAPACITY = 1024
@@ -84,7 +77,6 @@ class ServingConfig:
 
     concurrency: int = 8
     max_queue_depth: int = 64
-    shards: int = 1
     session_capacity: int = DEFAULT_SESSION_CAPACITY
     http_host: str = "127.0.0.1"
     http_port: int = 0
@@ -102,8 +94,6 @@ class ServingConfig:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.max_queue_depth < 0:
             raise ValueError(f"max_queue_depth must be >= 0, got {self.max_queue_depth}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.session_capacity < 1:
             raise ValueError(f"session_capacity must be >= 1, got {self.session_capacity}")
         if not (0 <= self.http_port <= 65535):
@@ -117,6 +107,13 @@ class ServingConfig:
             )
         if not all(isinstance(spec, str) and spec.strip() for spec in self.failpoints):
             raise ValueError("failpoints must be non-empty spec strings")
+        for spec in self.failpoints:
+            site = faults.parse_rule(spec).site
+            if site not in faults.SITES:
+                raise ValueError(
+                    f"failpoint spec {spec!r}: unknown site {site!r} "
+                    f"(known: {', '.join(sorted(faults.SITES))})"
+                )
         if self.data_dir is not None and not str(self.data_dir).strip():
             raise ValueError("data_dir must be a non-empty path or None")
         if self.snapshot_dir is not None and not str(self.snapshot_dir).strip():

@@ -28,9 +28,9 @@ class TransportError(VoiceApiError, ConnectionError):
 
     Raised when the connection is refused, reset or torn mid-response,
     or when the reply cannot be framed (garbled status line, bad
-    ``Content-Length``).  Being a ``ConnectionError`` lets the shard
-    router fail such a request over to another shard; HTTP error
-    statuses and timeouts are *not* transport errors.
+    ``Content-Length``).  Being a ``ConnectionError`` lets a caller
+    treat it like any other dropped connection and retry elsewhere;
+    HTTP error statuses and timeouts are *not* transport errors.
     """
 
 

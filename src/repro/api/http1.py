@@ -1,8 +1,7 @@
-"""HTTP/1.1 message framing for the server, the client and the router.
+"""HTTP/1.1 message framing for the server and the client.
 
 :class:`repro.api.http_server.VoiceHttpServer` and
-:class:`repro.api.clients.HttpClient` (and so the shard router, which
-relays through the client) frame every message here: :func:`read_head`
+:class:`repro.api.clients.HttpClient` frame every message here: :func:`read_head`
 parses a head read with one ``readuntil``, :func:`content_length` is
 the one Content-Length rule (RFC 9112 §6.3), and :func:`encode_request`
 / :func:`encode_response` build a whole message as one ``bytes`` for

@@ -34,9 +34,8 @@ Endpoints (the ``/v1`` public contract)
     current snapshot version and live session count.
 ``GET /v1/store/digest``
     A sha256 digest of the current snapshot's canonical store payload
-    (single service), or every shard's digest plus a ``consistent``
-    flag (sharded backend) — the byte-parity probe for snapshot
-    barriers.
+    — the byte-parity probe that checks two deployments (or a live and
+    a recovered one) serve the same store.
 ``GET /v1/sessions/<id>``
     Summary of one session (request count, timestamps, last response
     envelope); ``404`` for unknown or evicted sessions.
@@ -62,7 +61,6 @@ responses carry a ``Retry-After`` hint so well-behaved clients back off.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import logging
 from typing import Any
@@ -99,18 +97,6 @@ _TOO_LARGE = 413, {
     "code": "body_too_large",
     "error": f"request body exceeds {MAX_BODY_BYTES} bytes",
 }
-
-
-async def _maybe_await(value):
-    """Resolve a backend result that may be a coroutine.
-
-    The server fronts either a :class:`VoiceService` (sync accessors)
-    or a :class:`repro.serving.sharding.ShardManager` (fan-out
-    accessors are coroutines); this keeps the routing code shared.
-    """
-    if inspect.isawaitable(value):
-        return await value
-    return value
 
 
 class VoiceHttpServer:
@@ -260,14 +246,14 @@ class VoiceHttpServer:
         if path == "/v1/ask":
             return await self._handle_ask(body)
         if path == "/v1/append":
-            return await self._handle_append(body)
+            return self._handle_append(body)
         if path == "/v1/metrics":
-            return 200, await self._metrics_payload()
+            return 200, self._metrics_payload()
         if path == "/v1/store/digest":
-            return 200, await _maybe_await(self._service.store_digest())
+            return 200, self._service.store_digest()
         if route == _SESSION_ROUTE:
             session_id = unquote(path[len("/v1/sessions/"):])
-            summary = await _maybe_await(self._service.sessions.describe(session_id))
+            summary = self._service.sessions.describe(session_id)
             if summary is None:
                 return 404, {"code": "unknown_session", "error": f"unknown session {session_id!r}"}
             return 200, summary
@@ -278,18 +264,7 @@ class VoiceHttpServer:
         status = 200 if health["status"] in ("ok", "degraded") else 503
         return status, health
 
-    async def _handle_ask(self, body: bytes) -> tuple[int, dict[str, Any] | bytes]:
-        relay = getattr(self._service, "relay_ask", None)
-        if relay is not None:
-            # Sharded backend: hand the raw body to the router and the
-            # shard's raw response bytes straight back — the router
-            # never decodes the envelope, so one front process can
-            # carry the aggregate throughput of many shards.
-            try:
-                return await relay(body)
-            except Exception:
-                logger.exception("shard relay failed for /v1/ask")
-                return 500, {"code": "internal_error", "error": "internal server error"}
+    async def _handle_ask(self, body: bytes) -> tuple[int, dict[str, Any]]:
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
@@ -319,7 +294,7 @@ class VoiceHttpServer:
             logger.exception("response envelope encoding failed for /v1/ask")
             return 500, {"code": "encode_failed", "error": "response encoding failed"}
 
-    async def _handle_append(self, body: bytes) -> tuple[int, dict[str, Any]]:
+    def _handle_append(self, body: bytes) -> tuple[int, dict[str, Any]]:
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
@@ -335,7 +310,7 @@ class VoiceHttpServer:
         except EnvelopeError as exc:
             return 400, {"code": "bad_append", "error": str(exc)}
         try:
-            seq = await _maybe_await(self._service.request_append(table))
+            seq = self._service.request_append(table)
         except MaintenanceUnavailableError as exc:
             return 503, {"code": "maintenance_unavailable", "error": str(exc)}
         except faults.InjectedFault:
@@ -354,8 +329,8 @@ class VoiceHttpServer:
             return 500, {"code": "internal_error", "error": "internal server error"}
         return 202, {"accepted_rows": table.num_rows, "journal_seq": seq}
 
-    async def _metrics_payload(self) -> dict[str, Any]:
-        summary = await _maybe_await(self._service.metrics_summary())
+    def _metrics_payload(self) -> dict[str, Any]:
+        summary = self._service.metrics_summary()
         summary["snapshot_version"] = self._service.registry.version
         summary["sessions"] = len(self._service.sessions)
         summary["queue_depth"] = self._service.queue_depth
@@ -368,17 +343,11 @@ class VoiceHttpServer:
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any] | bytes,
+        payload: dict[str, Any],
         keep_alive: bool,
     ) -> None:
         try:
-            # Relayed shard responses arrive pre-encoded; frame them
-            # as-is instead of decoding and re-encoding JSON.
-            body = (
-                bytes(payload)
-                if isinstance(payload, (bytes, bytearray))
-                else http1.encode_json(payload).encode("utf-8")
-            )
+            body = http1.encode_json(payload).encode("utf-8")
         except (TypeError, ValueError) as exc:
             # A payload json can't encode (non-finite metric, stray
             # object) must still answer — a raised ValueError here would

@@ -25,9 +25,7 @@ The CLI exposes the three workflows a user of the system goes through:
 ``--workers N`` (N > 1) opens one :class:`WorkerPool` of N processes
 for the whole invocation: every pre-processing and maintenance pass of
 the command runs on it, and it closes when the command finishes.
-``--workers`` 0 or 1 opens none and every pass runs serially.  A
-sharded ``serve`` uses the pool for the router's pre-processing only;
-its shards maintain serially.
+``--workers`` 0 or 1 opens none and every pass runs serially.
 
 Every engine-building command also accepts ``--failpoint SPEC``
 (repeatable) and ``--failpoint-seed N`` for deterministic fault
@@ -270,23 +268,26 @@ def command_maintain(args: argparse.Namespace) -> int:
 
 
 def _build_serving_config(args: argparse.Namespace):
-    """The one :class:`repro.api.config.ServingConfig` for this command."""
+    """The command's :class:`repro.api.config.ServingConfig`; values it
+    rejects are usage errors (exit 2)."""
     from repro.api.config import ServingConfig
 
-    return ServingConfig(
-        concurrency=args.concurrency,
-        max_queue_depth=args.queue_depth,
-        shards=getattr(args, "shards", 1),
-        session_capacity=args.session_capacity,
-        http_host=args.http_host,
-        http_port=args.http if args.http is not None else 0,
-        default_deadline_ms=args.deadline_ms,
-        failpoints=tuple(args.failpoint),
-        failpoint_seed=args.failpoint_seed,
-        data_dir=args.data_dir,
-        journal_fsync=args.journal_fsync,
-        snapshot_dir=getattr(args, "snapshot_dir", None),
-    )
+    try:
+        return ServingConfig(
+            concurrency=args.concurrency,
+            max_queue_depth=args.queue_depth,
+            session_capacity=args.session_capacity,
+            http_host=args.http_host,
+            http_port=args.http if args.http is not None else 0,
+            default_deadline_ms=args.deadline_ms,
+            failpoints=tuple(args.failpoint),
+            failpoint_seed=args.failpoint_seed,
+            data_dir=args.data_dir,
+            journal_fsync=args.journal_fsync,
+            snapshot_dir=args.snapshot_dir,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def command_serve(args: argparse.Namespace) -> int:
@@ -316,9 +317,6 @@ def command_serve(args: argparse.Namespace) -> int:
     from repro.system.engine import VoiceQueryEngine as Engine
 
     serving_config = _build_serving_config(args)
-    if serving_config.shards > 1 and args.http is None:
-        print("ERROR: --shards requires --http (the sharded tier is a network deployment)", file=sys.stderr)
-        return 2
     if args.http is not None:
         return _serve_http(args, serving_config)
 
@@ -419,43 +417,25 @@ def _serve_http(args: argparse.Namespace, serving_config) -> int:
     import signal
 
     from repro.api.http_server import VoiceHttpServer
-    from repro.serving import ShardManager, VoiceService
+    from repro.serving import VoiceService
 
     engine = _build_engine(args)
-    sharded = serving_config.shards > 1
 
     async def run(pool) -> dict:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
-        backend = (
-            ShardManager(engine, serving_config)
-            if sharded
-            else VoiceService(engine, serving_config, pool=pool)
-        )
-        async with backend:
+        async with VoiceService(engine, serving_config, pool=pool) as service:
             async with VoiceHttpServer(
-                backend,
+                service,
                 host=serving_config.http_host,
                 port=serving_config.http_port,
             ) as server:
-                if sharded:
-                    print(
-                        f"listening on {server.address} (/v1/ask, "
-                        f"{serving_config.shards} shards on ports "
-                        f"{backend.shard_ports()})",
-                        flush=True,
-                    )
-                else:
-                    print(f"listening on {server.address} (/v1/ask)", flush=True)
+                print(f"listening on {server.address} (/v1/ask)", flush=True)
                 await stop.wait()
                 print("signal received, shutting down", flush=True)
-            if sharded:
-                summary = await backend.metrics_summary()
-                summary["rejected"] = summary.get("rejected", 0)
-                return summary
-            return backend.metrics.summary()
+            return service.metrics.summary()
 
     with _pool_scope(args) as pool:
         report = engine.preprocess(max_problems=args.max_problems, pool=pool)
@@ -625,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address for --http (default 127.0.0.1)",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes behind the HTTP router (requires --http; "
-        "1 = single-process serving, N > 1 spawns one engine per shard "
-        "with consistent-hash session affinity)",
-    )
-    serve_parser.add_argument(
         "--session-capacity", type=int, default=1024, dest="session_capacity",
         help="bound on live sessions before LRU eviction",
     )
@@ -654,9 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--snapshot-dir", default=None, dest="snapshot_dir",
         help="directory for frozen compact-store snapshots, refrozen on "
-        "every maintenance swap; the --shards > 1 router clears it at start "
-        "(default: DATA_DIR/snapshots with --data-dir, else none for one "
-        "process and a private temporary directory for shards)",
+        "every maintenance swap (default: DATA_DIR/snapshots with "
+        "--data-dir, else none)",
     )
     serve_parser.set_defaults(handler=command_serve)
 
@@ -701,7 +674,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ensure(), preserving counters across service start.
         from repro.reliability import FAILPOINTS
 
-        FAILPOINTS.configure(failpoints, seed=args.failpoint_seed)
+        try:
+            FAILPOINTS.configure(failpoints, seed=args.failpoint_seed)
+        except ValueError as exc:
+            args.usage_error(str(exc))
     return args.handler(args)
 
 

@@ -72,13 +72,11 @@ The well-known sites
     must ignore.
 ``recover.replay``
     Fires once per journal record replayed during startup recovery.
-``shard.crash``
-    Evaluated by the :class:`repro.serving.sharding.ShardManager`
-    router before forwarding a request; a firing hit SIGKILLs the
-    routed shard process, and the request must fail over to a healthy
-    shard while the supervisor respawns the dead one.  (Router-side
-    evaluation keeps the counters in one process, like
-    ``worker.crash``.)
+
+:data:`SITES` holds exactly these names.  A registry accepts any site
+(isolated tests use their own), but
+:class:`repro.api.config.ServingConfig` rejects a spec whose site is
+not in :data:`SITES`: it could never fire.
 
 Besides ``raise`` and ``sleep`` rules support ``mode=kill``: the
 process dies with SIGKILL at the site — no cleanup, no atexit, exactly
@@ -97,8 +95,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-#: Canonical site names (any string is accepted; these are the sites
-#: wired into the serving stack).
+#: Canonical site names: the sites wired into the serving stack.
 WORKER_CRASH = "worker.crash"
 WORKER_BROADCAST_STALL = "worker.broadcast_stall"
 MAINTAIN_RAISE = "maintain.raise"
@@ -110,7 +107,21 @@ JOURNAL_SYNC = "journal.sync"
 SWAP_COMMIT = "swap.commit"
 CHECKPOINT_SAVE = "checkpoint.save"
 RECOVER_REPLAY = "recover.replay"
-SHARD_CRASH = "shard.crash"
+
+#: Every wired site, for validating configured specs.
+SITES = frozenset({
+    WORKER_CRASH,
+    WORKER_BROADCAST_STALL,
+    MAINTAIN_RAISE,
+    OFFLOAD_SLOW,
+    OFFLOAD_RAISE,
+    HTTP_DROP,
+    JOURNAL_WRITE,
+    JOURNAL_SYNC,
+    SWAP_COMMIT,
+    CHECKPOINT_SAVE,
+    RECOVER_REPLAY,
+})
 
 #: Default sleep for sleeping sites when the spec gives no ``sleep=``.
 DEFAULT_SLEEP_SECONDS = 0.1

@@ -13,25 +13,17 @@ turns that property into a deployable service:
   on the shared worker pool without pausing serving;
 * :mod:`repro.serving.service` — the asyncio request loop
   (:class:`VoiceService`) with admission control, a bounded executor
-  for heavyweight requests, and per-request/aggregate metrics;
-* :mod:`repro.serving.sharding` — the multi-process tier:
-  :class:`ShardManager` spawns N engine processes behind an asyncio
-  router with consistent-hash session affinity, broadcast snapshot
-  swaps with a version barrier, aggregated metrics and crash-respawn
-  supervision.
+  for heavyweight requests, and per-request/aggregate metrics.
 """
 
 from repro.serving.scheduler import MaintenanceJob, MaintenanceScheduler
 from repro.serving.service import ServiceMetrics, VoiceService
-from repro.serving.sharding import ConsistentHashRing, ShardManager
 from repro.serving.snapshots import SnapshotRegistry, StoreSnapshot
 
 __all__ = [
-    "ConsistentHashRing",
     "MaintenanceJob",
     "MaintenanceScheduler",
     "ServiceMetrics",
-    "ShardManager",
     "SnapshotRegistry",
     "StoreSnapshot",
     "VoiceService",

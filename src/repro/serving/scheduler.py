@@ -497,8 +497,8 @@ class MaintenanceScheduler:
             self._breaker_opened_at = None
             published = None
             if self._registry.publisher is not None:
-                # Freeze the maintained store for shard (re)spawns and
-                # checkpoints: the compaction costs the changed
+                # Freeze the maintained store for checkpoints and
+                # restarts: the compaction costs the changed
                 # speeches, the file write the store, so on the
                 # executor; failures are recorded on the publisher,
                 # never raised into the job.

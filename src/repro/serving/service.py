@@ -37,11 +37,9 @@
 * **Snapshot publishing** — with ``config.snapshot_dir``, or with
   ``config.data_dir`` (into ``data_dir/snapshots`` then), the registry
   freezes its first snapshot at construction and every swap after.
-  Its first version is the recovered one with a ``data_dir``, the one
-  an attached :class:`repro.store.CompactSpeechStore` was frozen at (a
-  shard started from a published snapshot), else 0; since publishing
-  skips versions already on disk, a previous run's files from that
-  version on are deleted first.  With a ``data_dir`` each published
+  Its first version is the recovered one with a ``data_dir``, else 0;
+  since publishing skips versions already on disk, a previous run's
+  files from that version on are deleted first.  With a ``data_dir`` each published
   version is also checkpointed: a manifest names its file
   (:mod:`repro.storage.checkpoint`).
 
@@ -248,29 +246,22 @@ class VoiceService:
             # and the maintainer, so both see the journal's appends.
             self._recovery, self._durability = recover_engine(engine, config)
         store = engine.store
-        attached = isinstance(store, CompactSpeechStore)
-        if self._recovery is not None:
-            version = self._recovery.store_version
-        elif attached:
-            # An attached snapshot (how every shard's engine starts)
-            # carries the version it was frozen at; the registry
-            # continues from there so the router's barrier lines up.
-            version = store.snapshot_version or 0
-        else:
-            version = 0
-        if self._publisher is not None and (self._recovery is not None or not attached):
+        version = 0 if self._recovery is None else self._recovery.store_version
+        if self._publisher is not None:
             # Publishing skips versions on disk, so a previous run's
             # files from this version on would be served in place of
-            # this store's; only an attached version's own file stays.
-            # (A shard leaves the directory it shares to the router.)
+            # this store's; only a recovered store's own attached file
+            # stays.
+            attached = self._recovery is not None and isinstance(
+                store, CompactSpeechStore
+            )
             self._publisher.clear(after=version if attached else version - 1)
         self._registry = SnapshotRegistry(
             store, version=version, publisher=self._publisher
         )
         # Freeze the base store so the snapshot directory always covers
-        # a cold (re)spawn (a no-op when this version is already on
-        # disk, e.g. the one just attached); swaps refreeze via the
-        # scheduler.
+        # a restart (a no-op when this version is already on disk, e.g.
+        # the one recovery attached); swaps refreeze via the scheduler.
         published = self._registry.publish_current()
         if self._recovery is not None and self._recovery.replayed_records:
             # Checkpoint the replayed version so the next restart (and
@@ -397,8 +388,8 @@ class VoiceService:
 
         ``sha256`` over :func:`canonical_store_payload`, so two
         services whose stores are byte-identical report the same
-        digest — the cross-shard parity probe the sharded deployment
-        polls after every snapshot barrier.
+        digest — the parity probe between two deployments, or between
+        a live one and its recovered copy.
         """
         import hashlib
 

@@ -52,8 +52,8 @@ class StoreSnapshot:
         contract: all writes go to a :meth:`begin_build` clone.
     version:
         Monotonically increasing swap generation (the registry's
-        starting version — 0, or the attached snapshot's version when
-        the store was mmap-attached — marks the store it began with).
+        starting version — 0, or the recovered version after a
+        restart — marks the store it began with).
     created_at:
         ``time.time()`` when the snapshot was published.
     """
@@ -102,7 +102,7 @@ class SnapshotRegistry:
         #: Optional :class:`repro.store.SnapshotPublisher`.  When set,
         #: :meth:`publish_current` freezes the current store into the
         #: publisher's directory as ``store-v{version}.snap`` — the file
-        #: a (re)spawning shard attaches instead of unpickling a store.
+        #: a checkpoint names and recovery attaches.
         self.publisher = publisher
         self._compact_lock = threading.Lock()
         self._compaction = Compaction.empty()

@@ -14,7 +14,7 @@ byte offset at save time, the format version, the snapshot's path
 (relative to the checkpoint directory) and its header checksum, read
 from the file's 44-byte header.  Loading compares that checksum and
 then attaches the file, which re-verifies every section — the
-checkpoint's store *is* the attached snapshot, as a shard's is.
+checkpoint's store *is* the attached snapshot.
 
 The maintained table is not written either: recovery rebuilds it from
 the journal, so the caller fsyncs the journal up to ``journal_offset``

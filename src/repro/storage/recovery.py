@@ -47,8 +47,8 @@ swap and its publish: writes the version's checkpoint manifest),
 publish included) are counted and surfaced through ``stats()`` /
 service health, never raised into the swap path: the journal alone is
 sufficient for correctness, a missed checkpoint only costs replay
-time.  :func:`recover_engine` joins the two halves into
-the start-up step both the single service and the shard router run.
+time.  :func:`recover_engine` joins the two halves into the start-up
+step of a durable service.
 """
 
 from __future__ import annotations
@@ -228,8 +228,7 @@ def recover_engine(
 ) -> tuple[RecoveredState, DurabilityCoordinator]:
     """Recover ``config.data_dir`` into ``engine`` and reopen its journal.
 
-    The start-up step of every durable deployment (single service or
-    shard router): arms ``config.failpoints`` so recovery-boundary
+    The start-up step of a durable service: arms ``config.failpoints`` so recovery-boundary
     sites (``recover.replay``) fire during the replay, runs
     :func:`recover_state` from the engine's pre-processed state, makes
     the engine adopt the recovered store and table, and returns a
@@ -336,10 +335,8 @@ class DurabilityCoordinator:
     def mark_applied(self, seqs: Sequence[int], store_version: int) -> None:
         """Record an applied group without checkpointing.
 
-        For coordinators that own the journal but not the maintained
-        store (the shard router: its stores live in worker processes),
-        and for the replay of a restart, which the service checkpoints
-        once it published the recovered version.  The marker preserves
+        For the replay of a restart, which the service checkpoints once
+        it published the recovered version.  The marker preserves
         replay's job grouping; a missing checkpoint only costs recovery
         time — replay covers the journal past the last one.
         """

@@ -4,8 +4,8 @@ The read-optimized counterpart of
 :class:`repro.system.speech_store.SpeechStore`: the same speeches and
 the same matching semantics, held as flat columnar arrays that freeze
 to a checksummed snapshot file and attach back via mmap with no
-per-speech deserialisation — the layout that lets N shard processes
-share one copy of a million-speech store.
+per-speech deserialisation, so recovery maps a million-speech store
+instead of rebuilding it.
 """
 
 from repro.store.columnar import CompactSpeechStore, Compaction

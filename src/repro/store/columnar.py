@@ -3,15 +3,16 @@
 :class:`repro.system.speech_store.SpeechStore` is built for cheap
 incremental mutation: Python dicts of keys and a list of boxed speech
 objects.  A serving deployment holding 10⁵–10⁶ speeches pays for that
-twice — once in resident memory (one object graph per speech) and once
-per shard, because every spawned shard unpickles its own private copy.
+in resident memory (one object graph per speech), and a restart pays
+again to rebuild it.
 
 :class:`CompactSpeechStore` is the read-optimized counterpart: the same
 speeches, the same lookup semantics, laid out as a handful of flat
 numpy arrays over interned string pools so the whole store is a few
 contiguous buffers.  The layout is what `format.py` writes to disk —
 an attached snapshot wraps mmap-backed views of the *identical* arrays,
-so N shard processes share one page-cache copy.
+so attaching costs no per-speech work and the pages stay in the page
+cache.
 
 Layout
 ------

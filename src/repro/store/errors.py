@@ -1,7 +1,7 @@
 """Typed failures of the compact snapshot format.
 
 Every way a snapshot file can be unusable maps to one subclass, so
-callers (shard respawn, checkpoint recovery, tests) can catch
+callers (checkpoint recovery, tests) can catch
 :class:`SnapshotError` and *know* the file was rejected rather than
 silently mis-read: a corrupt snapshot must never produce wrong matches.
 """

@@ -30,9 +30,9 @@ truncated tail, bad magic or version skew raises a typed
 never silently return wrong matches.
 
 Freezing is deterministic: the same store contents always produce the
-same bytes, which lets shards republish the same version idempotently
-(identical content, atomic rename) and lets the regression gate treat
-bytes/speech as an absolute metric.
+same bytes, which lets a restarted service republish a version
+idempotently (identical content, atomic rename) and lets the
+regression gate treat bytes/speech as an absolute metric.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ def atomic_write(path: Path, *chunks: bytes) -> Iterator[None]:
 
     The ``with`` body runs once the temp file is durable, before the
     rename; a failure there or earlier removes the temp file and
-    propagates.  The temp name carries the pid: shards freeze into one
-    directory, and each may remove only its own.
+    propagates.  The temp name carries the pid, so a temp file a killed
+    process left names its writer, and two processes writing into one
+    directory never write through each other's temp file.
     """
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     make_directories(path.parent)

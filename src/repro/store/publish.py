@@ -5,29 +5,24 @@ The serving stack's unit of store exchange is a *published snapshot*:
 generation.  The :class:`SnapshotPublisher` is the single owner of that
 naming scheme:
 
-* the router freezes the base store as version 0 before spawning
-  shards;
-* every shard's registry refreezes the maintained store on swap —
-  freezing is deterministic and publishing is skip-if-present, so N
-  shards publishing the same version is idempotent (identical bytes,
-  atomic rename).  What a registry freezes is its compaction of that
-  version, built from the previous version's, so a publish costs the
-  speeches the append changed plus the file write;
-* a deployment that starts its versions at 0 again (the router, or a
-  service not started from an attached snapshot) first deletes the
-  previous run's files, and a durable service restarting at its
-  checkpoint's version deletes the files past it
-  (:meth:`SnapshotPublisher.clear`) — skip-if-present would otherwise
-  keep serving them;
-* a (re)spawned shard attaches the *newest* version present and only
-  replays the append-log suffix past it;
+* a service's registry freezes its first store at start and refreezes
+  the maintained store on every swap.  Freezing is deterministic and
+  publishing is skip-if-present (identical bytes, atomic rename).
+  What a registry freezes is its compaction of that version, built
+  from the previous version's, so a publish costs the speeches the
+  append changed plus the file write;
+* a service that starts its versions at 0 first deletes the previous
+  run's files, and a durable service restarting at its checkpoint's
+  version deletes the files past it (:meth:`SnapshotPublisher.clear`)
+  — skip-if-present would otherwise keep serving them;
 * a durable service's checkpoint is a manifest naming one of these
   files, so checkpoints and snapshots are retained alike
-  (:data:`SNAPSHOTS_KEPT`).
+  (:data:`SNAPSHOTS_KEPT`); recovery attaches the file its checkpoint
+  names.
 
 Publishing never takes the serving path down: a failed freeze or
 unlink is recorded on ``last_error`` and the previous snapshot keeps
-serving, and ``attach_latest`` falls back past corrupt files.
+serving.
 """
 
 from __future__ import annotations
@@ -37,9 +32,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.store import fs
-from repro.store.columnar import CompactSpeechStore
-from repro.store.errors import SnapshotError
-from repro.store.format import attach, freeze
+from repro.store.format import freeze
 
 _SNAPSHOT_NAME = re.compile(r"^store-v(\d{12})\.snap$")
 
@@ -55,13 +48,13 @@ def snapshot_filename(version: int) -> str:
 
 
 class SnapshotPublisher:
-    """Owns one snapshot directory: freeze in, attach out, prune old."""
+    """Owns one snapshot directory: freeze in, prune old."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         fs.make_directories(self.directory)
-        #: Last publish/attach failure, for observability (never raised
-        #: into the serving path).
+        #: Last publish failure, for observability (never raised into
+        #: the serving path).
         self.last_error: str | None = None
         self.published = 0
 
@@ -104,17 +97,3 @@ class SnapshotPublisher:
             return None
         self.published += 1
         return path
-
-    def attach_latest(self) -> CompactSpeechStore | None:
-        """Attach the newest intact snapshot; None when none attaches.
-
-        Corrupt or torn files are skipped (newest first) rather than
-        trusted — the typed attach errors guarantee a damaged snapshot
-        is rejected, never mis-read.
-        """
-        for version in reversed(self.versions()):
-            try:
-                return attach(self.path_for(version))
-            except SnapshotError as exc:
-                self.last_error = f"attach v{version}: {exc}"
-        return None

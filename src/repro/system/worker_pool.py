@@ -8,7 +8,7 @@ killed worker silently loses its task, the parent only notices when the
 chunk timeout expires (300+ seconds later), and the whole run aborts.
 For a serving deployment whose maintenance passes ride on this pool,
 one OOM-killed worker stalling and then aborting a maintenance run is a
-reliability hole that multiplies by N once serving is sharded.
+reliability hole: appends stop landing while serving carries on.
 
 :class:`WorkerPool` therefore owns its workers directly:
 

@@ -265,9 +265,9 @@ def _get_health(client):
 class TestTransportErrors:
     """The failover rule: only transport failures are ConnectionErrors.
 
-    The shard router fails a request over on ``ConnectionError``, so a
-    refused, torn or garbled reply must raise :class:`TransportError`,
-    while an HTTP error status or a timeout must not.
+    A caller retries elsewhere on ``ConnectionError``, so a refused,
+    torn or garbled reply must raise :class:`TransportError`, while an
+    HTTP error status or a timeout must not.
     """
 
     @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0", b"+5"])

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.api.config import ServingConfig
+from repro.reliability import faults
 from repro.reliability.faults import (
     DEFAULT_SLEEP_SECONDS,
+    SITES,
     FailpointRegistry,
     FailpointRule,
     InjectedFault,
@@ -130,3 +136,24 @@ class TestRegistry:
             with registry.active(["x"]):
                 raise RuntimeError("test body failed")
         assert registry.specs == ()
+
+
+def fired_sites() -> set[str]:
+    """The site names that modules other than ``faults`` itself refer to."""
+    names: set[str] = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        if path.name != "faults.py":
+            names.update(re.findall(r"\bfaults\.([A-Z][A-Z_]*)\b", path.read_text()))
+    return {value for name in names if isinstance(value := getattr(faults, name), str)}
+
+
+class TestSites:
+    """``SITES`` is what ``ServingConfig`` accepts, so it must match the wiring."""
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_each_known_site_is_wired_and_accepted(self, site):
+        assert site in fired_sites()
+        assert ServingConfig(failpoints=[site]).failpoints == (site,)
+
+    def test_every_wired_site_is_known(self):
+        assert fired_sites() <= SITES

@@ -19,6 +19,7 @@ from repro.system.persistence import canonical_store_payload
 from repro.cli import _build_engine, build_parser, main
 from repro.datasets import load_dataset
 from repro.store import (
+    SNAPSHOT_FORMAT_VERSION,
     SNAPSHOTS_KEPT,
     CompactSpeechStore,
     SnapshotPublisher,
@@ -88,8 +89,8 @@ class TestSaveAndLoad:
             engine.store
         )
         assert not hasattr(loaded, "table")
-        # The store is the published snapshot, attached as a shard
-        # attaches it; recovery thaws it only to replay into it.
+        # The store is the published snapshot, attached; recovery
+        # thaws it only to replay into it.
         assert isinstance(loaded.store, CompactSpeechStore)
         assert loaded.store.snapshot_version == 7
 
@@ -157,6 +158,25 @@ class TestBadSnapshots:
         loaded = manager.load_latest(journal)
         assert loaded is not None
         assert loaded.applied_seq == 1
+
+    @pytest.mark.parametrize("version", [1, 2, SNAPSHOT_FORMAT_VERSION + 1])
+    def test_snapshot_of_another_format_falls_back_to_older(
+        self, tmp_path, engine, journal, version
+    ):
+        """Older formats (1 predates incremental compaction, 2 scope-major order), and newer."""
+        manager = CheckpointManager(tmp_path)
+        save_checkpoint(manager, engine, applied_seq=1)
+        newest = save_checkpoint(manager, engine, applied_seq=2)
+        snapshot = snapshot_of(newest)
+        snapshot.write_bytes(with_format_version(snapshot.read_bytes(), version))
+        # Only the format version is wrong: the manifest's checksum matches.
+        manifest = json.loads(newest.read_text())
+        manifest["snapshot_header_crc32"] = header_crc(snapshot)
+        newest.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotVersionError):
+            attach(snapshot)
+
+        assert manager.load_latest(journal).applied_seq == 1
 
     def test_replaced_snapshot_fails_the_header_checksum(
         self, tmp_path, engine, journal

@@ -1,8 +1,8 @@
 """A durable service's restart attaches its last checkpointed snapshot.
 
 With ``data_dir`` set, every swap's published ``store-v<n>.snap`` is
-named by a checkpoint manifest, and a restart attaches that file the
-way a shard does.  These tests pin what a restart must and must not
+named by a checkpoint manifest, and a restart mmap-attaches that
+file.  These tests pin what a restart must and must not
 do to the snapshot directory:
 
 * an idle restart writes no checkpoint, leaves the manifest alone and

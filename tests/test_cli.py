@@ -150,6 +150,24 @@ class TestBadInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--concurrency", "0"], "concurrency must be >= 1, got 0"),
+            (["--failpoint", "worker.crash:bogus"], "option 'bogus' is not key=value"),
+            (["--failpoint", "shard.crash"], "unknown site 'shard.crash'"),
+        ],
+    )
+    def test_serve_rejected_with_usage_error(self, capsys, option, message):
+        """Bad serving options fail before anything is pre-processed."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--dataset", "flights", "--rows", "120", *option])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (None, "does not exist"),
