@@ -1,10 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  Besides
-the timing collected by pytest-benchmark, each benchmark writes the
-regenerated rows/series to ``benchmarks/results/<name>.txt`` so the
-numbers are inspectable without re-running anything (and feed
-EXPERIMENTS.md).
+Every benchmark regenerates one table or figure of the paper and
+asserts the relationships the paper states.  Besides the timing
+collected by pytest-benchmark, each benchmark prints the regenerated
+rows/series, so ``pytest -s`` shows them.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 # Allow running the benchmarks without installing the package first.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -24,13 +21,9 @@ if str(_SRC) not in sys.path:
 
 @pytest.fixture()
 def record_result():
-    """Persist an ExperimentResult's text report under benchmarks/results/."""
+    """Echo an ExperimentResult's text report to stdout."""
 
     def _record(result) -> None:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        path = RESULTS_DIR / f"{result.name}.txt"
-        path.write_text(result.to_text() + "\n")
-        # Also echo to stdout so `pytest -s` shows the regenerated rows.
         print()
         print(result.to_text())
 

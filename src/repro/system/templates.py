@@ -9,38 +9,32 @@ the paper:
     "About 80 out of 1000 elder persons identify as visually impaired.
      It is 17 for adults.  It is 3 for teenagers in Manhattan."
 
-Realization is a run-time hot path once pre-processing is fast (a batch
-renders one speech per query; the serving benchmarks render thousands),
-and the rendered fragments repeat heavily: the same subset prefixes,
-scope items, formatted values and whole fact sentences recur across
-speeches.  The realizer therefore memoizes those fragments per
-instance.  Every cache key captures all inputs of the fragment it
-stores, so cached output is byte-identical to rendering from scratch;
-caches are capped so a long-lived serving process cannot grow them
-without bound.
+Realization belongs to pre-processing (and to maintenance, which
+re-summarizes the queries an append affects): each stored speech is
+rendered once, and run-time answers read the stored text.  So the
+realizer renders every sentence straight from its fact and the query's
+predicates and keeps nothing per speech.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping
 
 import math
 
-from repro.core.model import Fact, Scope, Speech
-from repro.system.queries import DataQuery
+from repro.core.model import Fact, Speech
+from repro.system.queries import _MISSING, DataQuery
+
+
+#: The predicates of a query that restricts nothing.
+_NO_PREDICATES: Mapping[str, Any] = MappingProxyType({})
 
 
 def _magnitude(value: float) -> int:
     """Order of magnitude of a non-zero value (floor of log10)."""
     return int(math.floor(math.log10(abs(value))))
-
-
-#: Per-cache entry cap.  Pre-generated speeches draw fragments from a
-#: finite vocabulary, but advanced (comparison/extremum) answers format
-#: arbitrary computed values; beyond the cap new fragments are simply
-#: rendered uncached.
-FRAGMENT_CACHE_LIMIT = 65536
 
 
 @dataclass(frozen=True)
@@ -66,6 +60,21 @@ class TargetPhrasing:
     decimals: int = 1
 
 
+def _value_text(phrasing: TargetPhrasing, value: float) -> str:
+    """``value`` formatted with ``phrasing``'s scale, precision and unit."""
+    scaled = value * phrasing.scale
+    decimals = phrasing.decimals
+    # Small non-zero values need extra precision to stay meaningful
+    # ("0.04" rather than "0" for a 4% cancellation probability).
+    if scaled != 0.0 and abs(scaled) < 10 ** (-decimals):
+        decimals = max(decimals, 2 - _magnitude(scaled))
+    formatted = f"{scaled:.{decimals}f}"
+    # Trim trailing zeros for cleaner speech ("20" instead of "20.0").
+    if "." in formatted:
+        formatted = formatted.rstrip("0").rstrip(".")
+    return f"{formatted}{phrasing.unit}"
+
+
 class SpeechRealizer:
     """Renders speeches (and their data-subset prefix) as English text.
 
@@ -78,9 +87,8 @@ class SpeechRealizer:
         Optional per-dimension labels used in scope descriptions
         ("season Winter" instead of "season=Winter").
 
-    Rendered fragments — target phrasings, scope items, formatted
-    values, subset prefixes and fact sentences — are memoized per
-    instance.
+    The realizer holds its configuration and one generic phrasing per
+    unlisted target it has rendered; it keeps no rendered text.
     """
 
     def __init__(
@@ -90,28 +98,9 @@ class SpeechRealizer:
     ):
         self._phrasings = dict(target_phrasings or {})
         self._dimension_labels = dict(dimension_labels or {})
-        # Fragment caches; every key captures the full input of the
-        # fragment it stores.  Excluded from pickling (__getstate__) so
-        # worker-pool context broadcasts stay slim.
+        # Generic phrasings of unlisted targets; the dataset's targets
+        # bound it.
         self._generic_phrasings: dict[str, TargetPhrasing] = {}
-        self._value_fragments: dict[tuple[str, float], str] = {}
-        self._scope_fragments: dict[tuple[str, Any], str] = {}
-        self._prefix_fragments: dict[tuple, str] = {}
-        self._sentence_fragments: dict[tuple, str] = {}
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Caches are rebuilt on demand; shipping them to pool workers
-        # would only bloat the context broadcast.
-        return {
-            "_phrasings": self._phrasings,
-            "_dimension_labels": self._dimension_labels,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__(
-            target_phrasings=state["_phrasings"],
-            dimension_labels=state["_dimension_labels"],
-        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -119,7 +108,7 @@ class SpeechRealizer:
     def realize(self, query: DataQuery, speech: Speech) -> str:
         """Full voice output: subset prefix plus one sentence per fact."""
         prefix = self.subset_prefix(query)
-        body = self.realize_facts(query.target, speech, base_scope=query.scope())
+        body = self.realize_facts(query.target, speech, query.predicate_map)
         if prefix:
             return f"{prefix} {body}".strip()
         return body
@@ -128,32 +117,37 @@ class SpeechRealizer:
         """The prefix describing the summarized data subset."""
         if not query.predicates:
             return ""
-        key = (query.target, self._assignments_key(query.predicates))
-        cached = self._fragment(self._prefix_fragments, key)
-        if cached is not None:
-            return cached
-        parts = [self._scope_item(col, val) for col, val in query.predicates]
-        prefix = f"For {self._join_phrases(parts)}:"
-        self._remember(self._prefix_fragments, key, prefix)
-        return prefix
+        return f"For {self._scope_text(query.predicates)}:"
 
-    def realize_facts(self, target: str, speech: Speech, base_scope: Scope | None = None) -> str:
-        """Render the facts of a speech (without the query prefix)."""
-        base_scope = base_scope or Scope()
-        sentences = []
-        for position, fact in enumerate(speech.facts):
-            sentences.append(self._fact_sentence(target, fact, base_scope, position == 0))
+    def realize_facts(
+        self,
+        target: str,
+        speech: Speech,
+        predicates: Mapping[str, Any] = _NO_PREDICATES,
+    ) -> str:
+        """Render the facts of a speech (without the query prefix).
+
+        A fact's scope items that ``predicates`` (the query's) already
+        fix are not repeated.
+        """
+        phrasing = self._phrasing(target)
+        sentences = [
+            self._render_fact_sentence(phrasing, fact, predicates, position == 0)
+            for position, fact in enumerate(speech.facts)
+        ]
         if not sentences:
             return "No summary is available."
         return " ".join(sentences)
 
     def realize_fact(self, target: str, fact: Fact) -> str:
         """Render a single fact as a standalone sentence."""
-        return self._fact_sentence(target, fact, Scope(), leading=True)
+        return self._render_fact_sentence(
+            self._phrasing(target), fact, _NO_PREDICATES, leading=True
+        )
 
     def format_value(self, target: str, value: float) -> str:
         """Format a target value with the target's phrasing (unit, scale)."""
-        return self._format_value(target, value)
+        return _value_text(self._phrasing(target), value)
 
     def subject(self, target: str) -> str:
         """The noun phrase used for a target column, e.g. "the average delay"."""
@@ -162,29 +156,6 @@ class SpeechRealizer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _assignments_key(items) -> tuple:
-        """Exact cache key for (column, value) assignments.
-
-        Values that compare (and hash) equal can still render
-        differently — ``True`` vs ``1``, ``-0.0`` vs ``0.0`` — so the
-        value's class *and* repr join the key: together they determine
-        the rendered text for the scalar values dimensions carry, while
-        never letting two differently-rendering values share a key.
-        """
-        return tuple(
-            (column, value.__class__, repr(value)) for column, value in items
-        )
-
-    def _fragment(self, cache: dict, key) -> str | None:
-        """A cached fragment, or None when it has not been rendered yet."""
-        return cache.get(key)
-
-    def _remember(self, cache: dict, key, fragment) -> None:
-        """Store a rendered fragment, respecting the per-cache cap."""
-        if len(cache) < FRAGMENT_CACHE_LIMIT:
-            cache[key] = fragment
-
     def _phrasing(self, target: str) -> TargetPhrasing:
         phrasing = self._phrasings.get(target)
         if phrasing is not None:
@@ -193,91 +164,29 @@ class SpeechRealizer:
         phrasing = self._generic_phrasings.get(target)
         if phrasing is None:
             phrasing = TargetPhrasing(subject=f"the average {target.replace('_', ' ')}")
-            self._remember(self._generic_phrasings, target, phrasing)
+            self._generic_phrasings[target] = phrasing
         return phrasing
 
-    def _format_value(self, target: str, value: float) -> str:
-        # repr keeps value keys exact: 0.0 and -0.0 compare (and hash)
-        # equal but format differently, so the raw float must not key
-        # the cache.
-        key = (target, repr(value))
-        cached = self._fragment(self._value_fragments, key)
-        if cached is not None:
-            return cached
-        formatted = self._render_value(target, value)
-        self._remember(self._value_fragments, key, formatted)
-        return formatted
-
-    def _render_value(self, target: str, value: float) -> str:
-        phrasing = self._phrasing(target)
-        scaled = value * phrasing.scale
-        decimals = phrasing.decimals
-        # Small non-zero values need extra precision to stay meaningful
-        # ("0.04" rather than "0" for a 4% cancellation probability).
-        if scaled != 0.0 and abs(scaled) < 10 ** (-decimals):
-            decimals = max(decimals, 2 - _magnitude(scaled))
-        formatted = f"{scaled:.{decimals}f}"
-        # Trim trailing zeros for cleaner speech ("20" instead of "20.0").
-        if "." in formatted:
-            formatted = formatted.rstrip("0").rstrip(".")
-        return f"{formatted}{phrasing.unit}"
-
-    def _scope_item(self, column: str, value) -> str:
-        key = (column, value.__class__, repr(value))
-        cached = self._fragment(self._scope_fragments, key)
-        if cached is not None:
-            return cached
-        label = self._dimension_labels.get(column, column.replace("_", " "))
-        item = f"{label} {value}"
-        self._remember(self._scope_fragments, key, item)
-        return item
-
-    @staticmethod
-    def _join_phrases(parts: list[str]) -> str:
-        if not parts:
-            return ""
-        if len(parts) == 1:
-            return parts[0]
+    def _scope_text(self, items) -> str:
+        """``(column, value)`` items as labelled phrases, joined with "and"."""
+        labels = self._dimension_labels
+        parts = [f"{labels.get(col, col.replace('_', ' '))} {val}" for col, val in items]
+        if len(parts) <= 1:
+            return "".join(parts)
         return ", ".join(parts[:-1]) + " and " + parts[-1]
-
-    def _fact_sentence(
-        self,
-        target: str,
-        fact: Fact,
-        base_scope: Scope,
-        leading: bool,
-    ) -> str:
-        key = (
-            target,
-            leading,
-            repr(fact.value),
-            self._assignments_key(fact.scope),
-            self._assignments_key(base_scope),
-        )
-        cached = self._fragment(self._sentence_fragments, key)
-        if cached is not None:
-            return cached
-        sentence = self._render_fact_sentence(target, fact, base_scope, leading)
-        self._remember(self._sentence_fragments, key, sentence)
-        return sentence
 
     def _render_fact_sentence(
         self,
-        target: str,
+        phrasing: TargetPhrasing,
         fact: Fact,
-        base_scope: Scope,
+        predicates: Mapping[str, Any],
         leading: bool,
     ) -> str:
-        phrasing = self._phrasing(target)
-        value_text = self._format_value(target, fact.value)
-        # Only mention scope restrictions beyond the query's own predicates.
-        extra = {
-            col: val
-            for col, val in fact.scope.assignments.items()
-            if not (base_scope.restricts(col) and base_scope.value(col) == val)
-        }
-        scope_text = self._join_phrases(
-            [self._scope_item(col, val) for col, val in sorted(extra.items())]
+        value_text = _value_text(phrasing, fact.value)
+        # Only mention scope restrictions beyond the query's own
+        # predicates.  A scope iterates its items sorted by column.
+        scope_text = self._scope_text(
+            [(col, val) for col, val in fact.scope if predicates.get(col, _MISSING) != val]
         )
         if leading:
             if scope_text:
