@@ -68,6 +68,10 @@ def _experiment_registry() -> dict[str, Callable[[], ExperimentResult]]:
     from repro.experiments.fig10_latency import run_figure10
     from repro.experiments.fig11_baseline_study import run_figure11
     from repro.experiments.ml_baseline_study import run_ml_baseline
+    from repro.experiments.sensitivity import (
+        run_expectation_model_sensitivity,
+        run_prior_sensitivity,
+    )
     from repro.experiments.table1_datasets import run_table1
     from repro.experiments.table2_speeches import run_table2
     from repro.experiments.table3_requests import run_table3
@@ -89,6 +93,8 @@ def _experiment_registry() -> dict[str, Callable[[], ExperimentResult]]:
         "ablation_exact_pruning": run_exact_pruning_ablation,
         "ablation_pruning_plans": run_pruning_plan_ablation,
         "ablation_greedy_ratio": run_greedy_ratio_ablation,
+        "ablation_prior_sensitivity": run_prior_sensitivity,
+        "ablation_expectation_models": run_expectation_model_sensitivity,
     }
 
 
@@ -520,8 +526,9 @@ def command_experiment(args: argparse.Namespace) -> int:
     """Run one named experiment and print its rows."""
     registry = _experiment_registry()
     if args.name not in registry:
-        print(f"unknown experiment {args.name!r}; available: {', '.join(sorted(registry))}")
-        return 2
+        args.usage_error(
+            f"unknown experiment {args.name!r}; available: {', '.join(sorted(registry))}"
+        )
     result = registry[args.name]()
     print(result.to_text())
     return 0
@@ -659,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="regenerate a table/figure of the paper"
     )
     experiment_parser.add_argument("name", help="experiment name, e.g. figure3 or table1")
-    experiment_parser.set_defaults(handler=command_experiment)
+    experiment_parser.set_defaults(handler=command_experiment, usage_error=experiment_parser.error)
     return parser
 
 

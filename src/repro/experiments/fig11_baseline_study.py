@@ -124,13 +124,3 @@ def run_figure11(
         "report precise averages, which boosts 'Precise'/'Informative' ratings"
     )
     return result
-
-
-def overall_winner(result: ExperimentResult) -> str:
-    """The approach with more total pairwise wins across all queries."""
-    totals: dict[str, int] = {}
-    for row in result.rows:
-        totals[row["approach"]] = totals.get(row["approach"], 0) + row["wins"]
-    if not totals:
-        return ""
-    return max(totals, key=totals.get)

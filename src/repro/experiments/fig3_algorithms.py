@@ -86,36 +86,3 @@ def run_figure3(
                 fact_evaluations=total_evaluations,
             )
     return result
-
-
-def summarize_figure3(result: ExperimentResult) -> dict[str, float]:
-    """Aggregate Figure 3 into the headline comparisons.
-
-    Returns the time ratio of E over G-B, the minimal greedy utility
-    relative to exact, and total G-B / G-P / G-O times.
-    """
-    times: dict[str, float] = {name: 0.0 for name in FIGURE3_ALGORITHMS}
-    utility_ratio_minimum = 1.0
-    per_scenario: dict[str, dict[str, dict[str, float]]] = {}
-    for row in result.rows:
-        per_scenario.setdefault(row["scenario"], {})[row["algorithm"]] = row
-        times[row["algorithm"]] += row["total_seconds"]
-    for scenario, rows in per_scenario.items():
-        exact = rows.get("E")
-        if exact is None or exact["avg_scaled_utility"] <= 0:
-            continue
-        for name in ("G-B", "G-P", "G-O"):
-            greedy = rows.get(name)
-            if greedy is None:
-                continue
-            ratio = greedy["avg_scaled_utility"] / exact["avg_scaled_utility"]
-            utility_ratio_minimum = min(utility_ratio_minimum, ratio)
-    exact_over_greedy = times["E"] / times["G-B"] if times["G-B"] else float("inf")
-    return {
-        "exact_over_greedy_time_ratio": exact_over_greedy,
-        "min_greedy_utility_ratio": utility_ratio_minimum,
-        "total_seconds_G-B": times["G-B"],
-        "total_seconds_G-P": times["G-P"],
-        "total_seconds_G-O": times["G-O"],
-        "total_seconds_E": times["E"],
-    }

@@ -89,17 +89,3 @@ def _run_problems(algorithm, problems) -> tuple[float, int, float]:
         scaled += outcome.scaled_utility
     mean_scaled = scaled / len(problems) if problems else 0.0
     return seconds, evaluations, mean_scaled
-
-
-def scaling_series(result: ExperimentResult, parameter: str, algorithm: str) -> dict[str, list]:
-    """Extract one Figure 4 curve: cost as a function of the scaled parameter."""
-    series: dict[str, list] = {}
-    for row in result.rows:
-        if row["parameter"] != parameter or row["algorithm"] != algorithm:
-            continue
-        series.setdefault(row["scenario"], []).append(
-            (row["value"], row["fact_evaluations"])
-        )
-    for scenario in series:
-        series[scenario].sort()
-    return series

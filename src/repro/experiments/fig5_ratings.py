@@ -60,20 +60,3 @@ def run_figure5(
         "speeches come from real random pools ranked by the utility model"
     )
     return result
-
-
-def quality_rating_correlation(result: ExperimentResult) -> float:
-    """Spearman-style check: fraction of dataset/adjective pairs where the
-    rating order matches the model order (1.0 = perfectly consistent)."""
-    consistent = 0
-    total = 0
-    datasets = {row["dataset"] for row in result.rows}
-    for dataset in datasets:
-        rows = {row["speech"]: row for row in result.rows if row["dataset"] == dataset}
-        if not {"Worst", "Medium", "Best"} <= set(rows):
-            continue
-        for adjective in DEFAULT_ADJECTIVES:
-            total += 1
-            if rows["Worst"][adjective] <= rows["Best"][adjective]:
-                consistent += 1
-    return consistent / total if total else 0.0

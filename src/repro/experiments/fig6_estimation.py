@@ -66,12 +66,3 @@ def run_figure6(
     )
     result.notes.append(f"{outcome.hits} simulated HITs answered")
     return result
-
-
-def mean_errors(result: ExperimentResult) -> dict[str, float]:
-    """Mean absolute estimation error under the worst vs the best speech."""
-    if not result.rows:
-        return {"worst": 0.0, "best": 0.0}
-    worst = sum(row["worst_error"] for row in result.rows) / len(result.rows)
-    best = sum(row["best_error"] for row in result.rows) / len(result.rows)
-    return {"worst": worst, "best": best}

@@ -72,13 +72,3 @@ def run_figure7(workers_per_combination: int = 20, seed: int = 29) -> Experiment
         "worker answers are simulated with a predominantly closest-value population"
     )
     return result
-
-
-def best_models(result: ExperimentResult) -> dict[str, str]:
-    """The model with minimal median error per dataset."""
-    best: dict[str, str] = {}
-    for dataset in {row["dataset"] for row in result.rows}:
-        rows = [row for row in result.rows if row["dataset"] == dataset]
-        winner = min(rows, key=lambda row: row["median_error"])
-        best[dataset] = winner["model"]
-    return best

@@ -56,11 +56,3 @@ def run_figure9(rows_per_dataset: int = 300, seed: int = 11) -> ExperimentResult
             count=shape_counts.get(shape, 0),
         )
     return result
-
-
-def dominant_complexity(result: ExperimentResult) -> str:
-    """The predicate-count bucket with the most queries (paper: 1 predicate)."""
-    complexity_rows = [row for row in result.rows if row["chart"] == "(a) complexity"]
-    if not complexity_rows:
-        return ""
-    return max(complexity_rows, key=lambda row: row["count"])["category"]

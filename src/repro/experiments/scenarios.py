@@ -83,12 +83,6 @@ class ScenarioScale:
 
 
 SMALL_SCALE = ScenarioScale()
-TINY_SCALE = ScenarioScale(
-    queries_per_scenario=2,
-    max_facts_per_speech=2,
-    max_fact_dimensions=1,
-    row_fraction=0.5,
-)
 
 
 def scenario_labels() -> list[str]:

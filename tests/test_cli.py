@@ -123,10 +123,6 @@ class TestCommands:
         assert "table1" in output
         assert "ACS NY" in output
 
-    def test_unknown_experiment(self, capsys):
-        assert main(["experiment", "figure99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().out
-
 
 class TestBadInput:
     """Bad option values exit 2 with one usage line, not a traceback."""
@@ -165,6 +161,19 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.count("usage:") == 1
         assert message in err
+        assert "Traceback" not in err
+
+    def test_unknown_experiment(self, capsys):
+        """An unknown name is a usage error that lists every experiment."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "figure99"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("usage:") == 1
+        assert "unknown experiment 'figure99'" in err
+        assert "ablation_prior_sensitivity" in err
+        assert "ablation_expectation_models" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
