@@ -1,35 +1,23 @@
-"""Benchmark: run-time lookup throughput vs. speech-store size.
+"""Benchmark: the compact speech store against the dict store it mirrors.
 
 Fills speech stores of increasing size with synthetic pre-generated
-speeches and measures ``best_match`` throughput (queries per second)
-for
-
-* the indexed lookup (production path: the query's own predicate
-  subsets probed as exact keys, at the stored query lengths), and
-* the index-free linear scan over the target's bucket (the seed
-  implementation, kept as ``SpeechStore.linear_best_match``).
-
-The lookup workload mixes exact hits, containing-subset hits and
-misses.  The point of the plot is the scaling shape: the indexed path
-should stay ~flat as the store grows while the linear scan degrades
-linearly.  Results are emitted as JSON (stdout, and optionally a file);
-the run fails if the two paths ever disagree on a lookup.
-
-The ``compact`` phase additionally prices the columnar
-:class:`repro.store.CompactSpeechStore` against the dict store it
-mirrors: bytes per speech (deep-traversed object bytes vs. the compact
-arena bytes vs. the frozen file), freeze/attach wall time, and lookup
-latency on the identical query stream — with every sampled lookup
-verified byte-identical between the two implementations, including
-7- and 8-predicate queries, whose compact lookup latency is reported
-on its own (``compact_long_microseconds_per_lookup``).  It also
-times what a maintenance job's snapshot costs: compacting the store
-from scratch against compacting it incrementally, from the previous
-version's compaction, after an append's worth of replaced speeches
+speeches and prices the columnar :class:`repro.store.CompactSpeechStore`
+against the dict :class:`SpeechStore` it mirrors: bytes per speech
+(deep-traversed object bytes vs. the compact arena bytes vs. the frozen
+file), freeze/attach wall time, and lookup latency on the identical
+query stream of exact hits, containing-subset hits and misses — with
+every sampled lookup verified byte-identical between the two
+implementations, including 7- and 8-predicate queries, whose compact
+lookup latency is reported on its own
+(``compact_long_microseconds_per_lookup``).  It also times what a
+maintenance job's snapshot costs: compacting the store from scratch
+against compacting it incrementally, from the previous version's
+compaction, after an append's worth of replaced speeches
 (``incremental_speedup``; the incremental result is checked equal to
-the full one).  The full sweep sizes this phase at 10^5-10^6 speeches
-(a wider synthetic vocabulary than the scaling sweep, which needs only
-~16k keys).
+the full one).  The full sweep sizes the stores at 10^5-10^6 speeches.
+
+Results are emitted as JSON (stdout, and optionally a file) under
+``compact``; the run fails if the two stores ever disagree.
 
 Usage::
 
@@ -58,36 +46,28 @@ from repro.core.model import Fact, Scope, Speech  # noqa: E402
 from repro.system.queries import DataQuery  # noqa: E402
 from repro.system.speech_store import SpeechStore, StoredSpeech  # noqa: E402
 
-NUM_DIMENSIONS = 6
-VALUES_PER_DIMENSION = 14
 TARGET = "target"
 
-#: Vocabulary for the ``compact`` phase: 8 dims x 32 values enumerate
-#: ~1.86M keys at lengths 0-3, enough for the 10^6-speech rung.
-COMPACT_DIMENSIONS = 8
-COMPACT_VALUES = 32
+#: Vocabulary: 8 dims x 32 values enumerate ~1.86M keys at lengths 0-3,
+#: enough for the 10^6-speech rung.
+NUM_DIMENSIONS = 8
+VALUES_PER_DIMENSION = 32
 
 #: Speeches one flights append re-summarizes (voice_e2e ``append``):
 #: the change an incremental compaction is timed on.
 REPLACED_PER_APPEND = 44
 
 
-def _vocabulary(
-    dims: int = NUM_DIMENSIONS, values: int = VALUES_PER_DIMENSION
-) -> dict[str, list[str]]:
+def _vocabulary() -> dict[str, list[str]]:
     return {
-        f"dim{d}": [f"dim{d}_v{v}" for v in range(values)] for d in range(dims)
+        f"dim{d}": [f"dim{d}_v{v}" for v in range(VALUES_PER_DIMENSION)]
+        for d in range(NUM_DIMENSIONS)
     }
 
 
-def build_store(
-    num_speeches: int,
-    seed: int = 31,
-    dims: int = NUM_DIMENSIONS,
-    values: int = VALUES_PER_DIMENSION,
-) -> SpeechStore:
+def build_store(num_speeches: int, seed: int = 31) -> SpeechStore:
     """A store with ``num_speeches`` speeches over stored lengths 0-3."""
-    vocabulary = _vocabulary(dims, values)
+    vocabulary = _vocabulary()
     dimensions = list(vocabulary)
     keys: list[dict[str, str]] = [{}]
     for length in (1, 2, 3):
@@ -112,25 +92,23 @@ def build_store(
 
 
 def build_lookups(
-    num_lookups: int,
-    seed: int = 47,
-    dims: int = NUM_DIMENSIONS,
-    values: int = VALUES_PER_DIMENSION,
-    lengths: tuple[int, int] = (0, 3),
+    num_lookups: int, seed: int = 47, lengths: tuple[int, int] = (0, 3)
 ) -> list[DataQuery]:
     """Random run-time queries over the same vocabulary.
 
     Query lengths are drawn uniformly from the inclusive range
     ``lengths`` (by default 0-3, the stored lengths).
     """
-    vocabulary = _vocabulary(dims, values)
+    vocabulary = _vocabulary()
     dimensions = list(vocabulary)
     rng = np.random.default_rng(seed)
     lookups = []
     for _ in range(num_lookups):
         length = int(rng.integers(lengths[0], lengths[1] + 1))
         chosen = rng.choice(dimensions, size=length, replace=False)
-        predicates = {d: vocabulary[d][int(rng.integers(0, values))] for d in chosen}
+        predicates = {
+            d: vocabulary[d][int(rng.integers(0, VALUES_PER_DIMENSION))] for d in chosen
+        }
         lookups.append(DataQuery.create(TARGET, predicates))
     return lookups
 
@@ -146,53 +124,11 @@ def dict_store_bytes(store: SpeechStore) -> int:
     return sum(deep_sizes(roots).values())
 
 
-def time_lookups(store: SpeechStore, lookups: list[DataQuery], indexed: bool) -> float:
-    lookup = store.best_match if indexed else store.linear_best_match
+def time_lookups(store, lookups: list[DataQuery]) -> float:
     start = time.perf_counter()
     for query in lookups:
-        lookup(query)
+        store.best_match(query)
     return time.perf_counter() - start
-
-
-def run(store_sizes: list[int], num_lookups: int) -> dict:
-    lookups = build_lookups(num_lookups)
-    results = []
-    agreement = True
-    for size in store_sizes:
-        store = build_store(size)
-        for query in lookups[: min(200, num_lookups)]:
-            indexed = store.best_match(query)
-            linear = store.linear_best_match(query)
-            if (indexed is None) != (linear is None) or (
-                indexed is not None
-                and (
-                    indexed.stored is not linear.stored
-                    or indexed.exact != linear.exact
-                    or indexed.overlap != linear.overlap
-                )
-            ):
-                agreement = False
-        indexed_seconds = time_lookups(store, lookups, indexed=True)
-        linear_seconds = time_lookups(store, lookups, indexed=False)
-        results.append(
-            {
-                "store_size": size,
-                "indexed_qps": num_lookups / indexed_seconds,
-                "linear_qps": num_lookups / linear_seconds,
-                "indexed_microseconds_per_lookup": indexed_seconds / num_lookups * 1e6,
-                "linear_microseconds_per_lookup": linear_seconds / num_lookups * 1e6,
-                "speedup": linear_seconds / indexed_seconds,
-            }
-        )
-    return {
-        "workload": {
-            "dimensions": NUM_DIMENSIONS,
-            "values_per_dimension": VALUES_PER_DIMENSION,
-            "lookups": num_lookups,
-        },
-        "sweep": results,
-        "paths_agree": agreement,
-    }
 
 
 def best_seconds(run, repeats: int = 3) -> tuple[float, object]:
@@ -232,15 +168,12 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
 
     from repro.store import CompactSpeechStore, Compaction, attach, freeze
 
-    dims, values = COMPACT_DIMENSIONS, COMPACT_VALUES
-    lookups = build_lookups(num_lookups, dims=dims, values=values)
-    long_lookups = build_lookups(
-        max(1, num_lookups // 10), seed=59, dims=dims, values=values, lengths=(7, 8)
-    )
+    lookups = build_lookups(num_lookups)
+    long_lookups = build_lookups(max(1, num_lookups // 10), seed=59, lengths=(7, 8))
     sweep = []
     agreement = True
     for size in store_sizes:
-        store = build_store(size, dims=dims, values=values)
+        store = build_store(size)
         dict_bytes = dict_store_bytes(store)
 
         # CompactSpeechStore.from_store(store) is this call: the
@@ -275,15 +208,9 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
                 ):
                     agreement = False
 
-            dict_seconds = time_lookups(store, lookups, indexed=True)
-            start = time.perf_counter()
-            for query in lookups:
-                attached.best_match(query)
-            compact_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            for query in long_lookups:
-                attached.best_match(query)
-            compact_long_seconds = time.perf_counter() - start
+            dict_seconds = time_lookups(store, lookups)
+            compact_seconds = time_lookups(attached, lookups)
+            compact_long_seconds = time_lookups(attached, long_lookups)
 
         sweep.append(
             {
@@ -310,15 +237,15 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
     largest = sweep[-1]
     return {
         "workload": {
-            "dimensions": dims,
-            "values_per_dimension": values,
+            "dimensions": NUM_DIMENSIONS,
+            "values_per_dimension": VALUES_PER_DIMENSION,
             "lookups": num_lookups,
             "long_lookups": len(long_lookups),
         },
         "sweep": sweep,
-        # Headline metrics at the largest size, for the regression gate:
-        # arena and dict-store bytes per speech are deterministic for a
-        # given workload and interpreter.
+        # Headline metrics at the largest size.  Arena and dict-store
+        # bytes per speech are deterministic for a given workload and
+        # interpreter, so the regression check gates them as ceilings.
         "bytes_per_speech": largest["compact_bytes_per_speech"],
         "dict_bytes_per_speech": largest["dict_bytes_per_speech"],
         "compression_ratio": largest["compression_ratio"],
@@ -331,38 +258,27 @@ def run_compact(store_sizes: list[int], num_lookups: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes", type=int, nargs="*", default=[250, 1000, 4000, 16000],
-        help="store sizes to sweep",
-    )
-    parser.add_argument(
         "--compact-sizes", type=int, nargs="*", default=[100_000, 1_000_000],
-        help="store sizes for the compact-store phase",
+        help="store sizes to sweep",
     )
     parser.add_argument("--lookups", type=int, default=4000)
     parser.add_argument(
         "--quick", action="store_true",
-        help="tiny sweep for CI smoke runs (sizes 100/400, 400 lookups)",
+        help="small sweep for CI smoke runs (sizes 2000/8000, 400 lookups)",
     )
     parser.add_argument("--output", default=None, help="also write the JSON to a file")
     args = parser.parse_args(argv)
 
     if args.quick:
-        report = run(store_sizes=[100, 400], num_lookups=400)
-        report["compact"] = run_compact(store_sizes=[2000, 8000], num_lookups=400)
+        report = {"compact": run_compact(store_sizes=[2000, 8000], num_lookups=400)}
     else:
-        report = run(store_sizes=args.sizes, num_lookups=args.lookups)
-        report["compact"] = run_compact(
-            store_sizes=args.compact_sizes, num_lookups=args.lookups
-        )
+        report = {"compact": run_compact(args.compact_sizes, args.lookups)}
 
     text = json.dumps(report, indent=2)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n")
 
-    if not report["paths_agree"]:
-        print("ERROR: indexed best_match disagrees with the linear scan", file=sys.stderr)
-        return 1
     if not report["compact"]["paths_agree"]:
         print(
             "ERROR: compact best_match disagrees with the dict store, or the "

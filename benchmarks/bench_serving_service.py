@@ -1,15 +1,9 @@
-"""Benchmark: serving-service throughput with and without maintenance.
+"""Smoke: the serving service keeps answering while maintenance runs.
 
 Runs the asyncio :class:`repro.serving.service.VoiceService` over a
-synthesized request stream against the flights dataset and measures
-sustained qps and tail latency (p50/p95/p99) in two phases:
+synthesized request stream against the flights dataset, in three
+phases, and reports qps and tail latency (p50/p95/p99) for each:
 
-* ``serve_only`` — requests only, no background work;
-* ``http`` — the same request stream end-to-end through the public
-  API: an :class:`repro.api.clients.HttpClient` speaking to a
-  :class:`repro.api.http_server.VoiceHttpServer` over real sockets
-  (keep-alive connection pool), so the measured latency prices in
-  envelope encoding and HTTP framing on both sides;
 * ``serve_with_maintenance`` — the in-process request stream while
   held-out rows are appended through the background maintenance
   scheduler (store-snapshot swaps mid-stream, serving never pauses);
@@ -19,22 +13,20 @@ sustained qps and tail latency (p50/p95/p99) in two phases:
   recovery of the resulting data directory over both paths (newest
   checkpoint + journal suffix, and pure journal replay) and requires
   each recovered store to be byte-identical to the live run's final
-  store.
+  store;
+* ``fault_recovery`` — the maintenance workload with a worker crash and
+  a maintenance failure injected.
 
-The run self-verifies the serving contract: no request errors on any
-phase (HTTP included), at least one snapshot swap, requests completing
-*while* maintenance is in flight, and — the store-parity check — the
+The run self-verifies the serving contract: in every phase no lost
+requests and requests completing after the first append
+(``completed_during_maintenance``; that a read finishes while a
+maintenance pass is held open is pinned by
+``tests/serving/test_service.py``), at least one snapshot swap (under
+faults, a successful retry), and — the store-parity check — the
 post-swap store must be byte-identical to running serial ``maintain``
 on the exact batches the scheduler's jobs consumed, in order.  Any
-violation exits non-zero.
-
-Three regression metrics are gated, all same-machine ratios that are
-comparatively stable across runners: ``throughput_ratio`` (qps with
-maintenance / qps without — the "serving continues" claim),
-``http.throughput_ratio`` (HTTP qps / in-process qps — the "envelope +
-transport layer stays cheap" claim) and ``durability.throughput_ratio``
-(qps with the journal on / qps with it off — the "durability stays
-cheap" claim).
+violation exits non-zero.  No figure is gated: wall-clock claims about
+serving and maintenance go through ``benchmarks/paired.py``.
 
 Usage::
 
@@ -55,17 +47,12 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.api import (  # noqa: E402
-    HttpClient,
-    ServingConfig,
-    VoiceHttpServer,
-)
+from repro.api import ServingConfig  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.reliability import FAILPOINTS  # noqa: E402
 from repro.serving import VoiceService  # noqa: E402
 from repro.system.worker_pool import WorkerPool  # noqa: E402
 from repro.serving.workload import (  # noqa: E402
-    drive_client,
     drive_requests,
     holdout_split,
     serving_questions,
@@ -88,7 +75,9 @@ SERVING = ServingConfig(concurrency=8, max_queue_depth=128)
 FAULT_SPECS = ("worker.crash:times=1", "maintain.raise:times=1")
 
 
-def build_engine(rows: int, append_rows: int):
+def build_workload(rows: int, requests: int, append_rows: int, passes: int):
+    """The pre-processed engine, its questions, and the held-out batches
+    keyed by the request index at which each is appended."""
     dataset = load_dataset("flights", num_rows=rows)
     spec = dataset.spec
     config = SummarizationConfig.create(
@@ -101,7 +90,13 @@ def build_engine(rows: int, append_rows: int):
     base, held_out = holdout_split(dataset.table, append_rows)
     engine = VoiceQueryEngine(config, base)
     engine.preprocess()
-    return engine, config, base, held_out
+    questions = serving_questions(engine.store, requests)
+    batches = split_batches(held_out, passes)
+    append_at = {
+        (index + 1) * (len(questions) // (len(batches) + 1)): batch
+        for index, batch in enumerate(batches)
+    }
+    return engine, config, base, questions, append_at
 
 
 def replay_payload(config, base, jobs) -> str:
@@ -117,13 +112,9 @@ def replay_payload(config, base, jobs) -> str:
 
 
 def run(rows: int, requests: int, append_rows: int, passes: int) -> dict:
-    engine, config, base, held_out = build_engine(rows, append_rows)
-    questions = serving_questions(engine.store, requests)
-    batches = split_batches(held_out, passes)
-    append_at = {
-        (index + 1) * (len(questions) // (len(batches) + 1)): batch
-        for index, batch in enumerate(batches)
-    }
+    engine, config, base, questions, append_at = build_workload(
+        rows, requests, append_rows, passes
+    )
 
     outstanding = SERVING.max_queue_depth // 2
 
@@ -138,37 +129,15 @@ def run(rows: int, requests: int, append_rows: int, passes: int) -> dict:
 
             service.metrics.reset()
             start = time.perf_counter()
-            serve_only, _ = await drive_requests(
-                service, questions, max_outstanding=outstanding
-            )
-            serve_only["wall_seconds"] = time.perf_counter() - start
-
-            # End-to-end over the public HTTP API: same questions, same
-            # process, but every request crosses envelope encoding, a
-            # real socket and the server's HTTP parsing.
-            service.metrics.reset()
-            async with VoiceHttpServer(service) as server:
-                async with HttpClient(
-                    server.host, server.port, max_connections=SERVING.concurrency
-                ) as client:
-                    http = await drive_client(
-                        client, questions, max_outstanding=outstanding
-                    )
-
-            service.metrics.reset()
-            start = time.perf_counter()
             with_maintenance, completed_during = await drive_requests(
                 service, questions, append_at, max_outstanding=outstanding
             )
             with_maintenance["wall_seconds"] = time.perf_counter() - start
             jobs = list(service.scheduler.jobs)
             final_store = service.registry.current.store
-        return serve_only, http, with_maintenance, completed_during, jobs, final_store
+        return with_maintenance, completed_during, jobs, final_store
 
-    serve_only, http, with_maintenance, completed_during, jobs, final_store = (
-        asyncio.run(bench())
-    )
-    http["throughput_ratio"] = http["qps"] / serve_only["qps"] if serve_only["qps"] else 0.0
+    with_maintenance, completed_during, jobs, final_store = asyncio.run(bench())
 
     with_maintenance["snapshot_swaps"] = len(
         [job for job in jobs if job.status == "completed"]
@@ -197,46 +166,30 @@ def run(rows: int, requests: int, append_rows: int, passes: int) -> dict:
             "rows": rows,
             "requests": requests,
             "append_rows": append_rows,
-            "maintenance_passes": len(batches),
+            "maintenance_passes": len(append_at),
             "serving_config": SERVING.to_dict(),
             "speeches": len(engine.store),
         },
-        "serve_only": serve_only,
-        "http": http,
         "serve_with_maintenance": with_maintenance,
-        "throughput_ratio": with_maintenance["qps"] / serve_only["qps"],
-        "p99_ratio": (
-            with_maintenance["p99_ms"] / serve_only["p99_ms"]
-            if serve_only["p99_ms"]
-            else 0.0
-        ),
         "store_parity": store_parity,
     }
 
 
-def run_durability(
-    rows: int, requests: int, append_rows: int, passes: int, baseline_qps: float
-) -> dict:
+def run_durability(rows: int, requests: int, append_rows: int, passes: int) -> dict:
     """The maintenance workload with the journal on, plus cold recovery.
 
-    ``throughput_ratio`` prices the write-ahead journal: qps of the
-    identical stream-plus-appends workload with ``data_dir`` set /
-    ``serve_with_maintenance``'s qps without it; with ``data_dir`` set
-    every swap publishes its snapshot under it and checkpoints it.
-    After the service stops cleanly, the data directory is
-    recovered cold on both paths — checkpoint + journal suffix, and
-    pure journal replay from the pre-processed base — each timed and
-    required to be byte-identical to the live run's final store.
+    With ``data_dir`` set every append is journalled, and every swap
+    publishes its snapshot under it and checkpoints it.  After the
+    service stops cleanly, the data directory is recovered cold on both
+    paths — checkpoint + journal suffix, and pure journal replay from
+    the pre-processed base — each timed and required to be
+    byte-identical to the live run's final store.
     """
     import tempfile
 
-    engine, config, base, held_out = build_engine(rows, append_rows)
-    questions = serving_questions(engine.store, requests)
-    batches = split_batches(held_out, passes)
-    append_at = {
-        (index + 1) * (len(questions) // (len(batches) + 1)): batch
-        for index, batch in enumerate(batches)
-    }
+    engine, config, base, questions, append_at = build_workload(
+        rows, requests, append_rows, passes
+    )
     outstanding = SERVING.max_queue_depth // 2
 
     with tempfile.TemporaryDirectory(prefix="repro-durability-") as data_dir:
@@ -285,9 +238,6 @@ def run_durability(
         from_checkpoint, checkpoint_seconds = recover(use_checkpoint=True)
         from_journal, journal_seconds = recover(use_checkpoint=False)
 
-    summary["throughput_ratio"] = (
-        summary["qps"] / baseline_qps if baseline_qps else 0.0
-    )
     summary["completed_during_maintenance"] = completed_during
     summary["snapshot_swaps"] = len(
         [job for job in jobs if job.status == "completed"]
@@ -315,18 +265,14 @@ def run_fault_recovery(rows: int, requests: int, append_rows: int, passes: int) 
     A full benchmark pass with the :data:`FAULT_SPECS` failpoints armed
     (fixed seed, so the chaos replays identically): the worker pool
     loses a process mid-maintenance and the first maintenance attempt
-    fails after appending.  The phase is not regression-gated on
-    throughput — its gates are correctness: zero lost requests, at
-    least one successful retry, and the post-swap store byte-identical
-    to serial maintenance on the *completed* jobs' exact batches.
+    fails after appending.  Its checks are correctness: zero lost
+    requests, at least one successful retry, and the post-swap store
+    byte-identical to serial maintenance on the *completed* jobs' exact
+    batches.
     """
-    engine, config, base, held_out = build_engine(rows, append_rows)
-    questions = serving_questions(engine.store, requests)
-    batches = split_batches(held_out, passes)
-    append_at = {
-        (index + 1) * (len(questions) // (len(batches) + 1)): batch
-        for index, batch in enumerate(batches)
-    }
+    engine, config, base, questions, append_at = build_workload(
+        rows, requests, append_rows, passes
+    )
     serving = SERVING  # the scheduler's retry policy: 3 retries, 0.05 s backoff base
     pool = WorkerPool(2)  # the crash needs a pool to crash in
 
@@ -392,18 +338,14 @@ def verify(report: dict) -> list[str]:
         problems.append(
             "post-swap store differs from serial maintenance on the same batches"
         )
-    for phase in ("serve_only", "serve_with_maintenance"):
-        if report[phase]["errors"]:
-            problems.append(f"{phase}: {report[phase]['errors']} request errors")
-        if report[phase]["rejected"]:
-            problems.append(f"{phase}: {report[phase]['rejected']} rejected requests")
-    if report["http"]["errors"]:
-        problems.append(f"http: {report['http']['errors']} client-side request errors")
-    if report["http"]["completed"] != report["workload"]["requests"]:
+    if maintenance["errors"] or maintenance["rejected"]:
         problems.append(
-            f"http: only {report['http']['completed']} of "
-            f"{report['workload']['requests']} requests completed"
+            f"serve_with_maintenance: {maintenance['errors']} errors, "
+            f"{maintenance['rejected']} rejected requests"
         )
+    for phase in ("serve_with_maintenance", "durability", "fault_recovery"):
+        if report[phase]["completed_during_maintenance"] < 1:
+            problems.append(f"{phase}: no request completed after the first append")
     if maintenance["snapshot_swaps"] < 1:
         problems.append("no maintenance job completed (no snapshot swap)")
     failed = [job for job in maintenance["jobs"] if job["status"] != "completed"]
@@ -485,9 +427,7 @@ def main(argv=None) -> int:
             passes=args.passes,
         )
     report = run(**workload)
-    report["durability"] = run_durability(
-        **workload, baseline_qps=report["serve_with_maintenance"]["qps"]
-    )
+    report["durability"] = run_durability(**workload)
     report["fault_recovery"] = run_fault_recovery(**workload)
 
     text = json.dumps(report, indent=2)

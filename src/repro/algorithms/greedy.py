@@ -8,9 +8,7 @@ after every addition.  Because utility is monotone and submodular
 
 Candidate gains are evaluated through the vectorized
 :class:`repro.core.kernel.FactScopeIndex` kernel — one NumPy pass per
-iteration instead of one ``incremental_gain`` call per candidate.
-:class:`PerFactGreedySummarizer` keeps the per-fact loop as the parity
-oracle and benchmark baseline.
+iteration instead of one gain evaluation per candidate.
 """
 
 from __future__ import annotations
@@ -66,50 +64,6 @@ class GreedySummarizer(Summarizer):
             index.apply_fact(best, state)
             selected.append(facts[best])
             active[best] = False
-            stats.speeches_considered += 1
-
-        return Speech(selected), stats
-
-
-class PerFactGreedySummarizer(GreedySummarizer):
-    """Algorithm 2 with one ``incremental_gain`` call per candidate.
-
-    The parity oracle for :class:`GreedySummarizer`'s kernel path and
-    the baseline of ``benchmarks/bench_optimizer_kernels.py``: it
-    selects the same speech with the same statistics.
-    """
-
-    def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
-        evaluator = problem.evaluator()
-        stats = SummarizerStatistics()
-        state = evaluator.initial_state()
-
-        remaining = list(problem.candidate_facts)
-        selected: list[Fact] = []
-
-        for _ in range(problem.max_facts):
-            if not remaining:
-                break
-            best_fact: Fact | None = None
-            best_gain = 0.0
-            best_pos = -1
-            # Algorithm 2, Line 7: utility gain of every candidate fact
-            # against the current expectation state.
-            for pos, fact in enumerate(remaining):
-                gain = evaluator.incremental_gain(fact, state)
-                stats.fact_evaluations += 1
-                if gain > best_gain or (best_fact is None and gain == best_gain == 0.0 and pos == 0):
-                    best_fact = fact
-                    best_gain = gain
-                    best_pos = pos
-            if best_fact is None:
-                break
-            if best_gain <= 0.0 and self._allow_early_stop and selected:
-                break
-            # Algorithm 2, Lines 9-11: select the fact and update expectations.
-            evaluator.apply_fact(best_fact, state)
-            selected.append(best_fact)
-            remaining.pop(best_pos)
             stats.speeches_considered += 1
 
         return Speech(selected), stats

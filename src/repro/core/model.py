@@ -483,8 +483,7 @@ class SummarizationRelation:
         """Rows grouped by a column combination (cached).
 
         Returns ``(inverse, order, offsets)`` (see :data:`GroupLayout`).
-        Group ids follow first appearance in the data, matching the
-        historical dict-insertion order of :meth:`group_rows_by`.  The
+        Group ids follow first appearance in the data.  The
         empty combination is one group, even over no rows; any other is
         read off an earlier :meth:`group_layouts` pass when there was one.
         """
@@ -688,16 +687,3 @@ class SummarizationRelation:
         if value is None:
             raise InvalidFactError(f"scope {scope!r} matches no rows")
         return Fact(scope=scope, value=value, support=support)
-
-    def group_rows_by(self, columns: Sequence[str]) -> dict[tuple[Any, ...], np.ndarray]:
-        """Group row indices by value combinations of ``columns``.
-
-        Returns a mapping from value tuples (in ``columns`` order) to
-        arrays of row indices.  The empty column list produces a single
-        group covering all rows, keyed by the empty tuple.
-        """
-        order, offsets, key_to_group = self.group_segments(columns)
-        return {
-            key: order[offsets[g] : offsets[g + 1]]
-            for key, g in key_to_group.items()
-        }

@@ -79,11 +79,6 @@ class SummarizationProblem:
         )
 
     @property
-    def num_candidates(self) -> int:
-        """Number of candidate facts (k in the complexity analysis)."""
-        return len(self.candidate_facts)
-
-    @property
     def num_rows(self) -> int:
         """Number of relation rows (n in the complexity analysis)."""
         return self.relation.num_rows

@@ -158,19 +158,6 @@ class UtilityEvaluator:
             error=self._prior_error.copy(),
         )
 
-    def incremental_gain(self, fact: Fact, state: ExpectationState) -> float:
-        """Utility gain of adding ``fact`` to the speech captured by ``state``.
-
-        Only meaningful under the closest-relevant-value model, where a
-        new fact can only decrease per-row deviation within its scope.
-        """
-        indices = self.scope_indices(fact.scope)
-        if indices.size == 0:
-            return 0.0
-        truth = self._relation.target_values[indices]
-        fact_err = np.abs(fact.value - truth)
-        return float(np.maximum(state.error[indices] - fact_err, 0.0).sum())
-
     # ------------------------------------------------------------------
     # Batch kernels (vectorized over all candidates of a problem's
     # FactScopeIndex at once)
@@ -180,9 +167,9 @@ class UtilityEvaluator:
     ) -> np.ndarray:
         """Gain of every indexed fact against ``state``, in one pass.
 
-        Equivalent to ``[incremental_gain(f, state) for f in facts]``
-        under the closest-relevant-value model (the per-fact path is
-        kept as a reference implementation for parity testing).
+        Under the closest-relevant-value model, fact ``i``'s gain is
+        ``sum(max(state.error[r] - |value_i - target[r]|, 0))`` over the
+        rows ``r`` in its scope.
         """
         return index.batch_gains(state.error)
 

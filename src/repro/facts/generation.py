@@ -230,9 +230,7 @@ class FactGenerator:
     which also caches each group's layout for the bounds of Algorithm 3)
     and decides support and NULL keys for all groups at once; facts stay
     arrays until something reads them
-    (see :class:`CandidateFacts`).  :class:`PerRowFactGenerator` keeps
-    per-row Python set membership as the parity oracle and benchmark
-    baseline.
+    (see :class:`CandidateFacts`).
 
     Parameters
     ----------
@@ -362,54 +360,3 @@ class FactGenerator:
             if null is not None:
                 restricts = np.array([column in columns for columns in shape.combinations])
                 keep &= ~(np.repeat(restricts, np.diff(bounds)) & (codes[firsts] == null))
-
-
-class PerRowFactGenerator(FactGenerator):
-    """Per-row Python fact enumeration.
-
-    The parity oracle for :class:`FactGenerator`'s code-based path and
-    the baseline of ``benchmarks/bench_preprocessing.py``: same facts,
-    same order, bitwise-identical values, each built as a :class:`Fact`
-    up front.
-    """
-
-    def generate(self, base_scope: Mapping[str, Any] | Scope | None = None) -> GeneratedFacts:
-        base, shape, base_indices = self._prepare(base_scope)
-        target = self._relation.target_values
-        base_set = set(int(i) for i in base_indices)
-        facts: list[Fact] = []
-        rows: list[np.ndarray] = []
-        ranges: dict[FactGroup, range] = {}
-        for group in shape.groups if base_indices.size else ():
-            start = len(facts)
-            if group.arity == 0:
-                by_value = {(): base_indices}
-            else:
-                by_value = self._relation.group_rows_by(list(group.dimensions))
-            for key, indices in by_value.items():
-                if any(v is None for v in key):
-                    continue
-                member_indices = [int(i) for i in indices if int(i) in base_set]
-                if len(member_indices) < self._min_support:
-                    continue
-                assignments = dict(base.assignments)
-                assignments.update(dict(zip(group.dimensions, key)))
-                facts.append(
-                    Fact(
-                        scope=Scope(assignments),
-                        value=float(target[member_indices].mean()),
-                        support=len(member_indices),
-                    )
-                )
-                rows.append(np.array(member_indices, dtype=np.intp))
-            if len(facts) > start:
-                ranges[group] = range(start, len(facts))
-        return GeneratedFacts(
-            facts,
-            base,
-            np.array([f.value for f in facts], dtype=float),
-            np.array([f.support for f in facts], dtype=np.intp),
-            np.concatenate(rows) if rows else _EMPTY_ROWS,
-            ranges,
-            shape.index_keys,
-        )

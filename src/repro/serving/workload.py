@@ -8,11 +8,8 @@ exact store hits (the paper's dominant case), with a configurable share
 of *miss* questions built by crossing predicate values of different
 stored queries, which exercise subset matching.
 
-:func:`drive_requests` drives a :class:`VoiceService` directly;
-:func:`drive_client` drives any :class:`repro.api.clients.VoiceClient`
-(the HTTP end-to-end benchmark scenario) and reports client-observed
-latency.  :func:`drive_requests` is the one async driver both
-service-level consumers use:
+:func:`drive_requests` drives a :class:`VoiceService` directly and
+is the one async driver both service-level consumers use:
 client-side pacing within the service's queue bounds, append triggers
 at submission indices, failures folded into the service metrics rather
 than raised mid-stream, and the summary sampled the moment the last
@@ -22,7 +19,6 @@ request completes (before any shutdown work pollutes the clock).
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.api.envelopes import VoiceRequest
 from repro.relational.table import Table
@@ -181,56 +177,3 @@ async def drive_requests(
         await service.scheduler.quiesce()
     return summary, completed_during
 
-
-async def drive_client(
-    client,
-    questions: list[str],
-    max_outstanding: int = 32,
-    tick: int = 32,
-) -> dict:
-    """Submit every question through a :class:`repro.api.clients.VoiceClient`.
-
-    The transport-side counterpart of :func:`drive_requests`: the same
-    client-side pacing, but observed *from the caller's side of the
-    transport*, so the returned summary prices in everything between
-    the client and the engine (for ``HttpClient``: envelope encoding,
-    the socket round-trip and server-side HTTP parsing).  Failures are
-    counted, not raised.  Returns a summary dict with ``completed``,
-    ``errors``, ``wall_seconds``, ``qps`` and client-observed
-    ``p50_ms``/``p95_ms``/``p99_ms``.
-    """
-    from repro.serving.service import ServiceMetrics
-
-    limiter = asyncio.Semaphore(max(1, max_outstanding))
-    latencies: list[float] = []
-    errors = 0
-
-    async def one(text: str) -> None:
-        nonlocal errors
-        async with limiter:
-            started = time.perf_counter()
-            try:
-                await client.ask(VoiceRequest(text=text))
-            except Exception:
-                errors += 1
-                return
-            latencies.append(time.perf_counter() - started)
-
-    started = time.perf_counter()
-    tasks = []
-    for index, text in enumerate(questions):
-        tasks.append(asyncio.ensure_future(one(text)))
-        if tick and index % tick == 0:
-            await asyncio.sleep(0)
-    await asyncio.gather(*tasks)
-    wall = time.perf_counter() - started
-    ordered = sorted(latencies)
-    return {
-        "completed": len(latencies),
-        "errors": errors,
-        "wall_seconds": wall,
-        "qps": len(latencies) / wall if wall > 0 else 0.0,
-        "p50_ms": ServiceMetrics._percentile(ordered, 0.50) * 1000.0,
-        "p95_ms": ServiceMetrics._percentile(ordered, 0.95) * 1000.0,
-        "p99_ms": ServiceMetrics._percentile(ordered, 0.99) * 1000.0,
-    }

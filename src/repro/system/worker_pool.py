@@ -199,6 +199,9 @@ class WorkerPool:
         # Strong reference to the broadcast context: identity is the
         # re-broadcast test, and holding the object pins its id.
         self._installed_context: Any = None
+        # Times the full worker set was (re)spawned: 1 for a pool reused
+        # across N passes, N for a pool opened per pass.  Single worker
+        # respawns after a crash count in _respawns instead.
         self._spawn_count = 0
         self._respawns = 0
         self._degraded = False
@@ -215,17 +218,6 @@ class WorkerPool:
     def parallel(self) -> bool:
         """True when runs are distributed over worker processes."""
         return self._workers > 1 and not self._degraded
-
-    @property
-    def spawn_count(self) -> int:
-        """How many times the full worker set was (re)spawned.
-
-        A deployment reusing one pool across N maintenance passes keeps
-        this at 1; a pool opened per pass pays N spawns.  Individual
-        worker respawns after a crash count in :attr:`respawn_count`,
-        not here.
-        """
-        return self._spawn_count
 
     @property
     def respawn_count(self) -> int:

@@ -8,6 +8,7 @@ from repro.core.priors import ConstantPrior, ZeroPrior
 from repro.core.problem import SummarizationProblem
 from repro.relational.column import Column
 from repro.relational.table import Table
+from tests.algorithms.per_fact_greedy import incremental_gain
 
 
 class TestGreedySelection:
@@ -20,11 +21,11 @@ class TestGreedySelection:
         evaluator = small_problem.evaluator()
         prior = evaluator.initial_state()
         best_single = max(
-            evaluator.incremental_gain(f, prior) for f in small_problem.candidate_facts
+            incremental_gain(evaluator, f, prior) for f in small_problem.candidate_facts
         )
         result = GreedySummarizer().summarize(small_problem)
         chosen_first_utilities = [
-            evaluator.incremental_gain(f, prior) for f in result.speech.facts
+            incremental_gain(evaluator, f, prior) for f in result.speech.facts
         ]
         assert max(chosen_first_utilities) == pytest.approx(best_single)
 
@@ -96,7 +97,7 @@ class TestGreedySelection:
         stats = result.statistics
         assert stats.elapsed_seconds > 0
         # One gain evaluation per candidate per iteration (minus chosen facts).
-        assert stats.fact_evaluations >= example_problem.num_candidates
+        assert stats.fact_evaluations >= len(example_problem.candidate_facts)
         assert stats.speeches_considered == result.speech.length
 
     def test_more_facts_never_hurt(self, example_relation, example_facts):

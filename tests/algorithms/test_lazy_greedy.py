@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.greedy import GreedySummarizer, PerFactGreedySummarizer
+from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.lazy_greedy import LazyGreedySummarizer
 from repro.algorithms.registry import make_summarizer
 from repro.core.priors import ZeroPrior
 from repro.core.problem import SummarizationProblem
 
+from tests.algorithms.per_fact_greedy import PerFactGreedySummarizer
 from tests.core.test_kernel import random_problem
 
 
@@ -57,13 +58,20 @@ class TestLazyGreedyParity:
         )
 
     def test_lazy_saves_fact_evaluations(self):
+        """Exact work on one fixed problem: G-B and the per-fact oracle
+        evaluate every remaining candidate in each of the four steps
+        (60 + 59 + 58 + 57), and G-L re-evaluates only the stale heap
+        tops.  A G-L that re-evaluates more than it must changes the
+        count."""
         problem = random_problem(11, max_facts=4)
+        assert len(problem.candidate_facts) == 60
         eager = GreedySummarizer().summarize(problem)
+        reference = PerFactGreedySummarizer().summarize(problem)
         lazy = LazyGreedySummarizer().summarize(problem)
-        assert lazy.speech == eager.speech
-        assert (
-            lazy.statistics.fact_evaluations < eager.statistics.fact_evaluations
-        )
+        assert lazy.speech == eager.speech == reference.speech
+        assert eager.statistics.fact_evaluations == 234
+        assert reference.statistics.fact_evaluations == 234
+        assert lazy.statistics.fact_evaluations == 68
 
 
 class TestLazyGreedyBehaviour:

@@ -25,6 +25,7 @@ from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.problem_generator import ProblemGenerator
 from tests.algorithms.dict_pruner import dict_pruned_solve, masked_gains, max_group_bound
+from tests.algorithms.per_fact_greedy import incremental_gain
 
 # One pruning pass in which the target ``a`` (dominated by the overall
 # fact) takes four groups with it; prints the pruned groups in order.
@@ -113,7 +114,7 @@ class TestComputeGains:
         outcome = pruner.compute_gains(state, PruningPlan((), ()), stats)
         best_id, best_gain = outcome.best_fact()
         expected = max(
-            example_evaluator.incremental_gain(f, state) for f in example_facts.facts
+            incremental_gain(example_evaluator, f, state) for f in example_facts.facts
         )
         assert best_gain == pytest.approx(expected)
         assert best_id is not None
@@ -130,7 +131,7 @@ class TestComputeGains:
         outcome = pruner.compute_gains(state, plan, stats)
         _, best_gain = outcome.best_fact()
         expected = max(
-            example_evaluator.incremental_gain(f, state) for f in example_facts.facts
+            incremental_gain(example_evaluator, f, state) for f in example_facts.facts
         )
         assert best_gain == pytest.approx(expected)
 
@@ -145,7 +146,7 @@ class TestComputeGains:
         stats = SummarizerStatistics()
         outcome = pruner.compute_gains(state, plan, stats)
         max_source_gain = max(
-            example_evaluator.incremental_gain(example_facts.facts[i], state)
+            incremental_gain(example_evaluator, example_facts.facts[i], state)
             for i in index.groups[()]
         )
         for group in outcome.pruned_groups:

@@ -17,7 +17,7 @@ class TestConstruction:
         )
         assert isinstance(problem.prior, GlobalAveragePrior)
         assert isinstance(problem.expectation_model, ClosestRelevantFactModel)
-        assert problem.num_candidates == len(example_facts.facts)
+        assert len(problem.candidate_facts) == len(example_facts.facts)
         assert problem.num_rows == 16
         assert problem.label == ""
 

@@ -7,6 +7,7 @@ from repro.core.errors import InvalidFactError, InvalidProblemError
 from repro.core.model import Scope, SummarizationRelation, factorize
 from repro.relational.column import Column
 from repro.relational.table import Table
+from tests.facts.per_row_generator import group_rows_by
 
 
 class TestConstruction:
@@ -241,17 +242,17 @@ class TestScopeMachinery:
             example_relation.dimension_domain("delay")
 
     def test_group_rows_by(self, example_relation):
-        groups = example_relation.group_rows_by(["region"])
+        groups = group_rows_by(example_relation, ["region"])
         assert len(groups) == 4
         assert all(len(indices) == 4 for indices in groups.values())
         # Empty column list: one group with all rows.
-        all_rows = example_relation.group_rows_by([])
+        all_rows = group_rows_by(example_relation, [])
         assert list(all_rows) == [()]
         assert len(all_rows[()]) == 16
 
     def test_group_rows_by_unknown_column(self, example_relation):
         with pytest.raises(InvalidProblemError):
-            example_relation.group_rows_by(["delay"])
+            group_rows_by(example_relation, ["delay"])
 
     def test_target_values_is_float_array(self, example_relation):
         values = example_relation.target_values

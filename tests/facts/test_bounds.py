@@ -4,6 +4,7 @@ import pytest
 
 from repro.facts.bounds import bounds_for_groups, group_utility_bounds
 from repro.facts.groups import FactGroup
+from tests.algorithms.per_fact_greedy import incremental_gain
 from tests.facts.test_generation_vectorized import by_group
 
 
@@ -20,7 +21,7 @@ class TestGroupBounds:
         for group, facts in by_group(example_facts).items():
             bound = group_utility_bounds(example_evaluator, group, state)
             for fact in facts:
-                gain = example_evaluator.incremental_gain(fact, state)
+                gain = incremental_gain(example_evaluator, fact, state)
                 assert gain <= bound.maximum + 1e-9
 
     def test_bounds_shrink_after_applying_facts(self, example_evaluator, example_relation):

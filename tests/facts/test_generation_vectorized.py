@@ -1,7 +1,7 @@
 """Parity tests: vectorized fact enumeration vs. the per-row oracle.
 
 `FactGenerator` replaces per-row Python set membership
-(`PerRowFactGenerator`) with bincount/segment operations on the
+(`tests.facts.per_row_generator.PerRowFactGenerator`) with bincount/segment operations on the
 relation's cached dimension codes.  It is an execution strategy, not a model change: facts must
 match the reference path exactly — same order, same scopes, bitwise
 identical values — across NULL dimension values, min_support filters
@@ -20,9 +20,10 @@ from repro.core.kernel import FactScopeIndex
 from repro.core.model import SummarizationRelation
 from repro.core.priors import GlobalAveragePrior
 from repro.core.problem import SummarizationProblem
-from repro.facts.generation import FactGenerator, PerRowFactGenerator
+from repro.facts.generation import FactGenerator
 from repro.relational.column import Column
 from repro.relational.table import Table
+from tests.facts.per_row_generator import PerRowFactGenerator
 
 
 def random_relation(rng: np.random.Generator) -> SummarizationRelation:

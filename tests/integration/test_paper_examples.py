@@ -17,6 +17,7 @@ from repro.core.utility import UtilityEvaluator
 from repro.facts.generation import FactGenerator
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
+from tests.algorithms.per_fact_greedy import incremental_gain
 
 REGIONS = ["East", "South", "West", "North"]
 SEASONS = ["Spring", "Summer", "Fall", "Winter"]
@@ -73,8 +74,8 @@ class TestExample6PruningArithmetic:
         east_winter = paper_relation.make_fact({"region": "East", "season": "Winter"})
         # A single-fact utility is the fact's gain over the empty speech.
         prior = evaluator.initial_state()
-        partial_bound = evaluator.incremental_gain(south_summer, prior)
-        candidate_utility = evaluator.incremental_gain(east_winter, prior)
+        partial_bound = incremental_gain(evaluator, south_summer, prior)
+        candidate_utility = incremental_gain(evaluator, east_winter, prior)
         assert partial_bound == pytest.approx(20.0)
         assert candidate_utility == pytest.approx(20.0)
         lower_bound = 85.0  # utility of a speech found by the heuristic
@@ -117,6 +118,6 @@ class TestExample7GreedyChoices:
         winter = paper_relation.make_fact({"season": "Winter"})
         north = paper_relation.make_fact({"region": "North"})
         prior = evaluator.initial_state()
-        dominated = evaluator.incremental_gain(south_summer, prior)
-        assert dominated < evaluator.incremental_gain(winter, prior)
-        assert dominated < evaluator.incremental_gain(north, prior)
+        dominated = incremental_gain(evaluator, south_summer, prior)
+        assert dominated < incremental_gain(evaluator, winter, prior)
+        assert dominated < incremental_gain(evaluator, north, prior)

@@ -15,7 +15,8 @@ from repro.system.classification import RequestType
 from repro.system.engine import ResponseKind, VoiceResponse
 from repro.system.speech_store import SpeechStore
 
-from tests.serving.conftest import append_table, gate_answers
+from tests.serving.conftest import append_table, gate_answers, make_config
+from tests.serving.test_scheduler import GatedMaintainer
 
 
 class CountingStore(SpeechStore):
@@ -215,6 +216,30 @@ class TestLifecycle:
         response = engine.ask("delays for East in Winter")
         assert response.kind is ResponseKind.SPEECH
         assert response.exact_match
+
+    def test_reads_finish_while_a_maintenance_pass_runs(self, engine, append_batches):
+        """Maintenance runs off the event loop: with a pass held open, a
+        read is answered from the snapshot before the append.  A pass on
+        the loop would block the read until its gate timed out."""
+        maintainer = GatedMaintainer(
+            make_config(), engine.table, summarizer=engine.summarizer, realizer=engine.realizer
+        )
+
+        async def run():
+            config = ServingConfig(concurrency=2)
+            async with VoiceService(engine, config, maintainer=maintainer) as service:
+                service.request_append(append_batches[0])
+                assert await asyncio.to_thread(maintainer.started.wait, 10.0)
+                response = await service.submit(VoiceRequest(text="what is the delay in Winter"))
+                during = (service.registry.version, len(service.scheduler.jobs))
+                maintainer.gate.set()
+                await service.scheduler.quiesce()
+            return response, during, [job.status for job in service.scheduler.jobs]
+
+        response, during, statuses = asyncio.run(run())
+        assert response.exact_match
+        assert during == (0, 0)
+        assert statuses == ["completed"]
 
     def test_new_dimension_value_parseable_after_swap(self, engine):
         new_rows = append_table(

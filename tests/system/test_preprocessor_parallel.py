@@ -143,7 +143,7 @@ class TestParallelParity:
         with WorkerPool(2) as pool:
             with pytest.warns(UserWarning, match="carries state"):
                 store, report = run_random(pool)
-            assert pool.spawn_count == 0
+            assert pool._spawn_count == 0
         # The pool would shard the RNG stream; serial fallback keeps the
         # byte-identity guarantee for every algorithm.
         assert report.workers == 0
@@ -181,7 +181,7 @@ class TestPersistentPoolParity:
                         ), label
                         assert report_fields(report) == report_fields(capped_report)
                     assert report.workers == 2
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
     def test_engine_preprocess_accepts_a_shared_pool(self, config, example_table):
         from repro.system.engine import VoiceQueryEngine
@@ -192,7 +192,7 @@ class TestPersistentPoolParity:
             engine = VoiceQueryEngine(config, example_table)
             first = engine.preprocess(pool=pool)
             second = engine.preprocess(pool=pool)
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
         assert first.workers == second.workers == 2
         assert store_bytes(engine.store, config) == store_bytes(
             serial_engine.store, config

@@ -170,7 +170,7 @@ class TestProblemConstruction:
         assert problem.num_rows == 16
         assert problem.max_facts == 2
         # max_fact_dimensions=1: overall + 4 regions + 4 seasons.
-        assert problem.num_candidates == 9
+        assert len(problem.candidate_facts) == 9
 
     def test_build_problem_restricts_relation(self, generator):
         problem = generator.build_problem(DataQuery.create("delay", {"season": "Winter"}))
@@ -209,7 +209,7 @@ class TestProblemConstruction:
     def test_generate_yields_viable_problems(self, generator):
         generated = list(generator.generate())
         assert len(generated) == 9
-        assert all(g.problem.num_candidates >= 1 for g in generated)
+        assert all(len(g.problem.candidate_facts) >= 1 for g in generated)
         assert all(g.query.target == "delay" for g in generated)
 
     def test_problem_label_describes_query(self, generator):

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.model import Scope
 from repro.core.priors import ZeroPrior
 from repro.relational.column import ColumnType
 from repro.relational.table import Table
@@ -232,7 +233,7 @@ class TestParallelMaintenance:
             second_store, second_report = self.run_maintenance(
                 length_two_config, example_table, pool=pool
             )
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
         for store, report in ((first_store, first_report), (second_store, second_report)):
             assert store_bytes(store) == store_bytes(serial_store)
             assert report_counts(report) == report_counts(serial_report)
@@ -262,7 +263,7 @@ class TestParallelMaintenance:
         with WorkerPool(2) as pool:
             with pytest.warns(UserWarning, match="carries state"):
                 store, report = run(pool)
-            assert pool.spawn_count == 0
+            assert pool._spawn_count == 0
         assert report.workers == 0
         assert store_bytes(store) == store_bytes(serial_store)
 
@@ -392,6 +393,34 @@ class TestAffectedQueryProperties:
     def test_no_new_rows_affect_nothing(self, example_table):
         maintainer = IncrementalMaintainer(self.CONFIG, example_table)
         assert maintainer.affected_queries(new_rows_table([])) == []
+
+    def test_maintenance_probes_no_query_against_rows(self, monkeypatch, example_table):
+        """Discovery reads the new rows' own values: a one-row append
+        enumerates no query and probes no scope against a row, so its
+        cost does not grow with the number of stored queries.  The
+        reference scan above would make one probe per enumerated query."""
+        generator = ProblemGenerator(self.CONFIG, example_table, prior=ZeroPrior())
+        store, _ = Preprocessor(self.CONFIG).run(generator)
+        maintainer = IncrementalMaintainer(self.CONFIG, example_table, prior=ZeroPrior())
+        calls = {"contains_row": 0, "enumerate_queries": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Scope, "contains_row", counted("contains_row", Scope.contains_row))
+        monkeypatch.setattr(
+            ProblemGenerator,
+            "enumerate_queries",
+            counted("enumerate_queries", ProblemGenerator.enumerate_queries),
+        )
+        report = maintainer.maintain(new_rows_table([("North", "Winter", 90.0)]), store)
+        # overall, region=North, season=Winter, and their pair.
+        assert report.affected_queries == 4
+        assert calls == {"contains_row": 0, "enumerate_queries": 0}
 
     def test_unsorted_configured_dimensions(self, example_table):
         """Query predicates are column-sorted; configuration order is not.

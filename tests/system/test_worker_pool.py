@@ -58,7 +58,7 @@ class TestSerialFallback:
             assert not pool.parallel
             assert run_scaled(pool) == DOUBLED
             assert not live_workers()
-            assert pool.spawn_count == 0
+            assert pool._spawn_count == 0
 
     def test_results_match_parallel(self):
         with WorkerPool(0) as serial, WorkerPool(2) as parallel:
@@ -92,13 +92,13 @@ class TestParallelExecution:
             first = list(pool.imap_chunks(context, scale_chunk, chunk_stream(CHUNKS)))
             second = list(pool.imap_chunks(context, scale_chunk, chunk_stream(CHUNKS)))
             assert first == second == DOUBLED
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
     def test_context_change_rebroadcasts(self):
         with WorkerPool(2) as pool:
             assert run_scaled(pool, factor=2) == DOUBLED
             assert run_scaled(pool, factor=10) == [[10, 20], [30], [40, 50, 60], [70]]
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
     def test_early_stop_leaves_pool_usable(self):
         with WorkerPool(2) as pool:
@@ -115,7 +115,7 @@ class TestParallelExecution:
         it instead of terminating and respawning the pool.  The
         abandoned sleeps are *uneven* (1.0 s vs 2.5 s) so one worker
         installs the new context while the other is still busy —
-        without the drain, the pool respawns (spawn_count == 2).
+        without the drain, the pool respawns (_spawn_count == 2).
         """
         with WorkerPool(2) as pool:
             stream = pool.imap_chunks(
@@ -128,7 +128,7 @@ class TestParallelExecution:
             # New context => real re-broadcast, which must survive the
             # still-busy workers without breaking the barrier.
             assert run_scaled(pool, factor=5) == [[5, 10], [15], [20, 25, 30], [35]]
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
     def test_drain_grants_each_abandoned_chunk_its_own_timeout(self, monkeypatch):
         """A healthy pool must survive draining several near-timeout
@@ -142,7 +142,7 @@ class TestParallelExecution:
             assert next(stream) == 0.0
             stream.close()  # ~4.8 s of abandoned work vs a 2 s chunk timeout
             assert run_scaled(pool, factor=2) == DOUBLED
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
     def test_abandoned_failing_chunks_are_drained_quietly(self):
         with WorkerPool(2) as pool:
@@ -152,7 +152,7 @@ class TestParallelExecution:
             assert next(stream) == [2]
             stream.close()  # abandons chunks whose tasks raise TypeError
             assert run_scaled(pool, factor=3) == [[3, 6], [9], [12, 15, 18], [21]]
-            assert pool.spawn_count == 1
+            assert pool._spawn_count == 1
 
 
 class TestLifecycle:
@@ -173,14 +173,14 @@ class TestLifecycle:
         pool = WorkerPool(2)
         pool.close()
         assert not live_workers()
-        assert pool.spawn_count == 0
+        assert pool._spawn_count == 0
 
     def test_reuse_after_close_respawns_lazily(self):
         pool = WorkerPool(2)
         assert run_scaled(pool) == DOUBLED
         pool.close()
         assert run_scaled(pool) == DOUBLED
-        assert pool.spawn_count == 2
+        assert pool._spawn_count == 2
         pool.close()
 
     def test_invalid_arguments_rejected(self):
@@ -194,7 +194,7 @@ class TestLifecycle:
         pool.terminate()
         assert not live_workers()
         assert run_scaled(pool) == DOUBLED
-        assert pool.spawn_count == 2
+        assert pool._spawn_count == 2
         pool.close()
 
     def test_workers_property_reports_configuration(self):

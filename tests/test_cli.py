@@ -256,7 +256,7 @@ class TestMaintainCommand:
         monkeypatch.setattr(WorkerPool, "__init__", recording)
         assert main(self.COMMON + ["--workers", "2"]) == 0
         assert "workers=2)" in capsys.readouterr().out
-        assert sum(pool.spawn_count for pool in pools) == 1
+        assert sum(pool._spawn_count for pool in pools) == 1
         assert not [
             child
             for child in multiprocessing.active_children()
