@@ -9,7 +9,8 @@ This package contains the paper's primary contribution:
 * :class:`PrunedGreedySummarizer` — Algorithm 3 with a fixed, naive
   pruning plan ("G-P").
 * :class:`OptimizedGreedySummarizer` — Algorithm 3 + 4 with the
-  cost-based pruning optimizer of Section VI-C/D ("G-O").
+  cost-based pruning optimizer of Section VI-C/D ("G-O"); priced by the
+  one-pass gain kernel, its plan is the trivial one, so it runs G-B's loop.
 * :class:`SamplingBaselineSummarizer` — the prior-work, run-time
   sampling baseline compared against in Section VIII-E.
 * :class:`RandomSummarizer` — random fact selection, used to produce

@@ -2,22 +2,31 @@
 
 A pruning plan consists of *source* groups (whose facts' utility gains
 are computed first) and *target* groups (whose per-scope bounds are
-compared against the best source gain).  The cost of executing
-Algorithm 3 under a plan is estimated as
+compared against the best source gain).  The paper estimates the cost
+of executing Algorithm 3 under a plan as
 
     Σ_{s∈S} C_U(s)  +  Σ_{t∈T} C_D(t)  +  Σ_{g∈G\\S} Pr(¬P_g)·C_U(g)
 
 where ``C_U`` is the cost of the utility join for a group, ``C_D`` the
 cost of its bound computation, and ``Pr(¬P_g)`` the probability that
-group ``g`` survives pruning.  Following the paper, per-fact utilities
-are modelled as normal random variables whose mean is inversely
-proportional to the number of facts in the group (facts of small groups
-cover more rows), with a shared variance σ²; pruning outcomes are
-assumed independent.
+group ``g`` survives pruning.  Here each greedy step computes every
+fact's gain in one kernel pass whatever the plan
+(:meth:`repro.core.kernel.FactScopeIndex.batch_gains`), so a pruned
+group's gains are not skipped: the survivors' term charges every
+non-source group its full C_U, and a plan costs
 
-Plan choice (:mod:`repro.algorithms.plan_optimizer`) reads each group's
-components as flat lists by lattice id, a :class:`LatticeCosts`:
-:func:`lattice_costs` computes them for one problem.
+    Σ_{g∈G} C_U(g)  +  Σ_{t∈T} C_D(t),
+
+the trivial plan's cost plus its targets' C_D
+(:mod:`repro.algorithms.plan_optimizer`).  Following the paper,
+per-fact utilities are modelled as normal random variables whose mean
+is inversely proportional to the number of facts in the group (facts of
+small groups cover more rows), with a shared variance σ²; Algorithm 4's
+target heuristic reads the resulting pruning probabilities.
+
+Plan generation reads each group's components as flat lists by lattice
+id, a :class:`LatticeCosts`: :func:`lattice_costs` computes them for
+one problem.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ class LatticeCosts(NamedTuple):
     ``counts[g]`` orders Algorithm 4's sources (the group's fact count,
     1 when unknown); ``utility[g]`` and ``deviation[g]`` are C_U and C_D;
     ``means[g]`` is 1/M(g), the mean per-fact utility.  C_U and C_D are
-    never negative: plan choice stops its search on that.
+    never negative: plan choice rests on that.
     """
 
     counts: list[int]

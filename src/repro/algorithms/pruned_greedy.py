@@ -1,18 +1,25 @@
 """Greedy summarization with fact-group pruning ("G-P" and "G-O").
 
 Both variants run the greedy loop of Algorithm 2 but replace the
-compute-all-gains step with Algorithm 3: compute gains for a pruning
-source, discard dominated target groups, then compute gains for the
-survivors.  They differ only in how the pruning plan is chosen:
+compute-all-gains step with Algorithm 3 under a pruning plan: compute
+gains for a pruning source, discard dominated target groups, then
+compute gains for the survivors.  They differ only in how the plan is
+chosen:
 
 * ``PrunedGreedySummarizer`` ("G-P") uses the naive plan — all groups
-  participate, in the order Algorithm 4 would consider them.
+  participate, in the order Algorithm 4 would consider them.  It is
+  chosen once per predicate scope: the scope index that the scope's
+  targets share keeps it.
 * ``OptimizedGreedySummarizer`` ("G-O") asks the cost-based optimizer
-  (Section VI-C/D) for the cheapest candidate plan, which may be the
-  trivial no-pruning plan when bounds are unlikely to pay off.
+  (Section VI-C/D) for the cheapest candidate plan.  Priced by the
+  one-pass gain kernel, that is always the trivial no-pruning plan
+  (:func:`~repro.algorithms.plan_optimizer.choose_plan`).
 
-Either plan is chosen once per predicate scope: the scope index that
-the scope's targets share keeps it.
+A plan without sources prunes nothing, so it runs Algorithm 2's loop
+itself (:func:`~repro.algorithms.greedy.greedy_loop`), with no pruner,
+lattice or plan costs.  Pruning drops only facts whose gain is strictly
+below the best source gain, and ties go to the lowest fact id as in
+G-B, so every plan selects G-B's facts.
 """
 
 from __future__ import annotations
@@ -20,13 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Summarizer, SummarizerStatistics
-from repro.algorithms.cost_model import LatticeCosts, PruningPlan, checked_sigma, lattice_costs
+from repro.algorithms.cost_model import PruningPlan, checked_sigma, lattice_costs
+from repro.algorithms.greedy import greedy_loop
 from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.algorithms.pruning import FactGroupPruner
 from repro.core.expectation import ClosestRelevantFactModel
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
+from repro.core.utility import ExpectationState, UtilityEvaluator
 from repro.facts.groups import FactGroup, GroupLattice
 
 #: Group sets whose lattices a summarizer keeps before it starts over.
@@ -38,11 +47,9 @@ class _PrunedGreedyBase(Summarizer):
 
     The summarizer keeps one :class:`~repro.facts.groups.GroupLattice`
     per group set (the tuple of ``index.groups``' column combinations):
-    the pruner and the plan optimizer of every problem over that set
-    read it.  Pickling drops them; each process builds its own.  The
-    plan it chose for a problem lives in the problem's scope index
-    (:meth:`_plan`).  ``sigma`` is the cost model's per-fact utility
-    deviation, finite and positive.
+    the pruner and the plan of every problem over that set read it.
+    Pickling drops them; each process builds its own.  ``sigma`` is the
+    cost model's per-fact utility deviation, finite and positive.
     """
 
     def __init__(self, sigma: float = 0.25):
@@ -54,7 +61,7 @@ class _PrunedGreedyBase(Summarizer):
         state["_lattices"] = {}
         return state
 
-    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
+    def _plan(self, problem: SummarizationProblem) -> PruningPlan:
         raise NotImplementedError
 
     def _lattice(self, index: FactScopeIndex) -> GroupLattice:
@@ -67,28 +74,6 @@ class _PrunedGreedyBase(Summarizer):
             lattice = self._lattices[key] = GroupLattice(FactGroup(columns) for columns in key)
         return lattice
 
-    def _plan(
-        self, problem: SummarizationProblem, lattice: GroupLattice, group_sizes: list[int]
-    ) -> PruningPlan:
-        """The plan for ``problem``, chosen once per scope index.
-
-        A plan is a pure function of the lattice, the fact count per
-        group, the relation's row count and its distinct counts.  The
-        targets of a predicate scope share all four, and their indexes
-        share one :attr:`~repro.core.kernel.FactScopeIndex.cache`, so the
-        plan is kept there, per summarizer type and σ: each target after
-        the first reuses it, even when solved in a separate chunk.
-        """
-        cache = problem.index().cache
-        key = (type(self), self._sigma)
-        plan = cache.get(key)
-        if plan is None:
-            relation = problem.relation
-            distinct = {dim: relation.distinct_count(dim) for dim in relation.dimensions}
-            costs = lattice_costs(lattice, group_sizes, relation.num_rows, distinct)
-            plan = cache[key] = self._choose_plan(lattice, costs)
-        return plan
-
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         speech, stats, _ = self._solve_scored(problem)
         return speech, stats
@@ -97,13 +82,27 @@ class _PrunedGreedyBase(Summarizer):
         self, problem: SummarizationProblem
     ) -> tuple[Speech, SummarizerStatistics, tuple[float, float] | None]:
         evaluator = problem.evaluator()
+        plan = self._plan(problem)
+        if plan.sources:
+            speech, stats, state = self._pruned_loop(problem, evaluator, plan)
+        else:
+            speech, stats, state = greedy_loop(problem, evaluator)
+        if not isinstance(evaluator.expectation_model, ClosestRelevantFactModel):
+            return speech, stats, None
+        # Under the closest-relevant-value model the state's error is
+        # |E(F, r) − v_r| for the selected facts, summed in row order as
+        # UtilityEvaluator.deviation sums it: D(F) needs no second pass.
+        prior = evaluator.prior_deviation()
+        return speech, stats, (prior - state.total_error, prior)
+
+    def _pruned_loop(
+        self, problem: SummarizationProblem, evaluator: UtilityEvaluator, plan: PruningPlan
+    ) -> tuple[Speech, SummarizerStatistics, ExpectationState]:
+        """Algorithm 2 with each step's gains from Algorithm 3 under ``plan``."""
         stats = SummarizerStatistics()
         state = evaluator.initial_state()
-
         index = problem.index()
-        lattice = self._lattice(index)
-        pruner = FactGroupPruner(index, evaluator, lattice)
-        plan = self._plan(problem, lattice, pruner.group_sizes)
+        pruner = FactGroupPruner(index, evaluator, self._lattice(index))
 
         selected: list[Fact] = []
         active = np.ones(index.num_facts, dtype=bool)
@@ -119,15 +118,7 @@ class _PrunedGreedyBase(Summarizer):
             selected.append(index.facts[best])
             active[index.copies_of(best)] = False
             stats.speeches_considered += 1
-
-        speech = Speech(selected)
-        if not isinstance(evaluator.expectation_model, ClosestRelevantFactModel):
-            return speech, stats, None
-        # Under the closest-relevant-value model the state's error is
-        # |E(F, r) − v_r| for the selected facts, summed in row order as
-        # UtilityEvaluator.deviation sums it: D(F) needs no second pass.
-        prior = evaluator.prior_deviation()
-        return speech, stats, (prior - state.total_error, prior)
+        return Speech(selected), stats, state
 
 
 class PrunedGreedySummarizer(_PrunedGreedyBase):
@@ -135,14 +126,38 @@ class PrunedGreedySummarizer(_PrunedGreedyBase):
 
     name = "G-P"
 
-    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
-        return naive_plan(lattice, costs, self._sigma)
+    def _plan(self, problem: SummarizationProblem) -> PruningPlan:
+        """The naive plan for ``problem``, chosen once per scope index.
+
+        A plan is a pure function of the lattice, the fact count per
+        group, the relation's row count and its distinct counts.  The
+        targets of a predicate scope share all four, and their indexes
+        share one :attr:`~repro.core.kernel.FactScopeIndex.cache`, so the
+        plan is kept there, per σ: each target after the first reuses
+        it, even when solved in a separate chunk.
+        """
+        index = problem.index()
+        key = (PrunedGreedySummarizer, self._sigma)
+        plan = index.cache.get(key)
+        if plan is None:
+            lattice = self._lattice(index)
+            relation = problem.relation
+            sizes = [ids.size for ids in index.groups.values()]
+            distinct = {dim: relation.distinct_count(dim) for dim in relation.dimensions}
+            costs = lattice_costs(lattice, sizes, relation.num_rows, distinct)
+            plan = index.cache[key] = naive_plan(lattice, costs, self._sigma)
+        return plan
 
 
 class OptimizedGreedySummarizer(_PrunedGreedyBase):
-    """Greedy with the cost-optimized pruning strategy — "G-O"."""
+    """Greedy with the cost-optimized pruning strategy — "G-O".
+
+    Algorithm 4's choice is the trivial plan whatever the problem
+    (:func:`~repro.algorithms.plan_optimizer.choose_plan`), so G-O runs
+    G-B's loop and builds no lattice.
+    """
 
     name = "G-O"
 
-    def _choose_plan(self, lattice: GroupLattice, costs: LatticeCosts) -> PruningPlan:
-        return choose_plan(lattice, costs, self._sigma)
+    def _plan(self, problem: SummarizationProblem) -> PruningPlan:
+        return choose_plan()

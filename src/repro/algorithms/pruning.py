@@ -5,8 +5,9 @@ identified.  Computing the gain of every candidate fact requires the
 expensive fact/data join; Algorithm 3 avoids part of that work by
 first computing gains only for *source* groups and then discarding
 *target* groups (plus their specializations) whose per-scope deviation
-bound is dominated by the best source gain.  The globally best fact is
-never discarded, so the greedy guarantee is preserved.
+bound is dominated by the best source gain.  A discarded fact's gain is
+strictly below the best source gain, so every fact of maximal gain
+survives and the greedy guarantee is preserved.
 
 Gain evaluation runs on the problem's
 :class:`repro.core.kernel.FactScopeIndex`: facts are tracked by id and
@@ -48,14 +49,14 @@ class PruningOutcome:
     pruned_groups: list[FactGroup]
 
     def best_fact(self) -> tuple[int | None, float]:
-        """Id and gain of the first listed fact with maximal gain.
+        """Id and gain of the listed fact with maximal gain, ties to the lowest id.
 
-        ``(None, 0.0)`` when no fact is listed.
+        That is G-B's ``argmax`` rule.  ``(None, 0.0)`` when no fact is listed.
         """
         if not self.fact_ids.size:
             return None, 0.0
-        best = int(np.argmax(self.gains))
-        return int(self.fact_ids[best]), float(self.gains[best])
+        best_gain = self.gains.max()
+        return int(self.fact_ids[self.gains == best_gain].min()), float(best_gain)
 
 
 class FactGroupPruner:
@@ -106,11 +107,6 @@ class FactGroupPruner:
             )
             layout = index.cache[FactGroupPruner] = group_order, group_of_order, {}
         self._group_order, self._group_of_order, self._prepared = layout
-
-    @property
-    def group_sizes(self) -> list[int]:
-        """Number of candidate facts per fact group, by lattice id."""
-        return [ids.size for ids in self._index.groups.values()]
 
     def compute_gains(
         self,

@@ -2,11 +2,11 @@
 
 This is the pruned-greedy loop as it stood before the pruner tracked
 facts by id: gains live in a ``dict[Fact, float]`` filled source facts
-first, the best fact is the first maximum in that dict's insertion
-order, already-selected facts sit in an ``excluded`` set, and a chosen
-fact is applied through :meth:`UtilityEvaluator.apply_fact`.  The
-id-based production pruner must select the same speech with the same
-counters.
+first, the best fact is the maximum that comes first among the
+problem's candidates (G-B's rule), already-selected facts sit in an
+``excluded`` set, and a chosen fact is applied through
+:meth:`UtilityEvaluator.apply_fact`.  The id-based production pruner
+must select the same speech with the same counters under G-P's plan.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan
-from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, _PrunedGreedyBase
+from repro.algorithms.plan_optimizer import naive_plan
+from repro.algorithms.pruned_greedy import PrunedGreedySummarizer
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
@@ -79,11 +80,12 @@ class DictPruningOutcome:
     gains: dict[Fact, float] = field(default_factory=dict)
     pruned_groups: list[FactGroup] = field(default_factory=list)
 
-    def best_fact(self) -> tuple[Fact | None, float]:
+    def best_fact(self, rank: Mapping[Fact, int]) -> tuple[Fact | None, float]:
+        """The fact of maximal gain, ties to the lowest ``rank``."""
         best: Fact | None = None
         best_gain = float("-inf")
         for fact, gain in self.gains.items():
-            if gain > best_gain:
+            if gain > best_gain or (gain == best_gain and rank[fact] < rank[best]):
                 best, best_gain = fact, gain
         if best is None:
             return None, 0.0
@@ -164,25 +166,13 @@ class DictFactGroupPruner:
         return outcome
 
 
-def oracle_plan(
-    summarizer: _PrunedGreedyBase,
-    groups: Sequence[FactGroup],
-    fact_counts: Mapping[FactGroup, int],
-    model: PruningCostModel,
-) -> PruningPlan:
-    """``summarizer``'s plan as ``plan_oracle`` chooses it over ``FactGroup`` sets."""
-    if isinstance(summarizer, OptimizedGreedySummarizer):
-        return plan_oracle.choose_plan(groups, fact_counts, model)
-    return plan_oracle.naive_plan(groups, fact_counts, model)
-
-
 def dict_pruned_solve(
-    summarizer: _PrunedGreedyBase, problem: SummarizationProblem, oracle_plans: bool = False
+    summarizer: PrunedGreedySummarizer, problem: SummarizationProblem, oracle_plans: bool = False
 ) -> tuple[Speech, SummarizerStatistics]:
-    """``summarizer``'s greedy-with-pruning loop on the dict-based pruner.
+    """G-P's greedy-with-pruning loop on the dict-based pruner, with ``summarizer``'s σ.
 
-    With ``oracle_plans`` the plan, too, comes from the test oracle
-    (:func:`oracle_plan`) instead of the production optimizer.
+    With ``oracle_plans`` the naive plan, too, comes from the test
+    oracle (:func:`plan_oracle.naive_plan`) instead of production's.
     """
     evaluator = problem.evaluator()
     stats = SummarizerStatistics()
@@ -197,19 +187,21 @@ def dict_pruned_solve(
         sigma=summarizer._sigma,
     )
     if oracle_plans:
-        plan = oracle_plan(summarizer, groups, fact_counts, cost_model)
+        plan = plan_oracle.naive_plan(groups, fact_counts, cost_model)
     else:
         lattice = GroupLattice(groups)
-        plan = summarizer._choose_plan(
-            lattice, plan_oracle.model_costs(cost_model, lattice, fact_counts)
-        )
+        costs = plan_oracle.model_costs(cost_model, lattice, fact_counts)
+        plan = naive_plan(lattice, costs, summarizer._sigma)
+    rank: dict[Fact, int] = {}
+    for position, fact in enumerate(problem.candidate_facts):
+        rank.setdefault(fact, position)
 
     pruner = DictFactGroupPruner(by_group, evaluator)
     selected: list[Fact] = []
     excluded: set[Fact] = set()
     for _ in range(problem.max_facts):
         outcome = pruner.compute_gains(state, plan, stats, excluded=excluded)
-        best_fact, best_gain = outcome.best_fact()
+        best_fact, best_gain = outcome.best_fact(rank)
         if best_fact is None:
             break
         if best_gain <= 0.0 and selected:

@@ -3,9 +3,12 @@
 This is plan choice as it stood before it ran on integer group ids:
 candidate targets are picked from a ``set`` of groups with
 :meth:`FactGroup.is_specialization_of` tests, and every candidate is
-costed from scratch by evaluating the Section VI-C formula group by
-group.  The production optimizer must list the same candidates with
-bit-equal costs and choose the same plan.
+costed from scratch, group by group, and the cheapest chosen.  The cost
+is the shared-pass formula (:func:`plan_cost`): every group's C_U plus
+the targets' C_D.  The production optimizer must list the same
+candidates with bit-equal costs and choose the same plan.
+:func:`paper_plan_cost` keeps the paper's formula, whose survivors'
+term assumes a pruned group's gains are skipped.
 """
 
 from __future__ import annotations
@@ -63,7 +66,24 @@ def group_survival_probability(
 
 
 def plan_cost(model: PruningCostModel, plan: PruningPlan, groups: Sequence[FactGroup]) -> float:
-    """Estimated total processing cost of Algorithm 3 under ``plan``."""
+    """Estimated cost of Algorithm 3 under ``plan`` on the one-pass gain kernel.
+
+    Each step computes every fact's gain whatever is pruned, so the
+    sources' and the survivors' terms are every group's C_U, added in
+    ``groups`` order; the targets' C_D follow, in target order.
+    """
+    cost = 0.0
+    for group in groups:
+        cost += model.utility_cost(group)
+    for target in plan.targets:
+        cost += model.deviation_cost(target)
+    return cost
+
+
+def paper_plan_cost(
+    model: PruningCostModel, plan: PruningPlan, groups: Sequence[FactGroup]
+) -> float:
+    """The paper's Section VI-C estimate: a pruned group's C_U is skipped."""
     sources = set(plan.sources)
     cost = sum(model.utility_cost(s) for s in plan.sources)
     cost += sum(model.deviation_cost(t) for t in plan.targets)

@@ -5,7 +5,7 @@ specialization tests) and the flat :class:`LatticeCosts` of its groups,
 and costs each source prefix's candidates incrementally.
 ``tests/algorithms/plan_oracle.py`` keeps the original formulation:
 targets picked from sets of groups, every candidate costed from
-scratch.  On random group lattices, including ones where many
+scratch and the cheapest chosen.  On random group lattices, including ones where many
 groups tie on their fact count, both must list the same candidates with
 bit-equal costs and choose the same plan.
 """
@@ -96,8 +96,9 @@ def _assert_matches_oracle(problem, max_source_prefix):
     for plan, cost in costed:
         assert _bits(cost) == _bits(plan_oracle.plan_cost(reference, plan, groups))
 
-    chosen = choose_plan(lattice, costs, sigma, max_source_prefix)
-    assert chosen == plan_oracle.choose_plan(groups, fact_counts, reference, max_source_prefix)
+    assert choose_plan() == plan_oracle.choose_plan(
+        groups, fact_counts, reference, max_source_prefix
+    )
     naive = naive_plan(lattice, costs, sigma)
     assert naive == plan_oracle.naive_plan(groups, fact_counts, reference)
 
@@ -115,9 +116,10 @@ def test_tied_lattices_match_the_group_oracle(problem, max_source_prefix):
 
 
 def test_survival_factors_multiply_one_at_a_time():
-    """A group specializing two targets under two sources: multiplying
-    each target's factors into its survival one by one, rather than
-    their product, is what keeps this lattice's costs bit-equal."""
+    """Sources of several prefixes: each target's survival, which its
+    heuristic H reads as Pr(P_t) = 1 − survival, takes the sources'
+    factors one by one in source order, as the oracle multiplies them,
+    so this lattice's candidates and costs stay bit-equal."""
     counts = {
         (): 16, ("a",): 27, ("b",): 60, ("c",): 48,
         ("a", "b"): 51, ("a", "c"): 26, ("b", "c"): 56, ("a", "b", "c"): 18,

@@ -74,6 +74,7 @@ class TestSigmaValidation:
             PruningCostModel({}, CostEstimator(statistics), sigma=sigma)
 
     def test_positive_finite_sigma_prunes(self, example_problem):
-        result = make_summarizer("G-O", sigma=1).summarize(example_problem)
-        reference = OptimizedGreedySummarizer(sigma=1.0).summarize(example_problem)
+        result = make_summarizer("G-P", sigma=1).summarize(example_problem)
+        reference = PrunedGreedySummarizer(sigma=1.0).summarize(example_problem)
         assert result.speech == reference.speech
+        assert result.statistics.groups_pruned > 0

@@ -11,7 +11,7 @@ import pytest
 
 from repro.algorithms.base import SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan
-from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
+from repro.algorithms.pruned_greedy import PrunedGreedySummarizer
 from repro.algorithms.pruning import FactGroupPruner
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Scope, SummarizationRelation
@@ -63,7 +63,7 @@ class TestGrouping:
         index = FactScopeIndex.build(example_evaluator.relation, [fact])
         pruner = FactGroupPruner(index, example_evaluator)
         assert pruner._lattice.groups == (FactGroup(["region", "season"]),)
-        assert pruner.group_sizes == [1]
+        assert [ids.size for ids in index.groups.values()] == [1]
 
     def test_group_facts_partitions(self, example_facts, example_evaluator):
         relation = example_evaluator.relation
@@ -72,7 +72,8 @@ class TestGrouping:
             FactScopeIndex.build(relation, example_facts.facts),
         ):
             pruner = FactGroupPruner(index, example_evaluator)
-            fact_counts = dict(zip(pruner._lattice.groups, pruner.group_sizes))
+            sizes = [ids.size for ids in index.groups.values()]
+            fact_counts = dict(zip(pruner._lattice.groups, sizes))
             assert sum(fact_counts.values()) == example_facts.count
             assert set(fact_counts) == {
                 FactGroup([]),
@@ -312,8 +313,10 @@ def _assert_matches_dict_pruner(summarizer, problem, oracle_plans=False):
 
 
 class TestDictPrunerParity:
-    @pytest.mark.parametrize("summarizer", [PrunedGreedySummarizer(), OptimizedGreedySummarizer()])
-    def test_interleaved_example_with_ties(self, summarizer, example_facts, example_relation):
+    """G-P against the dict-based pruner.  G-O runs no pruner: it runs
+    G-B's loop (``test_greedy_family_parity.py``)."""
+
+    def test_interleaved_example_with_ties(self, example_facts, example_relation):
         # Every group's facts are spread across the candidate list, and
         # the greedy path meets an exact tie for the best gain.
         facts = example_facts.facts[1::2] + example_facts.facts[::2]
@@ -321,13 +324,11 @@ class TestDictPrunerParity:
             example_relation, facts, max_facts=4, prior=ZeroPrior()
         )
         assert _greedy_path_meets_tie(problem)
-        _assert_matches_dict_pruner(summarizer, problem)
+        _assert_matches_dict_pruner(PrunedGreedySummarizer(), problem)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_interleaved_problems(self, seed):
-        problem = _interleaved_problem(seed)
-        for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
-            _assert_matches_dict_pruner(summarizer, problem)
+        _assert_matches_dict_pruner(PrunedGreedySummarizer(), _interleaved_problem(seed))
 
     def test_generated_query_problems(self):
         """Every seventh flights query's problem: a subset relation that
@@ -345,9 +346,9 @@ class TestDictPrunerParity:
         queries = islice(generator.enumerate_queries(), 0, None, 7)
         problems = [p for p in map(generator.build_problem, queries) if p is not None]
         assert len(problems) > 100
+        summarizer = PrunedGreedySummarizer()
         for problem in problems:
-            for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
-                _assert_matches_dict_pruner(summarizer, problem)
+            _assert_matches_dict_pruner(summarizer, problem)
 
     def test_generated_query_problems_with_three_extra_dimensions(self):
         """Every seventh flights query's problem with facts restricting up
@@ -372,9 +373,9 @@ class TestDictPrunerParity:
             for problem in problems
         )
         assert widest == 3
+        summarizer = PrunedGreedySummarizer()
         for problem in problems:
-            for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
-                _assert_matches_dict_pruner(summarizer, problem, oracle_plans=True)
+            _assert_matches_dict_pruner(summarizer, problem, oracle_plans=True)
 
     def test_random_problems_exercise_ties(self):
         ties = sum(_greedy_path_meets_tie(_interleaved_problem(seed)) for seed in range(24))
@@ -385,10 +386,10 @@ class TestDictPrunerParity:
         problem = SummarizationProblem(
             example_relation, facts, max_facts=4, prior=ZeroPrior()
         )
-        for summarizer in (PrunedGreedySummarizer(), OptimizedGreedySummarizer()):
-            result = summarizer.summarize(problem)
-            assert len(set(result.speech.facts)) == result.speech.length
-            _assert_matches_dict_pruner(summarizer, problem)
+        summarizer = PrunedGreedySummarizer()
+        result = summarizer.summarize(problem)
+        assert len(set(result.speech.facts)) == result.speech.length
+        _assert_matches_dict_pruner(summarizer, problem)
 
 
 class TestSurvivorPass:

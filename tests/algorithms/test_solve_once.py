@@ -1,11 +1,11 @@
 """What a G-P/G-O solve derives once: the lattice, the speech's utility, copies.
 
-The pruned greedy summarizers keep one group lattice per group set and
-share it between problems; they take the speech's utility from the
-greedy's final expectation state instead of evaluating the speech
-again; and they retire no copies of generated candidates, whose scopes
-are distinct.  None of this may change a speech, a utility bit or a
-plan.
+G-P keeps one group lattice per group set and shares it between
+problems (G-O, which runs G-B's loop, builds none); both take the
+speech's utility from the greedy's final expectation state instead of
+evaluating the speech again; and G-P retires no copies of generated
+candidates, whose scopes are distinct.  None of this may change a
+speech, a utility bit or a plan.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.algorithms import pruned_greedy
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.core.priors import ZeroPrior
 from repro.core.problem import SummarizationProblem
@@ -144,7 +145,7 @@ def test_a_hand_built_index_still_retires_copies(summarizer_type, example_relati
 def _same_group_set_problems() -> tuple[SummarizationProblem, SummarizationProblem]:
     """Two flights problems of different scopes over the same group set."""
     data = load_dataset("flights", num_rows=300)
-    generator = ProblemGenerator(_config(data.spec, "G-O"), data.table)
+    generator = ProblemGenerator(_config(data.spec, "G-P"), data.table)
     by_groups: dict[tuple, SummarizationProblem] = {}
     for query in generator.enumerate_queries():
         problem = generator.build_problem(query)
@@ -167,15 +168,9 @@ def _lattice_state(lattice) -> tuple:
     )
 
 
-def _plan_of(summarizer, problem: SummarizationProblem):
-    index = problem.index()
-    sizes = [ids.size for ids in index.groups.values()]
-    return summarizer._plan(problem, summarizer._lattice(index), sizes)
-
-
 def test_problems_over_one_group_set_share_one_lattice():
     first, second = _same_group_set_problems()
-    summarizer = OptimizedGreedySummarizer()
+    summarizer = PrunedGreedySummarizer()
     summarizer.summarize(first)
     lattice = summarizer._lattice(first.index())
     summarizer.summarize(second)
@@ -184,7 +179,7 @@ def test_problems_over_one_group_set_share_one_lattice():
 
 def test_plan_choice_leaves_the_shared_lattice_and_the_next_plan_unchanged():
     first, second = _same_group_set_problems()
-    summarizer = OptimizedGreedySummarizer()
+    summarizer = PrunedGreedySummarizer()
     summarizer.summarize(first)
     lattice = summarizer._lattice(first.index())
     before = _lattice_state(lattice)
@@ -193,9 +188,9 @@ def test_plan_choice_leaves_the_shared_lattice_and_the_next_plan_unchanged():
     assert summarizer._lattice(second.index()) is lattice
     assert _lattice_state(lattice) == before
     fresh_second = _same_group_set_problems()[1]
-    fresh_summarizer = OptimizedGreedySummarizer()
+    fresh_summarizer = PrunedGreedySummarizer()
     fresh = fresh_summarizer.summarize(fresh_second)
-    assert _plan_of(summarizer, second) == _plan_of(fresh_summarizer, fresh_second)
+    assert summarizer._plan(second) == fresh_summarizer._plan(fresh_second)
     assert result.speech.facts == fresh.speech.facts
     assert result.utility.hex() == fresh.utility.hex()
     result.statistics.elapsed_seconds = fresh.statistics.elapsed_seconds = 0.0
@@ -207,10 +202,10 @@ def test_a_pickled_summarizer_produces_the_same_store(algorithm):
     data = load_dataset("flights", num_rows=200)
     config = _config(data.spec, algorithm)
     summarizer = (PrunedGreedySummarizer if algorithm == "G-P" else OptimizedGreedySummarizer)()
-    # Solve some problems first, so the summarizer holds lattices.
+    # Solve some problems first, so G-P holds lattices (G-O builds none).
     for problem in _problems(ProblemGenerator(config, data.table), 20):
         summarizer.summarize(problem)
-    assert summarizer._lattices
+    assert bool(summarizer._lattices) is (algorithm == "G-P")
     copy = pickle.loads(pickle.dumps(summarizer))
     assert copy._lattices == {}
 
@@ -224,8 +219,8 @@ def test_a_pickled_summarizer_produces_the_same_store(algorithm):
 # ----------------------------------------------------------------------
 # One plan per set of plan inputs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("summarizer_cls", SUMMARIZERS)
-def test_targets_of_one_scope_in_separate_chunks_choose_the_plan_once(summarizer_cls):
+def test_targets_of_one_scope_in_separate_chunks_choose_the_plan_once(monkeypatch):
+    summarizer_cls = PrunedGreedySummarizer
     data = load_dataset("flights", num_rows=200)
     config = _config(data.spec, summarizer_cls.name)
     generator = ProblemGenerator(config, data.table)
@@ -237,8 +232,10 @@ def test_targets_of_one_scope_in_separate_chunks_choose_the_plan_once(summarizer
 
     summarizer = summarizer_cls()
     chosen = []
-    choose = summarizer._choose_plan
-    summarizer._choose_plan = lambda *args: chosen.append(args) or choose(*args)
+    choose = pruned_greedy.naive_plan
+    monkeypatch.setattr(
+        pruned_greedy, "naive_plan", lambda *args: chosen.append(args) or choose(*args)
+    )
     context = (generator, summarizer, SpeechRealizer())
     outcomes = [solve_query_chunk(context, [query])[0] for query in pair]
     assert len(chosen) == 1

@@ -44,6 +44,16 @@ before that change over the sorted canonical per-speech entries: it
 holds across both orders, so the re-pin moved the order and nothing
 else.  A property test checks that the order change cannot change an
 answer.
+
+The flights, stackoverflow, NULL-dimension, maintained and
+target-major G-O digests and the flights G-P digest were re-pinned when
+G-O's plans were priced by the one-pass gain kernel (G-O runs G-B's
+loop) and pruned ties went to the lowest fact id, G-B's rule.  Only
+tie picks moved, each with the same utility bits: 3 of 928 flights
+speeches, 59 of 2,670 stackoverflow ones, 61 of 928 flights G-P ones
+and 17 of 922 with NULL dimensions.  Each of those stores is asserted
+equal to G-B's with the ``algorithm`` field dropped.  The full
+5,000-row digests, acs and primaries did not move.
 """
 
 from __future__ import annotations
@@ -67,34 +77,34 @@ from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
 
-FLIGHTS_300_G_O_DIGEST = "69bfd0eba9832ea9692e2ba71f257aaabc066962738c51badce4897f31fee0fc"
+FLIGHTS_300_G_O_DIGEST = "f3ba19ae3623e3cdbf72e483348421bbdd5d82569bccb631f542d1ddff8c4e10"
 FLIGHTS_5000_G_O_DIGEST = "7c2287cd8172f1eb5c02b791958b3f771670d04970e5ef5c2e8753430262bf95"
 FLIGHTS_300_G_O_MAINTAINED_DIGEST = (
-    "c5fb816c05d5c3f60a582542b7107b64b0d6237d43621c0fc8be2cb8fa7c8caa"
+    "014830c2e1cc263d46836f52e013dfa52c105c7a9dea7297716d8dd337fb9f9b"
 )
 FLIGHTS_5000_G_O_FROZEN_DIGEST = (
     "0128826d6ceb11a69ff1780d95e167ba930e4868578d2f321d215f7dcf354eba"
 )
 STACKOVERFLOW_300_G_O_DIGEST = (
-    "746889ed0b2a44c8d6d587d4d76b794114be47a2c6f847672d1a3eca973e4d4c"
+    "1f6240fb961e8d2244dc3e2ed4febfaa6c8ce4be92ca0e8907b683870a8af708"
 )
-FLIGHTS_300_G_P_DIGEST = "6ed5bd6dfe03d7c725718f726ed156273bc92590654f753f7aeb62b474127292"
+FLIGHTS_300_G_P_DIGEST = "a899e7e01de794d5cab10a487a2e290e51bb19405ae5bcce16c0f53961a1cd97"
 ACS_300_G_O_DIGEST = "87cd4a6d01704c8af303929af719fca4c0a16e82fc3101ea073269f0ee77fd74"
 PRIMARIES_300_G_O_DIGEST = "b919a9a101a83bcdb1258e0bc4ebc5780cffd61d643a5b13af2e75b10dfcfb4c"
 FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST = (
-    "d3a424e524629f4aa9ca5f97687cb1a402bf6e97540820f1206997aee81f2b3c"
+    "083357a15d33ef4521e00da8c7d5d41085d7a7b52dd28c0af69d167e45bf3b19"
 )
 
 #: Order-free digests (:func:`_order_free_digest`), one per store above.
 ORDER_FREE_DIGESTS = {
-    "flights G-O": "1d8a56f99c51a33280e5626d11c657cbf8c34fe74c2f184f873fcc4c038d3f7a",
+    "flights G-O": "a7354a16b60d6f76c1ba6ca89b11ea873f2fac27dfaac6deb2faec67ddad101f",
     "flights full": "71f3c2cc61f3299ec95c1d03d1fe137eb95151c294108381fff4173bf10a3b23",
-    "flights maintained": "ceb610a49bcc97bcd224ae4b60fd957070c60afad0b03c966590e040b8ee7c5f",
-    "stackoverflow": "b3f587926f5a653f4b5c29c9f796e7fa0d894dc5f34d44ebd473eadb507cf422",
-    "flights G-P": "795147c978a66369a5028e126fe4629a05ee8eadfb0722a67f720a636d3858b0",
+    "flights maintained": "edd1cea4774292f4c86dda83368feb9ef76475d53b9292be9edcd3a9164ba708",
+    "stackoverflow": "70db2a0ad8ee771010957a428e9ffb3b90938099f5e5403fd82109f0d2e1f96e",
+    "flights G-P": "083217b6d5defdc9034af088c29ea78995f463f623c7b46560d185e922ae877f",
     "acs": "bbcc6be8974a3433f31e8d91aa88f120e14501fe07b78dd59287fa3e3fa6830b",
     "primaries": "c64e86ff763accdd3108cf8c9933d3e592f35ce032a9c4ca076720ad5ca01e8c",
-    "flights NULL dimensions": "f91deb42ddd8157ae641b1999692e284b7e703882bf67e32f4e088ca41016e2c",
+    "flights NULL dimensions": "a3e72a931cf987aa250c34b241a8f738ea1691287ddf6f5b5658783e386fa125",
 }
 
 
@@ -133,6 +143,22 @@ def _order_free_digest(store) -> str:
 def _assert_golden(engine: VoiceQueryEngine, name: str, speeches: int, digest: str) -> None:
     assert _order_free_digest(engine.store) == ORDER_FREE_DIGESTS[name]
     assert _store_digest(engine) == (speeches, digest)
+
+
+def _without_algorithm(store, config) -> dict:
+    """The store's dict form with the ``algorithm`` fields dropped."""
+    payload = store_to_dict(store, config)
+    payload["config"].pop("algorithm")
+    for entry in payload["speeches"]:
+        entry.pop("algorithm")
+    return payload
+
+
+def _assert_is_the_g_b_store(engine: VoiceQueryEngine, g_b: VoiceQueryEngine) -> None:
+    assert g_b.config.algorithm == "G-B" != engine.config.algorithm
+    assert _without_algorithm(engine.store, engine.config) == _without_algorithm(
+        g_b.store, g_b.config
+    )
 
 
 def _append_batches(base: Table) -> list[Table]:
@@ -195,29 +221,35 @@ def test_full_flights_preprocessing_builds_each_scope_once(full_flights_run):
     """The work, not the clock: one fact generation per viable scope.
 
     Both targets of each of the 513 viable scopes share one generation
-    (1,026 when every problem was built from scratch), and the greedy
-    does exactly the work it did then.
+    (1,026 when every problem was built from scratch).  The greedy's
+    work is G-B's: 429,181 fact evaluations since G-O runs G-B's loop
+    (393,901 when G-O's plans pruned groups whose gains the one-pass
+    kernel computed anyway).
     """
     engine, generations = full_flights_run
     assert generations == 513
     assert engine.report.speeches_generated == 1026
-    assert engine.report.fact_evaluations == 393_901
+    assert engine.report.fact_evaluations == 429_181
 
 
 def test_flights_store_matches_golden_digest():
     engine = _engine(load_dataset("flights", num_rows=300))
     _assert_golden(engine, "flights G-O", 928, FLIGHTS_300_G_O_DIGEST)
+    _assert_is_the_g_b_store(engine, _engine(load_dataset("flights", num_rows=300), "G-B"))
 
 
 def test_stackoverflow_store_matches_golden_digest():
     dataset = load_dataset("stackoverflow", num_rows=300)
     assert len(dataset.spec.targets) == 6
-    _assert_golden(_engine(dataset), "stackoverflow", 2670, STACKOVERFLOW_300_G_O_DIGEST)
+    engine = _engine(dataset)
+    _assert_golden(engine, "stackoverflow", 2670, STACKOVERFLOW_300_G_O_DIGEST)
+    _assert_is_the_g_b_store(engine, _engine(dataset, "G-B"))
 
 
 def test_flights_g_p_store_matches_golden_digest():
     engine = _engine(load_dataset("flights", num_rows=300), algorithm="G-P")
     _assert_golden(engine, "flights G-P", 928, FLIGHTS_300_G_P_DIGEST)
+    _assert_is_the_g_b_store(engine, _engine(load_dataset("flights", num_rows=300), "G-B"))
 
 
 @pytest.mark.parametrize(
@@ -236,6 +268,7 @@ def test_flights_with_null_dimensions_matches_golden_digest():
     _assert_golden(
         engine, "flights NULL dimensions", 922, FLIGHTS_300_NULL_DIMENSIONS_G_O_DIGEST
     )
+    _assert_is_the_g_b_store(engine, _engine(dataset, "G-B"))
 
 
 def test_full_flights_store_matches_golden_digest(full_flights_engine):
@@ -251,18 +284,33 @@ def test_full_flights_frozen_store_matches_golden_digest(full_flights_engine, tm
     assert hashlib.sha256(payload).hexdigest() == FLIGHTS_5000_G_O_DIGEST
 
 
-def test_maintained_flights_store_matches_golden_digest():
-    engine = _engine(load_dataset("flights", num_rows=300))
+def _maintained(algorithm: str) -> VoiceQueryEngine:
+    engine = _engine(load_dataset("flights", num_rows=300), algorithm)
     maintainer = IncrementalMaintainer(engine.config, engine.table)
     for batch in _append_batches(engine.table):
         maintainer.maintain(batch, engine.store)
+    return engine
+
+
+def test_maintained_flights_store_matches_golden_digest():
+    engine = _maintained("G-O")
     _assert_golden(engine, "flights maintained", 944, FLIGHTS_300_G_O_MAINTAINED_DIGEST)
+    _assert_is_the_g_b_store(engine, _maintained("G-B"))
 
 
 #: The flights G-O digest when queries were enumerated target-major.
 FLIGHTS_300_G_O_TARGET_MAJOR_DIGEST = (
-    "ee2b0a22973f985bab028a742f7d6001a0575b6c538392a42b86dd59a0f12da7"
+    "a305e90dc54c4d58c353e9703ac525ccf4a33a45a50f3fd8de755458d6abb291"
 )
+
+
+def _target_major(engine: VoiceQueryEngine) -> SpeechStore:
+    """``engine``'s speeches re-added sorted (stably) by target."""
+    targets = engine.config.targets
+    target_major = SpeechStore()
+    for stored in sorted(engine.store, key=lambda stored: targets.index(stored.query.target)):
+        target_major.add(stored)
+    return target_major
 
 
 @pytest.fixture(scope="module")
@@ -273,10 +321,7 @@ def flights_orders():
     sorted (stably) by target, each store as a dict and a compact one.
     """
     engine = _engine(load_dataset("flights", num_rows=300))
-    targets = engine.config.targets
-    target_major = SpeechStore()
-    for stored in sorted(engine.store, key=lambda stored: targets.index(stored.query.target)):
-        target_major.add(stored)
+    target_major = _target_major(engine)
     stores = [engine.store, target_major]
     return engine, target_major, [*stores, *map(CompactSpeechStore.from_store, stores)]
 
@@ -285,6 +330,10 @@ def test_the_store_is_the_target_major_store_reordered(flights_orders):
     engine, target_major, _ = flights_orders
     payload = canonical_store_payload(target_major, engine.config)
     assert hashlib.sha256(payload).hexdigest() == FLIGHTS_300_G_O_TARGET_MAJOR_DIGEST
+    g_b = _engine(load_dataset("flights", num_rows=300), "G-B")
+    assert _without_algorithm(target_major, engine.config) == _without_algorithm(
+        _target_major(g_b), g_b.config
+    )
 
 
 @given(data=st.data())
