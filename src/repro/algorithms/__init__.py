@@ -22,7 +22,7 @@ from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.exact import ExactSummarizer
 from repro.algorithms.pruning import FactGroupPruner, PruningPlan
 from repro.algorithms.cost_model import LatticeCosts, lattice_costs
-from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
+from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer, RangeFact
 from repro.algorithms.random_baseline import RandomSummarizer
@@ -38,7 +38,6 @@ __all__ = [
     "PruningPlan",
     "LatticeCosts",
     "lattice_costs",
-    "candidate_plans",
     "choose_plan",
     "naive_plan",
     "PrunedGreedySummarizer",

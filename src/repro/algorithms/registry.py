@@ -7,7 +7,6 @@ from typing import Callable
 from repro.algorithms.base import Summarizer
 from repro.algorithms.exact import ExactSummarizer
 from repro.algorithms.greedy import GreedySummarizer
-from repro.algorithms.lazy_greedy import LazyGreedySummarizer
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.random_baseline import RandomSummarizer
 from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer
@@ -15,7 +14,6 @@ from repro.algorithms.sampling_baseline import SamplingBaselineSummarizer
 _FACTORIES: dict[str, Callable[[], Summarizer]] = {
     "E": ExactSummarizer,
     "G-B": GreedySummarizer,
-    "G-L": LazyGreedySummarizer,
     "G-P": PrunedGreedySummarizer,
     "G-O": OptimizedGreedySummarizer,
     "SAMPLING": SamplingBaselineSummarizer,

@@ -148,7 +148,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--algorithm", default="G-O", choices=available_summarizers(),
-        help="summarizer name (G-L is the lazy-greedy kernel variant)",
+        help="summarizer name",
     )
     parser.add_argument("--max-problems", type=int, default=None, dest="max_problems")
     parser.add_argument(

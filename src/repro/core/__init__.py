@@ -14,7 +14,6 @@ from repro.core.model import Fact, Scope, Speech, SummarizationRelation
 from repro.core.priors import (
     ConstantPrior,
     GlobalAveragePrior,
-    PerRowPrior,
     Prior,
     ZeroPrior,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ZeroPrior",
     "ConstantPrior",
     "GlobalAveragePrior",
-    "PerRowPrior",
     "ExpectationModel",
     "ClosestRelevantFactModel",
     "FarthestRelevantFactModel",

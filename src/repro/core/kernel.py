@@ -248,25 +248,6 @@ class FactScopeIndex:
         counts = np.bincount(ids, minlength=self.num_facts)
         return gains, counts
 
-    def gain_of(self, fact_id: int, error: np.ndarray) -> float:
-        """Gain of one fact (used by the lazy-greedy re-evaluation).
-
-        Summed through a single-bin ``bincount`` so the accumulation
-        order matches :meth:`batch_gains` exactly — lazy greedy's
-        stale-bound argument needs re-evaluated gains to be bitwise
-        replays of what the batch pass would produce, and pairwise
-        ``sum()`` can differ from ``bincount`` in the last ulp.
-        """
-        lo = self.offsets[fact_id]
-        hi = self.offsets[fact_id + 1]
-        if lo == hi:
-            return 0.0
-        deltas = error[self.row_indices[lo:hi]] - self.fact_errors[lo:hi]
-        np.maximum(deltas, 0.0, out=deltas)
-        return float(
-            np.bincount(np.zeros(deltas.size, dtype=np.intp), weights=deltas, minlength=1)[0]
-        )
-
     def apply_fact(self, fact_id: int, state: "ExpectationState") -> float:
         """Apply fact ``fact_id`` to ``state`` in place; return the gain.
 

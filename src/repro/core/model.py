@@ -410,14 +410,6 @@ class SummarizationRelation:
             raise InvalidProblemError(f"{dimension!r} is not a dimension of this relation")
         return self.table.column(dimension).distinct_values()
 
-    def row(self, index: int) -> dict[str, Any]:
-        """Row ``index`` as a dict (dimensions + target)."""
-        return self.table.row(index)
-
-    def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Iterate over rows as dicts."""
-        return self.table.iter_rows()
-
     # ------------------------------------------------------------------
     # Scope machinery
     # ------------------------------------------------------------------
@@ -610,15 +602,6 @@ class SummarizationRelation:
                 for row in order[offsets[:-1]].tolist()
             ]
         return cached
-
-    def grouping(self, columns: Sequence[str]) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
-        """Compact group ids per row for a column combination (cached).
-
-        Returns ``(inverse, keys)``: ``inverse[r]`` is the group id of
-        row ``r`` and ``keys[g]`` the value tuple of group ``g`` (in
-        ``columns`` order).
-        """
-        return self.group_layout(columns)[0], self.group_keys(columns)
 
     def group_segments(
         self, columns: Sequence[str]

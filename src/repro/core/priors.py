@@ -3,14 +3,12 @@
 Definition 4 of the paper includes a prior ``P(r)``: the value the user
 expects for a row before hearing any facts.  The experiments use the
 average value of the target column as a constant prior; the running
-example (flight delays) uses a zero prior.  Custom per-row priors are
-supported for completeness.
+example (flight delays) uses a zero prior.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Mapping, Any
 
 import numpy as np
 
@@ -69,21 +67,3 @@ class GlobalAveragePrior(Prior):
 
     def describe(self) -> str:
         return "global average prior"
-
-
-class PerRowPrior(Prior):
-    """A prior computed per row by a user-supplied function.
-
-    The function receives each row as a dict (dimensions + target) and
-    returns the prior expectation for that row.
-    """
-
-    def __init__(self, fn: Callable[[Mapping[str, Any]], float], description: str = "per-row prior"):
-        self._fn = fn
-        self._description = description
-
-    def values(self, relation: SummarizationRelation) -> np.ndarray:
-        return np.array([float(self._fn(row)) for row in relation.iter_rows()], dtype=float)
-
-    def describe(self) -> str:
-        return self._description

@@ -195,27 +195,6 @@ class UtilityEvaluator:
         state.error[improved_rows] = fact_err[improves]
         return gain
 
-    # ------------------------------------------------------------------
-    # Group-level bounds (Section VI-B)
-    # ------------------------------------------------------------------
-    def group_deviation_bounds(
-        self,
-        group_columns: Sequence[str],
-        state: ExpectationState | None = None,
-    ) -> dict[tuple, float]:
-        """Per-scope upper bounds on utility gain for a fact group.
-
-        For each value combination of ``group_columns``, the bound is
-        the summed current deviation of the rows in that combination:
-        adding a fact can at most reduce its scope's deviation to zero
-        (paper, Section VI-B).  When ``state`` is None, bounds are
-        computed against the prior (empty speech).
-        """
-        error = state.error if state is not None else self._prior_error
-        inverse, keys = self._relation.grouping(list(group_columns))
-        sums = np.bincount(inverse, weights=error, minlength=len(keys))
-        return {key: float(sums[g]) for g, key in enumerate(keys)}
-
     def split_columns(self, group_columns: Sequence[str]) -> list[str]:
         """The columns of a group that split the relation's rows.
 

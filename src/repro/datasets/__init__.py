@@ -8,8 +8,7 @@ provides a seeded synthetic generator that reproduces the *structure*
 the algorithms care about — the number of dimensions, realistic domain
 sizes, and target distributions with strong dimension effects — so the
 relative behaviour of the algorithms (fact counts, pruning
-effectiveness, scaling) matches the paper.  Real CSV files can be
-loaded through :func:`repro.relational.read_csv` instead.
+effectiveness, scaling) matches the paper.
 """
 
 from repro.datasets.base import DatasetSpec, SyntheticDataset

@@ -10,7 +10,6 @@ pruning of Section VI operates.
 
 from repro.facts.groups import FactGroup, enumerate_fact_groups, specializations
 from repro.facts.generation import FactGenerator, GeneratedFacts
-from repro.facts.bounds import GroupBound, bounds_for_groups, group_utility_bounds
 
 __all__ = [
     "FactGroup",
@@ -18,7 +17,4 @@ __all__ = [
     "specializations",
     "FactGenerator",
     "GeneratedFacts",
-    "GroupBound",
-    "group_utility_bounds",
-    "bounds_for_groups",
 ]

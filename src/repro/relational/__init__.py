@@ -3,30 +3,19 @@
 The paper executes its algorithms as a series of SQL queries against
 Postgres.  Pre-processing here works on cached column codes instead, so
 this package keeps only what that needs: typed columns and immutable
-tables, CSV import and export, and equality predicates with one
-``select`` (the row-level reference for subset selection).
+tables, and the predicate interface with one ``select`` (the row-level
+reference for subset selection).
 """
 
 from repro.relational.column import Column, ColumnType
 from repro.relational.table import Table
-from repro.relational.expressions import (
-    AndPredicate,
-    EqualsPredicate,
-    Predicate,
-    TruePredicate,
-)
+from repro.relational.expressions import Predicate
 from repro.relational.operators import select
-from repro.relational.csvio import read_csv, write_csv
 
 __all__ = [
     "Column",
     "ColumnType",
     "Table",
     "Predicate",
-    "TruePredicate",
-    "EqualsPredicate",
-    "AndPredicate",
     "select",
-    "read_csv",
-    "write_csv",
 ]

@@ -1,4 +1,4 @@
-"""Equality predicates evaluated against tables.
+"""The predicate interface of :func:`~repro.relational.operators.select`.
 
 Predicates model the WHERE clause of a query scope in the paper's SQL
 implementation: a conjunction of ``column = value`` equalities on
@@ -9,9 +9,7 @@ table at once (``evaluate``), returning a boolean mask.
 from __future__ import annotations
 
 import abc
-from typing import Any, Sequence
 
-from repro.relational.errors import SchemaError
 from repro.relational.table import Table
 
 
@@ -19,89 +17,5 @@ class Predicate(abc.ABC):
     """Base class for boolean expressions over table rows."""
 
     @abc.abstractmethod
-    def referenced_columns(self) -> set[str]:
-        """Names of all columns this predicate reads."""
-
-    @abc.abstractmethod
     def evaluate(self, table: Table) -> list[bool]:
         """Evaluate the predicate against every row of ``table`` (a boolean mask)."""
-
-    def _check_schema(self, table: Table) -> None:
-        missing = self.referenced_columns() - set(table.column_names)
-        if missing:
-            raise SchemaError(
-                f"predicate references unknown columns {sorted(missing)} "
-                f"on table {table.name!r}"
-            )
-
-
-class TruePredicate(Predicate):
-    """A predicate that accepts every row."""
-
-    def referenced_columns(self) -> set[str]:
-        return set()
-
-    def evaluate(self, table: Table) -> list[bool]:
-        return [True] * table.num_rows
-
-    def __repr__(self) -> str:
-        return "TRUE"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruePredicate)
-
-    def __hash__(self) -> int:
-        return hash("TruePredicate")
-
-
-class EqualsPredicate(Predicate):
-    """``column = value`` (NULL never matches)."""
-
-    def __init__(self, column: str, value: Any):
-        self.column = column
-        self.value = value
-
-    def referenced_columns(self) -> set[str]:
-        return {self.column}
-
-    def evaluate(self, table: Table) -> list[bool]:
-        self._check_schema(table)
-        col = table.column(self.column)
-        target = self.value
-        return [v is not None and v == target for v in col]
-
-    def __repr__(self) -> str:
-        return f"{self.column} = {self.value!r}"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EqualsPredicate):
-            return NotImplemented
-        return self.column == other.column and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.column, self.value))
-
-
-class AndPredicate(Predicate):
-    """Conjunction of predicates."""
-
-    def __init__(self, children: Sequence[Predicate]):
-        self.children = list(children)
-
-    def referenced_columns(self) -> set[str]:
-        cols: set[str] = set()
-        for child in self.children:
-            cols |= child.referenced_columns()
-        return cols
-
-    def evaluate(self, table: Table) -> list[bool]:
-        if not self.children:
-            return [True] * table.num_rows
-        result = self.children[0].evaluate(table)
-        for child in self.children[1:]:
-            mask = child.evaluate(table)
-            result = [a and b for a, b in zip(result, mask)]
-        return result
-
-    def __repr__(self) -> str:
-        return "(" + " AND ".join(repr(c) for c in self.children) + ")"

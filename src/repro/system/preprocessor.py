@@ -168,9 +168,20 @@ def resolve_parallelism(
     return pool
 
 
-def default_chunk_size(total_items: int, workers: int) -> int:
-    """~4 tasks per worker: scheduling slack vs. per-task pickling overhead."""
-    return max(1, -(-total_items // (workers * 4)))
+def scope_chunk_size(
+    chunk_size: int | None, total_queries: int, workers: int, per_scope: int
+) -> int:
+    """Queries per pool task: about ``chunk_size``, cut at whole predicate scopes.
+
+    Queries come scope-major, ``per_scope`` (one per target) to a scope,
+    so a chunk of a multiple of ``per_scope`` queries never splits a
+    scope over two workers, each of which would build its set-up.
+    ``chunk_size`` defaults to ~4 tasks per worker (scheduling slack
+    vs. per-task pickling overhead) and is rounded up to whole scopes.
+    """
+    if chunk_size is None:
+        chunk_size = max(1, -(-total_queries // (workers * 4)))
+    return -(-chunk_size // per_scope) * per_scope
 
 
 class Preprocessor:
@@ -225,7 +236,8 @@ class Preprocessor:
         result.  Summarizers that carry state across problems
         (``deterministic`` False, e.g. the RANDOM baseline) cannot be
         sharded without changing their output, so they run serially
-        with a warning.  ``chunk_size`` overrides the task granularity.
+        with a warning.  ``chunk_size`` overrides the task granularity
+        (on a pool, rounded up to whole predicate scopes).
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
@@ -249,7 +261,8 @@ class Preprocessor:
 
         The query stream is never materialised: chunks come from
         :meth:`ProblemGenerator.enumerate_query_chunks` (one query each
-        in a serial run, ~4 per worker in a parallel one) and the pool
+        in a serial run; ~4 per worker in a parallel one, cut at whole
+        predicate scopes by :func:`scope_chunk_size`) and the pool
         collects results first-in-first-out — so flattening them
         reproduces the exact enumeration order no matter which worker
         solved which chunk.  Once ``max_problems`` speeches have been
@@ -263,10 +276,12 @@ class Preprocessor:
         total_queries = generator.count_queries()
         if not total_queries:
             return
-        if chunk_size is None:
-            chunk_size = (
-                default_chunk_size(total_queries, pool.workers) if pool.parallel else 1
+        if pool.parallel:
+            chunk_size = scope_chunk_size(
+                chunk_size, total_queries, pool.workers, len(generator.config.targets)
             )
+        elif chunk_size is None:
+            chunk_size = 1
         context = (generator, self._summarizer, self._realizer)
         chunk_results = pool.imap_chunks(
             context, solve_query_chunk, generator.enumerate_query_chunks(chunk_size)

@@ -36,8 +36,8 @@ from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.preprocessor import (
     Preprocessor,
-    default_chunk_size,
     resolve_parallelism,
+    scope_chunk_size,
     solve_query_chunk,
 )
 from repro.system.problem_generator import ProblemGenerator
@@ -229,10 +229,9 @@ class IncrementalMaintainer:
 
         if not pool.parallel:
             chunk_size = len(affected) or 1
-        elif chunk_size is None:
-            chunk_size = default_chunk_size(len(affected), pool.workers)
-        per_scope = len(self._config.targets)
-        size = -(-chunk_size // per_scope) * per_scope
+        size = scope_chunk_size(
+            chunk_size, len(affected), pool.workers, len(self._config.targets)
+        )
         chunks = (affected[start : start + size] for start in range(0, len(affected), size))
         context = (self._generator, preprocessor.summarizer, self._realizer)
         solved = pool.imap_chunks(context, solve_query_chunk, chunks)

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.cost_model import lattice_costs
-from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
+from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.facts.groups import FactGroup, GroupLattice, enumerate_fact_groups
-from tests.algorithms import plan_oracle
 from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
+from tests.algorithms.plan_candidates import candidate_plans
+from tests.algorithms import plan_oracle
 
 DIMENSIONS = ("a", "b", "c", "d", "e")
 ALL_GROUPS = enumerate_fact_groups(DIMENSIONS, max_arity=3, include_empty=True)

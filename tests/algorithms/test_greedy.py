@@ -3,12 +3,14 @@
 import pytest
 
 from repro.algorithms.greedy import GreedySummarizer
+from repro.algorithms.registry import make_summarizer
 from repro.core.model import Speech, SummarizationRelation
 from repro.core.priors import ConstantPrior, ZeroPrior
 from repro.core.problem import SummarizationProblem
 from repro.relational.column import Column
 from repro.relational.table import Table
-from tests.algorithms.per_fact_greedy import incremental_gain
+from tests.algorithms.per_fact_greedy import PerFactGreedySummarizer, incremental_gain
+from tests.core.test_kernel import random_problem
 
 
 class TestGreedySelection:
@@ -125,3 +127,89 @@ class TestGreedySelection:
         )
         result = GreedySummarizer().summarize(problem)
         assert result.speech == Speech([fact])
+
+
+class TestKernelMatchesPerFactOracle:
+    @pytest.mark.parametrize("allow_early_stop", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_kernel_greedy_matches_reference_greedy(self, seed, allow_early_stop):
+        """The vectorized greedy path must select the same speech as the
+        per-fact oracle (same tie-breaking by candidate index).  Each
+        problem has 60 candidates whose gains reach zero after ~40
+        picks, so without early stop both paths keep picking zero-gain
+        facts."""
+        problem = random_problem(seed, max_facts=60)
+        kernel = GreedySummarizer(allow_early_stop).summarize(problem)
+        reference = PerFactGreedySummarizer(allow_early_stop).summarize(problem)
+        assert kernel.speech == reference.speech
+        assert kernel.utility == pytest.approx(reference.utility)
+        assert (
+            kernel.statistics.speeches_considered
+            == reference.statistics.speeches_considered
+        )
+        assert (
+            kernel.statistics.fact_evaluations
+            == reference.statistics.fact_evaluations
+        )
+
+    def test_fact_evaluations_on_a_fixed_problem(self):
+        """Exact work on one fixed problem: G-B and the per-fact oracle
+        evaluate every remaining candidate in each of the four steps
+        (60 + 59 + 58 + 57).  A G-B that evaluates more or fewer facts
+        changes the count."""
+        problem = random_problem(11, max_facts=4)
+        assert len(problem.candidate_facts) == 60
+        kernel = GreedySummarizer().summarize(problem)
+        reference = PerFactGreedySummarizer().summarize(problem)
+        assert kernel.speech == reference.speech
+        assert kernel.statistics.fact_evaluations == 234
+        assert reference.statistics.fact_evaluations == 234
+
+
+class TestPrunedVariantsFollowGreedy:
+    """G-P and G-O run Algorithm 2 with G-B's selection rule, so on the
+    random problems above they pick G-B's facts in G-B's order, stop
+    where G-B stops, and consume no more gains than G-B."""
+
+    @staticmethod
+    def _assert_follows_greedy(problem, name):
+        base = GreedySummarizer().summarize(problem)
+        result = make_summarizer(name).summarize(problem)
+        assert result.algorithm == name
+        assert result.speech.facts == base.speech.facts
+        assert result.utility.hex() == base.utility.hex()
+        assert result.statistics.speeches_considered == base.statistics.speeches_considered
+        assert result.statistics.fact_evaluations <= base.statistics.fact_evaluations
+
+    @pytest.mark.parametrize("name", ["G-P", "G-O"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_four_fact_speeches(self, seed, name):
+        self._assert_follows_greedy(random_problem(seed, max_facts=4), name)
+
+    @pytest.mark.parametrize("name", ["G-P", "G-O"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_stop_once_no_gain_is_left(self, seed, name):
+        """Gains reach zero after ~40 of the 60 candidates: every
+        variant stops at the same step, before ``max_facts``."""
+        problem = random_problem(seed, max_facts=60)
+        self._assert_follows_greedy(problem, name)
+        assert GreedySummarizer().summarize(problem).speech.length < problem.max_facts
+
+    @pytest.mark.parametrize("name", ["G-P", "G-O"])
+    def test_duplicate_fact_is_chosen_once(self, example_relation, name):
+        winter = {"season": "Winter"}
+        problem = SummarizationProblem(
+            relation=example_relation,
+            candidate_facts=[example_relation.make_fact(winter)] * 2,
+            max_facts=3,
+            prior=ZeroPrior(),
+        )
+        result = make_summarizer(name).summarize(problem)
+        assert result.speech == Speech([example_relation.make_fact(winter)])
+
+    @pytest.mark.parametrize("name", ["G-P", "G-O"])
+    def test_utility_matches_evaluator(self, example_problem, name):
+        result = make_summarizer(name).summarize(example_problem)
+        evaluator = example_problem.evaluator()
+        assert result.utility == evaluator.utility(result.speech)
+        assert result.scaled_utility == evaluator.scaled_utility(result.speech)

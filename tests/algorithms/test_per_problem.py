@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cost_model import lattice_costs
-from repro.algorithms.plan_optimizer import candidate_plans
 from repro.algorithms.pruned_greedy import OptimizedGreedySummarizer, PrunedGreedySummarizer
 from repro.algorithms.pruning import FactGroupPruner
 from repro.datasets import load_dataset
@@ -25,10 +24,11 @@ from repro.system.config import SummarizationConfig
 from repro.system.persistence import canonical_store_payload
 from repro.system.preprocessor import Preprocessor
 from repro.system.problem_generator import ProblemGenerator
-from tests.algorithms import plan_oracle
-from tests.algorithms.dict_pruner import max_split_bound
-from tests.system.test_store_golden import with_null_dimensions
 from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
+from tests.algorithms.dict_pruner import max_split_bound
+from tests.algorithms.plan_candidates import candidate_plans
+from tests.algorithms import plan_oracle
+from tests.system.test_store_golden import with_null_dimensions
 
 DATASETS = ["flights", "stackoverflow", "acs", "primaries", "flights-nulls"]
 

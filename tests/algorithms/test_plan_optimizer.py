@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.cost_model import LatticeCosts, PruningPlan, lattice_costs
-from repro.algorithms.plan_optimizer import candidate_plans, choose_plan, naive_plan
+from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.facts.groups import FactGroup, GroupLattice
-from tests.algorithms import plan_oracle
 from tests.algorithms.cost_oracle import CostEstimator, PruningCostModel, TableStatistics
+from tests.algorithms.plan_candidates import candidate_plans
+from tests.algorithms import plan_oracle
 
 GROUPS = [
     FactGroup([]),

@@ -17,6 +17,7 @@ from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Scope, SummarizationRelation
 from repro.core.priors import GlobalAveragePrior, ZeroPrior
 from repro.core.problem import SummarizationProblem
+from repro.core.utility import UtilityEvaluator
 from repro.datasets import load_dataset
 from repro.facts.generation import FactGenerator
 from repro.facts.groups import FactGroup
@@ -244,6 +245,96 @@ class TestComputeGains:
             i for columns, ids in index.groups.items() if columns != ("region",) for i in ids
         ]
         assert outcome.fact_ids.tolist() == source_ids + survivor_ids
+
+
+class TestTargetBounds:
+    """The bound Algorithm 3 compares with the best source gain.
+
+    A target's bound is the largest summed deviation of one value
+    combination of its splitting columns
+    (:meth:`~repro.core.utility.UtilityEvaluator.split_columns`), grouped
+    by :meth:`~repro.core.model.SummarizationRelation.group_layout`.  It
+    must cover the gain of every fact of the target and of every group
+    that specializes it, or pruning could hide the best fact.
+    """
+
+    @staticmethod
+    def _cell_sums(evaluator, columns, state=None):
+        error = (state or evaluator.initial_state()).error
+        inverse, _, offsets = evaluator.relation.group_layout(evaluator.split_columns(columns))
+        return inverse, np.bincount(inverse, weights=error, minlength=offsets.size - 1)
+
+    def test_region_cells_of_the_running_example(self, example_evaluator, example_relation):
+        inverse, sums = self._cell_sums(example_evaluator, ["region"])
+        # Per-region deviation sums: East 45, South 55, West 45, North 60.
+        assert sorted(sums.tolist()) == pytest.approx([45.0, 45.0, 55.0, 60.0])
+        north = example_relation.scope_mask(Scope({"region": "North"}))
+        assert sums[inverse[north][0]] == pytest.approx(60.0)
+        assert max_group_bound(example_evaluator, ["region"]) == pytest.approx(60.0)
+
+    def test_empty_group_bound_is_the_prior_deviation(self, example_evaluator):
+        assert max_group_bound(example_evaluator, []) == pytest.approx(205.0)
+        assert example_evaluator.prior_deviation() == pytest.approx(205.0)
+
+    def test_each_scope_is_one_cell_that_covers_its_fact(self, example_evaluator, example_facts):
+        evaluator = example_evaluator
+        state = evaluator.initial_state()
+        evaluator.apply_fact(example_facts.facts[0], state)
+        for fact in example_facts.facts:
+            inverse, sums = self._cell_sums(evaluator, list(fact.scope.columns), state)
+            cells = np.unique(inverse[evaluator.relation.scope_mask(fact.scope)])
+            assert cells.size == 1
+            assert incremental_gain(evaluator, fact, state) <= sums[cells[0]] + 1e-9
+
+    def test_a_target_bound_covers_its_specializations(self, example_evaluator, example_facts):
+        state = example_evaluator.initial_state()
+        for target in (FactGroup([]), FactGroup(["region"]), FactGroup(["season"])):
+            bound = max_group_bound(example_evaluator, list(target.dimensions), state)
+            covered = [
+                fact
+                for fact in example_facts.facts
+                if FactGroup(fact.scope.columns).is_specialization_of(target)
+            ]
+            assert covered
+            for fact in covered:
+                assert incremental_gain(example_evaluator, fact, state) <= bound + 1e-9
+
+    def test_bound_shrinks_after_applying_a_fact(self, example_evaluator, example_relation):
+        before = max_group_bound(example_evaluator, ["season"])
+        state = example_evaluator.initial_state()
+        example_evaluator.apply_fact(example_relation.make_fact({"season": "Winter"}), state)
+        assert max_group_bound(example_evaluator, ["season"], state) <= before
+        inverse, sums = self._cell_sums(example_evaluator, ["season"], state)
+        winter = example_relation.scope_mask(Scope({"season": "Winter"}))
+        assert sums[inverse[winter][0]] == pytest.approx(0.0)
+
+    def test_constant_column_splits_nothing(self):
+        table = Table(
+            "constant",
+            [
+                Column.categorical("a", ["x", "y", "x", "y"]),
+                Column.categorical("b", ["z"] * 4),
+                Column.numeric("t", [1.0, 2.0, 3.0, 4.0]),
+            ],
+        )
+        relation = SummarizationRelation(table, ["a", "b"], "t")
+        evaluator = UtilityEvaluator(relation, prior=ZeroPrior())
+        assert evaluator.split_columns(["a", "b"]) == ["a"]
+        assert evaluator.split_columns(["b"]) == []
+        assert max_group_bound(evaluator, ["b"]) == max_group_bound(evaluator, [])
+
+    def test_stacked_bounds_have_each_targets_bits(self, example_evaluator, example_facts):
+        """The pruner bounds every target in one bincount over stacked
+        group ids; each maximum must be the bits of that target alone."""
+        state = example_evaluator.initial_state()
+        example_evaluator.apply_fact(example_facts.facts[3], state)
+        targets = [[], ["region"], ["season"], ["region", "season"]]
+        combinations = [example_evaluator.split_columns(t) for t in targets]
+        stacked, starts = example_evaluator.relation.stacked_group_ids(combinations)
+        sums = np.bincount(stacked, weights=np.concatenate((state.error,) * len(targets)))
+        bounds = np.maximum.reduceat(sums, starts).tolist()
+        expected = [max_group_bound(example_evaluator, t, state) for t in targets]
+        assert [b.hex() for b in bounds] == [b.hex() for b in expected]
 
 
 # ----------------------------------------------------------------------

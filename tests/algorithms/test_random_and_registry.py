@@ -38,7 +38,7 @@ class TestRandomSummarizer:
 class TestRegistry:
     def test_available_names(self):
         assert set(available_summarizers()) == {
-            "E", "G-B", "G-L", "G-P", "G-O", "SAMPLING", "RANDOM",
+            "E", "G-B", "G-P", "G-O", "SAMPLING", "RANDOM",
         }
 
     @pytest.mark.parametrize(

@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from repro.core.model import Scope
-from repro.core.priors import ConstantPrior, GlobalAveragePrior, PerRowPrior, ZeroPrior
+from repro.core.priors import ConstantPrior, GlobalAveragePrior, ZeroPrior
 
 
 class TestZeroPrior:
@@ -31,15 +30,3 @@ class TestGlobalAveragePrior:
         expected = float(example_relation.target_values.mean())
         values = GlobalAveragePrior().values(example_relation)
         assert np.allclose(values, expected)
-
-
-class TestPerRowPrior:
-    def test_values_follow_function(self, example_relation):
-        prior = PerRowPrior(lambda row: 20.0 if row["season"] == "Winter" else 0.0)
-        values = prior.values(example_relation)
-        winter_mask = example_relation.scope_mask(Scope({"season": "Winter"}))
-        assert np.all(values[winter_mask] == 20.0)
-        assert np.all(values[~winter_mask] == 0.0)
-
-    def test_describe_is_custom(self):
-        assert PerRowPrior(lambda row: 0.0, description="history").describe() == "history"

@@ -76,9 +76,9 @@ class TestSeededCodes:
         assert codes.tolist() == [1, 1]
         assert decode == ["z", "x", "y"]
         fresh = SummarizationRelation(table, ["d"], "v")
-        inverse, keys = relation.grouping(["d"])
-        assert inverse.tolist() == fresh.grouping(["d"])[0].tolist() == [0, 0]
-        assert keys == fresh.grouping(["d"])[1] == [("x",)]
+        inverse = relation.group_layout(["d"])[0]
+        assert inverse.tolist() == fresh.group_layout(["d"])[0].tolist() == [0, 0]
+        assert relation.group_keys(["d"]) == fresh.group_keys(["d"]) == [("x",)]
         assert not relation.scope_mask(Scope({"d": "z"})).any()
 
     def test_rows_restrict_the_table_and_seeds_follow_them(self):
@@ -107,8 +107,8 @@ class TestSeededCodes:
         assert relation.target_values.tolist() == [1.0, 4.0]
         assert relation.dimension_codes("d")[0].tolist() == [0, 2]
         assert relation.table == expected.table
-        inverse, keys = relation.grouping(["d"])
-        assert inverse.tolist() == [0, 1] and keys == [("x",), ("z",)]
+        assert relation.group_layout(["d"])[0].tolist() == [0, 1]
+        assert relation.group_keys(["d"]) == [("x",), ("z",)]
         unseeded = SummarizationRelation(table, ["d"], "v", rows=rows)
         assert unseeded.table == expected.table
         assert unseeded.target_values.tobytes() == expected.target_values.tobytes()

@@ -54,7 +54,7 @@ class TestScopeRelations:
         assert not Scope({"region": "East"}).contains_row({"season": "Winter"})
 
     def test_scope_mask_agrees_with_contains_row(self, example_relation):
-        rows = list(example_relation.iter_rows())
+        rows = list(example_relation.table.iter_rows())
         for scope in (
             Scope(),
             Scope({"region": "East"}),

@@ -142,32 +142,6 @@ class TestIncrementalState:
             assert state.total_error == pytest.approx(example_evaluator.deviation(applied))
 
 
-class TestGroupBounds:
-    def test_bounds_cover_every_group_value(self, example_evaluator):
-        bounds = example_evaluator.group_deviation_bounds(["region"])
-        assert len(bounds) == 4
-        # The North column contributes 4 rows at 15 -> bound 60.
-        assert bounds[("North",)] == pytest.approx(60.0)
-
-    def test_bound_upper_bounds_single_fact_utility(self, example_evaluator, example_facts):
-        state = example_evaluator.initial_state()
-        for fact in example_facts.facts:
-            group_columns = list(fact.scope.columns)
-            bounds = example_evaluator.group_deviation_bounds(group_columns, state)
-            key = tuple(fact.scope.value(c) for c in sorted(fact.scope.columns))
-            # Keys follow the sorted scope columns.
-            assert incremental_gain(example_evaluator, fact, state) <= bounds[key] + 1e-9
-
-    def test_max_group_bound(self, example_evaluator):
-        # Per-region deviation sums: East 45, South 55, West 45, North 60.
-        bounds = example_evaluator.group_deviation_bounds(["region"])
-        assert max(bounds.values()) == pytest.approx(60.0)
-
-    def test_empty_group_is_whole_relation(self, example_evaluator):
-        bounds = example_evaluator.group_deviation_bounds([])
-        assert bounds[()] == pytest.approx(205.0)
-
-
 class TestValidation:
     def test_mismatched_prior_length_rejected(self, example_relation):
         class BrokenPrior(ZeroPrior):

@@ -207,7 +207,8 @@ def test_figure3_algorithms():
 
 
 def test_figure4_scaling():
-    """Figure 4: cost grows with the fact-dimension limit and the speech length."""
+    """Figure 4: cost grows with the fact-dimension limit and the speech
+    length, and more gently in speech length than in fact dimensions."""
     result = run_figure4(queries_per_scenario=2)
 
     by_dimensions = scaling_series(result, "fact_dimensions", "G-P")
@@ -216,8 +217,16 @@ def test_figure4_scaling():
         values = [cost for _, cost in points]
         assert values == sorted(values), f"cost should grow with fact dims in {scenario}"
 
-    for points in scaling_series(result, "speech_length", "G-P").values():
+    by_length = scaling_series(result, "speech_length", "G-P")
+    assert by_length.keys() == by_dimensions.keys()
+    for scenario, points in by_length.items():
         assert points[0][1] <= points[-1][1]
+        # Work counts, last point over first: ~2x in speech length
+        # against 5-11x in fact dimensions at this size.
+        dimensions = by_dimensions[scenario]
+        length_growth = points[-1][1] / points[0][1]
+        dimension_growth = dimensions[-1][1] / dimensions[0][1]
+        assert length_growth < dimension_growth, scenario
 
     # G-O never does more gain evaluations than the naive plan.
     go_work = sum(r["fact_evaluations"] for r in result.rows if r["algorithm"] == "G-O")

@@ -116,7 +116,7 @@ class TestGeneration:
         value combination of its dimensions in the data."""
         relation = random_relation(np.random.default_rng(seed))
         generated = FactGenerator(relation, max_extra_dimensions=2).generate()
-        rows = list(relation.iter_rows())
+        rows = list(relation.table.iter_rows())
         groups = enumerate_fact_groups(relation.dimensions, max_arity=2, include_empty=True)
         assert set(by_group(generated)) <= set(groups)
         for group in groups:

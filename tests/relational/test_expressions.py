@@ -1,17 +1,17 @@
-"""Unit tests for repro.relational.expressions."""
+"""Unit tests for the row-level predicates of ``tests.relational.predicates``."""
 
 import pytest
 
 from repro.relational.column import Column
 from repro.relational.errors import SchemaError
-from repro.relational.expressions import (
+from repro.relational.expressions import Predicate
+from repro.relational.table import Table
+from tests.relational.predicates import (
     AndPredicate,
     EqualsPredicate,
-    Predicate,
     TruePredicate,
+    conjunction_of_equalities,
 )
-from repro.relational.table import Table
-from tests.relational.predicates import conjunction_of_equalities
 
 
 @pytest.fixture()

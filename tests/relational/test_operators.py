@@ -4,10 +4,13 @@ import pytest
 
 from repro.relational.column import Column, ColumnType
 from repro.relational.errors import SchemaError
-from repro.relational.expressions import EqualsPredicate, TruePredicate
 from repro.relational.operators import select
 from repro.relational.table import Table
-from tests.relational.predicates import conjunction_of_equalities
+from tests.relational.predicates import (
+    EqualsPredicate,
+    TruePredicate,
+    conjunction_of_equalities,
+)
 
 
 @pytest.fixture()

@@ -10,10 +10,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.column import Column
-from repro.relational.expressions import EqualsPredicate
 from repro.relational.operators import select
 from repro.relational.table import Table
-from tests.relational.predicates import conjunction_of_equalities
+from tests.relational.predicates import EqualsPredicate, conjunction_of_equalities
 
 _CATEGORIES = ["a", "b", "c", None]
 

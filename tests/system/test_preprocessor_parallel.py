@@ -13,10 +13,13 @@ import json
 
 import pytest
 
+from repro.relational.column import ColumnType
+from repro.relational.table import Table
 from repro.system.config import SummarizationConfig
 from repro.system.persistence import store_to_dict
-from repro.system.preprocessor import Preprocessor
+from repro.system.preprocessor import Preprocessor, scope_chunk_size
 from repro.system.problem_generator import ProblemGenerator
+from repro.system.updates import IncrementalMaintainer
 from repro.system.worker_pool import WorkerPool
 
 
@@ -197,3 +200,91 @@ class TestPersistentPoolParity:
         assert store_bytes(engine.store, config) == store_bytes(
             serial_engine.store, config
         )
+
+
+def with_cost_target(table: Table) -> Table:
+    """``table`` with a second target column, so every scope holds two queries."""
+    rows = [
+        (row["region"], row["season"], row["delay"], 3 * row["delay"])
+        for row in table.iter_rows()
+    ]
+    return Table.from_rows(
+        table.name,
+        ["region", "season", "delay", "cost"],
+        [ColumnType.CATEGORICAL, ColumnType.CATEGORICAL, ColumnType.NUMERIC, ColumnType.NUMERIC],
+        rows,
+    )
+
+
+class TestScopeChunks:
+    """A pool task holds whole predicate scopes: no scope is built by two workers."""
+
+    @pytest.fixture()
+    def two_target_config(self) -> SummarizationConfig:
+        return SummarizationConfig.create(
+            "flight_delays",
+            dimensions=("region", "season"),
+            targets=("delay", "cost"),
+            max_query_length=2,
+            max_facts_per_speech=2,
+            max_fact_dimensions=1,
+            algorithm="G-B",
+        )
+
+    @staticmethod
+    def record_chunks(monkeypatch) -> list[list]:
+        """Every chunk handed to a pool's workers, in dispatch order."""
+        chunks: list[list] = []
+        original = WorkerPool.imap_chunks
+
+        def recording(self, context, fn, stream):
+            for chunk in stream:
+                chunks.append(list(chunk))
+            return original(self, context, fn, iter(chunks))
+
+        monkeypatch.setattr(WorkerPool, "imap_chunks", recording)
+        return chunks
+
+    @staticmethod
+    def assert_whole_scopes(chunks: list[list], targets: tuple[str, ...]) -> None:
+        owner: dict[tuple, int] = {}
+        for number, chunk in enumerate(chunks):
+            assert len(chunk) % len(targets) == 0
+            for query in chunk:
+                assert owner.setdefault(query.predicates, number) == number, query
+        assert sum(map(len, chunks)) == len(owner) * len(targets)
+
+    def test_chunk_size_rounds_up_to_whole_scopes(self):
+        assert scope_chunk_size(None, 100, 2, 1) == 13
+        assert scope_chunk_size(None, 100, 2, 3) == 15
+        assert scope_chunk_size(None, 0, 2, 2) == 2
+        assert [scope_chunk_size(size, 100, 2, 4) for size in (1, 4, 5, 8)] == [4, 4, 8, 8]
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 5])
+    def test_preprocess_chunks_never_split_a_scope(
+        self, two_target_config, example_table, monkeypatch, chunk_size
+    ):
+        table = with_cost_target(example_table)
+        serial_store, _ = run_with_pool(two_target_config, table, None)
+        chunks = self.record_chunks(monkeypatch)
+        store, _ = run_with_pool(two_target_config, table, 2, chunk_size=chunk_size)
+        assert len(chunks) > 1
+        self.assert_whole_scopes(chunks, two_target_config.targets)
+        assert store_bytes(store, two_target_config) == store_bytes(
+            serial_store, two_target_config
+        )
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_maintain_chunks_never_split_a_scope(
+        self, two_target_config, example_table, monkeypatch, chunk_size
+    ):
+        table = with_cost_target(example_table)
+        new_rows = with_cost_target(example_table.take([0, 5]))
+        store, _ = run_with_pool(two_target_config, table, None)
+        maintainer = IncrementalMaintainer(two_target_config, table)
+        chunks = self.record_chunks(monkeypatch)
+        with WorkerPool(2) as pool:
+            report = maintainer.maintain(new_rows, store, chunk_size=chunk_size, pool=pool)
+        assert len(chunks) > 1
+        assert sum(map(len, chunks)) == report.affected_queries
+        self.assert_whole_scopes(chunks, two_target_config.targets)

@@ -131,6 +131,7 @@ class TestBadInput:
         "option, message",
         [
             (["--algorithm", "G-X"], "invalid choice: 'G-X'"),
+            (["--algorithm", "G-L"], "invalid choice: 'G-L'"),
             (["--facts", "0"], "max_facts_per_speech must be at least 1"),
             (["--max-query-length", "-1"], "max_query_length must be non-negative"),
             (["--dimensions", "airline", "airline"], "duplicate dimension columns: ['airline']"),
@@ -161,6 +162,26 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.count("usage:") == 1
         assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ask", "what is the delay?"],
+            ["maintain"],
+            ["serve"],
+            ["recover", "--data-dir", "unused"],
+        ],
+    )
+    def test_every_engine_command_rejects_a_deleted_algorithm(self, capsys, command):
+        """G-L is gone from the registry, so every command that builds an
+        engine refuses it at parse time, before any data is generated."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--dataset", "flights", "--algorithm", "G-L"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1
+        assert "invalid choice: 'G-L'" in err
         assert "Traceback" not in err
 
     def test_unknown_experiment(self, capsys):

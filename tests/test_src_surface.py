@@ -12,8 +12,8 @@ second):
 
 * A reference is a name, an attribute or a dotted string constant
   (``getattr`` names, the patch points of ``benchmarks/voice_e2e``).
-  Import statements and module ``__all__`` lists do not count, except
-  that the ``__all__`` of a package ``__init__`` is its public API.
+  Import statements and ``__all__`` lists do not count, a package
+  ``__init__``'s included: an export is not a use.
 * Module-level code of ``src/``, and everything in ``benchmarks/`` and
   ``examples/``, is live; so is the body of every live definition, to
   a fixed point.  A method is live only when its class is, and a dunder
@@ -45,6 +45,12 @@ ALLOWED = {
     "src/repro/mlbaseline/evaluation.py:MlComparisonResult.reference_wins": (
         "ML-baseline study result API (Figure 11): whether the paper's speeches win"
     ),
+    "src/repro/api/clients.py:InProcessClient": (
+        "README's Public API: the in-process client applications embed"
+    ),
+    "src/repro/api/clients.py:VoiceClient": (
+        "README's Public API: the client protocol InProcessClient and HttpClient implement"
+    ),
 }
 
 
@@ -53,17 +59,15 @@ def _is_dunder(name: str) -> bool:
 
 
 def _scan_module(tree: ast.Module, module: str, track: bool):
-    """One module's definitions, the names each refers to, and its public API.
+    """One module's definitions and the names each refers to.
 
-    Returns ``(definitions, references, public)``: ``definitions`` maps
+    Returns ``(definitions, references)``: ``definitions`` maps
     ``module:Qual.name`` to ``(name, enclosing definition or None)``,
-    ``references`` maps each enclosing definition (None: module level)
-    to the names referred to directly inside it, and ``public`` is a
-    package ``__init__``'s ``__all__``.
+    and ``references`` maps each enclosing definition (None: module
+    level) to the names referred to directly inside it.
     """
     definitions: dict[str, tuple[str, str | None]] = {}
     references: dict[str | None, set[str]] = {}
-    public: set[str] = set()
     # (node, enclosing tracked definition, inside a function?)
     pending: list[tuple[ast.AST, str | None, bool]] = [
         (statement, None, False) for statement in tree.body
@@ -83,8 +87,7 @@ def _scan_module(tree: ast.Module, module: str, track: bool):
         elif kind is ast.Assign and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            if module.endswith("__init__.py"):
-                public.update(ast.literal_eval(node.value))
+            pass  # an export, not a use
         elif kind in (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef):
             # Decorators, bases and signatures belong to the enclosing scope.
             body = {id(statement) for statement in node.body}
@@ -103,7 +106,7 @@ def _scan_module(tree: ast.Module, module: str, track: bool):
         else:
             for child in ast.iter_child_nodes(node):
                 pending.append((child, owner, in_function))
-    return definitions, references, public
+    return definitions, references
 
 
 @functools.cache
@@ -116,9 +119,9 @@ def _parse() -> tuple[dict, dict, frozenset]:
         for path in sorted((ROOT / top).rglob("*.py")):
             module = path.relative_to(ROOT).as_posix()
             tree = ast.parse(path.read_text(encoding="utf-8"), module)
-            found, references, public = _scan_module(tree, module, track=top == "src")
+            found, references = _scan_module(tree, module, track=top == "src")
             definitions.update(found)
-            roots |= public | references.pop(None, set())
+            roots |= references.pop(None, set())
             for owner, names in references.items():
                 owned.setdefault(owner, set()).update(names)
     return definitions, owned, frozenset(roots)
@@ -161,3 +164,24 @@ def test_every_src_definition_is_reached_outside_tests():
 def test_every_allowed_definition_exists_and_is_still_unreferenced():
     stale = sorted(set(ALLOWED) - set(unreferenced_definitions()))
     assert not stale, f"remove these ALLOWED entries: {stale}"
+
+
+def _module_level_references(source: str) -> set[str]:
+    tree = ast.parse(source, "module.py")
+    return _scan_module(tree, "module.py", track=True)[1].get(None, set())
+
+
+def test_an_import_or_an_export_is_not_a_use():
+    references = _module_level_references(
+        "from package.helpers import helper\n__all__ = ['helper', 'exported']\n"
+        "def exported():\n    return helper()\n"
+    )
+    assert "helper" not in references
+    assert "exported" not in references
+
+
+def test_a_call_or_a_dotted_string_is_a_use():
+    references = _module_level_references(
+        "run()\nPATCH_POINTS = (('repro.system.updates', 'solve_query_chunk'),)\n"
+    )
+    assert {"run", "updates", "solve_query_chunk"} <= references
