@@ -10,7 +10,13 @@ Candidate gains are evaluated through the vectorized
 :class:`repro.core.kernel.FactScopeIndex` kernel — one NumPy pass per
 iteration instead of one gain evaluation per candidate.
 :func:`greedy_loop` is that loop; G-O, and G-P under a trivial plan,
-run it too (:mod:`repro.algorithms.pruned_greedy`).
+run it too (:mod:`repro.algorithms.pruned_greedy`).  It keeps only the
+per-row error of the closest relevant value: each step computes every
+gain, takes the first maximal one and lowers the error on the chosen
+fact's rows.  A chosen fact's gain is zero from then on, so no mask is
+needed to keep it from being chosen again while gains are positive.
+Under the closest-relevant-value model the final error also gives the
+speech's utility (:func:`closest_value_scores`).
 """
 
 from __future__ import annotations
@@ -18,49 +24,58 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Summarizer, SummarizerStatistics
-from repro.core.model import Fact, Speech
+from repro.core.expectation import ClosestRelevantFactModel
+from repro.core.model import Speech
 from repro.core.problem import SummarizationProblem
-from repro.core.utility import ExpectationState, UtilityEvaluator
+from repro.core.utility import UtilityEvaluator
 
 
 def greedy_loop(
     problem: SummarizationProblem, evaluator: UtilityEvaluator, allow_early_stop: bool = True
-) -> tuple[Speech, SummarizerStatistics, ExpectationState]:
-    """Algorithm 2 on ``problem``: the speech, its work counters and the final state.
+) -> tuple[Speech, SummarizerStatistics, np.ndarray]:
+    """Algorithm 2 on ``problem``: the speech, its work counters and the final per-row error.
 
-    ``evaluator`` is the problem's; the state holds the speech's
-    expectations and errors.  Ties for the best gain go to the lowest
-    fact id.
+    ``evaluator`` is the problem's; the error is |E(F, r) − v_r| for
+    the speech F under the closest-relevant-value model.  Ties for the
+    best gain go to the lowest fact id.  Without early stop, once no
+    fact gains, the lowest id not yet chosen is taken.
     """
     stats = SummarizerStatistics()
-    state = evaluator.initial_state()
-
     index = problem.index()
-    facts = index.facts
-    active = np.ones(len(facts), dtype=bool)
-    selected: list[Fact] = []
-
-    for _ in range(problem.max_facts):
-        if not active.any():
-            break
+    error = evaluator.initial_error()
+    chosen: list[int] = []
+    for _ in range(min(problem.max_facts, index.num_facts)):
         # Algorithm 2, Line 7 — all candidate gains in one pass.
-        gains = evaluator.batch_incremental_gains(index, state)
-        stats.fact_evaluations += int(active.sum())
-        gains[~active] = -np.inf
-        # Gains are clipped at zero, so argmax replicates the
-        # per-fact loop exactly: first index among maximal gains,
-        # falling back to the first remaining fact when all are zero.
-        best = int(np.argmax(gains))
-        best_gain = float(gains[best])
-        if best_gain <= 0.0 and allow_early_stop and selected:
-            break
+        gains = index.batch_gains(error)
+        stats.fact_evaluations += index.num_facts - len(chosen)
+        # Gains are clipped at zero: argmax is the first maximal gain.
+        best = int(gains.argmax())
+        if gains[best] <= 0.0 and chosen:
+            if allow_early_stop:
+                break
+            best = min(set(range(index.num_facts)).difference(chosen))
         # Algorithm 2, Lines 9-11: select the fact and update expectations.
-        index.apply_fact(best, state)
-        selected.append(facts[best])
-        active[best] = False
-        stats.speeches_considered += 1
+        start, stop = index.offsets[best], index.offsets[best + 1]
+        rows = index.row_indices[start:stop]
+        error[rows] = np.minimum(error[rows], index.fact_errors[start:stop])
+        chosen.append(best)
+    stats.speeches_considered = len(chosen)
+    return Speech([index.facts[i] for i in chosen]), stats, error
 
-    return Speech(selected), stats, state
+
+def closest_value_scores(
+    evaluator: UtilityEvaluator, error: np.ndarray
+) -> tuple[float, float] | None:
+    """``(U(F), D(∅))`` from a greedy loop's final per-row ``error``; None off the closest model.
+
+    Under the closest-relevant-value model the error is |E(F, r) − v_r|
+    for the selected facts, summed in row order as
+    :meth:`UtilityEvaluator.deviation` sums it: D(F) needs no second pass.
+    """
+    if not isinstance(evaluator.expectation_model, ClosestRelevantFactModel):
+        return None
+    prior = evaluator.prior_deviation()
+    return prior - float(error.sum()), prior
 
 
 class GreedySummarizer(Summarizer):
@@ -80,5 +95,12 @@ class GreedySummarizer(Summarizer):
         self._allow_early_stop = allow_early_stop
 
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
-        speech, stats, _ = greedy_loop(problem, problem.evaluator(), self._allow_early_stop)
+        speech, stats, _ = self._solve_scored(problem)
         return speech, stats
+
+    def _solve_scored(
+        self, problem: SummarizationProblem
+    ) -> tuple[Speech, SummarizerStatistics, tuple[float, float] | None]:
+        evaluator = problem.evaluator()
+        speech, stats, error = greedy_loop(problem, evaluator, self._allow_early_stop)
+        return speech, stats, closest_value_scores(evaluator, error)

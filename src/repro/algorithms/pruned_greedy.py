@@ -28,10 +28,9 @@ import numpy as np
 
 from repro.algorithms.base import Summarizer, SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan, checked_sigma, lattice_costs
-from repro.algorithms.greedy import greedy_loop
+from repro.algorithms.greedy import closest_value_scores, greedy_loop
 from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.algorithms.pruning import FactGroupPruner
-from repro.core.expectation import ClosestRelevantFactModel
 from repro.core.kernel import FactScopeIndex
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
@@ -85,15 +84,10 @@ class _PrunedGreedyBase(Summarizer):
         plan = self._plan(problem)
         if plan.sources:
             speech, stats, state = self._pruned_loop(problem, evaluator, plan)
+            error = state.error
         else:
-            speech, stats, state = greedy_loop(problem, evaluator)
-        if not isinstance(evaluator.expectation_model, ClosestRelevantFactModel):
-            return speech, stats, None
-        # Under the closest-relevant-value model the state's error is
-        # |E(F, r) − v_r| for the selected facts, summed in row order as
-        # UtilityEvaluator.deviation sums it: D(F) needs no second pass.
-        prior = evaluator.prior_deviation()
-        return speech, stats, (prior - state.total_error, prior)
+            speech, stats, error = greedy_loop(problem, evaluator)
+        return speech, stats, closest_value_scores(evaluator, error)
 
     def _pruned_loop(
         self, problem: SummarizationProblem, evaluator: UtilityEvaluator, plan: PruningPlan

@@ -18,9 +18,7 @@ candidate fact's scope rows in CSR form, built once per problem:
 * ``groups`` — the fact ids per restricted column combination, which
   the pruned-greedy variants evaluate group by group.
 
-Only ``fact_errors`` (and the fact values) depend on the target column:
-the problems of one predicate scope share the rest, each target's index
-a :meth:`FactScopeIndex.retarget` of the first.
+Only ``fact_errors`` (and the fact values) depend on the target column.
 
 The fact generator already knows every fact's rows and groups and
 hands them to :meth:`FactScopeIndex.from_rows`; :meth:`FactScopeIndex.build`
@@ -36,7 +34,7 @@ sampled rows.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.utility import ExpectationState
 
 _EMPTY_INDICES = np.empty(0, dtype=np.intp)
+
+#: A map from each restricted column combination to its fact ids, or a
+#: function that returns it.
+Groups = dict[tuple[str, ...], np.ndarray] | Callable[[], dict[tuple[str, ...], np.ndarray]]
 
 
 def _clipped_sums(
@@ -87,7 +89,7 @@ class FactScopeIndex:
         "fact_errors",
         "values",
         "supports",
-        "groups",
+        "_groups",
         "cache",
     )
 
@@ -99,7 +101,7 @@ class FactScopeIndex:
         fact_ids: np.ndarray,
         fact_errors: np.ndarray,
         values: np.ndarray,
-        groups: dict[tuple[str, ...], np.ndarray],
+        groups: Groups,
     ):
         self.facts = facts
         self.row_indices = row_indices
@@ -107,11 +109,12 @@ class FactScopeIndex:
         self.fact_ids = fact_ids
         self.fact_errors = fact_errors
         self.values = values
-        self.supports = np.diff(offsets)
-        self.groups = groups
+        self.supports = offsets[1:] - offsets[:-1]
+        self._groups = groups
         #: What summarizers derive from the fact structure and the rows,
         #: not the target (group order, prepared and chosen pruning
-        #: plans), shared by every retargeted copy.
+        #: plans); the problem generator hands the indexes of one
+        #: predicate scope's targets one dict.
         self.cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -125,7 +128,7 @@ class FactScopeIndex:
         values: np.ndarray,
         row_indices: np.ndarray,
         supports: np.ndarray,
-        groups: dict[tuple[str, ...], np.ndarray],
+        groups: Groups,
     ) -> "FactScopeIndex":
         """Lay out facts whose scope rows are already known in CSR form.
 
@@ -134,14 +137,17 @@ class FactScopeIndex:
         fact's in ascending order.  ``groups`` maps each restricted
         column combination (the sorted scope columns) to its fact ids,
         ascending, in the order the combinations first appear among
-        ``facts``.  ``facts`` is only read when a summarizer needs a fact
-        object, so it may build them lazily.
+        ``facts``, or is a function that returns that map.  ``facts`` is
+        only read when a summarizer needs a fact object, so it may build
+        them lazily.
         """
         offsets = np.zeros(len(supports) + 1, dtype=np.intp)
-        np.cumsum(supports, out=offsets[1:])
+        supports.cumsum(out=offsets[1:])
         row_indices = row_indices.astype(np.intp, copy=False)
-        fact_ids = np.repeat(np.arange(len(supports), dtype=np.intp), supports)
-        fact_errors = np.abs(values[fact_ids] - relation.target_values[row_indices])
+        fact_ids = np.arange(len(supports), dtype=np.intp).repeat(supports)
+        fact_errors = values[fact_ids]
+        fact_errors -= relation.target_values[row_indices]
+        np.abs(fact_errors, out=fact_errors)
         return cls(facts, row_indices, offsets, fact_ids, fact_errors, values, groups)
 
     @classmethod
@@ -177,26 +183,20 @@ class FactScopeIndex:
             groups,
         )
 
-    def retarget(
-        self, facts: Sequence[Fact], values: np.ndarray, target_values: np.ndarray
-    ) -> "FactScopeIndex":
-        """The same fact scopes valued over another target column.
-
-        ``values`` are the facts' values and ``target_values`` the
-        relation's rows of the other target.  The copy shares the CSR
-        skeleton (rows, offsets, fact ids, groups) and :attr:`cache`;
-        only the fact errors are computed.
-        """
-        fact_errors = np.abs(values[self.fact_ids] - target_values[self.row_indices])
-        index = FactScopeIndex(
-            facts, self.row_indices, self.offsets, self.fact_ids, fact_errors, values, self.groups
-        )
-        index.cache = self.cache
-        return index
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
+    @property
+    def groups(self) -> dict[tuple[str, ...], np.ndarray]:
+        """The fact ids of each restricted column combination (see :meth:`from_rows`).
+
+        An index given a function for them calls it on the first read:
+        only the pruned greedy variants read them.
+        """
+        if callable(self._groups):
+            self._groups = self._groups()
+        return self._groups
+
     @property
     def num_facts(self) -> int:
         """Number of indexed facts."""

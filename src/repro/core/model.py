@@ -13,7 +13,6 @@ These classes are direct counterparts of Definitions 1-3 of the paper:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -349,26 +348,6 @@ class SummarizationRelation:
         self._batched: dict[tuple[str, ...], tuple[GroupLayouts, int]] = {}
         self._keys_cache: dict[tuple[str, ...], list[tuple[Any, ...]]] = {}
         self._distinct_cache: dict[str, tuple[int, int]] = {}
-
-    def retarget(self, target: str, target_values: np.ndarray) -> "SummarizationRelation":
-        """The same rows summarizing another target column.
-
-        ``target_values`` holds ``target`` at this relation's rows, none
-        of them NaN: the other target must keep exactly these rows.  The
-        copy shares every target-independent cache (codes, census,
-        group layouts and keys), so what either relation computes there
-        serves both.
-        """
-        if target in self._dimensions or not self._table.has_column(target):
-            raise InvalidProblemError(f"{target!r} is not a target of relation {self.name!r}")
-        if target_values.shape != self.target_values.shape or np.isnan(target_values).any():
-            raise InvalidProblemError(
-                f"values of {target!r} do not fit the rows of relation {self.name!r}"
-            )
-        relation = copy.copy(self)
-        relation._target = target
-        relation.target_values = target_values
-        return relation
 
     # ------------------------------------------------------------------
     # Accessors

@@ -44,11 +44,6 @@ class ExpectationState:
         """Deep copy (used when exploring alternative expansions)."""
         return ExpectationState(self.expected.copy(), self.error.copy())
 
-    @property
-    def total_error(self) -> float:
-        """Accumulated deviation D(F) for the facts applied so far."""
-        return float(self.error.sum())
-
 
 class UtilityEvaluator:
     """Evaluates deviation and utility of fact sets over one relation.
@@ -153,26 +148,16 @@ class UtilityEvaluator:
     # ------------------------------------------------------------------
     def initial_state(self) -> ExpectationState:
         """Greedy state for the empty speech (expectation = prior)."""
-        return ExpectationState(
-            expected=self._prior_values.copy(),
-            error=self._prior_error.copy(),
-        )
+        return ExpectationState(expected=self._prior_values.copy(), error=self.initial_error())
+
+    def initial_error(self) -> np.ndarray:
+        """|E(∅, r) − v_r| per row, a fresh copy: the error of the empty speech."""
+        return self._prior_error.copy()
 
     # ------------------------------------------------------------------
     # Batch kernels (vectorized over all candidates of a problem's
     # FactScopeIndex at once)
     # ------------------------------------------------------------------
-    def batch_incremental_gains(
-        self, index: FactScopeIndex, state: ExpectationState
-    ) -> np.ndarray:
-        """Gain of every indexed fact against ``state``, in one pass.
-
-        Under the closest-relevant-value model, fact ``i``'s gain is
-        ``sum(max(state.error[r] - |value_i - target[r]|, 0))`` over the
-        rows ``r`` in its scope.
-        """
-        return index.batch_gains(state.error)
-
     def batch_single_fact_utilities(self, index: FactScopeIndex) -> np.ndarray:
         """Single-fact utilities of all indexed facts (against the prior)."""
         return index.batch_gains(self._prior_error)

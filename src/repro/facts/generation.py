@@ -14,7 +14,7 @@ paper's example speeches use ("It is 35 overall.").
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -49,15 +49,25 @@ def _segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 class CandidateFacts(Sequence):
     """Candidate facts held as arrays; each :class:`Fact` is built on first access.
 
-    Fact ``i`` restricts the base scope plus the columns ``columns[i]``,
-    whose values it takes from the relation's codes at ``first_rows[i]``
-    (any row of its scope), with value ``values[i]`` and support
-    ``supports[i]``.  A summarizer typically reads a handful of the
-    candidates, so most are never built.  Built facts are kept, and the
-    sequence compares equal to a list of equal facts.
+    Fact ``i`` restricts the base scope plus the columns of
+    ``groups[group_of[i]]``, whose values it takes from the
+    relation's codes at ``first_rows[i]`` (any row of its scope), with
+    value ``values[i]`` and support ``supports[i]``.  A summarizer
+    typically reads a handful of the candidates, so most are never
+    built.  Built facts are kept, and the sequence compares equal to a
+    list of equal facts.
     """
 
-    __slots__ = ("values", "supports", "_relation", "_base", "_columns", "_first_rows", "_built")
+    __slots__ = (
+        "values",
+        "supports",
+        "_relation",
+        "_base",
+        "_groups",
+        "_group_of",
+        "_first_rows",
+        "_built",
+    )
 
     #: No two candidates share a scope: each group holds one fact per
     #: key, and groups differ in their columns.  A selected fact then has
@@ -68,7 +78,8 @@ class CandidateFacts(Sequence):
         self,
         relation: SummarizationRelation,
         base: Scope,
-        columns: list[tuple[str, ...]],
+        groups: Sequence[FactGroup],
+        group_of: np.ndarray,
         first_rows: np.ndarray,
         values: np.ndarray,
         supports: np.ndarray,
@@ -77,9 +88,10 @@ class CandidateFacts(Sequence):
         self.supports = supports
         self._relation = relation
         self._base = base
-        self._columns = columns
+        self._groups = groups
+        self._group_of = group_of
         self._first_rows = first_rows
-        self._built: list[Fact | None] = [None] * len(columns)
+        self._built: list[Fact | None] = [None] * len(group_of)
 
     def __len__(self) -> int:
         return len(self._built)
@@ -91,7 +103,7 @@ class CandidateFacts(Sequence):
         if fact is None:
             assignments = self._base.assignments
             row = self._first_rows[index]
-            for column in self._columns[index]:
+            for column in self._groups[self._group_of[index]].dimensions:
                 codes, decode, _ = self._relation.dimension_codes(column)
                 assignments[column] = decode[codes[row]]
             fact = self._built[index] = Fact(
@@ -100,12 +112,6 @@ class CandidateFacts(Sequence):
                 support=int(self.supports[index]),
             )
         return fact
-
-    def retarget(self, relation: SummarizationRelation, values: np.ndarray) -> "CandidateFacts":
-        """The same scopes over ``relation`` (a retargeted one), valued ``values``."""
-        return CandidateFacts(
-            relation, self._base, self._columns, self._first_rows, values, self.supports
-        )
 
     def __iter__(self) -> Iterator[Fact]:
         return map(self.__getitem__, range(len(self)))
@@ -158,30 +164,22 @@ class GeneratedFacts:
         """Number of candidate facts."""
         return len(self.facts)
 
-    def retarget(self, relation: SummarizationRelation) -> "GeneratedFacts":
-        """The same candidate scopes valued over ``relation``'s target.
-
-        ``relation`` is the generating relation retargeted
-        (:meth:`SummarizationRelation.retarget`): the rows, groups and
-        supports stay, and each fact's value is the mean of the new
-        target over its rows, computed as :meth:`FactGenerator.generate`
-        computes it.
-        """
-        values = _segment_means(relation.target_values[self.row_indices], self.supports)
-        return replace(self, facts=self.facts.retarget(relation, values), values=values)
-
     def scope_index(self, relation: SummarizationRelation) -> FactScopeIndex:
         """The facts' CSR scope index over ``relation``, from the known rows."""
-        keys = self.index_keys
-        base_columns = self.base_scope.columns
-        groups = {
-            keys.get(group) or tuple(sorted((*base_columns, *group.dimensions))): np.arange(
-                ids.start, ids.stop, dtype=np.intp
-            )
-            for group, ids in self.group_ranges.items()
-        }
+
+        def by_columns() -> dict[tuple[str, ...], np.ndarray]:
+            keys = self.index_keys
+            base_columns = self.base_scope.columns
+            fact_ids = np.arange(self.count, dtype=np.intp)
+            return {
+                keys.get(group) or tuple(sorted((*base_columns, *group.dimensions))): fact_ids[
+                    ids.start : ids.stop
+                ]
+                for group, ids in self.group_ranges.items()
+            }
+
         return FactScopeIndex.from_rows(
-            relation, self.facts, self.values, self.row_indices, self.supports, groups
+            relation, self.facts, self.values, self.row_indices, self.supports, by_columns
         )
 
     def groups(self) -> list[FactGroup]:
@@ -222,6 +220,83 @@ class FactGroups(NamedTuple):
         )
 
 
+@dataclass
+class ScopeFamily:
+    """The candidate facts of every scope over some columns, from one grouping pass.
+
+    A *scope* fixes one value of each of the family's columns (the
+    base-scope columns, a query's predicate columns); the family holds
+    the facts of each scope present in the generating relation exactly
+    as :meth:`FactGenerator.generate` lays out the facts of that scope's
+    own subset: the overall fact, then each fact group's facts in order
+    of first appearance, each fact's rows ascending.  Scope ``s`` owns
+    the facts ``fact_starts[s]:fact_starts[s + 1]``, the entries
+    ``entry_starts[s]:entry_starts[s + 1]`` of ``rows`` and the
+    generating relation's rows ``scope_rows[scope_starts[s]:scope_starts[s
+    + 1]]``.  A fact's rows and first row index the relation of its
+    scope's rows: positions among the scope's rows, or for a family of
+    one scope (columns that do not split the generating relation, such
+    as a subset's own predicates) the generating relation's rows.  Fact
+    values depend on the target, so each problem computes its own
+    (:meth:`generated`).
+    """
+
+    shape: FactGroups
+    #: Each scope's id by its values of the columns; None for one scope.
+    keys: dict[tuple, int] | None
+    scope_rows: np.ndarray
+    scope_starts: np.ndarray
+    fact_starts: np.ndarray
+    entry_starts: np.ndarray
+    #: Each fact's rows, concatenated in fact order: int32 when the
+    #: family splits scopes, which it keeps for the scopes' later problems.
+    rows: np.ndarray
+    supports: np.ndarray
+    first_rows: np.ndarray
+    #: Each fact's group, by its index in ``shape.groups``.
+    group_of: np.ndarray
+    _caches: dict[int, dict] = field(default_factory=dict)
+
+    def scope(self, values: tuple) -> int | None:
+        """The id of the scope holding ``values`` (in column order); None if absent."""
+        return 0 if self.keys is None else self.keys.get(values)
+
+    def relation_rows(self, scope: int) -> np.ndarray:
+        """The generating relation's rows of ``scope``, ascending."""
+        return self.scope_rows[self.scope_starts[scope] : self.scope_starts[scope + 1]]
+
+    def cache(self, scope: int) -> dict:
+        """A dict kept for ``scope``: the :attr:`FactScopeIndex.cache` of its problems."""
+        return self._caches.setdefault(scope, {})
+
+    def generated(
+        self, scope: int, relation: SummarizationRelation, base: Scope
+    ) -> GeneratedFacts:
+        """``scope``'s facts over ``relation``, the relation of its rows, with base ``base``.
+
+        A fact's value is the mean of ``relation``'s target over its
+        rows, computed as for the scope generated on its own.
+        """
+        first, last = self.fact_starts[scope], self.fact_starts[scope + 1]
+        rows = self.rows[self.entry_starts[scope] : self.entry_starts[scope + 1]]
+        rows = rows.astype(np.intp, copy=False)
+        supports = self.supports[first:last]
+        group_of = self.group_of[first:last]
+        values = _segment_means(relation.target_values[rows], supports)
+        shape = self.shape
+        facts = CandidateFacts(
+            relation, base, shape.groups, group_of, self.first_rows[first:last], values, supports
+        )
+        # A scope's facts come group by group, in the order of ``shape.groups``.
+        bounds = group_of.searchsorted(np.arange(len(shape.groups) + 1)).tolist()
+        ranges = {
+            group: range(start, stop)
+            for group, start, stop in zip(shape.groups, bounds, bounds[1:])
+            if stop > start
+        }
+        return GeneratedFacts(facts, base, values, supports, rows, ranges, shape.index_keys)
+
+
 class FactGenerator:
     """Enumerates candidate facts for one relation / data subset.
 
@@ -230,7 +305,9 @@ class FactGenerator:
     which also caches each group's layout for the bounds of Algorithm 3)
     and decides support and NULL keys for all groups at once; facts stay
     arrays until something reads them
-    (see :class:`CandidateFacts`).
+    (see :class:`CandidateFacts`).  The same pass can lay out a whole
+    family of base scopes at once (``scope_columns``): it then groups by
+    the scope columns too and sorts the groups scope by scope.
 
     Parameters
     ----------
@@ -271,63 +348,24 @@ class FactGenerator:
         """The relation facts are generated for."""
         return self._relation
 
-    def generate(self, base_scope: Mapping[str, Any] | Scope | None = None) -> GeneratedFacts:
+    def generate(
+        self,
+        base_scope: Mapping[str, Any] | Scope | None = None,
+        *,
+        scope_columns: tuple[str, ...] | None = None,
+    ) -> GeneratedFacts | ScopeFamily:
         """Enumerate candidate facts.
 
         ``base_scope`` fixes the query's own predicates: every candidate
         fact includes them, and the additional predicates are placed on
-        the remaining ("free") dimension columns.
+        the remaining ("free") dimension columns.  With ``scope_columns``
+        instead, every scope over those columns is a base scope, and the
+        facts of all of them come back as one :class:`ScopeFamily`.
         """
+        if scope_columns is not None:
+            return self._lay_out(self._shape(scope_columns), scope_columns, None)
         base, shape, base_indices = self._prepare(base_scope)
-        relation = self._relation
-        # The empty group leads; the others are laid out in one pass.
-        overall, *grouped = shape.groups
-        order, offsets, bounds = relation.group_layouts(shape.combinations)
-        firsts = order[offsets[:-1]]
-        sizes = offsets[1:] - offsets[:-1]
-        if base_indices.size == relation.num_rows:
-            in_base = None
-            counts = sizes
-        else:
-            # Base-scope membership at each position of ``order``.
-            in_base = np.zeros(relation.num_rows, dtype=bool)
-            in_base[base_indices] = True
-            in_base = in_base[order]
-            covered = np.zeros(order.size + 1, dtype=np.intp)
-            np.cumsum(in_base, out=covered[1:])
-            counts = covered[offsets[1:]] - covered[offsets[:-1]]
-        keep = counts >= self._min_support
-        self._drop_null_keys(keep, firsts, shape, bounds)
-
-        # Group ids follow first appearance in the data, so ascending id
-        # order reproduces the per-row oracle's fact order exactly.
-        ids = np.flatnonzero(keep)
-        selected = in_base
-        if ids.size < keep.size:
-            selected = np.repeat(keep, sizes)
-            if in_base is not None:
-                selected &= in_base
-        rows = order if selected is None else order[selected]
-        firsts, supports = firsts[ids], counts[ids]
-        head = [overall] if base_indices.size >= self._min_support else []
-        if head:
-            rows = np.concatenate((base_indices, rows))
-            firsts = np.concatenate((base_indices[:1], firsts))
-            supports = np.concatenate(([base_indices.size], supports))
-
-        # Fact ids: the overall fact, then each kept group's in group order.
-        kept_before = np.zeros(keep.size + 1, dtype=np.intp)
-        np.cumsum(keep, out=kept_before[1:])
-        starts = (kept_before[bounds] + len(head)).tolist()
-        ranges = dict.fromkeys(head, range(0, 1))
-        columns: list[tuple[str, ...]] = [()] * len(head)
-        for group, start, stop in zip(grouped, starts, starts[1:]):
-            if stop > start:
-                ranges[group] = range(start, stop)
-                columns.extend([group.dimensions] * (stop - start))
-        values = _segment_means(relation.target_values[rows], supports)
-        facts = CandidateFacts(relation, base, columns, firsts, values, supports)
-        return GeneratedFacts(facts, base, values, supports, rows, ranges, shape.index_keys)
+        return self._lay_out(shape, (), base_indices).generated(0, self._relation, base)
 
     # ------------------------------------------------------------------
     # Internals
@@ -337,26 +375,165 @@ class FactGenerator:
     ) -> tuple[Scope, FactGroups, np.ndarray]:
         """The base scope, the fact groups over the free columns, and the base rows."""
         base = base_scope if isinstance(base_scope, Scope) else Scope(dict(base_scope or {}))
+        return base, self._shape(base.columns), self._relation.scope_row_indices(base)
+
+    def _shape(self, base_columns: tuple[str, ...]) -> FactGroups:
+        """The fact groups beyond ``base_columns`` (cached)."""
         dimensions = self._relation.dimensions
-        key = (dimensions, base.columns, self._max_extra)
+        key = (dimensions, base_columns, self._max_extra)
         shape = self._group_cache.get(key)
         if shape is None:
-            shape = FactGroups.of(dimensions, base.columns, self._max_extra)
+            shape = FactGroups.of(dimensions, base_columns, self._max_extra)
             self._group_cache[key] = shape
-        return base, shape, self._relation.scope_row_indices(base)
+        return shape
+
+    def _lay_out(
+        self, shape: FactGroups, columns: tuple[str, ...], base_indices: np.ndarray | None
+    ) -> ScopeFamily:
+        """The one grouping pass: the facts of every scope over ``columns``.
+
+        Only the columns that take several values split the rows into
+        scopes; without them the family is the one scope of
+        ``base_indices`` (all rows when None).
+        """
+        relation = self._relation
+        n = relation.num_rows
+        split = tuple(column for column in columns if not relation.is_constant(column))
+        blocks = [split + combination for combination in shape.combinations]
+        if split:
+            # The scopes themselves lead: their groups are the overall facts.
+            blocks.insert(0, split)
+        order, offsets, bounds = relation.group_layouts(blocks)
+        firsts = order[offsets[:-1]]
+        sizes = offsets[1:] - offsets[:-1]
+        counts = sizes
+        in_base = None
+        if base_indices is not None and base_indices.size != n:
+            # Base-scope membership at each position of ``order``.
+            in_base = np.zeros(n, dtype=bool)
+            in_base[base_indices] = True
+            in_base = in_base[order]
+            covered = np.zeros(order.size + 1, dtype=np.intp)
+            np.cumsum(in_base, out=covered[1:])
+            counts = covered[offsets[1:]] - covered[offsets[:-1]]
+        keep = counts >= self._min_support
+        self._drop_null_keys(keep, firsts, shape, bounds, int(bool(split)))
+        # Each group's index in ``shape.groups``: block b lays out group
+        # b (b + 1 without the leading scope block).
+        group_of = np.repeat(np.arange(int(not split), len(shape.groups)), np.diff(bounds))
+        if split:
+            return self._split(shape, columns, order, offsets, bounds, keep, group_of)
+
+        # One scope.  Group ids follow first appearance in the data, so
+        # ascending id order reproduces the per-row oracle's fact order.
+        if base_indices is None:
+            base_indices = np.arange(n)
+        ids = np.flatnonzero(keep)
+        selected = in_base
+        if ids.size < keep.size:
+            selected = np.repeat(keep, sizes)
+            if in_base is not None:
+                selected &= in_base
+        rows = order if selected is None else order[selected]
+        firsts, supports, group_of = firsts[ids], counts[ids], group_of[ids]
+        if base_indices.size >= self._min_support:
+            # The overall fact leads.
+            rows = np.concatenate((base_indices, rows))
+            firsts = np.concatenate((base_indices[:1], firsts))
+            supports = np.concatenate(([base_indices.size], supports))
+            group_of = np.concatenate(([0], group_of))
+        return ScopeFamily(
+            shape,
+            None,
+            base_indices,
+            np.array([0, base_indices.size]),
+            np.array([0, supports.size]),
+            np.array([0, rows.size]),
+            rows,
+            supports,
+            firsts,
+            group_of,
+        )
+
+    def _split(
+        self,
+        shape: FactGroups,
+        columns: tuple[str, ...],
+        order: np.ndarray,
+        offsets: np.ndarray,
+        bounds: np.ndarray,
+        keep: np.ndarray,
+        group_of: np.ndarray,
+    ) -> ScopeFamily:
+        """The family of the scopes laid out as the leading block of ``order``.
+
+        The kept groups, block by block and by first appearance in the
+        relation, are sorted stably by scope: within a scope they keep
+        that order, which is their order of first appearance among the
+        scope's rows.
+        """
+        n = self._relation.num_rows
+        scopes = int(bounds[1])
+        scope_sizes = offsets[1 : scopes + 1] - offsets[:scopes]
+        # Each row's scope and its position among the scope's rows.
+        scope_of = np.empty(n, dtype=np.intp)
+        scope_of[order[:n]] = np.repeat(np.arange(scopes), scope_sizes)
+        local = np.empty(n, dtype=np.int32)
+        local[order[:n]] = np.arange(n) - np.repeat(offsets[:scopes], scope_sizes)
+
+        ids = np.flatnonzero(keep)
+        fact_scopes = scope_of[order[offsets[ids]]]
+        by_scope = np.argsort(fact_scopes, kind="stable")
+        ids, fact_scopes = ids[by_scope], fact_scopes[by_scope]
+        supports = offsets[ids + 1] - offsets[ids]
+        ends = np.cumsum(supports)
+        # Entry k of fact i reads position offsets[i] + k of ``order``.
+        shift = np.repeat(offsets[ids] - (ends - supports), supports)
+        rows = local[order[np.arange(ends[-1] if ends.size else 0) + shift]]
+
+        fact_starts = np.zeros(scopes + 1, dtype=np.intp)
+        np.cumsum(np.bincount(fact_scopes, minlength=scopes), out=fact_starts[1:])
+        entry_starts = np.concatenate(([0], ends))[fact_starts]
+        per_column = [self._relation.dimension_codes(column) for column in columns]
+        heads = order[offsets[:scopes]].tolist()
+        keys = {
+            tuple(decode[codes[row]] for codes, decode, _ in per_column): scope
+            for scope, row in enumerate(heads)
+        }
+        return ScopeFamily(
+            shape,
+            keys,
+            # Copies: views would keep the whole pass alive.
+            order[:n].copy(),
+            offsets[: scopes + 1].copy(),
+            fact_starts,
+            entry_starts,
+            rows,
+            supports,
+            local[order[offsets[ids]]],
+            group_of[ids],
+        )
 
     def _drop_null_keys(
-        self, keep: np.ndarray, firsts: np.ndarray, shape: FactGroups, bounds: np.ndarray
+        self,
+        keep: np.ndarray,
+        firsts: np.ndarray,
+        shape: FactGroups,
+        bounds: np.ndarray,
+        lead: int,
     ) -> None:
-        """Clear ``keep`` for every group whose key holds a NULL.
+        """Clear ``keep`` for every group whose key holds a NULL on a free column.
 
-        Group ``g`` belongs to ``shape.combinations[c]`` for ``bounds[c]
-        <= g < bounds[c + 1]`` and its first row is ``firsts[g]``; one
-        pass per column that has a NULL code.
+        Block ``b`` owns the groups ``bounds[b]:bounds[b + 1]``; after
+        ``lead`` blocks of scopes, each lays out the groups of one of
+        ``shape.combinations`` in turn, and group ``g``'s first row is
+        ``firsts[g]``.  One pass per column that has a NULL code.
         """
         for column in shape.columns:
             codes, _, code_of = self._relation.dimension_codes(column)
             null = code_of.get(None)
             if null is not None:
-                restricts = np.array([column in columns for columns in shape.combinations])
+                restricts = np.array(
+                    [False] * lead + [column in columns for columns in shape.combinations]
+                )
                 keep &= ~(np.repeat(restricts, np.diff(bounds)) & (codes[firsts] == null))

@@ -15,10 +15,15 @@ the same chunk stream in process.  Queries are fed from
 is never materialised; chunks come back as realized speeches and are
 merged in enumeration order, so the resulting store (and its persisted
 JSON) is byte-identical for every pool size and chunk size.  The
-enumeration is scope-major, and the generator keeps the last predicate
-scope's set-up, so a serial run builds each scope once, not once per
-target; in a pool, a scope is built twice only where a chunk boundary
-splits its targets.
+enumeration is scope-major and walks each dimension combination's
+scopes in order, and the generator keeps the last combination's set-up
+(see :meth:`ProblemGenerator.build_problem`).  A serial run makes one
+grouping pass, shared by all targets, for the empty scope, for each
+scope of one column and for the first scope of each combination of
+more, plus one pass over the table for each such combination's other
+scopes.  In a pool, chunks hold whole scopes (:func:`scope_chunk_size`),
+and a chunk that starts inside a walk builds the walk's remaining
+scopes from their own rows.
 Summarizers whose output depends on call order
 (``Summarizer.deterministic`` is False) are run serially even on a
 parallel pool, so the guarantee holds for every algorithm.
@@ -132,10 +137,12 @@ def solve_query_chunk(
     runs and the incremental maintainer share this entry point, so every
     execution strategy funnels through :func:`_solve_query`.
 
-    Queries are solved in chunk order.  The generator shares a predicate
-    scope's set-up between targets built back to back (see
+    Queries are solved in chunk order.  The generator keeps the set-up of
+    the last dimension combination (see
     :meth:`ProblemGenerator.build_problem`), so scope-major chunks, or a
-    serial run's one-query chunks, build each scope once.
+    serial run's one-query chunks, group each scope's rows once for all
+    its targets, and a combination's scopes walked in order once for all
+    of them.
     """
     generator, summarizer, realizer = context
     return [_solve_query(generator, summarizer, realizer, query) for query in chunk]

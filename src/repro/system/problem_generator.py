@@ -11,18 +11,23 @@ predicates."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.errors import InvalidProblemError
 from repro.core.expectation import ExpectationModel
-from repro.core.kernel import FactScopeIndex
-from repro.core.model import DimensionCodes, SummarizationRelation, extend_codes, factorize
+from repro.core.model import (
+    DimensionCodes,
+    Scope,
+    SummarizationRelation,
+    extend_codes,
+    factorize,
+)
 from repro.core.priors import ConstantPrior, Prior
 from repro.core.problem import SummarizationProblem
-from repro.facts.generation import FactGenerator, GeneratedFacts
+from repro.facts.generation import FactGenerator, ScopeFamily
 from repro.relational.column import ColumnType
 from repro.relational.operators import select
 from repro.relational.table import Table
@@ -43,27 +48,25 @@ class GeneratedProblem:
 
 
 @dataclass(frozen=True)
-class ScopeSetup:
-    """The target-independent half of the problems of one predicate scope.
+class CombinationSetup:
+    """The target-independent half of the problems of one dimension combination.
 
-    Every target of a scope summarizes the same data subset, so its
-    problems share the subset rows, the relation's codes and group
-    layouts, the candidate facts' scopes and the CSR skeleton of their
-    index (with its ``cache`` of prepared plans).  A
-    :class:`ProblemGenerator` keeps the set-up of the last scope it
-    built from scratch; a later target of that scope whose non-NULL
-    rows are the same then computes only its target's values, fact
-    values and fact errors.  A target that keeps other rows is built
-    from scratch.
+    The problems of every scope over one combination of predicate
+    columns, for every target, share one :class:`ScopeFamily`: each
+    problem is slices of it plus the relation of its scope's rows.  A
+    :class:`ProblemGenerator` keeps the set-up of the last combination
+    it built.  The family covers the whole table when the generator
+    walks the combination's scopes in enumeration order; otherwise it
+    is one scope's, built from that scope's own rows, which keeps
+    ``predicates``, ``rows`` and the NULLs (among ``rows``) of the
+    target that filled it.
     """
 
-    predicates: tuple
-    rows: np.ndarray
-    #: The NULLs of the target that filled the set-up, among ``rows``.
-    nulls: np.ndarray
-    relation: SummarizationRelation
-    generated: GeneratedFacts
-    index: FactScopeIndex | None
+    columns: tuple[str, ...]
+    family: ScopeFamily
+    predicates: tuple | None = None
+    rows: np.ndarray | None = None
+    nulls: np.ndarray | None = None
 
 
 class ProblemGenerator:
@@ -86,9 +89,9 @@ class ProblemGenerator:
         pre-generated for them).
 
     One thread builds problems on a generator at a time: it keeps the
-    last predicate scope's :class:`ScopeSetup` between calls.  The
-    engine's generator only pre-processes, and a maintainer's runs on
-    the maintenance thread.
+    last dimension combination's :class:`CombinationSetup` between
+    calls.  The engine's generator only pre-processes, and a
+    maintainer's runs on the maintenance thread.
     """
 
     def __init__(
@@ -117,8 +120,11 @@ class ProblemGenerator:
         self._target_cache: dict[str, np.ndarray] = {}
         # The fact groups of each base-scope shape, for every FactGenerator.
         self._group_cache: dict = {}
-        # The last scope built from scratch, for its next target.
-        self._scope: ScopeSetup | None = None
+        # The last dimension combination's set-up, and the last query's predicates.
+        self._setup: CombinationSetup | None = None
+        self._last: tuple | None = None
+        # The table as subset relations name it.
+        self._subset_table = table.renamed(f"{table.name}_subset")
 
     @property
     def config(self) -> SummarizationConfig:
@@ -131,14 +137,15 @@ class ProblemGenerator:
         The prior, column-code and target caches hold numpy-heavy derived state
         that every worker can rebuild lazily from the table; shipping
         them would dominate the pool start-up payload.  The fact-group
-        cache and the kept scope set-up are rebuilt likewise.
+        cache and the kept combination set-up are rebuilt likewise.
         """
         state = self.__dict__.copy()
         state["_prior_cache"] = {}
         state["_codes_cache"] = {}
         state["_target_cache"] = {}
         state["_group_cache"] = {}
-        state["_scope"] = None
+        state["_setup"] = None
+        state["_last"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -151,8 +158,9 @@ class ProblemGenerator:
         appear in the data; query lengths range from zero (the overall
         summary) up to ``max_query_length``.  Scopes come in that order,
         then by dimension combination and value product, and each scope
-        is followed by every target in configured order, so the targets
-        of a scope are built back to back on one :class:`ScopeSetup`.
+        is followed by every target in configured order, so the scopes
+        of a combination, and the targets of a scope, are built back to
+        back on one :class:`CombinationSetup`.
         """
         domains = {
             dim: self._table.column(dim).distinct_values()
@@ -218,34 +226,138 @@ class ProblemGenerator:
         """Build the summarization problem answering ``query``.
 
         Returns None when the query's data subset is too small or when
-        no candidate facts can be generated for it.  The target-independent
-        work of the last predicate scope built from scratch is kept (see
-        :class:`ScopeSetup`), so the targets of a scope, built back to
-        back as :meth:`enumerate_queries` yields them, share it; the
-        problem is the same in any order.
+        no candidate facts can be generated for it.  The set-up of the
+        last dimension combination is kept (see
+        :class:`CombinationSetup`).  Asked for the second scope of a
+        combination of two or more columns right after its first, in
+        enumeration order, the generator lays out every scope of the
+        combination in one pass over the table; the combination's later
+        scopes, and every target of a scope, then take their problem
+        from that pass.  Any other scope is built from its own rows.
+        The problem is the same in any order.
         """
-        shared = self._shared_half(query)
-        if shared is not None:
-            relation, generated, index = shared
-        else:
-            rows = self._subset_rows(query.predicate_map)
-            if rows.size < self._min_subset_rows:
-                return None
-            relation = self._relation_at(rows, query)
-            generated = FactGenerator(
-                relation,
-                max_extra_dimensions=self._config.max_fact_dimensions,
-                min_support=self._config.min_fact_support,
-                group_cache=self._group_cache,
-            ).generate(base_scope=query.predicate_map)
-            # The generator already found every fact's rows.
-            index = generated.scope_index(relation) if generated.facts else None
-            if self._scope is None or self._scope.predicates != query.predicates:
-                nulls = np.isnan(self._target_floats(query.target)[rows])
-                self._scope = ScopeSetup(query.predicates, rows, nulls, relation, generated, index)
-        if index is None:
-            return None
+        last, self._last = self._last, query.predicates
+        columns = tuple(query.predicate_map)
+        setup = self._setup
+        if setup is not None and setup.columns == columns:
+            if setup.predicates is None:
+                return self._from_walk(setup.family, query)
+            if setup.predicates == query.predicates:
+                values = self._target_floats(query.target)[setup.rows]
+                if np.array_equal(np.isnan(values), setup.nulls):
+                    relation = self._relation_at(setup.rows, query)
+                    return self._problem(query, relation, setup.family, 0)
+                # This target keeps other rows of the scope.
+                return self._alone(query, setup.rows)
+        # Released first, so that two set-ups are never alive at once.
+        self._setup = None
+        if self._opens_walk(last, query):
+            family = self._walk(query)
+            if family is not None:
+                self._setup = CombinationSetup(columns, family)
+                return self._from_walk(family, query)
+        return self._alone(query, keep=True)
 
+    def _opens_walk(self, last: tuple | None, query: DataQuery) -> bool:
+        """True when ``query`` is its combination's second scope and ``last`` its first.
+
+        Only combinations of two or more columns are walked: a column's
+        few large scopes cost per row, not per call.
+        """
+        predicates = query.predicate_map
+        if len(predicates) < 2 or last is None or tuple(c for c, _ in last) != tuple(predicates):
+            return False
+        dims = [dim for dim in self._config.dimensions if dim in predicates]
+        domains = []
+        for dim in dims:
+            _, decode, _ = self._column_codes(dim)
+            domains.append([value for value in decode if value is not None][:2])
+        scopes = [
+            DataQuery.create(query.target, dict(zip(dims, values))).predicates
+            for values in islice(product(*domains), 2)
+        ]
+        return scopes == [last, query.predicates]
+
+    def _walk(self, query: DataQuery) -> ScopeFamily | None:
+        """Every scope over ``query``'s predicate columns, from one pass over the table.
+
+        None when ``query``'s target has NULLs: the scopes would not
+        keep every row of their subsets.
+        """
+        target = self._target_floats(query.target)
+        if np.isnan(target).any():
+            return None
+        dims = self._config.dimensions
+        relation = SummarizationRelation(
+            self._table,
+            list(dims),
+            query.target,
+            codes={dim: self._column_codes(dim) for dim in dims},
+            target_values=target,
+        )
+        return self._facts_of(relation, tuple(query.predicate_map))
+
+    def _from_walk(self, family: ScopeFamily, query: DataQuery) -> SummarizationProblem | None:
+        """``query``'s problem from the family of its combination's scopes."""
+        scope = family.scope(tuple(query.predicate_map.values()))
+        if scope is None:
+            # No row holds these values: the subset is empty.
+            return self._alone(query)
+        rows = family.relation_rows(scope)
+        if rows.size < self._min_subset_rows:
+            return None
+        relation = self._relation_at(rows, query)
+        if relation.num_rows < rows.size:
+            # This target has NULLs in the scope.
+            return self._alone(query, rows, relation)
+        return self._problem(query, relation, family, scope)
+
+    def _alone(
+        self,
+        query: DataQuery,
+        rows: np.ndarray | None = None,
+        relation: SummarizationRelation | None = None,
+        keep: bool = False,
+    ) -> SummarizationProblem | None:
+        """``query``'s problem from a pass over its own subset's rows.
+
+        With ``keep``, the pass becomes the kept set-up.
+        """
+        if rows is None:
+            rows = self._subset_rows(query.predicate_map)
+        if rows.size < self._min_subset_rows:
+            return None
+        if relation is None:
+            relation = self._relation_at(rows, query)
+        columns = tuple(query.predicate_map)
+        family = self._facts_of(relation, columns)
+        if keep:
+            nulls = np.isnan(self._target_floats(query.target)[rows])
+            self._setup = CombinationSetup(columns, family, query.predicates, rows, nulls)
+        return self._problem(query, relation, family, 0)
+
+    def _facts_of(self, relation: SummarizationRelation, columns: tuple[str, ...]) -> ScopeFamily:
+        """The facts of every scope over ``columns`` in ``relation``: one grouping pass."""
+        return FactGenerator(
+            relation,
+            max_extra_dimensions=self._config.max_fact_dimensions,
+            min_support=self._config.min_fact_support,
+            group_cache=self._group_cache,
+        ).generate(scope_columns=columns)
+
+    def _problem(
+        self,
+        query: DataQuery,
+        relation: SummarizationRelation,
+        family: ScopeFamily,
+        scope: int,
+    ) -> SummarizationProblem | None:
+        """``query``'s problem over ``relation``, its facts ``family``'s ``scope``."""
+        generated = family.generated(scope, relation, Scope(dict(query.predicate_map)))
+        if not generated.facts:
+            return None
+        index = generated.scope_index(relation)
+        index.cache = family.cache(scope)
         kwargs = {}
         kwargs["prior"] = self._prior if self._prior is not None else self._default_prior(query.target)
         if self._expectation_model is not None:
@@ -258,30 +370,6 @@ class ProblemGenerator:
             scope_index=index,
             **kwargs,
         )
-
-    def _shared_half(
-        self, query: DataQuery
-    ) -> tuple[SummarizationRelation, GeneratedFacts, FactScopeIndex | None] | None:
-        """``query``'s relation, facts and index retargeted from the kept set-up.
-
-        The index is None when the scope has no candidate facts.  None
-        when there is nothing to share: the kept set-up is another
-        scope's, or ``query``'s target has its NULLs on other subset
-        rows than the target that filled it.
-        """
-        setup = self._scope
-        if setup is None or setup.predicates != query.predicates:
-            return None
-        values = self._target_floats(query.target)[setup.rows]
-        nulls = np.isnan(values)
-        if not np.array_equal(nulls, setup.nulls):
-            return None
-        relation = setup.relation.retarget(query.target, values[~nulls])
-        if setup.index is None:
-            return relation, setup.generated, None
-        generated = setup.generated.retarget(relation)
-        index = setup.index.retarget(generated.facts, generated.values, relation.target_values)
-        return relation, generated, index
 
     def _relation_at(self, rows: np.ndarray, query: DataQuery) -> SummarizationRelation:
         """The relation over the table's ``rows`` (``query``'s subset) summarizing its target.
@@ -301,7 +389,7 @@ class ProblemGenerator:
             else:
                 codes[dim] = (dim_codes[rows], decode, code_of)
         return SummarizationRelation(
-            self._table.renamed(f"{self._table.name}_subset"),
+            self._subset_table,
             list(self._config.dimensions),
             query.target,
             codes=codes,

@@ -5,14 +5,16 @@ gains were evaluated in one :class:`repro.core.kernel.FactScopeIndex`
 pass per iteration.  It loops over the remaining facts and calls
 :func:`incremental_gain` on each, so it must select the same speech with
 the same statistics as :class:`repro.algorithms.greedy.GreedySummarizer`.
+It is a summarizer of its own, not a subclass of G-B, so nothing of
+G-B's loop or of its utility read off the final error leaks into it:
+:meth:`Summarizer.summarize` evaluates its speech.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import SummarizerStatistics
-from repro.algorithms.greedy import GreedySummarizer
+from repro.algorithms.base import Summarizer, SummarizerStatistics
 from repro.core.model import Fact, Speech
 from repro.core.problem import SummarizationProblem
 from repro.core.utility import ExpectationState, UtilityEvaluator
@@ -32,8 +34,13 @@ def incremental_gain(evaluator: UtilityEvaluator, fact: Fact, state: Expectation
     return float(np.maximum(state.error[indices] - fact_err, 0.0).sum())
 
 
-class PerFactGreedySummarizer(GreedySummarizer):
+class PerFactGreedySummarizer(Summarizer):
     """Algorithm 2 with one :func:`incremental_gain` call per candidate."""
+
+    name = "G-B"
+
+    def __init__(self, allow_early_stop: bool = True):
+        self._allow_early_stop = allow_early_stop
 
     def _solve(self, problem: SummarizationProblem) -> tuple[Speech, SummarizerStatistics]:
         evaluator = problem.evaluator()

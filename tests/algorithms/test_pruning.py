@@ -382,7 +382,7 @@ def _greedy_path_meets_tie(problem: SummarizationProblem) -> bool:
     index = problem.index()
     active = np.ones(index.num_facts, dtype=bool)
     for _ in range(problem.max_facts):
-        gains = evaluator.batch_incremental_gains(index, state)
+        gains = index.batch_gains(state.error)
         gains[~active] = -1.0
         if np.count_nonzero(gains == gains.max()) > 1:
             return True

@@ -98,7 +98,7 @@ class TestBatchGainParity:
         evaluator = problem.evaluator()
         index = FactScopeIndex.build(evaluator.relation, problem.candidate_facts)
         state = evaluator.initial_state()
-        batch = evaluator.batch_incremental_gains(index, state)
+        batch = index.batch_gains(state.error)
         per_fact = [incremental_gain(evaluator, f, state) for f in problem.candidate_facts]
         np.testing.assert_allclose(batch, per_fact, rtol=1e-12, atol=1e-9)
 
@@ -111,7 +111,7 @@ class TestBatchGainParity:
         index = FactScopeIndex.build(evaluator.relation, facts)
         state = evaluator.initial_state()
         for _ in range(problem.max_facts):
-            batch = evaluator.batch_incremental_gains(index, state)
+            batch = index.batch_gains(state.error)
             per_fact = [incremental_gain(evaluator, f, state) for f in facts]
             np.testing.assert_allclose(batch, per_fact, rtol=1e-12, atol=1e-9)
             best = int(np.argmax(batch))
@@ -185,6 +185,6 @@ class TestApplyFactParity:
     def test_empty_scope_fact_is_zero_gain(self, example_evaluator, example_facts):
         index = FactScopeIndex.build(example_evaluator.relation, example_facts.facts)
         state = example_evaluator.initial_state()
-        gains = example_evaluator.batch_incremental_gains(index, state)
+        gains = index.batch_gains(state.error)
         assert gains.shape == (len(example_facts.facts),)
         assert np.all(gains >= 0.0)

@@ -106,7 +106,7 @@ class TestSingleFactUtility:
 class TestIncrementalState:
     def test_initial_state_matches_prior(self, example_evaluator):
         state = example_evaluator.initial_state()
-        assert state.total_error == pytest.approx(205.0)
+        assert float(state.error.sum()) == pytest.approx(205.0)
         assert np.all(state.expected == 0.0)
 
     def test_incremental_gain_matches_single_fact_utility(self, example_evaluator):
@@ -117,7 +117,7 @@ class TestIncrementalState:
         state = example_evaluator.initial_state()
         gain = example_evaluator.apply_fact(WINTER, state)
         assert gain == pytest.approx(60.0)
-        assert state.total_error == pytest.approx(145.0)
+        assert float(state.error.sum()) == pytest.approx(145.0)
         # Re-applying the same fact yields no further gain.
         assert example_evaluator.apply_fact(WINTER, state) == pytest.approx(0.0)
 
@@ -131,7 +131,7 @@ class TestIncrementalState:
         state = example_evaluator.initial_state()
         clone = state.copy()
         example_evaluator.apply_fact(WINTER, state)
-        assert clone.total_error == pytest.approx(205.0)
+        assert float(clone.error.sum()) == pytest.approx(205.0)
 
     def test_incremental_matches_full_recomputation(self, example_evaluator):
         state = example_evaluator.initial_state()
@@ -139,7 +139,7 @@ class TestIncrementalState:
         for fact in (NORTH, SOUTH_SUMMER, WINTER):
             example_evaluator.apply_fact(fact, state)
             applied.append(fact)
-            assert state.total_error == pytest.approx(example_evaluator.deviation(applied))
+            assert float(state.error.sum()) == pytest.approx(example_evaluator.deviation(applied))
 
 
 class TestValidation:

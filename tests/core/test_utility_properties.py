@@ -110,7 +110,7 @@ def test_incremental_gains_match_full_recomputation(data):
         realised_gain = evaluator.apply_fact(fact, state)
         assert abs(predicted_gain - realised_gain) < 1e-6
         applied.append(fact)
-        assert abs(state.total_error - evaluator.deviation(applied)) < 1e-6
+        assert abs(float(state.error.sum()) - evaluator.deviation(applied)) < 1e-6
 
 
 @settings(max_examples=80, deadline=None)

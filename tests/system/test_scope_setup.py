@@ -1,13 +1,14 @@
-"""One problem set-up per predicate scope (``ScopeSetup``).
+"""One problem set-up per dimension combination (``CombinationSetup``).
 
 The targets of a predicate scope summarize the same data subset, and
 queries are enumerated scope-major, so a ``ProblemGenerator`` keeps the
-last scope's subset, grouping pass, fact structure and CSR skeleton and
-builds only the target's values for the scope's next target.  Every
-outcome must equal the query solved on a fresh generator, down to the
-bits of its utilities and its fact-evaluation count; a target whose
-NULLs fall on other rows is built from scratch, and a summarizer that
-carries state across problems keeps its call order.
+grouping pass of the last scope it built and takes the scope's next
+target's problem from it; walking a combination's scopes in order, it
+lays out all of them in one pass (see ``test_scope_families.py``).
+Every outcome must equal the query solved on a fresh generator, down to
+the bits of its utilities and its fact-evaluation count; a target whose
+NULLs fall on other rows is built from its own rows, and a summarizer
+that carries state across problems keeps its call order.
 """
 
 from __future__ import annotations
@@ -110,12 +111,21 @@ def test_a_target_with_other_nulls_is_built_from_scratch(monkeypatch):
         max_query_length=2,
         algorithm="G-O",
     )
-    generations = []
+    alone, families = [], []
     generate = FactGenerator.generate
 
-    def counted(self, base_scope=None):
-        generations.append(dict(base_scope or {}))
-        return generate(self, base_scope)
+    def counted(self, base_scope=None, **kwargs):
+        family = generate(self, base_scope, **kwargs)
+        if family.keys is not None:
+            families.append(kwargs["scope_columns"])
+        else:
+            # A pass over one scope's rows codes its predicates with one value.
+            scope = {
+                column: self.relation.dimension_codes(column)[1][0]
+                for column in kwargs["scope_columns"]
+            }
+            alone.append(tuple(sorted(scope.items())))
+        return family
 
     generator = ProblemGenerator(config, table)
     queries = list(generator.enumerate_queries())
@@ -124,14 +134,27 @@ def test_a_target_with_other_nulls_is_built_from_scratch(monkeypatch):
     monkeypatch.setattr(FactGenerator, "generate", counted)
     outcomes = solve_query_chunk((generator, summarizer, SpeechRealizer()), queries)
     assert outcomes == expected
-    # Where the scope holds a NULL cost, the second target (cost) falls
-    # back to a from-scratch build; every other scope generates once.
-    built = [tuple(sorted(scope.items())) for scope in generations]
-    with_nulls = {
+    # The (region, season) scopes after the first come from one pass
+    # over the table; every other scope gets a pass of its own, and
+    # where it holds a NULL cost, the second target (cost) one more.
+    assert families == [("region", "season")]
+    scopes = [query.predicates for query in queries[:: len(config.targets)]]
+    viable = [
         scope
-        for scope in built
-        for row in table.iter_rows()
-        if row["cost"] is None and all(row[column] == value for column, value in scope)
-    }
+        for scope in scopes
+        if sum(all(row[column] == value for column, value in scope) for row in table.iter_rows())
+        >= 2
+    ]
+    walked = [scope for scope in viable if len(scope) == 2][1:]
+    with_nulls = [
+        scope
+        for scope in viable
+        if any(
+            row["cost"] is None and all(row[column] == value for column, value in scope)
+            for row in table.iter_rows()
+        )
+    ]
     assert (("region", "North"),) in with_nulls and (("region", "South"),) not in with_nulls
-    assert sorted(built) == sorted([*set(built), *with_nulls])
+    assert any(scope in walked for scope in with_nulls)
+    own = [scope for scope in viable if scope not in walked]
+    assert sorted(alone) == sorted([*own, *with_nulls])
