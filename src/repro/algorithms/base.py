@@ -17,7 +17,10 @@ class SummarizerStatistics:
     Attributes
     ----------
     elapsed_seconds:
-        Wall-clock time spent in :meth:`Summarizer.summarize`.
+        Wall-clock time spent in :meth:`Summarizer.summarize`.  For the
+        members of a batch (:attr:`SummarizationProblem.batch`), the
+        first one solved carries the batch's whole loop and the others
+        only reading their result off it.
     fact_evaluations:
         Number of (fact, speech-state) utility/gain evaluations.
     speeches_considered:

@@ -17,9 +17,12 @@ chosen:
 
 A plan without sources prunes nothing, so it runs Algorithm 2's loop
 itself (:func:`~repro.algorithms.greedy.greedy_loop`), with no pruner,
-lattice or plan costs.  Pruning drops only facts whose gain is strictly
-below the best source gain, and ties go to the lowest fact id as in
-G-B, so every plan selects G-B's facts.
+lattice or plan costs: G-O as G-B does, a walked problem with its
+target's batch (:func:`~repro.algorithms.greedy.solve`), and G-P over
+the problem's own index (:func:`~repro.algorithms.greedy.solve_alone`).
+Pruning drops only facts whose gain is strictly below the best source
+gain, and ties go to the lowest fact id as in G-B, so every plan
+selects G-B's facts.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.algorithms.base import Summarizer, SummarizerStatistics
 from repro.algorithms.cost_model import PruningPlan, checked_sigma, lattice_costs
-from repro.algorithms.greedy import closest_value_scores, greedy_loop
+from repro.algorithms.greedy import closest_value_scores, solve, solve_alone
 from repro.algorithms.plan_optimizer import choose_plan, naive_plan
 from repro.algorithms.pruning import FactGroupPruner
 from repro.core.kernel import FactScopeIndex
@@ -80,14 +83,18 @@ class _PrunedGreedyBase(Summarizer):
     def _solve_scored(
         self, problem: SummarizationProblem
     ) -> tuple[Speech, SummarizerStatistics, tuple[float, float] | None]:
-        evaluator = problem.evaluator()
         plan = self._plan(problem)
-        if plan.sources:
-            speech, stats, state = self._pruned_loop(problem, evaluator, plan)
-            error = state.error
-        else:
-            speech, stats, error = greedy_loop(problem, evaluator)
-        return speech, stats, closest_value_scores(evaluator, error)
+        if not plan.sources:
+            return self._greedy(problem)
+        evaluator = problem.evaluator()
+        speech, stats, state = self._pruned_loop(problem, evaluator, plan)
+        scores = closest_value_scores(
+            evaluator.expectation_model, evaluator.prior_deviation(), float(state.error.sum())
+        )
+        return speech, stats, scores
+
+    #: Algorithm 2's loop, run under a plan without sources.
+    _greedy = staticmethod(solve)
 
     def _pruned_loop(
         self, problem: SummarizationProblem, evaluator: UtilityEvaluator, plan: PruningPlan
@@ -119,6 +126,9 @@ class PrunedGreedySummarizer(_PrunedGreedyBase):
     """Greedy with the naive (fixed) pruning strategy — "G-P"."""
 
     name = "G-P"
+
+    #: G-P solves every problem over its own index, a walked one too.
+    _greedy = staticmethod(solve_alone)
 
     def _plan(self, problem: SummarizationProblem) -> PruningPlan:
         """The naive plan for ``problem``, chosen once per scope index.

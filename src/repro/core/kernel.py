@@ -7,8 +7,8 @@ expectation state?*  The per-fact path answers it with one NumPy
 fancy-indexing round-trip per fact — O(|candidates|) interpreter
 crossings per iteration.
 
-:class:`FactScopeIndex` removes that overhead.  It stores every
-candidate fact's scope rows in CSR form, built once per problem:
+:class:`FactScopeIndex` removes that overhead for one problem.  It
+stores every candidate fact's scope rows in CSR form:
 
 * ``row_indices`` — the concatenation of each fact's scope row indices,
 * ``offsets`` — ``offsets[i]:offsets[i+1]`` slices fact ``i``'s rows,
@@ -30,11 +30,17 @@ followed by one ``np.bincount`` — no per-fact Python.  The pruned-greedy
 variants make that pass once per greedy step and read from it the gains
 of the facts they evaluate; the sampling baseline restricts it to the
 sampled rows.
+
+The greedy loop reads the same layout for several problems at once:
+:class:`ScopeSegments` concatenates the facts of disjoint scopes over
+one target (a walked dimension combination's scopes, or one problem's
+index as a single segment), and a :class:`ScopeBatch` builds those
+segments on first need and keeps only each solve's per-scope results.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +56,76 @@ _EMPTY_INDICES = np.empty(0, dtype=np.intp)
 Groups = dict[tuple[str, ...], np.ndarray] | Callable[[], dict[tuple[str, ...], np.ndarray]]
 
 
-def _clipped_sums(
+def segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of ``values``, bit for bit ``float(segment.sum())``.
+
+    ``np.add.reduce`` sums a segment as the identity 0.0 plus the
+    pairwise sum of its elements, while ``np.add.reduceat`` starts from
+    the segment's first element and adds the pairwise sum of the rest.
+    Prefixing every segment with 0.0 makes the two the same sum, and
+    gives an empty segment 0.0.
+    """
+    if sizes.size == 1:
+        return np.add.reduce(values, keepdims=True)
+    if not sizes.size:
+        return np.empty(0)
+    # Segment k's 0.0 goes before its values, k places further on.
+    heads = np.zeros(sizes.size, dtype=np.intp)
+    np.cumsum(sizes[:-1] + 1, out=heads[1:])
+    padded = np.zeros(values.size + sizes.size)
+    at_value = np.ones(padded.size, dtype=bool)
+    at_value[heads] = False
+    padded[at_value] = values
+    return np.add.reduceat(padded, heads)
+
+
+class ScopeSegments(NamedTuple):
+    """The candidate facts of disjoint scopes over one target, in one CSR layout.
+
+    Scope ``s`` owns the facts ``fact_starts[s]:fact_starts[s + 1]``
+    and the next ``row_counts[s]`` rows of ``error``, the per-row error
+    of the empty speech (the greedy loop lowers it in place).  Fact
+    ``i`` owns the entries ``offsets[i]:offsets[i + 1]`` of ``rows``
+    (positions in ``error``, inside its scope's rows), ``fact_ids`` and
+    ``fact_errors`` (``|values[i] − v_r|``), laid out as
+    :class:`FactScopeIndex` lays out one problem's facts.
+    """
+
+    fact_starts: np.ndarray
+    row_counts: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    fact_ids: np.ndarray
+    fact_errors: np.ndarray
+    values: np.ndarray
+    error: np.ndarray
+
+
+class ScopeBatch:
+    """The problems of disjoint scopes over one target, solved together.
+
+    ``segments`` builds their :class:`ScopeSegments` (one pass over
+    every scope's entries).  :meth:`solved` runs a solver over them on
+    first need and keeps only its result, per key: the segments are
+    dropped as soon as it is made.  A problem of the batch names it
+    with its scope's slot (:attr:`SummarizationProblem.batch`).
+    """
+
+    __slots__ = ("_segments", "_solutions")
+
+    def __init__(self, segments: Callable[[], ScopeSegments]):
+        self._segments = segments
+        self._solutions: dict = {}
+
+    def solved(self, key: Any, solve: Callable[[ScopeSegments], Any]) -> Any:
+        """``solve(segments)``, made once per ``key``."""
+        solution = self._solutions.get(key)
+        if solution is None:
+            solution = self._solutions[key] = solve(self._segments())
+        return solution
+
+
+def clipped_sums(
     ids: np.ndarray,
     rows: np.ndarray,
     fact_errors: np.ndarray,
@@ -73,12 +148,12 @@ def _clipped_sums(
 class FactScopeIndex:
     """CSR index of candidate-fact scopes over one relation.
 
-    Built once per summarization problem (the problem owns it); all
-    batch kernels are then
-    pure NumPy passes over the flat arrays.  Under the closest-relevant-
-    value expectation model the per-row gain of a fact is
-    ``max(error[r] − |fact.value − v_r|, 0)``, so precomputing the fact
-    errors makes every gain query a gather + clip + segmented sum.
+    Built for a summarization problem on first need (the problem owns
+    it); all batch kernels are then pure NumPy passes over the flat
+    arrays.  Under the closest-relevant-value expectation model the
+    per-row gain of a fact is ``max(error[r] − |fact.value − v_r|, 0)``,
+    so precomputing the fact errors makes every gain query a gather +
+    clip + segmented sum.
     """
 
     __slots__ = (
@@ -129,6 +204,7 @@ class FactScopeIndex:
         row_indices: np.ndarray,
         supports: np.ndarray,
         groups: Groups,
+        fact_errors: np.ndarray | None = None,
     ) -> "FactScopeIndex":
         """Lay out facts whose scope rows are already known in CSR form.
 
@@ -139,15 +215,17 @@ class FactScopeIndex:
         ascending, in the order the combinations first appear among
         ``facts``, or is a function that returns that map.  ``facts`` is
         only read when a summarizer needs a fact object, so it may build
-        them lazily.
+        them lazily.  ``fact_errors`` are the entries' errors, when
+        already known.
         """
         offsets = np.zeros(len(supports) + 1, dtype=np.intp)
         supports.cumsum(out=offsets[1:])
         row_indices = row_indices.astype(np.intp, copy=False)
         fact_ids = np.arange(len(supports), dtype=np.intp).repeat(supports)
-        fact_errors = values[fact_ids]
-        fact_errors -= relation.target_values[row_indices]
-        np.abs(fact_errors, out=fact_errors)
+        if fact_errors is None:
+            fact_errors = values[fact_ids]
+            fact_errors -= relation.target_values[row_indices]
+            np.abs(fact_errors, out=fact_errors)
         return cls(facts, row_indices, offsets, fact_ids, fact_errors, values, groups)
 
     @classmethod
@@ -219,6 +297,19 @@ class FactScopeIndex:
         alike[fact_id] = True
         return [int(j) for j in np.flatnonzero(alike) if self.facts[j] == fact]
 
+    def segments(self, error: np.ndarray) -> ScopeSegments:
+        """The index as one scope whose rows start at the per-row ``error``."""
+        return ScopeSegments(
+            np.array([0, self.num_facts]),
+            np.array([error.size]),
+            self.offsets,
+            self.row_indices,
+            self.fact_ids,
+            self.fact_errors,
+            self.values,
+            error,
+        )
+
     # ------------------------------------------------------------------
     # Batch gain kernels (closest-relevant-value model)
     # ------------------------------------------------------------------
@@ -228,7 +319,7 @@ class FactScopeIndex:
         One flat pass: gather current errors, subtract the precomputed
         fact errors, clip at zero, and sum per fact via ``bincount``.
         """
-        return _clipped_sums(
+        return clipped_sums(
             self.fact_ids, self.row_indices, self.fact_errors, error, self.num_facts
         )
 
@@ -242,7 +333,7 @@ class FactScopeIndex:
         """
         selected = row_mask[self.row_indices]
         ids = self.fact_ids[selected]
-        gains = _clipped_sums(
+        gains = clipped_sums(
             ids, self.row_indices[selected], self.fact_errors[selected], error, self.num_facts
         )
         counts = np.bincount(ids, minlength=self.num_facts)

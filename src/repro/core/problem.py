@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.core.errors import InvalidProblemError
 from repro.core.expectation import ClosestRelevantFactModel, ExpectationModel
-from repro.core.kernel import FactScopeIndex
+from repro.core.kernel import FactScopeIndex, ScopeBatch
 from repro.core.model import Fact, SummarizationRelation
 from repro.core.priors import GlobalAveragePrior, Prior
 from repro.core.utility import UtilityEvaluator
@@ -42,6 +42,11 @@ class SummarizationProblem:
         The candidates' CSR scope index, when whoever generated the
         facts already knows their rows; otherwise :meth:`index` builds
         it on first use.
+    batch:
+        The :class:`~repro.core.kernel.ScopeBatch` the problem is a
+        member of and its slot there, or None: the greedy loop then
+        solves the problem alone.  The batch's problems share one prior
+        and the closest-relevant-value model.
     """
 
     relation: SummarizationRelation
@@ -51,6 +56,7 @@ class SummarizationProblem:
     expectation_model: ExpectationModel = field(default_factory=ClosestRelevantFactModel)
     label: str = ""
     scope_index: FactScopeIndex | None = field(default=None, repr=False, compare=False)
+    batch: tuple[ScopeBatch, int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_facts < 1:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.core.kernel import FactScopeIndex
-from repro.core.model import Fact, Scope, SummarizationRelation
+from repro.core.kernel import FactScopeIndex, ScopeSegments, segment_sums
+from repro.core.model import DimensionCodes, Fact, Scope, SummarizationRelation
 from repro.facts.groups import FactGroup, enumerate_fact_groups
 
 _EMPTY_ROWS = np.empty(0, dtype=np.intp)
@@ -29,39 +29,48 @@ _EMPTY_ROWS = np.empty(0, dtype=np.intp)
 def _segment_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mean of each consecutive segment of ``values``, bit for bit ``float(segment.mean())``.
 
-    ``np.add.reduce`` sums a segment as the identity 0.0 plus the
-    pairwise sum of its elements, while ``np.add.reduceat`` starts from
-    the segment's first element and adds the pairwise sum of the rest.
-    Prefixing every segment with 0.0 makes the two the same sum.
+    A segment's mean is its sum, as ``np.add.reduce`` makes it
+    (:func:`~repro.core.kernel.segment_sums`), over its size.
     """
-    if not sizes.size:
-        return np.empty(0)
-    # Segment k's 0.0 goes before its values, k places further on.
-    heads = np.zeros(sizes.size, dtype=np.intp)
-    np.cumsum(sizes[:-1] + 1, out=heads[1:])
-    padded = np.zeros(values.size + sizes.size)
-    at_value = np.ones(padded.size, dtype=bool)
-    at_value[heads] = False
-    padded[at_value] = values
-    return np.add.reduceat(padded, heads) / sizes
+    return segment_sums(values, sizes) / sizes
+
+
+def _means_and_errors(entries: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facts' values and their entries' errors, from one gather of the target.
+
+    ``entries`` holds the target value of each fact's rows, fact by
+    fact, ``supports[i]`` of them for fact ``i``.  Returns each fact's
+    value (:func:`_segment_means`) and each entry's ``|value − v_r|``,
+    computed in ``entries``' place: the bits of
+    :meth:`FactScopeIndex.from_rows`' fact errors.
+    """
+    values = _segment_means(entries, supports)
+    # |v_r − value| has the bits of |value − v_r|.
+    entries -= values.repeat(supports)
+    np.abs(entries, out=entries)
+    return values, entries
 
 
 class CandidateFacts(Sequence):
     """Candidate facts held as arrays; each :class:`Fact` is built on first access.
 
     Fact ``i`` restricts the base scope plus the columns of
-    ``groups[group_of[i]]``, whose values it takes from the
-    relation's codes at ``first_rows[i]`` (any row of its scope), with
-    value ``values[i]`` and support ``supports[i]``.  A summarizer
-    typically reads a handful of the candidates, so most are never
-    built.  Built facts are kept, and the sequence compares equal to a
-    list of equal facts.
+    ``groups[group_of[i]]``, whose values it takes from ``codes`` (a
+    relation's
+    :meth:`~repro.core.model.SummarizationRelation.dimension_codes` of
+    each column) at ``first_rows[i]`` (any row of its scope), with
+    value ``values[i]`` and support ``supports[i]``.  ``values`` may be
+    a function that returns them, called on the first read: a walked
+    problem's solver knows the values of the facts it selects
+    (:meth:`fact`).  A summarizer typically reads a handful of the
+    candidates, so most are never built.  Built facts are kept, and the
+    sequence compares equal to a list of equal facts.
     """
 
     __slots__ = (
-        "values",
         "supports",
-        "_relation",
+        "_values",
+        "_codes",
         "_base",
         "_groups",
         "_group_of",
@@ -76,45 +85,56 @@ class CandidateFacts(Sequence):
 
     def __init__(
         self,
-        relation: SummarizationRelation,
+        codes: Mapping[str, DimensionCodes],
         base: Scope,
         groups: Sequence[FactGroup],
         group_of: np.ndarray,
         first_rows: np.ndarray,
-        values: np.ndarray,
+        values: np.ndarray | Callable[[], np.ndarray],
         supports: np.ndarray,
     ):
-        self.values = values
         self.supports = supports
-        self._relation = relation
+        self._values = values
+        self._codes = codes
         self._base = base
         self._groups = groups
         self._group_of = group_of
         self._first_rows = first_rows
         self._built: list[Fact | None] = [None] * len(group_of)
 
+    @property
+    def values(self) -> np.ndarray:
+        """Each fact's value."""
+        if callable(self._values):
+            self._values = self._values()
+        return self._values
+
     def __len__(self) -> int:
         return len(self._built)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def fact(self, index: int, value: float | None = None) -> Fact:
+        """Fact ``index``; ``value``, when given, is its value (``values[index]``)."""
         fact = self._built[index]
         if fact is None:
             assignments = self._base.assignments
             row = self._first_rows[index]
             for column in self._groups[self._group_of[index]].dimensions:
-                codes, decode, _ = self._relation.dimension_codes(column)
+                codes, decode, _ = self._codes[column]
                 assignments[column] = decode[codes[row]]
             fact = self._built[index] = Fact(
                 scope=Scope(assignments),
-                value=float(self.values[index]),
+                value=float(self.values[index] if value is None else value),
                 support=int(self.supports[index]),
             )
         return fact
 
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self.fact(index)
+
     def __iter__(self) -> Iterator[Fact]:
-        return map(self.__getitem__, range(len(self)))
+        return map(self.fact, range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (CandidateFacts, list, tuple)):
@@ -149,6 +169,8 @@ class GeneratedFacts:
         Each fact group's key in the scope index: its columns and the
         base-scope columns, sorted.  A group missing here gets that key
         worked out from ``base_scope``.
+    fact_errors:
+        Each row entry's ``|value − v_r|``, when already known.
     """
 
     facts: Sequence[Fact]
@@ -158,6 +180,7 @@ class GeneratedFacts:
     row_indices: np.ndarray = field(default_factory=lambda: _EMPTY_ROWS)
     group_ranges: dict[FactGroup, range] = field(default_factory=dict)
     index_keys: Mapping[FactGroup, tuple[str, ...]] = field(default_factory=dict)
+    fact_errors: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -179,7 +202,13 @@ class GeneratedFacts:
             }
 
         return FactScopeIndex.from_rows(
-            relation, self.facts, self.values, self.row_indices, self.supports, by_columns
+            relation,
+            self.facts,
+            self.values,
+            self.row_indices,
+            self.supports,
+            by_columns,
+            self.fact_errors,
         )
 
     def groups(self) -> list[FactGroup]:
@@ -233,17 +262,20 @@ class ScopeFamily:
     the facts ``fact_starts[s]:fact_starts[s + 1]``, the entries
     ``entry_starts[s]:entry_starts[s + 1]`` of ``rows`` and the
     generating relation's rows ``scope_rows[scope_starts[s]:scope_starts[s
-    + 1]]``.  A fact's rows and first row index the relation of its
-    scope's rows: positions among the scope's rows, or for a family of
-    one scope (columns that do not split the generating relation, such
-    as a subset's own predicates) the generating relation's rows.  Fact
-    values depend on the target, so each problem computes its own
-    (:meth:`generated`).
+    + 1]]``.  A fact's first row is a row of the generating relation,
+    whose ``codes`` of the free columns give the fact's scope.  A fact's
+    rows are positions in ``scope_rows``, or for a family of one scope
+    (columns that do not split the generating relation, such as a
+    subset's own predicates) the generating relation's rows.  Fact values depend on the target:
+    a problem computes its own (:meth:`generated`), and a batch of
+    every scope's problems over one target all of them at once
+    (:meth:`segments`).
     """
 
     shape: FactGroups
     #: Each scope's id by its values of the columns; None for one scope.
     keys: dict[tuple, int] | None
+    codes: dict[str, DimensionCodes]
     scope_rows: np.ndarray
     scope_starts: np.ndarray
     fact_starts: np.ndarray
@@ -265,28 +297,55 @@ class ScopeFamily:
         """The generating relation's rows of ``scope``, ascending."""
         return self.scope_rows[self.scope_starts[scope] : self.scope_starts[scope + 1]]
 
+    def num_facts(self, scope: int) -> int:
+        """Number of ``scope``'s candidate facts."""
+        return int(self.fact_starts[scope + 1] - self.fact_starts[scope])
+
     def cache(self, scope: int) -> dict:
         """A dict kept for ``scope``: the :attr:`FactScopeIndex.cache` of its problems."""
         return self._caches.setdefault(scope, {})
 
+    def candidates(
+        self, scope: int, base: Scope, values: np.ndarray | Callable[[], np.ndarray]
+    ) -> CandidateFacts:
+        """``scope``'s facts with base ``base`` and ``values`` (see :class:`CandidateFacts`)."""
+        first, last = self.fact_starts[scope], self.fact_starts[scope + 1]
+        return CandidateFacts(
+            self.codes,
+            base,
+            self.shape.groups,
+            self.group_of[first:last],
+            self.first_rows[first:last],
+            values,
+            self.supports[first:last],
+        )
+
+    def values(self, scope: int, relation: SummarizationRelation) -> np.ndarray:
+        """Each of ``scope``'s facts' value over ``relation``, the relation of its rows."""
+        supports = self.supports[self.fact_starts[scope] : self.fact_starts[scope + 1]]
+        return _segment_means(relation.target_values[self._rows(scope)], supports)
+
     def generated(
-        self, scope: int, relation: SummarizationRelation, base: Scope
+        self,
+        scope: int,
+        relation: SummarizationRelation,
+        base: Scope,
+        facts: CandidateFacts | None = None,
     ) -> GeneratedFacts:
         """``scope``'s facts over ``relation``, the relation of its rows, with base ``base``.
 
         A fact's value is the mean of ``relation``'s target over its
-        rows, computed as for the scope generated on its own.
+        rows, computed as for the scope generated on its own; ``facts``
+        (from :meth:`candidates`) may already hold them.
         """
         first, last = self.fact_starts[scope], self.fact_starts[scope + 1]
-        rows = self.rows[self.entry_starts[scope] : self.entry_starts[scope + 1]]
-        rows = rows.astype(np.intp, copy=False)
+        rows = self._rows(scope)
         supports = self.supports[first:last]
+        values, errors = _means_and_errors(relation.target_values[rows], supports)
+        if facts is None:
+            facts = self.candidates(scope, base, values)
         group_of = self.group_of[first:last]
-        values = _segment_means(relation.target_values[rows], supports)
         shape = self.shape
-        facts = CandidateFacts(
-            relation, base, shape.groups, group_of, self.first_rows[first:last], values, supports
-        )
         # A scope's facts come group by group, in the order of ``shape.groups``.
         bounds = group_of.searchsorted(np.arange(len(shape.groups) + 1)).tolist()
         ranges = {
@@ -294,7 +353,42 @@ class ScopeFamily:
             for group, start, stop in zip(shape.groups, bounds, bounds[1:])
             if stop > start
         }
-        return GeneratedFacts(facts, base, values, supports, rows, ranges, shape.index_keys)
+        return GeneratedFacts(facts, base, values, supports, rows, ranges, shape.index_keys, errors)
+
+    def segments(self, target: np.ndarray, prior: float) -> ScopeSegments:
+        """Every scope's facts over ``target`` and a constant prior ``prior``, as one batch.
+
+        ``target`` is the generating relation's target, with no NULL.
+        Each scope's values, fact errors and per-row errors have the
+        bits of its problem's own (:meth:`generated`,
+        :meth:`FactScopeIndex.from_rows`,
+        :meth:`UtilityEvaluator.initial_error`): the same operations on
+        the same values, each scope's rows in ascending order.
+        """
+        # intp positions: NumPy gathers through them several times faster.
+        rows = self.rows.astype(np.intp)
+        at = target[self.scope_rows]
+        values, fact_errors = _means_and_errors(at[rows], self.supports)
+        offsets = np.zeros(self.supports.size + 1, dtype=np.intp)
+        self.supports.cumsum(out=offsets[1:])
+        fact_ids = np.arange(self.supports.size, dtype=np.intp).repeat(self.supports)
+        return ScopeSegments(
+            self.fact_starts,
+            np.diff(self.scope_starts),
+            offsets,
+            rows,
+            fact_ids,
+            fact_errors,
+            values,
+            np.abs(prior - at),
+        )
+
+    def _rows(self, scope: int) -> np.ndarray:
+        """Each of ``scope``'s facts' rows in the relation of the scope's rows, concatenated."""
+        rows = self.rows[self.entry_starts[scope] : self.entry_starts[scope + 1]]
+        if self.keys is None:
+            return rows
+        return np.subtract(rows, self.scope_starts[scope], dtype=np.intp)
 
 
 class FactGenerator:
@@ -445,6 +539,7 @@ class FactGenerator:
         return ScopeFamily(
             shape,
             None,
+            {column: relation.dimension_codes(column) for column in shape.columns},
             base_indices,
             np.array([0, base_indices.size]),
             np.array([0, supports.size]),
@@ -472,29 +567,30 @@ class FactGenerator:
         that order, which is their order of first appearance among the
         scope's rows.
         """
-        n = self._relation.num_rows
+        relation = self._relation
+        n = relation.num_rows
         scopes = int(bounds[1])
         scope_sizes = offsets[1 : scopes + 1] - offsets[:scopes]
-        # Each row's scope and its position among the scope's rows.
+        # Each row's scope and its position in the scopes' rows.
         scope_of = np.empty(n, dtype=np.intp)
         scope_of[order[:n]] = np.repeat(np.arange(scopes), scope_sizes)
-        local = np.empty(n, dtype=np.int32)
-        local[order[:n]] = np.arange(n) - np.repeat(offsets[:scopes], scope_sizes)
+        position = np.empty(n, dtype=np.int32)
+        position[order[:n]] = np.arange(n, dtype=np.int32)
 
         ids = np.flatnonzero(keep)
-        fact_scopes = scope_of[order[offsets[ids]]]
-        by_scope = np.argsort(fact_scopes, kind="stable")
-        ids, fact_scopes = ids[by_scope], fact_scopes[by_scope]
+        firsts = order[offsets[ids]]
+        by_scope = np.argsort(scope_of[firsts], kind="stable")
+        ids, firsts = ids[by_scope], firsts[by_scope]
         supports = offsets[ids + 1] - offsets[ids]
         ends = np.cumsum(supports)
         # Entry k of fact i reads position offsets[i] + k of ``order``.
         shift = np.repeat(offsets[ids] - (ends - supports), supports)
-        rows = local[order[np.arange(ends[-1] if ends.size else 0) + shift]]
+        rows = position[order[np.arange(ends[-1] if ends.size else 0) + shift]]
 
         fact_starts = np.zeros(scopes + 1, dtype=np.intp)
-        np.cumsum(np.bincount(fact_scopes, minlength=scopes), out=fact_starts[1:])
+        np.cumsum(np.bincount(scope_of[firsts], minlength=scopes), out=fact_starts[1:])
         entry_starts = np.concatenate(([0], ends))[fact_starts]
-        per_column = [self._relation.dimension_codes(column) for column in columns]
+        per_column = [relation.dimension_codes(column) for column in columns]
         heads = order[offsets[:scopes]].tolist()
         keys = {
             tuple(decode[codes[row]] for codes, decode, _ in per_column): scope
@@ -503,6 +599,8 @@ class FactGenerator:
         return ScopeFamily(
             shape,
             keys,
+            # The codes, not the relation: it keeps the whole pass.
+            {column: relation.dimension_codes(column) for column in shape.columns},
             # Copies: views would keep the whole pass alive.
             order[:n].copy(),
             offsets[: scopes + 1].copy(),
@@ -510,7 +608,7 @@ class FactGenerator:
             entry_starts,
             rows,
             supports,
-            local[order[offsets[ids]]],
+            firsts,
             group_of[ids],
         )
 

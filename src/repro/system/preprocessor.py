@@ -21,9 +21,13 @@ scopes in order, and the generator keeps the last combination's set-up
 grouping pass, shared by all targets, for the empty scope, for each
 scope of one column and for the first scope of each combination of
 more, plus one pass over the table for each such combination's other
-scopes.  In a pool, chunks hold whole scopes (:func:`scope_chunk_size`),
-and a chunk that starts inside a walk builds the walk's remaining
-scopes from their own rows.
+scopes.  The greedy loop then solves a walk a target at a time: the
+first of its problems to be solved runs one loop over all of the
+walk's scopes, and the others read their speeches off it (see
+:func:`repro.algorithms.greedy.solve`).  In a pool, chunks hold whole
+scopes (:func:`scope_chunk_size`), and a chunk that starts inside a
+walk builds the walk's remaining scopes from their own rows and solves
+each alone.
 Summarizers whose output depends on call order
 (``Summarizer.deterministic`` is False) are run serially even on a
 parallel pool, so the guarantee holds for every algorithm.

@@ -10,14 +10,16 @@ predicates."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations, islice, product
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.errors import InvalidProblemError
-from repro.core.expectation import ExpectationModel
+from repro.core.expectation import ClosestRelevantFactModel, ExpectationModel
+from repro.core.kernel import FactScopeIndex, ScopeBatch
 from repro.core.model import (
     DimensionCodes,
     Scope,
@@ -56,7 +58,9 @@ class CombinationSetup:
     problem is slices of it plus the relation of its scope's rows.  A
     :class:`ProblemGenerator` keeps the set-up of the last combination
     it built.  The family covers the whole table when the generator
-    walks the combination's scopes in enumeration order; otherwise it
+    walks the combination's scopes in enumeration order; ``batches``
+    then holds each target's :class:`ScopeBatch` of the walked scopes
+    (None for a target the batch cannot solve).  Otherwise the family
     is one scope's, built from that scope's own rows, which keeps
     ``predicates``, ``rows`` and the NULLs (among ``rows``) of the
     target that filled it.
@@ -67,6 +71,59 @@ class CombinationSetup:
     predicates: tuple | None = None
     rows: np.ndarray | None = None
     nulls: np.ndarray | None = None
+    batches: dict[str, ScopeBatch | None] = field(default_factory=dict)
+
+
+class WalkedProblem(SummarizationProblem):
+    """The problem of a walked scope: a member of its target's batch, made of slices.
+
+    The greedy loop reads only the batch, the candidates' count and the
+    facts it selects, whose values the batch knows.  The relation (from
+    ``relation``), the candidates' values and the scope index are made
+    on first read: by G-P, E, RANDOM, the sampling baseline or a test.
+    """
+
+    def __init__(
+        self,
+        relation: Callable[[], SummarizationRelation],
+        family: ScopeFamily,
+        scope: int,
+        base: Scope,
+        label: str,
+        max_facts: int,
+        prior: Prior,
+        batch: ScopeBatch,
+    ):
+        # Made once, by whichever reads it first.  The candidates' values
+        # read it without a reference back to the problem: a cycle would
+        # keep the walk's family alive until the cyclic collector ran.
+        self._relation_of = relation = cache(relation)
+        self._index: FactScopeIndex | None = None
+        self._family, self._scope, self._base = family, scope, base
+        self.candidate_facts = family.candidates(
+            scope, base, lambda: family.values(scope, relation())
+        )
+        self.max_facts = max_facts
+        self.prior = prior
+        self.expectation_model = ClosestRelevantFactModel()
+        self.label = label
+        self.batch = (batch, scope)
+
+    @property
+    def relation(self) -> SummarizationRelation:  # type: ignore[override]
+        return self._relation_of()
+
+    @property
+    def scope_index(self) -> FactScopeIndex:  # type: ignore[override]
+        if self._index is None:
+            family, scope, relation = self._family, self._scope, self.relation
+            generated = family.generated(scope, relation, self._base, self.candidate_facts)
+            self._index = generated.scope_index(relation)
+            self._index.cache = family.cache(scope)
+        return self._index
+
+    def index(self) -> FactScopeIndex:
+        return self.scope_index
 
 
 class ProblemGenerator:
@@ -233,15 +290,20 @@ class ProblemGenerator:
         enumeration order, the generator lays out every scope of the
         combination in one pass over the table; the combination's later
         scopes, and every target of a scope, then take their problem
-        from that pass.  Any other scope is built from its own rows.
-        The problem is the same in any order.
+        from that pass.  Under the default prior and expectation model,
+        a walked scope's problem over a target without NULLs is a
+        :class:`WalkedProblem`: slices of the pass, a member of the
+        target's :class:`ScopeBatch`, whose greedy loop solves every
+        scope of the walk at once.  Any other scope is built from its
+        own rows and solved alone.  The problem is the same in any
+        order.
         """
         last, self._last = self._last, query.predicates
         columns = tuple(query.predicate_map)
         setup = self._setup
         if setup is not None and setup.columns == columns:
             if setup.predicates is None:
-                return self._from_walk(setup.family, query)
+                return self._from_walk(setup, query)
             if setup.predicates == query.predicates:
                 values = self._target_floats(query.target)[setup.rows]
                 if np.array_equal(np.isnan(values), setup.nulls):
@@ -254,8 +316,8 @@ class ProblemGenerator:
         if self._opens_walk(last, query):
             family = self._walk(query)
             if family is not None:
-                self._setup = CombinationSetup(columns, family)
-                return self._from_walk(family, query)
+                self._setup = setup = CombinationSetup(columns, family)
+                return self._from_walk(setup, query)
         return self._alone(query, keep=True)
 
     def _opens_walk(self, last: tuple | None, query: DataQuery) -> bool:
@@ -297,8 +359,11 @@ class ProblemGenerator:
         )
         return self._facts_of(relation, tuple(query.predicate_map))
 
-    def _from_walk(self, family: ScopeFamily, query: DataQuery) -> SummarizationProblem | None:
+    def _from_walk(
+        self, setup: CombinationSetup, query: DataQuery
+    ) -> SummarizationProblem | None:
         """``query``'s problem from the family of its combination's scopes."""
+        family = setup.family
         scope = family.scope(tuple(query.predicate_map.values()))
         if scope is None:
             # No row holds these values: the subset is empty.
@@ -306,11 +371,42 @@ class ProblemGenerator:
         rows = family.relation_rows(scope)
         if rows.size < self._min_subset_rows:
             return None
+        batch = self._batch(setup, query.target)
+        if batch is not None:
+            if not family.num_facts(scope):
+                return None
+            return WalkedProblem(
+                lambda: self._relation_at(rows, query),
+                family,
+                scope,
+                Scope(dict(query.predicate_map)),
+                query.describe(),
+                self._config.max_facts_per_speech,
+                self._default_prior(query.target),
+                batch,
+            )
         relation = self._relation_at(rows, query)
         if relation.num_rows < rows.size:
             # This target has NULLs in the scope.
             return self._alone(query, rows, relation)
         return self._problem(query, relation, family, scope)
+
+    def _batch(self, setup: CombinationSetup, target: str) -> ScopeBatch | None:
+        """The batch of the walked scopes of ``setup`` over ``target``, made on first need.
+
+        None unless the problems take the default prior and expectation
+        model, so that one loop solves them all alike, and ``target``
+        has no NULL, so that each scope keeps all of its rows.
+        """
+        batches = setup.batches
+        if target not in batches:
+            values = self._target_floats(target)
+            batches[target] = None
+            defaults = self._prior is None and self._expectation_model is None
+            if defaults and not np.isnan(values).any():
+                family, prior = setup.family, self._default_prior(target).value
+                batches[target] = ScopeBatch(lambda: family.segments(values, prior))
+        return batches[target]
 
     def _alone(
         self,

@@ -55,3 +55,19 @@ class TestProblemBuilding:
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
             build_scenario_problems("X-Y")
+
+    @pytest.mark.parametrize(
+        "scale",
+        [ScenarioScale(), ScenarioScale(max_query_length=2, queries_per_scenario=40)],
+        ids=["figure-scale", "length-2"],
+    )
+    def test_no_problem_is_a_batch_member(self, scale):
+        """Figures 3 and 4 add up ``elapsed_seconds`` per problem.  A walked
+        problem's batch loop is timed in the first member solved, so a
+        scenario must build none: its sampled queries come shuffled, and
+        no two back to back open a walk (the first two scopes of a
+        combination, in enumeration order)."""
+        for label in scenario_labels():
+            problems = build_scenario_problems(label, scale=scale, seed=3)
+            assert problems
+            assert all(problem.batch is None for problem in problems)

@@ -60,6 +60,13 @@ share one grouping pass over the table and the greedy loop dropped its
 expectation vector and active mask (G-B then read its utility off the
 loop's final error, as G-O did).  Only the full run's count of
 grouping passes was re-pinned, from 513 to 67.
+
+No digest or count moved either when a walked combination's problems
+came to be solved one target at a time, in one greedy loop over all of
+its scopes, each problem reading its speech off that loop.  The full
+run's number of greedy loops (30 batches and 104 problems solved alone,
+where each of the 1,026 problems ran its own) and of batch members
+(922) were pinned then.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import greedy
 from repro.datasets import load_dataset
 from repro.facts.generation import FactGenerator
 from repro.relational.table import Table
@@ -79,6 +87,7 @@ from repro.store import CompactSpeechStore, attach, freeze
 from repro.system.config import SummarizationConfig
 from repro.system.engine import VoiceQueryEngine
 from repro.system.persistence import canonical_store_payload, store_to_dict
+from repro.system.problem_generator import WalkedProblem
 from repro.system.queries import DataQuery
 from repro.system.speech_store import SpeechStore
 from repro.system.updates import IncrementalMaintainer
@@ -199,23 +208,36 @@ def with_null_dimensions(dataset):
 
 
 @pytest.fixture(scope="module")
-def full_flights_run() -> tuple[VoiceQueryEngine, int]:
-    """The full flights engine, pre-processed serially, and its fact generations.
+def full_flights_run() -> tuple[VoiceQueryEngine, int, list[int], int]:
+    """The full flights engine, pre-processed serially, and its work.
 
-    The data and configuration of the ``voice_e2e`` ``preprocess``
-    workload.
+    The work is the number of fact generations, the scopes of each
+    greedy loop run and the number of walked problems built.  The data
+    and configuration of the ``voice_e2e`` ``preprocess`` workload.
     """
-    generations = []
+    generations, loops, members = [], [], []
     generate = FactGenerator.generate
+    loop = greedy.greedy_loop
+    walked = WalkedProblem.__init__
 
     def counted(self, base_scope=None, **kwargs):
         generations.append(base_scope)
         return generate(self, base_scope, **kwargs)
 
+    def counted_loop(segments, *args):
+        loops.append(segments.fact_starts.size - 1)
+        return loop(segments, *args)
+
+    def counted_member(self, *args):
+        members.append(args[-1])
+        walked(self, *args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FactGenerator, "generate", counted)
+        patch.setattr(greedy, "greedy_loop", counted_loop)
+        patch.setattr(WalkedProblem, "__init__", counted_member)
         engine = _engine(load_dataset("flights", num_rows=5000, seed=20210318))
-    return engine, len(generations)
+    return engine, len(generations), loops, len(members)
 
 
 @pytest.fixture(scope="module")
@@ -237,10 +259,27 @@ def test_full_flights_preprocessing_builds_each_scope_once(full_flights_run):
     when G-O's plans pruned groups whose gains the one-pass kernel
     computed anyway).
     """
-    engine, generations = full_flights_run
+    engine, generations, _, _ = full_flights_run
     assert generations == 67
     assert engine.report.speeches_generated == 1026
     assert engine.report.fact_evaluations == 429_181
+
+
+def test_full_flights_preprocessing_solves_each_walk_in_one_loop_per_target(full_flights_run):
+    """The work, not the clock: 30 greedy loops solve the 922 walked problems.
+
+    Each of the 15 walks makes one batch per target (30), whose first
+    member to be solved runs one loop over every scope of the walk;
+    the walk's other viable problems read their speeches off it.  The
+    other 104 problems (the empty scope, the one-column scopes and each
+    walk's first scope, for both targets) are batches of one: 134 loops
+    in all, where each of the 1,026 problems ran its own loop before.
+    """
+    _, _, loops, members = full_flights_run
+    batches = [scopes for scopes in loops if scopes > 1]
+    assert len(batches) == 30
+    assert members == 922
+    assert len(loops) - len(batches) == 1026 - 922
 
 
 def test_flights_store_matches_golden_digest():
